@@ -192,7 +192,10 @@ def parse_args(argv: Sequence[str]) -> CommandSpec:
         if ns.seed is not None:
             seed = ns.seed
         else:
-            seed = int(os.environ.get(SEED_ENV, "0"))
+            try:
+                seed = int(os.environ.get(SEED_ENV, "0"))
+            except ValueError:
+                parser.error(f"{SEED_ENV} must be an integer")
     return CommandSpec(ns.command, field=field, entries=entries, gram=gram,
                        as_json=ns.as_json, seed=seed, trials=trials)
 

@@ -8,7 +8,7 @@ and monic denominator, coordinate pairs over the base), so structural
 equality coincides with mathematical equality and elements are hashable.
 
 Square roots are decided constructively: integer square roots for Q,
-residue enumeration for F_p, squarefree decomposition for F_p(t), and a
+Tonelli-Shanks for F_p, squarefree decomposition for F_p(t), and a
 norm argument (characteristic not 2) or Frobenius-part decomposition
 (characteristic 2) for quadratic extensions.
 """
@@ -37,15 +37,35 @@ class DescriptorMismatch(ValueError):
     """Operands belong to different fields."""
 
 
+# Deterministic Miller-Rabin: the first nine prime bases decide primality for
+# every n below this bound (Jaeschke, Math. Comp. 61, 1993).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+_MR_BOUND = 3825123056546413051
+
+
 def _is_prime(p: int) -> bool:
-    # Trial division; moduli stay tiny at the scales this library targets.
+    # Miller-Rabin with a base set proven deterministic below _MR_BOUND;
+    # larger moduli are refused rather than decided probabilistically.
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_BOUND:
+        raise DomainError(f"primality of {p} is not decided above {_MR_BOUND - 1}")
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -54,26 +74,34 @@ def _is_prime(p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _trim(coeffs: list) -> tuple:
+    """Tuple of already reduced coefficients without trailing zeros."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 class Poly:
     """Polynomial over F_p with coefficients in [0, p); no trailing zeros.
 
     The zero polynomial has an empty coefficient tuple and degree -1.
+    Over F_2 the arithmetic kernels also use the polynomial as a bit-vector
+    int (bit i is the coefficient of t^i), cached in `_bits`.
     """
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "coeffs", "_bits")
 
     def __init__(self, p: int, coeffs, normalize: bool = True):
         if normalize:
-            coeffs = [c % p for c in coeffs]
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-            coeffs = tuple(coeffs)
+            coeffs = _trim([c % p for c in coeffs])
         self.p = p
         self.coeffs = coeffs
+        self._bits = None
 
     @classmethod
     def const(cls, p: int, c: int) -> Poly:
-        return cls(p, (c % p,) if c % p else ())
+        c %= p
+        return cls(p, (c,) if c else (), normalize=False)
 
     @classmethod
     def x(cls, p: int) -> Poly:
@@ -107,16 +135,20 @@ class Poly:
 
     def __add__(self, other: Poly) -> Poly:
         p = self.p
+        if p == 2:
+            return _poly2(_bits(self) ^ _bits(other))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] = (out[i] + c) % p
-        return Poly(p, out)
+        return Poly(p, _trim(out), normalize=False)
 
     def __neg__(self) -> Poly:
         p = self.p
+        if p == 2:
+            return self
         return Poly(p, tuple((-c) % p for c in self.coeffs), normalize=False)
 
     def __sub__(self, other: Poly) -> Poly:
@@ -126,45 +158,48 @@ class Poly:
         p = self.p
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly(p, ())
+            return Poly(p, (), normalize=False)
+        if p == 2:
+            return _poly2(_clmul(_bits(self), _bits(other)))
         if len(a) == 1:
             s = a[0]
             return Poly(p, tuple(s * c % p for c in b), normalize=False)
         if len(b) == 1:
             s = b[0]
             return Poly(p, tuple(s * c % p for c in a), normalize=False)
-        out = [0] * (len(a) + len(b) - 1)
+        # Accumulate unreduced and reduce once; the top coefficient is a
+        # product of two units, so no trailing zero can appear.
+        nb = len(b)
+        out = [0] * (len(a) + nb - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] = (out[i + j] + ca * cb) % p
-        return Poly(p, out)
+                out[i:i + nb] = [x + ca * y for x, y in zip(out[i:i + nb], b)]
+        return Poly(p, tuple(c % p for c in out), normalize=False)
 
     def scale(self, s: int) -> Poly:
         p = self.p
         s %= p
         if s == 0:
-            return Poly(p, ())
+            return Poly(p, (), normalize=False)
+        if s == 1:
+            return self
         return Poly(p, tuple(s * c % p for c in self.coeffs), normalize=False)
 
     def __divmod__(self, other: Poly):
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
         p = self.p
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(p, ()), self
-        quot = [0] * (dq + 1)
-        inv_lead = pow(other.leading, -1, p)
+        if p == 2:
+            q, r = _divmod2(_bits(self), _bits(other))
+            return _poly2(q), _poly2(r)
         oc = other.coeffs
-        for k in range(dq, -1, -1):
-            c = rem[k + len(oc) - 1] * inv_lead % p
-            if c:
-                quot[k] = c
-                for i, co in enumerate(oc):
-                    rem[k + i] = (rem[k + i] - c * co) % p
-        return Poly(p, quot), Poly(p, rem)
+        if len(oc) == 1:
+            return self.scale(pow(oc[0], -1, p)), Poly(p, (), normalize=False)
+        if len(self.coeffs) < len(oc):
+            return Poly(p, (), normalize=False), self
+        rem = list(self.coeffs)
+        quot = _rem_in_place(rem, oc, p)
+        return Poly(p, tuple(quot), normalize=False), Poly(p, _trim(rem), normalize=False)
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
@@ -203,13 +238,96 @@ class Poly:
         return f"Poly(p={self.p}, coeffs={self.coeffs})"
 
 
+def _rem_in_place(rem: list, div, p: int) -> list:
+    """Reduce the coefficient list `rem` modulo the nonzero `div` (odd p).
+
+    On return rem holds the remainder as deg(div) coefficients, possibly
+    with trailing zeros; the quotient coefficients are returned.
+    """
+    nb = len(div) - 1
+    low = div[:nb]
+    inv_lead = pow(div[nb], -1, p)
+    quot = [0] * (len(rem) - nb)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + nb] * inv_lead % p
+        if c:
+            quot[k] = c
+            rem[k:k + nb] = [(x - c * y) % p for x, y in zip(rem[k:k + nb], low)]
+    del rem[nb:]
+    return quot
+
+
+# F_2[t] kernels on bit-vector ints (Brent, Gaudry, Thome and Zimmermann,
+# "Faster multiplication in GF(2)[x]", ANTS 2008): add is XOR, multiply is
+# shift-and-XOR, and division steps by bit_length.
+
+
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bits(f: Poly) -> int:
+    b = f._bits
+    if b is None:
+        c = f.coeffs
+        b = f._bits = int(bytes(reversed(c)).translate(_BITS_TO_DIGITS), 2) if c else 0
+    return b
+
+
+def _poly2(bits: int) -> Poly:
+    coeffs = tuple(bin(bits)[:1:-1].encode().translate(_DIGITS_TO_BITS)) if bits else ()
+    f = Poly(2, coeffs, normalize=False)
+    f._bits = bits
+    return f
+
+
+def _clmul(a: int, b: int) -> int:
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
+    out = 0
+    while b:
+        low = b & -b
+        out ^= a * low
+        b ^= low
+    return out
+
+
+def _divmod2(a: int, b: int) -> tuple[int, int]:
+    nb = b.bit_length()
+    q = 0
+    shift = a.bit_length() - nb
+    while shift >= 0:
+        q |= 1 << shift
+        a ^= b << shift
+        shift = a.bit_length() - nb
+    return q, a
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor by the Euclidean algorithm."""
     if f.is_zero() and g.is_zero():
         raise DomainError("gcd(0, 0) is undefined")
-    while not g.is_zero():
-        f, g = g, f % g
-    return f.monic()
+    p = f.p
+    if p == 2:
+        a, b = _bits(f), _bits(g)
+        while b:
+            a, b = b, _divmod2(a, b)[1]
+        return _poly2(a)
+    if g.is_zero():
+        return f.monic()
+    # Euclid on plain lists, keeping the divisor monic.
+    a = list(f.coeffs)
+    b = list(g.monic().coeffs)
+    while b:
+        if len(a) >= len(b):
+            _rem_in_place(a, b, p)
+        while a and not a[-1]:
+            a.pop()
+        if a and a[-1] != 1:
+            s = pow(a[-1], -1, p)
+            a = [c * s % p for c in a]
+        a, b = b, a
+    return Poly(p, tuple(a), normalize=False)
 
 
 def _poly_pth_root(f: Poly) -> Optional[Poly]:
@@ -294,7 +412,7 @@ class FieldDescriptor:
     is the common fast path; quadratic extensions compare structurally.
     """
 
-    __slots__ = ("kind", "p", "var", "base", "radicand", "_zero", "_one", "_residues")
+    __slots__ = ("kind", "p", "var", "base", "radicand", "_zero", "_one")
 
     def __init__(self, kind, p=None, var=None, base=None, radicand=None):
         self.kind = kind
@@ -304,7 +422,6 @@ class FieldDescriptor:
         self.radicand = radicand
         self._zero = None
         self._one = None
-        self._residues = None
 
     def characteristic(self) -> int:
         if self.kind == KIND_RATIONALS:
@@ -327,11 +444,7 @@ class FieldDescriptor:
         if self.kind == KIND_RATIONALS:
             return FieldElement(self, Fraction(n))
         if self.kind == KIND_PRIME:
-            if self._residues is None:
-                self._residues = [
-                    FieldElement(self, r) for r in range(self.p)
-                ]
-            return self._residues[n % self.p]
+            return FieldElement(self, n % self.p)
         if self.kind == KIND_FUNFIELD:
             return FieldElement(
                 self, (Poly.const(self.p, n), Poly.const(self.p, 1))
@@ -434,13 +547,11 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         kind = self.field.kind
-        if kind == KIND_RATIONALS:
-            return self.payload == 0
-        if kind == KIND_PRIME:
-            return self.payload == 0
         if kind == KIND_FUNFIELD:
-            return self.payload[0].is_zero()
-        return self.payload[0].is_zero() and self.payload[1].is_zero()
+            return not self.payload[0].coeffs
+        if kind == KIND_QUADEXT:
+            return self.payload[0].is_zero() and self.payload[1].is_zero()
+        return self.payload == 0
 
     def is_one(self) -> bool:
         return self == self.field.one()
@@ -457,8 +568,9 @@ class FieldElement:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: FieldElement) -> FieldElement:
-        self._same(other)
         field = self.field
+        if other.__class__ is not FieldElement or other.field is not field:
+            self._same(other)
         kind = field.kind
         if kind == KIND_RATIONALS:
             return FieldElement(field, self.payload + other.payload)
@@ -467,6 +579,10 @@ class FieldElement:
         if kind == KIND_FUNFIELD:
             n1, d1 = self.payload
             n2, d2 = other.payload
+            if not n2.coeffs:
+                return self
+            if not n1.coeffs:
+                return other
             if d1 == d2:
                 return _make_ratio(field, n1 + n2, d1)
             return _make_ratio(field, n1 * d2 + n2 * d1, d1 * d2)
@@ -491,8 +607,9 @@ class FieldElement:
         return self + (-other)
 
     def __mul__(self, other: FieldElement) -> FieldElement:
-        self._same(other)
         field = self.field
+        if other.__class__ is not FieldElement or other.field is not field:
+            self._same(other)
         kind = field.kind
         if kind == KIND_RATIONALS:
             return FieldElement(field, self.payload * other.payload)
@@ -504,15 +621,16 @@ class FieldElement:
             if n1.is_zero() or n2.is_zero():
                 return field.zero()
             # Cross-reduce before multiplying to keep degrees small.
-            if not d2.is_one() and not n1.is_zero():
+            if not d2.is_one():
                 g = poly_gcd(n1, d2)
                 if not g.is_one():
                     n1, d2 = n1 // g, d2 // g
-            if not d1.is_one() and not n2.is_zero():
+            if not d1.is_one():
                 g = poly_gcd(n2, d1)
                 if not g.is_one():
                     n2, d1 = n2 // g, d1 // g
-            return _make_ratio(field, n1 * n2, d1 * d2, reduced=True)
+            den = d2 if d1.is_one() else d1 if d2.is_one() else d1 * d2
+            return _make_ratio(field, n1 * n2, den, reduced=True)
         u1, v1 = self.payload
         u2, v2 = other.payload
         d = field.radicand
@@ -605,11 +723,34 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
 
 
 def _prime_sqrt(x: int, p: int) -> Optional[int]:
-    # Least-residue root by enumeration; p is small by design.
-    for r in range((p // 2) + 1):
-        if r * r % p == x:
-            return r
-    return None
+    # Tonelli-Shanks (Shanks 1973), O(log^2 p) multiplications; of the two
+    # roots r and p - r the least residue is returned.
+    if x == 0 or p == 2:
+        return x
+    if pow(x, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c = pow(z, q, p)
+    r = pow(x, (q + 1) // 2, p)
+    t = pow(x, q, p)
+    m = s
+    while t != 1:
+        # least i with t^(2^i) = 1; then fold in c^(2^(m-i-1))
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        r = r * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
+    return min(r, p - r)
 
 
 def _funfield_sqrt(x: FieldElement) -> Optional[FieldElement]:

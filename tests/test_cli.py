@@ -30,6 +30,14 @@ def test_seed_env_override(monkeypatch):
     assert spec.seed == 3
 
 
+def test_bad_seed_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("ORTHOCURRENT_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["verify", "--field", "Q", "--form", "1,2,3,4"])
+    assert exc.value.code == 2
+    assert "ORTHOCURRENT_SEED must be an integer" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2():
     for argv in [
         ["oracle", "--field", "Q", "--form", "1,1,1,1"],
@@ -37,6 +45,8 @@ def test_usage_errors_exit_2():
         ["classify", "--field", "F3", "--form", "1,1,1"],
         ["classify", "--field", "nonsense", "--form", "1,1,1,1"],
         ["counterexample", "--p", "5"],
+        # beyond the deterministic Miller-Rabin bound
+        ["classify", "--field", "F3825123056546413053", "--form", "1,1,1,1"],
         [],
     ]:
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,9 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthocurrent.scalars import (
     DivisionByZero,
@@ -238,3 +241,138 @@ def test_quadratic_extension_requires_non_square():
         quadratic_extension(Q, Q.from_int(4))
     with pytest.raises(DomainError):
         quadratic_extension(Q, Q.zero())
+
+
+# ---------------------------------------------------------------------------
+# Kernels: primality, square roots in F_p, polynomial arithmetic.
+# ---------------------------------------------------------------------------
+
+SMALL_PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+
+
+def test_miller_rabin_accepts_large_prime_quickly():
+    start = time.perf_counter()
+    field = prime_field(2**61 - 1)
+    assert time.perf_counter() - start < 1.0
+    assert render_field(field) == "F2305843009213693951"
+
+
+def test_miller_rabin_rejects_composites():
+    # Carmichael numbers, and a strong pseudoprime to bases 2, 3, 5 and 7
+    for n in (561, 1105, 3215031751):
+        with pytest.raises(DomainError):
+            prime_field(n)
+
+    def accepted(n):
+        try:
+            prime_field(n)
+        except DomainError:
+            return False
+        return True
+
+    assert [n for n in range(200) if accepted(n)] == SMALL_PRIMES
+
+
+def test_primality_refused_above_bound():
+    with pytest.raises(DomainError):
+        prime_field(3825123056546413053)
+    with pytest.raises(ParseError):
+        parse_field("F3825123056546413053(t)")
+
+
+def test_large_prime_field_is_cheap():
+    # no per-residue state: a field of size 10^9 sets up and computes at once
+    start = time.perf_counter()
+    field = prime_field(1000000007)
+    minus_one = field.from_int(-1)
+    assert minus_one.payload == 1000000006 and minus_one * minus_one == field.one()
+    assert is_square(field.from_int(4)) == field.from_int(2)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_tonelli_shanks_least_root_small_primes():
+    # covers p = 1 mod 8 (17, 97, 193), where the 2-power loop runs longest
+    for p in SMALL_PRIMES:
+        field = prime_field(p)
+        least = {}
+        for r in range(p - 1, -1, -1):
+            least[r * r % p] = r
+        for x in range(p):
+            root = is_square(field.from_int(x))
+            if x in least:
+                assert root == field.from_int(least[x]), (p, x)
+            else:
+                assert root is None, (p, x)
+
+
+def test_tonelli_shanks_large_primes():
+    rng = random.Random(17)
+    for p in (1000003, 2**61 - 1):
+        field = prime_field(p)
+        for _ in range(50):
+            x = rng.randrange(p)
+            sq = field.from_int(x * x)
+            root = is_square(sq)
+            r = root.payload
+            assert r * r % p == sq.payload and r <= p - r
+        nonresidues = [x for x in range(2, 60) if pow(x, (p - 1) // 2, p) == p - 1]
+        assert nonresidues and all(is_square(field.from_int(x)) is None for x in nonresidues)
+
+
+def _ref_trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _ref_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b, p):
+    rem = list(a)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    inv_lead = pow(b[-1], -1, p)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b) - 1] * inv_lead % p
+        quot[k] = c
+        for i, y in enumerate(b):
+            rem[k + i] = (rem[k + i] - c * y) % p
+    return _ref_trim(quot), _ref_trim(rem)
+
+
+def _poly_strategy(p):
+    return st.lists(st.integers(0, p - 1), max_size=12).map(lambda c: Poly(p, c))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_poly_kernels_match_schoolbook(p, data):
+    a = data.draw(_poly_strategy(p))
+    b = data.draw(_poly_strategy(p))
+    prod = a * b
+    assert list(prod.coeffs) == _ref_mul(a.coeffs, b.coeffs, p)
+    assert list((a + b).coeffs) == _ref_trim(
+        [(x + y) % p for x, y in zip(a.coeffs + (0,) * 12, b.coeffs + (0,) * 12)]
+    )
+    if b.is_zero():
+        with pytest.raises(DivisionByZero):
+            divmod(a, b)
+        return
+    q, r = divmod(a, b)
+    assert (list(q.coeffs), list(r.coeffs)) == _ref_divmod(a.coeffs, b.coeffs, p)
+    assert q * b + r == a and r.degree < b.degree
+    g = poly_gcd(a, b)
+    assert g.leading == 1
+    assert (a % g).is_zero() and (b % g).is_zero()
+    # any common divisor divides the gcd: here, the gcd of a*c and b*c
+    c = data.draw(_poly_strategy(p).filter(lambda f: not f.is_zero()))
+    assert (poly_gcd(a * c, b * c) % c.monic()).is_zero()
