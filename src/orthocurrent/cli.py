@@ -24,7 +24,12 @@ from typing import Optional, Sequence
 from .exact_linalg import Matrix
 from .forms import make_form, orthogonalize
 from .liealg import algebra_from_matrices, current_basis, tables_equal
-from .oracle import enumerate_ideals, ideal_dimension_histogram
+from .oracle import (
+    SUPPORTED_Q,
+    enumerate_ideals,
+    enumeration_complete,
+    ideal_dimension_histogram,
+)
 from .scalars import (
     FieldDescriptor,
     FieldElement,
@@ -69,6 +74,7 @@ TABLE_ROWS = (
     ("h3", "h1", "D a", "f2"),
 )
 BASIS_NAMES = ("f1", "f2", "f3", "h1", "h2", "h3")
+_ORACLE_FIELDS = ", ".join(f"F{q}" for q in SUPPORTED_Q[:-1]) + f" or F{SUPPORTED_Q[-1]}"
 
 
 @dataclass(frozen=True)
@@ -115,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_form_args(p_table)
 
     p_oracle = sub.add_parser("oracle", help="enumerate all ideals over F_q")
-    p_oracle.add_argument("--field", help="F2, F3 or F5")
-    p_oracle.add_argument("--q", type=int, choices=(2, 3, 5),
+    p_oracle.add_argument("--field", help=_ORACLE_FIELDS)
+    p_oracle.add_argument("--q", type=int, choices=SUPPORTED_Q,
                           help="shorthand for --field F<q>")
     group = p_oracle.add_mutually_exclusive_group(required=True)
     group.add_argument("--form", help="four comma-separated diagonal entries")
@@ -175,8 +181,8 @@ def parse_args(argv: Sequence[str]) -> CommandSpec:
             field = parse_field(literal)
         except (ParseError, ValueError) as exc:
             parser.error(f"bad field literal: {exc}")
-        if field.kind != KIND_PRIME or field.p not in (2, 3, 5):
-            parser.error("oracle requires a finite prime field F2, F3 or F5")
+        if field.kind != KIND_PRIME or field.p not in SUPPORTED_Q:
+            parser.error(f"oracle requires a finite prime field {_ORACLE_FIELDS}")
         entries, gram = _parse_form(parser, field, ns)
         return CommandSpec("oracle", field=field, entries=entries, gram=gram,
                            as_json=ns.as_json)
@@ -346,17 +352,28 @@ def _render_classify(spec: CommandSpec, cert: DecompositionCertificate) -> str:
     return "\n".join(lines)
 
 
-def _render_oracle(spec: CommandSpec, ideals, hist) -> str:
+def _render_oracle(spec: CommandSpec, ideals, complete: bool) -> str:
+    hist = ideal_dimension_histogram(ideals)
     lines = _form_header(spec, spec.entries[0] * spec.entries[1] * spec.entries[2] * spec.entries[3])
     lines.append(f"ideals found: {len(ideals)}")
     lines.append("dimension histogram: " + ", ".join(f"{k}: {v}" for k, v in sorted(hist.items())))
     for space in ideals:
         lines.append(f"  dim {space.dim}: {subspace_to_json(space)}")
+    if not complete:
+        lines.append("  check enumeration_complete: FAILED")
     return "\n".join(lines)
 
 
-def _oracle_json(spec: CommandSpec, ideals, hist) -> dict:
+def _run_oracle(field: FieldDescriptor, entries) -> tuple[list, bool]:
+    """Every ideal of M and the result of the enumeration_complete check."""
+    alg = algebra_from_matrices(field, current_basis(*entries).matrices())
+    ideals = enumerate_ideals(alg)
+    return ideals, enumeration_complete(alg, ideals)
+
+
+def _oracle_json(spec: CommandSpec, ideals, complete: bool) -> dict:
     disc = spec.entries[0] * spec.entries[1] * spec.entries[2] * spec.entries[3]
+    hist = ideal_dimension_histogram(ideals)
     return {
         "command": "oracle",
         "field": render_field(spec.field),
@@ -365,7 +382,7 @@ def _oracle_json(spec: CommandSpec, ideals, hist) -> dict:
         "ideal_count": len(ideals),
         "histogram": {str(k): v for k, v in sorted(hist.items())},
         "ideals": [subspace_to_json(s) for s in ideals],
-        "checks": [{"name": "enumeration_complete", "ok": True}],
+        "checks": [{"name": "enumeration_complete", "ok": complete}],
     }
 
 
@@ -433,14 +450,10 @@ def execute(spec: CommandSpec) -> tuple[int, str]:
             text, matches = _render_table(spec)
             return (0 if matches else 1), text
         if spec.command == "oracle":
-            alg = algebra_from_matrices(
-                spec.field, current_basis(*spec.entries).matrices()
-            )
-            ideals = enumerate_ideals(alg)
-            hist = ideal_dimension_histogram(ideals)
+            ideals, complete = _run_oracle(spec.field, spec.entries)
             if spec.as_json:
-                return 0, json.dumps(_oracle_json(spec, ideals, hist), indent=2)
-            return 0, _render_oracle(spec, ideals, hist)
+                return (0 if complete else 1), json.dumps(_oracle_json(spec, ideals, complete), indent=2)
+            return (0 if complete else 1), _render_oracle(spec, ideals, complete)
         if spec.command == "counterexample":
             report = inseparable_counterexample(spec.p)
             if spec.as_json:
@@ -473,15 +486,18 @@ def recheck_json(data: dict) -> list[dict]:
                  and fresh["table"] == data["table"]},
                 {"name": "table_matches_computed", "ok": matches}]
     if command == "oracle":
-        field = parse_field(data["field"])
-        spec = CommandSpec("oracle", field=field,
-                           entries=tuple(parse_scalar(x, field) for x in data["form"]))
-        alg = algebra_from_matrices(field, current_basis(*spec.entries).matrices())
-        ideals = enumerate_ideals(alg)
-        fresh = _oracle_json(spec, ideals, ideal_dimension_histogram(ideals))
-        return [{"name": "reproduced_identically",
-                 "ok": fresh["ideals"] == data["ideals"]
-                 and fresh["histogram"] == data["histogram"]}]
+        field_literal, form = data.get("field"), data.get("form")
+        if not (isinstance(field_literal, str) and isinstance(form, list) and len(form) == 4
+                and all(isinstance(x, str) for x in form)):
+            return [{"name": "document_well_formed", "ok": False}]
+        try:
+            field = parse_field(field_literal)
+            entries = tuple(parse_scalar(x, field) for x in form)
+            ideals, complete = _run_oracle(field, entries)
+        except ValueError:
+            return [{"name": "document_well_formed", "ok": False}]
+        fresh = _oracle_json(CommandSpec("oracle", field=field, entries=entries), ideals, complete)
+        return [{"name": "reproduced_identically", "ok": fresh == data}] + fresh["checks"]
     if command == "counterexample":
         report = inseparable_counterexample(data["p"])
         fresh = _counterexample_json(report)

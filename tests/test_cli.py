@@ -113,6 +113,46 @@ def test_oracle_command():
     assert "dimension histogram" in out
 
 
+def test_oracle_q7_split_and_simple():
+    code, out = run(["oracle", "--q", "7", "--form", "1,1,1,1", "--json"])
+    assert code == 0
+    ideals = json.loads(out)["ideals"]
+    _, out = run(["classify", "--field", "F7", "--form", "1,1,1,1", "--json"])
+    witnesses = json.loads(out)["witnesses"]
+    assert len(ideals) == 4 and ideals[0] == [] and len(ideals[3]) == 6
+    assert sorted(ideals[1:3]) == sorted([witnesses["I1"], witnesses["I2"]])
+    # D = 3 is not a square mod 7
+    code, out = run(["oracle", "--q", "7", "--form", "1,1,1,3", "--json"])
+    assert code == 0
+    assert [len(rows) for rows in json.loads(out)["ideals"]] == [0, 6]
+
+
+def test_oracle_recheck_catches_tampering():
+    data = json.loads(run(["oracle", "--q", "3", "--form", "1,1,1,1", "--json"])[1])
+    for key, value in [("ideal_count", 99), ("D", "0"),
+                       ("checks", [{"name": "enumeration_complete", "ok": False}])]:
+        checks = recheck_json(dict(data, **{key: value}))
+        assert checks[0] == {"name": "reproduced_identically", "ok": False}
+        assert checks[1:] == data["checks"]
+
+
+def test_oracle_recheck_malformed_documents_fail():
+    data = json.loads(run(["oracle", "--q", "2", "--form", "1,1,1,1", "--json"])[1])
+    for doc in [
+        {"command": "oracle"},
+        dict(data, form="1,1,1,1"),
+        dict(data, form=[1, 1, 1, 1]),
+        dict(data, form=["1", "1", "1"]),
+        dict(data, form=["x", "1", "1", "1"]),
+        dict(data, form=["1/0", "1", "1", "1"]),
+        dict(data, form=["0", "1", "1", "1"]),
+        dict(data, field="F11"),
+        dict(data, field="Q"),
+        dict(data, field=None),
+    ]:
+        assert recheck_json(doc) == [{"name": "document_well_formed", "ok": False}]
+
+
 def test_error_exit_code_1():
     code, out = run(["classify", "--field", "Q", "--form", "1,1,1,0"])
     assert code == 1 and out.startswith("error:")

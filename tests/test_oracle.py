@@ -1,13 +1,16 @@
-import os
 import random
+import time
+from operator import mul
 
 import pytest
 
-from orthocurrent.liealg import algebra_from_matrices, current_basis, ideal_closure
+from orthocurrent.liealg import LieAlgebraSC, algebra_from_matrices, current_basis, ideal_closure
 from orthocurrent.oracle import (
     UnsupportedField,
-    count_subspaces,
+    _iter_echelon,
+    _to_subspace,
     enumerate_ideals,
+    enumeration_complete,
     enumerate_subspaces,
     gaussian_binomial,
     ideal_dimension_histogram,
@@ -24,6 +27,47 @@ def derived_orthogonal(field, values):
     return algebra_from_matrices(field, current_basis(*entries).matrices())
 
 
+def algebra_from_brackets(field, n, brackets):
+    """Structure constants from {(i, j): integer vector of [e_i, e_j]}, i < j."""
+    zero = [field.zero()] * n
+    constants = [[zero] * n for _ in range(n)]
+    for (i, j), vec in brackets.items():
+        constants[i][j] = [field.from_int(x) for x in vec]
+        constants[j][i] = [field.from_int(-x) for x in vec]
+    return LieAlgebraSC(field, n, constants)
+
+
+def scan_ideals(alg):
+    """Reference: test every subspace of F_q^n for ad-invariance, then sort
+    by (dimension, pivots, rows)."""
+    q, n = alg.field.p, alg.dim
+    ads = [
+        [[alg.constants[i][j][k].payload for j in range(n)] for k in range(n)]
+        for i in range(n)
+    ]
+
+    def invariant(pivots, rows):
+        for v in rows:
+            for ad in ads:
+                w = [sum(map(mul, ad_row, v)) for ad_row in ad]
+                for p, row in zip(pivots, rows):
+                    t = w[p]
+                    if t:
+                        w = [a - t * b for a, b in zip(w, row)]
+                if any(x % q for x in w):
+                    return False
+        return True
+
+    found = [
+        (k, pivots, rows)
+        for k in range(n + 1)
+        for pivots, rows in _iter_echelon(q, n, k)
+        if invariant(pivots, rows)
+    ]
+    found.sort()
+    return [_to_subspace(alg.field, pivots, rows, n) for _, pivots, rows in found]
+
+
 def test_gaussian_binomial_values():
     assert gaussian_binomial(2, 1, 2) == 3
     assert gaussian_binomial(4, 0, 2) == 1
@@ -34,7 +78,8 @@ def test_counts_match_gaussian_binomials_small():
     for q in (2, 3):
         for n in range(5):
             for k in range(n + 1):
-                assert count_subspaces(q, n, k) == gaussian_binomial(n, k, q)
+                count = sum(1 for _ in enumerate_subspaces(q, n, k))
+                assert count == gaussian_binomial(n, k, q)
 
 
 def test_enumeration_yields_distinct_canonical_subspaces():
@@ -48,14 +93,12 @@ def test_enumeration_yields_distinct_canonical_subspaces():
 
 def test_unsupported_parameters():
     with pytest.raises(UnsupportedField):
-        list(enumerate_subspaces(7, 3, 1))
+        list(enumerate_subspaces(11, 3, 1))
     with pytest.raises(UnsupportedField):
         list(enumerate_subspaces(2, 8, 1))
     with pytest.raises(UnsupportedField):
         list(enumerate_subspaces(2, 3, 4))
     zero = rationals().zero()
-    from orthocurrent.liealg import LieAlgebraSC
-
     with pytest.raises(UnsupportedField):
         enumerate_ideals(LieAlgebraSC(rationals(), 1, [[[zero]]]))
 
@@ -116,12 +159,52 @@ def test_ideal_closure_member_and_minimal():
                 assert space.dim >= closure.dim
 
 
-@pytest.mark.skipif(
-    os.environ.get("ORTHOCURRENT_ORACLE_Q5") != "1",
-    reason="q=5 scan is gated behind ORTHOCURRENT_ORACLE_Q5=1",
-)
 def test_ideals_f5_simple_form():
     f5 = prime_field(5)
     alg = derived_orthogonal(f5, [1, 1, 1, 2])
+    start = time.perf_counter()
     ideals = enumerate_ideals(alg)
+    assert time.perf_counter() - start < 2.0
     assert len(ideals) == 2
+
+
+def test_principal_ideals_match_subspace_scan():
+    start = time.perf_counter()
+    algebras = [derived_orthogonal(F2, [1, 1, 1, 1])]
+    # split (D = 1) and simple (D = 2) forms over F_3
+    for values in ([1, 1, 1, 1], [1, 1, 1, 2], [1, 2, 1, 2], [2, 2, 2, 1], [1, 2, 2, 2]):
+        algebras.append(derived_orthogonal(F3, values))
+    for field in (F2, F3):
+        # abelian: every subspace is an ideal
+        algebras.append(algebra_from_brackets(field, 3, {}))
+        # [x, y] = y, [x, z] = z: every subspace of span{y, z} is an ideal
+        algebras.append(algebra_from_brackets(field, 3, {(0, 1): [0, 1, 0], (0, 2): [0, 0, 1]}))
+        # Heisenberg: [x, y] = z
+        algebras.append(algebra_from_brackets(field, 3, {(0, 1): [0, 0, 1]}))
+    for alg in algebras:
+        assert enumerate_ideals(alg) == scan_ideals(alg)
+    # the reference finds every subspace of the abelian algebra over F_2
+    assert len(scan_ideals(algebras[-6])) == sum(gaussian_binomial(3, k, 2) for k in range(4))
+    assert time.perf_counter() - start < 5.0
+
+
+def test_enumeration_complete_detects_bad_lists():
+    alg = derived_orthogonal(F3, [1, 1, 1, 1])
+    ideals = enumerate_ideals(alg)
+    assert enumeration_complete(alg, ideals)
+    # without M, or without 0
+    assert not enumeration_complete(alg, ideals[:-1])
+    assert not enumeration_complete(alg, ideals[1:])
+    # span{f1, f2, f3} is a subalgebra, not an ideal
+    n_space = _to_subspace(F3, (0, 1, 2), [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
+                                           (0, 0, 1, 0, 0, 0)], 6)
+    assert n_space not in ideals
+    assert not enumeration_complete(alg, ideals + [n_space])
+    # abelian: two lines without their sum, the plane they span
+    abelian = algebra_from_brackets(F3, 3, {})
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    lines = [_to_subspace(F3, (0,), [e[0]], 3), _to_subspace(F3, (1,), [e[1]], 3)]
+    zero, whole = _to_subspace(F3, (), [], 3), _to_subspace(F3, (0, 1, 2), e, 3)
+    assert not enumeration_complete(abelian, [zero, *lines, whole])
+    plane = _to_subspace(F3, (0, 1), e[:2], 3)
+    assert enumeration_complete(abelian, [zero, *lines, plane, whole])
