@@ -56,6 +56,8 @@ from .structure import (
 )
 
 SEED_ENV = "ORTHOCURRENT_SEED"
+# Errors a computation raises on inputs it rejects; they exit 1.
+DOMAIN_ERRORS = (ValueError, RuntimeError, ZeroDivisionError)
 
 # Symbolic table in the distinguished basis; coefficients refer to the
 # diagonal entries a, b, c, d and to D = abcd.
@@ -460,49 +462,66 @@ def execute(spec: CommandSpec) -> tuple[int, str]:
                 return (0 if report.ok else 1), json.dumps(_counterexample_json(report), indent=2)
             return (0 if report.ok else 1), _render_counterexample(report)
         raise AssertionError(f"unknown command {spec.command!r}")
-    except (ValueError, RuntimeError, ZeroDivisionError) as exc:
+    except DOMAIN_ERRORS as exc:
         return 1, f"error: {exc}"
 
 
-def recheck_json(data: dict) -> list[dict]:
-    """Re-run the checks embedded in any emitted JSON document."""
+_MALFORMED = [{"name": "document_well_formed", "ok": False}]
+
+
+def _document_literals(data: dict) -> tuple[FieldDescriptor, tuple[FieldElement, ...]]:
+    """The field and the four diagonal entries a document was made from."""
+    form = data.get("form")
+    if not (isinstance(form, list) and len(form) == 4):
+        raise ParseError("document form must list four literals")
+    field = parse_field(data.get("field"))
+    return field, tuple(parse_scalar(x, field) for x in form)
+
+
+def _document_int(data: dict, key: str) -> int:
+    value = data.get(key)
+    if type(value) is not int:
+        raise ParseError(f"document {key} must be an integer")
+    return value
+
+
+def _recheck(data: dict) -> list[dict]:
     command = data.get("command")
     if command == "classify" or (command is None and "case" in data):
         return checks_to_json(recheck_certificate_json(data))
-    if command == "verify":
-        field = parse_field(data["field"])
-        entries = [parse_scalar(x, field) for x in data["form"]]
-        report = verify_current_form(field, entries, seed=data["seed"])
-        fresh = _verify_json(CommandSpec("verify", field=field, entries=tuple(entries),
-                                         seed=data["seed"]), report)
-        agreement = fresh == data
-        return [{"name": "reproduced_identically", "ok": agreement}] + fresh["checks"]
-    if command == "table":
-        field = parse_field(data["field"])
-        spec = CommandSpec("table", field=field,
-                           entries=tuple(parse_scalar(x, field) for x in data["form"]))
-        fresh, matches = _table_json(spec)
-        return [{"name": "reproduced_identically", "ok": fresh["entries"] == data["entries"]
-                 and fresh["table"] == data["table"]},
-                {"name": "table_matches_computed", "ok": matches}]
-    if command == "oracle":
-        field_literal, form = data.get("field"), data.get("form")
-        if not (isinstance(field_literal, str) and isinstance(form, list) and len(form) == 4
-                and all(isinstance(x, str) for x in form)):
-            return [{"name": "document_well_formed", "ok": False}]
-        try:
-            field = parse_field(field_literal)
-            entries = tuple(parse_scalar(x, field) for x in form)
-            ideals, complete = _run_oracle(field, entries)
-        except ValueError:
-            return [{"name": "document_well_formed", "ok": False}]
-        fresh = _oracle_json(CommandSpec("oracle", field=field, entries=entries), ideals, complete)
-        return [{"name": "reproduced_identically", "ok": fresh == data}] + fresh["checks"]
     if command == "counterexample":
-        report = inseparable_counterexample(data["p"])
-        fresh = _counterexample_json(report)
-        return [{"name": "reproduced_identically", "ok": fresh == data}] + fresh["checks"]
-    raise ValueError("unrecognized document")
+        fresh = _counterexample_json(inseparable_counterexample(_document_int(data, "p")))
+    else:
+        field, entries = _document_literals(data)
+        spec = CommandSpec(command, field=field, entries=entries)
+        if command == "verify":
+            spec = replace(spec, seed=_document_int(data, "seed"))
+            fresh = _verify_json(spec, verify_current_form(field, entries, seed=spec.seed))
+        elif command == "table":
+            fresh, _ = _table_json(spec)
+        elif command == "oracle":
+            fresh = _oracle_json(spec, *_run_oracle(field, entries))
+        else:
+            raise ParseError("unrecognized document")
+    return [{"name": "reproduced_identically", "ok": fresh == data}] + fresh["checks"]
+
+
+def recheck_json(data: dict) -> list[dict]:
+    """Re-run the checks embedded in any emitted JSON document.
+
+    Everything is recomputed from the recorded literals, and the fresh
+    document must equal the given one.  A document the checker cannot
+    read, or whose literals the library rejects, fails
+    `document_well_formed` instead of raising.
+    """
+    if not isinstance(data, dict):
+        return _MALFORMED
+    try:
+        return _recheck(data)
+    # Missing or mistyped certificate witnesses raise LookupError or
+    # TypeError; literals the library rejects raise domain errors.
+    except (LookupError, TypeError) + DOMAIN_ERRORS:
+        return _MALFORMED
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

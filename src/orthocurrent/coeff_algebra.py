@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .liealg import CoefficientAlgebra, Vector
+from .liealg import CoefficientAlgebra, InvalidStructure, Vector
 from .scalars import (
     FieldDescriptor,
     FieldElement,
@@ -78,8 +78,10 @@ def analyze_quadratic(d: FieldElement) -> QuadraticAnalysis:
     if field.characteristic() == 2:
         # (x + e)^2 = x^2 + e^2 = D + D = 0
         nilpotent = (root, field.one())
-        assert algebra.multiply(nilpotent, nilpotent) == (field.zero(),) * 2
-        assert any(not x.is_zero() for x in nilpotent)
+        if algebra.multiply(nilpotent, nilpotent) != (field.zero(),) * 2:
+            raise InvalidStructure("nilpotent witness does not square to zero")
+        if all(x.is_zero() for x in nilpotent):
+            raise InvalidStructure("nilpotent witness is zero")
         return QuadraticAnalysis(LOCAL, algebra, nilpotent=nilpotent, sqrt_d=root)
     half = inv(field.from_int(2))
     root_inv = inv(root)
@@ -87,9 +89,12 @@ def analyze_quadratic(d: FieldElement) -> QuadraticAnalysis:
     e_minus = (half, -(half * root_inv))
     zero = field.zero()
     for e in (e_plus, e_minus):
-        assert algebra.multiply(e, e) == e
-    assert algebra.multiply(e_plus, e_minus) == (zero, zero)
-    assert tuple(a + b for a, b in zip(e_plus, e_minus)) == algebra.unit()
+        if algebra.multiply(e, e) != e:
+            raise InvalidStructure("split witness is not idempotent")
+    if algebra.multiply(e_plus, e_minus) != (zero, zero):
+        raise InvalidStructure("split idempotents are not orthogonal")
+    if tuple(a + b for a, b in zip(e_plus, e_minus)) != algebra.unit():
+        raise InvalidStructure("split idempotents do not sum to the unit")
     return QuadraticAnalysis(
         SPLIT, algebra, e_plus=e_plus, e_minus=e_minus, sqrt_d=root
     )

@@ -41,6 +41,17 @@ class Matrix:
         self.rows = rows
 
     @classmethod
+    def _trusted(cls, field: FieldDescriptor, rows: tuple[tuple[FieldElement, ...], ...]) -> Matrix:
+        """Arithmetic result on validated operands: skips the per-entry field
+        check, since FieldElement arithmetic already rejects mixed fields."""
+        m = object.__new__(cls)
+        m.field = field
+        m.nrows = len(rows)
+        m.ncols = len(rows[0]) if rows else 0
+        m.rows = rows
+        return m
+
+    @classmethod
     def identity(cls, field: FieldDescriptor, n: int) -> Matrix:
         zero, one = field.zero(), field.one()
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
@@ -60,35 +71,36 @@ class Matrix:
         return self.rows[i][j]
 
     def transpose(self) -> Matrix:
-        return Matrix(self.field, zip(*self.rows)) if self.nrows else Matrix(self.field, [])
+        return Matrix._trusted(self.field, tuple(zip(*self.rows)))
 
     def __add__(self, other: Matrix) -> Matrix:
         self._check_same_shape(other)
-        return Matrix(
+        return Matrix._trusted(
             self.field,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
         )
 
     def __sub__(self, other: Matrix) -> Matrix:
         self._check_same_shape(other)
-        return Matrix(
+        return Matrix._trusted(
             self.field,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
         )
 
     def __neg__(self) -> Matrix:
-        return Matrix(self.field, [[-a for a in row] for row in self.rows])
+        return Matrix._trusted(self.field, tuple(tuple(-a for a in row) for row in self.rows))
 
     def scale(self, s: FieldElement) -> Matrix:
-        return Matrix(self.field, [[s * a for a in row] for row in self.rows])
+        return Matrix._trusted(self.field, tuple(tuple(s * a for a in row) for row in self.rows))
 
     def __mul__(self, other: Matrix) -> Matrix:
         if self.ncols != other.nrows:
             raise ShapeMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
+        self._check_same_field(other)
         zero = self.field.zero()
-        cols = other.transpose().rows
+        cols = tuple(zip(*other.rows))
         out = []
         for row in self.rows:
             out_row = []
@@ -98,8 +110,8 @@ class Matrix:
                     if not a.is_zero() and not b.is_zero():
                         acc = acc + a * b
                 out_row.append(acc)
-            out.append(out_row)
-        return Matrix(self.field, out)
+            out.append(tuple(out_row))
+        return Matrix._trusted(self.field, tuple(out))
 
     def mul_vector(self, v: Sequence[FieldElement]) -> Vector:
         if len(v) != self.ncols:
@@ -144,6 +156,47 @@ class Matrix:
     def _check_same_shape(self, other: Matrix) -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ShapeMismatch("shape mismatch")
+        self._check_same_field(other)
+
+    def _check_same_field(self, other: Matrix) -> None:
+        # Zero skipping in __mul__ can leave mixed fields unmultiplied.
+        if self.field is not other.field and self.field != other.field:
+            raise ShapeMismatch("matrices over different fields")
+
+
+def commutators(mats: Sequence[Matrix]) -> dict[tuple[int, int], Vector]:
+    """Flattened commutators m_i m_j - m_j m_i for every pair i < j.
+
+    Both products run over nonzero entries only, which suits the sparse
+    basis matrices of skew-adjoint algebras (a few nonzeros out of n^2).
+    """
+    if not mats:
+        return {}
+    field, n = mats[0].field, mats[0].nrows
+    for m in mats:
+        if m.nrows != n or m.ncols != n:
+            raise ShapeMismatch("commutators need square matrices of one size")
+        m._check_same_field(mats[0])
+    sparse = [
+        tuple(tuple((c, x) for c, x in enumerate(row) if not x.is_zero()) for row in m.rows)
+        for m in mats
+    ]
+    zero = field.zero()
+    out = {}
+    for i, a in enumerate(sparse):
+        for j in range(i + 1, len(sparse)):
+            b = sparse[j]
+            acc = [zero] * (n * n)
+            for r, row in enumerate(a):
+                for k, x in row:
+                    for c, y in b[k]:
+                        acc[r * n + c] = acc[r * n + c] + x * y
+            for r, row in enumerate(b):
+                for k, y in row:
+                    for c, x in a[k]:
+                        acc[r * n + c] = acc[r * n + c] - y * x
+            out[(i, j)] = tuple(acc)
+    return out
 
 
 def _eliminate(rows: list[list[FieldElement]]) -> tuple[list[int], int]:

@@ -24,6 +24,7 @@ from .exact_linalg import (
     ShapeMismatch,
     Subspace,
     canonicalize_subspace,
+    commutators,
     full_subspace,
     inverse,
     kernel,
@@ -67,12 +68,16 @@ class LieAlgebraSC:
     `constants[i][j]` is the coordinate vector of the bracket of basis
     elements i and j.  `realization`, when given, is one matrix per basis
     element whose commutators must reproduce the constants exactly.
+    `commutators`, when given, holds those commutators flattened (as
+    `exact_linalg.commutators` returns them) so a caller that already
+    computed them does not pay twice; the check itself always runs.
     """
 
     __slots__ = ("field", "dim", "constants", "realization", "_sparse_rows")
 
     def __init__(self, field: FieldDescriptor, dim: int, constants: Sequence[Sequence[Sequence[FieldElement]]],
-                 realization: Optional[Sequence[Matrix]] = None, check: bool = True):
+                 realization: Optional[Sequence[Matrix]] = None, check: bool = True,
+                 commutators: Optional[dict[tuple[int, int], Vector]] = None):
         self.field = field
         self.dim = dim
         self.constants: Tensor = tuple(
@@ -88,7 +93,7 @@ class LieAlgebraSC:
             self._check_antisymmetry()
             self._check_jacobi()
             if self.realization is not None:
-                self._check_realization()
+                self._check_realization(commutators)
 
     # -- construction-time invariants ----------------------------------
 
@@ -131,15 +136,20 @@ class LieAlgebraSC:
                             f"Jacobi identity fails on basis triple ({i},{j},{k})"
                         )
 
-    def _check_realization(self) -> None:
+    def _check_realization(self, comms: Optional[dict[tuple[int, int], Vector]]) -> None:
+        """Each commutator [m_i, m_j] equals sum_k c[i][j][k] m_k, compared
+        on flattened matrices."""
         mats = self.realization
         if len(mats) != self.dim:
             raise InvalidStructure("realization size does not match dimension")
+        if comms is None:
+            comms = commutators(mats)
+        flats = [_sparse(m.flatten()) for m in mats]
+        size = mats[0].nrows * mats[0].ncols if mats else 0
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                comm = mats[i] * mats[j] - mats[j] * mats[i]
-                combo = _combine_matrices(self.field, self.constants[i][j], mats)
-                if comm != combo:
+                combo = _flat_combination(self.field, self.constants[i][j], flats, size)
+                if comms[(i, j)] != combo:
                     raise InvalidStructure(
                         f"commutator of realization matrices {i},{j} disagrees"
                     )
@@ -176,6 +186,18 @@ class LieAlgebraSC:
 
     def __repr__(self) -> str:
         return f"LieAlgebraSC(dim={self.dim} over {self.field!r})"
+
+
+def _flat_combination(field: FieldDescriptor, coords: Sequence[FieldElement],
+                      flats: Sequence[Sequence[tuple[int, FieldElement]]], size: int) -> Vector:
+    """sum_k coords[k] m_k, flattened; `flats` holds each m_k's nonzero
+    flattened entries, and `size` is the number of entries of a matrix."""
+    acc = [field.zero()] * size
+    for coeff, flat in zip(coords, flats):
+        if not coeff.is_zero():
+            for idx, x in flat:
+                acc[idx] = acc[idx] + coeff * x
+    return tuple(acc)
 
 
 def _combine_matrices(field: FieldDescriptor, coords: Sequence[FieldElement],
@@ -276,16 +298,15 @@ def algebra_from_matrices(field: FieldDescriptor, mats: Sequence[Matrix]) -> Lie
         return LieAlgebraSC(field, 0, [])
     size = mats[0].nrows * mats[0].ncols
     solver = SpanSolver(field, [m.flatten() for m in mats], size)
+    comms = commutators(mats)
     upper = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            comm = mats[i] * mats[j] - mats[j] * mats[i]
-            coords = solver.coordinates(comm.flatten())
-            if coords is None:
-                raise NotClosed(f"commutator of matrices {i},{j} escapes the span")
-            upper[(i, j)] = coords
+    for (i, j), comm in comms.items():
+        coords = solver.coordinates(comm)
+        if coords is None:
+            raise NotClosed(f"commutator of matrices {i},{j} escapes the span")
+        upper[(i, j)] = coords
     constants = _antisymmetric_fill(field, dim, upper)
-    return LieAlgebraSC(field, dim, constants, realization=mats)
+    return LieAlgebraSC(field, dim, constants, realization=mats, commutators=comms)
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +387,27 @@ def subalgebra(alg: LieAlgebraSC, basis: Sequence[Sequence[FieldElement]]) -> Li
 
 def derived_subalgebra(alg: LieAlgebraSC) -> LieAlgebraSC:
     """[L, L] repackaged on the canonical basis of the bracket span."""
-    series = derived_series(alg)
-    space = series[1] if len(series) > 1 else series[0]
-    return subalgebra(alg, space.basis.rows)
+    return subalgebra(alg, derived_subspace(alg).basis.rows)
 
 
 def derived_subspace(alg: LieAlgebraSC) -> Subspace:
-    series = derived_series(alg)
-    return series[1] if len(series) > 1 else series[0]
+    """[L, L] as a subspace of L's coordinates."""
+    return bracket_span(alg, full_subspace(alg.field, alg.dim))
+
+
+def realized_span(alg: LieAlgebraSC, space: Subspace) -> Subspace:
+    """Span of the realization matrices of a subspace, flattened.
+
+    Each basis vector of the subspace is mapped through the realization
+    as a coordinate combination of the flattened matrices.
+    """
+    if alg.realization is None:
+        raise InvalidStructure("algebra carries no matrix realization")
+    mats = alg.realization
+    flats = [_sparse(m.flatten()) for m in mats]
+    size = mats[0].nrows * mats[0].ncols if mats else 0
+    vectors = [_flat_combination(alg.field, row, flats, size) for row in space.basis.rows]
+    return canonicalize_subspace(alg.field, vectors, size)
 
 
 def ideal_closure(alg: LieAlgebraSC, seed: Sequence[Sequence[FieldElement]]) -> Subspace:

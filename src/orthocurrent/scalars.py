@@ -1021,6 +1021,8 @@ def parse_scalar(literal: str, field: FieldDescriptor) -> FieldElement:
     field variable for F_p(t) (e.g. "(t^2+1)/(t+3)"), and "u+v*r" with r
     standing for the adjoined square root over quadratic extensions.
     """
+    if not isinstance(literal, str):
+        raise ParseError(f"expected a scalar literal, got {literal!r}")
     literal = literal.strip()
     if not literal:
         raise ParseError("empty scalar literal")
@@ -1100,6 +1102,8 @@ _FIELD_FUN_RE = re.compile(r"^F(\d+)\((\w+)\)$")
 
 def parse_field(literal: str) -> FieldDescriptor:
     """Parse a field literal: "Q", "F3", "F2(t)" or "<base>[sqrt <D>]"."""
+    if not isinstance(literal, str):
+        raise ParseError(f"expected a field literal, got {literal!r}")
     literal = literal.strip()
     if literal.endswith("]"):
         start = literal.rfind("[sqrt ")

@@ -47,16 +47,17 @@ from .liealg import (
     NotIndependent,
     Tensor,
     WrongDimension,
+    _check_skew,
     algebra_from_matrices,
     bracket_span,
     current_basis,
     core_basis,
     derived_series_of_subspace,
     derived_subspace,
-    derived_subalgebra,
     is_ideal,
     is_subalgebra,
     quotient_algebra,
+    realized_span,
     skew_adjoint_algebra,
     structure_constants,
     tables_equal,
@@ -122,7 +123,7 @@ class Pipeline:
     entries: tuple[FieldElement, ...]
     form: BilinearForm
     skew: LieAlgebraSC
-    derived: LieAlgebraSC
+    derived: Subspace  # [L, L] in the coordinates of skew
     derived_span: Subspace
     basis_span: Subspace
     algebra: LieAlgebraSC  # M on the distinguished basis f1..f3, h1..h3
@@ -135,10 +136,8 @@ def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> P
         raise WrongDimension("expected four diagonal entries")
     form = diagonal_form(field, entries)
     skew = skew_adjoint_algebra(form)
-    derived = derived_subalgebra(skew)
-    derived_span = canonicalize_subspace(
-        field, [m.flatten() for m in derived.realization], 16
-    )
+    derived = derived_subspace(skew)
+    derived_span = realized_span(skew, derived)
     cb = current_basis(*entries)
     basis_span = canonicalize_subspace(
         field, [m.flatten() for m in cb.matrices()], 16
@@ -150,13 +149,9 @@ def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> P
     )
 
 
-def _core_algebra(entries: Sequence[FieldElement]) -> tuple[LieAlgebraSC, LieAlgebraSC]:
-    """(skew-adjoint algebra of diag(a,b,c), core on the f-basis)."""
-    field = entries[0].field
-    form = diagonal_form(field, entries)
-    skew = skew_adjoint_algebra(form)
-    core = algebra_from_matrices(field, core_basis(*entries))
-    return skew, core
+def _core_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
+    """The core for diag(a, b, c) on its f-basis."""
+    return algebra_from_matrices(entries[0].field, core_basis(*entries))
 
 
 def current_table(core: LieAlgebraSC, disc: FieldElement) -> LieAlgebraSC:
@@ -244,14 +239,11 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int) -> RandomW
         change_t_inv = inverse(change_t)
         cb = current_basis(*primed)
         std_mats = [change_t * m * change_t_inv for m in cb.matrices()]
-        gram = form.gram
-        for m in std_mats:
-            if not (m.transpose() * gram + gram * m).is_zero():
-                raise AssertionError("conjugated basis lost skew-adjointness")
+        _check_skew(std_mats, form.gram)
         span = canonicalize_subspace(field, [m.flatten() for m in std_mats], 16)
         spans_match = span == pipe.derived_span
         table = algebra_from_matrices(field, std_mats).constants
-        _, core = _core_algebra(primed[:3])
+        core = _core_algebra(primed[:3])
         d_primed = primed[0] * primed[1] * primed[2] * primed[3]
         tensor_alg = current_table(core, d_primed)
         equal = tables_equal(table, tensor_alg.constants)
@@ -274,10 +266,10 @@ def verify_current_form(field: FieldDescriptor, entries: Sequence[FieldElement],
     """
     pipe = build_pipeline(field, entries)
     char2 = field.characteristic() == 2
-    core_skew, core = _core_algebra(pipe.entries[:3])
-    core_span = canonicalize_subspace(
-        field, [m.flatten() for m in derived_subalgebra(core_skew).realization], 9
-    )
+    core_skew = skew_adjoint_algebra(diagonal_form(field, pipe.entries[:3]))
+    core_derived = derived_subspace(core_skew)
+    core_span = realized_span(core_skew, core_derived)
+    core = _core_algebra(pipe.entries[:3])
     core_basis_span = canonicalize_subspace(
         field, [m.flatten() for m in core.realization], 9
     )
@@ -289,7 +281,7 @@ def verify_current_form(field: FieldDescriptor, entries: Sequence[FieldElement],
         "skew_adjoint": pipe.skew.dim,
         "derived": pipe.derived.dim,
         "core_skew_adjoint": core_skew.dim,
-        "core_derived": derived_subspace(core_skew).dim,
+        "core_derived": core_derived.dim,
     }
     dimension_laws = (
         pipe.skew.dim == (10 if char2 else 6)
@@ -476,10 +468,10 @@ def _semidirect_certificate(pipe: Pipeline, analysis) -> tuple[dict, list[Check]
     return witnesses, checks
 
 
-def _descent_certificate(pipe: Pipeline, analysis) -> tuple[dict, list[Check]]:
+def _descent_certificate(pipe: Pipeline, analysis,
+                         core: LieAlgebraSC) -> tuple[dict, list[Check]]:
     field = pipe.field
     ext = analysis.extension
-    _, core = _core_algebra(pipe.entries[:3])
     lifted = tuple(
         tuple(tuple(lift_to_extension(x, ext) for x in entry) for entry in row)
         for row in core.constants
@@ -503,7 +495,7 @@ def classify(field: FieldDescriptor, entries: Sequence[FieldElement]) -> Decompo
     check tying M to its current-algebra form.
     """
     pipe = build_pipeline(field, entries)
-    _, core = _core_algebra(pipe.entries[:3])
+    core = _core_algebra(pipe.entries[:3])
     tensor_alg = current_table(core, pipe.disc)
     base_checks = [
         Check("distinguished_basis_spans_derived", pipe.basis_span == pipe.derived_span),
@@ -518,7 +510,7 @@ def classify(field: FieldDescriptor, entries: Sequence[FieldElement]) -> Decompo
         witnesses, checks = _semidirect_certificate(pipe, analysis)
     else:
         case = CASE_SIMPLE
-        witnesses, checks = _descent_certificate(pipe, analysis)
+        witnesses, checks = _descent_certificate(pipe, analysis, core)
     return DecompositionCertificate(
         case, field, pipe.entries, pipe.disc, pipe.algebra.constants,
         witnesses, tuple(base_checks + checks),
@@ -591,9 +583,7 @@ def inseparable_counterexample(p: int = 2) -> CounterexampleReport:
     s_ext = u ** p
 
     # Core over F, then base-changed to K through t -> u^p.
-    ones = [base.one()] * 3
-    core_skew = skew_adjoint_algebra(diagonal_form(base, ones))
-    core_f = algebra_from_matrices(base, core_basis(*ones))
+    core_f = _core_algebra([base.one()] * 3)
     core_k_constants = tuple(
         tuple(tuple(substitute(x, s_ext) for x in entry) for entry in row)
         for row in core_f.constants
@@ -719,7 +709,7 @@ def recheck_certificate_json(data: dict) -> list[Check]:
     field = parse_field(data["field"])
     entries = [parse_scalar(x, field) for x in data["form"]]
     pipe = build_pipeline(field, entries)
-    _, core = _core_algebra(pipe.entries[:3])
+    core = _core_algebra(pipe.entries[:3])
     tensor_alg = current_table(core, pipe.disc)
     alg = pipe.algebra
     checks = [

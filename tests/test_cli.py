@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from orthocurrent import structure
 from orthocurrent.cli import execute, main, parse_args, recheck_json
 
 
@@ -195,3 +196,56 @@ def test_main_prints_and_returns(capsys):
     code = main(["table", "--field", "Q", "--form", "1,1,1,1"])
     captured = capsys.readouterr()
     assert code == 0 and "[f1,f2] = b f3 = 1 f3" in captured.out
+
+
+def test_table_recheck_catches_tampering():
+    data = json.loads(run(["table", "--field", "F3", "--form", "1,1,1,2", "--json"])[1])
+    assert recheck_json(data) == [{"name": "reproduced_identically", "ok": True}] + data["checks"]
+    for key, value in [("D", "0"), ("form", ["1", "1", "1", "1"]),
+                       ("checks", [{"name": "table_matches_computed", "ok": False}])]:
+        checks = recheck_json(dict(data, **{key: value}))
+        assert checks[0] == {"name": "reproduced_identically", "ok": False}
+
+
+@pytest.mark.parametrize("command", ["verify", "table", "classify", "counterexample"])
+def test_recheck_malformed_documents_fail(command):
+    if command == "counterexample":
+        argv = ["counterexample", "--p", "2", "--json"]
+    else:
+        argv = [command, "--field", "F3", "--form", "1,1,1,2", "--json"]
+    data = json.loads(run(argv)[1])
+    data["command"] = command
+    assert recheck_json(data)[0]["ok"]
+    docs = [{"command": command}]
+    if command == "counterexample":
+        docs += [dict(data, p=5), dict(data, p="2"), dict(data, p=None)]
+    else:
+        docs += [
+            dict(data, form="1,1,1,2"),
+            dict(data, form=[1, 1, 1, 2]),
+            dict(data, form=["1", "1", "1"]),
+            dict(data, form=["x", "1", "1", "2"]),
+            dict(data, form=["0", "1", "1", "2"]),
+            dict(data, field=None),
+            dict(data, field="nonsense"),
+        ]
+    if command == "verify":
+        docs += [dict(data, seed="0"), {k: v for k, v in data.items() if k != "seed"}]
+    if command == "classify":
+        docs += [dict(data, witnesses={}), dict(data, witnesses=None)]
+    for doc in docs:
+        assert recheck_json(doc) == [{"name": "document_well_formed", "ok": False}], doc
+
+
+def test_recheck_unknown_document_fails():
+    for doc in [{}, {"command": "nonsense"}, [], "classify"]:
+        assert recheck_json(doc) == [{"name": "document_well_formed", "ok": False}]
+
+
+def test_random_w_skew_check_exits_1(monkeypatch):
+    # Conjugating by the wrong matrix loses skew-adjointness; the check
+    # raises a domain error, so verify exits 1 with a message.
+    monkeypatch.setattr(structure, "inverse", lambda m: m)
+    code, out = run(["verify", "--field", "Q", "--form", "1,2,3,4"])
+    assert code == 1 and out == "error: basis matrix is not skew-adjoint"
+

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from orthocurrent import coeff_algebra
 from orthocurrent.coeff_algebra import (
     FIELD,
     LOCAL,
@@ -11,6 +12,7 @@ from orthocurrent.coeff_algebra import (
     quadratic_quotient,
     split_projections,
 )
+from orthocurrent.liealg import InvalidStructure
 from orthocurrent.scalars import (
     function_field,
     is_square,
@@ -90,3 +92,13 @@ def test_variant_is_function_of_char_and_square_class():
                 assert analysis.variant == LOCAL
             else:
                 assert analysis.variant == SPLIT
+
+
+@pytest.mark.parametrize("field, d, wrong_root", [(F3, 2, 1), (prime_field(5), 4, 1), (F2, 1, 0)])
+def test_witness_invariants_raise_without_assert(monkeypatch, field, d, wrong_root):
+    """A bad square root breaks the witness identities; the check raises
+    InvalidStructure, which `python -O` does not strip."""
+    monkeypatch.setattr(coeff_algebra, "is_square", lambda x: field.from_int(wrong_root))
+    with pytest.raises(InvalidStructure):
+        analyze_quadratic(field.from_int(d))
+

@@ -6,6 +6,7 @@ from orthocurrent.exact_linalg import (
     Matrix,
     ShapeMismatch,
     canonicalize_subspace,
+    commutators,
     det,
     full_subspace,
     inverse,
@@ -176,3 +177,38 @@ def test_subspace_coordinates():
     coords = s.coordinates(v)
     assert coords == (Q.from_int(2), Q.from_int(5))
     assert s.coordinates(vec(Q, [0, 0, 1])) is None
+
+
+def test_matrix_rejects_entry_from_another_field():
+    with pytest.raises(ShapeMismatch):
+        Matrix(F3, [[F3.one(), Q.one()]])
+
+
+def test_arithmetic_across_fields_raises():
+    a, b = Matrix.identity(Q, 2), Matrix.identity(F3, 2)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b * a,
+               # zero skipping multiplies nothing, so only the field check sees it
+               lambda: Matrix.zeros(Q, 2, 2) * b,
+               lambda: commutators([a, b])):
+        with pytest.raises(ValueError):
+            op()
+
+
+def test_arithmetic_results_match_checked_construction():
+    rng = random.Random(5)
+    a = Matrix(Q, [[random_element(Q, rng) for _ in range(3)] for _ in range(3)])
+    b = Matrix(Q, [[random_element(Q, rng) for _ in range(3)] for _ in range(3)])
+    for result in (a + b, a - b, -a, a.scale(Q.from_int(3)), a * b, a.transpose()):
+        assert result == Matrix(Q, result.rows)
+        assert (result.nrows, result.ncols) == (3, 3)
+
+
+def test_commutators_match_matrix_products():
+    rng = random.Random(9)
+    for field in (Q, F3, function_field(2, "t")):
+        mats = [Matrix(field, [[random_element(field, rng) for _ in range(3)]
+                               for _ in range(3)]) for _ in range(4)]
+        comms = commutators(mats)
+        assert sorted(comms) == [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        for (i, j), flat in comms.items():
+            assert flat == (mats[i] * mats[j] - mats[j] * mats[i]).flatten()

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from orthocurrent.exact_linalg import Matrix, canonicalize_subspace
+from orthocurrent.exact_linalg import Matrix, canonicalize_subspace, commutators
 from orthocurrent.forms import diagonal_form
 from orthocurrent.liealg import (
     CoefficientAlgebra,
@@ -24,6 +24,7 @@ from orthocurrent.liealg import (
     is_perfect,
     is_simple_3dim,
     is_solvable,
+    realized_span,
     skew_adjoint_algebra,
     structure_constants,
     subalgebra,
@@ -357,3 +358,37 @@ def test_subalgebra_realization_restriction():
     assert m.realization is not None and len(m.realization) == 6
     sub = subalgebra(m, [m.basis_vector(i) for i in range(6)])
     assert tables_equal(sub.constants, m.constants)
+
+
+def test_realization_check_catches_a_flipped_constant():
+    core = algebra_from_matrices(Q, core_basis(*fe(Q, [1, 2, 3])))
+    constants = [list(row) for row in core.constants]
+    two = Q.from_int(2)
+    constants[0][1] = tuple(two * x for x in constants[0][1])
+    constants[1][0] = tuple(-x for x in constants[0][1])
+    # Still antisymmetric and Jacobi (every 3-dimensional table
+    # [e_i, e_j] = l_k e_k is), so only the realization can object.
+    LieAlgebraSC(Q, 3, constants)
+    with pytest.raises(InvalidStructure, match="realization"):
+        LieAlgebraSC(Q, 3, constants, realization=core.realization)
+    # Precomputed commutators are compared, never trusted.
+    comms = commutators(core.realization)
+    with pytest.raises(InvalidStructure, match="realization"):
+        LieAlgebraSC(Q, 3, constants, realization=core.realization, commutators=comms)
+    bad = dict(comms)
+    bad[(0, 1)] = tuple(two * x for x in bad[(0, 1)])
+    with pytest.raises(InvalidStructure, match="realization"):
+        LieAlgebraSC(Q, 3, core.constants, realization=core.realization, commutators=bad)
+
+
+def test_realized_span_maps_coordinates_through_the_realization():
+    rng = random.Random(11)
+    for field in (Q, F3, F2T):
+        skew = skew_adjoint_algebra(diag_form(field, [1, 1, 1, 1]))
+        rows = [[random_element(field, rng) for _ in range(skew.dim)] for _ in range(3)]
+        space = canonicalize_subspace(field, rows, skew.dim)
+        expected = canonicalize_subspace(
+            field, [skew.matrix_for(v).flatten() for v in space.basis.rows], 16
+        )
+        assert realized_span(skew, space) == expected
+

@@ -3,10 +3,19 @@ import random
 
 import pytest
 
-from orthocurrent.liealg import LieAlgebraSC
+from orthocurrent.exact_linalg import canonicalize_subspace
+from orthocurrent.forms import diagonal_form
+from orthocurrent.liealg import (
+    LieAlgebraSC,
+    derived_subalgebra,
+    derived_subspace,
+    realized_span,
+    skew_adjoint_algebra,
+)
 from orthocurrent.scalars import (
     function_field,
     lift_to_extension,
+    parse_field,
     parse_scalar,
     prime_field,
     quadratic_extension,
@@ -266,3 +275,24 @@ def test_verify_randomized_smoke():
         entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
         report = verify_current_form(field, entries, seed=1)
         assert report.ok, [c for c in report.checks if not c.ok]
+
+
+@pytest.mark.parametrize("field_literal, entries", [
+    ("Q", ["1", "2", "3", "5"]),
+    ("F2", ["1", "1", "1", "1"]),
+    ("F3", ["1", "1", "1", "2"]),
+    ("F3[sqrt 2]", ["1", "r", "1+r", "2"]),
+    ("F2(t)", ["1", "t", "t+1", "t"]),
+    ("F3(t)", ["t", "1", "2*t+1", "t^2"]),
+])
+def test_spans_from_coordinates_match_derived_subalgebra(field_literal, entries):
+    """derived_span (of M) and core_span (of the core) as verify builds them."""
+    field = parse_field(field_literal)
+    entries = [parse_scalar(x, field) for x in entries]
+    pipe = build_pipeline(field, entries)
+    assert pipe.derived == derived_subspace(pipe.skew) and pipe.derived.dim == 6
+    core_skew = skew_adjoint_algebra(diagonal_form(field, entries[:3]))
+    core_span = realized_span(core_skew, derived_subspace(core_skew))
+    for skew, span in ((pipe.skew, pipe.derived_span), (core_skew, core_span)):
+        flats = [m.flatten() for m in derived_subalgebra(skew).realization]
+        assert span == canonicalize_subspace(field, flats, len(flats[0]))
