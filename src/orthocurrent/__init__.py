@@ -43,6 +43,7 @@ from .liealg import (
     algebra_from_matrices,
     center,
     core_basis,
+    current_algebra,
     current_basis,
     derived_series,
     derived_subalgebra,
@@ -63,10 +64,10 @@ from .structure import (
     CurrentFormReport,
     DecompositionCertificate,
     SimplicityCertificate,
+    certificate_to_json,
     certify_simple_via_descent,
     classify,
     inseparable_counterexample,
-    recheck_certificate,
     recheck_certificate_json,
     verify_current_form,
 )

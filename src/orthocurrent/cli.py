@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .exact_linalg import Matrix
 from .forms import make_form, orthogonalize
-from .liealg import algebra_from_matrices, current_basis, tables_equal
+from .liealg import current_algebra, tables_equal
 from .oracle import (
     SUPPORTED_Q,
     enumerate_ideals,
@@ -44,7 +44,6 @@ from .structure import (
     CounterexampleReport,
     CurrentFormReport,
     DecompositionCertificate,
-    build_pipeline,
     certificate_to_json,
     checks_to_json,
     classify,
@@ -274,36 +273,31 @@ def _symbol_value(symbol: str, values: dict) -> FieldElement:
     return -out if neg else out
 
 
-def _expected_table(field, entries):
-    a, b, c, d = entries
-    values = {"a": a, "b": b, "c": c, "d": d, "D": a * b * c * d}
-    zero = field.zero()
-    tensor = [[[zero] * 6 for _ in range(6)] for _ in range(6)]
-    index = {name: i for i, name in enumerate(BASIS_NAMES)}
-    for left, right, symbol, target in TABLE_ROWS:
-        i, j, k = index[left], index[right], index[target]
-        coeff = _symbol_value(symbol, values)
-        tensor[i][j][k] = coeff
-        tensor[j][i][k] = -coeff
-    return tuple(tuple(tuple(e) for e in row) for row in tensor)
-
-
 def _table_payload(spec: CommandSpec):
-    pipe = build_pipeline(spec.field, spec.entries)
-    expected = _expected_table(spec.field, spec.entries)
-    matches = tables_equal(pipe.algebra.constants, expected)
+    """(M, D, the symbolic table rows with their coefficients, whether M's
+    computed table equals the symbolic one)."""
+    alg = current_algebra(spec.entries)
     a, b, c, d = spec.entries
-    values = {"a": a, "b": b, "c": c, "d": d, "D": pipe.disc}
+    disc = a * b * c * d
+    values = {"a": a, "b": b, "c": c, "d": d, "D": disc}
+    index = {name: i for i, name in enumerate(BASIS_NAMES)}
+    zero = spec.field.zero()
+    expected = [[[zero] * 6 for _ in range(6)] for _ in range(6)]
     entries = []
     for left, right, symbol, target in TABLE_ROWS:
         coeff = _symbol_value(symbol, values)
+        i, j, k = index[left], index[right], index[target]
+        expected[i][j][k] = coeff
+        expected[j][i][k] = -coeff
         entries.append((left, right, symbol, target, coeff))
-    return pipe, entries, matches
+    # tables_equal compares entries with !=, so they must be tuples.
+    expected = tuple(tuple(tuple(e) for e in row) for row in expected)
+    return alg, disc, entries, tables_equal(alg.constants, expected)
 
 
 def _render_table(spec: CommandSpec) -> tuple[str, bool]:
-    pipe, entries, matches = _table_payload(spec)
-    lines = _form_header(spec, pipe.disc)
+    _, disc, entries, matches = _table_payload(spec)
+    lines = _form_header(spec, disc)
     for pos, (left, right, symbol, target, coeff) in enumerate(entries):
         lines.append(f"[{left},{right}] = {symbol} {target} = {render_scalar(coeff)} {target}")
         if pos % 3 == 2 and pos != len(entries) - 1:
@@ -315,12 +309,12 @@ def _render_table(spec: CommandSpec) -> tuple[str, bool]:
 
 
 def _table_json(spec: CommandSpec) -> tuple[dict, bool]:
-    pipe, entries, matches = _table_payload(spec)
+    alg, disc, entries, matches = _table_payload(spec)
     data = {
         "command": "table",
         "field": render_field(spec.field),
         "form": [render_scalar(x) for x in spec.entries],
-        "D": render_scalar(pipe.disc),
+        "D": render_scalar(disc),
         "entries": [
             {
                 "bracket": f"[{left},{right}]",
@@ -330,7 +324,7 @@ def _table_json(spec: CommandSpec) -> tuple[dict, bool]:
             }
             for left, right, symbol, target, coeff in entries
         ],
-        "table": tensor_to_json(pipe.algebra.constants),
+        "table": tensor_to_json(alg.constants),
         "checks": [{"name": "table_matches_computed", "ok": matches}],
     }
     return data, matches
@@ -368,7 +362,7 @@ def _render_oracle(spec: CommandSpec, ideals, complete: bool) -> str:
 
 def _run_oracle(field: FieldDescriptor, entries) -> tuple[list, bool]:
     """Every ideal of M and the result of the enumeration_complete check."""
-    alg = algebra_from_matrices(field, current_basis(*entries).matrices())
+    alg = current_algebra(entries)
     ideals = enumerate_ideals(alg)
     return ideals, enumeration_complete(alg, ideals)
 

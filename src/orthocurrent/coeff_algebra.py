@@ -51,17 +51,30 @@ class QuadraticAnalysis:
     extension: Optional[FieldDescriptor] = None
 
 
+def power_quotient(s: FieldElement, n: int) -> CoefficientAlgebra:
+    """F[X]/(X^n - s) on basis 1, x, ..., x^(n-1), generated by x."""
+    field = s.field
+    zero, one = field.zero(), field.one()
+    table = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            coords = [zero] * n
+            if i + j < n:
+                coords[i + j] = one
+            else:
+                coords[i + j - n] = s
+            row.append(tuple(coords))
+        table.append(row)
+    generator = tuple(one if i == 1 else zero for i in range(n))
+    return CoefficientAlgebra(field, table, generator=generator)
+
+
 def quadratic_quotient(d: FieldElement) -> CoefficientAlgebra:
     """The 2-dimensional algebra on basis {1, x} with x^2 = D."""
     if d.is_zero():
         raise ZeroDiscriminant("discriminant must be nonzero")
-    field = d.field
-    one, zero = field.one(), field.zero()
-    table = [
-        [(one, zero), (zero, one)],
-        [(zero, one), (d, zero)],
-    ]
-    return CoefficientAlgebra(field, table, generator=(zero, one))
+    return power_quotient(d, 2)
 
 
 def analyze_quadratic(d: FieldElement) -> QuadraticAnalysis:
@@ -98,19 +111,3 @@ def analyze_quadratic(d: FieldElement) -> QuadraticAnalysis:
     return QuadraticAnalysis(
         SPLIT, algebra, e_plus=e_plus, e_minus=e_minus, sqrt_d=root
     )
-
-
-def split_projections(analysis: QuadraticAnalysis):
-    """The two evaluation maps x -> e and x -> -e realizing A = F x F."""
-    if analysis.variant != SPLIT:
-        raise ValueError("projections exist only in the split case")
-    e = analysis.sqrt_d
-
-    def proj(sign: int):
-        def apply(coords: Vector) -> FieldElement:
-            u, v = coords
-            return u + v * e if sign > 0 else u - v * e
-
-        return apply
-
-    return proj(+1), proj(-1)

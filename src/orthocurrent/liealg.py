@@ -28,7 +28,6 @@ from .exact_linalg import (
     full_subspace,
     inverse,
     kernel,
-    rref,
 )
 from .forms import AlternatingChar2, BilinearForm, Degenerate
 from .scalars import DescriptorMismatch, FieldDescriptor, FieldElement
@@ -76,7 +75,7 @@ class LieAlgebraSC:
     __slots__ = ("field", "dim", "constants", "realization", "_sparse_rows")
 
     def __init__(self, field: FieldDescriptor, dim: int, constants: Sequence[Sequence[Sequence[FieldElement]]],
-                 realization: Optional[Sequence[Matrix]] = None, check: bool = True,
+                 realization: Optional[Sequence[Matrix]] = None,
                  commutators: Optional[dict[tuple[int, int], Vector]] = None):
         self.field = field
         self.dim = dim
@@ -88,12 +87,11 @@ class LieAlgebraSC:
             tuple(_sparse(self.constants[i][j]) for j in range(dim))
             for i in range(dim)
         )
-        if check:
-            self._check_shape()
-            self._check_antisymmetry()
-            self._check_jacobi()
-            if self.realization is not None:
-                self._check_realization(commutators)
+        self._check_shape()
+        self._check_antisymmetry()
+        self._check_jacobi()
+        if self.realization is not None:
+            self._check_realization(commutators)
 
     # -- construction-time invariants ----------------------------------
 
@@ -518,10 +516,6 @@ class CurrentBasis:
     def matrices(self) -> tuple[Matrix, ...]:
         return (self.f1, self.f2, self.f3, self.h1, self.h2, self.h3)
 
-    @staticmethod
-    def names() -> tuple[str, ...]:
-        return ("f1", "f2", "f3", "h1", "h2", "h3")
-
 
 def _check_skew(mats: Sequence[Matrix], gram: Matrix) -> None:
     for m in mats:
@@ -533,8 +527,10 @@ def current_basis(a: FieldElement, b: FieldElement, c: FieldElement,
                   d: FieldElement) -> CurrentBasis:
     """Distinguished basis of the derived algebra for diag(a, b, c, d).
 
-    Each matrix is verified skew-adjoint for the diagonal Gram matrix and
-    the six are checked linearly independent.
+    Each matrix is verified skew-adjoint for the diagonal Gram matrix.
+    Independence is left to `algebra_from_matrices`, which every caller
+    hands the matrices (or their conjugates) to and which raises
+    NotIndependent when they are dependent.
     """
     field = a.field
     for name, x in zip("abcd", (a, b, c, d)):
@@ -550,13 +546,13 @@ def current_basis(a: FieldElement, b: FieldElement, c: FieldElement,
     h2 = (e(1, 4).scale(d) - e(4, 1).scale(a)).scale(b * c)
     h3 = (e(4, 2).scale(b) - e(2, 4).scale(d)).scale(a * c)
     basis = CurrentBasis(f1, f2, f3, h1, h2, h3)
-    gram = Matrix.diagonal(field, [a, b, c, d])
-    _check_skew(basis.matrices(), gram)
-    stacked = Matrix(field, [m.flatten() for m in basis.matrices()])
-    _, rank, _ = rref(stacked)
-    if rank != 6:
-        raise InvalidStructure("distinguished basis is linearly dependent")
+    _check_skew(basis.matrices(), Matrix.diagonal(field, [a, b, c, d]))
     return basis
+
+
+def current_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
+    """M for diag(a, b, c, d) on its distinguished basis f1..f3, h1..h3."""
+    return algebra_from_matrices(entries[0].field, current_basis(*entries).matrices())
 
 
 def core_basis(a: FieldElement, b: FieldElement, c: FieldElement) -> tuple[Matrix, ...]:
@@ -640,11 +636,6 @@ class CoefficientAlgebra:
 
     def __repr__(self) -> str:
         return f"CoefficientAlgebra(dim={self.dim} over {self.field!r})"
-
-
-def scalar_coefficients(field: FieldDescriptor) -> CoefficientAlgebra:
-    """The base field itself as a 1-dimensional coefficient algebra."""
-    return CoefficientAlgebra(field, [[(field.one(),)]])
 
 
 def tensor_current(alg: LieAlgebraSC, coeff: CoefficientAlgebra) -> LieAlgebraSC:

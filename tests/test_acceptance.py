@@ -34,9 +34,10 @@ from orthocurrent.structure import (
     CASE_SIMPLE,
     CASE_TWO_IDEALS,
     build_pipeline,
+    certificate_to_json,
     classify,
     inseparable_counterexample,
-    recheck_certificate,
+    recheck_certificate_json,
     verify_current_form,
 )
 
@@ -160,7 +161,7 @@ def test_criterion_4_classification_trichotomy(randomized_runs):
         else:
             assert cert.case == CASE_TWO_IDEALS
         assert cert.ok
-        rechecked = recheck_certificate(cert)
+        rechecked = recheck_certificate_json(certificate_to_json(cert))
         assert all(c.ok for c in rechecked), [c for c in rechecked if not c.ok]
     _passline(4, "classification trichotomy with independent recheck",
               time.perf_counter() - start)

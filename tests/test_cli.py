@@ -172,6 +172,13 @@ def test_error_exit_code_1():
     assert code == 1 and out.startswith("error:")
 
 
+def test_table_and_oracle_reject_zero_entry_alike():
+    """Both build only M, so a zero diagonal entry stops them at the same check."""
+    for argv in (["table", "--field", "F3"], ["oracle", "--q", "3"]):
+        code, out = run([*argv, "--form", "0,1,1,1"])
+        assert (code, out) == (1, "error: diagonal entry a must be nonzero")
+
+
 def test_json_round_trips_recheck():
     documents = [
         run(["verify", "--field", "F3", "--form", "1,1,1,2", "--json"])[1],

@@ -9,8 +9,8 @@ from orthocurrent.coeff_algebra import (
     SPLIT,
     ZeroDiscriminant,
     analyze_quadratic,
+    power_quotient,
     quadratic_quotient,
-    split_projections,
 )
 from orthocurrent.liealg import InvalidStructure
 from orthocurrent.scalars import (
@@ -39,13 +39,27 @@ def test_quadratic_quotient_examples():
         quadratic_quotient(Q.zero())
 
 
+def test_power_quotient():
+    s = parse_scalar("t", F2T)
+    one, zero = F2T.one(), F2T.zero()
+    cube = power_quotient(s, 3)
+    x = cube.generator
+    assert x == (zero, one, zero)
+    assert cube.multiply(x, x) == (zero, zero, one)
+    assert cube.multiply(cube.multiply(x, x), x) == (s, zero, zero)
+    assert power_quotient(s, 2).table == quadratic_quotient(s).table
+
+
 def test_analyze_split():
     analysis = analyze_quadratic(Q.from_int(4))
     assert analysis.variant == SPLIT
     assert analysis.e_plus == (Q.from_fraction(1, 2), Q.from_fraction(1, 4))
     alg = analysis.algebra
     assert alg.multiply(analysis.e_plus, analysis.e_plus) == analysis.e_plus
-    p_plus, p_minus = split_projections(analysis)
+    e = analysis.sqrt_d
+    # The two evaluations x -> e and x -> -e realize the splitting A = F x F.
+    p_plus = lambda w: w[0] + w[1] * e
+    p_minus = lambda w: w[0] - w[1] * e
     rng = random.Random(0)
     for _ in range(20):
         u = (random_element(Q, rng), random_element(Q, rng))

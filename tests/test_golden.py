@@ -1,6 +1,7 @@
-"""Byte-level behaviour gate: CLI JSON output against committed golden files.
+"""Byte-level behaviour gate: CLI output against committed golden files.
 
-Every document under tests/golden/ is the exact stdout of one command.  A
+Every document under tests/golden/ is the exact stdout of one command,
+with `--json` (`*.json`) or as plain text (`*.txt`).  A
 refactor must leave all of them byte-identical; a change that alters
 output on purpose regenerates them with
 
@@ -10,13 +11,18 @@ and says so in the same change.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import orthocurrent
 from orthocurrent.cli import execute, parse_args, recheck_json
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
 
 # One input per field kind and decomposition case.
 FORMS = (
@@ -46,15 +52,20 @@ def documents() -> dict[str, str]:
     """Golden file name -> the bytes it must hold."""
     docs = {}
     for name, field, form in FORMS:
-        args = ["--field", field, "--form", form, "--json"]
+        args = ["--field", field, "--form", form]
         for command in ("verify", "classify", "table"):
-            docs[f"{name}.{command}.json"] = _run([command, *args])
+            docs[f"{name}.{command}.json"] = _run([command, *args, "--json"])
+            docs[f"{name}.{command}.txt"] = _run([command, *args])
         cert = json.loads(docs[f"{name}.classify.json"])
         docs[f"{name}.recheck.json"] = json.dumps(recheck_json(cert), indent=2)
     for p in COUNTEREXAMPLES:
-        docs[f"counterexample-p{p}.json"] = _run(["counterexample", "--p", str(p), "--json"])
+        args = ["counterexample", "--p", str(p)]
+        docs[f"counterexample-p{p}.json"] = _run([*args, "--json"])
+        docs[f"counterexample-p{p}.txt"] = _run(args)
     for name, form in ORACLE_FORMS:
-        docs[f"{name}.oracle.json"] = _run(["oracle", "--q", "3", "--form", form, "--json"])
+        args = ["oracle", "--q", "3", "--form", form]
+        docs[f"{name}.oracle.json"] = _run([*args, "--json"])
+        docs[f"{name}.oracle.txt"] = _run(args)
     return {name: text + "\n" for name, text in docs.items()}
 
 
@@ -63,13 +74,31 @@ def fresh():
     return documents()
 
 
+def _golden_names() -> list[str]:
+    return sorted(p.name for p in GOLDEN.iterdir() if p.suffix in (".json", ".txt"))
+
+
 def test_golden_files_cover_every_document(fresh):
-    assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(fresh)
+    assert _golden_names() == sorted(fresh)
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+@pytest.mark.parametrize("name", _golden_names())
 def test_output_is_byte_identical(fresh, name):
     assert (GOLDEN / name).read_bytes() == fresh[name].encode()
+
+
+def test_documents_survive_optimized_mode():
+    """Library invariants do not rest on `assert`: under `python -O` every
+    document is still byte-identical."""
+    src = Path(orthocurrent.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(TESTS)]))
+    script = "import json, test_golden; print(json.dumps(test_golden.documents()))"
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    docs = json.loads(run.stdout)
+    assert sorted(docs) == _golden_names()
+    for name, text in docs.items():
+        assert (GOLDEN / name).read_bytes() == text.encode(), name
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ from orthocurrent.liealg import (
     subalgebra,
     tables_equal,
     tensor_current,
-    scalar_coefficients,
 )
 from orthocurrent.scalars import (
     function_field,
@@ -275,6 +274,13 @@ def test_structure_constants_errors():
         structure_constants(m, [m.basis_vector(0), m.basis_vector(1)])
 
 
+def test_dependent_basis_is_refused_when_the_algebra_is_built():
+    """current_basis leaves independence to algebra_from_matrices."""
+    f1, f2, f3, h1, h2, _ = current_basis(*[Q.from_int(x) for x in (1, 2, 3, 4)]).matrices()
+    with pytest.raises(NotIndependent):
+        algebra_from_matrices(Q, [f1, f2, f3, h1, h2, h1 + h2])
+
+
 def test_ideal_closure_examples():
     m = algebra_from_matrices(Q, current_basis(*[Q.from_int(x) for x in (1, 1, 1, 1)]).matrices())
     zero_seed = ideal_closure(m, [])
@@ -338,7 +344,7 @@ def test_tensor_current_bracket_pattern():
     out = t.bracket(t.basis_vector(3), t.basis_vector(4))
     assert out == fe(field, [0, 0, 48, 0, 0, 0])
     # dim-1 coefficients give the algebra back
-    again = tensor_current(core, scalar_coefficients(field))
+    again = tensor_current(core, CoefficientAlgebra(field, [[(one,)]]))
     assert tables_equal(again.constants, core.constants)
     # tensoring an abelian algebra stays abelian
     ab = tensor_current(abelian_algebra(field, 2), quo)

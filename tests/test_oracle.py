@@ -4,7 +4,7 @@ from operator import mul
 
 import pytest
 
-from orthocurrent.liealg import LieAlgebraSC, algebra_from_matrices, current_basis, ideal_closure
+from orthocurrent.liealg import LieAlgebraSC, current_algebra, ideal_closure
 from orthocurrent.oracle import (
     UnsupportedField,
     _iter_echelon,
@@ -23,8 +23,7 @@ F3 = prime_field(3)
 
 
 def derived_orthogonal(field, values):
-    entries = [field.from_int(v) for v in values]
-    return algebra_from_matrices(field, current_basis(*entries).matrices())
+    return current_algebra([field.from_int(v) for v in values])
 
 
 def algebra_from_brackets(field, n, brackets):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from orthocurrent import structure
 from orthocurrent.exact_linalg import canonicalize_subspace
 from orthocurrent.forms import diagonal_form
 from orthocurrent.liealg import (
@@ -28,14 +29,12 @@ from orthocurrent.structure import (
     CASE_SIMPLE,
     CASE_TWO_IDEALS,
     DescriptorMismatch,
-    NotPerfect,
     UnsupportedPrime,
     build_pipeline,
     certificate_to_json,
     certify_simple_via_descent,
     classify,
     inseparable_counterexample,
-    recheck_certificate,
     recheck_certificate_json,
     verify_current_form,
 )
@@ -133,7 +132,7 @@ def test_classify_variant_function_of_char_and_square_class():
 def test_certificates_recheck_independently():
     for field, values in [(Q, [1, 1, 1, 1]), (F2, [1, 1, 1, 1]), (F3, [1, 1, 1, 2])]:
         cert = classify(field, ints(field, values))
-        rechecked = recheck_certificate(cert)
+        rechecked = recheck_certificate_json(certificate_to_json(cert))
         assert all(c.ok for c in rechecked)
 
 
@@ -162,8 +161,52 @@ def test_descent_certificate_rejects_non_perfect():
     zero = ext.zero()
     constants = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
     abelian = LieAlgebraSC(ext, 3, constants)
-    with pytest.raises(NotPerfect):
-        certify_simple_via_descent(abelian, F3)
+    cert = certify_simple_via_descent(abelian, F3)
+    assert not cert.ok and cert.derived_dim == 0
+    assert [c.name for c in cert.checks if not c.ok][0] == "perfect_over_extension"
+    # the two inferences rest on perfection, so they fail with it
+    assert not any(c.ok for c in cert.checks)
+
+
+def _failed(checks):
+    return {c.name for c in checks if not c.ok}
+
+
+def test_table_identity_failure_reaches_every_report(monkeypatch):
+    """verify, classify and the checker read one tables_match result."""
+    real = structure.current_table
+    monkeypatch.setattr(structure, "current_table", lambda core, disc: real(core, disc + disc))
+    entries = ints(Q, [1, 2, 3, 4])
+    report = verify_current_form(Q, entries)
+    assert not report.equal
+    assert _failed(report.checks) == {"tables_match", "random_w_tables_match"}
+    cert = classify(Q, entries)
+    assert _failed(cert.checks) == {"tables_match"}
+    assert _failed(recheck_certificate_json(certificate_to_json(cert))) == {"tables_match"}
+
+
+def test_span_identity_failure_reaches_every_report(monkeypatch):
+    """A derived span that the distinguished basis does not span fails the
+    span checks of verify, classify and the checker."""
+    real = structure._derived_span
+    monkeypatch.setattr(
+        structure, "_derived_span",
+        lambda form: real(diagonal_form(form.field, [form.field.one()] * form.dim)),
+    )
+    entries = ints(Q, [1, 2, 3, 4])
+    assert _failed(verify_current_form(Q, entries).checks) == {
+        "distinguished_basis_spans_derived", "core_basis_spans_derived", "random_w_spans_match",
+    }
+    cert = classify(Q, entries)
+    assert _failed(cert.checks) == {"distinguished_basis_spans_derived"}
+    rechecked = recheck_certificate_json(certificate_to_json(cert))
+    assert _failed(rechecked) == {"distinguished_basis_spans_derived"}
+
+
+def test_recheck_catches_ideals_that_do_not_sum_to_m():
+    data = certificate_to_json(classify(Q, ints(Q, [1, 1, 1, 1])))
+    data["witnesses"]["I2"] = data["witnesses"]["I1"]
+    assert _failed(recheck_certificate_json(data)) == {"sum_direct", "sum_is_everything"}
 
 
 def test_descent_certificate_over_quadratic_extension():
