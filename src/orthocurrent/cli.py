@@ -196,6 +196,8 @@ def parse_args(argv: Sequence[str]) -> CommandSpec:
     trials = 32
     if ns.command == "verify":
         trials = ns.trials
+        if trials < 1:
+            parser.error("--trials must be at least 1")
         if ns.seed is not None:
             seed = ns.seed
         else:

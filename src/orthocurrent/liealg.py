@@ -135,22 +135,13 @@ class LieAlgebraSC:
                         )
 
     def _check_realization(self, comms: Optional[dict[tuple[int, int], Vector]]) -> None:
-        """Each commutator [m_i, m_j] equals sum_k c[i][j][k] m_k, compared
-        on flattened matrices."""
-        mats = self.realization
-        if len(mats) != self.dim:
+        if len(self.realization) != self.dim:
             raise InvalidStructure("realization size does not match dimension")
-        if comms is None:
-            comms = commutators(mats)
-        flats = [_sparse(m.flatten()) for m in mats]
-        size = mats[0].nrows * mats[0].ncols if mats else 0
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                combo = _flat_combination(self.field, self.constants[i][j], flats, size)
-                if comms[(i, j)] != combo:
-                    raise InvalidStructure(
-                        f"commutator of realization matrices {i},{j} disagrees"
-                    )
+        pair = realization_mismatch(self.constants, self.realization, comms)
+        if pair is not None:
+            raise InvalidStructure(
+                f"commutator of realization matrices {pair[0]},{pair[1]} disagrees"
+            )
 
     # -- basic operations ----------------------------------------------
 
@@ -184,6 +175,31 @@ class LieAlgebraSC:
 
     def __repr__(self) -> str:
         return f"LieAlgebraSC(dim={self.dim} over {self.field!r})"
+
+
+def realization_mismatch(constants: Sequence[Sequence[Sequence[FieldElement]]],
+                         mats: Sequence[Matrix],
+                         comms: Optional[dict[tuple[int, int], Vector]] = None,
+                         ) -> Optional[tuple[int, int]]:
+    """First pair i < j whose commutator [m_i, m_j] differs from
+    sum_k constants[i][j][k] m_k, compared on flattened matrices, or None
+    when the matrices realize the constants.
+
+    `comms` may hold the flattened commutators as `exact_linalg.commutators`
+    returns them; otherwise they are computed here.
+    """
+    if not mats:
+        return None
+    if comms is None:
+        comms = commutators(mats)
+    field = mats[0].field
+    flats = [_sparse(m.flatten()) for m in mats]
+    size = mats[0].nrows * mats[0].ncols
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            if comms[(i, j)] != _flat_combination(field, constants[i][j], flats, size):
+                return (i, j)
+    return None
 
 
 def _flat_combination(field: FieldDescriptor, coords: Sequence[FieldElement],
@@ -492,12 +508,14 @@ def is_simple_3dim(alg: LieAlgebraSC) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _unit(field: FieldDescriptor, n: int, i: int, j: int) -> Matrix:
-    zero, one = field.zero(), field.one()
-    return Matrix(
-        field,
-        [[one if (r, c) == (i - 1, j - 1) else zero for c in range(n)] for r in range(n)],
-    )
+def _two_entry(field: FieldDescriptor, n: int, first: tuple[int, int, FieldElement],
+               second: tuple[int, int, FieldElement]) -> Matrix:
+    """n x n matrix whose only nonzero entries are the two (row, col, value)
+    triples, rows and columns counted from 1."""
+    rows = [[field.zero()] * n for _ in range(n)]
+    for i, j, x in (first, second):
+        rows[i - 1][j - 1] = x
+    return Matrix(field, rows)
 
 
 @dataclass(frozen=True)
@@ -517,9 +535,36 @@ class CurrentBasis:
         return (self.f1, self.f2, self.f3, self.h1, self.h2, self.h3)
 
 
+def _diagonal_field(names: str, entries: Sequence[FieldElement]) -> FieldDescriptor:
+    """The common field of nonzero diagonal entries."""
+    field = entries[0].field
+    for name, x in zip(names, entries):
+        if x.field != field:
+            raise DescriptorMismatch("diagonal entries live in different fields")
+        if x.is_zero():
+            raise ZeroEntry(f"diagonal entry {name} must be nonzero")
+    return field
+
+
 def _check_skew(mats: Sequence[Matrix], gram: Matrix) -> None:
+    """x^T G + G x = 0 for each matrix x, summed over nonzero entries only:
+    (x^T G)[i][j] collects x[k][i] G[k][j] and (G x)[i][j] collects
+    G[i][k] x[k][j]."""
+    n = gram.nrows
+    g_rows = [[(j, g) for j, g in enumerate(row) if not g.is_zero()] for row in gram.rows]
+    zero = gram.field.zero()
     for m in mats:
-        if not (m.transpose() * gram + gram * m).is_zero():
+        x_rows = [[(j, x) for j, x in enumerate(row) if not x.is_zero()] for row in m.rows]
+        acc = [zero] * (n * n)
+        for k, row in enumerate(x_rows):
+            for i, x in row:
+                for j, g in g_rows[k]:
+                    acc[i * n + j] = acc[i * n + j] + x * g
+        for i, row in enumerate(g_rows):
+            for k, g in row:
+                for j, x in x_rows[k]:
+                    acc[i * n + j] = acc[i * n + j] + g * x
+        if any(not v.is_zero() for v in acc):
             raise InvalidStructure("basis matrix is not skew-adjoint")
 
 
@@ -528,24 +573,22 @@ def current_basis(a: FieldElement, b: FieldElement, c: FieldElement,
     """Distinguished basis of the derived algebra for diag(a, b, c, d).
 
     Each matrix is verified skew-adjoint for the diagonal Gram matrix.
-    Independence is left to `algebra_from_matrices`, which every caller
-    hands the matrices (or their conjugates) to and which raises
-    NotIndependent when they are dependent.
+    Independence is not checked here: `current_algebra` hands the matrices
+    to `algebra_from_matrices`, which raises NotIndependent when they are
+    dependent, and the random-W leg reads the rank of its conjugates from
+    their flattened span.
     """
-    field = a.field
-    for name, x in zip("abcd", (a, b, c, d)):
-        if x.field != field:
-            raise DescriptorMismatch("diagonal entries live in different fields")
-        if x.is_zero():
-            raise ZeroEntry(f"diagonal entry {name} must be nonzero")
-    e = lambda i, j: _unit(field, 4, i, j)
-    f1 = e(1, 2).scale(b) - e(2, 1).scale(a)
-    f2 = e(2, 3).scale(c) - e(3, 2).scale(b)
-    f3 = e(1, 3).scale(c) - e(3, 1).scale(a)
-    h1 = (e(3, 4).scale(d) - e(4, 3).scale(c)).scale(a * b)
-    h2 = (e(1, 4).scale(d) - e(4, 1).scale(a)).scale(b * c)
-    h3 = (e(4, 2).scale(b) - e(2, 4).scale(d)).scale(a * c)
-    basis = CurrentBasis(f1, f2, f3, h1, h2, h3)
+    field = _diagonal_field("abcd", (a, b, c, d))
+    m = lambda first, second: _two_entry(field, 4, first, second)
+    ab, bc, ac = a * b, b * c, a * c
+    basis = CurrentBasis(
+        m((1, 2, b), (2, 1, -a)),
+        m((2, 3, c), (3, 2, -b)),
+        m((1, 3, c), (3, 1, -a)),
+        m((3, 4, ab * d), (4, 3, -(ab * c))),
+        m((1, 4, bc * d), (4, 1, -(bc * a))),
+        m((4, 2, ac * b), (2, 4, -(ac * d))),
+    )
     _check_skew(basis.matrices(), Matrix.diagonal(field, [a, b, c, d]))
     return basis
 
@@ -557,16 +600,15 @@ def current_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
 
 def core_basis(a: FieldElement, b: FieldElement, c: FieldElement) -> tuple[Matrix, ...]:
     """Basis f1, f2, f3 of the derived algebra for diag(a, b, c)."""
-    field = a.field
-    for name, x in zip("abc", (a, b, c)):
-        if x.is_zero():
-            raise ZeroEntry(f"diagonal entry {name} must be nonzero")
-    e = lambda i, j: _unit(field, 3, i, j)
-    f1 = e(1, 2).scale(b) - e(2, 1).scale(a)
-    f2 = e(2, 3).scale(c) - e(3, 2).scale(b)
-    f3 = e(1, 3).scale(c) - e(3, 1).scale(a)
-    _check_skew((f1, f2, f3), Matrix.diagonal(field, [a, b, c]))
-    return (f1, f2, f3)
+    field = _diagonal_field("abc", (a, b, c))
+    m = lambda first, second: _two_entry(field, 3, first, second)
+    basis = (
+        m((1, 2, b), (2, 1, -a)),
+        m((2, 3, c), (3, 2, -b)),
+        m((1, 3, c), (3, 1, -a)),
+    )
+    _check_skew(basis, Matrix.diagonal(field, [a, b, c]))
+    return basis
 
 
 # ---------------------------------------------------------------------------

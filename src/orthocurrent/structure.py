@@ -64,6 +64,7 @@ from .liealg import (
     is_ideal,
     is_subalgebra,
     quotient_algebra,
+    realization_mismatch,
     realized_span,
     skew_adjoint_algebra,
     structure_constants,
@@ -237,8 +238,10 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int) -> RandomW
     The restriction is orthogonalized, extended by the 1-dimensional
     orthogonal complement to an orthogonal basis of the whole space, the
     distinguished basis is rebuilt there and conjugated back to standard
-    coordinates, and the resulting table is compared with the tensor
-    table for the new diagonal entries.
+    coordinates.  The conjugates have the tensor table for the new diagonal
+    entries exactly when they are independent (rank 6, read from their
+    flattened span) and their commutators realize that table's constants:
+    coordinates in an independent set are unique.
     """
     field = pipe.field
     form = pipe.form
@@ -264,10 +267,13 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int) -> RandomW
         cb = current_basis(*primed)
         std_mats = [change_t * m * change_t_inv for m in cb.matrices()]
         _check_skew(std_mats, form.gram)
-        spans_match = _matrix_span(std_mats) == pipe.derived_span
+        std_span = _matrix_span(std_mats)
+        spans_match = std_span == pipe.derived_span
         d_primed = primed[0] * primed[1] * primed[2] * primed[3]
-        equal = _has_current_form(
-            algebra_from_matrices(field, std_mats), _core_algebra(primed[:3]), d_primed
+        expected = current_table(_core_algebra(primed[:3]), d_primed)
+        equal = (
+            std_span.dim == len(std_mats)
+            and realization_mismatch(expected.constants, std_mats) is None
         )
         return RandomWReport(attempt, w, primed, d_primed, equal, spans_match)
     raise NondegenerateWRequired(

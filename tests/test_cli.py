@@ -48,6 +48,8 @@ def test_usage_errors_exit_2():
         ["counterexample", "--p", "5"],
         # beyond the deterministic Miller-Rabin bound
         ["classify", "--field", "F3825123056546413053", "--form", "1,1,1,1"],
+        ["verify", "--field", "Q", "--form", "1,2,3,4", "--trials", "0"],
+        ["verify", "--field", "Q", "--form", "1,2,3,4", "--trials", "-3"],
         [],
     ]:
         with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from orthocurrent.exact_linalg import Matrix, canonicalize_subspace, commutators
-from orthocurrent.forms import diagonal_form
+from orthocurrent.forms import diagonal_form, make_form
 from orthocurrent.liealg import (
     CoefficientAlgebra,
     InvalidStructure,
@@ -12,9 +12,11 @@ from orthocurrent.liealg import (
     NotIndependent,
     WrongDimension,
     ZeroEntry,
+    _check_skew,
     algebra_from_matrices,
     center,
     core_basis,
+    current_algebra,
     current_basis,
     derived_series,
     derived_subalgebra,
@@ -24,6 +26,7 @@ from orthocurrent.liealg import (
     is_perfect,
     is_simple_3dim,
     is_solvable,
+    realization_mismatch,
     realized_span,
     skew_adjoint_algebra,
     structure_constants,
@@ -33,7 +36,9 @@ from orthocurrent.liealg import (
 )
 from orthocurrent.scalars import (
     function_field,
+    parse_scalar,
     prime_field,
+    quadratic_extension,
     random_element,
     rationals,
 )
@@ -398,3 +403,52 @@ def test_realized_span_maps_coordinates_through_the_realization():
         )
         assert realized_span(skew, space) == expected
 
+
+
+def test_realization_mismatch_names_the_first_disagreeing_pair():
+    f3s2 = quadratic_extension(F3, F3.from_int(2))
+    cases = [
+        (Q, ["1", "2", "3", "4"]),
+        (F3, ["1", "1", "1", "2"]),
+        (f3s2, ["1", "1", "1", "2"]),
+        (F2T, ["1", "t", "t+1", "1"]),
+    ]
+    for field, literals in cases:
+        m = current_algebra([parse_scalar(x, field) for x in literals])
+        assert realization_mismatch(m.constants, m.realization) is None
+        # One constant changed: [h1, h3] gains an f2 component.
+        constants = [list(row) for row in m.constants]
+        entry = list(constants[3][5])
+        entry[1] = entry[1] + field.one()
+        constants[3][5] = tuple(entry)
+        assert realization_mismatch(constants, m.realization) == (3, 5)
+    core = algebra_from_matrices(Q, core_basis(*fe(Q, [1, 2, 3])))
+    constants = [list(row) for row in core.constants]
+    two = Q.from_int(2)
+    constants[1][2] = tuple(two * x for x in constants[1][2])
+    constants[2][1] = tuple(-x for x in constants[1][2])
+    with pytest.raises(InvalidStructure, match="realization matrices 1,2 disagrees"):
+        LieAlgebraSC(Q, 3, constants, realization=core.realization)
+
+
+def test_sparse_skew_check_matches_the_dense_products():
+    """_check_skew sums x^T G + G x over nonzero entries; it must accept
+    exactly the matrices the dense products call skew-adjoint, also for a
+    Gram matrix that is not diagonal."""
+    rng = random.Random(3)
+    for field in (Q, F3, F2, F2T):
+        grid = [[1, 1, 0, 0], [1, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 1]]
+        gram = Matrix(field, [[field.from_int(x) for x in row] for row in grid])
+        skew = skew_adjoint_algebra(make_form(gram)).realization
+        _check_skew(skew, gram)
+        for m in skew:
+            noise = Matrix(field, [[random_element(field, rng) for _ in range(4)]
+                                   for _ in range(4)])
+            x = m + noise
+            dense_ok = (x.transpose() * gram + gram * x).is_zero()
+            try:
+                _check_skew([x], gram)
+                sparse_ok = True
+            except InvalidStructure:
+                sparse_ok = False
+            assert sparse_ok == dense_ok

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -183,6 +184,41 @@ def test_table_identity_failure_reaches_every_report(monkeypatch):
     cert = classify(Q, entries)
     assert _failed(cert.checks) == {"tables_match"}
     assert _failed(recheck_certificate_json(certificate_to_json(cert))) == {"tables_match"}
+
+
+def _patch_leg_basis(monkeypatch, edit):
+    """Edit the distinguished basis the random-W leg builds, and only there:
+    the pipeline builds M through liealg.current_algebra."""
+    real = structure.current_basis
+    monkeypatch.setattr(structure, "current_basis", lambda *entries: edit(real(*entries)))
+
+
+def test_random_w_table_is_read_from_the_conjugates(monkeypatch):
+    """2 f1 keeps the conjugates skew-adjoint and their span, but not their
+    table, so only random_w_tables_match may fail.  A table taken from M
+    for the new diagonal instead of from the conjugates would pass."""
+    for field in (Q, F3):
+        two = field.from_int(2)
+        with monkeypatch.context() as mp:
+            _patch_leg_basis(mp, lambda cb: dataclasses.replace(cb, f1=cb.f1.scale(two)))
+            report = verify_current_form(field, ints(field, [1, 2, 1, 2]))
+        assert report.random_w.spans_match and not report.random_w.equal
+        assert _failed(report.checks) == {"random_w_tables_match"}
+
+
+def test_dependent_conjugates_fail_without_raising(monkeypatch):
+    """Rank 5 (h3 = h2), and rank 0, where zero matrices realize every
+    table: the rank, not the realization, must reject them."""
+    zero = Q.zero()
+    edits = [
+        lambda cb: dataclasses.replace(cb, h3=cb.h2),
+        lambda cb: type(cb)(*(m.scale(zero) for m in cb.matrices())),
+    ]
+    for edit in edits:
+        with monkeypatch.context() as mp:
+            _patch_leg_basis(mp, edit)
+            report = verify_current_form(Q, ints(Q, [1, 2, 3, 4]))
+        assert _failed(report.checks) == {"random_w_spans_match", "random_w_tables_match"}
 
 
 def test_span_identity_failure_reaches_every_report(monkeypatch):
