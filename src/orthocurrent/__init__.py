@@ -25,7 +25,6 @@ from .exact_linalg import (
     canonicalize_subspace,
     kernel,
     rref,
-    solve,
     subspace_meet_join,
 )
 from .forms import (
@@ -41,17 +40,9 @@ from .liealg import (
     CurrentBasis,
     LieAlgebraSC,
     algebra_from_matrices,
-    center,
     core_basis,
     current_algebra,
     current_basis,
-    derived_series,
-    derived_subalgebra,
-    ideal_closure,
-    is_abelian,
-    is_perfect,
-    is_simple_3dim,
-    is_solvable,
     quotient_algebra,
     skew_adjoint_algebra,
     structure_constants,

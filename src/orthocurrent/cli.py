@@ -6,10 +6,12 @@ prints the multiplication table in the distinguished basis, `oracle`
 enumerates all ideals over a tiny prime field, and `counterexample`
 reproduces the loss of semisimplicity after inseparable base change.
 
-Exit codes: 0 when every internal check passes, 1 when a computation runs
-but some check fails (which would falsify the library's claims) or a
-domain error occurs, 2 for usage errors.  All randomness flows from one
-seed (flag `--seed`, else ORTHOCURRENT_SEED, else 0).
+Each command builds one JSON document; `--json` prints it and the text
+output renders it.  Exit codes: 0 when every check in the document passes,
+1 when a computation runs but some check fails (which would falsify the
+library's claims) or a domain error occurs, 2 for usage errors.  All
+randomness flows from one seed (flag `--seed`, else ORTHOCURRENT_SEED,
+else 0).
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ from .scalars import (
     render_scalar,
 )
 from .structure import (
-    CounterexampleReport,
-    CurrentFormReport,
-    DecompositionCertificate,
+    CASE_SIMPLE,
+    CASE_TWO_IDEALS,
     certificate_to_json,
     checks_to_json,
     classify,
@@ -210,42 +211,14 @@ def parse_args(argv: Sequence[str]) -> CommandSpec:
 
 
 # ---------------------------------------------------------------------------
-# Rendering.
+# Documents: one builder per command.  The JSON output is the document, the
+# text output renders it, and the checker rebuilds it from its literals.
 # ---------------------------------------------------------------------------
 
 
-def _form_header(spec: CommandSpec, disc: FieldElement) -> list[str]:
-    entries = ", ".join(render_scalar(x) for x in spec.entries)
-    lines = [f"field {render_field(spec.field)}, form diag({entries}), D = {render_scalar(disc)}"]
-    if spec.from_gram:
-        lines.append("(diagonal entries obtained by orthogonalizing the given Gram matrix)")
-    return lines
-
-
-def _check_lines(checks) -> list[str]:
-    return [f"  check {c.name}: {'ok' if c.ok else 'FAILED'}" for c in checks]
-
-
-def _render_verify(spec: CommandSpec, report: CurrentFormReport) -> str:
-    lines = _form_header(spec, report.disc)
-    d = report.dims
-    lines.append(
-        f"dims: skew-adjoint {d['skew_adjoint']}, derived {d['derived']}, "
-        f"core {d['core_skew_adjoint']}, core derived {d['core_derived']}"
-    )
-    lines.append(f"table matches core (x) F[X]/(X^2-D): {'yes' if report.equal else 'NO'}")
-    w = report.random_w
-    diag = ", ".join(render_scalar(x) for x in w.diagonal)
-    lines.append(
-        f"random W (seed {report.seed}, attempt {w.attempts}): diagonal ({diag}), "
-        f"D' = {render_scalar(w.disc)}, tables match: {'yes' if w.equal else 'NO'}"
-    )
-    lines += _check_lines(report.checks)
-    lines.append("PASS" if report.ok else "FAIL")
-    return "\n".join(lines)
-
-
-def _verify_json(spec: CommandSpec, report: CurrentFormReport) -> dict:
+def _verify_json(spec: CommandSpec) -> dict:
+    report = verify_current_form(spec.field, spec.entries,
+                                 seed=spec.seed, max_tries=spec.trials)
     return {
         "command": "verify",
         "field": render_field(spec.field),
@@ -266,6 +239,10 @@ def _verify_json(spec: CommandSpec, report: CurrentFormReport) -> dict:
     }
 
 
+def _classify_json(spec: CommandSpec) -> dict:
+    return certificate_to_json(classify(spec.field, spec.entries))
+
+
 def _symbol_value(symbol: str, values: dict) -> FieldElement:
     neg = symbol.startswith("-")
     names = symbol.lstrip("-").split()
@@ -275,9 +252,9 @@ def _symbol_value(symbol: str, values: dict) -> FieldElement:
     return -out if neg else out
 
 
-def _table_payload(spec: CommandSpec):
-    """(M, D, the symbolic table rows with their coefficients, whether M's
-    computed table equals the symbolic one)."""
+def _table_json(spec: CommandSpec) -> dict:
+    """The symbolic table rows with their coefficients, and whether M's
+    computed table equals the symbolic one."""
     alg = current_algebra(spec.entries)
     a, b, c, d = spec.entries
     disc = a * b * c * d
@@ -291,85 +268,29 @@ def _table_payload(spec: CommandSpec):
         i, j, k = index[left], index[right], index[target]
         expected[i][j][k] = coeff
         expected[j][i][k] = -coeff
-        entries.append((left, right, symbol, target, coeff))
+        entries.append({
+            "bracket": f"[{left},{right}]",
+            "symbolic": f"{symbol} {target}",
+            "coefficient": render_scalar(coeff),
+            "target": target,
+        })
     # tables_equal compares entries with !=, so they must be tuples.
     expected = tuple(tuple(tuple(e) for e in row) for row in expected)
-    return alg, disc, entries, tables_equal(alg.constants, expected)
-
-
-def _render_table(spec: CommandSpec) -> tuple[str, bool]:
-    _, disc, entries, matches = _table_payload(spec)
-    lines = _form_header(spec, disc)
-    for pos, (left, right, symbol, target, coeff) in enumerate(entries):
-        lines.append(f"[{left},{right}] = {symbol} {target} = {render_scalar(coeff)} {target}")
-        if pos % 3 == 2 and pos != len(entries) - 1:
-            lines.append("")
-    lines.append("[f1,h1] = [f2,h2] = [f3,h3] = 0")
-    lines.append(f"  check table_matches_computed: {'ok' if matches else 'FAILED'}")
-    lines.append("PASS" if matches else "FAIL")
-    return "\n".join(lines), matches
-
-
-def _table_json(spec: CommandSpec) -> tuple[dict, bool]:
-    alg, disc, entries, matches = _table_payload(spec)
-    data = {
+    return {
         "command": "table",
         "field": render_field(spec.field),
         "form": [render_scalar(x) for x in spec.entries],
         "D": render_scalar(disc),
-        "entries": [
-            {
-                "bracket": f"[{left},{right}]",
-                "symbolic": f"{symbol} {target}",
-                "coefficient": render_scalar(coeff),
-                "target": target,
-            }
-            for left, right, symbol, target, coeff in entries
-        ],
+        "entries": entries,
         "table": tensor_to_json(alg.constants),
-        "checks": [{"name": "table_matches_computed", "ok": matches}],
+        "checks": [{"name": "table_matches_computed",
+                    "ok": tables_equal(alg.constants, expected)}],
     }
-    return data, matches
 
 
-def _render_classify(spec: CommandSpec, cert: DecompositionCertificate) -> str:
-    lines = _form_header(spec, cert.disc)
-    lines.append(f"case: {cert.case}")
-    if cert.case == "two_simple_ideals":
-        for name in ("I1", "I2"):
-            rows = subspace_to_json(cert.witnesses[name])
-            lines.append(f"  {name} basis: {rows}")
-    elif cert.case == "semidirect_N_R":
-        for name in ("N", "R"):
-            rows = subspace_to_json(cert.witnesses[name])
-            lines.append(f"  {name} basis: {rows}")
-    else:
-        lines.append(f"  extension: {render_field(cert.witnesses['extension'])}")
-    lines += _check_lines(cert.checks)
-    lines.append("PASS" if cert.ok else "FAIL")
-    return "\n".join(lines)
-
-
-def _render_oracle(spec: CommandSpec, ideals, complete: bool) -> str:
-    hist = ideal_dimension_histogram(ideals)
-    lines = _form_header(spec, spec.entries[0] * spec.entries[1] * spec.entries[2] * spec.entries[3])
-    lines.append(f"ideals found: {len(ideals)}")
-    lines.append("dimension histogram: " + ", ".join(f"{k}: {v}" for k, v in sorted(hist.items())))
-    for space in ideals:
-        lines.append(f"  dim {space.dim}: {subspace_to_json(space)}")
-    if not complete:
-        lines.append("  check enumeration_complete: FAILED")
-    return "\n".join(lines)
-
-
-def _run_oracle(field: FieldDescriptor, entries) -> tuple[list, bool]:
-    """Every ideal of M and the result of the enumeration_complete check."""
-    alg = current_algebra(entries)
+def _oracle_json(spec: CommandSpec) -> dict:
+    alg = current_algebra(spec.entries)
     ideals = enumerate_ideals(alg)
-    return ideals, enumeration_complete(alg, ideals)
-
-
-def _oracle_json(spec: CommandSpec, ideals, complete: bool) -> dict:
     disc = spec.entries[0] * spec.entries[1] * spec.entries[2] * spec.entries[3]
     hist = ideal_dimension_histogram(ideals)
     return {
@@ -380,26 +301,13 @@ def _oracle_json(spec: CommandSpec, ideals, complete: bool) -> dict:
         "ideal_count": len(ideals),
         "histogram": {str(k): v for k, v in sorted(hist.items())},
         "ideals": [subspace_to_json(s) for s in ideals],
-        "checks": [{"name": "enumeration_complete", "ok": complete}],
+        "checks": [{"name": "enumeration_complete",
+                    "ok": enumeration_complete(alg, ideals)}],
     }
 
 
-def _render_counterexample(report: CounterexampleReport) -> str:
-    lines = [
-        f"p = {report.p}: base {render_field(report.base_field)}, "
-        f"extension {render_field(report.extension_field)}, s = {render_scalar(report.s)}",
-        f"current algebra dimension: {report.current_dim}",
-        f"radical dimension: {report.radical.dim}",
-        f"abelian ideal dimension: {report.abelian_ideal.dim}",
-        f"quotient perfect of dimension {report.quotient_dim}: "
-        f"{'yes' if report.quotient_perfect else 'NO'}",
-    ]
-    lines += _check_lines(report.checks)
-    lines.append("PASS" if report.ok else "FAIL")
-    return "\n".join(lines)
-
-
-def _counterexample_json(report: CounterexampleReport) -> dict:
+def _counterexample_json(spec: CommandSpec) -> dict:
+    report = inseparable_counterexample(spec.p)
     return {
         "command": "counterexample",
         "p": report.p,
@@ -418,48 +326,119 @@ def _counterexample_json(report: CounterexampleReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Text renderings of the documents.
+# ---------------------------------------------------------------------------
+
+
+def _form_header(doc: dict, from_gram: bool) -> list[str]:
+    lines = [f"field {doc['field']}, form diag({', '.join(doc['form'])}), D = {doc['D']}"]
+    if from_gram:
+        lines.append("(diagonal entries obtained by orthogonalizing the given Gram matrix)")
+    return lines
+
+
+def _check_lines(checks: list[dict]) -> list[str]:
+    return [f"  check {c['name']}: {'ok' if c['ok'] else 'FAILED'}" for c in checks]
+
+
+def _verdict(doc: dict) -> str:
+    return "PASS" if all(c["ok"] for c in doc["checks"]) else "FAIL"
+
+
+def _render_verify(doc: dict, from_gram: bool) -> list[str]:
+    lines = _form_header(doc, from_gram)
+    d = doc["dims"]
+    lines.append(
+        f"dims: skew-adjoint {d['skew_adjoint']}, derived {d['derived']}, "
+        f"core {d['core_skew_adjoint']}, core derived {d['core_derived']}"
+    )
+    lines.append(f"table matches core (x) F[X]/(X^2-D): {'yes' if doc['equal'] else 'NO'}")
+    w = doc["random_w"]
+    lines.append(
+        f"random W (seed {doc['seed']}, attempt {w['attempts']}): "
+        f"diagonal ({', '.join(w['diagonal'])}), "
+        f"D' = {w['D']}, tables match: {'yes' if w['equal'] else 'NO'}"
+    )
+    return lines + _check_lines(doc["checks"]) + [_verdict(doc)]
+
+
+def _render_classify(doc: dict, from_gram: bool) -> list[str]:
+    lines = _form_header(doc, from_gram)
+    lines.append(f"case: {doc['case']}")
+    witnesses = doc["witnesses"]
+    if doc["case"] == CASE_SIMPLE:
+        lines.append(f"  extension: {witnesses['extension']}")
+    else:
+        names = ("I1", "I2") if doc["case"] == CASE_TWO_IDEALS else ("N", "R")
+        lines += [f"  {name} basis: {witnesses[name]}" for name in names]
+    return lines + _check_lines(doc["checks"]) + [_verdict(doc)]
+
+
+def _render_table(doc: dict, from_gram: bool) -> list[str]:
+    lines = _form_header(doc, from_gram)
+    entries = doc["entries"]
+    for pos, e in enumerate(entries):
+        lines.append(f"{e['bracket']} = {e['symbolic']} = {e['coefficient']} {e['target']}")
+        if pos % 3 == 2 and pos != len(entries) - 1:
+            lines.append("")
+    lines.append("[f1,h1] = [f2,h2] = [f3,h3] = 0")
+    return lines + _check_lines(doc["checks"]) + [_verdict(doc)]
+
+
+def _render_oracle(doc: dict, from_gram: bool) -> list[str]:
+    lines = _form_header(doc, from_gram)
+    lines.append(f"ideals found: {doc['ideal_count']}")
+    lines.append("dimension histogram: "
+                 + ", ".join(f"{k}: {v}" for k, v in doc["histogram"].items()))
+    lines += [f"  dim {len(rows)}: {rows}" for rows in doc["ideals"]]
+    # Only a failed check is shown; a complete enumeration prints no verdict.
+    return lines + _check_lines([c for c in doc["checks"] if not c["ok"]])
+
+
+def _render_counterexample(doc: dict, from_gram: bool) -> list[str]:
+    lines = [
+        f"p = {doc['p']}: base {doc['base_field']}, "
+        f"extension {doc['extension_field']}, s = {doc['s']}",
+        f"current algebra dimension: {doc['current_dim']}",
+        f"radical dimension: {doc['radical_dim']}",
+        f"abelian ideal dimension: {len(doc['abelian_ideal'])}",
+        f"quotient perfect of dimension {doc['quotient_dim']}: "
+        f"{'yes' if doc['quotient_perfect'] else 'NO'}",
+    ]
+    return lines + _check_lines(doc["checks"]) + [_verdict(doc)]
+
+
+# command -> (document builder, text renderer)
+COMMANDS = {
+    "verify": (_verify_json, _render_verify),
+    "classify": (_classify_json, _render_classify),
+    "table": (_table_json, _render_table),
+    "oracle": (_oracle_json, _render_oracle),
+    "counterexample": (_counterexample_json, _render_counterexample),
+}
+
+
+# ---------------------------------------------------------------------------
 # Execution.
 # ---------------------------------------------------------------------------
 
 
 def execute(spec: CommandSpec) -> tuple[int, str]:
-    """Run one validated command; returns (exit code, rendered output)."""
+    """Run one validated command; returns (exit code, rendered output).
+
+    The exit code is 0 exactly when every check of the document holds."""
+    build, render = COMMANDS[spec.command]
     try:
         if spec.gram is not None:
             diagonal = orthogonalize(make_form(spec.gram)).diagonal
             spec = replace(spec, entries=tuple(diagonal))
-        if spec.command == "verify":
-            report = verify_current_form(spec.field, spec.entries,
-                                         seed=spec.seed, max_tries=spec.trials)
-            if spec.as_json:
-                return (0 if report.ok else 1), json.dumps(_verify_json(spec, report), indent=2)
-            return (0 if report.ok else 1), _render_verify(spec, report)
-        if spec.command == "classify":
-            cert = classify(spec.field, spec.entries)
-            if spec.as_json:
-                data = certificate_to_json(cert)
-                data["command"] = "classify"
-                return (0 if cert.ok else 1), json.dumps(data, indent=2)
-            return (0 if cert.ok else 1), _render_classify(spec, cert)
-        if spec.command == "table":
-            if spec.as_json:
-                data, matches = _table_json(spec)
-                return (0 if matches else 1), json.dumps(data, indent=2)
-            text, matches = _render_table(spec)
-            return (0 if matches else 1), text
-        if spec.command == "oracle":
-            ideals, complete = _run_oracle(spec.field, spec.entries)
-            if spec.as_json:
-                return (0 if complete else 1), json.dumps(_oracle_json(spec, ideals, complete), indent=2)
-            return (0 if complete else 1), _render_oracle(spec, ideals, complete)
-        if spec.command == "counterexample":
-            report = inseparable_counterexample(spec.p)
-            if spec.as_json:
-                return (0 if report.ok else 1), json.dumps(_counterexample_json(report), indent=2)
-            return (0 if report.ok else 1), _render_counterexample(report)
-        raise AssertionError(f"unknown command {spec.command!r}")
+        doc = build(spec)
     except DOMAIN_ERRORS as exc:
         return 1, f"error: {exc}"
+    code = 0 if all(c["ok"] for c in doc["checks"]) else 1
+    if spec.as_json:
+        return code, json.dumps(doc, indent=2)
+    return code, "\n".join(render(doc, spec.from_gram))
 
 
 _MALFORMED = [{"name": "document_well_formed", "ok": False}]
@@ -486,19 +465,15 @@ def _recheck(data: dict) -> list[dict]:
     if command == "classify" or (command is None and "case" in data):
         return checks_to_json(recheck_certificate_json(data))
     if command == "counterexample":
-        fresh = _counterexample_json(inseparable_counterexample(_document_int(data, "p")))
-    else:
+        spec = CommandSpec(command, p=_document_int(data, "p"))
+    elif command in ("verify", "table", "oracle"):
         field, entries = _document_literals(data)
         spec = CommandSpec(command, field=field, entries=entries)
         if command == "verify":
             spec = replace(spec, seed=_document_int(data, "seed"))
-            fresh = _verify_json(spec, verify_current_form(field, entries, seed=spec.seed))
-        elif command == "table":
-            fresh, _ = _table_json(spec)
-        elif command == "oracle":
-            fresh = _oracle_json(spec, *_run_oracle(field, entries))
-        else:
-            raise ParseError("unrecognized document")
+    else:
+        raise ParseError("unrecognized document")
+    fresh = COMMANDS[command][0](spec)
     return [{"name": "reproduced_identically", "ok": fresh == data}] + fresh["checks"]
 
 

@@ -9,7 +9,7 @@ skipping is all that is needed.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .scalars import FieldDescriptor, FieldElement, inv
 
@@ -55,11 +55,6 @@ class Matrix:
     def identity(cls, field: FieldDescriptor, n: int) -> Matrix:
         zero, one = field.zero(), field.one()
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field: FieldDescriptor, nrows: int, ncols: int) -> Matrix:
-        zero = field.zero()
-        return cls(field, [[zero] * ncols for _ in range(nrows)])
 
     @classmethod
     def diagonal(cls, field: FieldDescriptor, entries: Sequence[FieldElement]) -> Matrix:
@@ -112,19 +107,6 @@ class Matrix:
                 out_row.append(acc)
             out.append(tuple(out_row))
         return Matrix._trusted(self.field, tuple(out))
-
-    def mul_vector(self, v: Sequence[FieldElement]) -> Vector:
-        if len(v) != self.ncols:
-            raise ShapeMismatch("vector length does not match column count")
-        zero = self.field.zero()
-        out = []
-        for row in self.rows:
-            acc = zero
-            for a, b in zip(row, v):
-                if not a.is_zero() and not b.is_zero():
-                    acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
 
     def flatten(self) -> Vector:
         return tuple(x for row in self.rows for x in row)
@@ -199,12 +181,11 @@ def commutators(mats: Sequence[Matrix]) -> dict[tuple[int, int], Vector]:
     return out
 
 
-def _eliminate(rows: list[list[FieldElement]]) -> tuple[list[int], int]:
-    """In-place reduced row echelon form; returns (pivot columns, swaps)."""
+def _eliminate(rows: list[list[FieldElement]]) -> list[int]:
+    """In-place reduced row echelon form; returns the pivot columns."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    swaps = 0
     r = 0
     for c in range(ncols):
         pivot_row = None
@@ -216,7 +197,6 @@ def _eliminate(rows: list[list[FieldElement]]) -> tuple[list[int], int]:
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            swaps += 1
         pv = rows[r][c]
         if not pv.is_one():
             pv_inv = inv(pv)
@@ -235,13 +215,13 @@ def _eliminate(rows: list[list[FieldElement]]) -> tuple[list[int], int]:
         r += 1
         if r == nrows:
             break
-    return pivots, swaps
+    return pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Unique reduced row echelon form with rank and pivot columns."""
     rows = [list(row) for row in m.rows]
-    pivots, _ = _eliminate(rows)
+    pivots = _eliminate(rows)
     return Matrix(m.field, rows), len(pivots), tuple(pivots)
 
 
@@ -288,31 +268,10 @@ def inverse(m: Matrix) -> Matrix:
     n = m.nrows
     ident = Matrix.identity(m.field, n)
     rows = [list(row) + list(irow) for row, irow in zip(m.rows, ident.rows)]
-    pivots, _ = _eliminate(rows)
+    pivots = _eliminate(rows)
     if tuple(pivots) != tuple(range(n)):
         raise ShapeMismatch("matrix is singular")
     return Matrix(m.field, [row[n:] for row in rows])
-
-
-def solve(m: Matrix, rhs: Sequence[FieldElement]) -> Optional[Vector]:
-    """One exact solution of m x = rhs, free variables set to zero.
-
-    Returns None when the system is inconsistent.
-    """
-    if len(rhs) != m.nrows:
-        raise ShapeMismatch("right-hand side length does not match row count")
-    rows = [list(row) + [b] for row, b in zip(m.rows, rhs)]
-    if not rows:
-        return ()
-    pivots, _ = _eliminate(rows)
-    n = m.ncols
-    # A pivot in the augmented column marks an inconsistent system.
-    if n in pivots:
-        return None
-    solution = [m.field.zero()] * n
-    for r, c in enumerate(pivots):
-        solution[c] = rows[r][n]
-    return tuple(solution)
 
 
 class Subspace:
@@ -351,15 +310,6 @@ class Subspace:
     def contains(self, v: Sequence[FieldElement]) -> bool:
         return all(x.is_zero() for x in self.reduce(v))
 
-    def coordinates(self, v: Sequence[FieldElement]) -> Optional[Vector]:
-        """Coordinates of v in the canonical basis, or None if outside."""
-        if not self.contains(v):
-            return None
-        return tuple(v[c] for c in self.pivots)
-
-    def contains_subspace(self, other: Subspace) -> bool:
-        return all(self.contains(row) for row in other.basis.rows)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
@@ -385,7 +335,7 @@ def canonicalize_subspace(field: FieldDescriptor, vectors: Iterable[Sequence[Fie
     if not vectors:
         return Subspace(field, ambient_dim, Matrix(field, []), ())
     rows = [list(v) for v in vectors]
-    pivots, _ = _eliminate(rows)
+    pivots = _eliminate(rows)
     basis = Matrix(field, rows[: len(pivots)])
     return Subspace(field, ambient_dim, basis, tuple(pivots))
 

@@ -168,11 +168,6 @@ class LieAlgebraSC:
         zero, one = self.field.zero(), self.field.one()
         return tuple(one if k == i else zero for k in range(self.dim))
 
-    def matrix_for(self, coords: Sequence[FieldElement]) -> Matrix:
-        if self.realization is None:
-            raise InvalidStructure("algebra carries no matrix realization")
-        return _combine_matrices(self.field, coords, self.realization)
-
     def __repr__(self) -> str:
         return f"LieAlgebraSC(dim={self.dim} over {self.field!r})"
 
@@ -212,15 +207,6 @@ def _flat_combination(field: FieldDescriptor, coords: Sequence[FieldElement],
             for idx, x in flat:
                 acc[idx] = acc[idx] + coeff * x
     return tuple(acc)
-
-
-def _combine_matrices(field: FieldDescriptor, coords: Sequence[FieldElement],
-                      mats: Sequence[Matrix]) -> Matrix:
-    out = Matrix.zeros(field, mats[0].nrows, mats[0].ncols)
-    for c, m in zip(coords, mats):
-        if not c.is_zero():
-            out = out + m.scale(c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +310,7 @@ def algebra_from_matrices(field: FieldDescriptor, mats: Sequence[Matrix]) -> Lie
 
 
 # ---------------------------------------------------------------------------
-# Derived series, ideals, center.
+# Derived series and ideals.
 # ---------------------------------------------------------------------------
 
 
@@ -351,23 +337,6 @@ def derived_series_of_subspace(alg: LieAlgebraSC, space: Subspace) -> list[Subsp
             return series
 
 
-def derived_series(alg: LieAlgebraSC) -> list[Subspace]:
-    """Chain L > [L,L] > ... of strictly decreasing terms until stable."""
-    return derived_series_of_subspace(alg, full_subspace(alg.field, alg.dim))
-
-
-def is_perfect(alg: LieAlgebraSC) -> bool:
-    return len(derived_series(alg)) == 1
-
-
-def is_solvable(alg: LieAlgebraSC) -> bool:
-    return derived_series(alg)[-1].dim == 0
-
-
-def is_abelian(alg: LieAlgebraSC) -> bool:
-    return derived_subspace(alg).dim == 0
-
-
 def structure_constants(alg: LieAlgebraSC, basis: Sequence[Sequence[FieldElement]]) -> Tensor:
     """Constants of the subalgebra spanned by `basis`, in that order.
 
@@ -390,20 +359,6 @@ def structure_constants(alg: LieAlgebraSC, basis: Sequence[Sequence[FieldElement
     return tuple(tuple(row) for row in _antisymmetric_fill(alg.field, m, upper))
 
 
-def subalgebra(alg: LieAlgebraSC, basis: Sequence[Sequence[FieldElement]]) -> LieAlgebraSC:
-    """Standalone algebra on the given bracket-closed basis."""
-    constants = structure_constants(alg, basis)
-    realization = None
-    if alg.realization is not None:
-        realization = [alg.matrix_for(v) for v in basis]
-    return LieAlgebraSC(alg.field, len(basis), constants, realization=realization)
-
-
-def derived_subalgebra(alg: LieAlgebraSC) -> LieAlgebraSC:
-    """[L, L] repackaged on the canonical basis of the bracket span."""
-    return subalgebra(alg, derived_subspace(alg).basis.rows)
-
-
 def derived_subspace(alg: LieAlgebraSC) -> Subspace:
     """[L, L] as a subspace of L's coordinates."""
     return bracket_span(alg, full_subspace(alg.field, alg.dim))
@@ -422,35 +377,6 @@ def realized_span(alg: LieAlgebraSC, space: Subspace) -> Subspace:
     size = mats[0].nrows * mats[0].ncols if mats else 0
     vectors = [_flat_combination(alg.field, row, flats, size) for row in space.basis.rows]
     return canonicalize_subspace(alg.field, vectors, size)
-
-
-def ideal_closure(alg: LieAlgebraSC, seed: Sequence[Sequence[FieldElement]]) -> Subspace:
-    """Smallest ideal containing the seed vectors (worklist closure)."""
-    space = canonicalize_subspace(alg.field, [tuple(v) for v in seed], alg.dim)
-    while True:
-        new_vectors = []
-        for i in range(alg.dim):
-            e = alg.basis_vector(i)
-            for row in space.basis.rows:
-                w = alg.bracket(e, row)
-                if not space.contains(w):
-                    new_vectors.append(w)
-        if not new_vectors:
-            return space
-        space = canonicalize_subspace(
-            alg.field, list(space.basis.rows) + new_vectors, alg.dim
-        )
-
-
-def center(alg: LieAlgebraSC) -> Subspace:
-    """Kernel of the stacked adjoint operators."""
-    if alg.dim == 0:
-        return full_subspace(alg.field, 0)
-    rows = []
-    for i in range(alg.dim):
-        for k in range(alg.dim):
-            rows.append([alg.constants[i][j][k] for j in range(alg.dim)])
-    return kernel(Matrix(alg.field, rows))
 
 
 def is_ideal(alg: LieAlgebraSC, space: Subspace) -> bool:
@@ -489,18 +415,6 @@ def quotient_algebra(alg: LieAlgebraSC, ideal: Subspace) -> LieAlgebraSC:
             row.append(tuple(w[j] for j in complement))
         constants.append(row)
     return LieAlgebraSC(alg.field, dim, constants)
-
-
-def is_simple_3dim(alg: LieAlgebraSC) -> bool:
-    """Simplicity test for 3-dimensional algebras.
-
-    A perfect 3-dimensional Lie algebra is simple: a proper nonzero ideal
-    would give a quotient of dimension 1 or 2, and no such algebra is
-    perfect, contradicting perfection of the whole.
-    """
-    if alg.dim != 3:
-        raise WrongDimension("test applies to 3-dimensional algebras only")
-    return derived_subspace(alg).dim == 3
 
 
 # ---------------------------------------------------------------------------

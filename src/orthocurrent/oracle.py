@@ -5,9 +5,9 @@ ideal generated by each projective point of F_q^n, the cyclic-submodule
 idea behind MeatAxe spinning, and then closes {0} and the distinct
 principal ideals under sums.  Spans are kept as canonical reduced echelon
 forms `(pivots, rows)`, which makes equal ideals equal keys.  All of this
-runs on plain integers mod q with its own elimination and never calls
-`liealg.ideal_closure`, so the oracle stays independent of the library it
-checks; field elements are only materialized for returned subspaces.
+runs on plain integers mod q with its own elimination and spinning, so
+the oracle stays independent of the library it checks; field elements are
+only materialized for returned subspaces.
 
 `enumerate_subspaces` streams every subspace of F_q^n once through its
 canonical echelon form: choose pivot columns, then run an odometer over

@@ -1138,31 +1138,3 @@ def render_field(field: FieldDescriptor) -> str:
     if kind == KIND_FUNFIELD:
         return f"F{field.p}({field.var})"
     return f"{render_field(field.base)}[sqrt {render_scalar(field.radicand)}]"
-
-
-# ---------------------------------------------------------------------------
-# Seeded random elements (used by randomized verification and tests).
-# ---------------------------------------------------------------------------
-
-
-def random_element(field: FieldDescriptor, rng, nonzero: bool = False) -> FieldElement:
-    """Small random element; entries stay low-degree to keep runs fast."""
-    while True:
-        kind = field.kind
-        if kind == KIND_RATIONALS:
-            x = FieldElement(field, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-        elif kind == KIND_PRIME:
-            x = field.from_int(rng.randrange(field.p))
-        elif kind == KIND_FUNFIELD:
-            p = field.p
-            num = Poly(p, [rng.randrange(p) for _ in range(rng.randint(1, 3))])
-            den = Poly(p, [rng.randrange(p) for _ in range(rng.randint(1, 2))])
-            if den.is_zero():
-                den = Poly.const(p, 1)
-            x = _make_ratio(field, num, den)
-        else:
-            u = random_element(field.base, rng)
-            v = random_element(field.base, rng)
-            x = FieldElement(field, (u, v))
-        if not nonzero or not x.is_zero():
-            return x

@@ -160,12 +160,6 @@ def current_table(core: LieAlgebraSC, disc: FieldElement) -> LieAlgebraSC:
     return tensor_current(core, quadratic_quotient(disc))
 
 
-def _has_current_form(alg: LieAlgebraSC, core: LieAlgebraSC, disc: FieldElement) -> bool:
-    """The table of alg equals that of core tensor F[X]/(X^2 - D), entry by
-    entry under the positional correspondence."""
-    return tables_equal(alg.constants, current_table(core, disc).constants)
-
-
 def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> Pipeline:
     entries = tuple(entries)
     if len(entries) != 4:
@@ -178,7 +172,10 @@ def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> P
     identity = (
         Check("distinguished_basis_spans_derived",
               _matrix_span(algebra.realization) == derived_span),
-        Check("tables_match", _has_current_form(algebra, core, disc)),
+        # M's table equals that of core tensor F[X]/(X^2 - D), entry by
+        # entry under the positional correspondence.
+        Check("tables_match",
+              tables_equal(algebra.constants, current_table(core, disc).constants)),
     )
     return Pipeline(
         field, entries, form, skew, derived, derived_span, algebra, core, disc, identity,
@@ -692,6 +689,7 @@ def certificate_to_json(cert: DecompositionCertificate) -> dict:
         "table": tensor_to_json(cert.table),
         "witnesses": witnesses,
         "checks": checks_to_json(cert.checks),
+        "command": "classify",
     }
 
 

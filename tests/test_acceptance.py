@@ -25,7 +25,6 @@ from orthocurrent.scalars import (
     parse_scalar,
     prime_field,
     quadratic_extension,
-    random_element,
     rationals,
     render_field,
 )
@@ -40,6 +39,8 @@ from orthocurrent.structure import (
     recheck_certificate_json,
     verify_current_form,
 )
+
+from reference import random_element
 
 Q = rationals()
 F2 = prime_field(2)

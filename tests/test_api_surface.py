@@ -1,0 +1,68 @@
+"""Every function, class and method in the library serves a command.
+
+A definition counts as used when some module of the package refers to its
+name outside the definition itself: as a `Name`, an `Attribute` or an
+import.  `__init__.py` is not searched for uses, since re-exporting a name
+does not use it.  Names are matched as plain identifiers, so a method
+counts as used when any attribute of that name is read.
+"""
+
+import ast
+from pathlib import Path
+
+import orthocurrent
+
+PACKAGE = Path(orthocurrent.__file__).parent
+
+# (module, name) -> why it stays although no module of the package uses it.
+ALLOWED = {
+    ("cli", "recheck_json"): "entry point of the independent checker",
+    ("oracle", "gaussian_binomial"): "acceptance criterion 6 and perfbench count subspaces with it",
+    ("oracle", "enumerate_subspaces"): "acceptance criterion 6 checks the subspace count with it",
+}
+
+
+def _definitions(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node
+
+
+def _referenced_name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def unused_definitions():
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    uses = {}  # name -> [(module, line)]
+    for module, tree in modules.items():
+        if module == "__init__":
+            continue
+        for node in ast.walk(tree):
+            name = _referenced_name(node)
+            if name is not None:
+                uses.setdefault(name, []).append((module, node.lineno))
+    unused = set()
+    for module, tree in modules.items():
+        for node in _definitions(tree):
+            outside = [
+                (m, line) for m, line in uses.get(node.name, [])
+                if not (m == module and node.lineno <= line <= node.end_lineno)
+            ]
+            if not outside:
+                unused.add((module, node.name))
+    return unused
+
+
+def test_every_definition_is_used_by_the_package():
+    unused = unused_definitions()
+    assert unused - set(ALLOWED) == set()
+    # An allowlisted name that gains a use, or disappears, leaves the list.
+    assert set(ALLOWED) <= unused

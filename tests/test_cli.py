@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from orthocurrent import structure
+from orthocurrent import cli, structure
 from orthocurrent.cli import execute, main, parse_args, recheck_json
 
 
@@ -258,3 +258,37 @@ def test_random_w_skew_check_exits_1(monkeypatch):
     code, out = run(["verify", "--field", "Q", "--form", "1,2,3,4"])
     assert code == 1 and out == "error: basis matrix is not skew-adjoint"
 
+
+
+def _break_table_identity(monkeypatch):
+    real = structure.current_table
+    monkeypatch.setattr(structure, "current_table", lambda core, disc: real(core, disc + disc))
+
+
+def _misstate_a_table_row(monkeypatch):
+    # [f1,f2] = c f3 instead of b f3; b and c differ in the form below.
+    monkeypatch.setattr(cli, "TABLE_ROWS", (("f1", "f2", "c", "f3"),) + cli.TABLE_ROWS[1:])
+
+
+def _drop_an_ideal(monkeypatch):
+    real = cli.enumerate_ideals
+    monkeypatch.setattr(cli, "enumerate_ideals", lambda alg: real(alg)[:-1])
+
+
+@pytest.mark.parametrize("command, field, breaks, failed", [
+    ("verify", "Q", _break_table_identity, "tables_match"),
+    ("classify", "Q", _break_table_identity, "tables_match"),
+    ("table", "Q", _misstate_a_table_row, "table_matches_computed"),
+    ("oracle", "F3", _drop_an_ideal, "enumeration_complete"),
+], ids=["verify", "classify", "table", "oracle"])
+def test_a_failing_check_exits_1_in_both_formats(monkeypatch, command, field, breaks, failed):
+    breaks(monkeypatch)
+    argv = [command, "--field", field, "--form", "1,2,1,2"]
+    code, out = run(argv + ["--json"])
+    assert code == 1
+    assert failed in {c["name"] for c in json.loads(out)["checks"] if not c["ok"]}
+    code, out = run(argv)
+    assert code == 1
+    assert f"  check {failed}: FAILED" in out.splitlines()
+    if command != "oracle":  # oracle text prints no verdict line
+        assert out.endswith("\nFAIL")

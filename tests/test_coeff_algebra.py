@@ -18,9 +18,10 @@ from orthocurrent.scalars import (
     is_square,
     parse_scalar,
     prime_field,
-    random_element,
     rationals,
 )
+
+from reference import random_element
 
 Q = rationals()
 F2 = prime_field(2)

@@ -17,9 +17,10 @@ from orthocurrent.scalars import (
     function_field,
     is_square,
     prime_field,
-    random_element,
     rationals,
 )
+
+from reference import random_element
 
 Q = rationals()
 F2 = prime_field(2)

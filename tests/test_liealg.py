@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from orthocurrent.exact_linalg import Matrix, canonicalize_subspace, commutators
+from orthocurrent.exact_linalg import (
+    Matrix,
+    canonicalize_subspace,
+    commutators,
+    full_subspace,
+    kernel,
+)
 from orthocurrent.forms import diagonal_form, make_form
 from orthocurrent.liealg import (
     CoefficientAlgebra,
@@ -10,27 +16,20 @@ from orthocurrent.liealg import (
     LieAlgebraSC,
     NotClosed,
     NotIndependent,
-    WrongDimension,
+    SpanSolver,
     ZeroEntry,
     _check_skew,
     algebra_from_matrices,
-    center,
     core_basis,
     current_algebra,
     current_basis,
-    derived_series,
-    derived_subalgebra,
-    ideal_closure,
-    is_abelian,
+    derived_series_of_subspace,
+    derived_subspace,
     is_ideal,
-    is_perfect,
-    is_simple_3dim,
-    is_solvable,
     realization_mismatch,
     realized_span,
     skew_adjoint_algebra,
     structure_constants,
-    subalgebra,
     tables_equal,
     tensor_current,
 )
@@ -39,9 +38,10 @@ from orthocurrent.scalars import (
     parse_scalar,
     prime_field,
     quadratic_extension,
-    random_element,
     rationals,
 )
+
+from reference import ideal_closure, matrix_for, random_element
 
 Q = rationals()
 F2 = prime_field(2)
@@ -61,15 +61,6 @@ def abelian_algebra(field, dim):
     zero = field.zero()
     constants = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     return LieAlgebraSC(field, dim, constants)
-
-
-def heisenberg(field):
-    # [x, y] = z, z central
-    zero, one = field.zero(), field.one()
-    c = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
-    c[0][1][2] = one
-    c[1][0][2] = -one
-    return LieAlgebraSC(field, 3, c)
 
 
 def test_skew_adjoint_dimensions():
@@ -116,7 +107,7 @@ def test_skew_adjoint_non_diagonal_gram():
                 continue
             alg = skew_adjoint_algebra(form)
             assert alg.dim == (10 if char2 else 6)
-            assert derived_subalgebra(alg).dim == 6
+            assert derived_subspace(alg).dim == 6
             for m in alg.realization:
                 assert (m.transpose() * gram + gram * m).is_zero()
             done += 1
@@ -162,15 +153,19 @@ def test_bracket_matches_matrix_commutators():
         for j in range(alg.dim):
             mi, mj = alg.realization[i], alg.realization[j]
             comm = mi * mj - mj * mi
-            combo = alg.matrix_for(alg.bracket(alg.basis_vector(i), alg.basis_vector(j)))
+            combo = matrix_for(alg, alg.bracket(alg.basis_vector(i), alg.basis_vector(j)))
             assert comm == combo
+
+
+def derived_series(alg):
+    return derived_series_of_subspace(alg, full_subspace(alg.field, alg.dim))
 
 
 def test_derived_series_perfect_over_q():
     alg = skew_adjoint_algebra(diag_form(Q, [1, 2, 3, 4]))
     series = derived_series(alg)
     assert len(series) == 1 and series[0].dim == 6
-    assert is_perfect(alg) and not is_solvable(alg) and not is_abelian(alg)
+    assert derived_subspace(alg).dim == alg.dim  # perfect
 
 
 def test_derived_series_char2():
@@ -178,39 +173,31 @@ def test_derived_series_char2():
     series = derived_series(alg)
     assert series[0].dim == 10 and series[1].dim == 6
     assert len(series) == 2  # the 6-dimensional derived algebra is perfect
-    assert derived_subalgebra(alg).dim == 6
+    assert derived_subspace(alg).dim == 6
 
 
 def test_derived_series_abelian():
     alg = abelian_algebra(Q, 2)
     series = derived_series(alg)
     assert [s.dim for s in series] == [2, 0]
-    assert is_abelian(alg) and is_solvable(alg) and not is_perfect(alg)
+    assert derived_subspace(alg).dim == 0
 
 
 def test_derived_subalgebra_dims():
-    assert derived_subalgebra(skew_adjoint_algebra(diag_form(Q, [1, 2, 3, 4]))).dim == 6
-    assert derived_subalgebra(skew_adjoint_algebra(diag_form(F2, [1, 1, 1, 1]))).dim == 6
-    assert derived_subalgebra(abelian_algebra(Q, 2)).dim == 0
-    assert derived_subalgebra(skew_adjoint_algebra(diag_form(F2, [1, 1, 1]))).dim == 3
+    assert derived_subspace(skew_adjoint_algebra(diag_form(Q, [1, 2, 3, 4]))).dim == 6
+    assert derived_subspace(skew_adjoint_algebra(diag_form(F2, [1, 1, 1, 1]))).dim == 6
+    assert derived_subspace(abelian_algebra(Q, 2)).dim == 0
+    assert derived_subspace(skew_adjoint_algebra(diag_form(F2, [1, 1, 1]))).dim == 3
 
 
 def test_center_examples():
-    assert center(abelian_algebra(Q, 3)).dim == 3
-    m = derived_subalgebra(skew_adjoint_algebra(diag_form(Q, [1, 1, 1, 1])))
-    assert center(m).dim == 0
-    m2 = derived_subalgebra(skew_adjoint_algebra(diag_form(F2, [1, 1, 1, 1])))
-    assert center(m2).dim == 0
-    assert center(heisenberg(Q)).dim == 1
-
-
-def test_is_simple_3dim():
-    core = derived_subalgebra(skew_adjoint_algebra(diag_form(Q, [1, 2, 3])))
-    assert is_simple_3dim(core)
-    assert not is_simple_3dim(abelian_algebra(Q, 3))
-    assert not is_simple_3dim(heisenberg(Q))
-    with pytest.raises(WrongDimension):
-        is_simple_3dim(abelian_algebra(Q, 2))
+    """M has trivial center, over Q and in characteristic 2: the center is
+    the kernel of the stacked adjoint operators."""
+    for field in (Q, F2):
+        m = current_algebra([field.one()] * 4)
+        adjoints = [[m.constants[i][j][k] for j in range(m.dim)]
+                    for i in range(m.dim) for k in range(m.dim)]
+        assert kernel(Matrix(field, adjoints)).dim == 0
 
 
 def test_current_basis_values():
@@ -243,8 +230,7 @@ def test_current_basis_spans_derived_algebra():
         for _ in range(4):
             entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
             alg = skew_adjoint_algebra(diagonal_form(field, entries))
-            m = derived_subalgebra(alg)
-            m_span = canonicalize_subspace(field, [mm.flatten() for mm in m.realization], 16)
+            m_span = realized_span(alg, derived_subspace(alg))
             cb = current_basis(*entries)
             cb_span = canonicalize_subspace(field, [mm.flatten() for mm in cb.matrices()], 16)
             assert m_span == cb_span
@@ -254,11 +240,9 @@ def test_structure_constants_distinguished_basis_table():
     field = Q
     entries = [field.from_int(x) for x in (1, 2, 3, 4)]
     alg = skew_adjoint_algebra(diagonal_form(field, entries))
-    m = derived_subalgebra(alg)
-    m_span = canonicalize_subspace(field, [mm.flatten() for mm in m.realization], 16)
-    cb = current_basis(*entries)
-    coords = [m_span.coordinates(mm.flatten()) for mm in cb.matrices()]
-    table = structure_constants(m, coords)
+    solver = SpanSolver(field, [m.flatten() for m in alg.realization], 16)
+    coords = [solver.coordinates(m.flatten()) for m in current_basis(*entries).matrices()]
+    table = structure_constants(alg, coords)
     # [f2, f3] = c f1 with c = 3
     assert table[1][2] == fe(field, [3, 0, 0, 0, 0, 0])
     # [f3, h1] = a h2
@@ -353,7 +337,7 @@ def test_tensor_current_bracket_pattern():
     assert tables_equal(again.constants, core.constants)
     # tensoring an abelian algebra stays abelian
     ab = tensor_current(abelian_algebra(field, 2), quo)
-    assert is_abelian(ab)
+    assert derived_subspace(ab).dim == 0
 
 
 def test_tables_equal():
@@ -361,14 +345,6 @@ def test_tables_equal():
     assert tables_equal(t1, t1)
     t2 = ((fe(Q, [0, 2]), fe(Q, [0, 0])), (fe(Q, [0, 0]), fe(Q, [0, 0])))
     assert not tables_equal(t1, t2)
-
-
-def test_subalgebra_realization_restriction():
-    alg = skew_adjoint_algebra(diag_form(Q, [1, 1, 1, 1]))
-    m = derived_subalgebra(alg)
-    assert m.realization is not None and len(m.realization) == 6
-    sub = subalgebra(m, [m.basis_vector(i) for i in range(6)])
-    assert tables_equal(sub.constants, m.constants)
 
 
 def test_realization_check_catches_a_flipped_constant():
@@ -399,7 +375,7 @@ def test_realized_span_maps_coordinates_through_the_realization():
         rows = [[random_element(field, rng) for _ in range(skew.dim)] for _ in range(3)]
         space = canonicalize_subspace(field, rows, skew.dim)
         expected = canonicalize_subspace(
-            field, [skew.matrix_for(v).flatten() for v in space.basis.rows], 16
+            field, [matrix_for(skew, v).flatten() for v in space.basis.rows], 16
         )
         assert realized_span(skew, space) == expected
 

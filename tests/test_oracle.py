@@ -4,7 +4,7 @@ from operator import mul
 
 import pytest
 
-from orthocurrent.liealg import LieAlgebraSC, current_algebra, ideal_closure
+from orthocurrent.liealg import LieAlgebraSC, current_algebra
 from orthocurrent.oracle import (
     UnsupportedField,
     _iter_echelon,
@@ -17,6 +17,8 @@ from orthocurrent.oracle import (
 )
 from orthocurrent.exact_linalg import subspace_meet_join
 from orthocurrent.scalars import prime_field, rationals
+
+from reference import ideal_closure
 
 F2 = prime_field(2)
 F3 = prime_field(3)

@@ -21,11 +21,12 @@ from orthocurrent.scalars import (
     prime_field,
     pth_root,
     quadratic_extension,
-    random_element,
     rationals,
     render_field,
     render_scalar,
 )
+
+from reference import random_element
 
 Q = rationals()
 F2 = prime_field(2)
