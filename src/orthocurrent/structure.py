@@ -78,7 +78,9 @@ from .scalars import (
     KIND_FUNFIELD,
     KIND_PRIME,
     KIND_QUADEXT,
+    common_denominator,
     function_field,
+    inv,
     is_square,
     lift_to_extension,
     parse_field,
@@ -229,6 +231,22 @@ def _small_element(field: FieldDescriptor, rng: random.Random) -> FieldElement:
     return field.from_int(rng.randint(-2, 2))
 
 
+def _rescaled(constants: Tensor, deltas: Sequence[FieldElement]) -> Tensor:
+    """The table of the d_i x_i, for nonzero d_i, when `constants` is that of
+    the x_i: [d_i x_i, d_j x_j] = sum_k (d_i d_j c_ijk / d_k) d_k x_k."""
+    if all(d.is_one() for d in deltas):
+        return constants
+    inverses = [inv(d) for d in deltas]
+    return tuple(
+        tuple(
+            tuple(c if c.is_zero() else deltas[i] * deltas[j] * c * inverses[k]
+                  for k, c in enumerate(entry))
+            for j, entry in enumerate(row)
+        )
+        for i, row in enumerate(constants)
+    )
+
+
 def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int) -> RandomWReport:
     """Re-verify the table identity for a random 3-dimensional subspace.
 
@@ -239,6 +257,12 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int) -> RandomW
     entries exactly when they are independent (rank 6, read from their
     flattened span) and their commutators realize that table's constants:
     coordinates in an independent set are unique.
+
+    Each conjugate x_i is checked as n_i = d_i x_i, with d_i a common
+    denominator of its entries, so that the products of the skew check and
+    the commutators run on entries of denominator 1.  Scaling by nonzero
+    d_i keeps the span and the skew-adjointness, and the n_i realize the
+    rescaled table exactly when the x_i realize the table.
     """
     field = pipe.field
     form = pipe.form
@@ -263,14 +287,16 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int) -> RandomW
         change_t_inv = inverse(change_t)
         cb = current_basis(*primed)
         std_mats = [change_t * m * change_t_inv for m in cb.matrices()]
-        _check_skew(std_mats, form.gram)
-        std_span = _matrix_span(std_mats)
+        deltas = [common_denominator(field, m.flatten()) for m in std_mats]
+        cleared = [m if d.is_one() else m.scale(d) for m, d in zip(std_mats, deltas)]
+        _check_skew(cleared, form.gram)
+        std_span = _matrix_span(cleared)
         spans_match = std_span == pipe.derived_span
         d_primed = primed[0] * primed[1] * primed[2] * primed[3]
         expected = current_table(_core_algebra(primed[:3]), d_primed)
         equal = (
-            std_span.dim == len(std_mats)
-            and realization_mismatch(expected.constants, std_mats) is None
+            std_span.dim == len(cleared)
+            and realization_mismatch(_rescaled(expected.constants, deltas), cleared) is None
         )
         return RandomWReport(attempt, w, primed, d_primed, equal, spans_match)
     raise NondegenerateWRequired(

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -50,11 +51,27 @@ def test_usage_errors_exit_2():
         ["classify", "--field", "F3825123056546413053", "--form", "1,1,1,1"],
         ["verify", "--field", "Q", "--form", "1,2,3,4", "--trials", "0"],
         ["verify", "--field", "Q", "--form", "1,2,3,4", "--trials", "-3"],
+        # exponents above scalars.MAX_LITERAL_DEGREE = 1000
+        ["table", "--field", "F3(t)", "--form", "1,1,1,t^1001"],
+        ["table", "--field", "F3(t)", "--form", "1,1,1,1/(t^1001+1)"],
+        ["table", "--field", "F2(t)[sqrt t+1]", "--form", "1,1,1,t+t^1001*r"],
         [],
     ]:
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 2
+
+
+def test_huge_exponent_is_refused_before_allocation(capsys):
+    """Degree 1000 parses, in a numerator and a denominator; t^20000000
+    exits 2 at once instead of building 20 million coefficients."""
+    spec = parse_args(["table", "--field", "F3(t)", "--form", "1,1,t^1000,1/(t^1000+1)"])
+    assert [x.payload[0].degree + x.payload[1].degree for x in spec.entries] == [0, 0, 1000, 1000]
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["table", "--field", "F3(t)", "--form", "1,1,1,t^20000000"])
+    assert exc.value.code == 2 and time.perf_counter() - start < 1.0
+    assert "exceeds the literal bound 1000" in capsys.readouterr().err
 
 
 def test_verify_command_passes():

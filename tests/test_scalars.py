@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -6,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthocurrent.scalars import (
+    KIND_FUNFIELD,
+    KIND_QUADEXT,
+    KIND_RATIONALS,
     DivisionByZero,
     DomainError,
+    FieldElement,
     DescriptorMismatch,
     ParseError,
     Poly,
+    common_denominator,
     function_field,
     inv,
     is_square,
@@ -377,3 +383,50 @@ def test_poly_kernels_match_schoolbook(p, data):
     # any common divisor divides the gcd: here, the gcd of a*c and b*c
     c = data.draw(_poly_strategy(p).filter(lambda f: not f.is_zero()))
     assert (poly_gcd(a * c, b * c) % c.monic()).is_zero()
+
+
+COMMON_DENOMINATOR_FIELDS = [
+    "Q", "F2", "F3", "F5", "F2(t)", "F3(t)", "F3[sqrt 2]", "F2(t)[sqrt t+1]",
+]
+
+
+def _integral(x):
+    kind = x.field.kind
+    if kind == KIND_RATIONALS:
+        return x.payload.denominator == 1
+    if kind == KIND_FUNFIELD:
+        return x.payload[1].is_one()
+    if kind == KIND_QUADEXT:
+        return all(_integral(c) for c in x.payload)
+    return True
+
+
+def _lcm_of_denominators(field, xs):
+    """Pairwise a*b/gcd(a, b), without the library's deduplication."""
+    if field.kind == KIND_RATIONALS:
+        out = 1
+        for x in xs:
+            den = x.payload.denominator
+            out = out * den // math.gcd(out, den)
+        return field.from_int(out)
+    out = Poly.const(field.p, 1)
+    for x in xs:
+        den = x.payload[1]
+        out = (out * den // poly_gcd(out, den)).monic()
+    return FieldElement(field, (out, Poly.const(field.p, 1)))
+
+
+@pytest.mark.parametrize("literal", COMMON_DENOMINATOR_FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), size=st.integers(0, 8))
+def test_common_denominator_clears_every_entry(literal, seed, size):
+    field = parse_field(literal)
+    rng = random.Random(seed)
+    xs = [random_element(field, rng) for _ in range(size)]
+    d = common_denominator(field, xs)
+    assert not d.is_zero()
+    assert all(_integral(d * x) for x in xs)
+    if not xs:
+        assert d == field.one()
+    if field.kind in (KIND_RATIONALS, KIND_FUNFIELD):
+        assert d == _lcm_of_denominators(field, xs)

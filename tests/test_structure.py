@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from orthocurrent import structure
+from orthocurrent import scalars, structure
 from orthocurrent.exact_linalg import canonicalize_subspace
 from orthocurrent.forms import diagonal_form
 from orthocurrent.liealg import (
@@ -194,16 +194,36 @@ def _patch_leg_basis(monkeypatch, edit):
 
 
 def test_random_w_table_is_read_from_the_conjugates(monkeypatch):
-    """2 f1 keeps the conjugates skew-adjoint and their span, but not their
-    table, so only random_w_tables_match may fail.  A table taken from M
-    for the new diagonal instead of from the conjugates would pass."""
-    for field in (Q, F3):
-        two = field.from_int(2)
+    """A multiple of f1 keeps the conjugates skew-adjoint and their span,
+    but not their table, so only random_w_tables_match may fail.  A table
+    taken from M for the new diagonal instead of from the conjugates would
+    pass.  Over F_p(t) and its extensions the conjugates are checked after
+    clearing their denominators."""
+    for field_literal, form, factor in [
+        ("Q", "1,2,1,2", "2"),
+        ("F3", "1,2,1,2", "2"),
+        ("F3(t)", "1,1,t+1,t", "2"),
+        ("F2(t)[sqrt t+1]", "t+1,t,t,t^5+t^4+t^3+t^2", "t"),
+    ]:
+        field = parse_field(field_literal)
+        scalar = parse_scalar(factor, field)
         with monkeypatch.context() as mp:
-            _patch_leg_basis(mp, lambda cb: dataclasses.replace(cb, f1=cb.f1.scale(two)))
-            report = verify_current_form(field, ints(field, [1, 2, 1, 2]))
+            _patch_leg_basis(mp, lambda cb: dataclasses.replace(cb, f1=cb.f1.scale(scalar)))
+            report = verify_current_form(field, [parse_scalar(x, field) for x in form.split(",")])
         assert report.random_w.spans_match and not report.random_w.equal
         assert _failed(report.checks) == {"random_w_tables_match"}
+
+
+def test_verify_products_stay_gcd_free(monkeypatch):
+    """The random-W leg multiplies entries of denominator 1; a return to
+    products of fractions shows as about 2900 polynomial gcds here."""
+    field = parse_field("F3(t)")
+    entries = [parse_scalar(x, field) for x in "1,1,t+1,t".split(",")]
+    calls = []
+    real = scalars.poly_gcd
+    monkeypatch.setattr(scalars, "poly_gcd", lambda f, g: calls.append(1) or real(f, g))
+    assert verify_current_form(field, entries).ok
+    assert 0 < len(calls) <= 2000
 
 
 def test_dependent_conjugates_fail_without_raising(monkeypatch):
