@@ -45,7 +45,6 @@ from .liealg import (
     current_basis,
     quotient_algebra,
     skew_adjoint_algebra,
-    structure_constants,
     tables_equal,
     tensor_current,
 )
@@ -62,6 +61,6 @@ from .structure import (
     recheck_certificate_json,
     verify_current_form,
 )
-from .oracle import enumerate_ideals, enumerate_subspaces, gaussian_binomial
+from .oracle import enumerate_ideals, gaussian_binomial
 
 __version__ = "0.1.0"

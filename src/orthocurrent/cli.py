@@ -391,8 +391,7 @@ def _render_oracle(doc: dict, from_gram: bool) -> list[str]:
     lines.append("dimension histogram: "
                  + ", ".join(f"{k}: {v}" for k, v in doc["histogram"].items()))
     lines += [f"  dim {len(rows)}: {rows}" for rows in doc["ideals"]]
-    # Only a failed check is shown; a complete enumeration prints no verdict.
-    return lines + _check_lines([c for c in doc["checks"] if not c["ok"]])
+    return lines + _check_lines(doc["checks"]) + [_verdict(doc)]
 
 
 def _render_counterexample(doc: dict, from_gram: bool) -> list[str]:

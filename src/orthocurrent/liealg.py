@@ -7,7 +7,7 @@ faithful matrix realization.  Construction always checks antisymmetry
 the Jacobi identity on all basis triples, and agreement of the bracket
 with matrix commutators whenever a realization is present.
 
-Algebras of skew-adjoint endomorphisms are produced by solving the linear
+Bases of skew-adjoint endomorphisms are produced by solving the linear
 system x^T G + G x = 0.  For a 4-dimensional nondegenerate form the
 distinguished basis f1, f2, f3, h1, h2, h3 of the derived algebra aligns
 it positionally with (3-dimensional core) tensor (quadratic quotient),
@@ -214,13 +214,14 @@ def _flat_combination(field: FieldDescriptor, coords: Sequence[FieldElement],
 # ---------------------------------------------------------------------------
 
 
-def skew_adjoint_algebra(form: BilinearForm) -> LieAlgebraSC:
-    """All endomorphisms x with x^T G + G x = 0, as a Lie algebra.
+def skew_adjoint_algebra(form: BilinearForm) -> list[Matrix]:
+    """Basis of all endomorphisms x with x^T G + G x = 0.
 
-    The solution space of the n^2 x n^2 linear system becomes the basis
-    (canonical echelon order) and the structure constants come from
-    matrix commutators.  For a 4-dimensional form the dimension is 6 in
-    characteristic != 2 and 10 in characteristic 2.
+    The basis is the canonical echelon basis of the solution space of the
+    n^2 x n^2 linear system, each row reshaped to an n x n matrix, so the
+    flattened matrices are a reduced echelon basis as they stand.  For a
+    4-dimensional form there are 6 in characteristic != 2 and 10 in
+    characteristic 2.
     """
     if not form.nondegenerate:
         raise Degenerate("skew-adjoint algebra requires a nondegenerate form")
@@ -240,11 +241,10 @@ def skew_adjoint_algebra(form: BilinearForm) -> LieAlgebraSC:
                 row[k * n + j] = row[k * n + j] + g.rows[i][k]
             equations.append(row)
     sol = kernel(Matrix(field, equations))
-    mats = [
+    return [
         Matrix(field, [row[r * n:(r + 1) * n] for r in range(n)])
         for row in sol.basis.rows
     ]
-    return algebra_from_matrices(field, mats)
 
 
 class SpanSolver:
@@ -281,16 +281,6 @@ class SpanSolver:
         return tuple(out)
 
 
-def _antisymmetric_fill(field: FieldDescriptor, dim: int, upper) -> list[list[Vector]]:
-    """Full constants tensor from the strictly upper triangle."""
-    zero_vec = tuple(field.zero() for _ in range(dim))
-    constants = [[zero_vec] * dim for _ in range(dim)]
-    for (i, j), coords in upper.items():
-        constants[i][j] = coords
-        constants[j][i] = tuple(-x for x in coords)
-    return constants
-
-
 def algebra_from_matrices(field: FieldDescriptor, mats: Sequence[Matrix]) -> LieAlgebraSC:
     """Lie algebra spanned by commutator-closed, independent matrices."""
     dim = len(mats)
@@ -299,13 +289,14 @@ def algebra_from_matrices(field: FieldDescriptor, mats: Sequence[Matrix]) -> Lie
     size = mats[0].nrows * mats[0].ncols
     solver = SpanSolver(field, [m.flatten() for m in mats], size)
     comms = commutators(mats)
-    upper = {}
+    zero_vec = tuple(field.zero() for _ in range(dim))
+    constants = [[zero_vec] * dim for _ in range(dim)]
     for (i, j), comm in comms.items():
         coords = solver.coordinates(comm)
         if coords is None:
             raise NotClosed(f"commutator of matrices {i},{j} escapes the span")
-        upper[(i, j)] = coords
-    constants = _antisymmetric_fill(field, dim, upper)
+        constants[i][j] = coords
+        constants[j][i] = tuple(-x for x in coords)
     return LieAlgebraSC(field, dim, constants, realization=mats, commutators=comms)
 
 
@@ -337,46 +328,9 @@ def derived_series_of_subspace(alg: LieAlgebraSC, space: Subspace) -> list[Subsp
             return series
 
 
-def structure_constants(alg: LieAlgebraSC, basis: Sequence[Sequence[FieldElement]]) -> Tensor:
-    """Constants of the subalgebra spanned by `basis`, in that order.
-
-    Raises NotIndependent for dependent input and NotClosed when some
-    bracket leaves the span.
-    """
-    rows = [tuple(v) for v in basis]
-    m = len(rows)
-    if m == 0:
-        return ()
-    solver = SpanSolver(alg.field, rows, alg.dim)
-    upper = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            w = alg.bracket(rows[a], rows[b])
-            coords = solver.coordinates(w)
-            if coords is None:
-                raise NotClosed(f"bracket of basis vectors {a},{b} escapes the span")
-            upper[(a, b)] = coords
-    return tuple(tuple(row) for row in _antisymmetric_fill(alg.field, m, upper))
-
-
 def derived_subspace(alg: LieAlgebraSC) -> Subspace:
     """[L, L] as a subspace of L's coordinates."""
     return bracket_span(alg, full_subspace(alg.field, alg.dim))
-
-
-def realized_span(alg: LieAlgebraSC, space: Subspace) -> Subspace:
-    """Span of the realization matrices of a subspace, flattened.
-
-    Each basis vector of the subspace is mapped through the realization
-    as a coordinate combination of the flattened matrices.
-    """
-    if alg.realization is None:
-        raise InvalidStructure("algebra carries no matrix realization")
-    mats = alg.realization
-    flats = [_sparse(m.flatten()) for m in mats]
-    size = mats[0].nrows * mats[0].ncols if mats else 0
-    vectors = [_flat_combination(alg.field, row, flats, size) for row in space.basis.rows]
-    return canonicalize_subspace(alg.field, vectors, size)
 
 
 def is_ideal(alg: LieAlgebraSC, space: Subspace) -> bool:

@@ -8,20 +8,16 @@ forms `(pivots, rows)`, which makes equal ideals equal keys.  All of this
 runs on plain integers mod q with its own elimination and spinning, so
 the oracle stays independent of the library it checks; field elements are
 only materialized for returned subspaces.
-
-`enumerate_subspaces` streams every subspace of F_q^n once through its
-canonical echelon form: choose pivot columns, then run an odometer over
-the free positions.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact_linalg import Matrix, Subspace
 from .liealg import LieAlgebraSC
-from .scalars import KIND_PRIME, prime_field
+from .scalars import KIND_PRIME
 
 
 class UnsupportedField(ValueError):
@@ -53,45 +49,9 @@ def _validate(q: int, n: int) -> None:
         raise UnsupportedField(f"ambient dimension must be at most {MAX_AMBIENT}")
 
 
-def _iter_echelon(q: int, n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """All canonical echelon bases as (pivots, integer rows)."""
-    if k == 0:
-        yield (), []
-        return
-    for pivots in combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivot_set
-        ]
-        base = [[0] * n for _ in range(k)]
-        for i, p in enumerate(pivots):
-            base[i][p] = 1
-        total = q ** len(free)
-        for counter in range(total):
-            rows = [row[:] for row in base]
-            rem = counter
-            for i, j in free:
-                rows[i][j] = rem % q
-                rem //= q
-            yield pivots, [tuple(row) for row in rows]
-
-
 def _to_subspace(field, pivots: Sequence[int], rows: Sequence[Sequence[int]], n: int) -> Subspace:
     basis = Matrix(field, [[field.from_int(x) for x in row] for row in rows])
     return Subspace(field, n, basis, tuple(pivots))
-
-
-def enumerate_subspaces(q: int, n: int, k: int) -> Iterator[Subspace]:
-    """Stream every k-dimensional subspace of F_q^n exactly once."""
-    _validate(q, n)
-    if k < 0 or k > n:
-        raise UnsupportedField("dimension out of range")
-    field = prime_field(q)
-    for pivots, rows in _iter_echelon(q, n, k):
-        yield _to_subspace(field, pivots, rows, n)
 
 
 def _adjoint_matrices(alg: LieAlgebraSC) -> list[tuple[tuple[int, int, int], ...]]:

@@ -34,6 +34,7 @@ from .exact_linalg import (
     Matrix,
     Subspace,
     canonicalize_subspace,
+    commutators,
     inverse,
     subspace_meet_join,
 )
@@ -49,7 +50,6 @@ from .forms import (
 from .liealg import (
     LieAlgebraSC,
     NotClosed,
-    NotIndependent,
     Tensor,
     Vector,
     WrongDimension,
@@ -65,9 +65,7 @@ from .liealg import (
     is_subalgebra,
     quotient_algebra,
     realization_mismatch,
-    realized_span,
     skew_adjoint_algebra,
-    structure_constants,
     tables_equal,
     tensor_current,
 )
@@ -129,21 +127,31 @@ class Pipeline:
     field: FieldDescriptor
     entries: tuple[FieldElement, ...]
     form: BilinearForm
-    skew: LieAlgebraSC
-    derived: Subspace  # [L, L] in the coordinates of skew
-    derived_span: Subspace
+    skew_dim: int  # dim L, for L the skew-adjoint algebra
+    derived_span: Subspace  # [L, L], flattened
     algebra: LieAlgebraSC  # M on the distinguished basis f1..f3, h1..h3
     core: LieAlgebraSC  # core(a, b, c) on its f-basis
     disc: FieldElement
     identity: tuple[Check, Check]  # distinguished_basis_spans_derived, tables_match
 
 
-def _derived_span(form: BilinearForm) -> tuple[LieAlgebraSC, Subspace, Subspace]:
-    """L = the skew-adjoint algebra of the form, [L, L] in L's coordinates,
-    and [L, L] as a span of flattened matrices."""
-    skew = skew_adjoint_algebra(form)
-    derived = derived_subspace(skew)
-    return skew, derived, realized_span(skew, derived)
+def _derived_span(form: BilinearForm) -> tuple[int, Subspace]:
+    """dim L, for L the skew-adjoint algebra of the form, and [L, L] as the
+    span of the flattened commutators of L's basis.
+
+    Raises NotClosed when a basis row of [L, L] is not in L's span.  That
+    span is read off L's basis, whose flattenings are a reduced echelon
+    basis as `skew_adjoint_algebra` returns them: no elimination runs.
+    """
+    mats = skew_adjoint_algebra(form)
+    field, size = form.field, form.dim * form.dim
+    flats = [m.flatten() for m in mats]
+    pivots = tuple(next(k for k, x in enumerate(row) if not x.is_zero()) for row in flats)
+    skew = Subspace(field, size, Matrix(field, flats), pivots)
+    derived = canonicalize_subspace(field, commutators(mats).values(), size)
+    if not all(skew.contains(row) for row in derived.basis.rows):
+        raise NotClosed("a commutator of the skew-adjoint basis escapes its span")
+    return len(mats), derived
 
 
 def _matrix_span(mats: Sequence[Matrix]) -> Subspace:
@@ -167,7 +175,7 @@ def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> P
     if len(entries) != 4:
         raise WrongDimension("expected four diagonal entries")
     form = diagonal_form(field, entries)
-    skew, derived, derived_span = _derived_span(form)
+    skew_dim, derived_span = _derived_span(form)
     algebra = current_algebra(entries)
     core = _core_algebra(entries[:3])
     disc = discriminant(form)
@@ -180,7 +188,7 @@ def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> P
               tables_equal(algebra.constants, current_table(core, disc).constants)),
     )
     return Pipeline(
-        field, entries, form, skew, derived, derived_span, algebra, core, disc, identity,
+        field, entries, form, skew_dim, derived_span, algebra, core, disc, identity,
     )
 
 
@@ -317,19 +325,19 @@ def verify_current_form(field: FieldDescriptor, entries: Sequence[FieldElement],
     """
     pipe = build_pipeline(field, entries)
     char2 = field.characteristic() == 2
-    core_skew, core_derived, core_span = _derived_span(diagonal_form(field, pipe.entries[:3]))
+    core_skew_dim, core_span = _derived_span(diagonal_form(field, pipe.entries[:3]))
     rng = random.Random(seed)
     random_w = _random_w_leg(pipe, rng, max_tries)
     dims = {
-        "skew_adjoint": pipe.skew.dim,
-        "derived": pipe.derived.dim,
-        "core_skew_adjoint": core_skew.dim,
-        "core_derived": core_derived.dim,
+        "skew_adjoint": pipe.skew_dim,
+        "derived": pipe.derived_span.dim,
+        "core_skew_adjoint": core_skew_dim,
+        "core_derived": core_span.dim,
     }
     dimension_laws = (
-        pipe.skew.dim == (10 if char2 else 6)
-        and pipe.derived.dim == 6
-        and core_skew.dim == (6 if char2 else 3)
+        dims["skew_adjoint"] == (10 if char2 else 6)
+        and dims["derived"] == 6
+        and dims["core_skew_adjoint"] == (6 if char2 else 3)
         and dims["core_derived"] == 3
     )
     spans_derived, tables_match = pipe.identity
@@ -432,18 +440,14 @@ class DecompositionCertificate:
 
 
 def _perfect_subspace_checks(alg: LieAlgebraSC, space: Subspace, label: str) -> list[Check]:
-    try:
-        sub_constants = structure_constants(alg, space.basis.rows)
-        sub = LieAlgebraSC(alg.field, space.dim, sub_constants)
-        closed = True
-        perfect = derived_subspace(sub).dim == 3
-    except (NotClosed, NotIndependent):
-        closed = False
-        perfect = False
+    """A closed space is a subalgebra whose inclusion into alg is injective,
+    so its derived algebra has the dimension of the span of its brackets."""
+    brackets = bracket_span(alg, space)
+    closed = all(space.contains(row) for row in brackets.basis.rows)
     return [
         Check(f"{label}_dim_3", space.dim == 3),
         Check(f"{label}_bracket_closed", closed),
-        Check(f"{label}_perfect", perfect),
+        Check(f"{label}_perfect", closed and brackets.dim == 3),
     ]
 
 

@@ -5,9 +5,19 @@ because no command runs it.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from orthocurrent.exact_linalg import Matrix, Subspace, canonicalize_subspace
-from orthocurrent.liealg import LieAlgebraSC
+from orthocurrent.forms import BilinearForm
+from orthocurrent.liealg import (
+    LieAlgebraSC,
+    NotClosed,
+    SpanSolver,
+    algebra_from_matrices,
+    derived_subspace,
+    skew_adjoint_algebra,
+)
+from orthocurrent.oracle import UnsupportedField, _to_subspace, _validate
 from orthocurrent.scalars import (
     KIND_FUNFIELD,
     KIND_PRIME,
@@ -16,6 +26,7 @@ from orthocurrent.scalars import (
     FieldElement,
     Poly,
     _make_ratio,
+    prime_field,
 )
 
 
@@ -69,3 +80,90 @@ def matrix_for(alg: LieAlgebraSC, coords) -> Matrix:
     for c, m in zip(coords, mats):
         out = out + m.scale(c)
     return out
+
+
+def realized_span(alg: LieAlgebraSC, space: Subspace) -> Subspace:
+    """Span of the flattened matrices that the rows of `space`, as
+    coordinates, stand for in the realization of alg."""
+    size = alg.realization[0].nrows * alg.realization[0].ncols
+    return canonicalize_subspace(
+        alg.field, [matrix_for(alg, row).flatten() for row in space.basis.rows], size
+    )
+
+
+def derived_span_by_coordinates(form: BilinearForm) -> tuple[int, Subspace]:
+    """(dim L, [L, L] flattened) by way of L's structure constants: [L, L]
+    in L's coordinates, mapped back through the realization."""
+    skew = algebra_from_matrices(form.field, skew_adjoint_algebra(form))
+    return skew.dim, realized_span(skew, derived_subspace(skew))
+
+
+def structure_constants(alg: LieAlgebraSC, basis) -> tuple:
+    """Constants of the subalgebra spanned by `basis`, in that order.
+
+    Raises NotIndependent for dependent input and NotClosed when some
+    bracket leaves the span.
+    """
+    rows = [tuple(v) for v in basis]
+    m = len(rows)
+    if m == 0:
+        return ()
+    solver = SpanSolver(alg.field, rows, alg.dim)
+    zero_vec = tuple(alg.field.zero() for _ in range(m))
+    constants = [[zero_vec] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a + 1, m):
+            coords = solver.coordinates(alg.bracket(rows[a], rows[b]))
+            if coords is None:
+                raise NotClosed(f"bracket of basis vectors {a},{b} escapes the span")
+            constants[a][b] = coords
+            constants[b][a] = tuple(-x for x in coords)
+    return tuple(tuple(row) for row in constants)
+
+
+def closed_and_perfect(alg: LieAlgebraSC, space: Subspace) -> tuple[bool, bool]:
+    """Whether `space` is a subalgebra, and whether that subalgebra, built
+    from its own structure constants, has a 3-dimensional derived algebra."""
+    try:
+        constants = structure_constants(alg, space.basis.rows)
+    except NotClosed:
+        return False, False
+    sub = LieAlgebraSC(alg.field, space.dim, constants)
+    return True, derived_subspace(sub).dim == 3
+
+
+def iter_echelon(q: int, n: int, k: int):
+    """All canonical echelon bases of k-dimensional subspaces of F_q^n as
+    (pivots, integer rows): choose pivot columns, then run an odometer
+    over the free positions."""
+    if k == 0:
+        yield (), []
+        return
+    for pivots in combinations(range(n), k):
+        pivot_set = set(pivots)
+        free = [
+            (i, j)
+            for i in range(k)
+            for j in range(pivots[i] + 1, n)
+            if j not in pivot_set
+        ]
+        base = [[0] * n for _ in range(k)]
+        for i, p in enumerate(pivots):
+            base[i][p] = 1
+        for counter in range(q ** len(free)):
+            rows = [row[:] for row in base]
+            rem = counter
+            for i, j in free:
+                rows[i][j] = rem % q
+                rem //= q
+            yield pivots, [tuple(row) for row in rows]
+
+
+def enumerate_subspaces(q: int, n: int, k: int):
+    """Stream every k-dimensional subspace of F_q^n exactly once."""
+    _validate(q, n)
+    if k < 0 or k > n:
+        raise UnsupportedField("dimension out of range")
+    field = prime_field(q)
+    for pivots, rows in iter_echelon(q, n, k):
+        yield _to_subspace(field, pivots, rows, n)

@@ -18,7 +18,6 @@ PACKAGE = Path(orthocurrent.__file__).parent
 ALLOWED = {
     ("cli", "recheck_json"): "entry point of the independent checker",
     ("oracle", "gaussian_binomial"): "acceptance criterion 6 and perfbench count subspaces with it",
-    ("oracle", "enumerate_subspaces"): "acceptance criterion 6 checks the subspace count with it",
 }
 
 

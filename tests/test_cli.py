@@ -307,5 +307,4 @@ def test_a_failing_check_exits_1_in_both_formats(monkeypatch, command, field, br
     code, out = run(argv)
     assert code == 1
     assert f"  check {failed}: FAILED" in out.splitlines()
-    if command != "oracle":  # oracle text prints no verdict line
-        assert out.endswith("\nFAIL")
+    assert out.endswith("\nFAIL")

@@ -27,9 +27,7 @@ from orthocurrent.liealg import (
     derived_subspace,
     is_ideal,
     realization_mismatch,
-    realized_span,
     skew_adjoint_algebra,
-    structure_constants,
     tables_equal,
     tensor_current,
 )
@@ -40,8 +38,9 @@ from orthocurrent.scalars import (
     quadratic_extension,
     rationals,
 )
+from orthocurrent.structure import _derived_span
 
-from reference import ideal_closure, matrix_for, random_element
+from reference import ideal_closure, matrix_for, random_element, structure_constants
 
 Q = rationals()
 F2 = prime_field(2)
@@ -57,6 +56,11 @@ def fe(field, values):
     return tuple(field.from_int(v) for v in values)
 
 
+def skew_algebra(form):
+    """The skew-adjoint algebra of the form with its structure constants."""
+    return algebra_from_matrices(form.field, skew_adjoint_algebra(form))
+
+
 def abelian_algebra(field, dim):
     zero = field.zero()
     constants = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
@@ -64,22 +68,21 @@ def abelian_algebra(field, dim):
 
 
 def test_skew_adjoint_dimensions():
-    assert skew_adjoint_algebra(diag_form(Q, [1, 1, 1, 1])).dim == 6
-    assert skew_adjoint_algebra(diag_form(F2, [1, 1, 1, 1])).dim == 10
-    assert skew_adjoint_algebra(diag_form(Q, [1, 2, 3])).dim == 3
-    assert skew_adjoint_algebra(diag_form(F2, [1, 1, 1])).dim == 6
+    assert len(skew_adjoint_algebra(diag_form(Q, [1, 1, 1, 1]))) == 6
+    assert len(skew_adjoint_algebra(diag_form(F2, [1, 1, 1, 1]))) == 10
+    assert len(skew_adjoint_algebra(diag_form(Q, [1, 2, 3]))) == 3
+    assert len(skew_adjoint_algebra(diag_form(F2, [1, 1, 1]))) == 6
 
 
 def test_skew_adjoint_identity_form_is_antisymmetric_matrices():
-    alg = skew_adjoint_algebra(diag_form(Q, [1, 1, 1, 1]))
-    for m in alg.realization:
+    for m in skew_adjoint_algebra(diag_form(Q, [1, 1, 1, 1])):
         assert (m.transpose() + m).is_zero()
 
 
 def test_skew_adjoint_contains_core_basis():
     a, b, c = (Q.from_int(x) for x in (1, 2, 3))
-    alg = skew_adjoint_algebra(diag_form(Q, [1, 2, 3]))
-    span = canonicalize_subspace(Q, [m.flatten() for m in alg.realization], 9)
+    mats = skew_adjoint_algebra(diag_form(Q, [1, 2, 3]))
+    span = canonicalize_subspace(Q, [m.flatten() for m in mats], 9)
     for m in core_basis(a, b, c):
         assert span.contains(m.flatten())
 
@@ -105,10 +108,10 @@ def test_skew_adjoint_non_diagonal_gram():
             form = make_form(gram)
             if char2 and form.alternating:
                 continue
-            alg = skew_adjoint_algebra(form)
-            assert alg.dim == (10 if char2 else 6)
-            assert derived_subspace(alg).dim == 6
-            for m in alg.realization:
+            mats = skew_adjoint_algebra(form)
+            assert len(mats) == (10 if char2 else 6)
+            assert _derived_span(form)[1].dim == 6
+            for m in mats:
                 assert (m.transpose() * gram + gram * m).is_zero()
             done += 1
 
@@ -148,7 +151,7 @@ def test_bracket_examples():
 
 def test_bracket_matches_matrix_commutators():
     rng = random.Random(1)
-    alg = skew_adjoint_algebra(diag_form(F3, [1, 1, 1, 2]))
+    alg = skew_algebra(diag_form(F3, [1, 1, 1, 2]))
     for i in range(alg.dim):
         for j in range(alg.dim):
             mi, mj = alg.realization[i], alg.realization[j]
@@ -162,14 +165,14 @@ def derived_series(alg):
 
 
 def test_derived_series_perfect_over_q():
-    alg = skew_adjoint_algebra(diag_form(Q, [1, 2, 3, 4]))
+    alg = skew_algebra(diag_form(Q, [1, 2, 3, 4]))
     series = derived_series(alg)
     assert len(series) == 1 and series[0].dim == 6
     assert derived_subspace(alg).dim == alg.dim  # perfect
 
 
 def test_derived_series_char2():
-    alg = skew_adjoint_algebra(diag_form(F2, [1, 1, 1, 1]))
+    alg = skew_algebra(diag_form(F2, [1, 1, 1, 1]))
     series = derived_series(alg)
     assert series[0].dim == 10 and series[1].dim == 6
     assert len(series) == 2  # the 6-dimensional derived algebra is perfect
@@ -184,10 +187,10 @@ def test_derived_series_abelian():
 
 
 def test_derived_subalgebra_dims():
-    assert derived_subspace(skew_adjoint_algebra(diag_form(Q, [1, 2, 3, 4]))).dim == 6
-    assert derived_subspace(skew_adjoint_algebra(diag_form(F2, [1, 1, 1, 1]))).dim == 6
+    assert derived_subspace(skew_algebra(diag_form(Q, [1, 2, 3, 4]))).dim == 6
+    assert derived_subspace(skew_algebra(diag_form(F2, [1, 1, 1, 1]))).dim == 6
     assert derived_subspace(abelian_algebra(Q, 2)).dim == 0
-    assert derived_subspace(skew_adjoint_algebra(diag_form(F2, [1, 1, 1]))).dim == 3
+    assert derived_subspace(skew_algebra(diag_form(F2, [1, 1, 1]))).dim == 3
 
 
 def test_center_examples():
@@ -229,8 +232,7 @@ def test_current_basis_spans_derived_algebra():
     for field in [Q, F3, F2, F2T]:
         for _ in range(4):
             entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
-            alg = skew_adjoint_algebra(diagonal_form(field, entries))
-            m_span = realized_span(alg, derived_subspace(alg))
+            m_span = _derived_span(diagonal_form(field, entries))[1]
             cb = current_basis(*entries)
             cb_span = canonicalize_subspace(field, [mm.flatten() for mm in cb.matrices()], 16)
             assert m_span == cb_span
@@ -239,7 +241,7 @@ def test_current_basis_spans_derived_algebra():
 def test_structure_constants_distinguished_basis_table():
     field = Q
     entries = [field.from_int(x) for x in (1, 2, 3, 4)]
-    alg = skew_adjoint_algebra(diagonal_form(field, entries))
+    alg = skew_algebra(diagonal_form(field, entries))
     solver = SpanSolver(field, [m.flatten() for m in alg.realization], 16)
     coords = [solver.coordinates(m.flatten()) for m in current_basis(*entries).matrices()]
     table = structure_constants(alg, coords)
@@ -368,19 +370,6 @@ def test_realization_check_catches_a_flipped_constant():
         LieAlgebraSC(Q, 3, core.constants, realization=core.realization, commutators=bad)
 
 
-def test_realized_span_maps_coordinates_through_the_realization():
-    rng = random.Random(11)
-    for field in (Q, F3, F2T):
-        skew = skew_adjoint_algebra(diag_form(field, [1, 1, 1, 1]))
-        rows = [[random_element(field, rng) for _ in range(skew.dim)] for _ in range(3)]
-        space = canonicalize_subspace(field, rows, skew.dim)
-        expected = canonicalize_subspace(
-            field, [matrix_for(skew, v).flatten() for v in space.basis.rows], 16
-        )
-        assert realized_span(skew, space) == expected
-
-
-
 def test_realization_mismatch_names_the_first_disagreeing_pair():
     f3s2 = quadratic_extension(F3, F3.from_int(2))
     cases = [
@@ -415,7 +404,7 @@ def test_sparse_skew_check_matches_the_dense_products():
     for field in (Q, F3, F2, F2T):
         grid = [[1, 1, 0, 0], [1, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 1]]
         gram = Matrix(field, [[field.from_int(x) for x in row] for row in grid])
-        skew = skew_adjoint_algebra(make_form(gram)).realization
+        skew = skew_adjoint_algebra(make_form(gram))
         _check_skew(skew, gram)
         for m in skew:
             noise = Matrix(field, [[random_element(field, rng) for _ in range(4)]

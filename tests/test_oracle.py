@@ -7,18 +7,16 @@ import pytest
 from orthocurrent.liealg import LieAlgebraSC, current_algebra
 from orthocurrent.oracle import (
     UnsupportedField,
-    _iter_echelon,
     _to_subspace,
     enumerate_ideals,
     enumeration_complete,
-    enumerate_subspaces,
     gaussian_binomial,
     ideal_dimension_histogram,
 )
 from orthocurrent.exact_linalg import subspace_meet_join
 from orthocurrent.scalars import prime_field, rationals
 
-from reference import ideal_closure
+from reference import enumerate_subspaces, ideal_closure, iter_echelon
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -62,7 +60,7 @@ def scan_ideals(alg):
     found = [
         (k, pivots, rows)
         for k in range(n + 1)
-        for pivots, rows in _iter_echelon(q, n, k)
+        for pivots, rows in iter_echelon(q, n, k)
         if invariant(pivots, rows)
     ]
     found.sort()

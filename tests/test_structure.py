@@ -1,18 +1,17 @@
 import dataclasses
+import functools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthocurrent import scalars, structure
-from orthocurrent.exact_linalg import canonicalize_subspace
-from orthocurrent.forms import diagonal_form
-from orthocurrent.liealg import (
-    LieAlgebraSC,
-    derived_subspace,
-    realized_span,
-    skew_adjoint_algebra,
-)
+from orthocurrent.cli import execute, parse_args
+from orthocurrent.exact_linalg import Matrix, Subspace, canonicalize_subspace, commutators
+from orthocurrent.forms import diagonal_form, make_form
+from orthocurrent.liealg import LieAlgebraSC, NotClosed, bracket_span, current_algebra
 from orthocurrent.scalars import (
     function_field,
     lift_to_extension,
@@ -38,7 +37,13 @@ from orthocurrent.structure import (
     verify_current_form,
 )
 
-from reference import ideal_closure, matrix_for, random_element
+from reference import (
+    closed_and_perfect,
+    derived_span_by_coordinates,
+    ideal_closure,
+    random_element,
+)
+from test_golden import FORMS as GOLDEN_FORMS
 
 Q = rationals()
 F2 = prime_field(2)
@@ -372,6 +377,14 @@ def test_verify_randomized_smoke():
         assert report.ok, [c for c in report.checks if not c.ok]
 
 
+# Non-alternating, nondegenerate F2 Gram matrices that are not diagonal:
+# L is 10-dimensional.
+F2_GRAMS = (
+    ((1, 1, 0, 0), (1, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1)),
+    ((0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 0, 1)),
+)
+
+
 @pytest.mark.parametrize("field_literal, entries", [
     ("Q", ["1", "2", "3", "5"]),
     ("F2", ["1", "1", "1", "1"]),
@@ -379,16 +392,114 @@ def test_verify_randomized_smoke():
     ("F3[sqrt 2]", ["1", "r", "1+r", "2"]),
     ("F2(t)", ["1", "t", "t+1", "t"]),
     ("F3(t)", ["t", "1", "2*t+1", "t^2"]),
+    *[(field, form.split(",")) for _, field, form in GOLDEN_FORMS],
+    *[("F2", gram) for gram in F2_GRAMS],
 ])
 def test_spans_from_coordinates_match_derived_subalgebra(field_literal, entries):
-    """derived_span (of M) and core_span (of the core) as verify builds them."""
+    """[L, L] as the span of L's commutators equals [L, L] taken in L's
+    structure constants and mapped back through the realization, for M's
+    form and, when the form is diagonal, for the core's.  `entries` holds
+    the four diagonal literals or the rows of a Gram matrix."""
     field = parse_field(field_literal)
-    entries = [parse_scalar(x, field) for x in entries]
-    pipe = build_pipeline(field, entries)
-    assert pipe.derived == derived_subspace(pipe.skew) and pipe.derived.dim == 6
-    core_skew = skew_adjoint_algebra(diagonal_form(field, entries[:3]))
-    core_span = realized_span(core_skew, derived_subspace(core_skew))
-    for skew, span in ((pipe.skew, pipe.derived_span), (core_skew, core_span)):
-        rows = derived_subspace(skew).basis.rows
-        flats = [matrix_for(skew, row).flatten() for row in rows]
-        assert span == canonicalize_subspace(field, flats, len(flats[0]))
+    if isinstance(entries[0], str):
+        values = [parse_scalar(x, field) for x in entries]
+        forms = [diagonal_form(field, values), diagonal_form(field, values[:3])]
+    else:
+        forms = [make_form(Matrix(field, [[field.from_int(x) for x in row] for row in entries]))]
+    skew_dim, derived = structure._derived_span(forms[0])
+    assert derived.dim == 6 and skew_dim == (10 if field.characteristic() == 2 else 6)
+    for form in forms:
+        assert structure._derived_span(form) == derived_span_by_coordinates(form)
+
+
+def test_a_skew_basis_that_is_not_closed_is_refused(monkeypatch):
+    """L's basis without its last matrix spans a space that some commutator
+    leaves: verify raises NotClosed, and the CLI exits 1 with an error."""
+    real = structure.skew_adjoint_algebra
+    short = lambda form: real(form)[:-1]
+    mats = short(diagonal_form(F3, ints(F3, [1, 2, 1, 2])))
+    span = canonicalize_subspace(F3, [m.flatten() for m in mats], 16)
+    assert not all(span.contains(c) for c in commutators(mats).values())
+    monkeypatch.setattr(structure, "skew_adjoint_algebra", short)
+    with pytest.raises(NotClosed):
+        verify_current_form(F3, ints(F3, [1, 2, 1, 2]))
+    code, out = execute(parse_args(["verify", "--field", "F3", "--form", "1,2,1,2", "--json"]))
+    assert code == 1 and out.startswith("error:") and "Traceback" not in out
+
+
+def test_no_structure_constants_for_l_or_for_a_witness(monkeypatch):
+    """Over F3 1,2,1,2, classify builds M, the core and core (x) F[X]/(X^2 - D);
+    verify builds the same three and, for the random-W leg, its core and
+    tensor.  L and the witness ideals get no structure constants."""
+    built = []
+    real = LieAlgebraSC.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(LieAlgebraSC, "__init__", counting)
+    entries = ints(F3, [1, 2, 1, 2])
+    assert classify(F3, entries).ok
+    assert 0 < len(built) <= 3
+    built.clear()
+    assert verify_current_form(F3, entries).ok
+    assert 0 < len(built) <= 5
+
+
+# M over three field kinds and the coefficient literals its subspaces use:
+# split over Q and F3, semidirect over F2(t).
+PERFECT_CASES = (
+    ("Q", "2,3,5,30", ("0", "0", "1", "2")),
+    ("F3", "1,2,1,2", ("0", "0", "1", "2")),
+    ("F2(t)", "1,t,t+1,t^2+t", ("0", "0", "1", "t")),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _perfect_case(index):
+    """M for PERFECT_CASES[index], and its subalgebras that drawn spaces
+    start from: 0, core (x) 1 and the classification's witnesses."""
+    field_literal, form, literals = PERFECT_CASES[index]
+    field = parse_field(field_literal)
+    entries = [parse_scalar(x, field) for x in form.split(",")]
+    cert = classify(field, entries)
+    one = field.one()
+    core = canonicalize_subspace(
+        field, [[one if k == i else field.zero() for k in range(6)] for i in range(3)], 6)
+    starts = [canonicalize_subspace(field, [], 6), core]
+    starts += [w for w in cert.witnesses.values() if isinstance(w, Subspace)]
+    return current_algebra(entries), starts, literals
+
+
+@st.composite
+def subspaces_of_m(draw):
+    """A subspace of M of dimension 0 to 6: a start subalgebra plus up to
+    three drawn vectors, or the subalgebra they generate, which is closed."""
+    alg, starts, literals = _perfect_case(draw(st.integers(0, len(PERFECT_CASES) - 1)))
+    field = alg.field
+    start = draw(st.sampled_from(starts))
+    vectors = draw(st.lists(
+        st.lists(st.sampled_from(literals), min_size=6, max_size=6), max_size=3))
+    rows = list(start.basis.rows) + [[parse_scalar(x, field) for x in v] for v in vectors]
+    space = canonicalize_subspace(field, rows, 6)
+    if draw(st.booleans()):
+        while True:
+            rows = list(space.basis.rows) + list(bracket_span(alg, space).basis.rows)
+            grown = canonicalize_subspace(field, rows, 6)
+            if grown == space:
+                break
+            space = grown
+    return alg, space
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=subspaces_of_m())
+def test_perfect_checks_match_the_subalgebra_built_from_constants(case):
+    """`<X>_bracket_closed` and `<X>_perfect` read from M's brackets agree
+    with the subalgebra built from its own structure constants."""
+    alg, space = case
+    checks = structure._perfect_subspace_checks(alg, space, "X")
+    assert [c.name for c in checks] == ["X_dim_3", "X_bracket_closed", "X_perfect"]
+    assert checks[0].ok == (space.dim == 3)
+    assert (checks[1].ok, checks[2].ok) == closed_and_perfect(alg, space)
