@@ -25,7 +25,8 @@ from typing import Optional, Sequence
 
 from .exact_linalg import Matrix
 from .forms import make_form, orthogonalize
-from .liealg import current_algebra, tables_equal
+from . import liealg
+from .liealg import current_algebra, paper_table, table_rows, tables_equal
 from .oracle import (
     SUPPORTED_Q,
     enumerate_ideals,
@@ -59,23 +60,6 @@ SEED_ENV = "ORTHOCURRENT_SEED"
 # Errors a computation raises on inputs it rejects; they exit 1.
 DOMAIN_ERRORS = (ValueError, RuntimeError, ZeroDivisionError)
 
-# Symbolic table in the distinguished basis; coefficients refer to the
-# diagonal entries a, b, c, d and to D = abcd.
-TABLE_ROWS = (
-    ("f1", "f2", "b", "f3"),
-    ("f2", "f3", "c", "f1"),
-    ("f3", "f1", "a", "f2"),
-    ("f1", "h2", "b", "h3"),
-    ("f2", "h3", "c", "h1"),
-    ("f3", "h1", "a", "h2"),
-    ("f2", "h1", "-b", "h3"),
-    ("f3", "h2", "-c", "h1"),
-    ("f1", "h3", "-a", "h2"),
-    ("h1", "h2", "D b", "f3"),
-    ("h2", "h3", "D c", "f1"),
-    ("h3", "h1", "D a", "f2"),
-)
-BASIS_NAMES = ("f1", "f2", "f3", "h1", "h2", "h3")
 _ORACLE_FIELDS = ", ".join(f"F{q}" for q in SUPPORTED_Q[:-1]) + f" or F{SUPPORTED_Q[-1]}"
 
 
@@ -243,48 +227,30 @@ def _classify_json(spec: CommandSpec) -> dict:
     return certificate_to_json(classify(spec.field, spec.entries))
 
 
-def _symbol_value(symbol: str, values: dict) -> FieldElement:
-    neg = symbol.startswith("-")
-    names = symbol.lstrip("-").split()
-    out = None
-    for name in names:
-        out = values[name] if out is None else out * values[name]
-    return -out if neg else out
-
-
 def _table_json(spec: CommandSpec) -> dict:
     """The symbolic table rows with their coefficients, and whether M's
     computed table equals the symbolic one."""
     alg = current_algebra(spec.entries)
     a, b, c, d = spec.entries
-    disc = a * b * c * d
-    values = {"a": a, "b": b, "c": c, "d": d, "D": disc}
-    index = {name: i for i, name in enumerate(BASIS_NAMES)}
-    zero = spec.field.zero()
-    expected = [[[zero] * 6 for _ in range(6)] for _ in range(6)]
-    entries = []
-    for left, right, symbol, target in TABLE_ROWS:
-        coeff = _symbol_value(symbol, values)
-        i, j, k = index[left], index[right], index[target]
-        expected[i][j][k] = coeff
-        expected[j][i][k] = -coeff
-        entries.append({
+    rows = table_rows(a, b, c, d)
+    entries = [
+        {
             "bracket": f"[{left},{right}]",
             "symbolic": f"{symbol} {target}",
             "coefficient": render_scalar(coeff),
             "target": target,
-        })
-    # tables_equal compares entries with !=, so they must be tuples.
-    expected = tuple(tuple(tuple(e) for e in row) for row in expected)
+        }
+        for (left, right, symbol, target), (_, _, _, coeff) in zip(liealg.TABLE_ROWS, rows)
+    ]
     return {
         "command": "table",
         "field": render_field(spec.field),
         "form": [render_scalar(x) for x in spec.entries],
-        "D": render_scalar(disc),
+        "D": render_scalar(a * b * c * d),
         "entries": entries,
         "table": tensor_to_json(alg.constants),
         "checks": [{"name": "table_matches_computed",
-                    "ok": tables_equal(alg.constants, expected)}],
+                    "ok": tables_equal(alg.constants, paper_table(rows))}],
     }
 
 

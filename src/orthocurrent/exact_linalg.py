@@ -182,7 +182,13 @@ def commutators(mats: Sequence[Matrix]) -> dict[tuple[int, int], Vector]:
 
 
 def _eliminate(rows: list[list[FieldElement]]) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot columns."""
+    """In-place reduced row echelon form; returns the pivot columns.
+
+    Each row is a distinct list, updated in place.  The pivot row is zero
+    left of the pivot, and the pivot column is set to 1 and 0 directly, so
+    only the pivot row's nonzero entries right of the pivot are scaled and
+    subtracted.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -197,20 +203,25 @@ def _eliminate(rows: list[list[FieldElement]]) -> list[int]:
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
+        row = rows[r]
+        nonzero = [(j, row[j]) for j in range(c + 1, ncols) if not row[j].is_zero()]
+        pv = row[c]
         if not pv.is_one():
             pv_inv = inv(pv)
-            rows[r] = [pv_inv * x for x in rows[r]]
+            nonzero = [(j, pv_inv * x) for j, x in nonzero]
+            row[c] = pv.field.one()
+            for j, x in nonzero:
+                row[j] = x
         for i in range(nrows):
             if i == r:
                 continue
-            factor = rows[i][c]
+            other = rows[i]
+            factor = other[c]
             if factor.is_zero():
                 continue
-            rows[i] = [
-                x - factor * y if not y.is_zero() else x
-                for x, y in zip(rows[i], rows[r])
-            ]
+            other[c] = factor.field.zero()
+            for j, y in nonzero:
+                other[j] = other[j] - factor * y
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -17,6 +17,8 @@ which is what the verification and classification layers exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import Optional, Sequence
 
 from .exact_linalg import (
@@ -464,6 +466,49 @@ def current_basis(a: FieldElement, b: FieldElement, c: FieldElement,
 def current_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
     """M for diag(a, b, c, d) on its distinguished basis f1..f3, h1..h3."""
     return algebra_from_matrices(entries[0].field, current_basis(*entries).matrices())
+
+
+# The paper's table in the distinguished basis, one row per nonzero bracket
+# of basis elements: coefficients refer to the diagonal entries a, b, c, d
+# and to D = abcd.
+TABLE_ROWS = (
+    ("f1", "f2", "b", "f3"),
+    ("f2", "f3", "c", "f1"),
+    ("f3", "f1", "a", "f2"),
+    ("f1", "h2", "b", "h3"),
+    ("f2", "h3", "c", "h1"),
+    ("f3", "h1", "a", "h2"),
+    ("f2", "h1", "-b", "h3"),
+    ("f3", "h2", "-c", "h1"),
+    ("f1", "h3", "-a", "h2"),
+    ("h1", "h2", "D b", "f3"),
+    ("h2", "h3", "D c", "f1"),
+    ("h3", "h1", "D a", "f2"),
+)
+BASIS_NAMES = ("f1", "f2", "f3", "h1", "h2", "h3")
+
+
+def table_rows(a: FieldElement, b: FieldElement, c: FieldElement,
+               d: FieldElement) -> tuple[tuple[int, int, int, FieldElement], ...]:
+    """TABLE_ROWS for diag(a, b, c, d), each row as (i, j, k, coefficient)
+    with [e_i, e_j] = coefficient e_k, indices in BASIS_NAMES order."""
+    values = {"a": a, "b": b, "c": c, "d": d, "D": a * b * c * d}
+    rows = []
+    for left, right, symbol, target in TABLE_ROWS:
+        coeff = reduce(mul, (values[name] for name in symbol.lstrip("-").split()))
+        coeff = -coeff if symbol.startswith("-") else coeff
+        rows.append(tuple(BASIS_NAMES.index(name) for name in (left, right, target)) + (coeff,))
+    return tuple(rows)
+
+
+def paper_table(rows: Sequence[tuple[int, int, int, FieldElement]]) -> Tensor:
+    """The constants of `table_rows`: each row gives [e_i, e_j] and, by
+    antisymmetry, [e_j, e_i]; every other entry is zero."""
+    zero = rows[0][3].field.zero()
+    table = [[[zero] * 6 for _ in range(6)] for _ in range(6)]
+    for i, j, k, coeff in rows:
+        table[i][j][k], table[j][i][k] = coeff, -coeff
+    return tuple(tuple(tuple(entry) for entry in row) for row in table)
 
 
 def core_basis(a: FieldElement, b: FieldElement, c: FieldElement) -> tuple[Matrix, ...]:

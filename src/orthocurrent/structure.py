@@ -63,9 +63,11 @@ from .liealg import (
     derived_subspace,
     is_ideal,
     is_subalgebra,
+    paper_table,
     quotient_algebra,
     realization_mismatch,
     skew_adjoint_algebra,
+    table_rows,
     tables_equal,
     tensor_current,
 )
@@ -261,10 +263,15 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int) -> RandomW
     The restriction is orthogonalized, extended by the 1-dimensional
     orthogonal complement to an orthogonal basis of the whole space, the
     distinguished basis is rebuilt there and conjugated back to standard
-    coordinates.  The conjugates have the tensor table for the new diagonal
-    entries exactly when they are independent (rank 6, read from their
-    flattened span) and their commutators realize that table's constants:
-    coordinates in an independent set are unique.
+    coordinates.  The conjugates have the paper's table for the new
+    diagonal entries exactly when they are independent (rank 6) and their
+    commutators realize that table's constants: coordinates in an
+    independent set are unique.  Their rank is read from their entries at
+    the pivots of [L, L]'s echelon basis: those entries are a linear image
+    of each conjugate, so rank 6 there makes the conjugates independent,
+    and on [L, L] they are its coordinates, so the two ranks agree there.
+    The conjugates span [L, L] exactly when they lie in it and that rank
+    is its dimension.
 
     Each conjugate x_i is checked as n_i = d_i x_i, with d_i a common
     denominator of its entries, so that the products of the skew check and
@@ -298,14 +305,14 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int) -> RandomW
         deltas = [common_denominator(field, m.flatten()) for m in std_mats]
         cleared = [m if d.is_one() else m.scale(d) for m, d in zip(std_mats, deltas)]
         _check_skew(cleared, form.gram)
-        std_span = _matrix_span(cleared)
-        spans_match = std_span == pipe.derived_span
+        flats = [m.flatten() for m in cleared]
+        derived = pipe.derived_span
+        coords = [[v[p] for p in derived.pivots] for v in flats]
+        rank = canonicalize_subspace(field, coords, derived.dim).dim
+        spans_match = rank == derived.dim and all(derived.contains(v) for v in flats)
         d_primed = primed[0] * primed[1] * primed[2] * primed[3]
-        expected = current_table(_core_algebra(primed[:3]), d_primed)
-        equal = (
-            std_span.dim == len(cleared)
-            and realization_mismatch(_rescaled(expected.constants, deltas), cleared) is None
-        )
+        expected = _rescaled(paper_table(table_rows(*primed)), deltas)
+        equal = rank == len(cleared) and realization_mismatch(expected, cleared) is None
         return RandomWReport(attempt, w, primed, d_primed, equal, spans_match)
     raise NondegenerateWRequired(
         f"no nondegenerate restriction found in {max_tries} attempts"

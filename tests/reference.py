@@ -53,6 +53,29 @@ def random_element(field: FieldDescriptor, rng, nonzero: bool = False) -> FieldE
             return x
 
 
+def dense_rref(rows) -> tuple[list[list[FieldElement]], list[int]]:
+    """Reduced row echelon form of the rows and its pivot columns, by
+    textbook Gauss-Jordan elimination: every entry of the pivot row is
+    divided by the pivot and subtracted from every other row."""
+    rows = [list(row) for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = [i for i in range(r, len(rows)) if not rows[i][c].is_zero()]
+        if not found:
+            continue
+        rows[r], rows[found[0]] = rows[found[0]], rows[r]
+        pivot = rows[r][c]
+        rows[r] = [x / pivot for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
 def ideal_closure(alg: LieAlgebraSC, seed) -> Subspace:
     """Smallest ideal containing the seed vectors (worklist closure)."""
     space = canonicalize_subspace(alg.field, [tuple(v) for v in seed], alg.dim)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from orthocurrent import cli, structure
+from orthocurrent import cli, liealg, structure
 from orthocurrent.cli import execute, main, parse_args, recheck_json
 
 
@@ -284,7 +284,7 @@ def _break_table_identity(monkeypatch):
 
 def _misstate_a_table_row(monkeypatch):
     # [f1,f2] = c f3 instead of b f3; b and c differ in the form below.
-    monkeypatch.setattr(cli, "TABLE_ROWS", (("f1", "f2", "c", "f3"),) + cli.TABLE_ROWS[1:])
+    monkeypatch.setattr(liealg, "TABLE_ROWS", (("f1", "f2", "c", "f3"),) + liealg.TABLE_ROWS[1:])
 
 
 def _drop_an_ideal(monkeypatch):
@@ -296,14 +296,16 @@ def _drop_an_ideal(monkeypatch):
     ("verify", "Q", _break_table_identity, "tables_match"),
     ("classify", "Q", _break_table_identity, "tables_match"),
     ("table", "Q", _misstate_a_table_row, "table_matches_computed"),
+    # The random-W leg takes its expected table from the same rows.
+    ("verify", "Q", _misstate_a_table_row, "random_w_tables_match"),
     ("oracle", "F3", _drop_an_ideal, "enumeration_complete"),
-], ids=["verify", "classify", "table", "oracle"])
+], ids=["verify", "classify", "table", "verify-table-row", "oracle"])
 def test_a_failing_check_exits_1_in_both_formats(monkeypatch, command, field, breaks, failed):
     breaks(monkeypatch)
     argv = [command, "--field", field, "--form", "1,2,1,2"]
     code, out = run(argv + ["--json"])
     assert code == 1
-    assert failed in {c["name"] for c in json.loads(out)["checks"] if not c["ok"]}
+    assert {c["name"] for c in json.loads(out)["checks"] if not c["ok"]} == {failed}
     code, out = run(argv)
     assert code == 1
     assert f"  check {failed}: FAILED" in out.splitlines()

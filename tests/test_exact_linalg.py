@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthocurrent.exact_linalg import (
     Matrix,
@@ -17,11 +19,12 @@ from orthocurrent.exact_linalg import (
 )
 from orthocurrent.scalars import (
     function_field,
+    parse_field,
     prime_field,
     rationals,
 )
 
-from reference import random_element
+from reference import dense_rref, random_element
 
 Q = rationals()
 F2 = prime_field(2)
@@ -183,3 +186,51 @@ def test_commutators_match_matrix_products():
         assert sorted(comms) == [(i, j) for i in range(4) for j in range(i + 1, 4)]
         for (i, j), flat in comms.items():
             assert flat == (mats[i] * mats[j] - mats[j] * mats[i]).flatten()
+
+
+ELIMINATION_FIELDS = ["Q", "F2", "F3", "F5", "F2(t)", "F3(t)", "F3[sqrt 2]", "F2(t)[sqrt t+1]"]
+
+
+@st.composite
+def eliminable_matrices(draw):
+    """Rows over any field kind: `rank` drawn rows, then combinations of
+    them (zero rows when the coefficients are), shuffled, with some columns
+    zeroed; square when `square` is drawn."""
+    field = parse_field(draw(st.sampled_from(ELIMINATION_FIELDS)))
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if draw(st.booleans()) else draw(st.integers(0, 6))
+    rank = draw(st.integers(0, nrows))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [[random_element(field, rng) for _ in range(ncols)] for _ in range(rank)]
+    for _ in range(nrows - rank):
+        coeffs = [random_element(field, rng) for _ in range(rank)]
+        rows.append([sum((c * row[j] for c, row in zip(coeffs, rows[:rank])), field.zero())
+                     for j in range(ncols)])
+    rng.shuffle(rows)
+    zeroed = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2))
+    rows = [[field.zero() if j in zeroed else x for j, x in enumerate(row)] for row in rows]
+    return field, rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=eliminable_matrices())
+def test_elimination_matches_dense_reference(case):
+    """rref, canonicalize_subspace and inverse agree with dense Gauss-Jordan
+    elimination on the unique reduced echelon form and its pivots."""
+    field, rows = case
+    m = Matrix(field, rows)
+    reduced, pivots = dense_rref(rows)
+    assert rref(m) == (Matrix(field, reduced), len(pivots), tuple(pivots))
+    space = canonicalize_subspace(field, rows, m.ncols)
+    assert space.basis == Matrix(field, reduced[:len(pivots)])
+    assert space.pivots == tuple(pivots)
+    n = m.nrows
+    if m.ncols != n:
+        return
+    if len(pivots) < n:
+        with pytest.raises(ShapeMismatch):
+            inverse(m)
+        return
+    augmented, _ = dense_rref(
+        [row + list(unit) for row, unit in zip(rows, Matrix.identity(field, n).rows)])
+    assert inverse(m) == Matrix(field, [row[n:] for row in augmented])
