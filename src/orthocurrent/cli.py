@@ -38,6 +38,7 @@ from .scalars import (
     FieldElement,
     KIND_PRIME,
     ParseError,
+    check_literal_digits,
     parse_field,
     parse_scalar,
     render_field,
@@ -136,11 +137,13 @@ def _parse_form(parser: argparse.ArgumentParser, field: FieldDescriptor,
         if len(parts) != 4:
             parser.error("--form expects exactly four comma-separated entries")
         try:
+            check_literal_digits(ns.form)
             entries = tuple(parse_scalar(p, field) for p in parts)
         except (ParseError, ValueError) as exc:
             parser.error(f"bad --form entry: {exc}")
         return entries, None
     try:
+        check_literal_digits(ns.gram)
         grid = json.loads(ns.gram)
         if not isinstance(grid, list) or len(grid) != 4:
             raise ParseError("expected four rows")
@@ -164,6 +167,7 @@ def parse_args(argv: Sequence[str]) -> CommandSpec:
             parser.error("oracle needs exactly one of --field or --q")
         literal = ns.field if ns.field is not None else f"F{ns.q}"
         try:
+            check_literal_digits(literal)
             field = parse_field(literal)
         except (ParseError, ValueError) as exc:
             parser.error(f"bad field literal: {exc}")
@@ -173,6 +177,7 @@ def parse_args(argv: Sequence[str]) -> CommandSpec:
         return CommandSpec("oracle", field=field, entries=entries, gram=gram,
                            as_json=ns.as_json)
     try:
+        check_literal_digits(ns.field)
         field = parse_field(ns.field)
     except (ParseError, ValueError) as exc:
         parser.error(f"bad field literal: {exc}")
@@ -414,6 +419,7 @@ def _document_literals(data: dict) -> tuple[FieldDescriptor, tuple[FieldElement,
     form = data.get("form")
     if not (isinstance(form, list) and len(form) == 4):
         raise ParseError("document form must list four literals")
+    check_literal_digits(data.get("field"), *form)
     field = parse_field(data.get("field"))
     return field, tuple(parse_scalar(x, field) for x in form)
 

@@ -445,8 +445,7 @@ def current_basis(a: FieldElement, b: FieldElement, c: FieldElement,
     Each matrix is verified skew-adjoint for the diagonal Gram matrix.
     Independence is not checked here: `current_algebra` hands the matrices
     to `algebra_from_matrices`, which raises NotIndependent when they are
-    dependent, and the random-W leg reads the rank of its conjugates from
-    their flattened span.
+    dependent.
     """
     field = _diagonal_field("abcd", (a, b, c, d))
     m = lambda first, second: _two_entry(field, 4, first, second)
@@ -461,6 +460,44 @@ def current_basis(a: FieldElement, b: FieldElement, c: FieldElement,
     )
     _check_skew(basis.matrices(), Matrix.diagonal(field, [a, b, c, d]))
     return basis
+
+
+def wedge_basis(gram: Matrix, rows: Sequence[Vector],
+                squares: Sequence[FieldElement]) -> CurrentBasis:
+    """The distinguished basis for the rows w1..w4, in standard coordinates,
+    from the wedges w_r ^ w_s = (w_r^T w_s - w_s^T w_r) G.
+
+    For rows orthogonal under the Gram matrix G with squares (a', b', c',
+    d') and B the matrix of the rows, B G B^T = G' = diag(a', b', c', d')
+    gives B^-T = G'^-1 B G, so B^T E_rs B^-T = w_r^T w_s G / g'_s: the
+    conjugate B^T m B^-T of each matrix m of current_basis(a', b', c', d')
+    is a multiple of a wedge.  Nothing is checked here; other rows give
+    skew-adjoint wedges, in general without the table of
+    diag(a', b', c', d').
+    """
+    field = gram.field
+    a, b, c, _ = squares
+    w1, w2, w3, w4 = rows
+
+    def wedge(u: Sequence[FieldElement], v: Sequence[FieldElement]) -> Matrix:
+        out = [[field.zero()] * 4 for _ in range(4)]
+        for p in range(4):
+            for q in range(p + 1, 4):
+                x = u[p] * v[q] - v[p] * u[q]
+                out[p][q], out[q][p] = x, -x
+        return Matrix(field, out) * gram
+
+    def scaled(s: FieldElement, u: Sequence[FieldElement]) -> Vector:
+        return tuple(s * x for x in u)
+
+    return CurrentBasis(
+        wedge(w1, w2),
+        wedge(w2, w3),
+        wedge(w1, w3),
+        wedge(scaled(a * b, w3), w4),
+        wedge(scaled(b * c, w1), w4),
+        wedge(scaled(a * c, w4), w2),
+    )
 
 
 def current_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:

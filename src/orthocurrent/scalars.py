@@ -923,8 +923,25 @@ def substitute(x: FieldElement, image: FieldElement) -> FieldElement:
 # before any coefficient list is allocated.
 MAX_LITERAL_DEGREE = 1000
 
+# Longest run of decimal digits a user literal may hold, checked where
+# literals come in (the command line and a document's field and form)
+# before any int() conversion: below Python's default limit of 4300 digits
+# on str -> int, so that limit, however it is set, never decides.  At this
+# bound four fraction entries over Q still render every output within the
+# default limit.  Computed values read back from a document (witnesses)
+# may be longer and are not checked.
+MAX_LITERAL_DIGITS = 500
+
+_DIGITS_RE = re.compile(r"\d+")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _FRACTION_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
+
+
+def check_literal_digits(*texts: str) -> None:
+    """Refuse texts holding a number of more than MAX_LITERAL_DIGITS digits."""
+    runs = (run for text in texts for run in _DIGITS_RE.findall(text))
+    if any(len(run) > MAX_LITERAL_DIGITS for run in runs):
+        raise ParseError(f"a number exceeds the literal bound of {MAX_LITERAL_DIGITS} digits")
 
 
 def _split_top_level(text: str, seps: str) -> list[str]:

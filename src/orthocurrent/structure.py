@@ -35,7 +35,6 @@ from .exact_linalg import (
     Subspace,
     canonicalize_subspace,
     commutators,
-    inverse,
     subspace_meet_join,
 )
 from .forms import (
@@ -58,7 +57,6 @@ from .liealg import (
     bracket_span,
     core_basis,
     current_algebra,
-    current_basis,
     derived_series_of_subspace,
     derived_subspace,
     is_ideal,
@@ -70,6 +68,7 @@ from .liealg import (
     table_rows,
     tables_equal,
     tensor_current,
+    wedge_basis,
 )
 from .scalars import (
     DescriptorMismatch,
@@ -78,6 +77,7 @@ from .scalars import (
     KIND_FUNFIELD,
     KIND_PRIME,
     KIND_QUADEXT,
+    check_literal_digits,
     common_denominator,
     function_field,
     inv,
@@ -260,11 +260,13 @@ def _rescaled(constants: Tensor, deltas: Sequence[FieldElement]) -> Tensor:
 def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int) -> RandomWReport:
     """Re-verify the table identity for a random 3-dimensional subspace.
 
-    The restriction is orthogonalized, extended by the 1-dimensional
-    orthogonal complement to an orthogonal basis of the whole space, the
-    distinguished basis is rebuilt there and conjugated back to standard
-    coordinates.  The conjugates have the paper's table for the new
-    diagonal entries exactly when they are independent (rank 6) and their
+    The restriction is orthogonalized and extended by the 1-dimensional
+    orthogonal complement to an orthogonal basis w1..w4 of the whole
+    space, and the distinguished basis for it is built in standard
+    coordinates as wedges of the w_i (`wedge_basis`): these are the
+    conjugates B^T m B^-T of the distinguished basis for the new diagonal
+    entries.  The conjugates have the paper's table for the new diagonal
+    entries exactly when they are independent (rank 6) and their
     commutators realize that table's constants: coordinates in an
     independent set are unique.  Their rank is read from their entries at
     the pivots of [L, L]'s echelon basis: those entries are a linear image
@@ -297,11 +299,7 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int) -> RandomW
         if d4.is_zero():
             raise Degenerate("orthogonal complement is degenerate")
         primed = tuple(ortho.diagonal) + (d4,)
-        change = Matrix(field, list(w_rows) + [w4])
-        change_t = change.transpose()
-        change_t_inv = inverse(change_t)
-        cb = current_basis(*primed)
-        std_mats = [change_t * m * change_t_inv for m in cb.matrices()]
+        std_mats = wedge_basis(form.gram, w_rows + (w4,), primed).matrices()
         deltas = [common_denominator(field, m.flatten()) for m in std_mats]
         cleared = [m if d.is_one() else m.scale(d) for m, d in zip(std_mats, deltas)]
         _check_skew(cleared, form.gram)
@@ -448,13 +446,14 @@ class DecompositionCertificate:
 
 def _perfect_subspace_checks(alg: LieAlgebraSC, space: Subspace, label: str) -> list[Check]:
     """A closed space is a subalgebra whose inclusion into alg is injective,
-    so its derived algebra has the dimension of the span of its brackets."""
+    so its derived algebra has the dimension of the span of its brackets,
+    and it is perfect when that dimension is its own."""
     brackets = bracket_span(alg, space)
     closed = all(space.contains(row) for row in brackets.basis.rows)
     return [
         Check(f"{label}_dim_3", space.dim == 3),
         Check(f"{label}_bracket_closed", closed),
-        Check(f"{label}_perfect", closed and brackets.dim == 3),
+        Check(f"{label}_perfect", closed and brackets.dim == space.dim),
     ]
 
 
@@ -733,6 +732,7 @@ def certificate_to_json(cert: DecompositionCertificate) -> dict:
 def recheck_certificate_json(data: dict) -> list[Check]:
     """Independent checker: rebuild M from the literals and re-run every
     invariant of the claimed case against the recorded witnesses."""
+    check_literal_digits(data["field"], *data["form"])
     field = parse_field(data["field"])
     entries = [parse_scalar(x, field) for x in data["form"]]
     pipe = build_pipeline(field, entries)

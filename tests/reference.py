@@ -7,13 +7,14 @@ because no command runs it.
 from fractions import Fraction
 from itertools import combinations
 
-from orthocurrent.exact_linalg import Matrix, Subspace, canonicalize_subspace
+from orthocurrent.exact_linalg import Matrix, Subspace, canonicalize_subspace, inverse
 from orthocurrent.forms import BilinearForm
 from orthocurrent.liealg import (
     LieAlgebraSC,
     NotClosed,
     SpanSolver,
     algebra_from_matrices,
+    current_basis,
     derived_subspace,
     skew_adjoint_algebra,
 )
@@ -146,13 +147,21 @@ def structure_constants(alg: LieAlgebraSC, basis) -> tuple:
 
 def closed_and_perfect(alg: LieAlgebraSC, space: Subspace) -> tuple[bool, bool]:
     """Whether `space` is a subalgebra, and whether that subalgebra, built
-    from its own structure constants, has a 3-dimensional derived algebra."""
+    from its own structure constants, is perfect."""
     try:
         constants = structure_constants(alg, space.basis.rows)
     except NotClosed:
         return False, False
     sub = LieAlgebraSC(alg.field, space.dim, constants)
-    return True, derived_subspace(sub).dim == 3
+    return True, derived_subspace(sub).dim == space.dim
+
+
+def conjugated_current_basis(rows, squares) -> tuple[Matrix, ...]:
+    """B^T m B^-T for the matrices m of current_basis(*squares), with B the
+    matrix of the given rows: an explicit inverse and two products each."""
+    b_t = Matrix(squares[0].field, rows).transpose()
+    b_t_inv = inverse(b_t)
+    return tuple(b_t * m * b_t_inv for m in current_basis(*squares).matrices())
 
 
 def iter_echelon(q: int, n: int, k: int):

@@ -1,10 +1,14 @@
 import json
+import re
+import sys
 import time
 
 import pytest
 
 from orthocurrent import cli, liealg, structure
 from orthocurrent.cli import execute, main, parse_args, recheck_json
+from orthocurrent.exact_linalg import Matrix
+from orthocurrent.scalars import MAX_LITERAL_DIGITS
 
 
 def run(argv):
@@ -72,6 +76,53 @@ def test_huge_exponent_is_refused_before_allocation(capsys):
         parse_args(["table", "--field", "F3(t)", "--form", "1,1,1,t^20000000"])
     assert exc.value.code == 2 and time.perf_counter() - start < 1.0
     assert "exceeds the literal bound 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("str_digits", [None, 0])
+def test_long_numbers_are_refused_at_the_digit_bound(str_digits, capsys):
+    """A number one digit over scalars.MAX_LITERAL_DIGITS, or past Python's
+    default limit of 4300 digits on str -> int conversion, exits 2 with a
+    message that names only the bound, also with that limit switched off;
+    a number at the bound parses."""
+    at = "7" * MAX_LITERAL_DIGITS
+    bound = f"exceeds the literal bound of {MAX_LITERAL_DIGITS} digits"
+    previous = sys.get_int_max_str_digits()
+    if str_digits is not None:
+        sys.set_int_max_str_digits(str_digits)
+    try:
+        assert parse_args(["table", "--field", "Q", "--form", f"1,2,3,{at}"]).entries[3]
+        for over in ("7" * (MAX_LITERAL_DIGITS + 1), "7" * 5000):
+            gram = f"[[{over},0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
+            for argv, what in [
+                (["table", "--field", "Q", "--form", f"1,2,3,{over}"], "bad --form entry"),
+                (["table", "--field", "Q", "--form", f"1,2,3,1/{over}"], "bad --form entry"),
+                (["table", "--field", f"F{over}", "--form", "1,1,1,1"], "bad field literal"),
+                (["oracle", "--field", f"F{over}", "--form", "1,1,1,1"], "bad field literal"),
+                (["table", "--field", "Q", "--gram", gram], "bad --gram matrix"),
+            ]:
+                with pytest.raises(SystemExit) as exc:
+                    parse_args(argv)
+                assert exc.value.code == 2
+                last = capsys.readouterr().err.splitlines()[-1]
+                assert last == f"orthocurrent: error: {what}: a number {bound}"
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.parametrize("digits,factor", [(300, 2), (MAX_LITERAL_DIGITS, 1)])
+def test_witnesses_past_the_digit_bound_recheck(digits, factor):
+    """The digit bound applies to literals, not to the computed witnesses
+    of a classify document: over Q, 1,1,X,2X (simple, the extension's
+    radicand 2X^2) and 1,1,X,X (split, e+/e- and the ideal rows of the
+    size of sqrt D) record numbers longer than the bound, and the checker
+    still passes every check."""
+    x = int("7" * (digits - 1) + "3")
+    form = f"1,1,{x},{factor * x}"
+    code, out = run(["classify", "--field", "Q", "--form", form, "--json"])
+    data = json.loads(out)
+    assert code == 0 and max(map(len, re.findall(r"\d+", out))) > MAX_LITERAL_DIGITS
+    checks = recheck_json(data)
+    assert checks[0]["name"] != "document_well_formed" and all(c["ok"] for c in checks)
 
 
 def test_verify_command_passes():
@@ -254,6 +305,9 @@ def test_recheck_malformed_documents_fail(command):
             dict(data, form=["0", "1", "1", "2"]),
             dict(data, field=None),
             dict(data, field="nonsense"),
+            # literals past the digit bound, each equal to 2 over F3
+            dict(data, form=["1", "1", "1", "2" + "0" * MAX_LITERAL_DIGITS]),
+            dict(data, field=f"F3[sqrt {'2' + '0' * MAX_LITERAL_DIGITS}]"),
         ]
     if command == "verify":
         docs += [dict(data, seed="0"), {k: v for k, v in data.items() if k != "seed"}]
@@ -269,9 +323,14 @@ def test_recheck_unknown_document_fails():
 
 
 def test_random_w_skew_check_exits_1(monkeypatch):
-    # Conjugating by the wrong matrix loses skew-adjointness; the check
-    # raises a domain error, so verify exits 1 with a message.
-    monkeypatch.setattr(structure, "inverse", lambda m: m)
+    # Wedges without their factor G are antisymmetric, which is not
+    # skew-adjoint for diag(1, 2, 3, 4); the check raises a domain error,
+    # so verify exits 1 with a message.
+    real = structure.wedge_basis
+    monkeypatch.setattr(
+        structure, "wedge_basis",
+        lambda gram, rows, squares: real(Matrix.identity(gram.field, 4), rows, squares),
+    )
     code, out = run(["verify", "--field", "Q", "--form", "1,2,3,4"])
     assert code == 1 and out == "error: basis matrix is not skew-adjoint"
 

@@ -16,8 +16,10 @@ from orthocurrent.liealg import (
     NotClosed,
     bracket_span,
     current_algebra,
+    current_basis,
     paper_table,
     table_rows,
+    wedge_basis,
 )
 from orthocurrent.scalars import (
     function_field,
@@ -46,6 +48,7 @@ from orthocurrent.structure import (
 
 from reference import (
     closed_and_perfect,
+    conjugated_current_basis,
     derived_span_by_coordinates,
     ideal_closure,
     random_element,
@@ -201,8 +204,8 @@ def test_table_identity_failure_reaches_every_report(monkeypatch):
 def _patch_leg_basis(monkeypatch, edit):
     """Edit the distinguished basis the random-W leg builds, and only there:
     the pipeline builds M through liealg.current_algebra."""
-    real = structure.current_basis
-    monkeypatch.setattr(structure, "current_basis", lambda *entries: edit(real(*entries)))
+    real = structure.wedge_basis
+    monkeypatch.setattr(structure, "wedge_basis", lambda *args: edit(real(*args)))
 
 
 def test_random_w_table_is_read_from_the_conjugates(monkeypatch):
@@ -238,19 +241,21 @@ def _verify_f3t_counting(monkeypatch, owner, name):
 
 
 def test_verify_products_stay_gcd_free(monkeypatch):
-    """The random-W leg multiplies entries of denominator 1, and elimination
-    works on the pivot row's nonzero entries right of the pivot: 1114
-    polynomial gcds here.  Products of fractions in the leg show as about
-    2900; the leg's two checked algebras for its expected table, its 6 x 16
-    elimination and dense pivot rows read 1493."""
-    assert 0 < _verify_f3t_counting(monkeypatch, scalars, "poly_gcd") <= 1225
+    """The random-W leg builds its basis as wedges of its rows and multiplies
+    entries of denominator 1, and elimination works on the pivot row's
+    nonzero entries right of the pivot: 794 polynomial gcds here.
+    Conjugating the distinguished basis by B^T (.) B^-T with an explicit
+    inverse read 1114; products of fractions in the leg show as about
+    2900."""
+    assert 0 < _verify_f3t_counting(monkeypatch, scalars, "poly_gcd") <= 875
 
 
 def test_verify_multiplications_stay_few(monkeypatch):
-    """1823 field multiplications here.  Building the leg's expected table
-    through two checked algebras, eliminating its 6 x 16 conjugates and
-    scaling every entry of each pivot row read 2698."""
-    assert 0 < _verify_f3t_counting(monkeypatch, scalars.FieldElement, "__mul__") <= 2000
+    """1734 field multiplications here.  Conjugating the distinguished basis
+    by B^T (.) B^-T with an explicit inverse read 1823; building the leg's
+    expected table through two checked algebras, eliminating its 6 x 16
+    conjugates and scaling every entry of each pivot row read 2698."""
+    assert 0 < _verify_f3t_counting(monkeypatch, scalars.FieldElement, "__mul__") <= 1900
 
 
 def test_an_escaping_conjugate_fails_the_leg_without_raising(monkeypatch):
@@ -280,6 +285,77 @@ def test_paper_table_is_core_tensor_quadratic_quotient(literal, seed):
     a, b, c, d = (random_element(field, rng, nonzero=True) for _ in range(4))
     expected = structure.current_table(structure._core_algebra((a, b, c)), a * b * c * d)
     assert paper_table(table_rows(a, b, c, d)) == expected.constants
+
+
+class _LegBasis(Exception):
+    """Carries the arguments the random-W leg hands to wedge_basis."""
+
+
+def _leg_basis_arguments(field, entries, seed):
+    """(G, rows w1..w4, squares) of the random-W leg for diag(entries) at
+    this seed: its W, the orthogonal basis of W and w4."""
+    def capture(*args):
+        raise _LegBasis(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "wedge_basis", capture)
+        with pytest.raises(_LegBasis) as caught:
+            structure._random_w_leg(build_pipeline(field, entries), random.Random(seed), 32)
+    return caught.value.args
+
+
+LEG_FIELDS = ["Q", "F3", "F3(t)", "F2(t)", "F3[sqrt 2]", "F2(t)[sqrt t+1]"]
+
+
+@pytest.mark.parametrize("literal", LEG_FIELDS)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32))
+def test_wedges_are_the_conjugated_distinguished_basis(literal, seed):
+    """On the leg's own rows, the wedges equal B^T m B^-T for the matrices
+    m of current_basis at the leg's diagonal, computed with an inverse."""
+    field = parse_field(literal)
+    rng = random.Random(seed)
+    entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
+    gram, rows, squares = _leg_basis_arguments(field, entries, seed)
+    assert wedge_basis(gram, rows, squares).matrices() == conjugated_current_basis(rows, squares)
+
+
+@pytest.mark.parametrize("literal", LEG_FIELDS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32))
+def test_wedges_of_the_standard_basis_are_the_distinguished_basis(literal, seed):
+    field = parse_field(literal)
+    rng = random.Random(seed)
+    entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
+    gram = diagonal_form(field, entries).gram
+    basis = wedge_basis(gram, Matrix.identity(field, 4).rows, entries)
+    assert basis.matrices() == current_basis(*entries).matrices()
+
+
+def test_a_non_orthogonal_basis_fails_the_leg_table_without_raising(monkeypatch):
+    """w1 replaced by w1 + w2, with the diagonal kept: the wedges stay
+    skew-adjoint and span [L, L], but w1 + w2 is not orthogonal to w2, so
+    only random_w_tables_match fails.  (2 w1 would not do: over F3 and
+    F3(t) it has the square of w1 and stays orthogonal.)"""
+    real = structure.orthogonalize
+
+    def skewed(form):
+        ortho = real(form)
+        w1, w2, w3 = ortho.basis.rows
+        shifted = tuple(x + y for x, y in zip(w1, w2))
+        return dataclasses.replace(ortho, basis=Matrix(form.field, [shifted, w2, w3]))
+
+    for field_literal, form in [
+        ("Q", "1,2,3,4"),
+        ("F3", "1,2,1,2"),
+        ("F3(t)", "1,1,t+1,t"),
+        ("F2(t)", "1,t,t+1,t^2+1"),
+    ]:
+        field = parse_field(field_literal)
+        with monkeypatch.context() as mp:
+            mp.setattr(structure, "orthogonalize", skewed)
+            report = verify_current_form(field, [parse_scalar(x, field) for x in form.split(",")])
+        assert _failed(report.checks) == {"random_w_tables_match"}
 
 
 def test_dependent_conjugates_fail_without_raising(monkeypatch):
