@@ -272,19 +272,6 @@ def det(m: Matrix) -> FieldElement:
     return -result if sign_flip else result
 
 
-def inverse(m: Matrix) -> Matrix:
-    """Matrix inverse via an augmented elimination."""
-    if m.nrows != m.ncols:
-        raise ShapeMismatch("inverse of a non-square matrix")
-    n = m.nrows
-    ident = Matrix.identity(m.field, n)
-    rows = [list(row) + list(irow) for row, irow in zip(m.rows, ident.rows)]
-    pivots = _eliminate(rows)
-    if tuple(pivots) != tuple(range(n)):
-        raise ShapeMismatch("matrix is singular")
-    return Matrix(m.field, [row[n:] for row in rows])
-
-
 class Subspace:
     """Subspace of F^n stored by its canonical reduced echelon basis."""
 

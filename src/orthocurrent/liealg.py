@@ -28,11 +28,10 @@ from .exact_linalg import (
     canonicalize_subspace,
     commutators,
     full_subspace,
-    inverse,
     kernel,
 )
 from .forms import AlternatingChar2, BilinearForm, Degenerate
-from .scalars import DescriptorMismatch, FieldDescriptor, FieldElement
+from .scalars import DescriptorMismatch, FieldDescriptor, FieldElement, inv
 
 
 class NotClosed(ValueError):
@@ -40,7 +39,8 @@ class NotClosed(ValueError):
 
 
 class NotIndependent(ValueError):
-    """The proposed basis vectors are linearly dependent."""
+    """The proposed basis vectors are not shown independent: one of them has
+    no nonzero entry of its own, as in every dependent set."""
 
 
 class ZeroEntry(ValueError):
@@ -249,54 +249,40 @@ def skew_adjoint_algebra(form: BilinearForm) -> list[Matrix]:
     ]
 
 
-class SpanSolver:
-    """Coordinates of vectors in the span of a fixed independent basis.
-
-    Writing the basis rows as C times their reduced echelon form, pivot
-    extraction gives echelon coordinates and one multiplication by the
-    inverse of C converts them to coordinates in the original order.
-    """
-
-    __slots__ = ("space", "c_inv", "dim")
-
-    def __init__(self, field: FieldDescriptor, rows: Sequence[Vector], ambient: int):
-        self.dim = len(rows)
-        self.space = canonicalize_subspace(field, rows, ambient)
-        if self.space.dim != self.dim:
-            raise NotIndependent("basis vectors are linearly dependent")
-        change = Matrix(field, [[row[p] for p in self.space.pivots] for row in rows])
-        self.c_inv = inverse(change)
-
-    def coordinates(self, w: Sequence[FieldElement]) -> Optional[Vector]:
-        if not self.space.contains(w):
-            return None
-        echelon = [w[p] for p in self.space.pivots]
-        out = []
-        for k in range(self.dim):
-            acc = self.space.field.zero()
-            for j, wj in enumerate(echelon):
-                if not wj.is_zero():
-                    entry = self.c_inv.rows[j][k]
-                    if not entry.is_zero():
-                        acc = acc + wj * entry
-            out.append(acc)
-        return tuple(out)
-
-
 def algebra_from_matrices(field: FieldDescriptor, mats: Sequence[Matrix]) -> LieAlgebraSC:
-    """Lie algebra spanned by commutator-closed, independent matrices."""
+    """Lie algebra spanned by commutator-closed matrices, each of which has
+    a flattened entry of its own: a position where it alone is nonzero.
+
+    At the own entry p_k of m_k, a combination sum_j c_j m_j reads
+    c_k m_k[p_k], so the matrices are independent and the coordinates of a
+    commutator in their span are read as comm[p_k] / m_k[p_k], the first
+    own entry of each matrix serving.  The realization check of
+    `LieAlgebraSC` compares every commutator with sum_k c_k m_k on all
+    entries, which proves those coordinates and refuses a commutator that
+    escapes the span.  Raises NotIndependent when a matrix has no entry of
+    its own, as happens in every dependent set; the distinguished bases
+    have disjoint supports, and an echelon basis has its pivots.
+    """
     dim = len(mats)
     if dim == 0:
         return LieAlgebraSC(field, 0, [])
-    size = mats[0].nrows * mats[0].ncols
-    solver = SpanSolver(field, [m.flatten() for m in mats], size)
+    flats = [m.flatten() for m in mats]
+    nonzero = [[not x.is_zero() for x in flat] for flat in flats]
+    owners = [sum(column) for column in zip(*nonzero)]
+    reads = []
+    for k, flat in enumerate(flats):
+        p = next((p for p, nz in enumerate(nonzero[k]) if nz and owners[p] == 1), None)
+        if p is None:
+            raise NotIndependent(f"matrix {k} has no nonzero entry of its own")
+        reads.append((p, None if flat[p].is_one() else inv(flat[p])))
     comms = commutators(mats)
     zero_vec = tuple(field.zero() for _ in range(dim))
     constants = [[zero_vec] * dim for _ in range(dim)]
     for (i, j), comm in comms.items():
-        coords = solver.coordinates(comm)
-        if coords is None:
-            raise NotClosed(f"commutator of matrices {i},{j} escapes the span")
+        coords = tuple(
+            comm[p] if scale is None or comm[p].is_zero() else comm[p] * scale
+            for p, scale in reads
+        )
         constants[i][j] = coords
         constants[j][i] = tuple(-x for x in coords)
     return LieAlgebraSC(field, dim, constants, realization=mats, commutators=comms)
@@ -340,15 +326,6 @@ def is_ideal(alg: LieAlgebraSC, space: Subspace) -> bool:
         space.contains(alg.bracket(alg.basis_vector(i), row))
         for i in range(alg.dim)
         for row in space.basis.rows
-    )
-
-
-def is_subalgebra(alg: LieAlgebraSC, space: Subspace) -> bool:
-    rows = space.basis.rows
-    return all(
-        space.contains(alg.bracket(rows[a], rows[b]))
-        for a in range(len(rows))
-        for b in range(a + 1, len(rows))
     )
 
 
@@ -443,9 +420,13 @@ def current_basis(a: FieldElement, b: FieldElement, c: FieldElement,
     """Distinguished basis of the derived algebra for diag(a, b, c, d).
 
     Each matrix is verified skew-adjoint for the diagonal Gram matrix.
-    Independence is not checked here: `current_algebra` hands the matrices
-    to `algebra_from_matrices`, which raises NotIndependent when they are
-    dependent.
+    The six supports {(1,2),(2,1)}, {(2,3),(3,2)}, {(1,3),(3,1)},
+    {(3,4),(4,3)}, {(1,4),(4,1)} and {(2,4),(4,2)} are disjoint, and every
+    entry is a nonzero monomial in a, b, c, d, so each matrix is nonzero
+    at entries of its own.  Independence is not checked here:
+    `current_algebra` hands the matrices to `algebra_from_matrices`, which
+    reads their coordinates at those entries and refuses, with
+    NotIndependent, matrices that lack them.
     """
     field = _diagonal_field("abcd", (a, b, c, d))
     m = lambda first, second: _two_entry(field, 4, first, second)

@@ -1112,10 +1112,13 @@ def render_scalar(x: FieldElement) -> str:
     """Canonical literal for x; parse_scalar(render_scalar(x)) == x."""
     field = x.field
     kind = field.kind
-    if kind == KIND_RATIONALS:
-        return str(x.payload)
-    if kind == KIND_PRIME:
-        return str(x.payload)
+    if kind in (KIND_RATIONALS, KIND_PRIME):
+        try:
+            return str(x.payload)
+        except ValueError:
+            # Python's limit on int -> str conversion; a prime-field
+            # residue stays far below it, a rational may not.
+            raise DomainError("a result is too long to print in decimal") from None
     if kind == KIND_FUNFIELD:
         num, den = x.payload
         if den.is_one():

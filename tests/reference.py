@@ -6,13 +6,14 @@ because no command runs it.
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
-from orthocurrent.exact_linalg import Matrix, Subspace, canonicalize_subspace, inverse
+from orthocurrent.exact_linalg import Matrix, ShapeMismatch, Subspace, canonicalize_subspace
 from orthocurrent.forms import BilinearForm
 from orthocurrent.liealg import (
     LieAlgebraSC,
     NotClosed,
-    SpanSolver,
+    NotIndependent,
     algebra_from_matrices,
     current_basis,
     derived_subspace,
@@ -75,6 +76,47 @@ def dense_rref(rows) -> tuple[list[list[FieldElement]], list[int]]:
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows, pivots
+
+
+def inverse(m: Matrix) -> Matrix:
+    """Matrix inverse by dense Gauss-Jordan elimination on [m | I]; raises
+    ShapeMismatch for a singular matrix."""
+    n = m.nrows
+    if m.ncols != n:
+        raise ShapeMismatch("inverse of a non-square matrix")
+    unit = Matrix.identity(m.field, n).rows
+    augmented, pivots = dense_rref([list(row) + list(e) for row, e in zip(m.rows, unit)])
+    if pivots[:n] != list(range(n)):
+        raise ShapeMismatch("matrix is singular")
+    return Matrix(m.field, [row[n:] for row in augmented])
+
+
+class SpanSolver:
+    """Coordinates of vectors in the span of a fixed independent basis.
+
+    Writing the basis rows as C times their reduced echelon form, pivot
+    extraction gives echelon coordinates and one multiplication by the
+    inverse of C converts them to coordinates in the original order.
+    """
+
+    def __init__(self, field: FieldDescriptor, rows, ambient: int):
+        self.dim = len(rows)
+        self.space = canonicalize_subspace(field, rows, ambient)
+        if self.space.dim != self.dim:
+            raise NotIndependent("basis vectors are linearly dependent")
+        change = Matrix(field, [[row[p] for p in self.space.pivots] for row in rows])
+        self.c_inv = inverse(change)
+
+    def coordinates(self, w) -> Optional[tuple[FieldElement, ...]]:
+        """Coordinates of w in the basis, or None when w is not in its span."""
+        if not self.space.contains(w):
+            return None
+        echelon = [w[p] for p in self.space.pivots]
+        return tuple(
+            sum((wj * self.c_inv.rows[j][k] for j, wj in enumerate(echelon)),
+                self.space.field.zero())
+            for k in range(self.dim)
+        )
 
 
 def ideal_closure(alg: LieAlgebraSC, seed) -> Subspace:

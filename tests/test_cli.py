@@ -125,6 +125,21 @@ def test_witnesses_past_the_digit_bound_recheck(digits, factor):
     assert checks[0]["name"] != "document_well_formed" and all(c["ok"] for c in checks)
 
 
+def test_output_past_the_str_digit_limit_is_a_domain_error():
+    """Under a lowered limit on int -> str conversion, a result too long to
+    print exits 1 with a message that names neither the limit nor the
+    call that raises it."""
+    x = "7" * MAX_LITERAL_DIGITS
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for args in (["--form", f"{x},{x},1,1"], ["--form", f"{x},{x},1,1", "--json"]):
+            code, out = run(["table", "--field", "Q"] + args)
+            assert code == 1 and out == "error: a result is too long to print in decimal"
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def test_verify_command_passes():
     code, out = run(["verify", "--field", "Q", "--form", "1,2,3,4"])
     assert code == 0

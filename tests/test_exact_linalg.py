@@ -11,7 +11,6 @@ from orthocurrent.exact_linalg import (
     commutators,
     det,
     full_subspace,
-    inverse,
     kernel,
     rref,
     subspace_meet_join,
@@ -138,7 +137,7 @@ def test_meet_join_dimension_formula():
                 assert all(big.contains(row) for row in small.basis.rows)
 
 
-def test_det_and_inverse():
+def test_det():
     m = mat(Q, [[0, 1], [1, 0]])
     assert det(m) == Q.from_int(-1)
     assert det(mat(Q, [[1, 2], [2, 4]])).is_zero()
@@ -146,11 +145,7 @@ def test_det_and_inverse():
     for field in [Q, F2, F3]:
         for _ in range(10):
             m = Matrix(field, [[random_element(field, rng) for _ in range(3)] for _ in range(3)])
-            if det(m).is_zero():
-                with pytest.raises(ShapeMismatch):
-                    inverse(m)
-            else:
-                assert m * inverse(m) == Matrix.identity(field, 3)
+            assert det(m).is_zero() == (rref(m)[1] < 3)
 
 
 def test_matrix_rejects_entry_from_another_field():
@@ -215,7 +210,7 @@ def eliminable_matrices(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=eliminable_matrices())
 def test_elimination_matches_dense_reference(case):
-    """rref, canonicalize_subspace and inverse agree with dense Gauss-Jordan
+    """rref and canonicalize_subspace agree with dense Gauss-Jordan
     elimination on the unique reduced echelon form and its pivots."""
     field, rows = case
     m = Matrix(field, rows)
@@ -224,13 +219,3 @@ def test_elimination_matches_dense_reference(case):
     space = canonicalize_subspace(field, rows, m.ncols)
     assert space.basis == Matrix(field, reduced[:len(pivots)])
     assert space.pivots == tuple(pivots)
-    n = m.nrows
-    if m.ncols != n:
-        return
-    if len(pivots) < n:
-        with pytest.raises(ShapeMismatch):
-            inverse(m)
-        return
-    augmented, _ = dense_rref(
-        [row + list(unit) for row, unit in zip(rows, Matrix.identity(field, n).rows)])
-    assert inverse(m) == Matrix(field, [row[n:] for row in augmented])

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orthocurrent import exact_linalg
 from orthocurrent.exact_linalg import (
     Matrix,
     canonicalize_subspace,
@@ -16,7 +19,6 @@ from orthocurrent.liealg import (
     LieAlgebraSC,
     NotClosed,
     NotIndependent,
-    SpanSolver,
     ZeroEntry,
     _check_skew,
     algebra_from_matrices,
@@ -33,6 +35,7 @@ from orthocurrent.liealg import (
 )
 from orthocurrent.scalars import (
     function_field,
+    parse_field,
     parse_scalar,
     prime_field,
     quadratic_extension,
@@ -40,7 +43,13 @@ from orthocurrent.scalars import (
 )
 from orthocurrent.structure import _derived_span
 
-from reference import ideal_closure, matrix_for, random_element, structure_constants
+from reference import (
+    SpanSolver,
+    ideal_closure,
+    matrix_for,
+    random_element,
+    structure_constants,
+)
 
 Q = rationals()
 F2 = prime_field(2)
@@ -270,6 +279,56 @@ def test_dependent_basis_is_refused_when_the_algebra_is_built():
     f1, f2, f3, h1, h2, _ = current_basis(*[Q.from_int(x) for x in (1, 2, 3, 4)]).matrices()
     with pytest.raises(NotIndependent):
         algebra_from_matrices(Q, [f1, f2, f3, h1, h2, h1 + h2])
+
+
+def _solved_constants(field, mats):
+    """Constants of the span of the matrices, each commutator's coordinates
+    solved by elimination and an inverse change of basis."""
+    n = len(mats)
+    solver = SpanSolver(field, [m.flatten() for m in mats], mats[0].nrows * mats[0].ncols)
+    comms = commutators(mats)
+    zero_vec = tuple(field.zero() for _ in range(n))
+    constants = [[zero_vec] * n for _ in range(n)]
+    for (i, j), comm in comms.items():
+        constants[i][j] = solver.coordinates(comm)
+        constants[j][i] = tuple(-x for x in constants[i][j])
+    return tuple(tuple(row) for row in constants)
+
+
+@pytest.mark.parametrize(
+    "literal", ["Q", "F2", "F3", "F3(t)", "F2(t)", "F3[sqrt 2]", "F2(t)[sqrt t+1]"])
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32))
+def test_own_entry_coordinates_match_the_span_solver(literal, seed):
+    """Coordinates read at each matrix's own entry are the solved ones, for
+    the distinguished bases and for L's echelon basis."""
+    field = parse_field(literal)
+    rng = random.Random(seed)
+    entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
+    for mats in (current_basis(*entries).matrices(), core_basis(*entries[:3]),
+                 skew_adjoint_algebra(diagonal_form(field, entries))):
+        assert algebra_from_matrices(field, mats).constants == _solved_constants(field, mats)
+
+
+def test_an_escaping_commutator_is_refused():
+    """[f1, f2] = b f3 leaves the span of f1 and f2.  Its reads at their own
+    entries are 0, and the realization check refuses that bracket."""
+    for field, literals in ((Q, "1,2,3,4"), (F3, "1,1,1,2"), (F2T, "1,t,t+1,1")):
+        f1, f2, *_ = current_basis(*[parse_scalar(x, field) for x in literals.split(",")]).matrices()
+        with pytest.raises(InvalidStructure, match="realization matrices 0,1 disagrees"):
+            algebra_from_matrices(field, [f1, f2])
+
+
+def test_current_algebra_runs_no_elimination(monkeypatch):
+    """M's coordinates are read at entries, never solved for."""
+    calls = []
+    real = exact_linalg._eliminate
+    monkeypatch.setattr(exact_linalg, "_eliminate", lambda rows: calls.append(1) or real(rows))
+    for field, literals in ((Q, "1,2,3,4"), (F2T, "1,t,t+1,t^2+1")):
+        current_algebra([parse_scalar(x, field) for x in literals.split(",")])
+    assert calls == []
+    canonicalize_subspace(Q, [fe(Q, [1, 2])], 2)
+    assert calls == [1]
 
 
 def test_ideal_closure_examples():

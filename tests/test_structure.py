@@ -243,18 +243,21 @@ def _verify_f3t_counting(monkeypatch, owner, name):
 def test_verify_products_stay_gcd_free(monkeypatch):
     """The random-W leg builds its basis as wedges of its rows and multiplies
     entries of denominator 1, and elimination works on the pivot row's
-    nonzero entries right of the pivot: 794 polynomial gcds here.
-    Conjugating the distinguished basis by B^T (.) B^-T with an explicit
-    inverse read 1114; products of fractions in the leg show as about
-    2900."""
-    assert 0 < _verify_f3t_counting(monkeypatch, scalars, "poly_gcd") <= 875
+    nonzero entries right of the pivot, and M's and the core's coordinates
+    are read at entries: 768 polynomial gcds here.  Solving those
+    coordinates by elimination read 794; conjugating the distinguished
+    basis by B^T (.) B^-T with an explicit inverse read 1114; products of
+    fractions in the leg show as about 2900."""
+    assert 0 < _verify_f3t_counting(monkeypatch, scalars, "poly_gcd") <= 845
 
 
 def test_verify_multiplications_stay_few(monkeypatch):
-    """1734 field multiplications here.  Conjugating the distinguished basis
-    by B^T (.) B^-T with an explicit inverse read 1823; building the leg's
-    expected table through two checked algebras, eliminating its 6 x 16
-    conjugates and scaling every entry of each pivot row read 2698."""
+    """1698 field multiplications here; solving M's and the core's
+    coordinates by elimination read 1734.  Conjugating the distinguished
+    basis by B^T (.) B^-T with an explicit inverse read 1823; building the
+    leg's expected table through two checked algebras, eliminating its
+    6 x 16 conjugates and scaling every entry of each pivot row read
+    2698."""
     assert 0 < _verify_f3t_counting(monkeypatch, scalars.FieldElement, "__mul__") <= 1900
 
 
