@@ -17,6 +17,7 @@ else 0).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -80,7 +81,9 @@ class CommandSpec:
         return self.gram is not None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="orthocurrent",
         description="4-dimensional orthogonal Lie algebras as current algebras, exactly",

@@ -1,13 +1,16 @@
 """Brute-force ground truth over small prime fields.
 
-Every ideal is a sum of principal ideals, so `enumerate_ideals` spins the
-ideal generated by each projective point of F_q^n, the cyclic-submodule
-idea behind MeatAxe spinning, and then closes {0} and the distinct
-principal ideals under sums.  Spans are kept as canonical reduced echelon
-forms `(pivots, rows)`, which makes equal ideals equal keys.  All of this
-runs on plain integers mod q with its own elimination and spinning, so
-the oracle stays independent of the library it checks; field elements are
-only materialized for returned subspaces.
+Every ideal is a sum of principal ideals, and the ideal <v> generated by v
+is the span of every vector reachable from v under the maps ad(e_i).  So
+`enumerate_ideals` builds one graph on the projective points of F_q^n,
+with an edge from each point to the line of each nonzero image ad(e_i) x,
+finds its strongly connected components (Tarjan), and spans each
+component together with the ideals of the components it reaches; then it
+closes {0} and the distinct principal ideals under sums.  Spans are kept
+as canonical reduced echelon forms `(pivots, rows)`, which makes equal
+ideals equal keys.  All of this runs on plain integers mod q with its own
+elimination, so the oracle stays independent of the library it checks;
+field elements are only materialized for returned subspaces.
 """
 
 from __future__ import annotations
@@ -137,22 +140,6 @@ def _span(rows: Iterable[Sequence[int]], q: int) -> Key:
     return _key(echelon)
 
 
-def _principal_ideal(v: Sequence[int], ads, q: int, n: int) -> Key:
-    """The ideal generated by v: images ad(e_i) x taken breadth first,
-    stopping as soon as the span is the whole space."""
-    echelon: dict[int, list[int]] = {}
-    _insert(echelon, v, q)
-    queue = [v]
-    for x in queue:
-        for ad in ads:
-            row = _insert(echelon, _apply(ad, x, n), q)
-            if row is not None:
-                if len(echelon) == n:
-                    return _key(echelon)
-                queue.append(row)
-    return _key(echelon)
-
-
 def _projective_points(q: int, n: int) -> Iterator[tuple[int, ...]]:
     """One vector per line of F_q^n: the first nonzero coordinate is 1."""
     for lead in range(n):
@@ -161,15 +148,105 @@ def _projective_points(q: int, n: int) -> Iterator[tuple[int, ...]]:
             yield head + tail
 
 
+def _whole(n: int) -> Key:
+    return tuple(range(n)), tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _component_ideal(members, reached: list[Key], points, q: int, n: int) -> Key:
+    """span(members) plus the ideals `reached` of the components they reach."""
+    reached.sort(key=lambda key: -len(key[0]))
+    echelon = dict(zip(*reached[0])) if reached else {}
+    for _, rows in reached[1:]:
+        for row in rows:
+            _insert(echelon, row, q)
+    for m in members:
+        if len(echelon) == n:
+            break
+        _insert(echelon, points[m], q)
+    return _key(echelon)
+
+
+def _principal_ideals(ads, q: int, n: int) -> set[Key]:
+    """The distinct ideals <x> over the projective points x of F_q^n.
+
+    <x> is the span of Reach(x) in the graph x -> line of ad(e_i) x: it
+    holds that span since it is closed under ad(e_i) and scalars, and that
+    span is an ideal since ad(e_i) maps it into itself.  Tarjan's algorithm,
+    run without recursion, emits each strongly connected component after
+    every component it reaches, so their ideals are known when it is
+    spanned.  Exactly n mat-vecs per point.
+    """
+    points = list(_projective_points(q, n))
+    index = {x: i for i, x in enumerate(points)}
+    inverse = [0] + [pow(a, -1, q) for a in range(1, q)]
+    succ = []
+    for x in points:
+        out = []
+        for ad in ads:
+            w = [a % q for a in _apply(ad, x, n)]
+            lead = next(filter(None, w), 0)
+            if lead:
+                if lead != 1:
+                    w = [a * inverse[lead] % q for a in w]
+                out.append(index[tuple(w)])
+        succ.append(out)
+
+    number = [0] * len(points)  # discovery number, 0 while unvisited
+    low = [0] * len(points)
+    comp = [-1] * len(points)  # component, -1 while on the stack
+    stack: list[int] = []
+    keys = [_whole(n)]  # distinct ideals, the whole space first
+    ids = {keys[0]: 0}
+    ideal: list[int] = []  # component -> id of its ideal
+    count = 0
+    for root in range(len(points)):
+        if number[root]:
+            continue
+        count += 1
+        number[root] = low[root] = count
+        stack.append(root)
+        calls = [(root, iter(succ[root]))]
+        while calls:
+            v, edges = calls[-1]
+            for u in edges:
+                if not number[u]:
+                    count += 1
+                    number[u] = low[u] = count
+                    stack.append(u)
+                    calls.append((u, iter(succ[u])))
+                    break
+                if comp[u] < 0 and number[u] < low[v]:
+                    low[v] = number[u]
+            else:
+                calls.pop()
+                if calls and low[v] < low[calls[-1][0]]:
+                    low[calls[-1][0]] = low[v]
+                if low[v] == number[v]:
+                    c = len(ideal)
+                    members = []
+                    while not members or members[-1] != v:
+                        members.append(stack.pop())
+                        comp[members[-1]] = c
+                    reached = {ideal[comp[u]] for m in members for u in succ[m] if comp[u] != c}
+                    if 0 in reached:
+                        ideal.append(0)
+                        continue
+                    key = _component_ideal(members, [keys[i] for i in reached], points, q, n)
+                    if key not in ids:
+                        ids[key] = len(keys)
+                        keys.append(key)
+                    ideal.append(ids[key])
+    return {keys[i] for i in set(ideal)}
+
+
 def enumerate_ideals(alg: LieAlgebraSC) -> list[Subspace]:
     """Every ideal of a small algebra over F_q, in canonical order.
 
-    The distinct principal ideals come from spinning each of the
-    (q^n - 1)/(q - 1) projective points, at most n mat-vecs per basis
-    vector found; the frontier loop then forms (#ideals x #distinct
-    principal ideals) sums.  For the 6-dimensional derived orthogonal
-    algebra M that is at most 4 x 3.  The result is sorted by
-    (dimension, pivots, rows).
+    The distinct principal ideals come from one pass over the graph of
+    the (q^n - 1)/(q - 1) projective points, n mat-vecs per point; the
+    frontier loop then forms (#ideals x #distinct principal ideals) sums.
+    For the 6-dimensional derived orthogonal algebra M that is at most
+    4 x 3.  The result is sorted by (dimension, pivots, rows).
     """
     field = alg.field
     if field.kind != KIND_PRIME:
@@ -177,7 +254,7 @@ def enumerate_ideals(alg: LieAlgebraSC) -> list[Subspace]:
     _validate(field.p, alg.dim)
     q, n = field.p, alg.dim
     ads = _adjoint_matrices(alg)
-    principal = sorted({_principal_ideal(v, ads, q, n) for v in _projective_points(q, n)})
+    principal = sorted(_principal_ideals(ads, q, n))
     found = {((), ())} | set(principal)
     frontier = principal
     while frontier:
@@ -205,8 +282,7 @@ def enumeration_complete(alg: LieAlgebraSC, ideals: Sequence[Subspace]) -> bool:
         (space.pivots, tuple(tuple(x.payload for x in row) for row in space.basis.rows))
         for space in ideals
     }
-    whole = _span([[int(i == j) for j in range(n)] for i in range(n)], q)
-    if ((), ()) not in keys or whole not in keys:
+    if ((), ()) not in keys or _whole(n) not in keys:
         return False
     ads = _adjoint_matrices(alg)
     if not all(_is_invariant(rows, pivots, ads, q, n) for pivots, rows in keys):

@@ -19,7 +19,7 @@ from orthocurrent.liealg import (
     derived_subspace,
     skew_adjoint_algebra,
 )
-from orthocurrent.oracle import UnsupportedField, _to_subspace, _validate
+from orthocurrent.oracle import UnsupportedField, _apply, _insert, _key, _to_subspace, _validate
 from orthocurrent.scalars import (
     KIND_FUNFIELD,
     KIND_PRIME,
@@ -135,6 +135,23 @@ def ideal_closure(alg: LieAlgebraSC, seed) -> Subspace:
         space = canonicalize_subspace(
             alg.field, list(space.basis.rows) + new_vectors, alg.dim
         )
+
+
+def spin_principal_ideal(v, ads, q: int, n: int):
+    """The ideal generated by v, as an oracle key, by spinning: images
+    ad x of the basis vectors found are taken breadth first, stopping as
+    soon as the span is the whole space."""
+    echelon: dict[int, list[int]] = {}
+    _insert(echelon, v, q)
+    queue = [v]
+    for x in queue:
+        for ad in ads:
+            row = _insert(echelon, _apply(ad, x, n), q)
+            if row is not None:
+                if len(echelon) == n:
+                    return _key(echelon)
+                queue.append(row)
+    return _key(echelon)
 
 
 def matrix_for(alg: LieAlgebraSC, coords) -> Matrix:

@@ -44,6 +44,38 @@ def test_bad_seed_env_is_usage_error(monkeypatch, capsys):
     assert "ORTHOCURRENT_SEED must be an integer" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once per process; a usage error leaves it fit
+    for the next call."""
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["classify", "--field", "F3", "--form", "1,1,1"])
+    assert exc.value.code == 2
+    assert "--form expects exactly four" in capsys.readouterr().err
+    spec = parse_args(["classify", "--field", "F3", "--form", "1,1,1,2"])
+    assert spec.command == "classify" and not spec.as_json
+    assert [x.payload for x in spec.entries] == [1, 1, 1, 2]
+
+
+def test_seed_env_is_read_on_every_call(monkeypatch):
+    argv = ["verify", "--field", "F3", "--form", "1,1,1,2", "--json"]
+    for seed in ("5", "9"):
+        monkeypatch.setenv("ORTHOCURRENT_SEED", seed)
+        code, out = run(argv)
+        assert code == 0 and json.loads(out)["seed"] == int(seed)
+    monkeypatch.delenv("ORTHOCURRENT_SEED")
+    assert parse_args(argv).seed == 0
+
+
+def test_flag_values_do_not_leak_into_later_calls(monkeypatch):
+    monkeypatch.delenv("ORTHOCURRENT_SEED", raising=False)
+    spec = parse_args(["verify", "--field", "Q", "--form", "1,2,3,4",
+                       "--seed", "3", "--trials", "5", "--json"])
+    assert (spec.seed, spec.trials, spec.as_json) == (3, 5, True)
+    spec = parse_args(["verify", "--field", "Q", "--form", "1,2,3,4"])
+    assert (spec.seed, spec.trials, spec.as_json) == (0, 32, False)
+
+
 def test_usage_errors_exit_2():
     for argv in [
         ["oracle", "--field", "Q", "--form", "1,1,1,1"],
