@@ -443,44 +443,6 @@ def current_basis(a: FieldElement, b: FieldElement, c: FieldElement,
     return basis
 
 
-def wedge_basis(gram: Matrix, rows: Sequence[Vector],
-                squares: Sequence[FieldElement]) -> CurrentBasis:
-    """The distinguished basis for the rows w1..w4, in standard coordinates,
-    from the wedges w_r ^ w_s = (w_r^T w_s - w_s^T w_r) G.
-
-    For rows orthogonal under the Gram matrix G with squares (a', b', c',
-    d') and B the matrix of the rows, B G B^T = G' = diag(a', b', c', d')
-    gives B^-T = G'^-1 B G, so B^T E_rs B^-T = w_r^T w_s G / g'_s: the
-    conjugate B^T m B^-T of each matrix m of current_basis(a', b', c', d')
-    is a multiple of a wedge.  Nothing is checked here; other rows give
-    skew-adjoint wedges, in general without the table of
-    diag(a', b', c', d').
-    """
-    field = gram.field
-    a, b, c, _ = squares
-    w1, w2, w3, w4 = rows
-
-    def wedge(u: Sequence[FieldElement], v: Sequence[FieldElement]) -> Matrix:
-        out = [[field.zero()] * 4 for _ in range(4)]
-        for p in range(4):
-            for q in range(p + 1, 4):
-                x = u[p] * v[q] - v[p] * u[q]
-                out[p][q], out[q][p] = x, -x
-        return Matrix(field, out) * gram
-
-    def scaled(s: FieldElement, u: Sequence[FieldElement]) -> Vector:
-        return tuple(s * x for x in u)
-
-    return CurrentBasis(
-        wedge(w1, w2),
-        wedge(w2, w3),
-        wedge(w1, w3),
-        wedge(scaled(a * b, w3), w4),
-        wedge(scaled(b * c, w1), w4),
-        wedge(scaled(a * c, w4), w2),
-    )
-
-
 def current_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
     """M for diag(a, b, c, d) on its distinguished basis f1..f3, h1..h3."""
     return algebra_from_matrices(entries[0].field, current_basis(*entries).matrices())

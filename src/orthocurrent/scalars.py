@@ -706,26 +706,6 @@ def inv(x: FieldElement) -> FieldElement:
     return FieldElement(field, (u * n_inv, -(v * n_inv)))
 
 
-def common_denominator(field: FieldDescriptor, xs) -> FieldElement:
-    """Nonzero d with d*x of denominator 1 for every x in xs: 1 over F_p,
-    the lcm of the denominators over Q, their monic lcm over F_p(t), and
-    the base field's answer for both coordinates over F[sqrt D]."""
-    kind = field.kind
-    if kind == KIND_RATIONALS:
-        return field.from_int(math.lcm(*(x.payload.denominator for x in xs)))
-    if kind == KIND_FUNFIELD:
-        lcm = Poly.const(field.p, 1)
-        for den in {x.payload[1] for x in xs}:
-            if not den.is_one():
-                lcm = lcm * (den // poly_gcd(lcm, den))
-        return FieldElement(field, (lcm, Poly.const(field.p, 1)))
-    if kind == KIND_QUADEXT:
-        base = field.base
-        d = common_denominator(base, [c for x in xs for c in x.payload])
-        return FieldElement(field, (d, base.zero()))
-    return field.one()
-
-
 # ---------------------------------------------------------------------------
 # Square roots.
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ from .liealg import (
     Tensor,
     Vector,
     WrongDimension,
-    _check_skew,
     algebra_from_matrices,
     bracket_span,
     core_basis,
@@ -62,12 +61,10 @@ from .liealg import (
     is_ideal,
     paper_table,
     quotient_algebra,
-    realization_mismatch,
     skew_adjoint_algebra,
     table_rows,
     tables_equal,
     tensor_current,
-    wedge_basis,
 )
 from .scalars import (
     DescriptorMismatch,
@@ -77,9 +74,7 @@ from .scalars import (
     KIND_PRIME,
     KIND_QUADEXT,
     check_literal_digits,
-    common_denominator,
     function_field,
-    inv,
     is_square,
     lift_to_extension,
     parse_field,
@@ -241,46 +236,12 @@ def _small_element(field: FieldDescriptor, rng: random.Random) -> FieldElement:
     return field.from_int(rng.randint(-2, 2))
 
 
-def _rescaled(constants: Tensor, deltas: Sequence[FieldElement]) -> Tensor:
-    """The table of the d_i x_i, for nonzero d_i, when `constants` is that of
-    the x_i: [d_i x_i, d_j x_j] = sum_k (d_i d_j c_ijk / d_k) d_k x_k."""
-    if all(d.is_one() for d in deltas):
-        return constants
-    inverses = [inv(d) for d in deltas]
-    return tuple(
-        tuple(
-            tuple(c if c.is_zero() else deltas[i] * deltas[j] * c * inverses[k]
-                  for k, c in enumerate(entry))
-            for j, entry in enumerate(row)
-        )
-        for i, row in enumerate(constants)
-    )
-
-
-def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int) -> RandomWReport:
-    """Re-verify the table identity for a random 3-dimensional subspace.
-
-    The restriction is orthogonalized and extended by the 1-dimensional
-    orthogonal complement to an orthogonal basis w1..w4 of the whole
-    space, and the distinguished basis for it is built in standard
-    coordinates as wedges of the w_i (`wedge_basis`): these are the
-    conjugates B^T m B^-T of the distinguished basis for the new diagonal
-    entries.  The conjugates have the paper's table for the new diagonal
-    entries exactly when they are independent (rank 6) and their
-    commutators realize that table's constants: coordinates in an
-    independent set are unique.  Their rank is read from their entries at
-    the pivots of [L, L]'s echelon basis: those entries are a linear image
-    of each conjugate, so rank 6 there makes the conjugates independent,
-    and on [L, L] they are its coordinates, so the two ranks agree there.
-    The conjugates span [L, L] exactly when they lie in it and that rank
-    is its dimension.
-
-    Each conjugate x_i is checked as n_i = d_i x_i, with d_i a common
-    denominator of its entries, so that the products of the skew check and
-    the commutators run on entries of denominator 1.  Scaling by nonzero
-    d_i keeps the span and the skew-adjointness, and the n_i realize the
-    rescaled table exactly when the x_i realize the table.
-    """
+def _orthogonal_rows(pipe: Pipeline, rng: random.Random, max_tries: int,
+                     ) -> tuple[int, Subspace, tuple[Vector, ...], tuple[FieldElement, ...]]:
+    """A random 3-dimensional subspace W with nondegenerate restriction, an
+    orthogonal basis w1, w2, w3 of W and w4 spanning its orthogonal
+    complement, as (attempt, W, (w1, w2, w3, w4), (a', b', c', d')) with
+    the squares that the orthogonalization claims and d' = f(w4, w4)."""
     field = pipe.field
     form = pipe.form
     for attempt in range(1, max_tries + 1):
@@ -298,23 +259,45 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int) -> RandomW
         d4 = form.evaluate(w4, w4)
         if d4.is_zero():
             raise Degenerate("orthogonal complement is degenerate")
-        primed = tuple(ortho.diagonal) + (d4,)
-        std_mats = wedge_basis(form.gram, w_rows + (w4,), primed).matrices()
-        deltas = [common_denominator(field, m.flatten()) for m in std_mats]
-        cleared = [m if d.is_one() else m.scale(d) for m, d in zip(std_mats, deltas)]
-        _check_skew(cleared, form.gram)
-        flats = [m.flatten() for m in cleared]
-        derived = pipe.derived_span
-        coords = [[v[p] for p in derived.pivots] for v in flats]
-        rank = canonicalize_subspace(field, coords, derived.dim).dim
-        spans_match = _spans(flats, rank, derived)
-        d_primed = primed[0] * primed[1] * primed[2] * primed[3]
-        expected = _rescaled(paper_table(table_rows(*primed)), deltas)
-        equal = rank == len(cleared) and realization_mismatch(expected, cleared) is None
-        return RandomWReport(attempt, w, primed, d_primed, equal, spans_match)
+        return attempt, w, w_rows + (w4,), tuple(ortho.diagonal) + (d4,)
     raise NondegenerateWRequired(
         f"no nondegenerate restriction found in {max_tries} attempts"
     )
+
+
+def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int) -> RandomWReport:
+    """Re-verify the table identity for a random 3-dimensional subspace.
+
+    The restriction is orthogonalized and extended by the 1-dimensional
+    orthogonal complement to an orthogonal basis w1..w4 of the whole
+    space, with squares G' = diag(a', b', c', d').  The leg checks three
+    facts:
+
+    - isometry: f(w_r, w_s) is g'_r for r = s and 0 otherwise, for the 10
+      pairs r <= s, that is B G B^T = G' for B the matrix of the rows;
+    - table: M for G', built by `current_algebra`, has the paper's table
+      at (a', b', c', d');
+    - span: its basis spans [L', L'], the derived span of G'.
+
+    G' is nonsingular, so the isometry makes B invertible, and
+    x -> B^T x B^-T is then a Lie isomorphism from L(G') onto L(G).  It
+    carries [L', L'] onto [L, L] and the distinguished basis for G' onto
+    the conjugated basis B^T m B^-T of M, so the two facts at G' are facts
+    about that basis.  `random_w_tables_match` is isometry and table,
+    `random_w_spans_match` is isometry and span.
+    """
+    attempt, w, rows, primed = _orthogonal_rows(pipe, rng, max_tries)
+    form, zero = pipe.form, pipe.field.zero()
+    isometry = all(
+        form.evaluate(rows[r], rows[s]) == (primed[r] if r == s else zero)
+        for r in range(4) for s in range(r, 4)
+    )
+    at_primed = current_algebra(primed)
+    table = tables_equal(at_primed.constants, paper_table(table_rows(*primed)))
+    derived = _derived_span(diagonal_form(pipe.field, primed))[1]
+    span = _spans([m.flatten() for m in at_primed.realization], at_primed.dim, derived)
+    d_primed = primed[0] * primed[1] * primed[2] * primed[3]
+    return RandomWReport(attempt, w, primed, d_primed, isometry and table, isometry and span)
 
 
 def verify_current_form(field: FieldDescriptor, entries: Sequence[FieldElement],

@@ -4,13 +4,15 @@ Each one is the plain textbook construction, kept out of the library
 because no command runs it.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 from orthocurrent.exact_linalg import Matrix, ShapeMismatch, Subspace, canonicalize_subspace
 from orthocurrent.forms import BilinearForm
 from orthocurrent.liealg import (
+    CurrentBasis,
     LieAlgebraSC,
     NotClosed,
     NotIndependent,
@@ -23,11 +25,13 @@ from orthocurrent.oracle import UnsupportedField, _apply, _insert, _key, _to_sub
 from orthocurrent.scalars import (
     KIND_FUNFIELD,
     KIND_PRIME,
+    KIND_QUADEXT,
     KIND_RATIONALS,
     FieldDescriptor,
     FieldElement,
     Poly,
     _make_ratio,
+    poly_gcd,
     prime_field,
 )
 
@@ -221,6 +225,61 @@ def conjugated_current_basis(rows, squares) -> tuple[Matrix, ...]:
     b_t = Matrix(squares[0].field, rows).transpose()
     b_t_inv = inverse(b_t)
     return tuple(b_t * m * b_t_inv for m in current_basis(*squares).matrices())
+
+
+def wedge_basis(gram: Matrix, rows, squares) -> CurrentBasis:
+    """The distinguished basis for the rows w1..w4, in standard coordinates,
+    from the wedges w_r ^ w_s = (w_r^T w_s - w_s^T w_r) G.
+
+    For rows orthogonal under the Gram matrix G with squares (a', b', c',
+    d') and B the matrix of the rows, B G B^T = G' = diag(a', b', c', d')
+    gives B^-T = G'^-1 B G, so B^T E_rs B^-T = w_r^T w_s G / g'_s: the
+    conjugate B^T m B^-T of each matrix m of current_basis(a', b', c', d')
+    is a multiple of a wedge, with no inverse taken.
+    """
+    field = gram.field
+    a, b, c, _ = squares
+    w1, w2, w3, w4 = rows
+
+    def wedge(u, v) -> Matrix:
+        out = [[field.zero()] * 4 for _ in range(4)]
+        for p in range(4):
+            for q in range(p + 1, 4):
+                x = u[p] * v[q] - v[p] * u[q]
+                out[p][q], out[q][p] = x, -x
+        return Matrix(field, out) * gram
+
+    def scaled(s: FieldElement, u) -> tuple[FieldElement, ...]:
+        return tuple(s * x for x in u)
+
+    return CurrentBasis(
+        wedge(w1, w2),
+        wedge(w2, w3),
+        wedge(w1, w3),
+        wedge(scaled(a * b, w3), w4),
+        wedge(scaled(b * c, w1), w4),
+        wedge(scaled(a * c, w4), w2),
+    )
+
+
+def common_denominator(field: FieldDescriptor, xs: Sequence[FieldElement]) -> FieldElement:
+    """Nonzero d with d*x of denominator 1 for every x in xs: 1 over F_p,
+    the lcm of the denominators over Q, their monic lcm over F_p(t), and
+    the base field's answer for both coordinates over F[sqrt D]."""
+    kind = field.kind
+    if kind == KIND_RATIONALS:
+        return field.from_int(math.lcm(*(x.payload.denominator for x in xs)))
+    if kind == KIND_FUNFIELD:
+        lcm = Poly.const(field.p, 1)
+        for den in {x.payload[1] for x in xs}:
+            if not den.is_one():
+                lcm = lcm * (den // poly_gcd(lcm, den))
+        return FieldElement(field, (lcm, Poly.const(field.p, 1)))
+    if kind == KIND_QUADEXT:
+        base = field.base
+        d = common_denominator(base, [c for x in xs for c in x.payload])
+        return FieldElement(field, (d, base.zero()))
+    return field.one()
 
 
 def iter_echelon(q: int, n: int, k: int):

@@ -7,7 +7,6 @@ import pytest
 
 from orthocurrent import cli, liealg, structure
 from orthocurrent.cli import execute, main, parse_args, recheck_json
-from orthocurrent.exact_linalg import Matrix
 from orthocurrent.scalars import MAX_LITERAL_DIGITS
 
 
@@ -367,20 +366,6 @@ def test_recheck_malformed_documents_fail(command):
 def test_recheck_unknown_document_fails():
     for doc in [{}, {"command": "nonsense"}, [], "classify"]:
         assert recheck_json(doc) == [{"name": "document_well_formed", "ok": False}]
-
-
-def test_random_w_skew_check_exits_1(monkeypatch):
-    # Wedges without their factor G are antisymmetric, which is not
-    # skew-adjoint for diag(1, 2, 3, 4); the check raises a domain error,
-    # so verify exits 1 with a message.
-    real = structure.wedge_basis
-    monkeypatch.setattr(
-        structure, "wedge_basis",
-        lambda gram, rows, squares: real(Matrix.identity(gram.field, 4), rows, squares),
-    )
-    code, out = run(["verify", "--field", "Q", "--form", "1,2,3,4"])
-    assert code == 1 and out == "error: basis matrix is not skew-adjoint"
-
 
 
 def _break_table_identity(monkeypatch):

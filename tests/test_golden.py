@@ -19,9 +19,7 @@ from pathlib import Path
 import pytest
 
 import orthocurrent
-from orthocurrent import structure
 from orthocurrent.cli import execute, parse_args, recheck_json
-from orthocurrent.scalars import parse_scalar
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
@@ -87,28 +85,6 @@ def test_golden_files_cover_every_document(fresh):
 @pytest.mark.parametrize("name", _golden_names())
 def test_output_is_byte_identical(fresh, name):
     assert (GOLDEN / name).read_bytes() == fresh[name].encode()
-
-
-def test_verify_documents_hold_for_any_multiple_of_the_common_denominator(monkeypatch):
-    """The random-W leg may clear each conjugate by any nonzero multiple of
-    a common denominator: t*d over F_p(t) and 2*d over Q leave every verify
-    document of those fields byte-identical."""
-    real = structure.common_denominator
-    calls = []
-
-    def larger(field, xs):
-        calls.append(field)
-        factor = field.from_int(2) if field.var is None else parse_scalar(field.var, field)
-        return real(field, xs) * factor
-
-    monkeypatch.setattr(structure, "common_denominator", larger)
-    for name, field, form in FORMS:
-        if field not in ("Q", "F2(t)", "F3(t)"):
-            continue
-        args = ["verify", "--field", field, "--form", form]
-        for suffix, extra in ((".json", ["--json"]), (".txt", [])):
-            assert (GOLDEN / (name + ".verify" + suffix)).read_text() == _run(args + extra) + "\n"
-    assert calls
 
 
 def test_documents_survive_optimized_mode():

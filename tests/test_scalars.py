@@ -16,7 +16,6 @@ from orthocurrent.scalars import (
     DescriptorMismatch,
     ParseError,
     Poly,
-    common_denominator,
     function_field,
     inv,
     is_square,
@@ -32,7 +31,7 @@ from orthocurrent.scalars import (
     render_scalar,
 )
 
-from reference import random_element
+from reference import common_denominator, random_element
 
 Q = rationals()
 F2 = prime_field(2)
@@ -402,7 +401,7 @@ def _integral(x):
 
 
 def _lcm_of_denominators(field, xs):
-    """Pairwise a*b/gcd(a, b), without the library's deduplication."""
+    """Pairwise a*b/gcd(a, b), without the reference's deduplication."""
     if field.kind == KIND_RATIONALS:
         out = 1
         for x in xs:

@@ -14,12 +14,13 @@ from orthocurrent.forms import diagonal_form, make_form
 from orthocurrent.liealg import (
     LieAlgebraSC,
     NotClosed,
+    algebra_from_matrices,
     bracket_span,
     current_algebra,
     current_basis,
     paper_table,
+    realization_mismatch,
     table_rows,
-    wedge_basis,
 )
 from orthocurrent.scalars import (
     function_field,
@@ -48,10 +49,12 @@ from orthocurrent.structure import (
 
 from reference import (
     closed_and_perfect,
+    common_denominator,
     conjugated_current_basis,
     derived_span_by_coordinates,
     ideal_closure,
     random_element,
+    wedge_basis,
 )
 from test_golden import FORMS as GOLDEN_FORMS
 
@@ -201,19 +204,24 @@ def test_table_identity_failure_reaches_every_report(monkeypatch):
     assert _failed(recheck_certificate_json(certificate_to_json(cert))) == {"tables_match"}
 
 
-def _patch_leg_basis(monkeypatch, edit):
-    """Edit the distinguished basis the random-W leg builds, and only there:
-    the pipeline builds M through liealg.current_algebra."""
-    real = structure.wedge_basis
-    monkeypatch.setattr(structure, "wedge_basis", lambda *args: edit(real(*args)))
+def _patch_primed_algebra(monkeypatch, entries, edit):
+    """Edit the distinguished basis of M for the random-W leg's diagonal, and
+    only there: the pipeline builds M for the form's own entries through the
+    same structure.current_algebra."""
+    real = structure.current_algebra
+
+    def patched(diagonal):
+        if tuple(diagonal) == tuple(entries):
+            return real(diagonal)
+        return algebra_from_matrices(diagonal[0].field, edit(current_basis(*diagonal)).matrices())
+
+    monkeypatch.setattr(structure, "current_algebra", patched)
 
 
-def test_random_w_table_is_read_from_the_conjugates(monkeypatch):
-    """A multiple of f1 keeps the conjugates skew-adjoint and their span,
-    but not their table, so only random_w_tables_match may fail.  A table
-    taken from M for the new diagonal instead of from the conjugates would
-    pass.  Over F_p(t) and its extensions the conjugates are checked after
-    clearing their denominators."""
+def test_random_w_table_is_read_at_the_primed_diagonal(monkeypatch):
+    """f1 scaled at G' only keeps the basis independent and its span, so
+    only random_w_tables_match may fail: the leg compares M's table at G'
+    with the paper's rows at (a', b', c', d'), not with M's table at G."""
     for field_literal, form, factor in [
         ("Q", "1,2,1,2", "2"),
         ("F3", "1,2,1,2", "2"),
@@ -222,17 +230,19 @@ def test_random_w_table_is_read_from_the_conjugates(monkeypatch):
     ]:
         field = parse_field(field_literal)
         scalar = parse_scalar(factor, field)
+        entries = [parse_scalar(x, field) for x in form.split(",")]
         with monkeypatch.context() as mp:
-            _patch_leg_basis(mp, lambda cb: dataclasses.replace(cb, f1=cb.f1.scale(scalar)))
-            report = verify_current_form(field, [parse_scalar(x, field) for x in form.split(",")])
+            _patch_primed_algebra(
+                mp, entries, lambda cb: dataclasses.replace(cb, f1=cb.f1.scale(scalar)))
+            report = verify_current_form(field, entries)
         assert report.random_w.spans_match and not report.random_w.equal
         assert _failed(report.checks) == {"random_w_tables_match"}
 
 
-def _verify_f3t_counting(monkeypatch, owner, name):
-    """Calls of owner.name during one F3(t) 1,1,t+1,t verify, which passes."""
+def _verify_f3t_counting(monkeypatch, owner, name, form="1,1,t+1,t"):
+    """Calls of owner.name during one F3(t) verify of the form, which passes."""
     field = parse_field("F3(t)")
-    entries = [parse_scalar(x, field) for x in "1,1,t+1,t".split(",")]
+    entries = [parse_scalar(x, field) for x in form.split(",")]
     calls = []
     real = getattr(owner, name)
     monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or real(*args))
@@ -241,40 +251,54 @@ def _verify_f3t_counting(monkeypatch, owner, name):
 
 
 def test_verify_products_stay_gcd_free(monkeypatch):
-    """The random-W leg builds its basis as wedges of its rows and multiplies
-    entries of denominator 1, and elimination works on the pivot row's
-    nonzero entries right of the pivot, and M's and the core's coordinates
-    are read at entries: 768 polynomial gcds here.  Solving those
-    coordinates by elimination read 794; conjugating the distinguished
-    basis by B^T (.) B^-T with an explicit inverse read 1114; products of
-    fractions in the leg show as about 2900."""
+    """794 polynomial gcds here.  The random-W leg checks its rows by 10
+    values of the form and builds M and [L', L'] at the primed diagonal
+    from two-entry matrices; checking its conjugates' 15 dense commutators
+    instead read 768 on entries cleared of denominators, and about 2900
+    on fractions."""
     assert 0 < _verify_f3t_counting(monkeypatch, scalars, "poly_gcd") <= 845
 
 
 def test_verify_multiplications_stay_few(monkeypatch):
-    """1698 field multiplications here; solving M's and the core's
-    coordinates by elimination read 1734.  Conjugating the distinguished
-    basis by B^T (.) B^-T with an explicit inverse read 1823; building the
-    leg's expected table through two checked algebras, eliminating its
-    6 x 16 conjugates and scaling every entry of each pivot row read
-    2698."""
-    assert 0 < _verify_f3t_counting(monkeypatch, scalars.FieldElement, "__mul__") <= 1900
+    """780 field multiplications here; checking the random-W leg's
+    conjugates by their 15 dense commutators read 1698."""
+    assert 0 < _verify_f3t_counting(monkeypatch, scalars.FieldElement, "__mul__") <= 900
 
 
-def test_an_escaping_conjugate_fails_the_leg_without_raising(monkeypatch):
-    """In characteristic 2 the identity is skew-adjoint for every diagonal
-    form but lies outside [L, L].  With h3 replaced by it, a conjugate
-    escapes the derived span; both of the leg's checks fail and nothing
-    raises."""
-    for field_literal, form in [("F2(t)", "1,t,t+1,t^2+1"), ("F2", "1,1,1,1")]:
+def test_large_literal_verify_multiplications_stay_few(monkeypatch):
+    """793 field multiplications for entries of degree 48 to 50, about as
+    many as at degree 1; checking the random-W leg's conjugates by their
+    15 dense commutators read 1711."""
+    count = _verify_f3t_counting(
+        monkeypatch, scalars.FieldElement, "__mul__", "t^50+1,t^49+2,t^48,t^50+t")
+    assert 0 < count <= 1000
+
+
+def test_a_foreign_derived_span_at_the_primed_diagonal_fails_the_leg_span(monkeypatch):
+    """[L', L'] replaced by the derived span of diag(1, 1, 1, 1) for the
+    leg's form only: M's basis at G' still has the paper's table and the
+    rows are still orthogonal, so only random_w_spans_match fails, and
+    nothing raises."""
+    real = structure._derived_span
+    for field_literal, form in [
+        ("Q", "1,2,3,4"),
+        ("F3(t)", "1,1,t+1,t"),
+        ("F2(t)", "1,t,t+1,t^2+1"),
+    ]:
         field = parse_field(field_literal)
         entries = [parse_scalar(x, field) for x in form.split(",")]
-        ident = Matrix.identity(field, 4)
-        assert not build_pipeline(field, entries).derived_span.contains(ident.flatten())
+        own = diagonal_form(field, entries).gram
+
+        def foreign(form, own=own):
+            if form.dim == 4 and form.gram != own:
+                return real(diagonal_form(form.field, [form.field.one()] * 4))
+            return real(form)
+
         with monkeypatch.context() as mp:
-            _patch_leg_basis(mp, lambda cb: dataclasses.replace(cb, h3=ident))
+            mp.setattr(structure, "_derived_span", foreign)
             report = verify_current_form(field, entries)
-        assert _failed(report.checks) == {"random_w_spans_match", "random_w_tables_match"}
+        assert report.random_w.equal and not report.random_w.spans_match
+        assert _failed(report.checks) == {"random_w_spans_match"}
 
 
 @pytest.mark.parametrize("literal", ["Q", "F3", "F3(t)", "F2(t)", "F3[sqrt 2]"])
@@ -290,23 +314,6 @@ def test_paper_table_is_core_tensor_quadratic_quotient(literal, seed):
     assert paper_table(table_rows(a, b, c, d)) == expected.constants
 
 
-class _LegBasis(Exception):
-    """Carries the arguments the random-W leg hands to wedge_basis."""
-
-
-def _leg_basis_arguments(field, entries, seed):
-    """(G, rows w1..w4, squares) of the random-W leg for diag(entries) at
-    this seed: its W, the orthogonal basis of W and w4."""
-    def capture(*args):
-        raise _LegBasis(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(structure, "wedge_basis", capture)
-        with pytest.raises(_LegBasis) as caught:
-            structure._random_w_leg(build_pipeline(field, entries), random.Random(seed), 32)
-    return caught.value.args
-
-
 LEG_FIELDS = ["Q", "F3", "F3(t)", "F2(t)", "F3[sqrt 2]", "F2(t)[sqrt t+1]"]
 
 
@@ -314,13 +321,26 @@ LEG_FIELDS = ["Q", "F3", "F3(t)", "F2(t)", "F3[sqrt 2]", "F2(t)[sqrt t+1]"]
 @settings(max_examples=5, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32))
 def test_wedges_are_the_conjugated_distinguished_basis(literal, seed):
-    """On the leg's own rows, the wedges equal B^T m B^-T for the matrices
-    m of current_basis at the leg's diagonal, computed with an inverse."""
+    """The dense path that the leg's isometry check replaces, as a
+    reference.  On the leg's own rows w1..w4, the conjugates B^T m B^-T of
+    current_basis at the leg's diagonal (multiples of the wedges
+    w_r ^ w_s), computed with an inverse, realize the paper's table at that
+    diagonal, lie in [L, L] and have rank 6.  They are the wedges, and
+    cleared of their denominators they keep their span."""
     field = parse_field(literal)
     rng = random.Random(seed)
     entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
-    gram, rows, squares = _leg_basis_arguments(field, entries, seed)
-    assert wedge_basis(gram, rows, squares).matrices() == conjugated_current_basis(rows, squares)
+    pipe = build_pipeline(field, entries)
+    _, _, rows, primed = structure._orthogonal_rows(pipe, random.Random(seed), 32)
+    conjugates = conjugated_current_basis(rows, primed)
+    assert wedge_basis(pipe.form.gram, rows, primed).matrices() == conjugates
+    assert realization_mismatch(paper_table(table_rows(*primed)), conjugates) is None
+    flats = [m.flatten() for m in conjugates]
+    assert all(pipe.derived_span.contains(v) for v in flats)
+    span = canonicalize_subspace(field, flats, 16)
+    assert span.dim == 6
+    cleared = [m.scale(common_denominator(field, m.flatten())).flatten() for m in conjugates]
+    assert canonicalize_subspace(field, cleared, 16) == span
 
 
 @pytest.mark.parametrize("literal", LEG_FIELDS)
@@ -336,10 +356,10 @@ def test_wedges_of_the_standard_basis_are_the_distinguished_basis(literal, seed)
 
 
 def test_a_non_orthogonal_basis_fails_the_leg_table_without_raising(monkeypatch):
-    """w1 replaced by w1 + w2, with the diagonal kept: the wedges stay
-    skew-adjoint and span [L, L], but w1 + w2 is not orthogonal to w2, so
-    only random_w_tables_match fails.  (2 w1 would not do: over F3 and
-    F3(t) it has the square of w1 and stays orthogonal.)"""
+    """w1 replaced by w1 + w2, with the diagonal kept: w1 + w2 is not
+    orthogonal to w2, so the isometry fails, and with it both of the leg's
+    checks; nothing raises.  (2 w1 would not do: over F3 and F3(t) it has
+    the square of w1 and stays orthogonal.)"""
     real = structure.orthogonalize
 
     def skewed(form):
@@ -358,21 +378,56 @@ def test_a_non_orthogonal_basis_fails_the_leg_table_without_raising(monkeypatch)
         with monkeypatch.context() as mp:
             mp.setattr(structure, "orthogonalize", skewed)
             report = verify_current_form(field, [parse_scalar(x, field) for x in form.split(",")])
-        assert _failed(report.checks) == {"random_w_tables_match"}
+        assert _failed(report.checks) == {"random_w_spans_match", "random_w_tables_match"}
 
 
-def test_dependent_conjugates_fail_without_raising(monkeypatch):
-    """Rank 5 (h3 = h2), and rank 0, where zero matrices realize every
-    table: the rank, not the realization, must reject them."""
-    zero = Q.zero()
-    edits = [
-        lambda cb: dataclasses.replace(cb, h3=cb.h2),
-        lambda cb: type(cb)(*(m.scale(zero) for m in cb.matrices())),
-    ]
-    for edit in edits:
+def test_a_wrong_claimed_square_fails_the_leg_isometry(monkeypatch):
+    """a' claimed as s^2 a', with s^2 != 1: M at the claimed diagonal has
+    the paper's table there and spans its derived span, but w1 has square
+    a', so the isometry fails, and with it both of the leg's checks.  D'
+    keeps its square class, so the invariant holds; nothing raises."""
+    real = structure.orthogonalize
+    for field_literal, form, square in [
+        ("Q", "1,2,3,4", "4"),
+        ("F5", "1,2,3,4", "4"),
+        ("F3(t)", "1,1,t+1,t", "t^2"),
+        ("F2(t)", "1,t,t+1,t^2+1", "t^2"),
+    ]:
+        field = parse_field(field_literal)
+        factor = parse_scalar(square, field)
+
+        def misclaimed(form, factor=factor):
+            ortho = real(form)
+            first, *rest = ortho.diagonal
+            return dataclasses.replace(ortho, diagonal=(first * factor, *rest))
+
         with monkeypatch.context() as mp:
-            _patch_leg_basis(mp, edit)
-            report = verify_current_form(Q, ints(Q, [1, 2, 3, 4]))
+            mp.setattr(structure, "orthogonalize", misclaimed)
+            report = verify_current_form(field, [parse_scalar(x, field) for x in form.split(",")])
+        assert _failed(report.checks) == {"random_w_spans_match", "random_w_tables_match"}
+
+
+def test_a_complement_row_that_is_not_orthogonal_fails_the_leg_isometry(monkeypatch):
+    """w4 replaced by w4 + u, for u the first basis row of W: the leg takes
+    d' as the square of the row it has, so only the off-diagonal pairs of
+    the isometry see that the row is not orthogonal to W.  Both of the
+    leg's checks fail; D' keeps its square class here, and nothing
+    raises."""
+    real = structure.orthogonal_complement
+
+    def tilted(form, w):
+        row = real(form, w).basis.rows[0]
+        return canonicalize_subspace(form.field, [[x + y for x, y in zip(row, w.basis.rows[0])]], 4)
+
+    for field_literal, form in [
+        ("Q", "1,2,3,4"),
+        ("F3(t)", "1,1,t+1,t"),
+        ("F2(t)", "1,t,t+1,t^2+1"),
+    ]:
+        field = parse_field(field_literal)
+        with monkeypatch.context() as mp:
+            mp.setattr(structure, "orthogonal_complement", tilted)
+            report = verify_current_form(field, [parse_scalar(x, field) for x in form.split(",")])
         assert _failed(report.checks) == {"random_w_spans_match", "random_w_tables_match"}
 
 
