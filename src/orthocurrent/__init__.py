@@ -37,10 +37,8 @@ from .forms import (
 )
 from .liealg import (
     CoefficientAlgebra,
-    CurrentBasis,
     LieAlgebraSC,
     algebra_from_matrices,
-    core_basis,
     current_algebra,
     current_basis,
     quotient_algebra,

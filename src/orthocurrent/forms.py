@@ -1,11 +1,11 @@
 """Symmetric bilinear forms: validation, discriminant, orthogonalization.
 
-A form is stored through its Gram matrix together with cached degeneracy
-and alternation flags.  Orthogonalization is constructive and works in
-every characteristic; in characteristic 2 a non-alternating hypothesis is
-required (an alternating form admits no orthogonal basis there), and the
-algorithm repairs alternating residual blocks by borrowing the most
-recently completed anisotropic vector.
+A form is stored through its Gram matrix together with its cached
+determinant and alternation flag.  Orthogonalization is constructive and
+works in every characteristic; in characteristic 2 a non-alternating
+hypothesis is required (an alternating form admits no orthogonal basis
+there), and the algorithm repairs alternating residual blocks by
+borrowing the most recently completed anisotropic vector.
 """
 
 from __future__ import annotations
@@ -30,17 +30,21 @@ class AlternatingChar2(ValueError):
 
 
 class BilinearForm:
-    """Symmetric bilinear form with cached nondegeneracy and alternation."""
+    """Symmetric bilinear form with cached determinant and alternation."""
 
-    __slots__ = ("field", "dim", "gram", "nondegenerate", "alternating")
+    __slots__ = ("field", "dim", "gram", "determinant", "alternating")
 
-    def __init__(self, field: FieldDescriptor, gram: Matrix, nondegenerate: bool,
+    def __init__(self, field: FieldDescriptor, gram: Matrix, determinant: FieldElement,
                  alternating: bool):
         self.field = field
         self.dim = gram.nrows
         self.gram = gram
-        self.nondegenerate = nondegenerate
+        self.determinant = determinant
         self.alternating = alternating
+
+    @property
+    def nondegenerate(self) -> bool:
+        return not self.determinant.is_zero()
 
     def evaluate(self, u: Sequence[FieldElement], v: Sequence[FieldElement]) -> FieldElement:
         acc = self.field.zero()
@@ -58,9 +62,8 @@ class BilinearForm:
 
 
 def _build_form(gram: Matrix) -> BilinearForm:
-    nondeg = not det(gram).is_zero()
     alternating = all(gram.rows[i][i].is_zero() for i in range(gram.nrows))
-    return BilinearForm(gram.field, gram, nondeg, alternating)
+    return BilinearForm(gram.field, gram, det(gram), alternating)
 
 
 def make_form(gram: Matrix) -> BilinearForm:
@@ -84,8 +87,9 @@ def diagonal_form(field: FieldDescriptor, entries: Sequence[FieldElement]) -> Bi
 
 
 def discriminant(form: BilinearForm) -> FieldElement:
-    """Determinant of the Gram matrix relative to the stored basis."""
-    return det(form.gram)
+    """Determinant of the Gram matrix relative to the stored basis, as
+    computed when the form was built."""
+    return form.determinant
 
 
 def restrict(form: BilinearForm, subspace: Subspace) -> BilinearForm:

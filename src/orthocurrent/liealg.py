@@ -16,7 +16,6 @@ which is what the verification and classification layers exploit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 from typing import Optional, Sequence
@@ -351,35 +350,8 @@ def quotient_algebra(alg: LieAlgebraSC, ideal: Subspace) -> LieAlgebraSC:
 
 
 # ---------------------------------------------------------------------------
-# The distinguished basis of the derived algebra in dimension 4.
+# The distinguished basis of M and of the core, and the paper's table.
 # ---------------------------------------------------------------------------
-
-
-def _two_entry(field: FieldDescriptor, n: int, first: tuple[int, int, FieldElement],
-               second: tuple[int, int, FieldElement]) -> Matrix:
-    """n x n matrix whose only nonzero entries are the two (row, col, value)
-    triples, rows and columns counted from 1."""
-    rows = [[field.zero()] * n for _ in range(n)]
-    for i, j, x in (first, second):
-        rows[i - 1][j - 1] = x
-    return Matrix(field, rows)
-
-
-@dataclass(frozen=True)
-class CurrentBasis:
-    """Basis f1, f2, f3, h1, h2, h3 of the derived algebra of a diagonal
-    4-dimensional form, ordered to align with core tensor coefficient
-    algebra coordinates (f_i at position i, h_i at position 3 + i)."""
-
-    f1: Matrix
-    f2: Matrix
-    f3: Matrix
-    h1: Matrix
-    h2: Matrix
-    h3: Matrix
-
-    def matrices(self) -> tuple[Matrix, ...]:
-        return (self.f1, self.f2, self.f3, self.h1, self.h2, self.h3)
 
 
 def _diagonal_field(names: str, entries: Sequence[FieldElement]) -> FieldDescriptor:
@@ -415,39 +387,6 @@ def _check_skew(mats: Sequence[Matrix], gram: Matrix) -> None:
             raise InvalidStructure("basis matrix is not skew-adjoint")
 
 
-def current_basis(a: FieldElement, b: FieldElement, c: FieldElement,
-                  d: FieldElement) -> CurrentBasis:
-    """Distinguished basis of the derived algebra for diag(a, b, c, d).
-
-    Each matrix is verified skew-adjoint for the diagonal Gram matrix.
-    The six supports {(1,2),(2,1)}, {(2,3),(3,2)}, {(1,3),(3,1)},
-    {(3,4),(4,3)}, {(1,4),(4,1)} and {(2,4),(4,2)} are disjoint, and every
-    entry is a nonzero monomial in a, b, c, d, so each matrix is nonzero
-    at entries of its own.  Independence is not checked here:
-    `current_algebra` hands the matrices to `algebra_from_matrices`, which
-    reads their coordinates at those entries and refuses, with
-    NotIndependent, matrices that lack them.
-    """
-    field = _diagonal_field("abcd", (a, b, c, d))
-    m = lambda first, second: _two_entry(field, 4, first, second)
-    ab, bc, ac = a * b, b * c, a * c
-    basis = CurrentBasis(
-        m((1, 2, b), (2, 1, -a)),
-        m((2, 3, c), (3, 2, -b)),
-        m((1, 3, c), (3, 1, -a)),
-        m((3, 4, ab * d), (4, 3, -(ab * c))),
-        m((1, 4, bc * d), (4, 1, -(bc * a))),
-        m((4, 2, ac * b), (2, 4, -(ac * d))),
-    )
-    _check_skew(basis.matrices(), Matrix.diagonal(field, [a, b, c, d]))
-    return basis
-
-
-def current_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
-    """M for diag(a, b, c, d) on its distinguished basis f1..f3, h1..h3."""
-    return algebra_from_matrices(entries[0].field, current_basis(*entries).matrices())
-
-
 # The paper's table in the distinguished basis, one row per nonzero bracket
 # of basis elements: coefficients refer to the diagonal entries a, b, c, d
 # and to D = abcd.
@@ -467,18 +406,77 @@ TABLE_ROWS = (
 )
 BASIS_NAMES = ("f1", "f2", "f3", "h1", "h2", "h3")
 
+# The distinguished basis, one row (name, r, s, kappa) per element in
+# BASIS_NAMES order: the element is kappa e_r ^ e_s, with
+# u ^ v = (u^T v - v^T u) G and kappa a product of diagonal entries ("" for
+# 1).  At the standard basis that is the matrix with kappa g_s at (r, s) and
+# -kappa g_r at (s, r).  The rows with r, s <= 3 are the core's basis for
+# diag(a, b, c).
+WEDGE_ROWS = (
+    ("f1", 1, 2, ""),
+    ("f2", 2, 3, ""),
+    ("f3", 1, 3, ""),
+    ("h1", 3, 4, "a b"),
+    ("h2", 1, 4, "b c"),
+    ("h3", 4, 2, "a c"),
+)
+
+
+def _coefficient(symbol: str, values: dict[str, FieldElement]) -> FieldElement:
+    """The product of the entries a symbol names, negated for a leading '-'."""
+    coeff = reduce(mul, (values[name] for name in symbol.lstrip("-").split()))
+    return -coeff if symbol.startswith("-") else coeff
+
+
+def current_basis(*entries: FieldElement) -> tuple[Matrix, ...]:
+    """The distinguished basis read from WEDGE_ROWS: f1, f2, f3, h1, h2, h3
+    of M for diag(a, b, c, d), or f1, f2, f3 of the core for diag(a, b, c).
+
+    Each matrix is verified skew-adjoint for the diagonal Gram matrix.  The
+    supports {(r, s), (s, r)} of the rows are disjoint, and every entry is
+    a nonzero monomial in the diagonal entries, so each matrix is nonzero
+    at entries of its own.  Independence is not checked here:
+    `current_algebra` hands the matrices to `algebra_from_matrices`, which
+    reads their coordinates at those entries and refuses, with
+    NotIndependent, matrices that lack them.
+    """
+    n = len(entries)
+    if n not in (3, 4):
+        raise WrongDimension("expected three or four diagonal entries")
+    field = _diagonal_field("abcd"[:n], entries)
+    values = dict(zip("abcd", entries))
+    basis = []
+    for _, r, s, kappa in WEDGE_ROWS:
+        if r > n or s > n:
+            continue
+        g_r, g_s = entries[r - 1], entries[s - 1]
+        if kappa:
+            k = _coefficient(kappa, values)
+            g_r, g_s = k * g_r, k * g_s
+        rows = [[field.zero()] * n for _ in range(n)]
+        rows[r - 1][s - 1], rows[s - 1][r - 1] = g_s, -g_r
+        basis.append(Matrix(field, rows))
+    _check_skew(basis, Matrix.diagonal(field, list(entries)))
+    return tuple(basis)
+
+
+def current_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
+    """M for diag(a, b, c, d) on f1..f3, h1..h3, or the core for
+    diag(a, b, c) on f1..f3: `current_basis` as a Lie algebra."""
+    basis = current_basis(*entries)
+    return algebra_from_matrices(basis[0].field, basis)
+
 
 def table_rows(a: FieldElement, b: FieldElement, c: FieldElement,
                d: FieldElement) -> tuple[tuple[int, int, int, FieldElement], ...]:
     """TABLE_ROWS for diag(a, b, c, d), each row as (i, j, k, coefficient)
     with [e_i, e_j] = coefficient e_k, indices in BASIS_NAMES order."""
     values = {"a": a, "b": b, "c": c, "d": d, "D": a * b * c * d}
-    rows = []
-    for left, right, symbol, target in TABLE_ROWS:
-        coeff = reduce(mul, (values[name] for name in symbol.lstrip("-").split()))
-        coeff = -coeff if symbol.startswith("-") else coeff
-        rows.append(tuple(BASIS_NAMES.index(name) for name in (left, right, target)) + (coeff,))
-    return tuple(rows)
+    return tuple(
+        tuple(BASIS_NAMES.index(name) for name in (left, right, target))
+        + (_coefficient(symbol, values),)
+        for left, right, symbol, target in TABLE_ROWS
+    )
 
 
 def paper_table(rows: Sequence[tuple[int, int, int, FieldElement]]) -> Tensor:
@@ -489,19 +487,6 @@ def paper_table(rows: Sequence[tuple[int, int, int, FieldElement]]) -> Tensor:
     for i, j, k, coeff in rows:
         table[i][j][k], table[j][i][k] = coeff, -coeff
     return tuple(tuple(tuple(entry) for entry in row) for row in table)
-
-
-def core_basis(a: FieldElement, b: FieldElement, c: FieldElement) -> tuple[Matrix, ...]:
-    """Basis f1, f2, f3 of the derived algebra for diag(a, b, c)."""
-    field = _diagonal_field("abc", (a, b, c))
-    m = lambda first, second: _two_entry(field, 3, first, second)
-    basis = (
-        m((1, 2, b), (2, 1, -a)),
-        m((2, 3, c), (3, 2, -b)),
-        m((1, 3, c), (3, 1, -a)),
-    )
-    _check_skew(basis, Matrix.diagonal(field, [a, b, c]))
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,7 @@ from .liealg import (
     Tensor,
     Vector,
     WrongDimension,
-    algebra_from_matrices,
     bracket_span,
-    core_basis,
     current_algebra,
     derived_series_of_subspace,
     derived_subspace,
@@ -150,15 +148,11 @@ def _derived_span(form: BilinearForm) -> tuple[int, Subspace]:
     return len(mats), derived
 
 
-def _spans(vectors: Sequence[Vector], rank: int, space: Subspace) -> bool:
-    """Whether vectors of the given rank span the space: exactly when that
-    rank is its dimension and each vector lies in it."""
-    return rank == space.dim and all(space.contains(v) for v in vectors)
-
-
-def _core_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
-    """The core for diag(a, b, c) on its f-basis."""
-    return algebra_from_matrices(entries[0].field, core_basis(*entries))
+def _spans(alg: LieAlgebraSC, space: Subspace) -> bool:
+    """Whether the algebra's matrices span the space: exactly when their
+    rank, the algebra's dimension since building it proved them independent,
+    is the space's dimension and each matrix lies in it."""
+    return alg.dim == space.dim and all(space.contains(m.flatten()) for m in alg.realization)
 
 
 def current_table(core: LieAlgebraSC, disc: FieldElement) -> LieAlgebraSC:
@@ -173,12 +167,10 @@ def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> P
     form = diagonal_form(field, entries)
     skew_dim, derived_span = _derived_span(form)
     algebra = current_algebra(entries)
-    core = _core_algebra(entries[:3])
+    core = current_algebra(entries[:3])
     disc = discriminant(form)
     identity = (
-        # Building M proved the six matrices independent, so their rank is 6.
-        Check("distinguished_basis_spans_derived",
-              _spans([m.flatten() for m in algebra.realization], algebra.dim, derived_span)),
+        Check("distinguished_basis_spans_derived", _spans(algebra, derived_span)),
         # M's table equals that of core tensor F[X]/(X^2 - D), entry by
         # entry under the positional correspondence.
         Check("tables_match",
@@ -295,7 +287,7 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int) -> RandomW
     at_primed = current_algebra(primed)
     table = tables_equal(at_primed.constants, paper_table(table_rows(*primed)))
     derived = _derived_span(diagonal_form(pipe.field, primed))[1]
-    span = _spans([m.flatten() for m in at_primed.realization], at_primed.dim, derived)
+    span = _spans(at_primed, derived)
     d_primed = primed[0] * primed[1] * primed[2] * primed[3]
     return RandomWReport(attempt, w, primed, d_primed, isometry and table, isometry and span)
 
@@ -331,8 +323,7 @@ def verify_current_form(field: FieldDescriptor, entries: Sequence[FieldElement],
     spans_derived, tables_match = pipe.identity
     checks = (
         spans_derived,
-        Check("core_basis_spans_derived",
-              _spans([m.flatten() for m in pipe.core.realization], pipe.core.dim, core_span)),
+        Check("core_basis_spans_derived", _spans(pipe.core, core_span)),
         tables_match,
         Check("dimension_laws", dimension_laws),
         Check("random_w_spans_match", random_w.spans_match),
@@ -617,7 +608,7 @@ def inseparable_counterexample(p: int = 2) -> CounterexampleReport:
     s_ext = u ** p
 
     # Core over F, then base-changed to K through t -> u^p.
-    core_k = _base_change(_core_algebra([base.one()] * 3), ext, lambda x: substitute(x, s_ext))
+    core_k = _base_change(current_algebra([base.one()] * 3), ext, lambda x: substitute(x, s_ext))
     descent = certify_simple_via_descent(core_k, base)
 
     coeff = power_quotient(s_ext, p)

@@ -12,7 +12,6 @@ from typing import Optional, Sequence
 from orthocurrent.exact_linalg import Matrix, ShapeMismatch, Subspace, canonicalize_subspace
 from orthocurrent.forms import BilinearForm
 from orthocurrent.liealg import (
-    CurrentBasis,
     LieAlgebraSC,
     NotClosed,
     NotIndependent,
@@ -224,12 +223,12 @@ def conjugated_current_basis(rows, squares) -> tuple[Matrix, ...]:
     matrix of the given rows: an explicit inverse and two products each."""
     b_t = Matrix(squares[0].field, rows).transpose()
     b_t_inv = inverse(b_t)
-    return tuple(b_t * m * b_t_inv for m in current_basis(*squares).matrices())
+    return tuple(b_t * m * b_t_inv for m in current_basis(*squares))
 
 
-def wedge_basis(gram: Matrix, rows, squares) -> CurrentBasis:
-    """The distinguished basis for the rows w1..w4, in standard coordinates,
-    from the wedges w_r ^ w_s = (w_r^T w_s - w_s^T w_r) G.
+def wedge_basis(gram: Matrix, rows, squares) -> tuple[Matrix, ...]:
+    """The distinguished basis f1..f3, h1..h3 for the rows w1..w4, in
+    standard coordinates, from the wedges w_r ^ w_s = (w_r^T w_s - w_s^T w_r) G.
 
     For rows orthogonal under the Gram matrix G with squares (a', b', c',
     d') and B the matrix of the rows, B G B^T = G' = diag(a', b', c', d')
@@ -252,7 +251,7 @@ def wedge_basis(gram: Matrix, rows, squares) -> CurrentBasis:
     def scaled(s: FieldElement, u) -> tuple[FieldElement, ...]:
         return tuple(s * x for x in u)
 
-    return CurrentBasis(
+    return (
         wedge(w1, w2),
         wedge(w2, w3),
         wedge(w1, w3),

@@ -19,10 +19,10 @@ from orthocurrent.liealg import (
     LieAlgebraSC,
     NotClosed,
     NotIndependent,
+    WrongDimension,
     ZeroEntry,
     _check_skew,
     algebra_from_matrices,
-    core_basis,
     current_algebra,
     current_basis,
     derived_series_of_subspace,
@@ -92,7 +92,7 @@ def test_skew_adjoint_contains_core_basis():
     a, b, c = (Q.from_int(x) for x in (1, 2, 3))
     mats = skew_adjoint_algebra(diag_form(Q, [1, 2, 3]))
     span = canonicalize_subspace(Q, [m.flatten() for m in mats], 9)
-    for m in core_basis(a, b, c):
+    for m in current_basis(a, b, c):
         assert span.contains(m.flatten())
 
 
@@ -145,8 +145,7 @@ def test_construction_rejects_bad_constants():
 def test_bracket_examples():
     field = Q
     a, b, c, d = (field.from_int(x) for x in (1, 2, 3, 4))
-    cb = current_basis(a, b, c, d)
-    alg = algebra_from_matrices(field, cb.matrices())
+    alg = algebra_from_matrices(field, current_basis(a, b, c, d))
     f1, f2 = alg.basis_vector(0), alg.basis_vector(1)
     # [f1, f2] = b f3
     assert alg.bracket(f1, f2) == fe(field, [0, 0, 2, 0, 0, 0])
@@ -218,21 +217,23 @@ def test_current_basis_values():
     e = lambda i, j: [[1 if (r, c2) == (i - 1, j - 1) else 0 for c2 in range(4)] for r in range(4)]
     as_m = lambda g: Matrix(Q, [[Q.from_int(x) for x in row] for row in g])
     sub = lambda g1, g2: as_m(g1) - as_m(g2)
-    assert cb.f1 == sub(e(1, 2), e(2, 1))
-    assert cb.h1 == sub(e(3, 4), e(4, 3))
+    assert cb[0] == sub(e(1, 2), e(2, 1))
+    assert cb[3] == sub(e(3, 4), e(4, 3))
     # h2 with (1,2,3,4): bc(d e14 - a e41) = 6(4 e14 - e41)
     a, b, c, d = (Q.from_int(x) for x in (1, 2, 3, 4))
     cb = current_basis(a, b, c, d)
     expected = as_m(e(1, 4)).scale(Q.from_int(24)) - as_m(e(4, 1)).scale(Q.from_int(6))
-    assert cb.h2 == expected
+    assert cb[4] == expected
     with pytest.raises(ZeroEntry):
         current_basis(Q.one(), Q.zero(), Q.one(), Q.one())
+    with pytest.raises(WrongDimension):
+        current_basis(Q.one(), Q.one())
 
 
 def test_current_basis_independent_over_f2():
     ones = [F2.one()] * 4
     cb = current_basis(*ones)
-    span = canonicalize_subspace(F2, [m.flatten() for m in cb.matrices()], 16)
+    span = canonicalize_subspace(F2, [m.flatten() for m in cb], 16)
     assert span.dim == 6
 
 
@@ -243,7 +244,7 @@ def test_current_basis_spans_derived_algebra():
             entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
             m_span = _derived_span(diagonal_form(field, entries))[1]
             cb = current_basis(*entries)
-            cb_span = canonicalize_subspace(field, [mm.flatten() for mm in cb.matrices()], 16)
+            cb_span = canonicalize_subspace(field, [mm.flatten() for mm in cb], 16)
             assert m_span == cb_span
 
 
@@ -252,7 +253,7 @@ def test_structure_constants_distinguished_basis_table():
     entries = [field.from_int(x) for x in (1, 2, 3, 4)]
     alg = skew_algebra(diagonal_form(field, entries))
     solver = SpanSolver(field, [m.flatten() for m in alg.realization], 16)
-    coords = [solver.coordinates(m.flatten()) for m in current_basis(*entries).matrices()]
+    coords = [solver.coordinates(m.flatten()) for m in current_basis(*entries)]
     table = structure_constants(alg, coords)
     # [f2, f3] = c f1 with c = 3
     assert table[1][2] == fe(field, [3, 0, 0, 0, 0, 0])
@@ -269,14 +270,14 @@ def test_structure_constants_errors():
     with pytest.raises(NotIndependent):
         structure_constants(alg, [alg.basis_vector(0), alg.basis_vector(0)])
     cb = current_basis(*[Q.from_int(x) for x in (1, 2, 3, 4)])
-    m = algebra_from_matrices(Q, cb.matrices())
+    m = algebra_from_matrices(Q, cb)
     with pytest.raises(NotClosed):
         structure_constants(m, [m.basis_vector(0), m.basis_vector(1)])
 
 
 def test_dependent_basis_is_refused_when_the_algebra_is_built():
     """current_basis leaves independence to algebra_from_matrices."""
-    f1, f2, f3, h1, h2, _ = current_basis(*[Q.from_int(x) for x in (1, 2, 3, 4)]).matrices()
+    f1, f2, f3, h1, h2, _ = current_basis(*[Q.from_int(x) for x in (1, 2, 3, 4)])
     with pytest.raises(NotIndependent):
         algebra_from_matrices(Q, [f1, f2, f3, h1, h2, h1 + h2])
 
@@ -305,7 +306,7 @@ def test_own_entry_coordinates_match_the_span_solver(literal, seed):
     field = parse_field(literal)
     rng = random.Random(seed)
     entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
-    for mats in (current_basis(*entries).matrices(), core_basis(*entries[:3]),
+    for mats in (current_basis(*entries), current_basis(*entries[:3]),
                  skew_adjoint_algebra(diagonal_form(field, entries))):
         assert algebra_from_matrices(field, mats).constants == _solved_constants(field, mats)
 
@@ -314,7 +315,7 @@ def test_an_escaping_commutator_is_refused():
     """[f1, f2] = b f3 leaves the span of f1 and f2.  Its reads at their own
     entries are 0, and the realization check refuses that bracket."""
     for field, literals in ((Q, "1,2,3,4"), (F3, "1,1,1,2"), (F2T, "1,t,t+1,1")):
-        f1, f2, *_ = current_basis(*[parse_scalar(x, field) for x in literals.split(",")]).matrices()
+        f1, f2, *_ = current_basis(*[parse_scalar(x, field) for x in literals.split(",")])
         with pytest.raises(InvalidStructure, match="realization matrices 0,1 disagrees"):
             algebra_from_matrices(field, [f1, f2])
 
@@ -332,7 +333,7 @@ def test_current_algebra_runs_no_elimination(monkeypatch):
 
 
 def test_ideal_closure_examples():
-    m = algebra_from_matrices(Q, current_basis(*[Q.from_int(x) for x in (1, 1, 1, 1)]).matrices())
+    m = algebra_from_matrices(Q, current_basis(*[Q.from_int(x) for x in (1, 1, 1, 1)]))
     zero_seed = ideal_closure(m, [])
     assert zero_seed.dim == 0
     # f1 (x) e_plus spans a 3-dimensional ideal in the split case (D = 1)
@@ -341,16 +342,14 @@ def test_ideal_closure_examples():
     ideal = ideal_closure(m, [seed])
     assert ideal.dim == 3 and is_ideal(m, ideal)
     # over F_3 with non-square discriminant any nonzero seed spins to all of M
-    m3 = algebra_from_matrices(
-        F3, current_basis(*[F3.from_int(x) for x in (1, 1, 1, 2)]).matrices()
-    )
+    m3 = algebra_from_matrices(F3, current_basis(*[F3.from_int(x) for x in (1, 1, 1, 2)]))
     closure = ideal_closure(m3, [m3.basis_vector(0)])
     assert closure.dim == 6
 
 
 def test_ideal_closure_contains_seed_and_is_ideal():
     rng = random.Random(2)
-    m = algebra_from_matrices(F3, current_basis(*[F3.from_int(x) for x in (1, 1, 1, 1)]).matrices())
+    m = algebra_from_matrices(F3, current_basis(*[F3.from_int(x) for x in (1, 1, 1, 1)]))
     for _ in range(5):
         seed = tuple(random_element(F3, rng) for _ in range(6))
         closure = ideal_closure(m, [seed])
@@ -380,7 +379,7 @@ def test_coefficient_algebra_checks():
 def test_tensor_current_bracket_pattern():
     field = Q
     entries = [field.from_int(x) for x in (1, 2, 3, 4)]
-    core = algebra_from_matrices(field, core_basis(*entries[:3]))
+    core = algebra_from_matrices(field, current_basis(*entries[:3]))
     one, zero = field.one(), field.zero()
     d = field.from_int(24)
     quo = CoefficientAlgebra(
@@ -409,7 +408,7 @@ def test_tables_equal():
 
 
 def test_realization_check_catches_a_flipped_constant():
-    core = algebra_from_matrices(Q, core_basis(*fe(Q, [1, 2, 3])))
+    core = algebra_from_matrices(Q, current_basis(*fe(Q, [1, 2, 3])))
     constants = [list(row) for row in core.constants]
     two = Q.from_int(2)
     constants[0][1] = tuple(two * x for x in constants[0][1])
@@ -446,7 +445,7 @@ def test_realization_mismatch_names_the_first_disagreeing_pair():
         entry[1] = entry[1] + field.one()
         constants[3][5] = tuple(entry)
         assert realization_mismatch(constants, m.realization) == (3, 5)
-    core = algebra_from_matrices(Q, core_basis(*fe(Q, [1, 2, 3])))
+    core = algebra_from_matrices(Q, current_basis(*fe(Q, [1, 2, 3])))
     constants = [list(row) for row in core.constants]
     two = Q.from_int(2)
     constants[1][2] = tuple(two * x for x in constants[1][2])

@@ -206,14 +206,14 @@ def test_table_identity_failure_reaches_every_report(monkeypatch):
 
 def _patch_primed_algebra(monkeypatch, entries, edit):
     """Edit the distinguished basis of M for the random-W leg's diagonal, and
-    only there: the pipeline builds M for the form's own entries through the
-    same structure.current_algebra."""
+    only there: the pipeline builds M for the form's own entries, and the
+    core for its first three, through the same structure.current_algebra."""
     real = structure.current_algebra
 
     def patched(diagonal):
-        if tuple(diagonal) == tuple(entries):
+        if len(diagonal) == 3 or tuple(diagonal) == tuple(entries):
             return real(diagonal)
-        return algebra_from_matrices(diagonal[0].field, edit(current_basis(*diagonal)).matrices())
+        return algebra_from_matrices(diagonal[0].field, edit(current_basis(*diagonal)))
 
     monkeypatch.setattr(structure, "current_algebra", patched)
 
@@ -232,8 +232,7 @@ def test_random_w_table_is_read_at_the_primed_diagonal(monkeypatch):
         scalar = parse_scalar(factor, field)
         entries = [parse_scalar(x, field) for x in form.split(",")]
         with monkeypatch.context() as mp:
-            _patch_primed_algebra(
-                mp, entries, lambda cb: dataclasses.replace(cb, f1=cb.f1.scale(scalar)))
+            _patch_primed_algebra(mp, entries, lambda cb: (cb[0].scale(scalar),) + cb[1:])
             report = verify_current_form(field, entries)
         assert report.random_w.spans_match and not report.random_w.equal
         assert _failed(report.checks) == {"random_w_tables_match"}
@@ -310,7 +309,7 @@ def test_paper_table_is_core_tensor_quadratic_quotient(literal, seed):
     field = parse_field(literal)
     rng = random.Random(seed)
     a, b, c, d = (random_element(field, rng, nonzero=True) for _ in range(4))
-    expected = structure.current_table(structure._core_algebra((a, b, c)), a * b * c * d)
+    expected = structure.current_table(current_algebra((a, b, c)), a * b * c * d)
     assert paper_table(table_rows(a, b, c, d)) == expected.constants
 
 
@@ -333,7 +332,7 @@ def test_wedges_are_the_conjugated_distinguished_basis(literal, seed):
     pipe = build_pipeline(field, entries)
     _, _, rows, primed = structure._orthogonal_rows(pipe, random.Random(seed), 32)
     conjugates = conjugated_current_basis(rows, primed)
-    assert wedge_basis(pipe.form.gram, rows, primed).matrices() == conjugates
+    assert wedge_basis(pipe.form.gram, rows, primed) == conjugates
     assert realization_mismatch(paper_table(table_rows(*primed)), conjugates) is None
     flats = [m.flatten() for m in conjugates]
     assert all(pipe.derived_span.contains(v) for v in flats)
@@ -347,12 +346,16 @@ def test_wedges_are_the_conjugated_distinguished_basis(literal, seed):
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32))
 def test_wedges_of_the_standard_basis_are_the_distinguished_basis(literal, seed):
+    """M's basis is the reference wedges at the standard basis, and the
+    core's basis for diag(a, b, c) is the top-left 3 x 3 blocks of f1..f3."""
     field = parse_field(literal)
     rng = random.Random(seed)
     entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
     gram = diagonal_form(field, entries).gram
     basis = wedge_basis(gram, Matrix.identity(field, 4).rows, entries)
-    assert basis.matrices() == current_basis(*entries).matrices()
+    assert basis == current_basis(*entries)
+    blocks = tuple(Matrix(field, [row[:3] for row in m.rows[:3]]) for m in basis[:3])
+    assert blocks == current_basis(*entries[:3])
 
 
 def test_a_non_orthogonal_basis_fails_the_leg_table_without_raising(monkeypatch):
@@ -458,9 +461,7 @@ def test_recheck_catches_ideals_that_do_not_sum_to_m():
 def test_descent_certificate_over_quadratic_extension():
     pipe = build_pipeline(F3, ints(F3, [1, 1, 1, 2]))
     ext = quadratic_extension(F3, pipe.disc)
-    from orthocurrent.liealg import algebra_from_matrices, core_basis
-
-    core = algebra_from_matrices(F3, core_basis(*pipe.entries[:3]))
+    core = algebra_from_matrices(F3, current_basis(*pipe.entries[:3]))
     lifted = tuple(
         tuple(tuple(lift_to_extension(x, ext) for x in entry) for entry in row)
         for row in core.constants
