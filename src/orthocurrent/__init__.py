@@ -25,12 +25,10 @@ from .exact_linalg import (
     canonicalize_subspace,
     kernel,
     rref,
-    subspace_meet_join,
 )
 from .forms import (
     BilinearForm,
     diagonal_form,
-    discriminant,
     make_form,
     orthogonalize,
     restrict,
@@ -48,11 +46,6 @@ from .liealg import (
 )
 from .coeff_algebra import QuadraticAnalysis, analyze_quadratic, quadratic_quotient
 from .structure import (
-    CounterexampleReport,
-    CurrentFormReport,
-    DecompositionCertificate,
-    SimplicityCertificate,
-    certificate_to_json,
     certify_simple_via_descent,
     classify,
     inseparable_counterexample,

@@ -48,8 +48,6 @@ from .scalars import (
 from .structure import (
     CASE_SIMPLE,
     CASE_TWO_IDEALS,
-    certificate_to_json,
-    checks_to_json,
     classify,
     inseparable_counterexample,
     recheck_certificate_json,
@@ -205,34 +203,8 @@ def parse_args(argv: Sequence[str]) -> CommandSpec:
 # ---------------------------------------------------------------------------
 # Documents: one builder per command.  The JSON output is the document, the
 # text output renders it, and the checker rebuilds it from its literals.
+# `structure` builds the verify, classify and counterexample documents.
 # ---------------------------------------------------------------------------
-
-
-def _verify_json(spec: CommandSpec) -> dict:
-    report = verify_current_form(spec.field, spec.entries,
-                                 seed=spec.seed, max_tries=spec.trials)
-    return {
-        "command": "verify",
-        "field": render_field(spec.field),
-        "form": [render_scalar(x) for x in report.entries],
-        "D": render_scalar(report.disc),
-        "seed": report.seed,
-        "dims": report.dims,
-        "equal": report.equal,
-        "table": tensor_to_json(report.table),
-        "random_w": {
-            "attempts": report.random_w.attempts,
-            "subspace": subspace_to_json(report.random_w.subspace),
-            "diagonal": [render_scalar(x) for x in report.random_w.diagonal],
-            "D": render_scalar(report.random_w.disc),
-            "equal": report.random_w.equal,
-        },
-        "checks": checks_to_json(report.checks),
-    }
-
-
-def _classify_json(spec: CommandSpec) -> dict:
-    return certificate_to_json(classify(spec.field, spec.entries))
 
 
 def _table_json(spec: CommandSpec) -> dict:
@@ -277,25 +249,6 @@ def _oracle_json(spec: CommandSpec) -> dict:
         "ideals": [subspace_to_json(s) for s in ideals],
         "checks": [{"name": "enumeration_complete",
                     "ok": enumeration_complete(alg, ideals)}],
-    }
-
-
-def _counterexample_json(spec: CommandSpec) -> dict:
-    report = inseparable_counterexample(spec.p)
-    return {
-        "command": "counterexample",
-        "p": report.p,
-        "base_field": render_field(report.base_field),
-        "extension_field": render_field(report.extension_field),
-        "s": render_scalar(report.s),
-        "current_dim": report.current_dim,
-        "radical_dim": report.radical.dim,
-        "radical": subspace_to_json(report.radical),
-        "abelian_ideal": subspace_to_json(report.abelian_ideal),
-        "quotient_perfect": report.quotient_perfect,
-        "quotient_dim": report.quotient_dim,
-        "descent_checks": checks_to_json(report.descent.checks),
-        "checks": checks_to_json(report.checks),
     }
 
 
@@ -383,11 +336,12 @@ def _render_counterexample(doc: dict, from_gram: bool) -> list[str]:
 
 # command -> (document builder, text renderer)
 COMMANDS = {
-    "verify": (_verify_json, _render_verify),
-    "classify": (_classify_json, _render_classify),
+    "verify": (lambda spec: verify_current_form(spec.field, spec.entries, seed=spec.seed,
+                                                max_tries=spec.trials), _render_verify),
+    "classify": (lambda spec: classify(spec.field, spec.entries), _render_classify),
     "table": (_table_json, _render_table),
     "oracle": (_oracle_json, _render_oracle),
-    "counterexample": (_counterexample_json, _render_counterexample),
+    "counterexample": (lambda spec: inseparable_counterexample(spec.p), _render_counterexample),
 }
 
 
@@ -437,7 +391,7 @@ def _document_int(data: dict, key: str) -> int:
 def _recheck(data: dict) -> list[dict]:
     command = data.get("command")
     if command == "classify" or (command is None and "case" in data):
-        return checks_to_json(recheck_certificate_json(data))
+        return recheck_certificate_json(data)
     if command == "counterexample":
         spec = CommandSpec(command, p=_document_int(data, "p"))
     elif command in ("verify", "table", "oracle"):

@@ -62,31 +62,8 @@ class Matrix:
         n = len(entries)
         return cls(field, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
 
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.rows[i][j]
-
     def transpose(self) -> Matrix:
         return Matrix._trusted(self.field, tuple(zip(*self.rows)))
-
-    def __add__(self, other: Matrix) -> Matrix:
-        self._check_same_shape(other)
-        return Matrix._trusted(
-            self.field,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-        )
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        self._check_same_shape(other)
-        return Matrix._trusted(
-            self.field,
-            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-        )
-
-    def __neg__(self) -> Matrix:
-        return Matrix._trusted(self.field, tuple(tuple(-a for a in row) for row in self.rows))
-
-    def scale(self, s: FieldElement) -> Matrix:
-        return Matrix._trusted(self.field, tuple(tuple(s * a for a in row) for row in self.rows))
 
     def __mul__(self, other: Matrix) -> Matrix:
         if self.ncols != other.nrows:
@@ -111,9 +88,6 @@ class Matrix:
     def flatten(self) -> Vector:
         return tuple(x for row in self.rows for x in row)
 
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.rows for x in row)
-
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and all(
             self.rows[i][j] == self.rows[j][i]
@@ -134,11 +108,6 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
-
-    def _check_same_shape(self, other: Matrix) -> None:
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ShapeMismatch("shape mismatch")
-        self._check_same_field(other)
 
     def _check_same_field(self, other: Matrix) -> None:
         # Zero skipping in __mul__ can leave mixed fields unmultiplied.
@@ -338,16 +307,6 @@ def canonicalize_subspace(field: FieldDescriptor, vectors: Iterable[Sequence[Fie
     return Subspace(field, ambient_dim, basis, tuple(pivots))
 
 
-def zero_subspace(field: FieldDescriptor, ambient_dim: int) -> Subspace:
-    return canonicalize_subspace(field, [], ambient_dim)
-
-
-def full_subspace(field: FieldDescriptor, ambient_dim: int) -> Subspace:
-    return canonicalize_subspace(
-        field, Matrix.identity(field, ambient_dim).rows, ambient_dim
-    )
-
-
 def kernel(m: Matrix) -> Subspace:
     """Canonical basis of the right kernel {v : m v = 0}."""
     reduced, rank, pivots = rref(m)
@@ -362,30 +321,3 @@ def kernel(m: Matrix) -> Subspace:
             v[pc] = -reduced.rows[r][fc]
         vectors.append(v)
     return canonicalize_subspace(m.field, vectors, n)
-
-
-def subspace_meet_join(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
-    """(intersection, sum) of two subspaces of the same ambient space.
-
-    The sum is the span of both bases; the intersection comes from the
-    Zassenhaus block trick: rows of [A|A] and [B|0] whose left half
-    eliminates to zero have right halves spanning the intersection.
-    """
-    if a.field != b.field or a.ambient_dim != b.ambient_dim:
-        raise ShapeMismatch("subspaces live in different ambient spaces")
-    n = a.ambient_dim
-    joined = canonicalize_subspace(
-        a.field, list(a.basis.rows) + list(b.basis.rows), n
-    )
-    zero = a.field.zero()
-    block = [list(row) + list(row) for row in a.basis.rows]
-    block += [list(row) + [zero] * n for row in b.basis.rows]
-    if not block:
-        return zero_subspace(a.field, n), joined
-    _eliminate(block)
-    meet_vectors = [
-        row[n:] for row in block
-        if all(x.is_zero() for x in row[:n]) and not all(x.is_zero() for x in row[n:])
-    ]
-    meet = canonicalize_subspace(a.field, meet_vectors, n)
-    return meet, joined

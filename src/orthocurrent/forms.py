@@ -86,12 +86,6 @@ def diagonal_form(field: FieldDescriptor, entries: Sequence[FieldElement]) -> Bi
     return make_form(Matrix.diagonal(field, list(entries)))
 
 
-def discriminant(form: BilinearForm) -> FieldElement:
-    """Determinant of the Gram matrix relative to the stored basis, as
-    computed when the form was built."""
-    return form.determinant
-
-
 def restrict(form: BilinearForm, subspace: Subspace) -> BilinearForm:
     """Restriction to a subspace, in the subspace's canonical basis.
 

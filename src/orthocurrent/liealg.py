@@ -26,7 +26,6 @@ from .exact_linalg import (
     Subspace,
     canonicalize_subspace,
     commutators,
-    full_subspace,
     kernel,
 )
 from .forms import AlternatingChar2, BilinearForm, Degenerate
@@ -316,8 +315,11 @@ def derived_series_of_subspace(alg: LieAlgebraSC, space: Subspace) -> list[Subsp
 
 
 def derived_subspace(alg: LieAlgebraSC) -> Subspace:
-    """[L, L] as a subspace of L's coordinates."""
-    return bracket_span(alg, full_subspace(alg.field, alg.dim))
+    """[L, L] as a subspace of L's coordinates: the span of the brackets
+    [e_i, e_j], i < j, which are the rows c[i][j] of the constants."""
+    n = alg.dim
+    return canonicalize_subspace(
+        alg.field, (alg.constants[i][j] for i in range(n) for j in range(i + 1, n)), n)
 
 
 def is_ideal(alg: LieAlgebraSC, space: Subspace) -> bool:

@@ -103,10 +103,6 @@ class Poly:
         c %= p
         return cls(p, (c,) if c else (), normalize=False)
 
-    @classmethod
-    def x(cls, p: int) -> Poly:
-        return cls(p, (0, 1), normalize=False)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -150,9 +146,6 @@ class Poly:
         if p == 2:
             return self
         return Poly(p, tuple((-c) % p for c in self.coeffs), normalize=False)
-
-    def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
 
     def __mul__(self, other: Poly) -> Poly:
         p = self.p
@@ -203,9 +196,6 @@ class Poly:
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
-
-    def __mod__(self, other: Poly) -> Poly:
-        return divmod(self, other)[1]
 
     def monic(self) -> Poly:
         if self.is_zero() or self.leading == 1:

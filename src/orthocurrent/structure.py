@@ -11,9 +11,10 @@ certificates, each carrying every witness needed for independent
 re-verification.  `inseparable_counterexample` exhibits the loss of
 semisimplicity after an inseparable base change over F_p(t).
 
-Certificates serialize to a stable JSON schema and can be re-checked from
-the JSON alone; the checker rebuilds everything from the field and form
-literals and never trusts recorded flags.
+Each of these returns the JSON document of its command, built where the
+result is computed; every check in it is a {"name", "ok"} dict.  The
+checker rebuilds everything from a document's field and form literals and
+never trusts recorded flags.
 """
 
 from __future__ import annotations
@@ -35,13 +36,11 @@ from .exact_linalg import (
     Subspace,
     canonicalize_subspace,
     commutators,
-    subspace_meet_join,
 )
 from .forms import (
     BilinearForm,
     Degenerate,
     diagonal_form,
-    discriminant,
     orthogonal_complement,
     orthogonalize,
     restrict,
@@ -98,14 +97,16 @@ CASE_SEMIDIRECT = "semidirect_N_R"
 CASE_SIMPLE = "simple_by_descent"
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
+def _check(name: str, ok: bool) -> dict:
+    return {"name": name, "ok": ok}
 
 
-def _all_ok(checks: Sequence[Check]) -> bool:
-    return all(c.ok for c in checks)
+def subspace_to_json(space: Subspace) -> list[list[str]]:
+    return [[render_scalar(x) for x in row] for row in space.basis.rows]
+
+
+def tensor_to_json(tensor: Tensor) -> list:
+    return [[[render_scalar(x) for x in entry] for entry in row] for row in tensor]
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +127,7 @@ class Pipeline:
     algebra: LieAlgebraSC  # M on the distinguished basis f1..f3, h1..h3
     core: LieAlgebraSC  # core(a, b, c) on its f-basis
     disc: FieldElement
-    identity: tuple[Check, Check]  # distinguished_basis_spans_derived, tables_match
+    identity: tuple[dict, dict]  # distinguished_basis_spans_derived, tables_match
 
 
 def _derived_span(form: BilinearForm) -> tuple[int, Subspace]:
@@ -168,13 +169,13 @@ def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> P
     skew_dim, derived_span = _derived_span(form)
     algebra = current_algebra(entries)
     core = current_algebra(entries[:3])
-    disc = discriminant(form)
+    disc = form.determinant
     identity = (
-        Check("distinguished_basis_spans_derived", _spans(algebra, derived_span)),
+        _check("distinguished_basis_spans_derived", _spans(algebra, derived_span)),
         # M's table equals that of core tensor F[X]/(X^2 - D), entry by
         # entry under the positional correspondence.
-        Check("tables_match",
-              tables_equal(algebra.constants, current_table(core, disc).constants)),
+        _check("tables_match",
+               tables_equal(algebra.constants, current_table(core, disc).constants)),
     )
     return Pipeline(
         field, entries, form, skew_dim, derived_span, algebra, core, disc, identity,
@@ -184,33 +185,6 @@ def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> P
 # ---------------------------------------------------------------------------
 # Verification of the current-algebra form.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RandomWReport:
-    attempts: int
-    subspace: Subspace
-    diagonal: tuple[FieldElement, ...]
-    disc: FieldElement
-    equal: bool
-    spans_match: bool
-
-
-@dataclass(frozen=True)
-class CurrentFormReport:
-    field: FieldDescriptor
-    entries: tuple[FieldElement, ...]
-    disc: FieldElement
-    dims: dict
-    table: Tensor
-    equal: bool
-    seed: int
-    random_w: RandomWReport
-    checks: tuple[Check, ...]
-
-    @property
-    def ok(self) -> bool:
-        return _all_ok(self.checks)
 
 
 def _small_element(field: FieldDescriptor, rng: random.Random) -> FieldElement:
@@ -257,7 +231,8 @@ def _orthogonal_rows(pipe: Pipeline, rng: random.Random, max_tries: int,
     )
 
 
-def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int) -> RandomWReport:
+def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int,
+                  ) -> tuple[dict, list[dict]]:
     """Re-verify the table identity for a random 3-dimensional subspace.
 
     The restriction is orthogonalized and extended by the 1-dimensional
@@ -277,6 +252,9 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int) -> RandomW
     the conjugated basis B^T m B^-T of M, so the two facts at G' are facts
     about that basis.  `random_w_tables_match` is isometry and table,
     `random_w_spans_match` is isometry and span.
+
+    Returns the `random_w` part of the verify document and the leg's
+    checks: the two above and `random_w_square_class_invariant`.
     """
     attempt, w, rows, primed = _orthogonal_rows(pipe, rng, max_tries)
     form, zero = pipe.form, pipe.field.zero()
@@ -289,12 +267,25 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int) -> RandomW
     derived = _derived_span(diagonal_form(pipe.field, primed))[1]
     span = _spans(at_primed, derived)
     d_primed = primed[0] * primed[1] * primed[2] * primed[3]
-    return RandomWReport(attempt, w, primed, d_primed, isometry and table, isometry and span)
+    part = {
+        "attempts": attempt,
+        "subspace": subspace_to_json(w),
+        "diagonal": [render_scalar(x) for x in primed],
+        "D": render_scalar(d_primed),
+        "equal": isometry and table,
+    }
+    return part, [
+        _check("random_w_spans_match", isometry and span),
+        _check("random_w_tables_match", isometry and table),
+        _check("random_w_square_class_invariant",
+               (is_square(pipe.disc) is None) == (is_square(d_primed) is None)),
+    ]
 
 
 def verify_current_form(field: FieldDescriptor, entries: Sequence[FieldElement],
-                        seed: int = 0, max_tries: int = 32) -> CurrentFormReport:
-    """Exact verification that M matches its current-algebra form.
+                        seed: int = 0, max_tries: int = 32) -> dict:
+    """The verify document: exact verification that M matches its
+    current-algebra form.
 
     Builds the derived algebra of the skew-adjoint algebra of
     diag(a, b, c, d), expresses it in the distinguished basis, and
@@ -306,8 +297,7 @@ def verify_current_form(field: FieldDescriptor, entries: Sequence[FieldElement],
     pipe = build_pipeline(field, entries)
     char2 = field.characteristic() == 2
     core_skew_dim, core_span = _derived_span(diagonal_form(field, pipe.entries[:3]))
-    rng = random.Random(seed)
-    random_w = _random_w_leg(pipe, rng, max_tries)
+    random_w, random_w_checks = _random_w_leg(pipe, random.Random(seed), max_tries)
     dims = {
         "skew_adjoint": pipe.skew_dim,
         "derived": pipe.derived_span.dim,
@@ -321,22 +311,24 @@ def verify_current_form(field: FieldDescriptor, entries: Sequence[FieldElement],
         and dims["core_derived"] == 3
     )
     spans_derived, tables_match = pipe.identity
-    checks = (
-        spans_derived,
-        Check("core_basis_spans_derived", _spans(pipe.core, core_span)),
-        tables_match,
-        Check("dimension_laws", dimension_laws),
-        Check("random_w_spans_match", random_w.spans_match),
-        Check("random_w_tables_match", random_w.equal),
-        Check(
-            "random_w_square_class_invariant",
-            (is_square(pipe.disc) is None) == (is_square(random_w.disc) is None),
-        ),
-    )
-    return CurrentFormReport(
-        field, pipe.entries, pipe.disc, dims, pipe.algebra.constants,
-        tables_match.ok, seed, random_w, checks,
-    )
+    return {
+        "command": "verify",
+        "field": render_field(field),
+        "form": [render_scalar(x) for x in pipe.entries],
+        "D": render_scalar(pipe.disc),
+        "seed": seed,
+        "dims": dims,
+        "equal": tables_match["ok"],
+        "table": tensor_to_json(pipe.algebra.constants),
+        "random_w": random_w,
+        "checks": [
+            spans_derived,
+            _check("core_basis_spans_derived", _spans(pipe.core, core_span)),
+            tables_match,
+            _check("dimension_laws", dimension_laws),
+            *random_w_checks,
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -344,31 +336,16 @@ def verify_current_form(field: FieldDescriptor, entries: Sequence[FieldElement],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimplicityCertificate:
-    """Inference record: perfect over the extension => simple over the
-    extension (3-dimensional) => simple over the base field.
+def certify_simple_via_descent(alg: LieAlgebraSC, base: FieldDescriptor) -> dict:
+    """Descent document for a 3-dimensional algebra over an extension
+    field; its checks fail when the algebra is not perfect.
 
-    The last step holds because the extension-span of a nonzero ideal
-    over the base is a nonzero ideal over the extension, which by
-    simplicity is everything, and perfection pulls it back down.
+    The checks record an inference: perfect over the extension => simple
+    over the extension (3-dimensional) => simple over the base field.  The
+    last step holds because the extension-span of a nonzero ideal over the
+    base is a nonzero ideal over the extension, which by simplicity is
+    everything, and perfection pulls it back down.
     """
-
-    extension: FieldDescriptor
-    base: FieldDescriptor
-    extension_kind: str
-    constants: Tensor
-    derived_dim: int
-    checks: tuple[Check, ...]
-
-    @property
-    def ok(self) -> bool:
-        return _all_ok(self.checks)
-
-
-def certify_simple_via_descent(alg: LieAlgebraSC, base: FieldDescriptor) -> SimplicityCertificate:
-    """Descent certificate for a 3-dimensional algebra over an extension
-    field; its checks fail when the algebra is not perfect."""
     if alg.dim != 3:
         raise WrongDimension("descent certificates cover 3-dimensional algebras")
     ext = alg.field
@@ -386,17 +363,21 @@ def certify_simple_via_descent(alg: LieAlgebraSC, base: FieldDescriptor) -> Simp
         raise DescriptorMismatch("field pair is not a supported extension")
     dd = derived_subspace(alg).dim
     perfect = dd == 3
-    # The inference steps of the class docstring: a perfect 3-dimensional
+    # The inference steps of the docstring: a perfect 3-dimensional
     # algebra is simple, and simplicity over ext with perfection descends.
     simple_ext = perfect
-    checks = (
-        Check("perfect_over_extension", perfect),
-        Check("simple_over_extension_dim3", simple_ext),
-        Check("simple_over_base_by_span", perfect and simple_ext),
-    )
-    return SimplicityCertificate(
-        ext, base, extension_kind, alg.constants, dd, checks
-    )
+    return {
+        "extension": render_field(ext),
+        "base": render_field(base),
+        "extension_kind": extension_kind,
+        "constants": tensor_to_json(alg.constants),
+        "derived_dim": dd,
+        "checks": [
+            _check("perfect_over_extension", perfect),
+            _check("simple_over_extension_dim3", simple_ext),
+            _check("simple_over_base_by_span", perfect and simple_ext),
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -404,31 +385,16 @@ def certify_simple_via_descent(alg: LieAlgebraSC, base: FieldDescriptor) -> Simp
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecompositionCertificate:
-    case: str
-    field: FieldDescriptor
-    entries: tuple[FieldElement, ...]
-    disc: FieldElement
-    table: Tensor
-    witnesses: dict
-    checks: tuple[Check, ...]
-
-    @property
-    def ok(self) -> bool:
-        return _all_ok(self.checks)
-
-
-def _perfect_subspace_checks(alg: LieAlgebraSC, space: Subspace, label: str) -> list[Check]:
+def _perfect_subspace_checks(alg: LieAlgebraSC, space: Subspace, label: str) -> list[dict]:
     """A closed space is a subalgebra whose inclusion into alg is injective,
     so its derived algebra has the dimension of the span of its brackets,
     and it is perfect when that dimension is its own."""
     brackets = bracket_span(alg, space)
     closed = all(space.contains(row) for row in brackets.basis.rows)
     return [
-        Check(f"{label}_dim_3", space.dim == 3),
-        Check(f"{label}_bracket_closed", closed),
-        Check(f"{label}_perfect", closed and brackets.dim == space.dim),
+        _check(f"{label}_dim_3", space.dim == 3),
+        _check(f"{label}_bracket_closed", closed),
+        _check(f"{label}_perfect", closed and brackets.dim == space.dim),
     ]
 
 
@@ -459,38 +425,40 @@ def _base_change(alg: LieAlgebraSC, field: FieldDescriptor, image) -> LieAlgebra
 # caller adds the checks that only it can make around them.
 
 
-def _sum_checks(a: Subspace, b: Subspace) -> list[Check]:
-    meet, join = subspace_meet_join(a, b)
+def _sum_checks(a: Subspace, b: Subspace) -> list[dict]:
+    """A + B is direct exactly when dim(A + B) = dim A + dim B, since
+    dim(A meet B) = dim A + dim B - dim(A + B)."""
+    join = canonicalize_subspace(a.field, a.basis.rows + b.basis.rows, a.ambient_dim)
     return [
-        Check("sum_direct", meet.dim == 0),
-        Check("sum_is_everything", join.dim == join.ambient_dim),
+        _check("sum_direct", join.dim == a.dim + b.dim),
+        _check("sum_is_everything", join.dim == join.ambient_dim),
     ]
 
 
-def _ideal_pair_checks(alg: LieAlgebraSC, i1: Subspace, i2: Subspace) -> list[Check]:
+def _ideal_pair_checks(alg: LieAlgebraSC, i1: Subspace, i2: Subspace) -> list[dict]:
     return [
-        Check("I1_ideal", is_ideal(alg, i1)),
-        Check("I2_ideal", is_ideal(alg, i2)),
+        _check("I1_ideal", is_ideal(alg, i1)),
+        _check("I2_ideal", is_ideal(alg, i2)),
         *_sum_checks(i1, i2),
     ]
 
 
 def _semidirect_checks(alg: LieAlgebraSC, n_space: Subspace,
-                       r_space: Subspace) -> tuple[list[Check], list[Check]]:
+                       r_space: Subspace) -> tuple[list[dict], list[dict]]:
     """The checks on N and R that open the case, and N's perfection checks
     that close it.  N is a subalgebra exactly when its brackets lie in it,
     so N_subalgebra is N_bracket_closed, computed once."""
     n_checks = _perfect_subspace_checks(alg, n_space, "N")
     _, n_closed, _ = n_checks
     return [
-        Check("N_subalgebra", n_closed.ok),
-        Check("R_ideal", is_ideal(alg, r_space)),
-        Check("R_dim_3", r_space.dim == 3),
-        Check("R_abelian", bracket_span(alg, r_space).dim == 0),
+        _check("N_subalgebra", n_closed["ok"]),
+        _check("R_ideal", is_ideal(alg, r_space)),
+        _check("R_dim_3", r_space.dim == 3),
+        _check("R_abelian", bracket_span(alg, r_space).dim == 0),
     ], n_checks
 
 
-def _split_certificate(pipe: Pipeline, analysis) -> tuple[dict, list[Check]]:
+def _split_certificate(pipe: Pipeline, analysis) -> tuple[dict, list[dict]]:
     alg = pipe.algebra
     i1 = _core_tensor(analysis.e_plus)
     i2 = _core_tensor(analysis.e_minus)
@@ -498,47 +466,48 @@ def _split_certificate(pipe: Pipeline, analysis) -> tuple[dict, list[Check]]:
     checks += _perfect_subspace_checks(alg, i1, "I1")
     checks += _perfect_subspace_checks(alg, i2, "I2")
     witnesses = {
-        "I1": i1,
-        "I2": i2,
-        "e_plus": analysis.e_plus,
-        "e_minus": analysis.e_minus,
-        "sqrt_D": analysis.sqrt_d,
+        "I1": subspace_to_json(i1),
+        "I2": subspace_to_json(i2),
+        "e_plus": [render_scalar(x) for x in analysis.e_plus],
+        "e_minus": [render_scalar(x) for x in analysis.e_minus],
+        "sqrt_D": render_scalar(analysis.sqrt_d),
     }
     return witnesses, checks
 
 
-def _semidirect_certificate(pipe: Pipeline, analysis) -> tuple[dict, list[Check]]:
+def _semidirect_certificate(pipe: Pipeline, analysis) -> tuple[dict, list[dict]]:
     alg = pipe.algebra
     n_space = _core_tensor(analysis.algebra.unit())
     r_space = _core_tensor(analysis.nilpotent)
     checks, n_checks = _semidirect_checks(alg, n_space, r_space)
-    checks.append(Check("R_solvable", checks[-1].ok))  # abelian, hence solvable
+    checks.append(_check("R_solvable", checks[-1]["ok"]))  # abelian, hence solvable
     checks += _sum_checks(n_space, r_space)
     checks += n_checks
     witnesses = {
-        "N": n_space,
-        "R": r_space,
-        "nilpotent": analysis.nilpotent,
-        "sqrt_D": analysis.sqrt_d,
+        "N": subspace_to_json(n_space),
+        "R": subspace_to_json(r_space),
+        "nilpotent": [render_scalar(x) for x in analysis.nilpotent],
+        "sqrt_D": render_scalar(analysis.sqrt_d),
     }
     return witnesses, checks
 
 
-def _descent_certificate(pipe: Pipeline, ext: FieldDescriptor) -> tuple[dict, list[Check]]:
+def _descent_certificate(pipe: Pipeline, ext: FieldDescriptor) -> tuple[dict, list[dict]]:
     """The core lifted to ext = F[sqrt D] and certified simple by descent;
     the first two checks are discriminant_non_square and
     perfect_over_extension."""
     core_ext = _base_change(pipe.core, ext, lambda x: lift_to_extension(x, ext))
     descent = certify_simple_via_descent(core_ext, pipe.field)
     checks = [
-        Check("discriminant_non_square", is_square(pipe.disc) is None),
-        *descent.checks,
+        _check("discriminant_non_square", is_square(pipe.disc) is None),
+        *descent["checks"],
     ]
-    return {"extension": ext, "descent": descent}, checks
+    return {"extension": render_field(ext), "descent": descent}, checks
 
 
-def classify(field: FieldDescriptor, entries: Sequence[FieldElement]) -> DecompositionCertificate:
-    """Decomposition certificate of M for diag(a, b, c, d).
+def classify(field: FieldDescriptor, entries: Sequence[FieldElement]) -> dict:
+    """The classify document: the decomposition certificate of M for
+    diag(a, b, c, d).
 
     The variant is a function of the characteristic and of the square
     class of the discriminant: two simple ideals (split), semidirect
@@ -557,10 +526,16 @@ def classify(field: FieldDescriptor, entries: Sequence[FieldElement]) -> Decompo
     else:
         case = CASE_SIMPLE
         witnesses, checks = _descent_certificate(pipe, analysis.extension)
-    return DecompositionCertificate(
-        case, field, pipe.entries, pipe.disc, pipe.algebra.constants,
-        witnesses, pipe.identity + tuple(checks),
-    )
+    return {
+        "case": case,
+        "field": render_field(field),
+        "form": [render_scalar(x) for x in pipe.entries],
+        "D": render_scalar(pipe.disc),
+        "table": tensor_to_json(pipe.algebra.constants),
+        "witnesses": witnesses,
+        "checks": [*pipe.identity, *checks],
+        "command": "classify",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -568,34 +543,16 @@ def classify(field: FieldDescriptor, entries: Sequence[FieldElement]) -> Decompo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
-    p: int
-    base_field: FieldDescriptor
-    extension_field: FieldDescriptor
-    s: FieldElement
-    current_dim: int
-    radical: Subspace
-    abelian_ideal: Subspace
-    quotient_perfect: bool
-    quotient_dim: int
-    descent: SimplicityCertificate
-    checks: tuple[Check, ...]
-
-    @property
-    def ok(self) -> bool:
-        return _all_ok(self.checks)
-
-
-def inseparable_counterexample(p: int = 2) -> CounterexampleReport:
-    """Simplicity lost after inseparable base change, exhibited exactly.
+def inseparable_counterexample(p: int = 2) -> dict:
+    """The counterexample document: simplicity lost after inseparable base
+    change, exhibited exactly.
 
     Over F = F_p(t) the variable s = t has no p-th root, so
     K = F[X]/(X^p - s) is a field, realized concretely as F_p(u) with
     t mapped to u^p.  The core algebra P stays simple over K (descent),
     but P tensor K[X]/(X^p - s) = P tensor K[X]/(X - u)^p acquires the
     nonzero solvable ideal P tensor (x - u), so it is not semisimple.
-    The report carries the radical, a 3-dimensional abelian ideal inside
+    The document carries the radical, a 3-dimensional abelian ideal inside
     it, and the perfect 3-dimensional quotient.
     """
     if p not in (2, 3):
@@ -609,11 +566,10 @@ def inseparable_counterexample(p: int = 2) -> CounterexampleReport:
 
     # Core over F, then base-changed to K through t -> u^p.
     core_k = _base_change(current_algebra([base.one()] * 3), ext, lambda x: substitute(x, s_ext))
-    descent = certify_simple_via_descent(core_k, base)
+    descent_checks = certify_simple_via_descent(core_k, base)["checks"]
 
     coeff = power_quotient(s_ext, p)
     current = tensor_current(core_k, coeff)
-    dim = current.dim
 
     # The maximal ideal of K[X]/(X - u)^p is generated by n = x - u;
     # the radical of the current algebra is core tensor that ideal.
@@ -630,39 +586,37 @@ def inseparable_counterexample(p: int = 2) -> CounterexampleReport:
     quotient_perfect = derived_subspace(quotient).dim == quotient.dim
 
     abelian_brackets = bracket_span(current, abelian)
-    checks = (
-        Check("s_has_no_pth_root", not s_has_root),
-        Check("radical_nonzero", radical.dim > 0),
-        Check("radical_dim", radical.dim == 3 * (p - 1)),
-        Check("radical_ideal", is_ideal(current, radical)),
-        Check("radical_solvable", chain[-1].dim == 0),
-        Check("abelian_ideal_dim_3", abelian.dim == 3),
-        Check("abelian_ideal_ideal", is_ideal(current, abelian)),
-        Check("abelian_ideal_abelian", abelian_brackets.dim == 0),
-        Check("quotient_perfect_dim_3", quotient_perfect and quotient.dim == 3),
-        Check("core_simple_over_base", descent.ok),
-    )
-    return CounterexampleReport(
-        p, base, ext, s_base, dim, radical, abelian, quotient_perfect,
-        quotient.dim, descent, checks,
-    )
+    return {
+        "command": "counterexample",
+        "p": p,
+        "base_field": render_field(base),
+        "extension_field": render_field(ext),
+        "s": render_scalar(s_base),
+        "current_dim": current.dim,
+        "radical_dim": radical.dim,
+        "radical": subspace_to_json(radical),
+        "abelian_ideal": subspace_to_json(abelian),
+        "quotient_perfect": quotient_perfect,
+        "quotient_dim": quotient.dim,
+        "descent_checks": descent_checks,
+        "checks": [
+            _check("s_has_no_pth_root", not s_has_root),
+            _check("radical_nonzero", radical.dim > 0),
+            _check("radical_dim", radical.dim == 3 * (p - 1)),
+            _check("radical_ideal", is_ideal(current, radical)),
+            _check("radical_solvable", chain[-1].dim == 0),
+            _check("abelian_ideal_dim_3", abelian.dim == 3),
+            _check("abelian_ideal_ideal", is_ideal(current, abelian)),
+            _check("abelian_ideal_abelian", abelian_brackets.dim == 0),
+            _check("quotient_perfect_dim_3", quotient_perfect and quotient.dim == 3),
+            _check("core_simple_over_base", all(c["ok"] for c in descent_checks)),
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization and the independent checker.
+# The independent checker.
 # ---------------------------------------------------------------------------
-
-
-def subspace_to_json(space: Subspace) -> list[list[str]]:
-    return [[render_scalar(x) for x in row] for row in space.basis.rows]
-
-
-def tensor_to_json(tensor: Tensor) -> list:
-    return [[[render_scalar(x) for x in entry] for entry in row] for row in tensor]
-
-
-def checks_to_json(checks: Sequence[Check]) -> list[dict]:
-    return [{"name": c.name, "ok": c.ok} for c in checks]
 
 
 def _subspace_from_json(rows: list[list[str]], field: FieldDescriptor,
@@ -671,46 +625,7 @@ def _subspace_from_json(rows: list[list[str]], field: FieldDescriptor,
     return canonicalize_subspace(field, parsed, ambient)
 
 
-def descent_to_json(cert: SimplicityCertificate) -> dict:
-    return {
-        "extension": render_field(cert.extension),
-        "base": render_field(cert.base),
-        "extension_kind": cert.extension_kind,
-        "constants": tensor_to_json(cert.constants),
-        "derived_dim": cert.derived_dim,
-        "checks": checks_to_json(cert.checks),
-    }
-
-
-def certificate_to_json(cert: DecompositionCertificate) -> dict:
-    witnesses = {}
-    if cert.case == CASE_TWO_IDEALS:
-        witnesses["I1"] = subspace_to_json(cert.witnesses["I1"])
-        witnesses["I2"] = subspace_to_json(cert.witnesses["I2"])
-        witnesses["e_plus"] = [render_scalar(x) for x in cert.witnesses["e_plus"]]
-        witnesses["e_minus"] = [render_scalar(x) for x in cert.witnesses["e_minus"]]
-        witnesses["sqrt_D"] = render_scalar(cert.witnesses["sqrt_D"])
-    elif cert.case == CASE_SEMIDIRECT:
-        witnesses["N"] = subspace_to_json(cert.witnesses["N"])
-        witnesses["R"] = subspace_to_json(cert.witnesses["R"])
-        witnesses["nilpotent"] = [render_scalar(x) for x in cert.witnesses["nilpotent"]]
-        witnesses["sqrt_D"] = render_scalar(cert.witnesses["sqrt_D"])
-    else:
-        witnesses["extension"] = render_field(cert.witnesses["extension"])
-        witnesses["descent"] = descent_to_json(cert.witnesses["descent"])
-    return {
-        "case": cert.case,
-        "field": render_field(cert.field),
-        "form": [render_scalar(x) for x in cert.entries],
-        "D": render_scalar(cert.disc),
-        "table": tensor_to_json(cert.table),
-        "witnesses": witnesses,
-        "checks": checks_to_json(cert.checks),
-        "command": "classify",
-    }
-
-
-def recheck_certificate_json(data: dict) -> list[Check]:
+def recheck_certificate_json(data: dict) -> list[dict]:
     """Independent checker: rebuild M from the literals and re-run every
     invariant of the claimed case against the recorded witnesses."""
     check_literal_digits(data["field"], *data["form"])
@@ -719,8 +634,8 @@ def recheck_certificate_json(data: dict) -> list[Check]:
     pipe = build_pipeline(field, entries)
     alg = pipe.algebra
     checks = [
-        Check("recorded_discriminant_matches", render_scalar(pipe.disc) == data["D"]),
-        Check("recorded_table_matches", tensor_to_json(alg.constants) == data["table"]),
+        _check("recorded_discriminant_matches", render_scalar(pipe.disc) == data["D"]),
+        _check("recorded_table_matches", tensor_to_json(alg.constants) == data["table"]),
         *pipe.identity,
     ]
     case = data["case"]
@@ -730,7 +645,7 @@ def recheck_certificate_json(data: dict) -> list[Check]:
         LOCAL: CASE_SEMIDIRECT,
         FIELD: CASE_SIMPLE,
     }[analysis.variant]
-    checks.append(Check("case_matches_square_class", case == expected_case))
+    checks.append(_check("case_matches_square_class", case == expected_case))
     quotient = analysis.algebra
     if case == CASE_TWO_IDEALS:
         i1 = _subspace_from_json(data["witnesses"]["I1"], field, 6)
@@ -740,10 +655,10 @@ def recheck_certificate_json(data: dict) -> list[Check]:
         zero2 = (field.zero(), field.zero())
         checks += _ideal_pair_checks(alg, i1, i2)
         checks += [
-            Check("e_plus_idempotent", quotient.multiply(e_plus, e_plus) == e_plus),
-            Check("e_minus_idempotent", quotient.multiply(e_minus, e_minus) == e_minus),
-            Check("idempotents_orthogonal", quotient.multiply(e_plus, e_minus) == zero2),
-            Check(
+            _check("e_plus_idempotent", quotient.multiply(e_plus, e_plus) == e_plus),
+            _check("e_minus_idempotent", quotient.multiply(e_minus, e_minus) == e_minus),
+            _check("idempotents_orthogonal", quotient.multiply(e_plus, e_minus) == zero2),
+            _check(
                 "idempotents_sum_to_unit",
                 tuple(a + b for a, b in zip(e_plus, e_minus)) == quotient.unit(),
             ),
@@ -759,8 +674,9 @@ def recheck_certificate_json(data: dict) -> list[Check]:
         checks += semidirect
         checks += _sum_checks(n_space, r_space)
         checks += [
-            Check("nilpotent_nonzero", nilpotent != zero2),
-            Check("nilpotent_squares_to_zero", quotient.multiply(nilpotent, nilpotent) == zero2),
+            _check("nilpotent_nonzero", nilpotent != zero2),
+            _check("nilpotent_squares_to_zero",
+                   quotient.multiply(nilpotent, nilpotent) == zero2),
         ]
         checks += n_checks
     elif case == CASE_SIMPLE:
@@ -768,8 +684,8 @@ def recheck_certificate_json(data: dict) -> list[Check]:
         _, descent_checks = _descent_certificate(pipe, ext)
         checks += descent_checks[:2]  # discriminant_non_square, perfect_over_extension
         checks.append(
-            Check("recorded_extension_matches", ext == quadratic_extension(field, pipe.disc))
+            _check("recorded_extension_matches", ext == quadratic_extension(field, pipe.disc))
         )
     else:
-        checks.append(Check("known_case", False))
+        checks.append(_check("known_case", False))
     return checks

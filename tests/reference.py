@@ -30,6 +30,7 @@ from orthocurrent.scalars import (
     FieldElement,
     Poly,
     _make_ratio,
+    parse_scalar,
     poly_gcd,
     prime_field,
 )
@@ -56,6 +57,54 @@ def random_element(field: FieldDescriptor, rng, nonzero: bool = False) -> FieldE
             x = FieldElement(field, (u, v))
         if not nonzero or not x.is_zero():
             return x
+
+
+def matrix_sum(*mats: Matrix) -> Matrix:
+    """Entrywise sum of matrices of one shape over one field."""
+    field = mats[0].field
+    return Matrix(field, [[sum(xs, field.zero()) for xs in zip(*rows)]
+                          for rows in zip(*(m.rows for m in mats))])
+
+
+def scaled(s: FieldElement, m: Matrix) -> Matrix:
+    return Matrix(m.field, [[s * x for x in row] for row in m.rows])
+
+
+def is_zero_matrix(m: Matrix) -> bool:
+    return all(x.is_zero() for x in m.flatten())
+
+
+def full_subspace(field: FieldDescriptor, ambient_dim: int) -> Subspace:
+    return canonicalize_subspace(field, Matrix.identity(field, ambient_dim).rows, ambient_dim)
+
+
+def subspace_meet_join(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
+    """(intersection, sum) of two subspaces of the same ambient space.
+
+    The sum is the span of both bases; the intersection comes from the
+    Zassenhaus block trick: rows of [A|A] and [B|0] whose left half
+    eliminates to zero, by `dense_rref`, have right halves spanning the
+    intersection.
+    """
+    if a.field != b.field or a.ambient_dim != b.ambient_dim:
+        raise ShapeMismatch("subspaces live in different ambient spaces")
+    n = a.ambient_dim
+    joined = canonicalize_subspace(a.field, list(a.basis.rows) + list(b.basis.rows), n)
+    zero = a.field.zero()
+    block = [list(row) + list(row) for row in a.basis.rows]
+    block += [list(row) + [zero] * n for row in b.basis.rows]
+    block, _ = dense_rref(block)
+    meet_vectors = [
+        row[n:] for row in block
+        if all(x.is_zero() for x in row[:n]) and not all(x.is_zero() for x in row[n:])
+    ]
+    return canonicalize_subspace(a.field, meet_vectors, n), joined
+
+
+def document_subspace(rows, field: FieldDescriptor) -> Subspace:
+    """The subspace of M (dimension 6) that a document's rows of literals
+    span, such as a classify witness."""
+    return canonicalize_subspace(field, [[parse_scalar(x, field) for x in row] for row in rows], 6)
 
 
 def dense_rref(rows) -> tuple[list[list[FieldElement]], list[int]]:
@@ -160,12 +209,7 @@ def spin_principal_ideal(v, ads, q: int, n: int):
 def matrix_for(alg: LieAlgebraSC, coords) -> Matrix:
     """sum_k coords[k] m_k over the realization m_1, ..., m_n of alg, by
     matrix arithmetic."""
-    mats = alg.realization
-    zero = alg.field.zero()
-    out = Matrix(alg.field, [[zero] * mats[0].ncols for _ in range(mats[0].nrows)])
-    for c, m in zip(coords, mats):
-        out = out + m.scale(c)
-    return out
+    return matrix_sum(*(scaled(c, m) for c, m in zip(coords, alg.realization)))
 
 
 def realized_span(alg: LieAlgebraSC, space: Subspace) -> Subspace:

@@ -10,11 +10,8 @@ from orthocurrent.exact_linalg import (
     canonicalize_subspace,
     commutators,
     det,
-    full_subspace,
     kernel,
     rref,
-    subspace_meet_join,
-    zero_subspace,
 )
 from orthocurrent.scalars import (
     function_field,
@@ -23,7 +20,14 @@ from orthocurrent.scalars import (
     rationals,
 )
 
-from reference import dense_rref, random_element
+from reference import (
+    dense_rref,
+    full_subspace,
+    matrix_sum,
+    random_element,
+    scaled,
+    subspace_meet_join,
+)
 
 Q = rationals()
 F2 = prime_field(2)
@@ -91,7 +95,8 @@ def test_rank_nullity_randomized():
 def test_canonicalize_examples():
     s = canonicalize_subspace(Q, [vec(Q, [2, 0]), vec(Q, [0, 2])], 2)
     assert s == full_subspace(Q, 2)
-    assert canonicalize_subspace(Q, [], 2) == zero_subspace(Q, 2)
+    empty = canonicalize_subspace(Q, [], 2)
+    assert empty.dim == 0 and empty.ambient_dim == 2
     s = canonicalize_subspace(
         F2, [vec(F2, [1, 1, 0]), vec(F2, [0, 1, 1]), vec(F2, [1, 0, 1])], 3
     )
@@ -155,7 +160,7 @@ def test_matrix_rejects_entry_from_another_field():
 
 def test_arithmetic_across_fields_raises():
     a, b = Matrix.identity(Q, 2), Matrix.identity(F3, 2)
-    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b * a,
+    for op in (lambda: a * b, lambda: b * a,
                # zero skipping multiplies nothing, so only the field check sees it
                lambda: mat(Q, [[0] * 2] * 2) * b,
                lambda: commutators([a, b])):
@@ -167,7 +172,7 @@ def test_arithmetic_results_match_checked_construction():
     rng = random.Random(5)
     a = Matrix(Q, [[random_element(Q, rng) for _ in range(3)] for _ in range(3)])
     b = Matrix(Q, [[random_element(Q, rng) for _ in range(3)] for _ in range(3)])
-    for result in (a + b, a - b, -a, a.scale(Q.from_int(3)), a * b, a.transpose()):
+    for result in (a * b, a.transpose()):
         assert result == Matrix(Q, result.rows)
         assert (result.nrows, result.ncols) == (3, 3)
 
@@ -180,7 +185,7 @@ def test_commutators_match_matrix_products():
         comms = commutators(mats)
         assert sorted(comms) == [(i, j) for i in range(4) for j in range(i + 1, 4)]
         for (i, j), flat in comms.items():
-            assert flat == (mats[i] * mats[j] - mats[j] * mats[i]).flatten()
+            assert flat == matrix_sum(mats[i] * mats[j], scaled(-field.one(), mats[j] * mats[i])).flatten()
 
 
 ELIMINATION_FIELDS = ["Q", "F2", "F3", "F5", "F2(t)", "F3(t)", "F3[sqrt 2]", "F2(t)[sqrt t+1]"]

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from orthocurrent.exact_linalg import Matrix, canonicalize_subspace, det, full_subspace
+from orthocurrent.exact_linalg import Matrix, canonicalize_subspace, det
 from orthocurrent.forms import (
     AlternatingChar2,
     Degenerate,
     NotSymmetric,
     diagonal_form,
-    discriminant,
     make_form,
     orthogonalize,
     restrict,
@@ -20,7 +19,7 @@ from orthocurrent.scalars import (
     rationals,
 )
 
-from reference import random_element
+from reference import full_subspace, random_element
 
 Q = rationals()
 F2 = prime_field(2)
@@ -48,9 +47,9 @@ def test_make_form_examples():
 
 
 def test_discriminant_examples():
-    assert discriminant(diag(Q, [1, 1, 1, 1])) == Q.one()
-    assert discriminant(diag(Q, [1, 2, 3, 4])) == Q.from_int(24)
-    assert discriminant(make_form(mat(Q, [[0, 1], [1, 0]]))) == Q.from_int(-1)
+    assert diag(Q, [1, 1, 1, 1]).determinant == Q.one()
+    assert diag(Q, [1, 2, 3, 4]).determinant == Q.from_int(24)
+    assert make_form(mat(Q, [[0, 1], [1, 0]])).determinant == Q.from_int(-1)
 
 
 def test_orthogonalize_diagonal_is_identity():
@@ -127,9 +126,7 @@ def test_orthogonalize_randomized_all_descriptors():
             assert b * gram * b.transpose() == Matrix.diagonal(field, list(result.diagonal))
             assert all(not d.is_zero() for d in result.diagonal)
             # discriminant changes by the square of the change of basis
-            assert det(b) ** 2 * det(gram) == discriminant(
-                make_form(b * gram * b.transpose())
-            )
+            assert det(b) ** 2 * det(gram) == make_form(b * gram * b.transpose()).determinant
 
 
 def test_square_class_invariance_under_congruence():
@@ -143,7 +140,7 @@ def test_square_class_invariance_under_congruence():
                 if not det(p).is_zero():
                     break
             moved = make_form(p * form.gram * p.transpose())
-            d1, d2 = discriminant(form), discriminant(moved)
+            d1, d2 = form.determinant, moved.determinant
             assert d2 == det(p) ** 2 * d1
             assert (is_square(d1) is None) == (is_square(d2) is None)
 

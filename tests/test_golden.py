@@ -20,6 +20,8 @@ import pytest
 
 import orthocurrent
 from orthocurrent.cli import execute, parse_args, recheck_json
+from orthocurrent.scalars import parse_field, parse_scalar
+from orthocurrent.structure import classify, inseparable_counterexample, verify_current_form
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
@@ -85,6 +87,27 @@ def test_golden_files_cover_every_document(fresh):
 @pytest.mark.parametrize("name", _golden_names())
 def test_output_is_byte_identical(fresh, name):
     assert (GOLDEN / name).read_bytes() == fresh[name].encode()
+
+
+def _as_file(doc: dict) -> bytes:
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("name, field, form", FORMS)
+def test_library_returns_the_golden_documents(name, field, form):
+    """classify, and verify at seed 0, return the golden documents
+    themselves: the CLI adds nothing to them."""
+    field = parse_field(field)
+    entries = [parse_scalar(x, field) for x in form.split(",")]
+    assert _as_file(classify(field, entries)) == (GOLDEN / f"{name}.classify.json").read_bytes()
+    assert _as_file(verify_current_form(field, entries, seed=0)) == (
+        GOLDEN / f"{name}.verify.json").read_bytes()
+
+
+@pytest.mark.parametrize("p", COUNTEREXAMPLES)
+def test_library_returns_the_golden_counterexample(p):
+    assert _as_file(inseparable_counterexample(p)) == (
+        GOLDEN / f"counterexample-p{p}.json").read_bytes()
 
 
 def test_documents_survive_optimized_mode():

@@ -19,10 +19,15 @@ from orthocurrent.oracle import (
     gaussian_binomial,
     ideal_dimension_histogram,
 )
-from orthocurrent.exact_linalg import subspace_meet_join
 from orthocurrent.scalars import prime_field, rationals
 
-from reference import enumerate_subspaces, ideal_closure, iter_echelon, spin_principal_ideal
+from reference import (
+    enumerate_subspaces,
+    ideal_closure,
+    iter_echelon,
+    spin_principal_ideal,
+    subspace_meet_join,
+)
 
 F2 = prime_field(2)
 F3 = prime_field(3)

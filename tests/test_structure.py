@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from orthocurrent import scalars, structure
 from orthocurrent.cli import execute, parse_args
-from orthocurrent.exact_linalg import Matrix, Subspace, canonicalize_subspace, commutators
+from orthocurrent.exact_linalg import Matrix, canonicalize_subspace, commutators
 from orthocurrent.forms import diagonal_form, make_form
 from orthocurrent.liealg import (
     LieAlgebraSC,
@@ -30,7 +30,6 @@ from orthocurrent.scalars import (
     prime_field,
     quadratic_extension,
     rationals,
-    render_scalar,
 )
 from orthocurrent.structure import (
     CASE_SEMIDIRECT,
@@ -39,7 +38,6 @@ from orthocurrent.structure import (
     DescriptorMismatch,
     UnsupportedPrime,
     build_pipeline,
-    certificate_to_json,
     certify_simple_via_descent,
     classify,
     inseparable_counterexample,
@@ -52,8 +50,11 @@ from reference import (
     common_denominator,
     conjugated_current_basis,
     derived_span_by_coordinates,
+    document_subspace,
     ideal_closure,
     random_element,
+    scaled,
+    subspace_meet_join,
     wedge_basis,
 )
 from test_golden import FORMS as GOLDEN_FORMS
@@ -69,64 +70,72 @@ def ints(field, values):
     return [field.from_int(v) for v in values]
 
 
+def _ok(doc):
+    return all(c["ok"] for c in doc["checks"])
+
+
+def _failed(checks):
+    return {c["name"] for c in checks if not c["ok"]}
+
+
 def test_verify_q_1234():
-    report = verify_current_form(Q, ints(Q, [1, 2, 3, 4]))
-    assert report.equal and report.ok
-    assert report.disc == Q.from_int(24)
-    assert report.dims == {
+    doc = verify_current_form(Q, ints(Q, [1, 2, 3, 4]))
+    assert doc["equal"] and _ok(doc)
+    assert doc["D"] == "24"
+    assert doc["dims"] == {
         "skew_adjoint": 6,
         "derived": 6,
         "core_skew_adjoint": 3,
         "core_derived": 3,
     }
-    assert report.random_w.equal
+    assert doc["random_w"]["equal"]
 
 
 def test_verify_f2_char2_dims():
-    report = verify_current_form(F2, ints(F2, [1, 1, 1, 1]))
-    assert report.equal and report.ok
-    assert report.dims["skew_adjoint"] == 10
-    assert report.dims["derived"] == 6
-    assert report.dims["core_skew_adjoint"] == 6
-    assert report.dims["core_derived"] == 3
+    doc = verify_current_form(F2, ints(F2, [1, 1, 1, 1]))
+    assert doc["equal"] and _ok(doc)
+    assert doc["dims"]["skew_adjoint"] == 10
+    assert doc["dims"]["derived"] == 6
+    assert doc["dims"]["core_skew_adjoint"] == 6
+    assert doc["dims"]["core_derived"] == 3
 
 
 def test_verify_f3():
-    report = verify_current_form(F3, ints(F3, [1, 1, 1, 1]))
-    assert report.equal and report.ok and report.disc == F3.one()
+    doc = verify_current_form(F3, ints(F3, [1, 1, 1, 1]))
+    assert doc["equal"] and _ok(doc) and doc["D"] == "1"
 
 
 def test_verify_seed_determinism():
     r1 = verify_current_form(Q, ints(Q, [1, 2, 3, 4]), seed=5)
     r2 = verify_current_form(Q, ints(Q, [1, 2, 3, 4]), seed=5)
-    assert r1.random_w.subspace == r2.random_w.subspace
-    assert r1.random_w.diagonal == r2.random_w.diagonal
+    assert r1["random_w"]["subspace"] == r2["random_w"]["subspace"]
+    assert r1["random_w"]["diagonal"] == r2["random_w"]["diagonal"]
 
 
 def test_classify_split_over_q():
     cert = classify(Q, ints(Q, [1, 1, 1, 1]))
-    assert cert.case == CASE_TWO_IDEALS and cert.ok
-    i1, i2 = cert.witnesses["I1"], cert.witnesses["I2"]
+    assert cert["case"] == CASE_TWO_IDEALS and _ok(cert)
+    i1, i2 = (document_subspace(cert["witnesses"][name], Q) for name in ("I1", "I2"))
     assert i1.dim == 3 and i2.dim == 3 and i1 != i2
 
 
 def test_classify_semidirect_over_f2():
     cert = classify(F2, ints(F2, [1, 1, 1, 1]))
-    assert cert.case == CASE_SEMIDIRECT and cert.ok
-    assert cert.witnesses["R"].dim == 3
+    assert cert["case"] == CASE_SEMIDIRECT and _ok(cert)
+    assert document_subspace(cert["witnesses"]["R"], F2).dim == 3
 
 
 def test_classify_simple_over_f3():
     cert = classify(F3, ints(F3, [1, 1, 1, 2]))
-    assert cert.case == CASE_SIMPLE and cert.ok
-    descent = cert.witnesses["descent"]
-    assert descent.derived_dim == 3 and descent.ok
+    assert cert["case"] == CASE_SIMPLE and _ok(cert)
+    descent = cert["witnesses"]["descent"]
+    assert descent["derived_dim"] == 3 and _ok(descent)
 
 
 def test_classify_simple_over_function_field():
     entries = [parse_scalar(x, F2T) for x in ("1", "1", "1", "t")]
     cert = classify(F2T, entries)
-    assert cert.case == CASE_SIMPLE and cert.ok
+    assert cert["case"] == CASE_SIMPLE and _ok(cert)
 
 
 def test_classify_variant_function_of_char_and_square_class():
@@ -138,41 +147,38 @@ def test_classify_variant_function_of_char_and_square_class():
         for _ in range(4):
             entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
             cert = classify(field, entries)
-            d = cert.disc
+            d = parse_scalar(cert["D"], field)
             if is_square(d) is None:
-                assert cert.case == CASE_SIMPLE
+                assert cert["case"] == CASE_SIMPLE
             elif char2:
-                assert cert.case == CASE_SEMIDIRECT
+                assert cert["case"] == CASE_SEMIDIRECT
             else:
-                assert cert.case == CASE_TWO_IDEALS
-            assert cert.ok
+                assert cert["case"] == CASE_TWO_IDEALS
+            assert _ok(cert)
 
 
 def test_certificates_recheck_independently():
     for field, values in [(Q, [1, 1, 1, 1]), (F2, [1, 1, 1, 1]), (F3, [1, 1, 1, 2])]:
-        cert = classify(field, ints(field, values))
-        rechecked = recheck_certificate_json(certificate_to_json(cert))
-        assert all(c.ok for c in rechecked)
+        rechecked = recheck_certificate_json(classify(field, ints(field, values)))
+        assert all(c["ok"] for c in rechecked)
 
 
 def test_certificate_json_round_trip():
     cert = classify(F3, ints(F3, [1, 1, 1, 2]))
-    blob = json.dumps(certificate_to_json(cert))
-    data = json.loads(blob)
+    data = json.loads(json.dumps(cert))
+    assert data == cert
     assert data["case"] == CASE_SIMPLE
     checks = recheck_certificate_json(data)
-    assert all(c.ok for c in checks)
-    # determinism: classifying twice serializes identically
-    again = classify(F3, ints(F3, [1, 1, 1, 2]))
-    assert certificate_to_json(again) == certificate_to_json(cert)
+    assert all(c["ok"] for c in checks)
+    # determinism: classifying twice gives the same document
+    assert classify(F3, ints(F3, [1, 1, 1, 2])) == cert
 
 
 def test_recheck_catches_tampering():
-    cert = classify(Q, ints(Q, [1, 1, 1, 1]))
-    data = certificate_to_json(cert)
+    data = classify(Q, ints(Q, [1, 1, 1, 1]))
     data["witnesses"]["I1"][0][0] = "7"
     checks = recheck_certificate_json(data)
-    assert not all(c.ok for c in checks)
+    assert not all(c["ok"] for c in checks)
 
 
 def test_descent_certificate_rejects_non_perfect():
@@ -181,14 +187,10 @@ def test_descent_certificate_rejects_non_perfect():
     constants = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
     abelian = LieAlgebraSC(ext, 3, constants)
     cert = certify_simple_via_descent(abelian, F3)
-    assert not cert.ok and cert.derived_dim == 0
-    assert [c.name for c in cert.checks if not c.ok][0] == "perfect_over_extension"
+    assert not _ok(cert) and cert["derived_dim"] == 0
+    assert [c["name"] for c in cert["checks"] if not c["ok"]][0] == "perfect_over_extension"
     # the two inferences rest on perfection, so they fail with it
-    assert not any(c.ok for c in cert.checks)
-
-
-def _failed(checks):
-    return {c.name for c in checks if not c.ok}
+    assert not any(c["ok"] for c in cert["checks"])
 
 
 def test_table_identity_failure_reaches_every_report(monkeypatch):
@@ -196,12 +198,12 @@ def test_table_identity_failure_reaches_every_report(monkeypatch):
     real = structure.current_table
     monkeypatch.setattr(structure, "current_table", lambda core, disc: real(core, disc + disc))
     entries = ints(Q, [1, 2, 3, 4])
-    report = verify_current_form(Q, entries)
-    assert not report.equal
-    assert _failed(report.checks) == {"tables_match"}
+    doc = verify_current_form(Q, entries)
+    assert not doc["equal"]
+    assert _failed(doc["checks"]) == {"tables_match"}
     cert = classify(Q, entries)
-    assert _failed(cert.checks) == {"tables_match"}
-    assert _failed(recheck_certificate_json(certificate_to_json(cert))) == {"tables_match"}
+    assert _failed(cert["checks"]) == {"tables_match"}
+    assert _failed(recheck_certificate_json(cert)) == {"tables_match"}
 
 
 def _patch_primed_algebra(monkeypatch, entries, edit):
@@ -232,10 +234,10 @@ def test_random_w_table_is_read_at_the_primed_diagonal(monkeypatch):
         scalar = parse_scalar(factor, field)
         entries = [parse_scalar(x, field) for x in form.split(",")]
         with monkeypatch.context() as mp:
-            _patch_primed_algebra(mp, entries, lambda cb: (cb[0].scale(scalar),) + cb[1:])
-            report = verify_current_form(field, entries)
-        assert report.random_w.spans_match and not report.random_w.equal
-        assert _failed(report.checks) == {"random_w_tables_match"}
+            _patch_primed_algebra(mp, entries, lambda cb: (scaled(scalar, cb[0]),) + cb[1:])
+            doc = verify_current_form(field, entries)
+        assert not doc["random_w"]["equal"]
+        assert _failed(doc["checks"]) == {"random_w_tables_match"}
 
 
 def _verify_f3t_counting(monkeypatch, owner, name, form="1,1,t+1,t"):
@@ -245,7 +247,7 @@ def _verify_f3t_counting(monkeypatch, owner, name, form="1,1,t+1,t"):
     calls = []
     real = getattr(owner, name)
     monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or real(*args))
-    assert verify_current_form(field, entries).ok
+    assert _ok(verify_current_form(field, entries))
     return len(calls)
 
 
@@ -295,9 +297,9 @@ def test_a_foreign_derived_span_at_the_primed_diagonal_fails_the_leg_span(monkey
 
         with monkeypatch.context() as mp:
             mp.setattr(structure, "_derived_span", foreign)
-            report = verify_current_form(field, entries)
-        assert report.random_w.equal and not report.random_w.spans_match
-        assert _failed(report.checks) == {"random_w_spans_match"}
+            doc = verify_current_form(field, entries)
+        assert doc["random_w"]["equal"]
+        assert _failed(doc["checks"]) == {"random_w_spans_match"}
 
 
 @pytest.mark.parametrize("literal", ["Q", "F3", "F3(t)", "F2(t)", "F3[sqrt 2]"])
@@ -338,7 +340,7 @@ def test_wedges_are_the_conjugated_distinguished_basis(literal, seed):
     assert all(pipe.derived_span.contains(v) for v in flats)
     span = canonicalize_subspace(field, flats, 16)
     assert span.dim == 6
-    cleared = [m.scale(common_denominator(field, m.flatten())).flatten() for m in conjugates]
+    cleared = [scaled(common_denominator(field, m.flatten()), m).flatten() for m in conjugates]
     assert canonicalize_subspace(field, cleared, 16) == span
 
 
@@ -380,8 +382,8 @@ def test_a_non_orthogonal_basis_fails_the_leg_table_without_raising(monkeypatch)
         field = parse_field(field_literal)
         with monkeypatch.context() as mp:
             mp.setattr(structure, "orthogonalize", skewed)
-            report = verify_current_form(field, [parse_scalar(x, field) for x in form.split(",")])
-        assert _failed(report.checks) == {"random_w_spans_match", "random_w_tables_match"}
+            doc = verify_current_form(field, [parse_scalar(x, field) for x in form.split(",")])
+        assert _failed(doc["checks"]) == {"random_w_spans_match", "random_w_tables_match"}
 
 
 def test_a_wrong_claimed_square_fails_the_leg_isometry(monkeypatch):
@@ -406,8 +408,8 @@ def test_a_wrong_claimed_square_fails_the_leg_isometry(monkeypatch):
 
         with monkeypatch.context() as mp:
             mp.setattr(structure, "orthogonalize", misclaimed)
-            report = verify_current_form(field, [parse_scalar(x, field) for x in form.split(",")])
-        assert _failed(report.checks) == {"random_w_spans_match", "random_w_tables_match"}
+            doc = verify_current_form(field, [parse_scalar(x, field) for x in form.split(",")])
+        assert _failed(doc["checks"]) == {"random_w_spans_match", "random_w_tables_match"}
 
 
 def test_a_complement_row_that_is_not_orthogonal_fails_the_leg_isometry(monkeypatch):
@@ -430,8 +432,8 @@ def test_a_complement_row_that_is_not_orthogonal_fails_the_leg_isometry(monkeypa
         field = parse_field(field_literal)
         with monkeypatch.context() as mp:
             mp.setattr(structure, "orthogonal_complement", tilted)
-            report = verify_current_form(field, [parse_scalar(x, field) for x in form.split(",")])
-        assert _failed(report.checks) == {"random_w_spans_match", "random_w_tables_match"}
+            doc = verify_current_form(field, [parse_scalar(x, field) for x in form.split(",")])
+        assert _failed(doc["checks"]) == {"random_w_spans_match", "random_w_tables_match"}
 
 
 def test_span_identity_failure_reaches_every_report(monkeypatch):
@@ -443,19 +445,41 @@ def test_span_identity_failure_reaches_every_report(monkeypatch):
         lambda form: real(diagonal_form(form.field, [form.field.one()] * form.dim)),
     )
     entries = ints(Q, [1, 2, 3, 4])
-    assert _failed(verify_current_form(Q, entries).checks) == {
+    assert _failed(verify_current_form(Q, entries)["checks"]) == {
         "distinguished_basis_spans_derived", "core_basis_spans_derived", "random_w_spans_match",
     }
     cert = classify(Q, entries)
-    assert _failed(cert.checks) == {"distinguished_basis_spans_derived"}
-    rechecked = recheck_certificate_json(certificate_to_json(cert))
+    assert _failed(cert["checks"]) == {"distinguished_basis_spans_derived"}
+    rechecked = recheck_certificate_json(cert)
     assert _failed(rechecked) == {"distinguished_basis_spans_derived"}
 
 
 def test_recheck_catches_ideals_that_do_not_sum_to_m():
-    data = certificate_to_json(classify(Q, ints(Q, [1, 1, 1, 1])))
+    data = classify(Q, ints(Q, [1, 1, 1, 1]))
     data["witnesses"]["I2"] = data["witnesses"]["I1"]
     assert _failed(recheck_certificate_json(data)) == {"sum_direct", "sum_is_everything"}
+
+
+@pytest.mark.parametrize("literal", ["Q", "F3", "F2(t)"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), dims=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+       share=st.booleans())
+def test_sum_checks_match_the_zassenhaus_meet(literal, seed, dims, share):
+    """sum_direct reads dim(A + B) = dim A + dim B, and the reference meet
+    from the Zassenhaus block elimination is zero exactly then.  With
+    `share`, B also spans A's first row."""
+    field = parse_field(literal)
+    rng = random.Random(seed)
+    rows_a, rows_b = ([[random_element(field, rng) for _ in range(4)] for _ in range(k)]
+                      for k in dims)
+    if share:
+        rows_b += rows_a[:1]
+    a, b = (canonicalize_subspace(field, rows, 4) for rows in (rows_a, rows_b))
+    meet, join = subspace_meet_join(a, b)
+    checks = structure._sum_checks(a, b)
+    assert [c["name"] for c in checks] == ["sum_direct", "sum_is_everything"]
+    assert checks[0]["ok"] == (meet.dim == 0)
+    assert checks[1]["ok"] == (join.dim == 4)
 
 
 def test_descent_certificate_over_quadratic_extension():
@@ -467,7 +491,7 @@ def test_descent_certificate_over_quadratic_extension():
         for row in core.constants
     )
     cert = certify_simple_via_descent(LieAlgebraSC(ext, 3, lifted), F3)
-    assert cert.ok and cert.extension_kind == "quadratic"
+    assert _ok(cert) and cert["extension_kind"] == "quadratic"
 
 
 def test_descent_rejects_unrelated_fields():
@@ -481,24 +505,39 @@ def test_descent_rejects_unrelated_fields():
         certify_simple_via_descent(alg, F3)
 
 
-def test_counterexample_p2():
-    report = inseparable_counterexample(2)
-    assert report.ok
-    assert report.current_dim == 6
-    assert report.radical.dim == 3
-    assert report.abelian_ideal == report.radical
-    assert report.quotient_perfect and report.quotient_dim == 3
-    assert report.descent.extension_kind == "inseparable_degree_p"
-    assert render_scalar(report.s) == "t"
+def _counterexample_and_descents(monkeypatch, p):
+    """The counterexample document at p, and the descent documents it
+    built on the way."""
+    descents = []
+    real = structure.certify_simple_via_descent
+
+    def recorded(alg, base):
+        descents.append(real(alg, base))
+        return descents[-1]
+
+    monkeypatch.setattr(structure, "certify_simple_via_descent", recorded)
+    return inseparable_counterexample(p), descents
+
+
+def test_counterexample_p2(monkeypatch):
+    doc, descents = _counterexample_and_descents(monkeypatch, 2)
+    assert _ok(doc)
+    assert doc["current_dim"] == 6
+    assert doc["radical_dim"] == len(doc["radical"]) == 3
+    assert doc["abelian_ideal"] == doc["radical"]
+    assert doc["quotient_perfect"] and doc["quotient_dim"] == 3
+    assert [d["extension_kind"] for d in descents] == ["inseparable_degree_p"]
+    assert doc["descent_checks"] == descents[0]["checks"]
+    assert doc["s"] == "t"
 
 
 def test_counterexample_p3():
-    report = inseparable_counterexample(3)
-    assert report.ok
-    assert report.current_dim == 9
-    assert report.radical.dim == 6
-    assert report.abelian_ideal.dim == 3
-    assert report.quotient_perfect and report.quotient_dim == 3
+    doc = inseparable_counterexample(3)
+    assert _ok(doc)
+    assert doc["current_dim"] == 9
+    assert doc["radical_dim"] == len(doc["radical"]) == 6
+    assert len(doc["abelian_ideal"]) == 3
+    assert doc["quotient_perfect"] and doc["quotient_dim"] == 3
 
 
 def test_counterexample_rejects_other_primes():
@@ -509,9 +548,9 @@ def test_counterexample_rejects_other_primes():
 def test_split_ideal_closure_regenerates_each_ideal():
     rng = random.Random(77)
     cert = classify(Q, ints(Q, [1, 1, 1, 1]))
-    alg = LieAlgebraSC(Q, 6, cert.table)
+    alg = current_algebra(ints(Q, [1, 1, 1, 1]))
     for name in ("I1", "I2"):
-        space = cert.witnesses[name]
+        space = document_subspace(cert["witnesses"][name], Q)
         for _ in range(5):
             coeffs = [random_element(Q, rng) for _ in range(3)]
             v = tuple(
@@ -527,8 +566,8 @@ def test_semidirect_bracket_relations():
     from orthocurrent.liealg import bracket_span, derived_series_of_subspace
 
     cert = classify(F2, ints(F2, [1, 1, 1, 1]))
-    alg = LieAlgebraSC(F2, 6, cert.table)
-    n_space, r_space = cert.witnesses["N"], cert.witnesses["R"]
+    alg = current_algebra(ints(F2, [1, 1, 1, 1]))
+    n_space, r_space = (document_subspace(cert["witnesses"][name], F2) for name in ("N", "R"))
     # [N, R] lands in R and [R, R] = 0
     for n_row in n_space.basis.rows:
         for r_row in r_space.basis.rows:
@@ -539,8 +578,7 @@ def test_semidirect_bracket_relations():
 
 
 def test_ideal_closure_zero_seed():
-    cert = classify(Q, ints(Q, [1, 1, 1, 1]))
-    alg = LieAlgebraSC(Q, 6, cert.table)
+    alg = current_algebra(ints(Q, [1, 1, 1, 1]))
     zero_vec = tuple(Q.zero() for _ in range(6))
     assert ideal_closure(alg, [zero_vec]).dim == 0
 
@@ -549,8 +587,8 @@ def test_random_w_retry_and_exhaustion():
     from orthocurrent.structure import NondegenerateWRequired
 
     ones = [F2.one()] * 4
-    report = verify_current_form(F2, ones, seed=0)
-    assert report.random_w.attempts == 4 and report.ok
+    doc = verify_current_form(F2, ones, seed=0)
+    assert doc["random_w"]["attempts"] == 4 and _ok(doc)
     with pytest.raises(NondegenerateWRequired):
         verify_current_form(F2, ones, seed=0, max_tries=1)
 
@@ -559,8 +597,8 @@ def test_verify_randomized_smoke():
     rng = random.Random(99)
     for field in [Q, F3, F2T]:
         entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
-        report = verify_current_form(field, entries, seed=1)
-        assert report.ok, [c for c in report.checks if not c.ok]
+        doc = verify_current_form(field, entries, seed=1)
+        assert _ok(doc), _failed(doc["checks"])
 
 
 # Non-alternating, nondegenerate F2 Gram matrices that are not diagonal:
@@ -626,10 +664,10 @@ def test_no_structure_constants_for_l_or_for_a_witness(monkeypatch):
 
     monkeypatch.setattr(LieAlgebraSC, "__init__", counting)
     entries = ints(F3, [1, 2, 1, 2])
-    assert classify(F3, entries).ok
+    assert _ok(classify(F3, entries))
     assert 0 < len(built) <= 3
     built.clear()
-    assert verify_current_form(F3, entries).ok
+    assert _ok(verify_current_form(F3, entries))
     assert 0 < len(built) <= 5
 
 
@@ -654,7 +692,8 @@ def _perfect_case(index):
     core = canonicalize_subspace(
         field, [[one if k == i else field.zero() for k in range(6)] for i in range(3)], 6)
     starts = [canonicalize_subspace(field, [], 6), core]
-    starts += [w for w in cert.witnesses.values() if isinstance(w, Subspace)]
+    starts += [document_subspace(rows, field) for name, rows in cert["witnesses"].items()
+               if name in ("I1", "I2", "N", "R")]
     return current_algebra(entries), starts, literals
 
 
@@ -686,6 +725,6 @@ def test_perfect_checks_match_the_subalgebra_built_from_constants(case):
     with the subalgebra built from its own structure constants."""
     alg, space = case
     checks = structure._perfect_subspace_checks(alg, space, "X")
-    assert [c.name for c in checks] == ["X_dim_3", "X_bracket_closed", "X_perfect"]
-    assert checks[0].ok == (space.dim == 3)
-    assert (checks[1].ok, checks[2].ok) == closed_and_perfect(alg, space)
+    assert [c["name"] for c in checks] == ["X_dim_3", "X_bracket_closed", "X_perfect"]
+    assert checks[0]["ok"] == (space.dim == 3)
+    assert (checks[1]["ok"], checks[2]["ok"]) == closed_and_perfect(alg, space)
