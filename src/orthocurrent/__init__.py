@@ -34,17 +34,17 @@ from .forms import (
     restrict,
 )
 from .liealg import (
-    CoefficientAlgebra,
     LieAlgebraSC,
     algebra_from_matrices,
     current_algebra,
     current_basis,
     quotient_algebra,
+    quotient_product,
     skew_adjoint_algebra,
     tables_equal,
     tensor_current,
 )
-from .coeff_algebra import QuadraticAnalysis, analyze_quadratic, quadratic_quotient
+from .coeff_algebra import QuadraticAnalysis, analyze_quadratic
 from .structure import (
     certify_simple_via_descent,
     classify,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .liealg import CoefficientAlgebra, InvalidStructure, Vector
+from .liealg import InvalidStructure, Vector, quotient_product
 from .scalars import (
     FieldDescriptor,
     FieldElement,
@@ -43,7 +43,6 @@ class QuadraticAnalysis:
     """
 
     variant: str
-    algebra: CoefficientAlgebra
     e_plus: Optional[Vector] = None
     e_minus: Optional[Vector] = None
     nilpotent: Optional[Vector] = None
@@ -51,63 +50,32 @@ class QuadraticAnalysis:
     extension: Optional[FieldDescriptor] = None
 
 
-def power_quotient(s: FieldElement, n: int) -> CoefficientAlgebra:
-    """F[X]/(X^n - s) on basis 1, x, ..., x^(n-1), generated by x."""
-    field = s.field
-    zero, one = field.zero(), field.one()
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            coords = [zero] * n
-            if i + j < n:
-                coords[i + j] = one
-            else:
-                coords[i + j - n] = s
-            row.append(tuple(coords))
-        table.append(row)
-    generator = tuple(one if i == 1 else zero for i in range(n))
-    return CoefficientAlgebra(field, table, generator=generator)
-
-
-def quadratic_quotient(d: FieldElement) -> CoefficientAlgebra:
-    """The 2-dimensional algebra on basis {1, x} with x^2 = D."""
-    if d.is_zero():
-        raise ZeroDiscriminant("discriminant must be nonzero")
-    return power_quotient(d, 2)
-
-
 def analyze_quadratic(d: FieldElement) -> QuadraticAnalysis:
     """Classify F[X]/(X^2 - D) and return re-verified witnesses."""
     if d.is_zero():
         raise ZeroDiscriminant("discriminant must be nonzero")
     field = d.field
-    algebra = quadratic_quotient(d)
     root = is_square(d)
     if root is None:
-        return QuadraticAnalysis(
-            FIELD, algebra, extension=quadratic_extension(field, d)
-        )
+        return QuadraticAnalysis(FIELD, extension=quadratic_extension(field, d))
     if field.characteristic() == 2:
         # (x + e)^2 = x^2 + e^2 = D + D = 0
         nilpotent = (root, field.one())
-        if algebra.multiply(nilpotent, nilpotent) != (field.zero(),) * 2:
+        if quotient_product(nilpotent, nilpotent, d) != (field.zero(),) * 2:
             raise InvalidStructure("nilpotent witness does not square to zero")
         if all(x.is_zero() for x in nilpotent):
             raise InvalidStructure("nilpotent witness is zero")
-        return QuadraticAnalysis(LOCAL, algebra, nilpotent=nilpotent, sqrt_d=root)
+        return QuadraticAnalysis(LOCAL, nilpotent=nilpotent, sqrt_d=root)
     half = inv(field.from_int(2))
     root_inv = inv(root)
     e_plus = (half, half * root_inv)
     e_minus = (half, -(half * root_inv))
     zero = field.zero()
     for e in (e_plus, e_minus):
-        if algebra.multiply(e, e) != e:
+        if quotient_product(e, e, d) != e:
             raise InvalidStructure("split witness is not idempotent")
-    if algebra.multiply(e_plus, e_minus) != (zero, zero):
+    if quotient_product(e_plus, e_minus, d) != (zero, zero):
         raise InvalidStructure("split idempotents are not orthogonal")
-    if tuple(a + b for a, b in zip(e_plus, e_minus)) != algebra.unit():
+    if tuple(a + b for a, b in zip(e_plus, e_minus)) != (field.one(), zero):
         raise InvalidStructure("split idempotents do not sum to the unit")
-    return QuadraticAnalysis(
-        SPLIT, algebra, e_plus=e_plus, e_minus=e_minus, sqrt_d=root
-    )
+    return QuadraticAnalysis(SPLIT, e_plus=e_plus, e_minus=e_minus, sqrt_d=root)

@@ -492,100 +492,59 @@ def paper_table(rows: Sequence[tuple[int, int, int, FieldElement]]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient algebras and current algebras.
+# Current algebras over F[X]/(X^n - s).
 # ---------------------------------------------------------------------------
 
 
-class CoefficientAlgebra:
-    """Commutative associative unital algebra used as tensor coefficients.
-
-    Basis products are given by `table[i][j]`; the unit must be basis
-    element 0.  `generator` marks the distinguished element (the residue
-    of X in a quotient construction) when one exists.
-    """
-
-    __slots__ = ("field", "dim", "table", "generator")
-
-    def __init__(self, field: FieldDescriptor, table: Sequence[Sequence[Sequence[FieldElement]]],
-                 generator: Optional[Vector] = None):
-        self.field = field
-        self.dim = len(table)
-        self.table = tuple(tuple(tuple(entry) for entry in row) for row in table)
-        self.generator = tuple(generator) if generator is not None else None
-        self._check()
-
-    def _check(self) -> None:
-        n = self.dim
-        if n == 0:
-            raise InvalidStructure("coefficient algebra must contain a unit")
-        unit = self.unit()
-        for i in range(n):
-            if self.multiply(unit, self.basis_vector(i)) != self.basis_vector(i):
-                raise InvalidStructure("basis element 0 is not a unit")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.table[i][j] != self.table[j][i]:
-                    raise InvalidStructure("multiplication is not commutative")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    left = self.multiply(self.table[i][j], self.basis_vector(k))
-                    right = self.multiply(self.basis_vector(i), self.table[j][k])
-                    if left != right:
-                        raise InvalidStructure("multiplication is not associative")
-
-    def basis_vector(self, i: int) -> Vector:
-        zero, one = self.field.zero(), self.field.one()
-        return tuple(one if k == i else zero for k in range(self.dim))
-
-    def unit(self) -> Vector:
-        return self.basis_vector(0)
-
-    def multiply(self, u: Sequence[FieldElement], v: Sequence[FieldElement]) -> Vector:
-        zero = self.field.zero()
-        acc = [zero] * self.dim
-        for i, ui in enumerate(u):
-            if ui.is_zero():
+def quotient_product(u: Sequence[FieldElement], v: Sequence[FieldElement],
+                     s: FieldElement) -> Vector:
+    """The product in F[X]/(X^n - s), n = len(u), on the basis 1, x, ...,
+    x^(n-1): x^i x^j is x^(i+j), or s x^(i+j-n) past the top."""
+    n = len(u)
+    if len(v) != n:
+        raise ShapeMismatch("factors have different lengths")
+    acc = [s.field.zero()] * n
+    for i, ui in enumerate(u):
+        if ui.is_zero():
+            continue
+        for j, vj in enumerate(v):
+            if vj.is_zero():
                 continue
-            for j, vj in enumerate(v):
-                if vj.is_zero():
-                    continue
-                scale = ui * vj
-                for k, coeff in enumerate(self.table[i][j]):
-                    if not coeff.is_zero():
-                        acc[k] = acc[k] + scale * coeff
-        return tuple(acc)
-
-    def __repr__(self) -> str:
-        return f"CoefficientAlgebra(dim={self.dim} over {self.field!r})"
+            term = ui * vj
+            k = i + j
+            if k >= n:
+                k -= n
+                term = term * s
+            acc[k] = acc[k] + term
+    return tuple(acc)
 
 
-def tensor_current(alg: LieAlgebraSC, coeff: CoefficientAlgebra) -> LieAlgebraSC:
-    """Current algebra L (x) A with [l (x) a, l' (x) a'] = [l,l'] (x) aa'.
+def tensor_current(alg: LieAlgebraSC, s: FieldElement, n: int) -> LieAlgebraSC:
+    """Current algebra L (x) F[X]/(X^n - s) with [l (x) a, l' (x) a'] =
+    [l,l'] (x) aa'.
 
-    Basis order is coefficient-major: l_1 (x) a_0, ..., l_n (x) a_0,
-    l_1 (x) a_1, ... so that position j * dim(L) + i holds l_i (x) a_j.
+    Basis order is coefficient-major: l_1 (x) 1, ..., l_m (x) 1,
+    l_1 (x) x, ... so that position j * dim(L) + i holds l_i (x) x^j.
     """
-    if alg.field != coeff.field:
+    if alg.field != s.field:
         raise DescriptorMismatch("algebra and coefficients over different fields")
-    nl, na = alg.dim, coeff.dim
-    dim = nl * na
-    zero = alg.field.zero()
+    nl = alg.dim
+    dim = nl * n
+    zero, one = alg.field.zero(), alg.field.one()
+    basis = [tuple(one if k == j else zero for k in range(n)) for j in range(n)]
     constants = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(nl):
-        for k in range(nl):
-            bracket = alg.constants[i][k]
-            for j in range(na):
-                for m in range(na):
-                    prod = coeff.table[j][m]
-                    row, col = j * nl + i, m * nl + k
-                    entry = constants[row][col]
-                    for r, br in enumerate(bracket):
+    for j in range(n):
+        for m in range(n):
+            prod = quotient_product(basis[j], basis[m], s)
+            for i in range(nl):
+                for k in range(nl):
+                    entry = constants[j * nl + i][m * nl + k]
+                    for r, br in enumerate(alg.constants[i][k]):
                         if br.is_zero():
                             continue
-                        for s, pr in enumerate(prod):
-                            if not pr.is_zero():
-                                entry[s * nl + r] = entry[s * nl + r] + br * pr
+                        for t, pt in enumerate(prod):
+                            if not pt.is_zero():
+                                entry[t * nl + r] = entry[t * nl + r] + br * pt
     return LieAlgebraSC(alg.field, dim, constants)
 
 

@@ -497,10 +497,21 @@ def function_field(p: int, var: str = "t") -> FieldDescriptor:
     return _FUNFIELD_CACHE[key]
 
 
+# Most square roots a field may adjoin in a row.  Each level multiplies
+# the cost of arithmetic and square tests about five times, and the levels
+# nest as recursion, so taller towers are refused, not run.
+MAX_TOWER_HEIGHT = 3
+
+
 def quadratic_extension(base: FieldDescriptor, radicand: FieldElement) -> FieldDescriptor:
     """Field obtained by adjoining a square root of a non-square radicand."""
     if radicand.field != base:
         raise DescriptorMismatch("radicand must live in the base field")
+    height, below = 1, base
+    while below.kind == KIND_QUADEXT:
+        height, below = height + 1, below.base
+    if height > MAX_TOWER_HEIGHT:
+        raise DomainError(f"a field tower may adjoin at most {MAX_TOWER_HEIGHT} square roots")
     if radicand.is_zero():
         raise DomainError("radicand must be nonzero")
     if is_square(radicand) is not None:
@@ -1123,6 +1134,8 @@ def parse_field(literal: str) -> FieldDescriptor:
     if not isinstance(literal, str):
         raise ParseError(f"expected a field literal, got {literal!r}")
     literal = literal.strip()
+    if literal.count("[sqrt ") > MAX_TOWER_HEIGHT:
+        raise ParseError(f"a field tower may adjoin at most {MAX_TOWER_HEIGHT} square roots")
     if literal.endswith("]"):
         start = literal.rfind("[sqrt ")
         if start < 0:

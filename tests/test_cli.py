@@ -1,13 +1,17 @@
+import copy
 import json
 import re
 import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orthocurrent import cli, liealg, structure
 from orthocurrent.cli import execute, main, parse_args, recheck_json
-from orthocurrent.scalars import MAX_LITERAL_DIGITS
+from orthocurrent.scalars import MAX_LITERAL_DIGITS, MAX_TOWER_HEIGHT
 
 
 def run(argv):
@@ -330,6 +334,67 @@ def test_table_recheck_catches_tampering():
         assert checks[0] == {"name": "reproduced_identically", "ok": False}
 
 
+def test_recheck_tells_true_from_one():
+    """In Python True == 1, in a document they differ: the whole-document
+    comparison reads them as JSON."""
+    data = json.loads(run(["verify", "--field", "F3", "--form", "1,1,1,2", "--json"])[1])
+    assert data["random_w"]["attempts"] == 1 and recheck_json(data)[0]["ok"]
+    tampered = [
+        dict(data, random_w=dict(data["random_w"], attempts=True)),
+        dict(data, checks=[dict(c, ok=1) for c in data["checks"]]),
+        dict(data, seed=False),
+    ]
+    for doc in tampered:
+        checks = recheck_json(doc)
+        assert checks[0]["name"] in ("reproduced_identically", "document_well_formed")
+        assert not checks[0]["ok"]
+
+
+GOLDEN_DOCUMENTS = sorted(
+    path.name for path in (Path(__file__).resolve().parent / "golden").glob("*.json")
+    if not path.name.endswith(".recheck.json")
+)
+_DROP = object()
+# What a leaf may be replaced by: every JSON type, and a number too long
+# for the literal bound.
+REPLACEMENTS = (None, True, False, 0, 7, -1, "", "9" * 600, ["1"], {"name": "x"}, _DROP)
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+@pytest.mark.parametrize("name", GOLDEN_DOCUMENTS)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_checker_survives_one_changed_leaf(name, data):
+    """One leaf of a golden document replaced or dropped: the checker never
+    raises and returns {"name", "ok"} dicts only.  Every document but a
+    classify certificate is compared whole, so some check fails."""
+    doc = json.loads((Path(__file__).resolve().parent / "golden" / name).read_text())
+    path = data.draw(st.sampled_from(list(_leaf_paths(doc))))
+    new = data.draw(st.sampled_from(REPLACEMENTS))
+    mutated = copy.deepcopy(doc)
+    parent = mutated
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    assume(json.dumps(mutated) != json.dumps(doc))
+    checks = recheck_json(mutated)
+    assert checks and all(
+        type(c) is dict and set(c) == {"name", "ok"} and type(c["ok"]) is bool for c in checks
+    )
+    if doc["command"] != "classify":
+        assert not all(c["ok"] for c in checks)
+
+
 @pytest.mark.parametrize("command", ["verify", "table", "classify", "counterexample"])
 def test_recheck_malformed_documents_fail(command):
     if command == "counterexample":
@@ -361,6 +426,31 @@ def test_recheck_malformed_documents_fail(command):
         docs += [dict(data, witnesses={}), dict(data, witnesses=None)]
     for doc in docs:
         assert recheck_json(doc) == [{"name": "document_well_formed", "ok": False}], doc
+
+
+def test_field_towers_are_bounded(capsys):
+    """A field literal with more than scalars.MAX_TOWER_HEIGHT square roots,
+    even 3000 of them, exits 2 at once; classify at the bound exits 1 when
+    D is not a square, since F[sqrt D] would be one level more; the checker
+    fails document_well_formed on all of them."""
+    bound = f"a field tower may adjoin at most {MAX_TOWER_HEIGHT} square roots"
+    at = "Q[sqrt 2][sqrt 3][sqrt 5]"
+    talls = (at + "[sqrt 7]", "Q" + "[sqrt 2]" * 3000)
+    for tall in talls:
+        start = time.perf_counter()
+        for command in ("verify", "classify", "table"):
+            with pytest.raises(SystemExit) as exc:
+                parse_args([command, "--field", tall, "--form", "1,1,1,1"])
+            assert exc.value.code == 2
+            last = capsys.readouterr().err.splitlines()[-1]
+            assert last == f"orthocurrent: error: bad field literal: {bound}"
+        assert time.perf_counter() - start < 1.0
+    assert run(["classify", "--field", at, "--form", "1,1,1,11"]) == (1, f"error: {bound}")
+    data = json.loads(run(["classify", "--field", "F3", "--form", "1,1,1,2", "--json"])[1])
+    for doc in [dict(data, field=at, form=["1", "1", "1", "11"])] + [
+        dict(data, field=tall, form=["1", "1", "1", "1"]) for tall in talls
+    ]:
+        assert recheck_json(doc) == [{"name": "document_well_formed", "ok": False}]
 
 
 def test_recheck_unknown_document_fails():

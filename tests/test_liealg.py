@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from orthocurrent import exact_linalg
 from orthocurrent.exact_linalg import (
     Matrix,
+    ShapeMismatch,
     canonicalize_subspace,
     commutators,
     kernel,
 )
 from orthocurrent.forms import diagonal_form, make_form
 from orthocurrent.liealg import (
-    CoefficientAlgebra,
     InvalidStructure,
     LieAlgebraSC,
     NotClosed,
@@ -27,12 +27,14 @@ from orthocurrent.liealg import (
     derived_series_of_subspace,
     derived_subspace,
     is_ideal,
+    quotient_product,
     realization_mismatch,
     skew_adjoint_algebra,
     tables_equal,
     tensor_current,
 )
 from orthocurrent.scalars import (
+    DescriptorMismatch,
     function_field,
     parse_field,
     parse_scalar,
@@ -360,47 +362,56 @@ def test_ideal_closure_contains_seed_and_is_ideal():
         assert is_ideal(m, closure)
 
 
-def test_coefficient_algebra_checks():
+@pytest.mark.parametrize("literal", ["Q", "F3", "F3(t)", "F2(t)", "F3[sqrt 2]"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**32))
+def test_quotient_product_is_a_unital_commutative_ring(literal, n, seed):
+    """F[X]/(X^n - s) from its one product rule: (1, 0, ...) is the unit,
+    the product commutes and associates, and x^n = s; tensoring with
+    F[X]/(X - s) gives the algebra back."""
+    field = parse_field(literal)
+    rng = random.Random(seed)
+    s = random_element(field, rng)
+    u, v, w = (tuple(random_element(field, rng) for _ in range(n)) for _ in range(3))
+    zero, one = field.zero(), field.one()
+    unit = (one,) + (zero,) * (n - 1)
+    mul = lambda a, b: quotient_product(a, b, s)
+    assert mul(unit, u) == u
+    assert mul(u, v) == mul(v, u)
+    assert mul(mul(u, v), w) == mul(u, mul(v, w))
+    x = (s,) if n == 1 else tuple(one if k == 1 else zero for k in range(n))
+    power = unit
+    for _ in range(n):
+        power = mul(power, x)
+    assert power == (s,) + (zero,) * (n - 1)
+    core = current_algebra([one] * 3)
+    assert tables_equal(tensor_current(core, s, 1).constants, core.constants)
+
+
+def test_quotient_product_refuses_factors_of_different_lengths():
     one, zero = Q.one(), Q.zero()
-    # basis {1, x} with x^2 = 24
-    table = [
-        [(one, zero), (zero, one)],
-        [(zero, one), (Q.from_int(24), zero)],
-    ]
-    alg = CoefficientAlgebra(Q, table, generator=(zero, one))
-    sq = alg.multiply(alg.generator, alg.generator)
-    assert sq == (Q.from_int(24), zero)
-    bad = [
-        [(one, zero), (zero, one)],
-        [(zero, one), (zero, zero)],
-    ]
-    CoefficientAlgebra(Q, bad)  # x^2 = 0 is still commutative/associative/unital
-    with pytest.raises(InvalidStructure):
-        CoefficientAlgebra(Q, [[(zero, zero), (zero, one)], [(zero, one), (one, zero)]])
+    with pytest.raises(ShapeMismatch):
+        quotient_product((zero, one), (one,), Q.from_int(24))
 
 
 def test_tensor_current_bracket_pattern():
     field = Q
     entries = [field.from_int(x) for x in (1, 2, 3, 4)]
     core = algebra_from_matrices(field, current_basis(*entries[:3]))
-    one, zero = field.one(), field.zero()
     d = field.from_int(24)
-    quo = CoefficientAlgebra(
-        field,
-        [[(one, zero), (zero, one)], [(zero, one), (d, zero)]],
-        generator=(zero, one),
-    )
-    t = tensor_current(core, quo)
+    t = tensor_current(core, d, 2)
     assert t.dim == 6
     # [l1 (x) x, l2 (x) x] = D [l1, l2] (x) 1 = D b f3
     out = t.bracket(t.basis_vector(3), t.basis_vector(4))
     assert out == fe(field, [0, 0, 48, 0, 0, 0])
-    # dim-1 coefficients give the algebra back
-    again = tensor_current(core, CoefficientAlgebra(field, [[(one,)]]))
-    assert tables_equal(again.constants, core.constants)
+    # [l1 (x) 1, l2 (x) x] = [l1, l2] (x) x = b f3 (x) x
+    out = t.bracket(t.basis_vector(0), t.basis_vector(4))
+    assert out == fe(field, [0, 0, 0, 0, 0, 2])
     # tensoring an abelian algebra stays abelian
-    ab = tensor_current(abelian_algebra(field, 2), quo)
+    ab = tensor_current(abelian_algebra(field, 2), d, 2)
     assert derived_subspace(ab).dim == 0
+    with pytest.raises(DescriptorMismatch):
+        tensor_current(core, F3.one(), 2)
 
 
 def test_tables_equal():

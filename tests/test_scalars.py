@@ -10,6 +10,7 @@ from orthocurrent.scalars import (
     KIND_FUNFIELD,
     KIND_QUADEXT,
     KIND_RATIONALS,
+    MAX_TOWER_HEIGHT,
     DivisionByZero,
     DomainError,
     FieldElement,
@@ -85,6 +86,21 @@ def test_parse_render_round_trip():
 def test_field_literal_round_trip():
     for lit in ["Q", "F3", "F2(t)", "F5(u)", "Q[sqrt 2]", "F2(t)[sqrt t]"]:
         assert render_field(parse_field(lit)) == lit
+
+
+def test_field_towers_are_bounded():
+    """At most MAX_TOWER_HEIGHT square roots in a row: a taller literal is
+    refused before any level is parsed, and an extension of a field at the
+    bound is refused before its radicand is tested for a square."""
+    radicands = ["2", "3", "5", "7"]
+    literal = "Q" + "".join(f"[sqrt {r}]" for r in radicands[:MAX_TOWER_HEIGHT])
+    top = parse_field(literal)
+    assert top.base.base.base == Q
+    for tall in (literal + "[sqrt 7]", "Q" + "[sqrt 2]" * 3000):
+        with pytest.raises(ParseError, match="at most 3 square roots"):
+            parse_field(tall)
+    with pytest.raises(DomainError, match="at most 3 square roots"):
+        quadratic_extension(top, top.from_int(7))
 
 
 def test_prime_field_requires_prime():
