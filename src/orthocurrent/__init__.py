@@ -38,10 +38,8 @@ from .liealg import (
     algebra_from_matrices,
     current_algebra,
     current_basis,
-    quotient_algebra,
     quotient_product,
     skew_adjoint_algebra,
-    tables_equal,
     tensor_current,
 )
 from .coeff_algebra import QuadraticAnalysis, analyze_quadratic

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from .exact_linalg import Matrix
 from .forms import make_form, orthogonalize
 from . import liealg
-from .liealg import current_algebra, paper_table, table_rows, tables_equal
+from .liealg import current_algebra, paper_table, table_rows
 from .oracle import (
     SUPPORTED_Q,
     enumerate_ideals,
@@ -49,6 +49,7 @@ from .structure import (
     CASE_SIMPLE,
     CASE_TWO_IDEALS,
     classify,
+    document_literals,
     inseparable_counterexample,
     recheck_certificate_json,
     subspace_to_json,
@@ -230,7 +231,7 @@ def _table_json(spec: CommandSpec) -> dict:
         "entries": entries,
         "table": tensor_to_json(alg.constants),
         "checks": [{"name": "table_matches_computed",
-                    "ok": tables_equal(alg.constants, paper_table(rows))}],
+                    "ok": alg.constants == paper_table(rows)}],
     }
 
 
@@ -371,16 +372,6 @@ def execute(spec: CommandSpec) -> tuple[int, str]:
 _MALFORMED = [{"name": "document_well_formed", "ok": False}]
 
 
-def _document_literals(data: dict) -> tuple[FieldDescriptor, tuple[FieldElement, ...]]:
-    """The field and the four diagonal entries a document was made from."""
-    form = data.get("form")
-    if not (isinstance(form, list) and len(form) == 4):
-        raise ParseError("document form must list four literals")
-    check_literal_digits(data.get("field"), *form)
-    field = parse_field(data.get("field"))
-    return field, tuple(parse_scalar(x, field) for x in form)
-
-
 def _document_int(data: dict, key: str) -> int:
     value = data.get(key)
     if type(value) is not int:
@@ -395,7 +386,7 @@ def _recheck(data: dict) -> list[dict]:
     if command == "counterexample":
         spec = CommandSpec(command, p=_document_int(data, "p"))
     elif command in ("verify", "table", "oracle"):
-        field, entries = _document_literals(data)
+        field, entries = document_literals(data)
         spec = CommandSpec(command, field=field, entries=entries)
         if command == "verify":
             spec = replace(spec, seed=_document_int(data, "seed"))

@@ -1,11 +1,14 @@
 """Structure-constant Lie algebras built from bilinear forms.
 
 The central object is `LieAlgebraSC`: a finite-dimensional Lie algebra
-given by its structure constants c[i][j][k], optionally carrying a
-faithful matrix realization.  Construction always checks antisymmetry
-(including [x,x] = 0, which is the correct reading in characteristic 2),
-the Jacobi identity on all basis triples, and agreement of the bracket
-with matrix commutators whenever a realization is present.
+given by its brackets [e_i, e_j], i < j, optionally carrying a faithful
+matrix realization.  Its table c[i][j][k] is antisymmetric by
+construction, so [x,x] = 0 holds in every characteristic without a check;
+construction checks the Jacobi identity on all basis triples and the
+agreement of the bracket with matrix commutators whenever a realization
+is present.  Exactly two builders make algebras: `algebra_from_matrices`
+(M and the core, through `current_algebra`) and `tensor_current` (current
+algebras over F[X]/(X^n - s)).
 
 Bases of skew-adjoint endomorphisms are produced by solving the linear
 system x^T G + G x = 0.  For a 4-dimensional nondegenerate form the
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import mul
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .exact_linalg import (
     Matrix,
@@ -50,7 +53,8 @@ class WrongDimension(ValueError):
 
 
 class InvalidStructure(ValueError):
-    """Structure constants violate antisymmetry or the Jacobi identity."""
+    """Brackets that are malformed, break the Jacobi identity or disagree
+    with their realization."""
 
 
 Vector = tuple[FieldElement, ...]
@@ -62,63 +66,51 @@ def _sparse(vec: Vector) -> tuple[tuple[int, FieldElement], ...]:
 
 
 class LieAlgebraSC:
-    """Lie algebra over an exact field given by structure constants.
+    """Lie algebra over an exact field given by its brackets.
 
-    `constants[i][j]` is the coordinate vector of the bracket of basis
-    elements i and j.  `realization`, when given, is one matrix per basis
-    element whose commutators must reproduce the constants exactly.
-    `commutators`, when given, holds those commutators flattened (as
-    `exact_linalg.commutators` returns them) so a caller that already
-    computed them does not pay twice; the check itself always runs.
+    `brackets` maps each pair (i, j), i < j, to the coordinate vector of
+    [e_i, e_j], keyed as `exact_linalg.commutators` keys its output; a pair
+    left out brackets to zero.  `constants[i][j]` is the full table: zero
+    on the diagonal and -[e_i, e_j] at (j, i), so it is antisymmetric by
+    construction, and [x, x] = sum x_i^2 [e_i, e_i] + sum_{i<j} x_i x_j
+    ([e_i, e_j] + [e_j, e_i]) vanishes in every characteristic.
+    `realization`, when given, is one matrix per basis element whose
+    commutators must reproduce the brackets exactly.  `commutators`, when
+    given, holds those commutators flattened (as `exact_linalg.commutators`
+    returns them) so a caller that already computed them does not pay
+    twice; the check itself always runs.
     """
 
     __slots__ = ("field", "dim", "constants", "realization", "_sparse_rows")
 
-    def __init__(self, field: FieldDescriptor, dim: int, constants: Sequence[Sequence[Sequence[FieldElement]]],
+    def __init__(self, field: FieldDescriptor, dim: int,
+                 brackets: Mapping[tuple[int, int], Sequence[FieldElement]],
                  realization: Optional[Sequence[Matrix]] = None,
                  commutators: Optional[dict[tuple[int, int], Vector]] = None):
         self.field = field
         self.dim = dim
-        self.constants: Tensor = tuple(
-            tuple(tuple(entry) for entry in row) for row in constants
-        )
+        zero_vec = (field.zero(),) * dim
+        table = [[zero_vec] * dim for _ in range(dim)]
+        for (i, j), vec in brackets.items():
+            if not 0 <= i < j < dim:
+                raise InvalidStructure(f"bracket key ({i}, {j}) is not a pair i < j below {dim}")
+            vec = tuple(vec)
+            if len(vec) != dim:
+                raise InvalidStructure(f"[e{i}, e{j}] has {len(vec)} coordinates, not {dim}")
+            table[i][j] = vec
+            table[j][i] = tuple(-x for x in vec)
+        self.constants: Tensor = tuple(tuple(row) for row in table)
         self.realization = tuple(realization) if realization is not None else None
-        self._sparse_rows = tuple(
-            tuple(_sparse(self.constants[i][j]) for j in range(dim))
-            for i in range(dim)
-        )
-        self._check_shape()
-        self._check_antisymmetry()
+        self._sparse_rows = tuple(tuple(_sparse(entry) for entry in row) for row in self.constants)
         self._check_jacobi()
         if self.realization is not None:
             self._check_realization(commutators)
 
     # -- construction-time invariants ----------------------------------
 
-    def _check_shape(self) -> None:
-        n = self.dim
-        if len(self.constants) != n or any(
-            len(row) != n or any(len(entry) != n for entry in row)
-            for row in self.constants
-        ):
-            raise InvalidStructure("constants tensor has the wrong shape")
-
-    def _check_antisymmetry(self) -> None:
-        n = self.dim
-        zero = self.field.zero()
-        for i in range(n):
-            if any(x != zero for x in self.constants[i][i]):
-                raise InvalidStructure(f"[e{i}, e{i}] != 0")
-            for j in range(i + 1, n):
-                if any(
-                    x != -y
-                    for x, y in zip(self.constants[i][j], self.constants[j][i])
-                ):
-                    raise InvalidStructure(f"[e{i}, e{j}] != -[e{j}, e{i}]")
-
     def _check_jacobi(self) -> None:
-        # With antisymmetry verified, triples with repeats are automatic
-        # and the Jacobi sum is permutation-stable, so i < j < k suffices.
+        # The table is antisymmetric, so triples with repeats are automatic
+        # and the Jacobi sum is permutation-stable: i < j < k suffices.
         n = self.dim
         zero = self.field.zero()
         for i in range(n):
@@ -261,9 +253,6 @@ def algebra_from_matrices(field: FieldDescriptor, mats: Sequence[Matrix]) -> Lie
     its own, as happens in every dependent set; the distinguished bases
     have disjoint supports, and an echelon basis has its pivots.
     """
-    dim = len(mats)
-    if dim == 0:
-        return LieAlgebraSC(field, 0, [])
     flats = [m.flatten() for m in mats]
     nonzero = [[not x.is_zero() for x in flat] for flat in flats]
     owners = [sum(column) for column in zip(*nonzero)]
@@ -274,16 +263,14 @@ def algebra_from_matrices(field: FieldDescriptor, mats: Sequence[Matrix]) -> Lie
             raise NotIndependent(f"matrix {k} has no nonzero entry of its own")
         reads.append((p, None if flat[p].is_one() else inv(flat[p])))
     comms = commutators(mats)
-    zero_vec = tuple(field.zero() for _ in range(dim))
-    constants = [[zero_vec] * dim for _ in range(dim)]
-    for (i, j), comm in comms.items():
-        coords = tuple(
+    brackets = {
+        pair: tuple(
             comm[p] if scale is None or comm[p].is_zero() else comm[p] * scale
             for p, scale in reads
         )
-        constants[i][j] = coords
-        constants[j][i] = tuple(-x for x in coords)
-    return LieAlgebraSC(field, dim, constants, realization=mats, commutators=comms)
+        for pair, comm in comms.items()
+    }
+    return LieAlgebraSC(field, len(mats), brackets, realization=mats, commutators=comms)
 
 
 # ---------------------------------------------------------------------------
@@ -322,33 +309,21 @@ def derived_subspace(alg: LieAlgebraSC) -> Subspace:
         alg.field, (alg.constants[i][j] for i in range(n) for j in range(i + 1, n)), n)
 
 
+def quotient_is_perfect(alg: LieAlgebraSC, ideal: Subspace) -> bool:
+    """Whether L/I is perfect, for I an ideal of L, without building L/I:
+    [L/I, L/I] = ([L, L] + I)/I, so L/I is perfect exactly when
+    [L, L] + I = L."""
+    join = canonicalize_subspace(
+        alg.field, derived_subspace(alg).basis.rows + ideal.basis.rows, alg.dim)
+    return join.dim == alg.dim
+
+
 def is_ideal(alg: LieAlgebraSC, space: Subspace) -> bool:
     return all(
         space.contains(alg.bracket(alg.basis_vector(i), row))
         for i in range(alg.dim)
         for row in space.basis.rows
     )
-
-
-def quotient_algebra(alg: LieAlgebraSC, ideal: Subspace) -> LieAlgebraSC:
-    """Quotient by an ideal, on the coordinates complementary to its pivots.
-
-    Representatives are the standard basis vectors at non-pivot positions;
-    brackets are reduced against the ideal's echelon basis, which is the
-    linear projection onto the complement.
-    """
-    if not is_ideal(alg, ideal):
-        raise InvalidStructure("quotient requires an ideal")
-    complement = [j for j in range(alg.dim) if j not in ideal.pivots]
-    dim = len(complement)
-    constants = []
-    for a in complement:
-        row = []
-        for b in complement:
-            w = ideal.reduce(alg.bracket(alg.basis_vector(a), alg.basis_vector(b)))
-            row.append(tuple(w[j] for j in complement))
-        constants.append(row)
-    return LieAlgebraSC(alg.field, dim, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -532,32 +507,16 @@ def tensor_current(alg: LieAlgebraSC, s: FieldElement, n: int) -> LieAlgebraSC:
     dim = nl * n
     zero, one = alg.field.zero(), alg.field.one()
     basis = [tuple(one if k == j else zero for k in range(n)) for j in range(n)]
-    constants = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for j in range(n):
-        for m in range(n):
-            prod = quotient_product(basis[j], basis[m], s)
-            for i in range(nl):
-                for k in range(nl):
-                    entry = constants[j * nl + i][m * nl + k]
-                    for r, br in enumerate(alg.constants[i][k]):
-                        if br.is_zero():
-                            continue
-                        for t, pt in enumerate(prod):
-                            if not pt.is_zero():
-                                entry[t * nl + r] = entry[t * nl + r] + br * pt
-    return LieAlgebraSC(alg.field, dim, constants)
-
-
-def tables_equal(t1: Tensor, t2: Tensor) -> bool:
-    """Exact entrywise equality of two structure constant tensors."""
-    if len(t1) != len(t2):
-        raise ShapeMismatch("tensors have different dimensions")
-    for r1, r2 in zip(t1, t2):
-        if len(r1) != len(r2):
-            raise ShapeMismatch("tensors have different dimensions")
-        for e1, e2 in zip(r1, r2):
-            if len(e1) != len(e2):
-                raise ShapeMismatch("tensors have different dimensions")
-            if e1 != e2:
-                return False
-    return True
+    products = [[quotient_product(u, v, s) for v in basis] for u in basis]
+    brackets = {}
+    for a in range(dim):
+        j, i = divmod(a, nl)
+        for b in range(a + 1, dim):
+            m, k = divmod(b, nl)
+            entry = [zero] * dim
+            for r, br in alg._sparse_rows[i][k]:
+                for t, pt in enumerate(products[j][m]):
+                    if not pt.is_zero():
+                        entry[t * nl + r] = entry[t * nl + r] + br * pt
+            brackets[(a, b)] = entry
+    return LieAlgebraSC(alg.field, dim, brackets)

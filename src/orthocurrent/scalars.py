@@ -216,14 +216,6 @@ class Poly:
             n >>= 1
         return result
 
-    def evaluate(self, x: "FieldElement") -> "FieldElement":
-        """Horner evaluation at an element of an arbitrary field."""
-        field = x.field
-        acc = field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + field.from_int(c)
-        return acc
-
     def __repr__(self) -> str:
         return f"Poly(p={self.p}, coeffs={self.coeffs})"
 
@@ -882,18 +874,6 @@ def lift_to_extension(x: FieldElement, ext: FieldDescriptor) -> FieldElement:
     if ext.kind != KIND_QUADEXT or ext.base != x.field:
         raise DescriptorMismatch("target is not a quadratic extension of the source")
     return FieldElement(ext, (x, x.field.zero()))
-
-
-def substitute(x: FieldElement, image: FieldElement) -> FieldElement:
-    """Image of a rational function under the map sending the variable to
-    `image`, an element of any field of the same characteristic."""
-    if x.field.kind != KIND_FUNFIELD:
-        raise DomainError("substitution applies to rational functions")
-    num, den = x.payload
-    den_value = den.evaluate(image)
-    if den_value.is_zero():
-        raise DivisionByZero("denominator vanishes at the substituted value")
-    return num.evaluate(image) / den_value
 
 
 # ---------------------------------------------------------------------------

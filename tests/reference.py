@@ -12,12 +12,14 @@ from typing import Optional, Sequence
 from orthocurrent.exact_linalg import Matrix, ShapeMismatch, Subspace, canonicalize_subspace
 from orthocurrent.forms import BilinearForm
 from orthocurrent.liealg import (
+    InvalidStructure,
     LieAlgebraSC,
     NotClosed,
     NotIndependent,
     algebra_from_matrices,
     current_basis,
     derived_subspace,
+    is_ideal,
     skew_adjoint_algebra,
 )
 from orthocurrent.oracle import UnsupportedField, _apply, _insert, _key, _to_subspace, _validate
@@ -251,6 +253,13 @@ def structure_constants(alg: LieAlgebraSC, basis) -> tuple:
     return tuple(tuple(row) for row in constants)
 
 
+def brackets_of(constants) -> dict:
+    """The brackets [e_i, e_j], i < j, of a full structure-constant table,
+    keyed as `LieAlgebraSC` takes them."""
+    n = len(constants)
+    return {(i, j): constants[i][j] for i in range(n) for j in range(i + 1, n)}
+
+
 def closed_and_perfect(alg: LieAlgebraSC, space: Subspace) -> tuple[bool, bool]:
     """Whether `space` is a subalgebra, and whether that subalgebra, built
     from its own structure constants, is perfect."""
@@ -258,8 +267,26 @@ def closed_and_perfect(alg: LieAlgebraSC, space: Subspace) -> tuple[bool, bool]:
         constants = structure_constants(alg, space.basis.rows)
     except NotClosed:
         return False, False
-    sub = LieAlgebraSC(alg.field, space.dim, constants)
+    sub = LieAlgebraSC(alg.field, space.dim, brackets_of(constants))
     return True, derived_subspace(sub).dim == space.dim
+
+
+def quotient_algebra(alg: LieAlgebraSC, ideal: Subspace) -> LieAlgebraSC:
+    """Quotient by an ideal, on the coordinates complementary to its pivots.
+
+    Representatives are the standard basis vectors at non-pivot positions;
+    brackets are reduced against the ideal's echelon basis, which is the
+    linear projection onto the complement.
+    """
+    if not is_ideal(alg, ideal):
+        raise InvalidStructure("quotient requires an ideal")
+    complement = [j for j in range(alg.dim) if j not in ideal.pivots]
+    brackets = {}
+    for a, i in enumerate(complement):
+        for b in range(a + 1, len(complement)):
+            w = ideal.reduce(alg.bracket(alg.basis_vector(i), alg.basis_vector(complement[b])))
+            brackets[(a, b)] = tuple(w[j] for j in complement)
+    return LieAlgebraSC(alg.field, len(complement), brackets)
 
 
 def conjugated_current_basis(rows, squares) -> tuple[Matrix, ...]:

@@ -17,7 +17,6 @@ from orthocurrent.liealg import (
     bracket_span,
     current_algebra,
     skew_adjoint_algebra,
-    tables_equal,
 )
 from orthocurrent.oracle import enumerate_ideals, gaussian_binomial
 from orthocurrent.scalars import (
@@ -119,7 +118,7 @@ def test_criterion_1_table_reproduction():
         expected[i][j] = list(coords)
         expected[j][i] = [-x for x in coords]
     expected = tuple(tuple(tuple(e) for e in row) for row in expected)
-    assert tables_equal(table, expected)
+    assert table == expected
     assert pipe.disc == field.from_int(24)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

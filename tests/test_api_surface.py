@@ -65,3 +65,31 @@ def test_every_definition_is_used_by_the_package():
     assert unused - set(ALLOWED) == set()
     # An allowlisted name that gains a use, or disappears, leaves the list.
     assert set(ALLOWED) <= unused
+
+
+def _constructions(tree, cls):
+    """(function, line) of each call of `cls` in the tree, by the name of
+    the innermost function around it."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and _referenced_name(node.func) == cls:
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_algebras_are_built_by_two_builders():
+    """LieAlgebraSC is constructed only by algebra_from_matrices and
+    tensor_current: every algebra of the library is M or a core, from its
+    matrices, or a current algebra over F[X]/(X^n - s)."""
+    builders = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, _ in _constructions(ast.parse(path.read_text()), "LieAlgebraSC"):
+            builders.add((path.stem, scope))
+    assert builders == {("liealg", "algebra_from_matrices"), ("liealg", "tensor_current")}

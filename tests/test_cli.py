@@ -410,6 +410,9 @@ def test_recheck_malformed_documents_fail(command):
     else:
         docs += [
             dict(data, form="1,1,1,2"),
+            # four one-character literals once splatted, and one literal too many
+            dict(data, form="1112"),
+            dict(data, form=["1", "1", "1", "2", "1"]),
             dict(data, form=[1, 1, 1, 2]),
             dict(data, form=["1", "1", "1"]),
             dict(data, form=["x", "1", "1", "2"]),

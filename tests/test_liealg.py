@@ -28,9 +28,9 @@ from orthocurrent.liealg import (
     derived_subspace,
     is_ideal,
     quotient_product,
+    quotient_is_perfect,
     realization_mismatch,
     skew_adjoint_algebra,
-    tables_equal,
     tensor_current,
 )
 from orthocurrent.scalars import (
@@ -46,11 +46,13 @@ from orthocurrent.structure import _derived_span
 
 from reference import (
     SpanSolver,
+    brackets_of,
     full_subspace,
     ideal_closure,
     is_zero_matrix,
     matrix_for,
     matrix_sum,
+    quotient_algebra,
     random_element,
     scaled,
     structure_constants,
@@ -76,9 +78,7 @@ def skew_algebra(form):
 
 
 def abelian_algebra(field, dim):
-    zero = field.zero()
-    constants = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    return LieAlgebraSC(field, dim, constants)
+    return LieAlgebraSC(field, dim, {})
 
 
 def test_skew_adjoint_dimensions():
@@ -131,20 +131,33 @@ def test_skew_adjoint_non_diagonal_gram():
 
 
 def test_construction_rejects_bad_constants():
-    one, zero = Q.one(), Q.zero()
-    c = [[[zero] * 2 for _ in range(2)] for _ in range(2)]
-    c[0][1][0] = one
-    c[1][0][0] = one  # not antisymmetric
-    with pytest.raises(InvalidStructure):
-        LieAlgebraSC(Q, 2, c)
+    # Brackets are given for pairs i < j below the dimension, as vectors of
+    # its length; nothing else can be written down.
+    for key in ((1, 0), (1, 1), (0, 3), (-1, 1)):
+        with pytest.raises(InvalidStructure, match="bracket key"):
+            LieAlgebraSC(Q, 3, {key: fe(Q, [1, 0, 0])})
+    for vec in ([1, 0], [1, 0, 0, 0]):
+        with pytest.raises(InvalidStructure, match="coordinates"):
+            LieAlgebraSC(Q, 3, {(0, 1): fe(Q, vec)})
     # Jacobi failure: [e0,e1]=e2, [e0,e2]=e0 breaks the identity
-    c = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
-    c[0][1][2] = one
-    c[1][0][2] = -one
-    c[0][2][0] = one
-    c[2][0][0] = -one
-    with pytest.raises(InvalidStructure):
-        LieAlgebraSC(Q, 3, c)
+    with pytest.raises(InvalidStructure, match="Jacobi"):
+        LieAlgebraSC(Q, 3, {(0, 1): fe(Q, [0, 0, 1]), (0, 2): fe(Q, [1, 0, 0])})
+
+
+def test_table_is_antisymmetric_by_construction():
+    """[e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0 in the full table, so
+    [x, x] = 0 also in characteristic 2."""
+    for field in (Q, F2, F3):
+        alg = LieAlgebraSC(field, 3, {(0, 1): fe(field, [0, 0, 1]), (1, 2): fe(field, [1, 0, 0]),
+                                      (0, 2): fe(field, [0, -1, 0])})
+        for i in range(3):
+            assert alg.constants[i][i] == fe(field, [0, 0, 0])
+            for j in range(3):
+                assert alg.constants[j][i] == tuple(-x for x in alg.constants[i][j])
+        rng = random.Random(4)
+        for _ in range(5):
+            u = tuple(random_element(field, rng) for _ in range(3))
+            assert alg.bracket(u, u) == fe(field, [0, 0, 0])
 
 
 def test_bracket_examples():
@@ -271,7 +284,7 @@ def test_structure_constants_distinguished_basis_table():
 def test_structure_constants_errors():
     alg = abelian_algebra(Q, 3)
     table = structure_constants(alg, [alg.basis_vector(0), alg.basis_vector(1)])
-    assert tables_equal(table, ((fe(Q, [0, 0]),) * 2,) * 2)
+    assert table == ((fe(Q, [0, 0]),) * 2,) * 2
     with pytest.raises(NotIndependent):
         structure_constants(alg, [alg.basis_vector(0), alg.basis_vector(0)])
     cb = current_basis(*[Q.from_int(x) for x in (1, 2, 3, 4)])
@@ -385,7 +398,7 @@ def test_quotient_product_is_a_unital_commutative_ring(literal, n, seed):
         power = mul(power, x)
     assert power == (s,) + (zero,) * (n - 1)
     core = current_algebra([one] * 3)
-    assert tables_equal(tensor_current(core, s, 1).constants, core.constants)
+    assert tensor_current(core, s, 1).constants == core.constants
 
 
 def test_quotient_product_refuses_factors_of_different_lengths():
@@ -414,32 +427,48 @@ def test_tensor_current_bracket_pattern():
         tensor_current(core, F3.one(), 2)
 
 
+def test_quotient_of_an_abelian_algebra_is_not_perfect():
+    """Q^3 modulo a line is abelian of dimension 2: the reference quotient
+    and the rule [L, L] + I = L both read not perfect."""
+    alg = abelian_algebra(Q, 3)
+    line = canonicalize_subspace(Q, [fe(Q, [1, 1, 0])], 3)
+    quotient = quotient_algebra(alg, line)
+    assert quotient.dim == 2 and derived_subspace(quotient).dim == 0
+    assert not quotient_is_perfect(alg, line)
+    # Modulo everything the quotient is 0, which is perfect.
+    assert quotient_is_perfect(alg, full_subspace(Q, 3))
+
+
 def test_tables_equal():
+    """Tables are tuples of canonical field elements, so == is exact
+    entrywise equality."""
     t1 = ((fe(Q, [0, 1]), fe(Q, [0, 0])), (fe(Q, [0, 0]), fe(Q, [0, 0])))
-    assert tables_equal(t1, t1)
+    assert t1 == ((fe(Q, [0, 1]), fe(Q, [0, 0])), (fe(Q, [0, 0]), fe(Q, [0, 0])))
     t2 = ((fe(Q, [0, 2]), fe(Q, [0, 0])), (fe(Q, [0, 0]), fe(Q, [0, 0])))
-    assert not tables_equal(t1, t2)
+    assert t1 != t2
+    half = (Q.from_fraction(1, 2),)
+    assert ((half,),) == (((Q.from_fraction(2, 4),),),)
 
 
 def test_realization_check_catches_a_flipped_constant():
     core = algebra_from_matrices(Q, current_basis(*fe(Q, [1, 2, 3])))
-    constants = [list(row) for row in core.constants]
+    brackets = brackets_of(core.constants)
     two = Q.from_int(2)
-    constants[0][1] = tuple(two * x for x in constants[0][1])
-    constants[1][0] = tuple(-x for x in constants[0][1])
-    # Still antisymmetric and Jacobi (every 3-dimensional table
-    # [e_i, e_j] = l_k e_k is), so only the realization can object.
-    LieAlgebraSC(Q, 3, constants)
+    flipped = dict(brackets)
+    flipped[(0, 1)] = tuple(two * x for x in brackets[(0, 1)])
+    # Still Jacobi (every 3-dimensional table [e_i, e_j] = l_k e_k is), so
+    # only the realization can object.
+    LieAlgebraSC(Q, 3, flipped)
     with pytest.raises(InvalidStructure, match="realization"):
-        LieAlgebraSC(Q, 3, constants, realization=core.realization)
+        LieAlgebraSC(Q, 3, flipped, realization=core.realization)
     # Precomputed commutators are compared, never trusted.
     comms = commutators(core.realization)
     with pytest.raises(InvalidStructure, match="realization"):
-        LieAlgebraSC(Q, 3, constants, realization=core.realization, commutators=comms)
+        LieAlgebraSC(Q, 3, flipped, realization=core.realization, commutators=comms)
     bad = dict(comms)
     bad[(0, 1)] = tuple(two * x for x in bad[(0, 1)])
     with pytest.raises(InvalidStructure, match="realization"):
-        LieAlgebraSC(Q, 3, core.constants, realization=core.realization, commutators=bad)
+        LieAlgebraSC(Q, 3, brackets, realization=core.realization, commutators=bad)
 
 
 def test_realization_mismatch_names_the_first_disagreeing_pair():
@@ -460,12 +489,11 @@ def test_realization_mismatch_names_the_first_disagreeing_pair():
         constants[3][5] = tuple(entry)
         assert realization_mismatch(constants, m.realization) == (3, 5)
     core = algebra_from_matrices(Q, current_basis(*fe(Q, [1, 2, 3])))
-    constants = [list(row) for row in core.constants]
+    brackets = brackets_of(core.constants)
     two = Q.from_int(2)
-    constants[1][2] = tuple(two * x for x in constants[1][2])
-    constants[2][1] = tuple(-x for x in constants[1][2])
+    brackets[(1, 2)] = tuple(two * x for x in brackets[(1, 2)])
     with pytest.raises(InvalidStructure, match="realization matrices 1,2 disagrees"):
-        LieAlgebraSC(Q, 3, constants, realization=core.realization)
+        LieAlgebraSC(Q, 3, brackets, realization=core.realization)
 
 
 def test_sparse_skew_check_matches_the_dense_products():

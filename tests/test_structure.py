@@ -18,6 +18,7 @@ from orthocurrent.liealg import (
     bracket_span,
     current_algebra,
     current_basis,
+    derived_subspace,
     paper_table,
     realization_mismatch,
     table_rows,
@@ -46,12 +47,14 @@ from orthocurrent.structure import (
 )
 
 from reference import (
+    brackets_of,
     closed_and_perfect,
     common_denominator,
     conjugated_current_basis,
     derived_span_by_coordinates,
     document_subspace,
     ideal_closure,
+    quotient_algebra,
     random_element,
     scaled,
     subspace_meet_join,
@@ -183,9 +186,7 @@ def test_recheck_catches_tampering():
 
 def test_descent_certificate_rejects_non_perfect():
     ext = quadratic_extension(F3, F3.from_int(2))
-    zero = ext.zero()
-    constants = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
-    abelian = LieAlgebraSC(ext, 3, constants)
+    abelian = LieAlgebraSC(ext, 3, {})
     cert = certify_simple_via_descent(abelian, F3)
     assert not _ok(cert) and cert["derived_dim"] == 0
     assert [c["name"] for c in cert["checks"] if not c["ok"]][0] == "perfect_over_extension"
@@ -486,21 +487,21 @@ def test_descent_certificate_over_quadratic_extension():
     pipe = build_pipeline(F3, ints(F3, [1, 1, 1, 2]))
     ext = quadratic_extension(F3, pipe.disc)
     core = algebra_from_matrices(F3, current_basis(*pipe.entries[:3]))
-    lifted = tuple(
-        tuple(tuple(lift_to_extension(x, ext) for x in entry) for entry in row)
-        for row in core.constants
-    )
-    cert = certify_simple_via_descent(LieAlgebraSC(ext, 3, lifted), F3)
+    lifted = {
+        pair: tuple(lift_to_extension(x, ext) for x in vec)
+        for pair, vec in brackets_of(core.constants).items()
+    }
+    lifted = LieAlgebraSC(ext, 3, lifted)
+    cert = certify_simple_via_descent(lifted, F3)
     assert _ok(cert) and cert["extension_kind"] == "quadratic"
+    # Lifting is a ring map: the core built over ext has the lifted table.
+    built = current_algebra([lift_to_extension(x, ext) for x in pipe.entries[:3]])
+    assert built.constants == lifted.constants
 
 
 def test_descent_rejects_unrelated_fields():
-    zero, one = Q.zero(), Q.one()
-    c = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
-    c[0][1][2], c[1][0][2] = one, -one
-    c[1][2][0], c[2][1][0] = one, -one
-    c[2][0][1], c[0][2][1] = one, -one
-    alg = LieAlgebraSC(Q, 3, c)
+    alg = LieAlgebraSC(Q, 3, {(0, 1): ints(Q, [0, 0, 1]), (1, 2): ints(Q, [1, 0, 0]),
+                              (0, 2): ints(Q, [0, -1, 0])})
     with pytest.raises(DescriptorMismatch):
         certify_simple_via_descent(alg, F3)
 
@@ -538,6 +539,26 @@ def test_counterexample_p3():
     assert doc["radical_dim"] == len(doc["radical"]) == 6
     assert len(doc["abelian_ideal"]) == 3
     assert doc["quotient_perfect"] and doc["quotient_dim"] == 3
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_counterexample_quotient_rule_matches_the_built_quotient(monkeypatch, p):
+    """The document's quotient_perfect, read off [C, C] + R = C, agrees with
+    the perfection of the quotient C/R built by the reference."""
+    calls = []
+    real = structure.quotient_is_perfect
+
+    def recorded(alg, ideal):
+        calls.append((alg, ideal))
+        return real(alg, ideal)
+
+    monkeypatch.setattr(structure, "quotient_is_perfect", recorded)
+    doc = inseparable_counterexample(p)
+    [(current, radical)] = calls
+    quotient = quotient_algebra(current, radical)
+    assert doc["quotient_dim"] == quotient.dim == 3
+    assert doc["quotient_perfect"] == (derived_subspace(quotient).dim == quotient.dim)
+    assert doc["quotient_perfect"]
 
 
 def test_counterexample_rejects_other_primes():
