@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exact_linalg import Matrix, ShapeMismatch, Subspace, det, kernel
-from .scalars import FieldDescriptor, FieldElement, inv
+from .scalars import DomainError, FieldDescriptor, FieldElement, inv
 
 
 class NotSymmetric(ValueError):
@@ -133,7 +133,7 @@ def orthogonalize(form: BilinearForm) -> OrthogonalBasisResult:
     while k < n:
         steps += 1
         if steps > 8 * (n + 1):
-            raise AssertionError("orthogonalization failed to converge")
+            raise DomainError("orthogonalization failed to converge")
         anisotropic = None
         for i in range(k, n):
             if not fv(basis[i], basis[i]).is_zero():

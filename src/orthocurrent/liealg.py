@@ -10,6 +10,10 @@ is present.  Exactly two builders make algebras: `algebra_from_matrices`
 (M and the core, through `current_algebra`) and `tensor_current` (current
 algebras over F[X]/(X^n - s)).
 
+`prove_identity` proves, over Z[a, b, c, d] and so for every field and
+every diagonal at once, that the distinguished basis of WEDGE_ROWS has
+the table of TABLE_ROWS and spans [L, L].
+
 Bases of skew-adjoint endomorphisms are produced by solving the linear
 system x^T G + G x = 0.  For a 4-dimensional nondegenerate form the
 distinguished basis f1, f2, f3, h1, h2, h3 of the derived algebra aligns
@@ -20,7 +24,7 @@ which is what the verification and classification layers exploit.
 from __future__ import annotations
 
 from functools import reduce
-from operator import mul
+from operator import add, mul, sub
 from typing import Mapping, Optional, Sequence
 
 from .exact_linalg import (
@@ -405,6 +409,25 @@ def _coefficient(symbol: str, values: dict[str, FieldElement]) -> FieldElement:
     return -coeff if symbol.startswith("-") else coeff
 
 
+def _wedge_entries(entries: Sequence) -> list[tuple[int, int, object, object]]:
+    """The two entries of each WEDGE_ROWS element that fits diag(entries),
+    as (r, s, kappa g_s, -kappa g_r) with 0-based r and s: kappa g_s at
+    (r, s) and -kappa g_r at (s, r).  The entries may be field elements or
+    the symbols a, b, c, d over Z; only * and unary - are used."""
+    n = len(entries)
+    values = dict(zip("abcd", entries))
+    out = []
+    for _, r, s, kappa in WEDGE_ROWS:
+        if r > n or s > n:
+            continue
+        g_r, g_s = entries[r - 1], entries[s - 1]
+        if kappa:
+            k = _coefficient(kappa, values)
+            g_r, g_s = k * g_r, k * g_s
+        out.append((r - 1, s - 1, g_s, -g_r))
+    return out
+
+
 def current_basis(*entries: FieldElement) -> tuple[Matrix, ...]:
     """The distinguished basis read from WEDGE_ROWS: f1, f2, f3, h1, h2, h3
     of M for diag(a, b, c, d), or f1, f2, f3 of the core for diag(a, b, c).
@@ -421,17 +444,10 @@ def current_basis(*entries: FieldElement) -> tuple[Matrix, ...]:
     if n not in (3, 4):
         raise WrongDimension("expected three or four diagonal entries")
     field = _diagonal_field("abcd"[:n], entries)
-    values = dict(zip("abcd", entries))
     basis = []
-    for _, r, s, kappa in WEDGE_ROWS:
-        if r > n or s > n:
-            continue
-        g_r, g_s = entries[r - 1], entries[s - 1]
-        if kappa:
-            k = _coefficient(kappa, values)
-            g_r, g_s = k * g_r, k * g_s
+    for r, s, x, y in _wedge_entries(entries):
         rows = [[field.zero()] * n for _ in range(n)]
-        rows[r - 1][s - 1], rows[s - 1][r - 1] = g_s, -g_r
+        rows[r][s], rows[s][r] = x, y
         basis.append(Matrix(field, rows))
     _check_skew(basis, Matrix.diagonal(field, list(entries)))
     return tuple(basis)
@@ -447,7 +463,8 @@ def current_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
 def table_rows(a: FieldElement, b: FieldElement, c: FieldElement,
                d: FieldElement) -> tuple[tuple[int, int, int, FieldElement], ...]:
     """TABLE_ROWS for diag(a, b, c, d), each row as (i, j, k, coefficient)
-    with [e_i, e_j] = coefficient e_k, indices in BASIS_NAMES order."""
+    with [e_i, e_j] = coefficient e_k, indices in BASIS_NAMES order.  The
+    entries may also be the symbols of `prove_identity`."""
     values = {"a": a, "b": b, "c": c, "d": d, "D": a * b * c * d}
     return tuple(
         tuple(BASIS_NAMES.index(name) for name in (left, right, target))
@@ -464,6 +481,130 @@ def paper_table(rows: Sequence[tuple[int, int, int, FieldElement]]) -> Tensor:
     for i, j, k, coeff in rows:
         table[i][j][k], table[j][i][k] = coeff, -coeff
     return tuple(tuple(tuple(entry) for entry in row) for row in table)
+
+
+# ---------------------------------------------------------------------------
+# The table and the span of M, proved over Z[a, b, c, d].
+# ---------------------------------------------------------------------------
+
+
+class IntPoly(dict):
+    """A polynomial over Z in a, b, c, d: a dict from exponent tuples to
+    nonzero ints.  An identity between these holds in every commutative
+    ring, so over every field and at every diagonal."""
+
+    def __add__(self, other: IntPoly) -> IntPoly:
+        out = IntPoly(self)
+        for e, x in other.items():
+            x += out.get(e, 0)
+            if x:
+                out[e] = x
+            else:
+                del out[e]
+        return out
+
+    def __neg__(self) -> IntPoly:
+        return IntPoly((e, -x) for e, x in self.items())
+
+    def __sub__(self, other: IntPoly) -> IntPoly:
+        return self + -other
+
+    def __mul__(self, other: IntPoly) -> IntPoly:
+        out = IntPoly()
+        for e, x in self.items():
+            for f, y in other.items():
+                g = tuple(map(add, e, f))
+                z = out.get(g, 0) + x * y
+                if z:
+                    out[g] = z
+                else:
+                    del out[g]
+        return out
+
+
+SYMBOLS = tuple(IntPoly({tuple(int(i == k) for i in range(4)): 1}) for k in range(4))
+
+
+def _unit_monomial(x: IntPoly) -> bool:
+    """Whether x is +-1 times a monomial, nonzero wherever abcd is."""
+    return len(x) == 1 and abs(next(iter(x.values()))) == 1
+
+
+def _quotient(x: IntPoly, m: IntPoly) -> Optional[IntPoly]:
+    """x / m for a unit monomial m, or None unless m is one and divides
+    every term of x with no negative exponent left."""
+    if not _unit_monomial(m):
+        return None
+    ((e, unit),) = m.items()
+    out = IntPoly()
+    for f, x_f in x.items():
+        g = tuple(map(sub, f, e))
+        if min(g) < 0:
+            return None
+        out[g] = x_f * unit
+    return out
+
+
+def _commutator(x: dict, y: dict) -> dict:
+    """xy - yx for matrices stored as {(row, column): IntPoly}, with zero
+    entries left out."""
+    out: dict = {}
+    for left, right, sign in ((x, y, IntPoly.__add__), (y, x, IntPoly.__sub__)):
+        for (p, k), u in left.items():
+            for (l, q), v in right.items():
+                if k == l:
+                    out[p, q] = sign(out.get((p, q), IntPoly()), u * v)
+    return {pos: z for pos, z in out.items() if z}
+
+
+def _alternating(m: dict) -> bool:
+    """Whether G m, for G = diag(a, b, c, d), is alternating with unit
+    monomial entries: none on the diagonal, and -(G m)[p, q] at (q, p)."""
+    gm = {(p, q): SYMBOLS[p] * x for (p, q), x in m.items()}
+    return all(p != q and _unit_monomial(x) and gm.get((q, p)) == -x
+               for (p, q), x in gm.items())
+
+
+def prove_identity() -> tuple[bool, bool]:
+    """(table, span): the paper's identity for M, proved over Z[a, b, c, d]
+    from WEDGE_ROWS and TABLE_ROWS as they stand, for every field and every
+    diagonal with abcd != 0.
+
+    The six matrices m_k of `current_basis`'s rule, at the symbols, must
+    have supports that are six distinct pairs {r, s}, so each is alone at
+    its entry (r, s).  Each of the 15 commutators [m_i, m_j] is read at
+    those entries, c_k = [m_i, m_j][r_k, s_k] / m_k[r_k, s_k] by exact
+    monomial division, and must equal sum_k c_k m_k on all 16 entries.
+    - table: the c_k are TABLE_ROWS at (a, b, c, d), with D = abcd.
+    - span: each G m_k is alternating, so the m_k span G^-1 Alt, which
+      holds [L, L] in every characteristic (docs/DESIGN.md); and each m_k
+      is a unit monomial times some [m_i, m_j], so [L, L] holds them.
+    """
+    mats = [{(r, s): x, (s, r): y} for r, s, x, y in _wedge_entries(SYMBOLS)]
+    if not (len(mats) == 6 and all(len(m) == 2 for m in mats)
+            and len({frozenset(m) for m in mats}) == 6):
+        return False, False
+    owns = [next(iter(m)) for m in mats]
+    coords = {}
+    for i in range(6):
+        for j in range(i + 1, 6):
+            comm = _commutator(mats[i], mats[j])
+            c = {k: _quotient(comm[own], mats[k][own])
+                 for k, own in enumerate(owns) if own in comm}
+            if None in c.values():
+                return False, False
+            if {pos: ck * x for k, ck in c.items() for pos, x in mats[k].items()} != comm:
+                return False, False
+            if c:
+                coords[i, j] = c
+    expected: dict = {}
+    for i, j, k, coeff in table_rows(*SYMBOLS):
+        if i > j:
+            i, j, coeff = j, i, -coeff
+        expected.setdefault((i, j), {})[k] = coeff
+    targets = {k for c in coords.values() if len(c) == 1
+               for k, ck in c.items() if _unit_monomial(ck)}
+    return coords == expected, all(map(_alternating, mats)) and targets == set(range(6))
 
 
 # ---------------------------------------------------------------------------

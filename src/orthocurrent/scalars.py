@@ -367,7 +367,7 @@ def poly_squarefree(f: Poly) -> list[tuple[Poly, int]]:
         if not c.is_one():
             root = _poly_pth_root(c)
             if root is None:
-                raise AssertionError("residual gcd factor must be a p-th power")
+                raise DomainError("residual gcd factor must be a p-th power")
             for g, m in poly_squarefree(root):
                 merge(g, m * f.p)
     return [(g, m) for m, g in sorted(out.items())]

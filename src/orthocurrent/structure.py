@@ -54,11 +54,10 @@ from .liealg import (
     derived_series_of_subspace,
     derived_subspace,
     is_ideal,
-    paper_table,
+    prove_identity,
     quotient_is_perfect,
     quotient_product,
     skew_adjoint_algebra,
-    table_rows,
     tensor_current,
 )
 from .scalars import (
@@ -234,14 +233,14 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int,
 
     The restriction is orthogonalized and extended by the 1-dimensional
     orthogonal complement to an orthogonal basis w1..w4 of the whole
-    space, with squares G' = diag(a', b', c', d').  The leg checks three
-    facts:
+    space, with squares G' = diag(a', b', c', d').  The leg checks:
 
-    - isometry: f(w_r, w_s) is g'_r for r = s and 0 otherwise, for the 10
-      pairs r <= s, that is B G B^T = G' for B the matrix of the rows;
-    - table: M for G', built by `current_algebra`, has the paper's table
-      at (a', b', c', d');
-    - span: its basis spans [L', L'], the derived span of G'.
+    - isometry: a'b'c'd' != 0, and f(w_r, w_s) is g'_r for r = s and 0
+      otherwise, for the 10 pairs r <= s, that is B G B^T = G' for B the
+      matrix of the rows, with G' nonsingular;
+    - table and span: `liealg.prove_identity`, run on every call, proves
+      over Z[a, b, c, d] that M's distinguished basis has the paper's
+      table and spans [L, L] at every diagonal with abcd != 0, so at G'.
 
     G' is nonsingular, so the isometry makes B invertible, and
     x -> B^T x B^-T is then a Lie isomorphism from L(G') onto L(G).  It
@@ -255,15 +254,12 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int,
     """
     attempt, w, rows, primed = _orthogonal_rows(pipe, rng, max_tries)
     form, zero = pipe.form, pipe.field.zero()
-    isometry = all(
+    d_primed = primed[0] * primed[1] * primed[2] * primed[3]
+    isometry = not d_primed.is_zero() and all(
         form.evaluate(rows[r], rows[s]) == (primed[r] if r == s else zero)
         for r in range(4) for s in range(r, 4)
     )
-    at_primed = current_algebra(primed)
-    table = at_primed.constants == paper_table(table_rows(*primed))
-    derived = _derived_span(diagonal_form(pipe.field, primed))[1]
-    span = _spans(at_primed, derived)
-    d_primed = primed[0] * primed[1] * primed[2] * primed[3]
+    table, span = prove_identity()
     part = {
         "attempts": attempt,
         "subspace": subspace_to_json(w),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orthocurrent import cli, liealg, structure
+from orthocurrent import cli, forms, liealg, scalars, structure
 from orthocurrent.cli import execute, main, parse_args, recheck_json
 from orthocurrent.scalars import MAX_LITERAL_DIGITS, MAX_TOWER_HEIGHT
 
@@ -454,6 +454,34 @@ def test_field_towers_are_bounded(capsys):
         dict(data, field=tall, form=["1", "1", "1", "1"]) for tall in talls
     ]:
         assert recheck_json(doc) == [{"name": "document_well_formed", "ok": False}]
+
+
+class _LyingForm:
+    """A form that calls every vector isotropic and every pair of distinct
+    vectors paired, so orthogonalization repairs without end."""
+
+    def __init__(self, form):
+        self.field, self.dim = form.field, form.dim
+        self.nondegenerate, self.alternating = True, False
+
+    def evaluate(self, u, v):
+        return self.field.zero() if u is v else self.field.one()
+
+
+def test_unreachable_internal_faults_exit_1(monkeypatch):
+    """The two faults that orthogonalization and the squarefree split claim
+    unreachable are domain errors: forced, each exits 1 with its message
+    and no traceback, where an AssertionError escaped `execute`."""
+    real = forms.orthogonalize
+    with monkeypatch.context() as mp:
+        mp.setattr(structure, "orthogonalize", lambda form: real(_LyingForm(form)))
+        assert run(["verify", "--field", "Q", "--form", "1,2,3,4"]) == (
+            1, "error: orthogonalization failed to converge")
+    # D = t^3 (t + 1) over F3(t): its squarefree split reaches the residual t^3.
+    with monkeypatch.context() as mp:
+        mp.setattr(scalars, "_poly_pth_root", lambda f: None)
+        assert run(["classify", "--field", "F3(t)", "--form", "1,1,t^3,t+1"]) == (
+            1, "error: residual gcd factor must be a p-th power")
 
 
 def test_recheck_unknown_document_fails():

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -14,13 +16,17 @@ from orthocurrent.exact_linalg import (
 )
 from orthocurrent.forms import diagonal_form, make_form
 from orthocurrent.liealg import (
+    SYMBOLS,
+    IntPoly,
     InvalidStructure,
     LieAlgebraSC,
     NotClosed,
     NotIndependent,
     WrongDimension,
     ZeroEntry,
+    _alternating,
     _check_skew,
+    _quotient,
     algebra_from_matrices,
     current_algebra,
     current_basis,
@@ -517,3 +523,98 @@ def test_sparse_skew_check_matches_the_dense_products():
             except InvalidStructure:
                 sparse_ok = False
             assert sparse_ok == dense_ok
+
+
+def _int_poly(terms):
+    out = IntPoly()
+    for exponents, coeff in terms:
+        out = out + IntPoly({exponents: coeff}) if coeff else out
+    return out
+
+
+def _evaluate(x, point):
+    return sum(c * functools.reduce(operator.mul, (v ** e for v, e in zip(point, f)), 1)
+               for f, c in x.items())
+
+
+int_polys = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 2)] * 4), st.integers(-3, 3)), max_size=5,
+).map(_int_poly)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x=int_polys, y=int_polys, point=st.tuples(*[st.integers(-4, 4)] * 4))
+def test_int_poly_arithmetic_matches_evaluation(x, y, point):
+    """IntPoly sums, differences, negatives and products evaluate as the
+    integers they stand for, and store no zero coefficient."""
+    for value, expected in [
+        (x + y, _evaluate(x, point) + _evaluate(y, point)),
+        (x - y, _evaluate(x, point) - _evaluate(y, point)),
+        (-x, -_evaluate(x, point)),
+        (x * y, _evaluate(x, point) * _evaluate(y, point)),
+    ]:
+        assert _evaluate(value, point) == expected
+        assert 0 not in value.values()
+    assert not x - x
+
+
+def test_brackets_of_skew_adjoint_matrices_lie_in_g_inverse_alt():
+    """The lemma behind the proof's span, in generic entries over Z.  For
+    x, y in L(G), S = G x and T = G y satisfy S^T = -S and T^T = -T, and
+    [x, y] = G^-1 U with U = S H T - T H S, H = G^-1 symmetric.  Over Z the
+    diagonal entries sigma_i of S and tau_i of T are free, and S^T = -S
+    says 2 sigma_i = 0.  Every entry of U + U^T and of U's diagonal lies in
+    the ideal (2 sigma_i, 2 tau_i): each of its terms has an even
+    coefficient and a factor sigma_i or tau_i.  So U is alternating, and
+    [L, L] lies in G^-1 Alt, in every characteristic.  With H not
+    symmetric the diagonal of U leaves the ideal."""
+    count = 46
+    symbols = iter(range(count))
+    diagonal = set()
+
+    def var(on_diagonal=False):
+        k = next(symbols)
+        if on_diagonal:
+            diagonal.add(k)
+        return IntPoly({tuple(int(i == k) for i in range(count)): 1})
+
+    def generic(skew=False, symmetric=False):
+        m = [[None] * 4 for _ in range(4)]
+        for i in range(4):
+            m[i][i] = var(on_diagonal=skew)
+            for j in range(i + 1, 4):
+                m[i][j] = var()
+                m[j][i] = -m[i][j] if skew else m[i][j] if symmetric else var()
+        return m
+
+    def times(x, y):
+        return [[functools.reduce(operator.add, (x[i][k] * y[k][j] for k in range(4)))
+                 for j in range(4)] for i in range(4)]
+
+    def in_ideal(x):
+        return all(c % 2 == 0 and any(f[k] for k in diagonal) for f, c in x.items())
+
+    s, t, h = generic(skew=True), generic(skew=True), generic(symmetric=True)
+    u = [[p - q for p, q in zip(*rows)] for rows in zip(times(times(s, h), t),
+                                                      times(times(t, h), s))]
+    assert all(in_ideal(u[p][q] + u[q][p]) for p in range(4) for q in range(p + 1, 4))
+    assert all(in_ideal(u[p][p]) for p in range(4))
+    assert any(u[p][p] for p in range(4))
+    g = generic()
+    v = [[p - q for p, q in zip(*rows)] for rows in zip(times(times(s, g), t),
+                                                      times(times(t, g), s))]
+    assert not all(in_ideal(v[p][p]) for p in range(4))
+
+
+def test_proof_steps_on_hand_inputs():
+    """The proof's alternation and division steps on two-entry matrices
+    and unit monomials in a, b, c, d."""
+    a, b, c, _ = SYMBOLS
+    assert _alternating({(0, 1): b, (1, 0): -a})  # f1 = e1 ^ e2
+    assert not _alternating({(0, 1): b, (1, 0): a})  # G m symmetric
+    assert not _alternating({(0, 0): a})  # on the diagonal
+    # alternating, but 2 ab vanishes in characteristic 2
+    assert not _alternating({(0, 1): b + b, (1, 0): -(a + a)})
+    assert _quotient(a * b - b * c, -b) == c - a
+    assert _quotient(b, a) is None  # a negative exponent
+    assert _quotient(a, a + a) is None  # not a unit monomial

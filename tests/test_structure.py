@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthocurrent import scalars, structure
+from orthocurrent import liealg, scalars, structure
 from orthocurrent.cli import execute, parse_args
 from orthocurrent.exact_linalg import Matrix, canonicalize_subspace, commutators
 from orthocurrent.forms import diagonal_form, make_form
@@ -207,35 +207,63 @@ def test_table_identity_failure_reaches_every_report(monkeypatch):
     assert _failed(recheck_certificate_json(cert)) == {"tables_match"}
 
 
-def _patch_primed_algebra(monkeypatch, entries, edit):
-    """Edit the distinguished basis of M for the random-W leg's diagonal, and
-    only there: the pipeline builds M for the form's own entries, and the
-    core for its first three, through the same structure.current_algebra."""
-    real = structure.current_algebra
-
-    def patched(diagonal):
-        if len(diagonal) == 3 or tuple(diagonal) == tuple(entries):
-            return real(diagonal)
-        return algebra_from_matrices(diagonal[0].field, edit(current_basis(*diagonal)))
-
-    monkeypatch.setattr(structure, "current_algebra", patched)
+LEG_PROOF_FORMS = [
+    ("Q", "1,2,1,2"),
+    ("F3", "1,1,1,1"),
+    ("F3(t)", "1,1,t+1,t"),
+    ("F2(t)[sqrt t+1]", "t+1,t,t,t^5+t^4+t^3+t^2"),
+]
 
 
-def test_random_w_table_is_read_at_the_primed_diagonal(monkeypatch):
-    """f1 scaled at G' only keeps the basis independent and its span, so
-    only random_w_tables_match may fail: the leg compares M's table at G'
-    with the paper's rows at (a', b', c', d'), not with M's table at G."""
-    for field_literal, form, factor in [
-        ("Q", "1,2,1,2", "2"),
-        ("F3", "1,2,1,2", "2"),
-        ("F3(t)", "1,1,t+1,t", "2"),
-        ("F2(t)[sqrt t+1]", "t+1,t,t,t^5+t^4+t^3+t^2", "t"),
+def _verify_leg_only(monkeypatch, field_literal, form, **rows):
+    """verify with liealg's rows replaced for the random-W leg's proof only:
+    the pipeline at the form's own diagonal is built first, from the real
+    rows, and handed to verify."""
+    field = parse_field(field_literal)
+    entries = [parse_scalar(x, field) for x in form.split(",")]
+    pipe = build_pipeline(field, entries)
+    with monkeypatch.context() as mp:
+        mp.setattr(structure, "build_pipeline", lambda field, entries: pipe)
+        for name, value in rows.items():
+            mp.setattr(liealg, name, value)
+        return verify_current_form(field, entries)
+
+
+def _wedge_row(name, r, s, kappa):
+    return tuple((name, r, s, kappa) if row[0] == name else row for row in liealg.WEDGE_ROWS)
+
+
+@pytest.mark.parametrize("field_literal, form", LEG_PROOF_FORMS)
+def test_a_changed_wedge_row_fails_the_leg_proof(monkeypatch, field_literal, form):
+    """The leg's table and span rest on the proof over Z[a, b, c, d], which
+    reads WEDGE_ROWS on every call.  h1 scaled by c keeps the span, and
+    each element is still a unit monomial times a bracket, so only
+    random_w_tables_match fails; h1 scaled by 1/b leaves [f3, h1] =
+    (a/b) h2, which no monomial division reads, and h3 on h2's pair {1, 4}
+    leaves five supports: both of the leg's checks fail.  Nothing
+    raises."""
+    for wedges, failed in [
+        (_wedge_row("h1", 3, 4, "a b c"), {"random_w_tables_match"}),
+        (_wedge_row("h1", 3, 4, "a"), {"random_w_spans_match", "random_w_tables_match"}),
+        (_wedge_row("h3", 4, 1, "a c"), {"random_w_spans_match", "random_w_tables_match"}),
     ]:
-        field = parse_field(field_literal)
-        scalar = parse_scalar(factor, field)
-        entries = [parse_scalar(x, field) for x in form.split(",")]
+        doc = _verify_leg_only(monkeypatch, field_literal, form, WEDGE_ROWS=wedges)
+        assert not doc["random_w"]["equal"]
+        assert _failed(doc["checks"]) == failed
+
+
+@pytest.mark.parametrize("field_literal, form", LEG_PROOF_FORMS)
+def test_a_misstated_table_row_fails_the_leg_table(monkeypatch, field_literal, form):
+    """[f1, f2] = c f3, -b f3 or b f1 in place of b f3: the proof's table
+    is TABLE_ROWS over Z[a, b, c, d], so random_w_tables_match fails at
+    every diagonal, b = c included (F3 1,1,1,1), and alone in verify, whose
+    tables_match compares M with core (x) F[X]/(X^2 - D) built as
+    algebras.  Nothing raises."""
+    field = parse_field(field_literal)
+    entries = [parse_scalar(x, field) for x in form.split(",")]
+    for row in [("f1", "f2", "c", "f3"), ("f1", "f2", "-b", "f3"), ("f1", "f2", "b", "f1")]:
         with monkeypatch.context() as mp:
-            _patch_primed_algebra(mp, entries, lambda cb: (scaled(scalar, cb[0]),) + cb[1:])
+            mp.setattr(liealg, "TABLE_ROWS", (row,) + liealg.TABLE_ROWS[1:])
             doc = verify_current_form(field, entries)
         assert not doc["random_w"]["equal"]
         assert _failed(doc["checks"]) == {"random_w_tables_match"}
@@ -253,54 +281,96 @@ def _verify_f3t_counting(monkeypatch, owner, name, form="1,1,t+1,t"):
 
 
 def test_verify_products_stay_gcd_free(monkeypatch):
-    """794 polynomial gcds here.  The random-W leg checks its rows by 10
-    values of the form and builds M and [L', L'] at the primed diagonal
-    from two-entry matrices; checking its conjugates' 15 dense commutators
-    instead read 768 on entries cleared of denominators, and about 2900
-    on fractions."""
-    assert 0 < _verify_f3t_counting(monkeypatch, scalars, "poly_gcd") <= 845
+    """441 polynomial gcds here.  The random-W leg checks its rows by 10
+    values of the form and rests its table and span on the proof over
+    Z[a, b, c, d]; building M and [L', L'] at the primed diagonal read
+    794, checking its conjugates' 15 dense commutators 768 on entries
+    cleared of denominators, and about 2900 on fractions."""
+    assert 0 < _verify_f3t_counting(monkeypatch, scalars, "poly_gcd") <= 470
 
 
 def test_verify_multiplications_stay_few(monkeypatch):
-    """780 field multiplications here; checking the random-W leg's
-    conjugates by their 15 dense commutators read 1698."""
-    assert 0 < _verify_f3t_counting(monkeypatch, scalars.FieldElement, "__mul__") <= 900
+    """530 field multiplications here; building M and [L', L'] at the
+    random-W leg's diagonal read 780, and checking the leg's conjugates by
+    their 15 dense commutators 1698."""
+    assert 0 < _verify_f3t_counting(monkeypatch, scalars.FieldElement, "__mul__") <= 600
 
 
 def test_large_literal_verify_multiplications_stay_few(monkeypatch):
-    """793 field multiplications for entries of degree 48 to 50, about as
-    many as at degree 1; checking the random-W leg's conjugates by their
-    15 dense commutators read 1711."""
+    """543 field multiplications for entries of degree 48 to 50, about as
+    many as at degree 1; building M and [L', L'] at the random-W leg's
+    diagonal read 793, and checking the leg's conjugates by their 15
+    dense commutators 1711."""
     count = _verify_f3t_counting(
         monkeypatch, scalars.FieldElement, "__mul__", "t^50+1,t^49+2,t^48,t^50+t")
-    assert 0 < count <= 1000
+    assert 0 < count <= 650
 
 
-def test_a_foreign_derived_span_at_the_primed_diagonal_fails_the_leg_span(monkeypatch):
-    """[L', L'] replaced by the derived span of diag(1, 1, 1, 1) for the
-    leg's form only: M's basis at G' still has the paper's table and the
-    rows are still orthogonal, so only random_w_spans_match fails, and
-    nothing raises."""
-    real = structure._derived_span
-    for field_literal, form in [
-        ("Q", "1,2,3,4"),
-        ("F3(t)", "1,1,t+1,t"),
-        ("F2(t)", "1,t,t+1,t^2+1"),
-    ]:
-        field = parse_field(field_literal)
-        entries = [parse_scalar(x, field) for x in form.split(",")]
-        own = diagonal_form(field, entries).gram
+@pytest.mark.parametrize("field_literal, form", LEG_PROOF_FORMS)
+def test_a_span_part_forced_false_fails_only_the_leg_span(monkeypatch, field_literal, form):
+    """G m_k read as not alternating in the proof: the six matrices are not
+    shown to span G^-1 Alt, which holds [L, L], while the table is still
+    proved and the rows are still orthogonal.  Only random_w_spans_match
+    fails, and nothing raises."""
+    doc = _verify_leg_only(monkeypatch, field_literal, form, _alternating=lambda m: False)
+    assert doc["random_w"]["equal"]
+    assert _failed(doc["checks"]) == {"random_w_spans_match"}
 
-        def foreign(form, own=own):
-            if form.dim == 4 and form.gram != own:
-                return real(diagonal_form(form.field, [form.field.one()] * 4))
-            return real(form)
 
-        with monkeypatch.context() as mp:
-            mp.setattr(structure, "_derived_span", foreign)
-            doc = verify_current_form(field, entries)
-        assert doc["random_w"]["equal"]
-        assert _failed(doc["checks"]) == {"random_w_spans_match"}
+def _doubled(real):
+    return lambda x, y: {pos: z + z for pos, z in real(x, y).items()}
+
+
+def _escaping(real):
+    return lambda x, y: {**real(x, y), (0, 0): liealg.SYMBOLS[0]}
+
+
+@pytest.mark.parametrize("patch", [_doubled, _escaping], ids=["doubled", "escaping"])
+def test_a_patched_commutator_fails_both_leg_checks(monkeypatch, patch):
+    """Every commutator doubled: the doubled coordinates still realize it
+    and each G m_k is still alternating, but each m_k is now 2 times a
+    monomial times a bracket, and 2 vanishes in characteristic 2, so
+    [L, L] is not shown to hold the m_k.  Every commutator given an entry
+    at (1, 1), where no m_k is nonzero: the coordinates read at the own
+    entries are unchanged, but sum_k c_k m_k misses that entry, so no
+    coordinates are proved.  Either way the span fails with the table, and
+    both of the leg's checks fail, with nothing raised."""
+    patched = patch(liealg._commutator)
+    with monkeypatch.context() as mp:
+        mp.setattr(liealg, "_commutator", patched)
+        assert liealg.prove_identity() == (False, False)
+    doc = _verify_leg_only(monkeypatch, "F2(t)", "1,t,t+1,t^2+1", _commutator=patched)
+    assert _failed(doc["checks"]) == {"random_w_spans_match", "random_w_tables_match"}
+
+
+def test_a_singular_primed_diagonal_fails_the_leg(monkeypatch):
+    """w4 = 0 claimed with square 0: every value of the form on the rows is
+    the claimed one, but G' is singular, so B is not invertible and the
+    proof's facts at G' say nothing about M.  Both of the leg's checks
+    fail; D = 1 and D' = 0 are both squares, and nothing raises."""
+    real = structure._orthogonal_rows
+
+    def zeroed(pipe, rng, max_tries):
+        attempt, w, rows, primed = real(pipe, rng, max_tries)
+        zero = pipe.field.zero()
+        return attempt, w, rows[:3] + ((zero,) * 4,), primed[:3] + (zero,)
+
+    monkeypatch.setattr(structure, "_orthogonal_rows", zeroed)
+    for field in (Q, F3, F2T):
+        doc = verify_current_form(field, ints(field, [1, 1, 1, 1]))
+        assert doc["random_w"]["D"] == "0" and not doc["random_w"]["equal"]
+        assert _failed(doc["checks"]) == {"random_w_spans_match", "random_w_tables_match"}
+
+
+def test_the_proof_makes_no_field_arithmetic(monkeypatch):
+    """The proof computes over Z[a, b, c, d] only: no field multiplication
+    and no polynomial gcd, whatever the input's field."""
+    calls = []
+    for owner, name in [(scalars.FieldElement, "__mul__"), (scalars, "poly_gcd")]:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real: calls.append(1) or real(*args))
+    assert liealg.prove_identity() == (True, True)
+    assert calls == []
 
 
 @pytest.mark.parametrize("literal", ["Q", "F3", "F3(t)", "F2(t)", "F3[sqrt 2]"])
@@ -323,12 +393,14 @@ LEG_FIELDS = ["Q", "F3", "F3(t)", "F2(t)", "F3[sqrt 2]", "F2(t)[sqrt t+1]"]
 @settings(max_examples=5, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32))
 def test_wedges_are_the_conjugated_distinguished_basis(literal, seed):
-    """The dense path that the leg's isometry check replaces, as a
-    reference.  On the leg's own rows w1..w4, the conjugates B^T m B^-T of
-    current_basis at the leg's diagonal (multiples of the wedges
-    w_r ^ w_s), computed with an inverse, realize the paper's table at that
-    diagonal, lie in [L, L] and have rank 6.  They are the wedges, and
-    cleared of their denominators they keep their span."""
+    """The dense path that the leg's isometry check replaces, and the
+    numeric instance of the proof the leg rests on, as references.  On the
+    leg's own rows w1..w4, the conjugates B^T m B^-T of current_basis at
+    the leg's diagonal (multiples of the wedges w_r ^ w_s), computed with
+    an inverse, realize the paper's table at that diagonal, lie in [L, L]
+    and have rank 6.  They are the wedges, and cleared of their
+    denominators they keep their span.  At the leg's diagonal itself, M
+    built by the engine has the paper's table and spans [L', L']."""
     field = parse_field(literal)
     rng = random.Random(seed)
     entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
@@ -343,6 +415,9 @@ def test_wedges_are_the_conjugated_distinguished_basis(literal, seed):
     assert span.dim == 6
     cleared = [scaled(common_denominator(field, m.flatten()), m).flatten() for m in conjugates]
     assert canonicalize_subspace(field, cleared, 16) == span
+    at_primed = current_algebra(primed)
+    assert at_primed.constants == paper_table(table_rows(*primed))
+    assert structure._spans(at_primed, structure._derived_span(diagonal_form(field, primed))[1])
 
 
 @pytest.mark.parametrize("literal", LEG_FIELDS)
@@ -439,7 +514,9 @@ def test_a_complement_row_that_is_not_orthogonal_fails_the_leg_isometry(monkeypa
 
 def test_span_identity_failure_reaches_every_report(monkeypatch):
     """A derived span that the distinguished basis does not span fails the
-    span checks of verify, classify and the checker."""
+    span checks of verify, classify and the checker.  The random-W leg
+    builds no derived span: its span check rests on the proof over
+    Z[a, b, c, d], so it holds."""
     real = structure._derived_span
     monkeypatch.setattr(
         structure, "_derived_span",
@@ -447,7 +524,7 @@ def test_span_identity_failure_reaches_every_report(monkeypatch):
     )
     entries = ints(Q, [1, 2, 3, 4])
     assert _failed(verify_current_form(Q, entries)["checks"]) == {
-        "distinguished_basis_spans_derived", "core_basis_spans_derived", "random_w_spans_match",
+        "distinguished_basis_spans_derived", "core_basis_spans_derived",
     }
     cert = classify(Q, entries)
     assert _failed(cert["checks"]) == {"distinguished_basis_spans_derived"}
@@ -674,8 +751,9 @@ def test_a_skew_basis_that_is_not_closed_is_refused(monkeypatch):
 
 def test_no_structure_constants_for_l_or_for_a_witness(monkeypatch):
     """Over F3 1,2,1,2, classify builds M, the core and core (x) F[X]/(X^2 - D);
-    verify builds the same three and, for the random-W leg, its core and
-    tensor.  L and the witness ideals get no structure constants."""
+    verify builds the same three and nothing for the random-W leg, whose
+    table and span rest on the proof over Z[a, b, c, d].  L and the witness
+    ideals get no structure constants."""
     built = []
     real = LieAlgebraSC.__init__
 
@@ -689,7 +767,7 @@ def test_no_structure_constants_for_l_or_for_a_witness(monkeypatch):
     assert 0 < len(built) <= 3
     built.clear()
     assert _ok(verify_current_form(F3, entries))
-    assert 0 < len(built) <= 5
+    assert 0 < len(built) <= 3
 
 
 # M over three field kinds and the coefficient literals its subspaces use:
