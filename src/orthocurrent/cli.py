@@ -149,6 +149,8 @@ def _parse_form(parser: argparse.ArgumentParser, field: FieldDescriptor,
         grid = json.loads(ns.gram)
         if not isinstance(grid, list) or len(grid) != 4:
             raise ParseError("expected four rows")
+        if not all(isinstance(row, list) for row in grid):
+            raise ParseError("expected each row to be a list")
         rows = [[parse_scalar(str(x), field) for x in row] for row in grid]
         gram = Matrix(field, rows)
         if gram.ncols != 4:

@@ -88,6 +88,11 @@ class Matrix:
     def flatten(self) -> Vector:
         return tuple(x for row in self.rows for x in row)
 
+    def entries(self) -> dict[tuple[int, int], FieldElement]:
+        """The nonzero entries as {(row, col): entry}, row by row: the
+        sparse form that `commutator` takes."""
+        return {(r, c): x for r, row in enumerate(self.rows) for c, x in enumerate(row) if x}
+
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and all(
             self.rows[i][j] == self.rows[j][i]
@@ -115,39 +120,32 @@ class Matrix:
             raise ShapeMismatch("matrices over different fields")
 
 
-def commutators(mats: Sequence[Matrix]) -> dict[tuple[int, int], Vector]:
-    """Flattened commutators m_i m_j - m_j m_i for every pair i < j.
-
-    Both products run over nonzero entries only, which suits the sparse
-    basis matrices of skew-adjoint algebras (a few nonzeros out of n^2).
-    """
-    if not mats:
-        return {}
-    field, n = mats[0].field, mats[0].nrows
-    for m in mats:
-        if m.nrows != n or m.ncols != n:
-            raise ShapeMismatch("commutators need square matrices of one size")
-        m._check_same_field(mats[0])
-    sparse = [
-        tuple(tuple((c, x) for c, x in enumerate(row) if not x.is_zero()) for row in m.rows)
-        for m in mats
-    ]
-    zero = field.zero()
-    out = {}
-    for i, a in enumerate(sparse):
-        for j in range(i + 1, len(sparse)):
-            b = sparse[j]
-            acc = [zero] * (n * n)
-            for r, row in enumerate(a):
-                for k, x in row:
-                    for c, y in b[k]:
-                        acc[r * n + c] = acc[r * n + c] + x * y
-            for r, row in enumerate(b):
-                for k, y in row:
-                    for c, x in a[k]:
-                        acc[r * n + c] = acc[r * n + c] - y * x
-            out[(i, j)] = tuple(acc)
+def _product(x: dict, y: dict) -> dict:
+    """xy for sparse matrices, over pairs of nonzero entries only."""
+    rows: dict = {}
+    for (k, q), v in y.items():
+        rows.setdefault(k, []).append((q, v))
+    out: dict = {}
+    for (p, k), u in x.items():
+        for q, v in rows.get(k, ()):
+            t = u * v
+            out[p, q] = out[p, q] + t if (p, q) in out else t
     return out
+
+
+def commutator(x: dict, y: dict) -> dict:
+    """xy - yx for sparse matrices {(row, col): entry} with zero entries
+    left out, returned in the same form.
+
+    Generic in the scalar: only +, -, * and the truth value of an entry are
+    used, so field elements and the polynomials of `liealg.IntPoly` both
+    serve.  The products run over nonzero entries only, which suits the
+    sparse basis matrices of skew-adjoint algebras.
+    """
+    out = _product(x, y)
+    for pos, z in _product(y, x).items():
+        out[pos] = out[pos] - z if pos in out else -z
+    return {pos: z for pos, z in out.items() if z}
 
 
 def _eliminate(rows: list[list[FieldElement]]) -> list[int]:

@@ -4,15 +4,20 @@ The central object is `LieAlgebraSC`: a finite-dimensional Lie algebra
 given by its brackets [e_i, e_j], i < j, optionally carrying a faithful
 matrix realization.  Its table c[i][j][k] is antisymmetric by
 construction, so [x,x] = 0 holds in every characteristic without a check;
-construction checks the Jacobi identity on all basis triples and the
-agreement of the bracket with matrix commutators whenever a realization
-is present.  Exactly two builders make algebras: `algebra_from_matrices`
-(M and the core, through `current_algebra`) and `tensor_current` (current
-algebras over F[X]/(X^n - s)).
+construction checks the Jacobi identity on all basis triples.  Exactly
+two builders make algebras: `algebra_from_matrices` (M and the core,
+through `current_algebra`) and `tensor_current` (current algebras over
+F[X]/(X^n - s)).
 
-`prove_identity` proves, over Z[a, b, c, d] and so for every field and
-every diagonal at once, that the distinguished basis of WEDGE_ROWS has
-the table of TABLE_ROWS and spans [L, L].
+Three rules on sparse matrices {(row, col): entry} are stated once,
+generic in the scalar: `exact_linalg.commutator`, `coordinates` (the
+coordinates of each commutator, read at the matrices' own entries and
+proved on every entry) and `_alternating` (G m alternating for a diagonal
+G).  The engine runs them over field elements, in `algebra_from_matrices`
+and `current_basis`.  `prove_identity` runs the same rules over
+Z[a, b, c, d], and so proves for every field and every diagonal at once
+that the distinguished basis of WEDGE_ROWS has the table of TABLE_ROWS
+and spans [L, L].
 
 Bases of skew-adjoint endomorphisms are produced by solving the linear
 system x^T G + G x = 0.  For a 4-dimensional nondegenerate form the
@@ -23,6 +28,7 @@ which is what the verification and classification layers exploit.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
 from operator import add, mul, sub
 from typing import Mapping, Optional, Sequence
@@ -32,11 +38,11 @@ from .exact_linalg import (
     ShapeMismatch,
     Subspace,
     canonicalize_subspace,
-    commutators,
+    commutator,
     kernel,
 )
 from .forms import AlternatingChar2, BilinearForm, Degenerate
-from .scalars import DescriptorMismatch, FieldDescriptor, FieldElement, inv
+from .scalars import DescriptorMismatch, FieldDescriptor, FieldElement
 
 
 class NotClosed(ValueError):
@@ -73,24 +79,22 @@ class LieAlgebraSC:
     """Lie algebra over an exact field given by its brackets.
 
     `brackets` maps each pair (i, j), i < j, to the coordinate vector of
-    [e_i, e_j], keyed as `exact_linalg.commutators` keys its output; a pair
-    left out brackets to zero.  `constants[i][j]` is the full table: zero
+    [e_i, e_j], keyed as `coordinates` keys its output; a pair left out
+    brackets to zero.  `constants[i][j]` is the full table: zero
     on the diagonal and -[e_i, e_j] at (j, i), so it is antisymmetric by
     construction, and [x, x] = sum x_i^2 [e_i, e_i] + sum_{i<j} x_i x_j
     ([e_i, e_j] + [e_j, e_i]) vanishes in every characteristic.
     `realization`, when given, is one matrix per basis element whose
-    commutators must reproduce the brackets exactly.  `commutators`, when
-    given, holds those commutators flattened (as `exact_linalg.commutators`
-    returns them) so a caller that already computed them does not pay
-    twice; the check itself always runs.
+    commutators reproduce the brackets: `algebra_from_matrices`, the one
+    builder that passes it, reads the brackets from those commutators and
+    proves them on every entry.
     """
 
     __slots__ = ("field", "dim", "constants", "realization", "_sparse_rows")
 
     def __init__(self, field: FieldDescriptor, dim: int,
                  brackets: Mapping[tuple[int, int], Sequence[FieldElement]],
-                 realization: Optional[Sequence[Matrix]] = None,
-                 commutators: Optional[dict[tuple[int, int], Vector]] = None):
+                 realization: Optional[Sequence[Matrix]] = None):
         self.field = field
         self.dim = dim
         zero_vec = (field.zero(),) * dim
@@ -107,8 +111,6 @@ class LieAlgebraSC:
         self.realization = tuple(realization) if realization is not None else None
         self._sparse_rows = tuple(tuple(_sparse(entry) for entry in row) for row in self.constants)
         self._check_jacobi()
-        if self.realization is not None:
-            self._check_realization(commutators)
 
     # -- construction-time invariants ----------------------------------
 
@@ -129,15 +131,6 @@ class LieAlgebraSC:
                         raise InvalidStructure(
                             f"Jacobi identity fails on basis triple ({i},{j},{k})"
                         )
-
-    def _check_realization(self, comms: Optional[dict[tuple[int, int], Vector]]) -> None:
-        if len(self.realization) != self.dim:
-            raise InvalidStructure("realization size does not match dimension")
-        pair = realization_mismatch(self.constants, self.realization, comms)
-        if pair is not None:
-            raise InvalidStructure(
-                f"commutator of realization matrices {pair[0]},{pair[1]} disagrees"
-            )
 
     # -- basic operations ----------------------------------------------
 
@@ -166,43 +159,6 @@ class LieAlgebraSC:
 
     def __repr__(self) -> str:
         return f"LieAlgebraSC(dim={self.dim} over {self.field!r})"
-
-
-def realization_mismatch(constants: Sequence[Sequence[Sequence[FieldElement]]],
-                         mats: Sequence[Matrix],
-                         comms: Optional[dict[tuple[int, int], Vector]] = None,
-                         ) -> Optional[tuple[int, int]]:
-    """First pair i < j whose commutator [m_i, m_j] differs from
-    sum_k constants[i][j][k] m_k, compared on flattened matrices, or None
-    when the matrices realize the constants.
-
-    `comms` may hold the flattened commutators as `exact_linalg.commutators`
-    returns them; otherwise they are computed here.
-    """
-    if not mats:
-        return None
-    if comms is None:
-        comms = commutators(mats)
-    field = mats[0].field
-    flats = [_sparse(m.flatten()) for m in mats]
-    size = mats[0].nrows * mats[0].ncols
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if comms[(i, j)] != _flat_combination(field, constants[i][j], flats, size):
-                return (i, j)
-    return None
-
-
-def _flat_combination(field: FieldDescriptor, coords: Sequence[FieldElement],
-                      flats: Sequence[Sequence[tuple[int, FieldElement]]], size: int) -> Vector:
-    """sum_k coords[k] m_k, flattened; `flats` holds each m_k's nonzero
-    flattened entries, and `size` is the number of entries of a matrix."""
-    acc = [field.zero()] * size
-    for coeff, flat in zip(coords, flats):
-        if not coeff.is_zero():
-            for idx, x in flat:
-                acc[idx] = acc[idx] + coeff * x
-    return tuple(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -243,38 +199,55 @@ def skew_adjoint_algebra(form: BilinearForm) -> list[Matrix]:
     ]
 
 
-def algebra_from_matrices(field: FieldDescriptor, mats: Sequence[Matrix]) -> LieAlgebraSC:
-    """Lie algebra spanned by commutator-closed matrices, each of which has
-    a flattened entry of its own: a position where it alone is nonzero.
+def coordinates(mats: Sequence[dict]) -> dict[tuple[int, int], dict]:
+    """The coordinates of each commutator [m_i, m_j], i < j, in the span of
+    the sparse matrices m_k, as {(i, j): {k: c_k}} with zero c_k left out.
 
-    At the own entry p_k of m_k, a combination sum_j c_j m_j reads
-    c_k m_k[p_k], so the matrices are independent and the coordinates of a
-    commutator in their span are read as comm[p_k] / m_k[p_k], the first
-    own entry of each matrix serving.  The realization check of
-    `LieAlgebraSC` compares every commutator with sum_k c_k m_k on all
-    entries, which proves those coordinates and refuses a commutator that
-    escapes the span.  Raises NotIndependent when a matrix has no entry of
-    its own, as happens in every dependent set; the distinguished bases
-    have disjoint supports, and an echelon basis has its pivots.
+    Generic in the scalar, like `exact_linalg.commutator`, with division by
+    an own entry besides.  Each m_k must have an entry of its own: a
+    position p_k where it alone is nonzero, the first in its order serving.
+    A combination sum_k c_k m_k reads c_k m_k[p_k] there, so the m_k are
+    independent, and the coordinates of a commutator in their span are
+    c_k = [m_i, m_j][p_k] / m_k[p_k].  sum_k c_k m_k is then compared with
+    [m_i, m_j] on every entry, which proves those coordinates and refuses a
+    commutator that escapes the span.  Raises NotIndependent when a matrix
+    has no entry of its own, as happens in every dependent set, and
+    InvalidStructure when a commutator is not the combination read.
     """
-    flats = [m.flatten() for m in mats]
-    nonzero = [[not x.is_zero() for x in flat] for flat in flats]
-    owners = [sum(column) for column in zip(*nonzero)]
-    reads = []
-    for k, flat in enumerate(flats):
-        p = next((p for p, nz in enumerate(nonzero[k]) if nz and owners[p] == 1), None)
+    owners = Counter(pos for m in mats for pos in m)
+    own = []
+    for k, m in enumerate(mats):
+        p = next((pos for pos in m if owners[pos] == 1), None)
         if p is None:
             raise NotIndependent(f"matrix {k} has no nonzero entry of its own")
-        reads.append((p, None if flat[p].is_one() else inv(flat[p])))
-    comms = commutators(mats)
+        own.append(p)
+    out = {}
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            comm = commutator(mats[i], mats[j])
+            c = {k: comm[p] / mats[k][p] for k, p in enumerate(own) if p in comm}
+            combination: dict = {}
+            for k, ck in c.items():
+                for pos, x in mats[k].items():
+                    term = ck * x
+                    combination[pos] = combination[pos] + term if pos in combination else term
+            if {pos: z for pos, z in combination.items() if z} != comm:
+                raise InvalidStructure(f"commutator of realization matrices {i},{j} disagrees")
+            out[i, j] = c
+    return out
+
+
+def algebra_from_matrices(field: FieldDescriptor, mats: Sequence[Matrix]) -> LieAlgebraSC:
+    """Lie algebra spanned by commutator-closed matrices, each of which has
+    an entry of its own, with its brackets read and proved by
+    `coordinates`; the distinguished bases have disjoint supports, and an
+    echelon basis has its pivots."""
+    zero = field.zero()
     brackets = {
-        pair: tuple(
-            comm[p] if scale is None or comm[p].is_zero() else comm[p] * scale
-            for p, scale in reads
-        )
-        for pair, comm in comms.items()
+        pair: tuple(c.get(k, zero) for k in range(len(mats)))
+        for pair, c in coordinates([m.entries() for m in mats]).items()
     }
-    return LieAlgebraSC(field, len(mats), brackets, realization=mats, commutators=comms)
+    return LieAlgebraSC(field, len(mats), brackets, realization=mats)
 
 
 # ---------------------------------------------------------------------------
@@ -346,28 +319,6 @@ def _diagonal_field(names: str, entries: Sequence[FieldElement]) -> FieldDescrip
     return field
 
 
-def _check_skew(mats: Sequence[Matrix], gram: Matrix) -> None:
-    """x^T G + G x = 0 for each matrix x, summed over nonzero entries only:
-    (x^T G)[i][j] collects x[k][i] G[k][j] and (G x)[i][j] collects
-    G[i][k] x[k][j]."""
-    n = gram.nrows
-    g_rows = [[(j, g) for j, g in enumerate(row) if not g.is_zero()] for row in gram.rows]
-    zero = gram.field.zero()
-    for m in mats:
-        x_rows = [[(j, x) for j, x in enumerate(row) if not x.is_zero()] for row in m.rows]
-        acc = [zero] * (n * n)
-        for k, row in enumerate(x_rows):
-            for i, x in row:
-                for j, g in g_rows[k]:
-                    acc[i * n + j] = acc[i * n + j] + x * g
-        for i, row in enumerate(g_rows):
-            for k, g in row:
-                for j, x in x_rows[k]:
-                    acc[i * n + j] = acc[i * n + j] + g * x
-        if any(not v.is_zero() for v in acc):
-            raise InvalidStructure("basis matrix is not skew-adjoint")
-
-
 # The paper's table in the distinguished basis, one row per nonzero bracket
 # of basis elements: coefficients refer to the diagonal entries a, b, c, d
 # and to D = abcd.
@@ -409,11 +360,11 @@ def _coefficient(symbol: str, values: dict[str, FieldElement]) -> FieldElement:
     return -coeff if symbol.startswith("-") else coeff
 
 
-def _wedge_entries(entries: Sequence) -> list[tuple[int, int, object, object]]:
-    """The two entries of each WEDGE_ROWS element that fits diag(entries),
-    as (r, s, kappa g_s, -kappa g_r) with 0-based r and s: kappa g_s at
-    (r, s) and -kappa g_r at (s, r).  The entries may be field elements or
-    the symbols a, b, c, d over Z; only * and unary - are used."""
+def _wedges(entries: Sequence) -> list[dict]:
+    """The WEDGE_ROWS elements that fit diag(entries), as sparse matrices
+    {(r, s): kappa g_s, (s, r): -kappa g_r} with 0-based r and s.  The
+    entries may be field elements or the symbols a, b, c, d over Z; only *
+    and unary - are used."""
     n = len(entries)
     values = dict(zip("abcd", entries))
     out = []
@@ -424,33 +375,42 @@ def _wedge_entries(entries: Sequence) -> list[tuple[int, int, object, object]]:
         if kappa:
             k = _coefficient(kappa, values)
             g_r, g_s = k * g_r, k * g_s
-        out.append((r - 1, s - 1, g_s, -g_r))
+        out.append({(r - 1, s - 1): g_s, (s - 1, r - 1): -g_r})
     return out
+
+
+def _alternating(m: dict, diagonal: Sequence) -> bool:
+    """Whether G m, for G = diag(diagonal) with nonzero entries and m a
+    sparse matrix, is alternating: nothing on the diagonal, and
+    -(G m)[p, q] at (q, p).  Generic in the scalar, like `coordinates`.
+    In characteristic 2 this is stricter than x^T G + G x = 0, which
+    allows a diagonal; the wedges have none."""
+    gm = {(p, q): diagonal[p] * x for (p, q), x in m.items()}
+    return all(p != q and gm.get((q, p)) == -x for (p, q), x in gm.items())
 
 
 def current_basis(*entries: FieldElement) -> tuple[Matrix, ...]:
     """The distinguished basis read from WEDGE_ROWS: f1, f2, f3, h1, h2, h3
     of M for diag(a, b, c, d), or f1, f2, f3 of the core for diag(a, b, c).
 
-    Each matrix is verified skew-adjoint for the diagonal Gram matrix.  The
-    supports {(r, s), (s, r)} of the rows are disjoint, and every entry is
-    a nonzero monomial in the diagonal entries, so each matrix is nonzero
-    at entries of its own.  Independence is not checked here:
-    `current_algebra` hands the matrices to `algebra_from_matrices`, which
-    reads their coordinates at those entries and refuses, with
-    NotIndependent, matrices that lack them.
+    Each matrix is verified skew-adjoint for the diagonal Gram matrix, by
+    `_alternating`.  The supports {(r, s), (s, r)} of the rows are
+    disjoint, and every entry is a nonzero monomial in the diagonal
+    entries, so each matrix is nonzero at entries of its own.
+    Independence is not checked here: `current_algebra` hands the matrices
+    to `algebra_from_matrices`, whose `coordinates` reads them at those
+    entries and refuses, with NotIndependent, matrices that lack them.
     """
     n = len(entries)
     if n not in (3, 4):
         raise WrongDimension("expected three or four diagonal entries")
     field = _diagonal_field("abcd"[:n], entries)
-    basis = []
-    for r, s, x, y in _wedge_entries(entries):
-        rows = [[field.zero()] * n for _ in range(n)]
-        rows[r][s], rows[s][r] = x, y
-        basis.append(Matrix(field, rows))
-    _check_skew(basis, Matrix.diagonal(field, list(entries)))
-    return tuple(basis)
+    wedges = _wedges(entries)
+    if not all(_alternating(m, entries) for m in wedges):
+        raise InvalidStructure("basis matrix is not skew-adjoint")
+    zero = field.zero()
+    return tuple(Matrix(field, [[m.get((r, c), zero) for c in range(n)] for r in range(n)])
+                 for m in wedges)
 
 
 def current_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
@@ -509,6 +469,20 @@ class IntPoly(dict):
     def __sub__(self, other: IntPoly) -> IntPoly:
         return self + -other
 
+    def __truediv__(self, other: IntPoly) -> IntPoly:
+        """Exact division by a unit monomial that leaves no negative
+        exponent; any other division raises ArithmeticError."""
+        if not _unit_monomial(other):
+            raise ArithmeticError("divisor is not +-1 times a monomial")
+        ((e, unit),) = other.items()
+        out = IntPoly()
+        for f, x in self.items():
+            g = tuple(map(sub, f, e))
+            if min(g) < 0:
+                raise ArithmeticError("quotient has a negative exponent")
+            out[g] = x * unit
+        return out
+
     def __mul__(self, other: IntPoly) -> IntPoly:
         out = IntPoly()
         for e, x in self.items():
@@ -530,41 +504,6 @@ def _unit_monomial(x: IntPoly) -> bool:
     return len(x) == 1 and abs(next(iter(x.values()))) == 1
 
 
-def _quotient(x: IntPoly, m: IntPoly) -> Optional[IntPoly]:
-    """x / m for a unit monomial m, or None unless m is one and divides
-    every term of x with no negative exponent left."""
-    if not _unit_monomial(m):
-        return None
-    ((e, unit),) = m.items()
-    out = IntPoly()
-    for f, x_f in x.items():
-        g = tuple(map(sub, f, e))
-        if min(g) < 0:
-            return None
-        out[g] = x_f * unit
-    return out
-
-
-def _commutator(x: dict, y: dict) -> dict:
-    """xy - yx for matrices stored as {(row, column): IntPoly}, with zero
-    entries left out."""
-    out: dict = {}
-    for left, right, sign in ((x, y, IntPoly.__add__), (y, x, IntPoly.__sub__)):
-        for (p, k), u in left.items():
-            for (l, q), v in right.items():
-                if k == l:
-                    out[p, q] = sign(out.get((p, q), IntPoly()), u * v)
-    return {pos: z for pos, z in out.items() if z}
-
-
-def _alternating(m: dict) -> bool:
-    """Whether G m, for G = diag(a, b, c, d), is alternating with unit
-    monomial entries: none on the diagonal, and -(G m)[p, q] at (q, p)."""
-    gm = {(p, q): SYMBOLS[p] * x for (p, q), x in m.items()}
-    return all(p != q and _unit_monomial(x) and gm.get((q, p)) == -x
-               for (p, q), x in gm.items())
-
-
 def prove_identity() -> tuple[bool, bool]:
     """(table, span): the paper's identity for M, proved over Z[a, b, c, d]
     from WEDGE_ROWS and TABLE_ROWS as they stand, for every field and every
@@ -572,31 +511,26 @@ def prove_identity() -> tuple[bool, bool]:
 
     The six matrices m_k of `current_basis`'s rule, at the symbols, must
     have supports that are six distinct pairs {r, s}, so each is alone at
-    its entry (r, s).  Each of the 15 commutators [m_i, m_j] is read at
-    those entries, c_k = [m_i, m_j][r_k, s_k] / m_k[r_k, s_k] by exact
-    monomial division, and must equal sum_k c_k m_k on all 16 entries.
+    its entries.  `coordinates`, the engine's own reading, then reads each
+    of the 15 commutators [m_i, m_j] at those entries by exact monomial
+    division (`IntPoly.__truediv__`) and proves sum_k c_k m_k = [m_i, m_j]
+    on all 16 entries; a division or a comparison that fails fails both.
     - table: the c_k are TABLE_ROWS at (a, b, c, d), with D = abcd.
-    - span: each G m_k is alternating, so the m_k span G^-1 Alt, which
-      holds [L, L] in every characteristic (docs/DESIGN.md); and each m_k
-      is a unit monomial times some [m_i, m_j], so [L, L] holds them.
+    - span: each G m_k is alternating (`_alternating`), so the m_k span
+      G^-1 Alt, which holds [L, L] in every characteristic
+      (docs/DESIGN.md); and each m_k is a unit monomial times some
+      [m_i, m_j], so [L, L] holds them.  Its own entry was then a divisor,
+      so a unit monomial, and alternation makes its other entry one too:
+      the m_k are nonzero wherever abcd is.
     """
-    mats = [{(r, s): x, (s, r): y} for r, s, x, y in _wedge_entries(SYMBOLS)]
+    mats = _wedges(SYMBOLS)
     if not (len(mats) == 6 and all(len(m) == 2 for m in mats)
             and len({frozenset(m) for m in mats}) == 6):
         return False, False
-    owns = [next(iter(m)) for m in mats]
-    coords = {}
-    for i in range(6):
-        for j in range(i + 1, 6):
-            comm = _commutator(mats[i], mats[j])
-            c = {k: _quotient(comm[own], mats[k][own])
-                 for k, own in enumerate(owns) if own in comm}
-            if None in c.values():
-                return False, False
-            if {pos: ck * x for k, ck in c.items() for pos, x in mats[k].items()} != comm:
-                return False, False
-            if c:
-                coords[i, j] = c
+    try:
+        coords = {pair: c for pair, c in coordinates(mats).items() if c}
+    except (ArithmeticError, NotIndependent, InvalidStructure):
+        return False, False
     expected: dict = {}
     for i, j, k, coeff in table_rows(*SYMBOLS):
         if i > j:
@@ -604,7 +538,8 @@ def prove_identity() -> tuple[bool, bool]:
         expected.setdefault((i, j), {})[k] = coeff
     targets = {k for c in coords.values() if len(c) == 1
                for k, ck in c.items() if _unit_monomial(ck)}
-    return coords == expected, all(map(_alternating, mats)) and targets == set(range(6))
+    span = all(_alternating(m, SYMBOLS) for m in mats) and targets == set(range(6))
+    return coords == expected, span
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .exact_linalg import (
     Matrix,
     Subspace,
     canonicalize_subspace,
-    commutators,
+    commutator,
 )
 from .forms import (
     BilinearForm,
@@ -129,18 +129,28 @@ class Pipeline:
 
 def _derived_span(form: BilinearForm) -> tuple[int, Subspace]:
     """dim L, for L the skew-adjoint algebra of the form, and [L, L] as the
-    span of the flattened commutators of L's basis.
+    span of the flattened commutators of L's basis, taken by
+    `exact_linalg.commutator` on their nonzero entries.
 
     Raises NotClosed when a basis row of [L, L] is not in L's span.  That
     span is read off L's basis, whose flattenings are a reduced echelon
     basis as `skew_adjoint_algebra` returns them: no elimination runs.
     """
     mats = skew_adjoint_algebra(form)
-    field, size = form.field, form.dim * form.dim
+    field, n = form.field, form.dim
+    size = n * n
     flats = [m.flatten() for m in mats]
     pivots = tuple(next(k for k, x in enumerate(row) if not x.is_zero()) for row in flats)
     skew = Subspace(field, size, Matrix(field, flats), pivots)
-    derived = canonicalize_subspace(field, commutators(mats).values(), size)
+    sparse = [m.entries() for m in mats]
+    comms = []
+    for i, x in enumerate(sparse):
+        for y in sparse[i + 1:]:
+            flat = [field.zero()] * size
+            for (r, c), z in commutator(x, y).items():
+                flat[r * n + c] = z
+            comms.append(flat)
+    derived = canonicalize_subspace(field, comms, size)
     if not all(skew.contains(row) for row in derived.basis.rows):
         raise NotClosed("a commutator of the skew-adjoint basis escapes its span")
     return len(mats), derived
@@ -151,11 +161,6 @@ def _spans(alg: LieAlgebraSC, space: Subspace) -> bool:
     rank, the algebra's dimension since building it proved them independent,
     is the space's dimension and each matrix lies in it."""
     return alg.dim == space.dim and all(space.contains(m.flatten()) for m in alg.realization)
-
-
-def current_table(core: LieAlgebraSC, disc: FieldElement) -> LieAlgebraSC:
-    """core tensor F[X]/(X^2 - D) on the positional basis."""
-    return tensor_current(core, disc, 2)
 
 
 def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> Pipeline:
@@ -171,7 +176,7 @@ def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> P
         _check("distinguished_basis_spans_derived", _spans(algebra, derived_span)),
         # M's table equals that of core tensor F[X]/(X^2 - D), entry by
         # entry under the positional correspondence.
-        _check("tables_match", algebra.constants == current_table(core, disc).constants),
+        _check("tables_match", algebra.constants == tensor_current(core, disc, 2).constants),
     )
     return Pipeline(
         field, entries, form, skew_dim, derived_span, algebra, core, disc, identity,

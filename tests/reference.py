@@ -72,6 +72,23 @@ def scaled(s: FieldElement, m: Matrix) -> Matrix:
     return Matrix(m.field, [[s * x for x in row] for row in m.rows])
 
 
+def dense_commutator(x: Matrix, y: Matrix) -> Matrix:
+    """xy - yx by dense matrix products."""
+    return matrix_sum(x * y, scaled(-x.field.one(), y * x))
+
+
+def realization_mismatch(constants, mats: Sequence[Matrix]) -> Optional[tuple[int, int]]:
+    """First pair i < j whose dense commutator [m_i, m_j] differs from
+    sum_k constants[i][j][k] m_k, or None when the matrices realize the
+    constants."""
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            combination = matrix_sum(*(scaled(c, m) for c, m in zip(constants[i][j], mats)))
+            if dense_commutator(mats[i], mats[j]) != combination:
+                return (i, j)
+    return None
+
+
 def is_zero_matrix(m: Matrix) -> bool:
     return all(x.is_zero() for x in m.flatten())
 

@@ -8,11 +8,15 @@ counts as used when any attribute of that name is read.
 """
 
 import ast
+import importlib
+import importlib.util
+import json
 from pathlib import Path
 
 import orthocurrent
 
 PACKAGE = Path(orthocurrent.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 # (module, name) -> why it stays although no module of the package uses it.
 ALLOWED = {
@@ -93,3 +97,41 @@ def test_algebras_are_built_by_two_builders():
         for scope, _ in _constructions(ast.parse(path.read_text()), "LieAlgebraSC"):
             builders.add((path.stem, scope))
     assert builders == {("liealg", "algebra_from_matrices"), ("liealg", "tensor_current")}
+
+
+# The per-layer metrics that perfbench/run.py computes itself, from its
+# sessions and span records, rather than from the tracer's installed names.
+RUN_METRICS = {
+    "oracle.subspaces_scanned",
+    "oracle.ideals_found",
+    "cli.json_bytes",
+    "trace.untraced_ms",
+    "trace.overhead_ms",
+    "trace.overhead_pct",
+    "trace.spans",
+}
+
+
+def test_the_benchmark_finds_every_per_layer_metric():
+    """perfbench/tracer.py wraps library functions by name and reports a
+    metric only while one of its names exists as a plain function, so a
+    renamed or removed function silently drops the metric from a traced
+    run.  Every per_layer metric of BENCHMARK.json must come out of an
+    installed tracer, but for those run.py computes, and run.py's count of
+    scanned subspaces needs oracle.gaussian_binomial."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    for layer in tracer_module.TARGETS:
+        importlib.import_module(f"orthocurrent.{layer}")
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        found = set(tracer_module.layer_metrics(tracer))
+    finally:
+        tracer.uninstall()
+    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert RUN_METRICS <= declared
+    assert declared - RUN_METRICS - found == set()
+    oracle = importlib.import_module("orthocurrent.oracle")
+    assert callable(oracle.gaussian_binomial)

@@ -198,10 +198,24 @@ def test_classify_json_case():
     assert all(c["ok"] for c in data["checks"])
 
 
-def test_classify_gram_input():
-    gram = json.dumps([["0", "1"], ["1", "0"]])
-    with pytest.raises(SystemExit):  # 2x2 form is rejected as not 4-dimensional
+@pytest.mark.parametrize("gram", [
+    json.dumps([["0", "1"], ["1", "0"]]),  # 2x2: not 4-dimensional
+    "[1,2,3,4]",  # rows that are numbers
+    json.dumps([None, ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]),
+    json.dumps(["1000", "0200", "0030", "0004"]),  # rows that are strings
+])
+def test_bad_gram_rows_are_usage_errors(gram, capsys):
+    """Each row must be a JSON list: a number, a null or a string row exits
+    2 with a usage error, where a number or a null raised TypeError and a
+    string was read one character per literal."""
+    with pytest.raises(SystemExit) as exc:
         parse_args(["classify", "--field", "Q", "--gram", gram])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "orthocurrent: error: bad --gram matrix: ")
+
+
+def test_classify_gram_input():
     gram = json.dumps(
         [
             ["0", "1", "0", "0"],
@@ -490,8 +504,8 @@ def test_recheck_unknown_document_fails():
 
 
 def _break_table_identity(monkeypatch):
-    real = structure.current_table
-    monkeypatch.setattr(structure, "current_table", lambda core, disc: real(core, disc + disc))
+    real = structure.tensor_current
+    monkeypatch.setattr(structure, "tensor_current", lambda core, s, n: real(core, s + s, n))
 
 
 def _misstate_a_table_row(monkeypatch):

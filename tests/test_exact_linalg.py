@@ -8,7 +8,7 @@ from orthocurrent.exact_linalg import (
     Matrix,
     ShapeMismatch,
     canonicalize_subspace,
-    commutators,
+    commutator,
     det,
     kernel,
     rref,
@@ -21,9 +21,9 @@ from orthocurrent.scalars import (
 )
 
 from reference import (
+    dense_commutator,
     dense_rref,
     full_subspace,
-    matrix_sum,
     random_element,
     scaled,
     subspace_meet_join,
@@ -163,7 +163,7 @@ def test_arithmetic_across_fields_raises():
     for op in (lambda: a * b, lambda: b * a,
                # zero skipping multiplies nothing, so only the field check sees it
                lambda: mat(Q, [[0] * 2] * 2) * b,
-               lambda: commutators([a, b])):
+               lambda: commutator(a.entries(), b.entries())):
         with pytest.raises(ValueError):
             op()
 
@@ -178,14 +178,19 @@ def test_arithmetic_results_match_checked_construction():
 
 
 def test_commutators_match_matrix_products():
+    """commutator on the nonzero entries is dense xy - yx with its zero
+    entries left out, also for matrices with zero rows and columns and
+    for a commutator that vanishes."""
     rng = random.Random(9)
     for field in (Q, F3, function_field(2, "t")):
         mats = [Matrix(field, [[random_element(field, rng) for _ in range(3)]
                                for _ in range(3)]) for _ in range(4)]
-        comms = commutators(mats)
-        assert sorted(comms) == [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        for (i, j), flat in comms.items():
-            assert flat == matrix_sum(mats[i] * mats[j], scaled(-field.one(), mats[j] * mats[i])).flatten()
+        mats.append(Matrix(field, [[field.zero()] * 3, mats[0].rows[1], [field.zero()] * 3]))
+        mats.append(scaled(field.from_int(2), mats[0]))
+        for x in mats:
+            for y in mats:
+                assert commutator(x.entries(), y.entries()) == dense_commutator(x, y).entries()
+        assert commutator(mats[0].entries(), mats[-1].entries()) == {}
 
 
 ELIMINATION_FIELDS = ["Q", "F2", "F3", "F5", "F2(t)", "F3(t)", "F3[sqrt 2]", "F2(t)[sqrt t+1]"]

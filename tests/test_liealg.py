@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthocurrent import exact_linalg
+from orthocurrent import exact_linalg, liealg
 from orthocurrent.exact_linalg import (
     Matrix,
     ShapeMismatch,
     canonicalize_subspace,
-    commutators,
+    commutator,
     kernel,
 )
 from orthocurrent.forms import diagonal_form, make_form
@@ -25,9 +25,9 @@ from orthocurrent.liealg import (
     WrongDimension,
     ZeroEntry,
     _alternating,
-    _check_skew,
-    _quotient,
+    _wedges,
     algebra_from_matrices,
+    coordinates,
     current_algebra,
     current_basis,
     derived_series_of_subspace,
@@ -35,7 +35,6 @@ from orthocurrent.liealg import (
     is_ideal,
     quotient_product,
     quotient_is_perfect,
-    realization_mismatch,
     skew_adjoint_algebra,
     tensor_current,
 )
@@ -53,6 +52,7 @@ from orthocurrent.structure import _derived_span
 from reference import (
     SpanSolver,
     brackets_of,
+    dense_commutator,
     full_subspace,
     ideal_closure,
     is_zero_matrix,
@@ -60,6 +60,7 @@ from reference import (
     matrix_sum,
     quotient_algebra,
     random_element,
+    realization_mismatch,
     scaled,
     structure_constants,
 )
@@ -311,12 +312,12 @@ def _solved_constants(field, mats):
     solved by elimination and an inverse change of basis."""
     n = len(mats)
     solver = SpanSolver(field, [m.flatten() for m in mats], mats[0].nrows * mats[0].ncols)
-    comms = commutators(mats)
     zero_vec = tuple(field.zero() for _ in range(n))
     constants = [[zero_vec] * n for _ in range(n)]
-    for (i, j), comm in comms.items():
-        constants[i][j] = solver.coordinates(comm)
-        constants[j][i] = tuple(-x for x in constants[i][j])
+    for i in range(n):
+        for j in range(i + 1, n):
+            constants[i][j] = solver.coordinates(dense_commutator(mats[i], mats[j]).flatten())
+            constants[j][i] = tuple(-x for x in constants[i][j])
     return tuple(tuple(row) for row in constants)
 
 
@@ -456,28 +457,33 @@ def test_tables_equal():
     assert ((half,),) == (((Q.from_fraction(2, 4),),),)
 
 
-def test_realization_check_catches_a_flipped_constant():
-    core = algebra_from_matrices(Q, current_basis(*fe(Q, [1, 2, 3])))
-    brackets = brackets_of(core.constants)
-    two = Q.from_int(2)
-    flipped = dict(brackets)
-    flipped[(0, 1)] = tuple(two * x for x in brackets[(0, 1)])
-    # Still Jacobi (every 3-dimensional table [e_i, e_j] = l_k e_k is), so
-    # only the realization can object.
-    LieAlgebraSC(Q, 3, flipped)
-    with pytest.raises(InvalidStructure, match="realization"):
-        LieAlgebraSC(Q, 3, flipped, realization=core.realization)
-    # Precomputed commutators are compared, never trusted.
-    comms = commutators(core.realization)
-    with pytest.raises(InvalidStructure, match="realization"):
-        LieAlgebraSC(Q, 3, flipped, realization=core.realization, commutators=comms)
-    bad = dict(comms)
-    bad[(0, 1)] = tuple(two * x for x in bad[(0, 1)])
-    with pytest.raises(InvalidStructure, match="realization"):
-        LieAlgebraSC(Q, 3, brackets, realization=core.realization, commutators=bad)
+def test_algebra_from_matrices_refuses_a_patched_commutator(monkeypatch):
+    """`coordinates` reads each commutator at the own entries and then
+    compares it with their combination on every entry.  [h1, h3] = -Da f2
+    changed at (0, 0), where no matrix is nonzero, keeps its reads; changed
+    at f2's second entry, it keeps them too, since the first own entry
+    serves.  Either way algebra_from_matrices refuses, naming the pair."""
+    for field, literals in ((Q, "1,2,3,4"), (F3, "1,1,1,2"), (F2T, "1,t,t+1,1")):
+        basis = current_basis(*[parse_scalar(x, field) for x in literals.split(",")])
+        h1, h3 = basis[3].entries(), basis[5].entries()
+        real = liealg.commutator
+        for change in ({(0, 0): field.one()},
+                       {(2, 1): field.from_int(2) * real(h1, h3)[2, 1]}):
+            def patched(x, y, change=change):
+                comm = real(x, y)
+                return {**comm, **change} if (x, y) == (h1, h3) else comm
+
+            with monkeypatch.context() as mp:
+                mp.setattr(liealg, "commutator", patched)
+                with pytest.raises(InvalidStructure, match="realization matrices 3,5 disagrees"):
+                    algebra_from_matrices(field, basis)
+        assert algebra_from_matrices(field, basis).constants == current_algebra(
+            [parse_scalar(x, field) for x in literals.split(",")]).constants
 
 
 def test_realization_mismatch_names_the_first_disagreeing_pair():
+    """The dense reference that the random-W test leans on: None for M's
+    own constants, and the pair of a changed constant otherwise."""
     f3s2 = quadratic_extension(F3, F3.from_int(2))
     cases = [
         (Q, ["1", "2", "3", "4"]),
@@ -494,35 +500,74 @@ def test_realization_mismatch_names_the_first_disagreeing_pair():
         entry[1] = entry[1] + field.one()
         constants[3][5] = tuple(entry)
         assert realization_mismatch(constants, m.realization) == (3, 5)
-    core = algebra_from_matrices(Q, current_basis(*fe(Q, [1, 2, 3])))
-    brackets = brackets_of(core.constants)
-    two = Q.from_int(2)
-    brackets[(1, 2)] = tuple(two * x for x in brackets[(1, 2)])
-    with pytest.raises(InvalidStructure, match="realization matrices 1,2 disagrees"):
-        LieAlgebraSC(Q, 3, brackets, realization=core.realization)
 
 
 def test_sparse_skew_check_matches_the_dense_products():
-    """_check_skew sums x^T G + G x over nonzero entries; it must accept
-    exactly the matrices the dense products call skew-adjoint, also for a
-    Gram matrix that is not diagonal."""
+    """_alternating, the skew check of current_basis, accepts a matrix x for
+    a diagonal G exactly when the dense x^T G + G x is zero and x has a zero
+    diagonal: the same condition wherever 2 != 0.  In characteristic 2 a
+    diagonal x is skew-adjoint but G x is not alternating, and is refused;
+    the wedges have no diagonal, so there both checks agree on them."""
     rng = random.Random(3)
     for field in (Q, F3, F2, F2T):
-        grid = [[1, 1, 0, 0], [1, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 1]]
-        gram = Matrix(field, [[field.from_int(x) for x in row] for row in grid])
-        skew = skew_adjoint_algebra(make_form(gram))
-        _check_skew(skew, gram)
+        entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
+        gram = Matrix.diagonal(field, entries)
+        skew = skew_adjoint_algebra(diagonal_form(field, entries))
+        diagonal = Matrix.diagonal(field, fe(field, [1, 0, 0, 0]))
+        candidates = [*skew, *current_basis(*entries), diagonal]
         for m in skew:
-            noise = Matrix(field, [[random_element(field, rng) for _ in range(4)]
-                                   for _ in range(4)])
-            x = matrix_sum(m, noise)
+            noise = Matrix(field, [[random_element(field, rng) if rng.random() < 0.2
+                                    else field.zero() for _ in range(4)] for _ in range(4)])
+            candidates.append(matrix_sum(m, noise))
+        for x in candidates:
             dense_ok = is_zero_matrix(matrix_sum(x.transpose() * gram, gram * x))
-            try:
-                _check_skew([x], gram)
-                sparse_ok = True
-            except InvalidStructure:
-                sparse_ok = False
-            assert sparse_ok == dense_ok
+            no_diagonal = all(x.rows[i][i].is_zero() for i in range(4))
+            assert _alternating(x.entries(), entries) == (dense_ok and no_diagonal)
+        assert is_zero_matrix(matrix_sum(diagonal * gram, gram * diagonal)) == (
+            field.characteristic() == 2)
+        assert not _alternating(diagonal.entries(), entries)
+
+
+def test_coordinates_refuses_a_dependent_set_and_an_escaping_commutator():
+    """Over a field and over Z[a, b, c, d] alike: h1 + h2 in place of h3
+    leaves h1 and h2 no entry of their own, and f1, f2 alone leave
+    [f1, f2] = b f3 outside their span."""
+    def summed(x, y):
+        out = dict(x)
+        for pos, z in y.items():
+            out[pos] = out[pos] + z if pos in out else z
+        return out
+
+    cases = [[m.entries() for m in current_basis(*[parse_scalar(x, field) for x in lits])]
+             for field, lits in ((Q, "1234"), (F3, "1112"), (F2T, "1t11"))]
+    for mats in cases + [_wedges(SYMBOLS)]:
+        with pytest.raises(NotIndependent, match="matrix 3 has no nonzero entry of its own"):
+            coordinates(mats[:5] + [summed(mats[3], mats[4])])
+        with pytest.raises(InvalidStructure, match="realization matrices 0,1 disagrees"):
+            coordinates(mats[:2])
+        assert len(coordinates(mats)) == 15
+
+
+def test_commutator_over_int_polys_matches_dense_products():
+    """commutator is generic in the scalar: over Z[a, b, c, d] it is the
+    dense xy - yx with its zero entries left out."""
+    rng = random.Random(7)
+    a, b, c, d = SYMBOLS
+    pool = [a, b, -c, a * d, b + c, a - a, a * b - d]
+    for _ in range(20):
+        dense = [[[rng.choice(pool) if rng.random() < 0.4 else IntPoly() for _ in range(3)]
+                  for _ in range(3)] for _ in range(2)]
+        x, y = ({(p, q): v for p, row in enumerate(m) for q, v in enumerate(row) if v}
+                for m in dense)
+        expected = {}
+        for p in range(3):
+            for q in range(3):
+                z = functools.reduce(operator.add, (dense[0][p][k] * dense[1][k][q]
+                                                    - dense[1][p][k] * dense[0][k][q]
+                                                    for k in range(3)))
+                if z:
+                    expected[p, q] = z
+        assert commutator(x, y) == expected
 
 
 def _int_poly(terms):
@@ -610,11 +655,17 @@ def test_proof_steps_on_hand_inputs():
     """The proof's alternation and division steps on two-entry matrices
     and unit monomials in a, b, c, d."""
     a, b, c, _ = SYMBOLS
-    assert _alternating({(0, 1): b, (1, 0): -a})  # f1 = e1 ^ e2
-    assert not _alternating({(0, 1): b, (1, 0): a})  # G m symmetric
-    assert not _alternating({(0, 0): a})  # on the diagonal
-    # alternating, but 2 ab vanishes in characteristic 2
-    assert not _alternating({(0, 1): b + b, (1, 0): -(a + a)})
-    assert _quotient(a * b - b * c, -b) == c - a
-    assert _quotient(b, a) is None  # a negative exponent
-    assert _quotient(a, a + a) is None  # not a unit monomial
+    assert _alternating({(0, 1): b, (1, 0): -a}, SYMBOLS)  # f1 = e1 ^ e2
+    assert not _alternating({(0, 1): b, (1, 0): a}, SYMBOLS)  # G m symmetric
+    assert not _alternating({(0, 0): a}, SYMBOLS)  # on the diagonal
+    # Alternating over Z, though 2 ab vanishes in characteristic 2: the
+    # division at an own entry refuses 2 b, not the alternation.
+    assert _alternating({(0, 1): b + b, (1, 0): -(a + a)}, SYMBOLS)
+    assert (a * b - b * c) / -b == c - a
+    with pytest.raises(ArithmeticError):
+        b / a  # a negative exponent
+    with pytest.raises(ArithmeticError):
+        a / (a + a)  # not a unit monomial
+    with pytest.raises(ArithmeticError):
+        coordinates([{(0, 1): b + b, (1, 0): -(a + a)}, {(0, 2): c, (2, 0): -a},
+                     {(1, 2): c, (2, 1): -b}])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from orthocurrent import liealg, scalars, structure
 from orthocurrent.cli import execute, parse_args
-from orthocurrent.exact_linalg import Matrix, canonicalize_subspace, commutators
+from orthocurrent.exact_linalg import Matrix, canonicalize_subspace
 from orthocurrent.forms import diagonal_form, make_form
 from orthocurrent.liealg import (
     LieAlgebraSC,
@@ -20,8 +20,8 @@ from orthocurrent.liealg import (
     current_basis,
     derived_subspace,
     paper_table,
-    realization_mismatch,
     table_rows,
+    tensor_current,
 )
 from orthocurrent.scalars import (
     function_field,
@@ -51,11 +51,13 @@ from reference import (
     closed_and_perfect,
     common_denominator,
     conjugated_current_basis,
+    dense_commutator,
     derived_span_by_coordinates,
     document_subspace,
     ideal_closure,
     quotient_algebra,
     random_element,
+    realization_mismatch,
     scaled,
     subspace_meet_join,
     wedge_basis,
@@ -196,8 +198,8 @@ def test_descent_certificate_rejects_non_perfect():
 
 def test_table_identity_failure_reaches_every_report(monkeypatch):
     """verify, classify and the checker read one tables_match result."""
-    real = structure.current_table
-    monkeypatch.setattr(structure, "current_table", lambda core, disc: real(core, disc + disc))
+    real = structure.tensor_current
+    monkeypatch.setattr(structure, "tensor_current", lambda core, s, n: real(core, s + s, n))
     entries = ints(Q, [1, 2, 3, 4])
     doc = verify_current_form(Q, entries)
     assert not doc["equal"]
@@ -311,8 +313,10 @@ def test_a_span_part_forced_false_fails_only_the_leg_span(monkeypatch, field_lit
     """G m_k read as not alternating in the proof: the six matrices are not
     shown to span G^-1 Alt, which holds [L, L], while the table is still
     proved and the rows are still orthogonal.  Only random_w_spans_match
-    fails, and nothing raises."""
-    doc = _verify_leg_only(monkeypatch, field_literal, form, _alternating=lambda m: False)
+    fails, and nothing raises.  `_alternating` is the engine's rule too, so
+    it is patched only after the pipeline is built."""
+    doc = _verify_leg_only(monkeypatch, field_literal, form,
+                           _alternating=lambda m, diagonal: False)
     assert doc["random_w"]["equal"]
     assert _failed(doc["checks"]) == {"random_w_spans_match"}
 
@@ -332,14 +336,16 @@ def test_a_patched_commutator_fails_both_leg_checks(monkeypatch, patch):
     monomial times a bracket, and 2 vanishes in characteristic 2, so
     [L, L] is not shown to hold the m_k.  Every commutator given an entry
     at (1, 1), where no m_k is nonzero: the coordinates read at the own
-    entries are unchanged, but sum_k c_k m_k misses that entry, so no
-    coordinates are proved.  Either way the span fails with the table, and
-    both of the leg's checks fail, with nothing raised."""
-    patched = patch(liealg._commutator)
+    entries are unchanged, but sum_k c_k m_k misses that entry, so
+    `coordinates` refuses them.  Either way the span fails with the table,
+    and both of the leg's checks fail, with nothing raised.  The proof
+    reads commutators through the engine's `coordinates`, so in verify the
+    patch comes after the pipeline is built."""
+    patched = patch(liealg.commutator)
     with monkeypatch.context() as mp:
-        mp.setattr(liealg, "_commutator", patched)
+        mp.setattr(liealg, "commutator", patched)
         assert liealg.prove_identity() == (False, False)
-    doc = _verify_leg_only(monkeypatch, "F2(t)", "1,t,t+1,t^2+1", _commutator=patched)
+    doc = _verify_leg_only(monkeypatch, "F2(t)", "1,t,t+1,t^2+1", commutator=patched)
     assert _failed(doc["checks"]) == {"random_w_spans_match", "random_w_tables_match"}
 
 
@@ -382,7 +388,7 @@ def test_paper_table_is_core_tensor_quadratic_quotient(literal, seed):
     field = parse_field(literal)
     rng = random.Random(seed)
     a, b, c, d = (random_element(field, rng, nonzero=True) for _ in range(4))
-    expected = structure.current_table(current_algebra((a, b, c)), a * b * c * d)
+    expected = tensor_current(current_algebra((a, b, c)), a * b * c * d, 2)
     assert paper_table(table_rows(a, b, c, d)) == expected.constants
 
 
@@ -741,7 +747,7 @@ def test_a_skew_basis_that_is_not_closed_is_refused(monkeypatch):
     short = lambda form: real(form)[:-1]
     mats = short(diagonal_form(F3, ints(F3, [1, 2, 1, 2])))
     span = canonicalize_subspace(F3, [m.flatten() for m in mats], 16)
-    assert not all(span.contains(c) for c in commutators(mats).values())
+    assert not all(span.contains(dense_commutator(x, y).flatten()) for x in mats for y in mats)
     monkeypatch.setattr(structure, "skew_adjoint_algebra", short)
     with pytest.raises(NotClosed):
         verify_current_form(F3, ints(F3, [1, 2, 1, 2]))
