@@ -1,10 +1,11 @@
 """Dense exact linear algebra over any supported field.
 
-Matrices are immutable row-major grids of field elements.  Subspaces are
-stored through their unique reduced row echelon basis, which makes
-subspace equality decidable by structural comparison.  Everything here is
-small (at most 16 columns), so plain Gaussian elimination with zero
-skipping is all that is needed.
+Matrices are immutable row-major grids of field elements; the matrices
+of Lie algebras are sparse dicts {(row, col): entry}, which `commutator`
+multiplies.  Subspaces are stored through their unique reduced row
+echelon basis, which makes subspace equality decidable by structural
+comparison.  Everything here is small (at most 16 columns), so plain
+Gaussian elimination with zero skipping is all that is needed.
 """
 
 from __future__ import annotations
@@ -84,14 +85,6 @@ class Matrix:
                 out_row.append(acc)
             out.append(tuple(out_row))
         return Matrix._trusted(self.field, tuple(out))
-
-    def flatten(self) -> Vector:
-        return tuple(x for row in self.rows for x in row)
-
-    def entries(self) -> dict[tuple[int, int], FieldElement]:
-        """The nonzero entries as {(row, col): entry}, row by row: the
-        sparse form that `commutator` takes."""
-        return {(r, c): x for r, row in enumerate(self.rows) for c, x in enumerate(row) if x}
 
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and all(

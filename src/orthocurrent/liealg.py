@@ -1,26 +1,26 @@
 """Structure-constant Lie algebras built from bilinear forms.
 
 The central object is `LieAlgebraSC`: a finite-dimensional Lie algebra
-given by its brackets [e_i, e_j], i < j, optionally carrying a faithful
-matrix realization.  Its table c[i][j][k] is antisymmetric by
-construction, so [x,x] = 0 holds in every characteristic without a check;
-construction checks the Jacobi identity on all basis triples.  Exactly
-two builders make algebras: `algebra_from_matrices` (M and the core,
-through `current_algebra`) and `tensor_current` (current algebras over
-F[X]/(X^n - s)).
+given only by its brackets [e_i, e_j], i < j.  Its table c[i][j][k] is
+antisymmetric by construction, so [x,x] = 0 holds in every characteristic
+without a check; construction checks the Jacobi identity on all basis
+triples.  Exactly two builders make algebras: `algebra_from_matrices` (M
+and the core, from `current_basis`) and `tensor_current` (current
+algebras over F[X]/(X^n - s)).
 
-Three rules on sparse matrices {(row, col): entry} are stated once,
-generic in the scalar: `exact_linalg.commutator`, `coordinates` (the
-coordinates of each commutator, read at the matrices' own entries and
-proved on every entry) and `_alternating` (G m alternating for a diagonal
-G).  The engine runs them over field elements, in `algebra_from_matrices`
-and `current_basis`.  `prove_identity` runs the same rules over
-Z[a, b, c, d], and so proves for every field and every diagonal at once
-that the distinguished basis of WEDGE_ROWS has the table of TABLE_ROWS
-and spans [L, L].
+A matrix is a sparse dict {(row, col): entry}, as `current_basis` returns
+and `algebra_from_matrices` takes it.  Three rules on such matrices are
+stated once, generic in the scalar: `exact_linalg.commutator`,
+`coordinates` (the coordinates of each commutator, read at the matrices'
+own entries and proved on every entry) and `_alternating` (G m
+alternating for a diagonal G).  The engine runs them over field elements,
+in `algebra_from_matrices` and `current_basis`.  `prove_identity` runs
+the same rules over Z[a, b, c, d], and so proves for every field and
+every diagonal at once that the distinguished basis of WEDGE_ROWS has the
+table of TABLE_ROWS and spans [L, L].
 
-Bases of skew-adjoint endomorphisms are produced by solving the linear
-system x^T G + G x = 0.  For a 4-dimensional nondegenerate form the
+`skew_adjoint_algebra` returns the solution space of x^T G + G x = 0,
+each x flattened row by row.  For a 4-dimensional nondegenerate form the
 distinguished basis f1, f2, f3, h1, h2, h3 of the derived algebra aligns
 it positionally with (3-dimensional core) tensor (quadratic quotient),
 which is what the verification and classification layers exploit.
@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import reduce
 from operator import add, mul, sub
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .exact_linalg import (
     Matrix,
@@ -64,7 +64,7 @@ class WrongDimension(ValueError):
 
 class InvalidStructure(ValueError):
     """Brackets that are malformed, break the Jacobi identity or disagree
-    with their realization."""
+    with the commutators of the matrices they are read from."""
 
 
 Vector = tuple[FieldElement, ...]
@@ -84,17 +84,12 @@ class LieAlgebraSC:
     on the diagonal and -[e_i, e_j] at (j, i), so it is antisymmetric by
     construction, and [x, x] = sum x_i^2 [e_i, e_i] + sum_{i<j} x_i x_j
     ([e_i, e_j] + [e_j, e_i]) vanishes in every characteristic.
-    `realization`, when given, is one matrix per basis element whose
-    commutators reproduce the brackets: `algebra_from_matrices`, the one
-    builder that passes it, reads the brackets from those commutators and
-    proves them on every entry.
     """
 
-    __slots__ = ("field", "dim", "constants", "realization", "_sparse_rows")
+    __slots__ = ("field", "dim", "constants", "_sparse_rows")
 
     def __init__(self, field: FieldDescriptor, dim: int,
-                 brackets: Mapping[tuple[int, int], Sequence[FieldElement]],
-                 realization: Optional[Sequence[Matrix]] = None):
+                 brackets: Mapping[tuple[int, int], Sequence[FieldElement]]):
         self.field = field
         self.dim = dim
         zero_vec = (field.zero(),) * dim
@@ -108,7 +103,6 @@ class LieAlgebraSC:
             table[i][j] = vec
             table[j][i] = tuple(-x for x in vec)
         self.constants: Tensor = tuple(tuple(row) for row in table)
-        self.realization = tuple(realization) if realization is not None else None
         self._sparse_rows = tuple(tuple(_sparse(entry) for entry in row) for row in self.constants)
         self._check_jacobi()
 
@@ -166,13 +160,11 @@ class LieAlgebraSC:
 # ---------------------------------------------------------------------------
 
 
-def skew_adjoint_algebra(form: BilinearForm) -> list[Matrix]:
-    """Basis of all endomorphisms x with x^T G + G x = 0.
-
-    The basis is the canonical echelon basis of the solution space of the
-    n^2 x n^2 linear system, each row reshaped to an n x n matrix, so the
-    flattened matrices are a reduced echelon basis as they stand.  For a
-    4-dimensional form there are 6 in characteristic != 2 and 10 in
+def skew_adjoint_algebra(form: BilinearForm) -> Subspace:
+    """All endomorphisms x with x^T G + G x = 0, as the solution space of
+    the n^2 x n^2 linear system: each vector is an x flattened row by row,
+    x[r][c] at r n + c, and the basis is the canonical echelon one.  For a
+    4-dimensional form the dimension is 6 in characteristic != 2 and 10 in
     characteristic 2.
     """
     if not form.nondegenerate:
@@ -192,11 +184,7 @@ def skew_adjoint_algebra(form: BilinearForm) -> list[Matrix]:
                 row[k * n + i] = row[k * n + i] + g.rows[k][j]
                 row[k * n + j] = row[k * n + j] + g.rows[i][k]
             equations.append(row)
-    sol = kernel(Matrix(field, equations))
-    return [
-        Matrix(field, [row[r * n:(r + 1) * n] for r in range(n)])
-        for row in sol.basis.rows
-    ]
+    return kernel(Matrix(field, equations))
 
 
 def coordinates(mats: Sequence[dict]) -> dict[tuple[int, int], dict]:
@@ -237,17 +225,17 @@ def coordinates(mats: Sequence[dict]) -> dict[tuple[int, int], dict]:
     return out
 
 
-def algebra_from_matrices(field: FieldDescriptor, mats: Sequence[Matrix]) -> LieAlgebraSC:
-    """Lie algebra spanned by commutator-closed matrices, each of which has
-    an entry of its own, with its brackets read and proved by
-    `coordinates`; the distinguished bases have disjoint supports, and an
-    echelon basis has its pivots."""
+def algebra_from_matrices(field: FieldDescriptor, mats: Sequence[dict]) -> LieAlgebraSC:
+    """Lie algebra spanned by commutator-closed sparse matrices over the
+    field, each of which has an entry of its own, with its brackets read
+    and proved by `coordinates`; the distinguished bases have disjoint
+    supports, and an echelon basis has its pivots."""
     zero = field.zero()
     brackets = {
         pair: tuple(c.get(k, zero) for k in range(len(mats)))
-        for pair, c in coordinates([m.entries() for m in mats]).items()
+        for pair, c in coordinates(mats).items()
     }
-    return LieAlgebraSC(field, len(mats), brackets, realization=mats)
+    return LieAlgebraSC(field, len(mats), brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +296,14 @@ def is_ideal(alg: LieAlgebraSC, space: Subspace) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_field(names: str, entries: Sequence[FieldElement]) -> FieldDescriptor:
-    """The common field of nonzero diagonal entries."""
+def _check_diagonal(names: str, entries: Sequence[FieldElement]) -> None:
+    """Raises unless the diagonal entries are nonzero and in one field."""
     field = entries[0].field
     for name, x in zip(names, entries):
         if x.field != field:
             raise DescriptorMismatch("diagonal entries live in different fields")
         if x.is_zero():
             raise ZeroEntry(f"diagonal entry {name} must be nonzero")
-    return field
 
 
 # The paper's table in the distinguished basis, one row per nonzero bracket
@@ -389,35 +376,34 @@ def _alternating(m: dict, diagonal: Sequence) -> bool:
     return all(p != q and gm.get((q, p)) == -x for (p, q), x in gm.items())
 
 
-def current_basis(*entries: FieldElement) -> tuple[Matrix, ...]:
-    """The distinguished basis read from WEDGE_ROWS: f1, f2, f3, h1, h2, h3
-    of M for diag(a, b, c, d), or f1, f2, f3 of the core for diag(a, b, c).
+def current_basis(*entries: FieldElement) -> list[dict]:
+    """The distinguished basis read from WEDGE_ROWS, as the sparse matrices
+    of `_wedges`: f1, f2, f3, h1, h2, h3 of M for diag(a, b, c, d), or f1,
+    f2, f3 of the core for diag(a, b, c).
 
     Each matrix is verified skew-adjoint for the diagonal Gram matrix, by
     `_alternating`.  The supports {(r, s), (s, r)} of the rows are
     disjoint, and every entry is a nonzero monomial in the diagonal
     entries, so each matrix is nonzero at entries of its own.
-    Independence is not checked here: `current_algebra` hands the matrices
-    to `algebra_from_matrices`, whose `coordinates` reads them at those
-    entries and refuses, with NotIndependent, matrices that lack them.
+    Independence is not checked here: `algebra_from_matrices` reads the
+    matrices at those entries and refuses, with NotIndependent, matrices
+    that lack them.
     """
     n = len(entries)
     if n not in (3, 4):
         raise WrongDimension("expected three or four diagonal entries")
-    field = _diagonal_field("abcd"[:n], entries)
+    _check_diagonal("abcd"[:n], entries)
     wedges = _wedges(entries)
     if not all(_alternating(m, entries) for m in wedges):
         raise InvalidStructure("basis matrix is not skew-adjoint")
-    zero = field.zero()
-    return tuple(Matrix(field, [[m.get((r, c), zero) for c in range(n)] for r in range(n)])
-                 for m in wedges)
+    return wedges
 
 
 def current_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
     """M for diag(a, b, c, d) on f1..f3, h1..h3, or the core for
     diag(a, b, c) on f1..f3: `current_basis` as a Lie algebra."""
     basis = current_basis(*entries)
-    return algebra_from_matrices(basis[0].field, basis)
+    return algebra_from_matrices(entries[0].field, basis)
 
 
 def table_rows(a: FieldElement, b: FieldElement, c: FieldElement,

@@ -77,6 +77,35 @@ def dense_commutator(x: Matrix, y: Matrix) -> Matrix:
     return matrix_sum(x * y, scaled(-x.field.one(), y * x))
 
 
+def dense(field: FieldDescriptor, n: int, m: dict) -> Matrix:
+    """The sparse n x n matrix {(row, col): entry} as a dense Matrix."""
+    zero = field.zero()
+    return Matrix(field, [[m.get((r, c), zero) for c in range(n)] for r in range(n)])
+
+
+def sparse(m: Matrix) -> dict:
+    """The nonzero entries of a dense matrix as {(row, col): entry}."""
+    return {(r, c): x for r, row in enumerate(m.rows) for c, x in enumerate(row) if x}
+
+
+def flat(m: Matrix) -> tuple[FieldElement, ...]:
+    """The entries of a dense matrix, row by row."""
+    return tuple(x for row in m.rows for x in row)
+
+
+def dense_basis(*entries: FieldElement) -> tuple[Matrix, ...]:
+    """current_basis(*entries) as dense matrices."""
+    return tuple(dense(entries[0].field, len(entries), m) for m in current_basis(*entries))
+
+
+def skew_matrices(form: BilinearForm) -> list[Matrix]:
+    """L's basis, the rows of skew_adjoint_algebra(form), reshaped to dense
+    n x n matrices."""
+    n = form.dim
+    return [Matrix(form.field, [row[r * n:(r + 1) * n] for r in range(n)])
+            for row in skew_adjoint_algebra(form).basis.rows]
+
+
 def realization_mismatch(constants, mats: Sequence[Matrix]) -> Optional[tuple[int, int]]:
     """First pair i < j whose dense commutator [m_i, m_j] differs from
     sum_k constants[i][j][k] m_k, or None when the matrices realize the
@@ -90,7 +119,7 @@ def realization_mismatch(constants, mats: Sequence[Matrix]) -> Optional[tuple[in
 
 
 def is_zero_matrix(m: Matrix) -> bool:
-    return all(x.is_zero() for x in m.flatten())
+    return all(x.is_zero() for x in flat(m))
 
 
 def full_subspace(field: FieldDescriptor, ambient_dim: int) -> Subspace:
@@ -225,26 +254,19 @@ def spin_principal_ideal(v, ads, q: int, n: int):
     return _key(echelon)
 
 
-def matrix_for(alg: LieAlgebraSC, coords) -> Matrix:
-    """sum_k coords[k] m_k over the realization m_1, ..., m_n of alg, by
-    matrix arithmetic."""
-    return matrix_sum(*(scaled(c, m) for c, m in zip(coords, alg.realization)))
-
-
-def realized_span(alg: LieAlgebraSC, space: Subspace) -> Subspace:
-    """Span of the flattened matrices that the rows of `space`, as
-    coordinates, stand for in the realization of alg."""
-    size = alg.realization[0].nrows * alg.realization[0].ncols
-    return canonicalize_subspace(
-        alg.field, [matrix_for(alg, row).flatten() for row in space.basis.rows], size
-    )
+def matrix_for(mats: Sequence[Matrix], coords) -> Matrix:
+    """sum_k coords[k] m_k over the dense matrices m_1, ..., m_n of an
+    algebra's basis, by matrix arithmetic."""
+    return matrix_sum(*(scaled(c, m) for c, m in zip(coords, mats)))
 
 
 def derived_span_by_coordinates(form: BilinearForm) -> tuple[int, Subspace]:
     """(dim L, [L, L] flattened) by way of L's structure constants: [L, L]
-    in L's coordinates, mapped back through the realization."""
-    skew = algebra_from_matrices(form.field, skew_adjoint_algebra(form))
-    return skew.dim, realized_span(skew, derived_subspace(skew))
+    in L's coordinates, mapped back through L's matrices."""
+    mats = skew_matrices(form)
+    skew = algebra_from_matrices(form.field, [sparse(m) for m in mats])
+    flats = [flat(matrix_for(mats, row)) for row in derived_subspace(skew).basis.rows]
+    return skew.dim, canonicalize_subspace(form.field, flats, form.dim ** 2)
 
 
 def structure_constants(alg: LieAlgebraSC, basis) -> tuple:
@@ -311,7 +333,7 @@ def conjugated_current_basis(rows, squares) -> tuple[Matrix, ...]:
     matrix of the given rows: an explicit inverse and two products each."""
     b_t = Matrix(squares[0].field, rows).transpose()
     b_t_inv = inverse(b_t)
-    return tuple(b_t * m * b_t_inv for m in current_basis(*squares))
+    return tuple(b_t * m * b_t_inv for m in dense_basis(*squares))
 
 
 def wedge_basis(gram: Matrix, rows, squares) -> tuple[Matrix, ...]:

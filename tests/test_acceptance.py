@@ -16,7 +16,6 @@ from orthocurrent.liealg import (
     algebra_from_matrices,
     bracket_span,
     current_algebra,
-    skew_adjoint_algebra,
 )
 from orthocurrent.oracle import enumerate_ideals, gaussian_binomial
 from orthocurrent.scalars import (
@@ -39,7 +38,7 @@ from orthocurrent.structure import (
     verify_current_form,
 )
 
-from reference import document_subspace, enumerate_subspaces, random_element
+from reference import document_subspace, enumerate_subspaces, random_element, skew_matrices, sparse
 
 Q = rationals()
 F2 = prime_field(2)
@@ -288,7 +287,8 @@ def test_criterion_8_property_suites():
     for field in [Q, F2, F3, F5, F7, F2T]:
         for trial in range(5):
             entries = _random_entries(field, rng)[:3]
-            alg = algebra_from_matrices(field, skew_adjoint_algebra(diagonal_form(field, entries)))
+            mats = skew_matrices(diagonal_form(field, entries))
+            alg = algebra_from_matrices(field, [sparse(m) for m in mats])
             for i in range(alg.dim):
                 assert all(x.is_zero() for x in alg.bracket(alg.basis_vector(i),
                                                             alg.basis_vector(i)))

@@ -106,8 +106,10 @@ def test_variant_is_function_of_char_and_square_class():
 @pytest.mark.parametrize("field, d, wrong_root", [(F3, 2, 1), (prime_field(5), 4, 1), (F2, 1, 0)])
 def test_witness_invariants_raise_without_assert(monkeypatch, field, d, wrong_root):
     """A bad square root breaks the witness identities; the check raises
-    InvalidStructure, which `python -O` does not strip."""
+    InvalidStructure, which `python -O` does not strip, naming the first
+    failing witness check."""
     monkeypatch.setattr(coeff_algebra, "is_square", lambda x: field.from_int(wrong_root))
-    with pytest.raises(InvalidStructure):
+    first = "nilpotent_squares_to_zero" if field.characteristic() == 2 else "e_plus_idempotent"
+    with pytest.raises(InvalidStructure, match=f"witness check {first} fails"):
         analyze_quadratic(field.from_int(d))
 

@@ -26,6 +26,7 @@ from reference import (
     full_subspace,
     random_element,
     scaled,
+    sparse,
     subspace_meet_join,
 )
 
@@ -163,7 +164,7 @@ def test_arithmetic_across_fields_raises():
     for op in (lambda: a * b, lambda: b * a,
                # zero skipping multiplies nothing, so only the field check sees it
                lambda: mat(Q, [[0] * 2] * 2) * b,
-               lambda: commutator(a.entries(), b.entries())):
+               lambda: commutator(sparse(a), sparse(b))):
         with pytest.raises(ValueError):
             op()
 
@@ -189,8 +190,8 @@ def test_commutators_match_matrix_products():
         mats.append(scaled(field.from_int(2), mats[0]))
         for x in mats:
             for y in mats:
-                assert commutator(x.entries(), y.entries()) == dense_commutator(x, y).entries()
-        assert commutator(mats[0].entries(), mats[-1].entries()) == {}
+                assert commutator(sparse(x), sparse(y)) == sparse(dense_commutator(x, y))
+        assert commutator(sparse(mats[0]), sparse(mats[-1])) == {}
 
 
 ELIMINATION_FIELDS = ["Q", "F2", "F3", "F5", "F2(t)", "F3(t)", "F3[sqrt 2]", "F2(t)[sqrt t+1]"]

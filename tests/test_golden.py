@@ -10,6 +10,7 @@ output on purpose regenerates them with
 and says so in the same change.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -122,6 +123,30 @@ def test_documents_survive_optimized_mode():
     assert sorted(docs) == _golden_names()
     for name, text in docs.items():
         assert (GOLDEN / name).read_bytes() == text.encode(), name
+
+
+BENCH_WORKLOADS = ("certify-small", "certify-heavy", "oracle-scan")
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    """perfbench/run.py loaded from its file.  The golden round below only
+    reads its perfbench/golden.json; nothing here records a digest."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", TESTS.parent / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", BENCH_WORKLOADS)
+def test_benchmark_golden_round_is_unchanged(bench_run, workload):
+    """Every document of the benchmark's golden round, recheck outputs
+    included, hashes to the digest that perfbench/golden.json records, so
+    a byte change shows here before a benchmark run refuses it."""
+    session, found = bench_run.golden_round(bench_run.import_library(), workload)
+    assert session.failed == 0
+    assert bench_run.compare_golden(workload, found) == []
 
 
 if __name__ == "__main__":

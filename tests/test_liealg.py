@@ -52,7 +52,9 @@ from orthocurrent.structure import _derived_span
 from reference import (
     SpanSolver,
     brackets_of,
+    dense_basis,
     dense_commutator,
+    flat,
     full_subspace,
     ideal_closure,
     is_zero_matrix,
@@ -62,6 +64,8 @@ from reference import (
     random_element,
     realization_mismatch,
     scaled,
+    skew_matrices,
+    sparse,
     structure_constants,
 )
 
@@ -81,7 +85,7 @@ def fe(field, values):
 
 def skew_algebra(form):
     """The skew-adjoint algebra of the form with its structure constants."""
-    return algebra_from_matrices(form.field, skew_adjoint_algebra(form))
+    return algebra_from_matrices(form.field, [sparse(m) for m in skew_matrices(form)])
 
 
 def abelian_algebra(field, dim):
@@ -89,23 +93,22 @@ def abelian_algebra(field, dim):
 
 
 def test_skew_adjoint_dimensions():
-    assert len(skew_adjoint_algebra(diag_form(Q, [1, 1, 1, 1]))) == 6
-    assert len(skew_adjoint_algebra(diag_form(F2, [1, 1, 1, 1]))) == 10
-    assert len(skew_adjoint_algebra(diag_form(Q, [1, 2, 3]))) == 3
-    assert len(skew_adjoint_algebra(diag_form(F2, [1, 1, 1]))) == 6
+    assert skew_adjoint_algebra(diag_form(Q, [1, 1, 1, 1])).dim == 6
+    assert skew_adjoint_algebra(diag_form(F2, [1, 1, 1, 1])).dim == 10
+    assert skew_adjoint_algebra(diag_form(Q, [1, 2, 3])).dim == 3
+    assert skew_adjoint_algebra(diag_form(F2, [1, 1, 1])).dim == 6
 
 
 def test_skew_adjoint_identity_form_is_antisymmetric_matrices():
-    for m in skew_adjoint_algebra(diag_form(Q, [1, 1, 1, 1])):
+    for m in skew_matrices(diag_form(Q, [1, 1, 1, 1])):
         assert is_zero_matrix(matrix_sum(m.transpose(), m))
 
 
 def test_skew_adjoint_contains_core_basis():
     a, b, c = (Q.from_int(x) for x in (1, 2, 3))
-    mats = skew_adjoint_algebra(diag_form(Q, [1, 2, 3]))
-    span = canonicalize_subspace(Q, [m.flatten() for m in mats], 9)
-    for m in current_basis(a, b, c):
-        assert span.contains(m.flatten())
+    span = skew_adjoint_algebra(diag_form(Q, [1, 2, 3]))
+    for m in dense_basis(a, b, c):
+        assert span.contains(flat(m))
 
 
 def test_skew_adjoint_non_diagonal_gram():
@@ -129,7 +132,7 @@ def test_skew_adjoint_non_diagonal_gram():
             form = make_form(gram)
             if char2 and form.alternating:
                 continue
-            mats = skew_adjoint_algebra(form)
+            mats = skew_matrices(form)
             assert len(mats) == (10 if char2 else 6)
             assert _derived_span(form)[1].dim == 6
             for m in mats:
@@ -184,12 +187,13 @@ def test_bracket_examples():
 
 def test_bracket_matches_matrix_commutators():
     rng = random.Random(1)
-    alg = skew_algebra(diag_form(F3, [1, 1, 1, 2]))
+    mats = skew_matrices(diag_form(F3, [1, 1, 1, 2]))
+    alg = algebra_from_matrices(F3, [sparse(m) for m in mats])
     for i in range(alg.dim):
         for j in range(alg.dim):
-            mi, mj = alg.realization[i], alg.realization[j]
+            mi, mj = mats[i], mats[j]
             comm = matrix_sum(mi * mj, scaled(-alg.field.one(), mj * mi))
-            combo = matrix_for(alg, alg.bracket(alg.basis_vector(i), alg.basis_vector(j)))
+            combo = matrix_for(mats, alg.bracket(alg.basis_vector(i), alg.basis_vector(j)))
             assert comm == combo
 
 
@@ -238,7 +242,7 @@ def test_center_examples():
 
 def test_current_basis_values():
     a, b, c, d = (Q.from_int(x) for x in (1, 1, 1, 1))
-    cb = current_basis(a, b, c, d)
+    cb = dense_basis(a, b, c, d)
     e = lambda i, j: [[1 if (r, c2) == (i - 1, j - 1) else 0 for c2 in range(4)] for r in range(4)]
     as_m = lambda g: Matrix(Q, [[Q.from_int(x) for x in row] for row in g])
     sub = lambda g1, g2: as_m([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(g1, g2)])
@@ -246,9 +250,12 @@ def test_current_basis_values():
     assert cb[3] == sub(e(3, 4), e(4, 3))
     # h2 with (1,2,3,4): bc(d e14 - a e41) = 6(4 e14 - e41)
     a, b, c, d = (Q.from_int(x) for x in (1, 2, 3, 4))
-    cb = current_basis(a, b, c, d)
+    cb = dense_basis(a, b, c, d)
     expected = as_m([[24 * x - 6 * y for x, y in zip(r1, r2)] for r1, r2 in zip(e(1, 4), e(4, 1))])
     assert cb[4] == expected
+    # The basis is the wedge rule's sparse matrices as they stand.
+    assert current_basis(a, b, c, d) == _wedges((a, b, c, d))
+    assert current_basis(a, b, c) == _wedges((a, b, c))
     with pytest.raises(ZeroEntry):
         current_basis(Q.one(), Q.zero(), Q.one(), Q.one())
     with pytest.raises(WrongDimension):
@@ -257,8 +264,8 @@ def test_current_basis_values():
 
 def test_current_basis_independent_over_f2():
     ones = [F2.one()] * 4
-    cb = current_basis(*ones)
-    span = canonicalize_subspace(F2, [m.flatten() for m in cb], 16)
+    cb = dense_basis(*ones)
+    span = canonicalize_subspace(F2, [flat(m) for m in cb], 16)
     assert span.dim == 6
 
 
@@ -268,17 +275,18 @@ def test_current_basis_spans_derived_algebra():
         for _ in range(4):
             entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
             m_span = _derived_span(diagonal_form(field, entries))[1]
-            cb = current_basis(*entries)
-            cb_span = canonicalize_subspace(field, [mm.flatten() for mm in cb], 16)
+            cb = dense_basis(*entries)
+            cb_span = canonicalize_subspace(field, [flat(mm) for mm in cb], 16)
             assert m_span == cb_span
 
 
 def test_structure_constants_distinguished_basis_table():
     field = Q
     entries = [field.from_int(x) for x in (1, 2, 3, 4)]
-    alg = skew_algebra(diagonal_form(field, entries))
-    solver = SpanSolver(field, [m.flatten() for m in alg.realization], 16)
-    coords = [solver.coordinates(m.flatten()) for m in current_basis(*entries)]
+    mats = skew_matrices(diagonal_form(field, entries))
+    alg = algebra_from_matrices(field, [sparse(m) for m in mats])
+    solver = SpanSolver(field, [flat(m) for m in mats], 16)
+    coords = [solver.coordinates(flat(m)) for m in dense_basis(*entries)]
     table = structure_constants(alg, coords)
     # [f2, f3] = c f1 with c = 3
     assert table[1][2] == fe(field, [3, 0, 0, 0, 0, 0])
@@ -302,21 +310,21 @@ def test_structure_constants_errors():
 
 def test_dependent_basis_is_refused_when_the_algebra_is_built():
     """current_basis leaves independence to algebra_from_matrices."""
-    f1, f2, f3, h1, h2, _ = current_basis(*[Q.from_int(x) for x in (1, 2, 3, 4)])
+    f1, f2, f3, h1, h2, _ = dense_basis(*[Q.from_int(x) for x in (1, 2, 3, 4)])
     with pytest.raises(NotIndependent):
-        algebra_from_matrices(Q, [f1, f2, f3, h1, h2, matrix_sum(h1, h2)])
+        algebra_from_matrices(Q, [sparse(m) for m in (f1, f2, f3, h1, h2, matrix_sum(h1, h2))])
 
 
 def _solved_constants(field, mats):
-    """Constants of the span of the matrices, each commutator's coordinates
-    solved by elimination and an inverse change of basis."""
+    """Constants of the span of the dense matrices, each commutator's
+    coordinates solved by elimination and an inverse change of basis."""
     n = len(mats)
-    solver = SpanSolver(field, [m.flatten() for m in mats], mats[0].nrows * mats[0].ncols)
+    solver = SpanSolver(field, [flat(m) for m in mats], mats[0].nrows * mats[0].ncols)
     zero_vec = tuple(field.zero() for _ in range(n))
     constants = [[zero_vec] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            constants[i][j] = solver.coordinates(dense_commutator(mats[i], mats[j]).flatten())
+            constants[i][j] = solver.coordinates(flat(dense_commutator(mats[i], mats[j])))
             constants[j][i] = tuple(-x for x in constants[i][j])
     return tuple(tuple(row) for row in constants)
 
@@ -331,9 +339,10 @@ def test_own_entry_coordinates_match_the_span_solver(literal, seed):
     field = parse_field(literal)
     rng = random.Random(seed)
     entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
-    for mats in (current_basis(*entries), current_basis(*entries[:3]),
-                 skew_adjoint_algebra(diagonal_form(field, entries))):
-        assert algebra_from_matrices(field, mats).constants == _solved_constants(field, mats)
+    for mats in (dense_basis(*entries), dense_basis(*entries[:3]),
+                 skew_matrices(diagonal_form(field, entries))):
+        built = algebra_from_matrices(field, [sparse(m) for m in mats])
+        assert built.constants == _solved_constants(field, mats)
 
 
 def test_an_escaping_commutator_is_refused():
@@ -465,7 +474,7 @@ def test_algebra_from_matrices_refuses_a_patched_commutator(monkeypatch):
     serves.  Either way algebra_from_matrices refuses, naming the pair."""
     for field, literals in ((Q, "1,2,3,4"), (F3, "1,1,1,2"), (F2T, "1,t,t+1,1")):
         basis = current_basis(*[parse_scalar(x, field) for x in literals.split(",")])
-        h1, h3 = basis[3].entries(), basis[5].entries()
+        h1, h3 = basis[3], basis[5]
         real = liealg.commutator
         for change in ({(0, 0): field.one()},
                        {(2, 1): field.from_int(2) * real(h1, h3)[2, 1]}):
@@ -492,14 +501,15 @@ def test_realization_mismatch_names_the_first_disagreeing_pair():
         (F2T, ["1", "t", "t+1", "1"]),
     ]
     for field, literals in cases:
-        m = current_algebra([parse_scalar(x, field) for x in literals])
-        assert realization_mismatch(m.constants, m.realization) is None
+        values = [parse_scalar(x, field) for x in literals]
+        m, mats = current_algebra(values), dense_basis(*values)
+        assert realization_mismatch(m.constants, mats) is None
         # One constant changed: [h1, h3] gains an f2 component.
         constants = [list(row) for row in m.constants]
         entry = list(constants[3][5])
         entry[1] = entry[1] + field.one()
         constants[3][5] = tuple(entry)
-        assert realization_mismatch(constants, m.realization) == (3, 5)
+        assert realization_mismatch(constants, mats) == (3, 5)
 
 
 def test_sparse_skew_check_matches_the_dense_products():
@@ -512,9 +522,9 @@ def test_sparse_skew_check_matches_the_dense_products():
     for field in (Q, F3, F2, F2T):
         entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
         gram = Matrix.diagonal(field, entries)
-        skew = skew_adjoint_algebra(diagonal_form(field, entries))
+        skew = skew_matrices(diagonal_form(field, entries))
         diagonal = Matrix.diagonal(field, fe(field, [1, 0, 0, 0]))
-        candidates = [*skew, *current_basis(*entries), diagonal]
+        candidates = [*skew, *dense_basis(*entries), diagonal]
         for m in skew:
             noise = Matrix(field, [[random_element(field, rng) if rng.random() < 0.2
                                     else field.zero() for _ in range(4)] for _ in range(4)])
@@ -522,10 +532,10 @@ def test_sparse_skew_check_matches_the_dense_products():
         for x in candidates:
             dense_ok = is_zero_matrix(matrix_sum(x.transpose() * gram, gram * x))
             no_diagonal = all(x.rows[i][i].is_zero() for i in range(4))
-            assert _alternating(x.entries(), entries) == (dense_ok and no_diagonal)
+            assert _alternating(sparse(x), entries) == (dense_ok and no_diagonal)
         assert is_zero_matrix(matrix_sum(diagonal * gram, gram * diagonal)) == (
             field.characteristic() == 2)
-        assert not _alternating(diagonal.entries(), entries)
+        assert not _alternating(sparse(diagonal), entries)
 
 
 def test_coordinates_refuses_a_dependent_set_and_an_escaping_commutator():
@@ -538,7 +548,7 @@ def test_coordinates_refuses_a_dependent_set_and_an_escaping_commutator():
             out[pos] = out[pos] + z if pos in out else z
         return out
 
-    cases = [[m.entries() for m in current_basis(*[parse_scalar(x, field) for x in lits])]
+    cases = [current_basis(*[parse_scalar(x, field) for x in lits])
              for field, lits in ((Q, "1234"), (F3, "1112"), (F2T, "1t11"))]
     for mats in cases + [_wedges(SYMBOLS)]:
         with pytest.raises(NotIndependent, match="matrix 3 has no nonzero entry of its own"):

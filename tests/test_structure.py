@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthocurrent import liealg, scalars, structure
+from orthocurrent import coeff_algebra, liealg, scalars, structure
 from orthocurrent.cli import execute, parse_args
 from orthocurrent.exact_linalg import Matrix, canonicalize_subspace
 from orthocurrent.forms import diagonal_form, make_form
@@ -51,14 +51,17 @@ from reference import (
     closed_and_perfect,
     common_denominator,
     conjugated_current_basis,
+    dense_basis,
     dense_commutator,
     derived_span_by_coordinates,
     document_subspace,
+    flat,
     ideal_closure,
     quotient_algebra,
     random_element,
     realization_mismatch,
     scaled,
+    skew_matrices,
     subspace_meet_join,
     wedge_basis,
 )
@@ -415,15 +418,16 @@ def test_wedges_are_the_conjugated_distinguished_basis(literal, seed):
     conjugates = conjugated_current_basis(rows, primed)
     assert wedge_basis(pipe.form.gram, rows, primed) == conjugates
     assert realization_mismatch(paper_table(table_rows(*primed)), conjugates) is None
-    flats = [m.flatten() for m in conjugates]
+    flats = [flat(m) for m in conjugates]
     assert all(pipe.derived_span.contains(v) for v in flats)
     span = canonicalize_subspace(field, flats, 16)
     assert span.dim == 6
-    cleared = [scaled(common_denominator(field, m.flatten()), m).flatten() for m in conjugates]
+    cleared = [flat(scaled(common_denominator(field, flat(m)), m)) for m in conjugates]
     assert canonicalize_subspace(field, cleared, 16) == span
     at_primed = current_algebra(primed)
     assert at_primed.constants == paper_table(table_rows(*primed))
-    assert structure._spans(at_primed, structure._derived_span(diagonal_form(field, primed))[1])
+    assert structure._spans(current_basis(*primed),
+                            structure._derived_span(diagonal_form(field, primed))[1])
 
 
 @pytest.mark.parametrize("literal", LEG_FIELDS)
@@ -437,9 +441,9 @@ def test_wedges_of_the_standard_basis_are_the_distinguished_basis(literal, seed)
     entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
     gram = diagonal_form(field, entries).gram
     basis = wedge_basis(gram, Matrix.identity(field, 4).rows, entries)
-    assert basis == current_basis(*entries)
+    assert basis == dense_basis(*entries)
     blocks = tuple(Matrix(field, [row[:3] for row in m.rows[:3]]) for m in basis[:3])
-    assert blocks == current_basis(*entries[:3])
+    assert blocks == dense_basis(*entries[:3])
 
 
 def test_a_non_orthogonal_basis_fails_the_leg_table_without_raising(monkeypatch):
@@ -644,6 +648,44 @@ def test_counterexample_quotient_rule_matches_the_built_quotient(monkeypatch, p)
     assert doc["quotient_perfect"]
 
 
+def test_a_radical_that_skips_a_derived_step_is_not_solvable_in_time(monkeypatch):
+    """R^(k) = core (x) (x - u)^(2^k), so the derived series of the radical
+    reaches 0 in exactly ceil(log2 p) steps.  At p = 3 the radical built
+    from n_powers[1:], core (x) (x - u)^2, is abelian: its series reaches 0
+    in one step, not two, so radical_solvable fails, with radical_dim and
+    the quotient check."""
+    real = structure._core_tensor
+    monkeypatch.setattr(structure, "_core_tensor", lambda *coeffs: real(*(coeffs[1:] or coeffs)))
+    doc = inseparable_counterexample(3)
+    assert doc["radical"] == doc["abelian_ideal"]
+    assert _failed(doc["checks"]) == {"radical_dim", "radical_solvable", "quotient_perfect_dim_3"}
+
+
+@pytest.mark.parametrize("field, form, witness, value, failed", [
+    (Q, [1, 1, 1, 1], "e_minus", ["1/2", "1/2"],
+     {"idempotents_orthogonal", "idempotents_sum_to_unit"}),
+    (Q, [1, 1, 1, 1], "e_plus", ["1", "1"], {"e_plus_idempotent", "idempotents_sum_to_unit"}),
+    (F2, [1, 1, 1, 1], "nilpotent", ["0", "0"], {"nilpotent_nonzero"}),
+    (F2, [1, 1, 1, 1], "nilpotent", ["1", "0"], {"nilpotent_squares_to_zero"}),
+])
+def test_checker_refuses_a_changed_coefficient_witness(field, form, witness, value, failed):
+    """The checker reports coeff_algebra's witness checks, the ones
+    analyze_quadratic raises on, in their order, and a changed idempotent
+    or nilpotent fails the identities it breaks."""
+    cert = classify(field, ints(field, form))
+    checks = recheck_certificate_json(cert)
+    disc = parse_scalar(cert["D"], field)
+    values = {k: tuple(parse_scalar(x, field) for x in v) for k, v in cert["witnesses"].items()
+              if k in ("e_plus", "e_minus", "nilpotent")}
+    shared = (coeff_algebra.nilpotent_witness_checks(values["nilpotent"], disc)
+              if witness == "nilpotent"
+              else coeff_algebra.split_witness_checks(values["e_plus"], values["e_minus"], disc))
+    start = checks.index(shared[0])
+    assert checks[start:start + len(shared)] == shared
+    cert["witnesses"][witness] = value
+    assert _failed(recheck_certificate_json(cert)) == failed
+
+
 def test_counterexample_rejects_other_primes():
     with pytest.raises(UnsupportedPrime):
         inseparable_counterexample(5)
@@ -740,14 +782,32 @@ def test_spans_from_coordinates_match_derived_subalgebra(field_literal, entries)
         assert structure._derived_span(form) == derived_span_by_coordinates(form)
 
 
+def test_spans_needs_as_many_matrices_as_the_space_has_dimensions():
+    """_spans reads the rank of matrices that building their algebra proved
+    independent off their number: M's basis spans [L, L], and without its
+    last matrix it lies in [L, L] but does not span it."""
+    for field, literals in (("Q", "1,2,3,4"), ("F3", "1,1,1,2"), ("F2", "1,1,1,1")):
+        field = parse_field(field)
+        entries = [parse_scalar(x, field) for x in literals.split(",")]
+        basis = current_basis(*entries)
+        derived = structure._derived_span(diagonal_form(field, entries))[1]
+        assert structure._spans(basis, derived)
+        assert not structure._spans(basis[:-1], derived)
+
+
 def test_a_skew_basis_that_is_not_closed_is_refused(monkeypatch):
     """L's basis without its last matrix spans a space that some commutator
     leaves: verify raises NotClosed, and the CLI exits 1 with an error."""
     real = structure.skew_adjoint_algebra
-    short = lambda form: real(form)[:-1]
-    mats = short(diagonal_form(F3, ints(F3, [1, 2, 1, 2])))
-    span = canonicalize_subspace(F3, [m.flatten() for m in mats], 16)
-    assert not all(span.contains(dense_commutator(x, y).flatten()) for x in mats for y in mats)
+
+    def short(form):
+        skew = real(form)
+        return canonicalize_subspace(skew.field, skew.basis.rows[:-1], skew.ambient_dim)
+
+    form = diagonal_form(F3, ints(F3, [1, 2, 1, 2]))
+    mats, span = skew_matrices(form)[:-1], short(form)
+    assert span.dim == len(mats) == 5
+    assert not all(span.contains(flat(dense_commutator(x, y))) for x in mats for y in mats)
     monkeypatch.setattr(structure, "skew_adjoint_algebra", short)
     with pytest.raises(NotClosed):
         verify_current_form(F3, ints(F3, [1, 2, 1, 2]))
