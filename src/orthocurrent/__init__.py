@@ -24,7 +24,6 @@ from .exact_linalg import (
     Subspace,
     canonicalize_subspace,
     kernel,
-    rref,
 )
 from .forms import (
     BilinearForm,

@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_form_args(p, field_required=True):
-        p.add_argument("--field", required=field_required,
+    def add_form_args(p):
+        p.add_argument("--field", required=True,
                        help='field literal: Q, F<p>, F<p>(t), <base>[sqrt <D>]')
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--form", help="four comma-separated diagonal entries")

@@ -4,8 +4,10 @@ Matrices are immutable row-major grids of field elements; the matrices
 of Lie algebras are sparse dicts {(row, col): entry}, which `commutator`
 multiplies.  Subspaces are stored through their unique reduced row
 echelon basis, which makes subspace equality decidable by structural
-comparison.  Everything here is small (at most 16 columns), so plain
-Gaussian elimination with zero skipping is all that is needed.
+comparison.  Everything here is small (at most 16 columns), so one plain
+Gauss-Jordan elimination with zero skipping, `_eliminate`, serves both
+`canonicalize_subspace` and `kernel`; rank decides nondegeneracy, so no
+determinant is computed.
 """
 
 from __future__ import annotations
@@ -189,49 +191,6 @@ def _eliminate(rows: list[list[FieldElement]]) -> list[int]:
     return pivots
 
 
-def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Unique reduced row echelon form with rank and pivot columns."""
-    rows = [list(row) for row in m.rows]
-    pivots = _eliminate(rows)
-    return Matrix(m.field, rows), len(pivots), tuple(pivots)
-
-
-def det(m: Matrix) -> FieldElement:
-    """Determinant by elimination; exact in any field."""
-    if m.nrows != m.ncols:
-        raise ShapeMismatch("determinant of a non-square matrix")
-    n = m.nrows
-    if n == 0:
-        return m.field.one()
-    rows = [list(row) for row in m.rows]
-    result = m.field.one()
-    sign_flip = False
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return m.field.zero()
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign_flip = not sign_flip
-        pv = rows[c][c]
-        result = result * pv
-        pv_inv = inv(pv)
-        for i in range(c + 1, n):
-            factor = rows[i][c]
-            if factor.is_zero():
-                continue
-            factor = factor * pv_inv
-            rows[i] = [
-                x - factor * y if not y.is_zero() else x
-                for x, y in zip(rows[i], rows[c])
-            ]
-    return -result if sign_flip else result
-
-
 class Subspace:
     """Subspace of F^n stored by its canonical reduced echelon basis."""
 
@@ -247,9 +206,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.nrows
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
 
     def reduce(self, v: Sequence[FieldElement]) -> Vector:
         """Remainder of v after elimination against the canonical basis."""
@@ -300,7 +256,8 @@ def canonicalize_subspace(field: FieldDescriptor, vectors: Iterable[Sequence[Fie
 
 def kernel(m: Matrix) -> Subspace:
     """Canonical basis of the right kernel {v : m v = 0}."""
-    reduced, rank, pivots = rref(m)
+    rows = [list(row) for row in m.rows]
+    pivots = _eliminate(rows)
     n = m.ncols
     free_cols = [c for c in range(n) if c not in pivots]
     zero, one = m.field.zero(), m.field.one()
@@ -309,6 +266,6 @@ def kernel(m: Matrix) -> Subspace:
         v = [zero] * n
         v[fc] = one
         for r, pc in enumerate(pivots):
-            v[pc] = -reduced.rows[r][fc]
+            v[pc] = -rows[r][fc]
         vectors.append(v)
     return canonicalize_subspace(m.field, vectors, n)

@@ -1,11 +1,12 @@
-"""Symmetric bilinear forms: validation, discriminant, orthogonalization.
+"""Symmetric bilinear forms: validation, restriction, orthogonalization.
 
-A form is stored through its Gram matrix together with its cached
-determinant and alternation flag.  Orthogonalization is constructive and
-works in every characteristic; in characteristic 2 a non-alternating
-hypothesis is required (an alternating form admits no orthogonal basis
-there), and the algorithm repairs alternating residual blocks by
-borrowing the most recently completed anisotropic vector.
+A form is stored through its Gram matrix together with whether it is
+nondegenerate (its Gram matrix has full rank) and whether it is
+alternating.  Orthogonalization is constructive and works in every
+characteristic; in characteristic 2 a non-alternating hypothesis is
+required (an alternating form admits no orthogonal basis there), and the
+algorithm repairs alternating residual blocks by borrowing the most
+recently completed anisotropic vector.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exact_linalg import Matrix, ShapeMismatch, Subspace, det, kernel
+from .exact_linalg import Matrix, ShapeMismatch, Subspace, canonicalize_subspace, kernel
 from .scalars import DomainError, FieldDescriptor, FieldElement, inv
 
 
@@ -30,21 +31,17 @@ class AlternatingChar2(ValueError):
 
 
 class BilinearForm:
-    """Symmetric bilinear form with cached determinant and alternation."""
+    """Symmetric bilinear form with its nondegeneracy and alternation."""
 
-    __slots__ = ("field", "dim", "gram", "determinant", "alternating")
+    __slots__ = ("field", "dim", "gram", "nondegenerate", "alternating")
 
-    def __init__(self, field: FieldDescriptor, gram: Matrix, determinant: FieldElement,
+    def __init__(self, field: FieldDescriptor, gram: Matrix, nondegenerate: bool,
                  alternating: bool):
         self.field = field
         self.dim = gram.nrows
         self.gram = gram
-        self.determinant = determinant
+        self.nondegenerate = nondegenerate
         self.alternating = alternating
-
-    @property
-    def nondegenerate(self) -> bool:
-        return not self.determinant.is_zero()
 
     def evaluate(self, u: Sequence[FieldElement], v: Sequence[FieldElement]) -> FieldElement:
         acc = self.field.zero()
@@ -62,8 +59,10 @@ class BilinearForm:
 
 
 def _build_form(gram: Matrix) -> BilinearForm:
-    alternating = all(gram.rows[i][i].is_zero() for i in range(gram.nrows))
-    return BilinearForm(gram.field, gram, det(gram), alternating)
+    n = gram.nrows
+    nondegenerate = canonicalize_subspace(gram.field, gram.rows, n).dim == n
+    alternating = all(gram.rows[i][i].is_zero() for i in range(n))
+    return BilinearForm(gram.field, gram, nondegenerate, alternating)
 
 
 def make_form(gram: Matrix) -> BilinearForm:

@@ -1043,9 +1043,7 @@ def parse_scalar(literal: str, field: FieldDescriptor) -> FieldElement:
     if kind == KIND_FUNFIELD:
         try:
             return _parse_funfield(literal, field)
-        except ParseError:
-            raise
-        except DomainError:
+        except (ParseError, DomainError):
             raise
         except Exception as exc:  # malformed input of any shape
             raise ParseError(f"cannot parse {literal!r}: {exc}") from exc

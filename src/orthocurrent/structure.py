@@ -177,7 +177,7 @@ def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> P
     algebra = algebra_from_matrices(field, basis)
     core_basis = current_basis(*entries[:3])
     core = algebra_from_matrices(field, core_basis)
-    disc = form.determinant
+    disc = entries[0] * entries[1] * entries[2] * entries[3]
     identity = (
         _check("distinguished_basis_spans_derived", _spans(basis, derived_span)),
         # M's table equals that of core tensor F[X]/(X^2 - D), entry by

@@ -191,6 +191,30 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix(m.field, [row[n:] for row in augmented])
 
 
+def det(m: Matrix) -> FieldElement:
+    """Determinant by cofactor expansion along the first row; no
+    elimination, so it is independent of the library's.  Meant for the
+    small matrices of the tests (n <= 5)."""
+    n = m.nrows
+    if m.ncols != n:
+        raise ShapeMismatch("determinant of a non-square matrix")
+    if n > 5:
+        raise ValueError("cofactor expansion is meant for n <= 5")
+
+    def expand(rows) -> FieldElement:
+        if not rows:
+            return m.field.one()
+        total = m.field.zero()
+        for j, x in enumerate(rows[0]):
+            if not x.is_zero():
+                minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+                term = x * expand(minor)
+                total = total - term if j % 2 else total + term
+        return total
+
+    return expand([tuple(row) for row in m.rows])
+
+
 class SpanSolver:
     """Coordinates of vectors in the span of a fixed independent basis.
 

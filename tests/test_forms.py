@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from orthocurrent.exact_linalg import Matrix, canonicalize_subspace, det
+from orthocurrent.exact_linalg import Matrix, canonicalize_subspace
 from orthocurrent.forms import (
     AlternatingChar2,
     Degenerate,
@@ -19,7 +19,7 @@ from orthocurrent.scalars import (
     rationals,
 )
 
-from reference import full_subspace, random_element
+from reference import det, full_subspace, random_element
 
 Q = rationals()
 F2 = prime_field(2)
@@ -47,9 +47,60 @@ def test_make_form_examples():
 
 
 def test_discriminant_examples():
-    assert diag(Q, [1, 1, 1, 1]).determinant == Q.one()
-    assert diag(Q, [1, 2, 3, 4]).determinant == Q.from_int(24)
-    assert make_form(mat(Q, [[0, 1], [1, 0]])).determinant == Q.from_int(-1)
+    for form, d in ((diag(Q, [1, 1, 1, 1]), 1), (diag(Q, [1, 2, 3, 4]), 24),
+                    (make_form(mat(Q, [[0, 1], [1, 0]])), -1)):
+        assert form.nondegenerate and det(form.gram) == Q.from_int(d)
+
+
+def _random_gram(field, rng):
+    """Random symmetric Gram of size 1 to 4.  From size 2 on, a third of
+    them repeat the first row and column in the last, so are singular, and
+    another third have e1 isotropic, so that some restrictions degenerate."""
+    n = rng.randint(1, 4)
+    grid = [[field.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            grid[i][j] = grid[j][i] = random_element(field, rng)
+    kind = rng.randrange(3) if n > 1 else 0
+    if kind == 1:
+        for i in range(n - 1):
+            grid[i][n - 1] = grid[n - 1][i] = grid[i][0]
+        grid[n - 1][n - 1] = grid[0][0]
+    elif kind == 2:
+        grid[0][0] = field.zero()
+    return Matrix(field, grid)
+
+
+def test_nondegenerate_matches_reference_determinant():
+    """make_form refuses exactly the Grams whose cofactor determinant is 0,
+    and a restriction is nondegenerate exactly when the determinant of its
+    Gram is not zero."""
+    rng = random.Random(23)
+    for field in [Q, F2, F3, F2T]:
+        units = Matrix.identity(field, 4).rows
+        seen = set()
+        for _ in range(60):
+            gram = _random_gram(field, rng)
+            if det(gram).is_zero():
+                with pytest.raises(Degenerate, match="Gram matrix has determinant zero"):
+                    make_form(gram)
+                seen.add("refused")
+                continue
+            form = make_form(gram)
+            assert form.nondegenerate
+            n = form.dim
+            # a random span of unit and random vectors, and the span of e1
+            rows = [units[rng.randrange(n)][:n] if rng.randrange(2)
+                    else [random_element(field, rng) for _ in range(n)]
+                    for _ in range(rng.randint(1, n))]
+            for w in (rows, [units[0][:n]]):
+                w = canonicalize_subspace(field, w, n)
+                if w.dim == 0:
+                    continue
+                restricted = restrict(form, w)
+                assert restricted.nondegenerate == (not det(restricted.gram).is_zero())
+                seen.add(restricted.nondegenerate)
+        assert seen == {"refused", True, False}, field
 
 
 def test_orthogonalize_diagonal_is_identity():
@@ -126,7 +177,8 @@ def test_orthogonalize_randomized_all_descriptors():
             assert b * gram * b.transpose() == Matrix.diagonal(field, list(result.diagonal))
             assert all(not d.is_zero() for d in result.diagonal)
             # discriminant changes by the square of the change of basis
-            assert det(b) ** 2 * det(gram) == make_form(b * gram * b.transpose()).determinant
+            moved = make_form(b * gram * b.transpose())
+            assert moved.nondegenerate and det(b) ** 2 * det(gram) == det(moved.gram)
 
 
 def test_square_class_invariance_under_congruence():
@@ -140,7 +192,8 @@ def test_square_class_invariance_under_congruence():
                 if not det(p).is_zero():
                     break
             moved = make_form(p * form.gram * p.transpose())
-            d1, d2 = form.determinant, moved.determinant
+            assert moved.nondegenerate
+            d1, d2 = det(form.gram), det(moved.gram)
             assert d2 == det(p) ** 2 * d1
             assert (is_square(d1) is None) == (is_square(d2) is None)
 

@@ -149,6 +149,23 @@ def test_benchmark_golden_round_is_unchanged(bench_run, workload):
     assert bench_run.compare_golden(workload, found) == []
 
 
+@pytest.mark.parametrize("workload", BENCH_WORKLOADS)
+def test_traced_benchmark_run_ends_with_the_result(bench_run, workload, tmp_path,
+                                                   monkeypatch, capsys):
+    """A `--trace 1` run prints its result as the last line of stdout, and
+    that result is correct and holds every per-layer metric that
+    BENCHMARK.json declares.  The run writes its files under tmp_path."""
+    monkeypatch.setattr(bench_run, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_run, "OUT", tmp_path / "out")
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"]
+    assert bench_run.main(argv) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert result["correct"] is True
+    declared = json.loads((TESTS.parent / "BENCHMARK.json").read_text())["per_layer"]
+    missing = {metric["name"] for metric in declared} - set(result["metrics"])
+    assert not missing
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, text in documents().items():

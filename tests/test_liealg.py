@@ -54,6 +54,7 @@ from reference import (
     brackets_of,
     dense_basis,
     dense_commutator,
+    det,
     flat,
     full_subspace,
     ideal_closure,
@@ -113,7 +114,6 @@ def test_skew_adjoint_contains_core_basis():
 
 def test_skew_adjoint_non_diagonal_gram():
     rng = random.Random(5)
-    from orthocurrent.exact_linalg import det
     from orthocurrent.forms import make_form
 
     for field in [Q, F3, F2, F2T]:
