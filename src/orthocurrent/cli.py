@@ -48,6 +48,7 @@ from .scalars import (
 from .structure import (
     CASE_SIMPLE,
     CASE_TWO_IDEALS,
+    COUNTEREXAMPLE_PRIMES,
     classify,
     document_literals,
     inseparable_counterexample,
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         "counterexample",
         help="simplicity lost after inseparable base change over F_p(t)",
     )
-    p_counter.add_argument("--p", type=int, choices=(2, 3), default=2)
+    p_counter.add_argument("--p", type=int, choices=COUNTEREXAMPLE_PRIMES, default=2)
     p_counter.add_argument("--json", action="store_true", dest="as_json")
     return parser
 

@@ -1,19 +1,20 @@
-"""Analysis of the quadratic quotient F[X]/(X^2 - D).
+"""Analysis of F[X]/(X^2 - D), and the local case F[X]/(X - r)^p.
 
 For a nonzero D the quotient is one of three things, and the distinction
 drives the whole decomposition story: it splits as F x F when D is a
 square and the characteristic is not 2 (witnessed by a pair of
-complementary idempotents), it is local with a square-zero nilpotent when
-D is a square in characteristic 2, and it is a quadratic field extension
-when D is not a square.  Every returned witness passes its defining
-identities, `split_witness_checks` or `nilpotent_witness_checks`, before
-being handed out; the checker reports the same checks.
+complementary idempotents), it is local when D is a square in
+characteristic 2, and a quadratic field extension when D is not a square.
+`local_powers` builds the local case for every p, for `classify` at p = 2
+and r = sqrt D and for the counterexample at r = u.  Every witness passes
+its identities, `split_witness_checks` or `nilpotent_witness_checks`,
+before it is handed out; the checker reports the same checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .liealg import InvalidStructure, Vector, quotient_product
 from .scalars import (
@@ -66,13 +67,15 @@ def split_witness_checks(e_plus: Vector, e_minus: Vector, d: FieldElement) -> li
     ]
 
 
-def nilpotent_witness_checks(n: Vector, d: FieldElement) -> list[dict]:
-    """The identities that make n the nilpotent witness of F[X]/(X^2 - d),
-    as checks: nonzero, and squaring to zero."""
-    zero2 = (d.field.zero(),) * 2
+def nilpotent_witness_checks(powers: Sequence[Vector], s: FieldElement) -> list[dict]:
+    """The identities that make powers = n, n^2, ..., n^(p-1) those of a
+    nilpotent n of index p in F[X]/(X^p - s), as checks: n^(p-1) nonzero,
+    and n^p = n^(p-1) n zero."""
+    zero = (s.field.zero(),) * (len(powers) + 1)
     return [
-        {"name": "nilpotent_nonzero", "ok": n != zero2},
-        {"name": "nilpotent_squares_to_zero", "ok": quotient_product(n, n, d) == zero2},
+        {"name": "nilpotent_nonzero", "ok": powers[-1] != zero},
+        {"name": "nilpotent_squares_to_zero",
+         "ok": quotient_product(powers[-1], powers[0], s) == zero},
     ]
 
 
@@ -81,6 +84,17 @@ def _require(checks: list[dict]) -> None:
     for check in checks:
         if not check["ok"]:
             raise InvalidStructure(f"witness check {check['name']} fails")
+
+
+def local_powers(r: FieldElement, s: FieldElement, p: int) -> list[Vector]:
+    """(x - r)^k, k = 1..p-1, in F[X]/(X^p - s), once they pass
+    `nilpotent_witness_checks`: in characteristic p exactly when r^p = s,
+    and then they span the maximal ideal of F[X]/(X - r)^p."""
+    powers = [(-r, r.field.one()) + (r.field.zero(),) * (p - 2)]
+    while len(powers) < p - 1:
+        powers.append(quotient_product(powers[-1], powers[0], s))
+    _require(nilpotent_witness_checks(powers, s))
+    return powers
 
 
 def analyze_quadratic(d: FieldElement) -> QuadraticAnalysis:
@@ -92,9 +106,7 @@ def analyze_quadratic(d: FieldElement) -> QuadraticAnalysis:
     if root is None:
         return QuadraticAnalysis(FIELD, extension=quadratic_extension(field, d))
     if field.characteristic() == 2:
-        # (x + e)^2 = x^2 + e^2 = D + D = 0
-        nilpotent = (root, field.one())
-        _require(nilpotent_witness_checks(nilpotent, d))
+        [nilpotent] = local_powers(root, d, 2)
         return QuadraticAnalysis(LOCAL, nilpotent=nilpotent, sqrt_d=root)
     half = inv(field.from_int(2))
     root_inv = inv(root)

@@ -93,9 +93,10 @@ def restrict(form: BilinearForm, subspace: Subspace) -> BilinearForm:
     """
     if subspace.ambient_dim != form.dim or subspace.field != form.field:
         raise ShapeMismatch("subspace does not live in the form's space")
+    if subspace.dim == 0:  # its empty basis has no columns to multiply
+        return _build_form(Matrix(form.field, []))
     b = subspace.basis
-    gram = b * form.gram * b.transpose()
-    return _build_form(gram)
+    return _build_form(b * form.gram * b.transpose())
 
 
 @dataclass(frozen=True)

@@ -254,16 +254,17 @@ def bracket_span(alg: LieAlgebraSC, space: Subspace) -> Subspace:
     return canonicalize_subspace(alg.field, vectors, alg.dim)
 
 
-def derived_series_of_subspace(alg: LieAlgebraSC, space: Subspace) -> list[Subspace]:
-    """Chain S > [S,S] > ... inside the ambient algebra until stable."""
+def derived_series_of_subspace(alg: LieAlgebraSC, space: Subspace,
+                               steps: int) -> list[Subspace]:
+    """Chain S > [S,S] > ... inside the ambient algebra, for at most
+    `steps` brackets, until a bracket does not shrink."""
     series = [space]
-    while True:
+    for _ in range(steps):
         nxt = bracket_span(alg, series[-1])
         if nxt.dim >= series[-1].dim:
-            return series
+            break
         series.append(nxt)
-        if nxt.dim == 0:
-            return series
+    return series
 
 
 def derived_subspace(alg: LieAlgebraSC) -> Subspace:
@@ -272,15 +273,6 @@ def derived_subspace(alg: LieAlgebraSC) -> Subspace:
     n = alg.dim
     return canonicalize_subspace(
         alg.field, (alg.constants[i][j] for i in range(n) for j in range(i + 1, n)), n)
-
-
-def quotient_is_perfect(alg: LieAlgebraSC, ideal: Subspace) -> bool:
-    """Whether L/I is perfect, for I an ideal of L, without building L/I:
-    [L/I, L/I] = ([L, L] + I)/I, so L/I is perfect exactly when
-    [L, L] + I = L."""
-    join = canonicalize_subspace(
-        alg.field, derived_subspace(alg).basis.rows + ideal.basis.rows, alg.dim)
-    return join.dim == alg.dim
 
 
 def is_ideal(alg: LieAlgebraSC, space: Subspace) -> bool:

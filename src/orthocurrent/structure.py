@@ -29,6 +29,7 @@ from .coeff_algebra import (
     LOCAL,
     SPLIT,
     analyze_quadratic,
+    local_powers,
     nilpotent_witness_checks,
     split_witness_checks,
 )
@@ -59,8 +60,6 @@ from .liealg import (
     derived_subspace,
     is_ideal,
     prove_identity,
-    quotient_is_perfect,
-    quotient_product,
     skew_adjoint_algebra,
     tensor_current,
 )
@@ -86,7 +85,7 @@ from .scalars import (
 
 
 class UnsupportedPrime(ValueError):
-    """The counterexample construction is limited to p in {2, 3}."""
+    """The counterexample construction is limited to COUNTEREXAMPLE_PRIMES."""
 
 
 class NondegenerateWRequired(RuntimeError):
@@ -96,6 +95,7 @@ class NondegenerateWRequired(RuntimeError):
 CASE_TWO_IDEALS = "two_simple_ideals"
 CASE_SEMIDIRECT = "semidirect_N_R"
 CASE_SIMPLE = "simple_by_descent"
+COUNTEREXAMPLE_PRIMES = (2, 3)  # the primes p of the counterexample, here and in the CLI
 
 
 def _check(name: str, ok: bool) -> dict:
@@ -404,16 +404,10 @@ def _perfect_subspace_checks(alg: LieAlgebraSC, space: Subspace, label: str) -> 
 
 def _core_tensor(*coeffs: Vector) -> Subspace:
     """Span of f_i (x) c over i = 1, 2, 3 and the given coefficient vectors
-    c, in the coefficient-major basis of tensor_current."""
-    field = coeffs[0][0].field
-    dim = 3 * len(coeffs[0])
-    rows = []
-    for c in coeffs:
-        for i in range(3):
-            row = [field.zero()] * dim
-            for j, x in enumerate(c):
-                row[3 * j + i] = x
-            rows.append(row)
+    c, in the coefficient-major basis of tensor_current: f_i (x) x^j at 3j + i."""
+    field, dim = coeffs[0][0].field, 3 * len(coeffs[0])
+    rows = [[c[k // 3] if k % 3 == i else field.zero() for k in range(dim)]
+            for c in coeffs for i in range(3)]
     return canonicalize_subspace(field, rows, dim)
 
 
@@ -439,19 +433,33 @@ def _ideal_pair_checks(alg: LieAlgebraSC, i1: Subspace, i2: Subspace) -> list[di
     ]
 
 
-def _semidirect_checks(alg: LieAlgebraSC, n_space: Subspace,
-                       r_space: Subspace) -> tuple[list[dict], list[dict]]:
-    """The checks on N and R that open the case, and N's perfection checks
-    that close it.  N is a subalgebra exactly when its brackets lie in it,
-    so N_subalgebra is N_bracket_closed, computed once."""
-    n_checks = _perfect_subspace_checks(alg, n_space, "N")
-    _, n_closed, _ = n_checks
-    return [
-        _check("N_subalgebra", n_closed["ok"]),
-        _check("R_ideal", is_ideal(alg, r_space)),
-        _check("R_dim_3", r_space.dim == 3),
-        _check("R_abelian", bracket_span(alg, r_space).dim == 0),
-    ], n_checks
+def _local_facts(alg: LieAlgebraSC, n_space: Subspace, r_space: Subspace,
+                 a_space: Subspace, p: int) -> dict[str, bool]:
+    """The facts of the local case core (x) F[X]/(X - r)^p, keyed by every
+    check name that reports them and computed once, for N = core (x) 1,
+    R = core (x) (x - r)^k, k = 1..p-1, and A = core (x) (x - r)^(p-1), R at
+    p = 2: N a perfect subalgebra with N (+) R everything, R an ideal of
+    dimension 3(p - 1) whose derived series reaches 0 in exactly
+    ceil(log2 p) steps, and A an abelian ideal."""
+    steps = (p - 1).bit_length()
+    series = derived_series_of_subspace(alg, r_space, steps)
+    facts = {c["name"]: c["ok"] for c in
+             _perfect_subspace_checks(alg, n_space, "N") + _sum_checks(n_space, r_space)}
+    facts["N_subalgebra"] = facts["N_bracket_closed"]  # a closed subspace is a subalgebra
+    facts["R_ideal"] = facts["radical_ideal"] = is_ideal(alg, r_space)
+    facts["R_dim_3"] = facts["radical_dim"] = r_space.dim == 3 * (p - 1)
+    zero_at = len(series) - 1 if series[-1].dim == 0 else None  # brackets to reach 0
+    facts["R_abelian"] = zero_at in (0, 1)
+    facts["R_solvable"] = facts["radical_solvable"] = zero_at == steps
+    same = a_space.basis.rows == r_space.basis.rows
+    facts["abelian_ideal_ideal"] = facts["R_ideal"] if same else is_ideal(alg, a_space)
+    facts["abelian_ideal_abelian"] = (
+        facts["R_abelian"] if same else bracket_span(alg, a_space).dim == 0)
+    return facts
+
+
+def _read(facts: dict[str, bool], *names: str) -> list[dict]:
+    return [_check(name, facts[name]) for name in names]
 
 
 def _split_certificate(pipe: Pipeline, analysis) -> tuple[dict, list[dict]]:
@@ -472,13 +480,11 @@ def _split_certificate(pipe: Pipeline, analysis) -> tuple[dict, list[dict]]:
 
 
 def _semidirect_certificate(pipe: Pipeline, analysis) -> tuple[dict, list[dict]]:
-    alg = pipe.algebra
     n_space = _core_tensor((pipe.field.one(), pipe.field.zero()))
     r_space = _core_tensor(analysis.nilpotent)
-    checks, n_checks = _semidirect_checks(alg, n_space, r_space)
-    checks.append(_check("R_solvable", checks[-1]["ok"]))  # abelian, hence solvable
-    checks += _sum_checks(n_space, r_space)
-    checks += n_checks
+    facts = _local_facts(pipe.algebra, n_space, r_space, r_space, 2)
+    checks = _read(facts, "N_subalgebra", "R_ideal", "R_dim_3", "R_abelian", "R_solvable",
+                   "sum_direct", "sum_is_everything", "N_dim_3", "N_bracket_closed", "N_perfect")
     witnesses = {
         "N": subspace_to_json(n_space),
         "R": subspace_to_json(r_space),
@@ -547,44 +553,35 @@ def inseparable_counterexample(p: int = 2) -> dict:
     Over F = F_p(t) the variable s = t has no p-th root, so
     K = F[X]/(X^p - s) is a field, realized concretely as F_p(u) with
     t mapped to u^p.  The core algebra P stays simple over K (descent),
-    but P tensor K[X]/(X^p - s) = P tensor K[X]/(X - u)^p acquires the
-    nonzero solvable ideal P tensor (x - u), so it is not semisimple.  Its
-    derived series is P tensor (x - u)^(2^k), which reaches 0 in exactly
-    ceil(log2 p) = (p - 1).bit_length() steps.
-    The document carries the radical, a 3-dimensional abelian ideal inside
-    it, and the perfect 3-dimensional quotient, which is never built:
-    `quotient_is_perfect` reads perfection off [C, C] + R.
+    but C = P tensor K[X]/(X^p - s) = P tensor K[X]/(X - u)^p, the local
+    case of `classify` at r = u, is not semisimple: its ideal
+    R = P tensor (x - u) has derived series P tensor (x - u)^(2^k), which
+    reaches 0 in exactly ceil(log2 p) steps.  The document carries R, an
+    abelian ideal P tensor (x - u)^(p-1), and the perfect 3-dimensional
+    quotient, never built: C = N (+) R with N = P tensor 1 a subalgebra
+    and R an ideal, so C/R is N.
     """
-    if p not in (2, 3):
-        raise UnsupportedPrime("counterexample is built for p in {2, 3}")
+    if p not in COUNTEREXAMPLE_PRIMES:
+        raise UnsupportedPrime(f"counterexample is built for p in {COUNTEREXAMPLE_PRIMES}")
     base = function_field(p, "t")
     ext = function_field(p, "u")
     s_base = parse_scalar("t", base)
-    s_has_root = pth_root(s_base) is not None
     u = parse_scalar("u", ext)
-    s_ext = u ** p
 
     # The core at diag(1, 1, 1) over K: t -> u^p fixes F_p, where its
     # constants live.
     core_k = current_algebra([ext.one()] * 3)
     descent_checks = certify_simple_via_descent(core_k, base)["checks"]
-
+    s_ext = u ** p
     current = tensor_current(core_k, s_ext, p)
-
-    # The maximal ideal of K[X]/(X - u)^p is generated by n = x - u;
-    # the radical of the current algebra is core tensor that ideal.
-    n_coords = (-u, ext.one()) + (ext.zero(),) * (p - 2)
-    n_powers = [n_coords]
-    for _ in range(p - 2):
-        n_powers.append(quotient_product(n_powers[-1], n_coords, s_ext))
-    radical = _core_tensor(*n_powers)
-    abelian = _core_tensor(n_powers[-1])
-
-    chain = derived_series_of_subspace(current, radical)
+    powers = local_powers(u, s_ext, p)
+    n_space = _core_tensor((ext.one(),) + (ext.zero(),) * (p - 1))
+    radical = _core_tensor(*powers)
+    abelian = _core_tensor(powers[-1])
+    facts = _local_facts(current, n_space, radical, abelian, p)
     quotient_dim = current.dim - radical.dim
-    quotient_perfect = quotient_is_perfect(current, radical)
-
-    abelian_brackets = bracket_span(current, abelian)
+    quotient_perfect = all(facts[name] for name in
+                           ("R_ideal", "sum_direct", "sum_is_everything", "N_perfect"))
     return {
         "command": "counterexample",
         "p": p,
@@ -599,15 +596,11 @@ def inseparable_counterexample(p: int = 2) -> dict:
         "quotient_dim": quotient_dim,
         "descent_checks": descent_checks,
         "checks": [
-            _check("s_has_no_pth_root", not s_has_root),
+            _check("s_has_no_pth_root", pth_root(s_base) is None),
             _check("radical_nonzero", radical.dim > 0),
-            _check("radical_dim", radical.dim == 3 * (p - 1)),
-            _check("radical_ideal", is_ideal(current, radical)),
-            _check("radical_solvable",
-                   chain[-1].dim == 0 and len(chain) - 1 == (p - 1).bit_length()),
+            *_read(facts, "radical_dim", "radical_ideal", "radical_solvable"),
             _check("abelian_ideal_dim_3", abelian.dim == 3),
-            _check("abelian_ideal_ideal", is_ideal(current, abelian)),
-            _check("abelian_ideal_abelian", abelian_brackets.dim == 0),
+            *_read(facts, "abelian_ideal_ideal", "abelian_ideal_abelian"),
             _check("quotient_perfect_dim_3", quotient_perfect and quotient_dim == 3),
             _check("core_simple_over_base", all(c["ok"] for c in descent_checks)),
         ],
@@ -668,11 +661,11 @@ def recheck_certificate_json(data: dict) -> list[dict]:
         n_space = _subspace_from_json(data["witnesses"]["N"], field, 6)
         r_space = _subspace_from_json(data["witnesses"]["R"], field, 6)
         nilpotent = tuple(parse_scalar(x, field) for x in data["witnesses"]["nilpotent"])
-        semidirect, n_checks = _semidirect_checks(alg, n_space, r_space)
-        checks += semidirect
-        checks += _sum_checks(n_space, r_space)
-        checks += nilpotent_witness_checks(nilpotent, pipe.disc)
-        checks += n_checks
+        facts = _local_facts(alg, n_space, r_space, r_space, 2)
+        checks += _read(facts, "N_subalgebra", "R_ideal", "R_dim_3", "R_abelian",
+                        "sum_direct", "sum_is_everything")
+        checks += nilpotent_witness_checks([nilpotent], pipe.disc)
+        checks += _read(facts, "N_dim_3", "N_bracket_closed", "N_perfect")
     elif case == CASE_SIMPLE:
         ext = parse_field(data["witnesses"]["extension"])
         _, descent_checks = _descent_certificate(pipe, ext)

@@ -99,6 +99,21 @@ def test_algebras_are_built_by_two_builders():
     assert builders == {("liealg", "algebra_from_matrices"), ("liealg", "tensor_current")}
 
 
+def test_the_coefficient_product_is_called_by_two_modules_only():
+    """liealg.quotient_product, the product of F[X]/(X^n - s), is called
+    only by tensor_current and in coeff_algebra, whose local_powers builds
+    the powers of x - r for classify and the counterexample alike: a second
+    construction of those powers elsewhere fails here."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, _ in _constructions(ast.parse(path.read_text()), "quotient_product"):
+            callers.add((path.stem, scope))
+    assert ("liealg", "tensor_current") in callers
+    others = callers - {("liealg", "tensor_current")}
+    assert {module for module, _ in others} == {"coeff_algebra"}
+    assert ("coeff_algebra", "local_powers") in others
+
+
 # The per-layer metrics that perfbench/run.py computes itself, from its
 # sessions and span records, rather than from the tracer's installed names.
 RUN_METRICS = {

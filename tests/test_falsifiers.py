@@ -1,0 +1,174 @@
+"""A falsifier for every check name of the local-case documents.
+
+Each entry of FALSIFIERS breaks one thing and names the checks that must
+then fail, and no others.  A falsifier is either
+
+- an `Edit`: one leaf of a golden document set to a new value, the
+  document then rechecked by `cli.recheck_json`; or
+- a `Patch`: one library function replaced for one command run through
+  `cli.execute`, for checks that no well-formed document can fail.
+
+`test_every_check_name_has_a_falsifier` reads the check names of the
+golden documents in DOCUMENTS and fails for a name that no entry fails.
+Covering another document is adding its name to DOCUMENTS and entries
+for its new check names.
+"""
+
+import json
+from dataclasses import dataclass, replace
+from functools import reduce
+from pathlib import Path
+from typing import Callable
+
+import pytest
+
+from orthocurrent import structure
+from orthocurrent.cli import execute, parse_args, recheck_json
+from orthocurrent.exact_linalg import canonicalize_subspace
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+DOCUMENTS = (
+    "f2-semidirect.classify.json",
+    "f2-semidirect.recheck.json",
+    "counterexample-p2.json",
+    "counterexample-p3.json",
+)
+
+
+def _failed(checks: list[dict]) -> set[str]:
+    return {c["name"] for c in checks if not c["ok"]}
+
+
+def _names(doc) -> set[str]:
+    """Every check name in a document: its checks, and the checks of
+    anything it nests (the counterexample's descent_checks)."""
+    if isinstance(doc, list):
+        return set().union(*map(_names, doc))
+    if isinstance(doc, dict):
+        own = {doc["name"]} if set(doc) == {"name", "ok"} else set()
+        return own.union(*map(_names, doc.values()))
+    return set()
+
+
+@dataclass(frozen=True)
+class Edit:
+    """Set the leaf at `path` of a golden document to `value` and recheck."""
+
+    golden: str
+    path: tuple
+    value: object
+
+    def failed(self, monkeypatch) -> set[str]:
+        doc = json.loads((GOLDEN / self.golden).read_text())
+        *parents, last = self.path
+        reduce(lambda node, key: node[key], parents, doc)[last] = self.value
+        return _failed(recheck_json(doc))
+
+
+@dataclass(frozen=True)
+class Patch:
+    """Replace `structure.<name>` by `wrap(real)` and run the command."""
+
+    name: str
+    wrap: Callable
+    argv: tuple
+
+    def failed(self, monkeypatch) -> set[str]:
+        monkeypatch.setattr(structure, self.name, self.wrap(getattr(structure, self.name)))
+        code, out = execute(parse_args([*self.argv, "--json"]))
+        doc = json.loads(out)
+        failed = _failed(doc["checks"] + doc.get("descent_checks", []))
+        assert code == (1 if failed else 0)
+        return failed
+
+
+CLASSIFY_F2 = ("classify", "--field", "F2", "--form", "1,1,1,1")
+COUNTER_P2 = ("counterexample", "--p", "2")
+COUNTER_P3 = ("counterexample", "--p", "3")
+SEMIDIRECT = "f2-semidirect.classify.json"
+
+
+def _rows(*bits: str) -> list[list[str]]:
+    return [list(b) for b in bits]
+
+
+# name -> (falsifier, the checks it must fail)
+FALSIFIERS = {
+    "recorded-D": (Edit(SEMIDIRECT, ("D",), "0"), {"recorded_discriminant_matches"}),
+    "recorded-table": (Edit(SEMIDIRECT, ("table", 0, 1, 2), "0"), {"recorded_table_matches"}),
+    # Over F3 the discriminant 1 is a square in odd characteristic: split.
+    "field-F3": (Edit(SEMIDIRECT, ("field",), "F3"),
+                 {"case_matches_square_class", "recorded_table_matches", "R_abelian",
+                  "nilpotent_squares_to_zero"}),
+    "nilpotent-zero": (Edit(SEMIDIRECT, ("witnesses", "nilpotent"), ["0", "0"]),
+                       {"nilpotent_nonzero"}),
+    "nilpotent-unit": (Edit(SEMIDIRECT, ("witnesses", "nilpotent"), ["1", "0"]),
+                       {"nilpotent_squares_to_zero"}),
+    "N-not-closed": (Edit(SEMIDIRECT, ("witnesses", "N"), _rows("001000", "011100", "100111")),
+                     {"N_subalgebra", "N_bracket_closed", "N_perfect"}),
+    "N-a-line": (Edit(SEMIDIRECT, ("witnesses", "N"), _rows("100101")),
+                 {"N_dim_3", "N_perfect", "sum_is_everything"}),
+    "N-closed-not-perfect": (
+        Edit(SEMIDIRECT, ("witnesses", "N"), _rows("100011", "011011", "111011")),
+        {"N_perfect", "sum_direct", "sum_is_everything"}),
+    "R-not-an-ideal": (Edit(SEMIDIRECT, ("witnesses", "R"), _rows("110001", "000100", "111110")),
+                       {"R_ideal", "R_abelian"}),
+    "R-a-line": (Edit(SEMIDIRECT, ("witnesses", "R"), _rows("110011")),
+                 {"R_dim_3", "R_ideal", "sum_is_everything"}),
+    "R-meets-N": (Edit(SEMIDIRECT, ("witnesses", "R"), _rows("101000")),
+                  {"R_dim_3", "R_ideal", "sum_direct", "sum_is_everything"}),
+    "no-derived-step": (
+        Patch("derived_series_of_subspace", lambda real: lambda *a: real(*a)[:-1], CLASSIFY_F2),
+        {"R_abelian", "R_solvable"}),
+    # R = 0 is an abelian ideal, but reaches 0 in no bracket, not one.
+    "R-zero": (
+        Patch("analyze_quadratic",
+              lambda real: lambda d: replace(real(d), nilpotent=(d.field.zero(),) * 2),
+              CLASSIFY_F2),
+        {"R_dim_3", "R_solvable", "sum_is_everything"}),
+    "wrong-coefficient-ring": (
+        Patch("tensor_current", lambda real: lambda alg, s, n: real(alg, s + s.field.one(), n),
+              CLASSIFY_F2),
+        {"tables_match"}),
+    "no-commutators": (Patch("commutator", lambda real: lambda x, y: {}, CLASSIFY_F2),
+                       {"distinguished_basis_spans_derived"}),
+    "s-has-a-root": (Patch("pth_root", lambda real: lambda x: x, COUNTER_P2),
+                     {"s_has_no_pth_root"}),
+    "radical-zero": (
+        Patch("local_powers", lambda real: lambda r, s, p: [(r.field.zero(),) * p], COUNTER_P2),
+        {"radical_nonzero", "radical_dim", "radical_solvable", "abelian_ideal_dim_3",
+         "quotient_perfect_dim_3"}),
+    "radical-is-core": (
+        Patch("local_powers",
+              lambda real: lambda r, s, p: [(r.field.one(),) + (r.field.zero(),) * (p - 1)],
+              COUNTER_P2),
+        {"radical_ideal", "radical_solvable", "abelian_ideal_ideal", "abelian_ideal_abelian",
+         "quotient_perfect_dim_3"}),
+    # core (x) (x - u) at p = 3: not an ideal, and [R, R] = core (x) (x - u)^2.
+    "radical-one-power": (
+        Patch("local_powers", lambda real: lambda *a: [real(*a)[0]] * 2, COUNTER_P3),
+        {"radical_dim", "radical_ideal", "radical_solvable", "abelian_ideal_ideal",
+         "abelian_ideal_abelian", "quotient_perfect_dim_3"}),
+    "no-complement": (
+        Patch("_sum_checks",
+              lambda real: lambda a, b: [{**c, "ok": False} for c in real(a, b)], COUNTER_P2),
+        {"quotient_perfect_dim_3"}),
+    "core-not-perfect": (
+        Patch("derived_subspace",
+              lambda real: lambda alg: canonicalize_subspace(alg.field, [], alg.dim), COUNTER_P2),
+        {"perfect_over_extension", "simple_over_extension_dim3", "simple_over_base_by_span",
+         "core_simple_over_base"}),
+}
+
+
+@pytest.mark.parametrize("name", FALSIFIERS)
+def test_falsifier_fails_exactly_its_checks(monkeypatch, name):
+    falsifier, expected = FALSIFIERS[name]
+    assert falsifier.failed(monkeypatch) == expected
+
+
+def test_every_check_name_has_a_falsifier():
+    names = set().union(*(_names(json.loads((GOLDEN / d).read_text())) for d in DOCUMENTS))
+    falsified = set().union(*(expected for _, expected in FALSIFIERS.values()))
+    assert names - falsified == set()

@@ -218,3 +218,14 @@ def test_restrict_examples():
     degenerate = restrict(g, line)
     assert not degenerate.nondegenerate
     assert degenerate.gram.rows[0][0].is_zero()
+
+
+@pytest.mark.parametrize("field", [Q, F2, F2T], ids=["Q", "F2", "F2(t)"])
+def test_restrict_to_the_zero_subspace_is_the_empty_form(field):
+    """The zero subspace has an empty basis, so the restriction is the
+    0-dimensional form: an empty Gram matrix, nondegenerate (its
+    determinant is the empty product 1)."""
+    zero = canonicalize_subspace(field, [[field.zero()] * 4], 4)
+    empty = restrict(diag(field, [1, 1, 1, 1]), zero)
+    assert empty.dim == 0 and empty.gram == Matrix(field, [])
+    assert empty.nondegenerate

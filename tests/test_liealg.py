@@ -34,7 +34,6 @@ from orthocurrent.liealg import (
     derived_subspace,
     is_ideal,
     quotient_product,
-    quotient_is_perfect,
     skew_adjoint_algebra,
     tensor_current,
 )
@@ -61,7 +60,6 @@ from reference import (
     is_zero_matrix,
     matrix_for,
     matrix_sum,
-    quotient_algebra,
     random_element,
     realization_mismatch,
     scaled,
@@ -198,7 +196,7 @@ def test_bracket_matches_matrix_commutators():
 
 
 def derived_series(alg):
-    return derived_series_of_subspace(alg, full_subspace(alg.field, alg.dim))
+    return derived_series_of_subspace(alg, full_subspace(alg.field, alg.dim), alg.dim)
 
 
 def test_derived_series_perfect_over_q():
@@ -441,18 +439,6 @@ def test_tensor_current_bracket_pattern():
     assert derived_subspace(ab).dim == 0
     with pytest.raises(DescriptorMismatch):
         tensor_current(core, F3.one(), 2)
-
-
-def test_quotient_of_an_abelian_algebra_is_not_perfect():
-    """Q^3 modulo a line is abelian of dimension 2: the reference quotient
-    and the rule [L, L] + I = L both read not perfect."""
-    alg = abelian_algebra(Q, 3)
-    line = canonicalize_subspace(Q, [fe(Q, [1, 1, 0])], 3)
-    quotient = quotient_algebra(alg, line)
-    assert quotient.dim == 2 and derived_subspace(quotient).dim == 0
-    assert not quotient_is_perfect(alg, line)
-    # Modulo everything the quotient is 0, which is perfect.
-    assert quotient_is_perfect(alg, full_subspace(Q, 3))
 
 
 def test_tables_equal():

@@ -629,19 +629,15 @@ def test_counterexample_p3():
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_counterexample_quotient_rule_matches_the_built_quotient(monkeypatch, p):
-    """The document's quotient_perfect, read off [C, C] + R = C, agrees with
-    the perfection of the quotient C/R built by the reference."""
-    calls = []
-    real = structure.quotient_is_perfect
-
-    def recorded(alg, ideal):
-        calls.append((alg, ideal))
-        return real(alg, ideal)
-
-    monkeypatch.setattr(structure, "quotient_is_perfect", recorded)
+def test_counterexample_quotient_rule_matches_the_built_quotient(p):
+    """The document's quotient_perfect, read off C = N (+) R with N a
+    subalgebra and R an ideal (so C/R is N), agrees with the perfection of
+    the quotient C/R that the reference builds from the recorded radical."""
     doc = inseparable_counterexample(p)
-    [(current, radical)] = calls
+    ext = parse_field(doc["extension_field"])
+    current = tensor_current(current_algebra([ext.one()] * 3), parse_scalar("u", ext) ** p, p)
+    radical = canonicalize_subspace(
+        ext, [[parse_scalar(x, ext) for x in row] for row in doc["radical"]], current.dim)
     quotient = quotient_algebra(current, radical)
     assert doc["quotient_dim"] == quotient.dim == 3
     assert doc["quotient_perfect"] == (derived_subspace(quotient).dim == quotient.dim)
@@ -651,9 +647,9 @@ def test_counterexample_quotient_rule_matches_the_built_quotient(monkeypatch, p)
 def test_a_radical_that_skips_a_derived_step_is_not_solvable_in_time(monkeypatch):
     """R^(k) = core (x) (x - u)^(2^k), so the derived series of the radical
     reaches 0 in exactly ceil(log2 p) steps.  At p = 3 the radical built
-    from n_powers[1:], core (x) (x - u)^2, is abelian: its series reaches 0
-    in one step, not two, so radical_solvable fails, with radical_dim and
-    the quotient check."""
+    from the powers of x - u but the first, core (x) (x - u)^2, is
+    abelian: its series reaches 0 in one step, not two, so
+    radical_solvable fails, with radical_dim and the quotient check."""
     real = structure._core_tensor
     monkeypatch.setattr(structure, "_core_tensor", lambda *coeffs: real(*(coeffs[1:] or coeffs)))
     doc = inseparable_counterexample(3)
@@ -677,7 +673,7 @@ def test_checker_refuses_a_changed_coefficient_witness(field, form, witness, val
     disc = parse_scalar(cert["D"], field)
     values = {k: tuple(parse_scalar(x, field) for x in v) for k, v in cert["witnesses"].items()
               if k in ("e_plus", "e_minus", "nilpotent")}
-    shared = (coeff_algebra.nilpotent_witness_checks(values["nilpotent"], disc)
+    shared = (coeff_algebra.nilpotent_witness_checks([values["nilpotent"]], disc)
               if witness == "nilpotent"
               else coeff_algebra.split_witness_checks(values["e_plus"], values["e_minus"], disc))
     start = checks.index(shared[0])
@@ -689,6 +685,29 @@ def test_checker_refuses_a_changed_coefficient_witness(field, form, witness, val
 def test_counterexample_rejects_other_primes():
     with pytest.raises(UnsupportedPrime):
         inseparable_counterexample(5)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_the_local_construction_holds_past_p_3(monkeypatch, p):
+    """With the supported primes widened, the one construction of
+    core (x) F[X]/(X - u)^p passes every check at p = 5 and 7, and the
+    radical's derived series takes (p - 1).bit_length() brackets to 0."""
+    monkeypatch.setattr(structure, "COUNTEREXAMPLE_PRIMES", (2, 3, p))
+    series = []
+    real = structure.derived_series_of_subspace
+
+    def recorded(alg, space, steps):
+        series.append(real(alg, space, steps))
+        return series[-1]
+
+    monkeypatch.setattr(structure, "derived_series_of_subspace", recorded)
+    doc = inseparable_counterexample(p)
+    assert _ok(doc)
+    assert (doc["current_dim"], doc["radical_dim"], doc["quotient_dim"]) == (3 * p, 3 * (p - 1), 3)
+    assert doc["quotient_perfect"] and len(doc["abelian_ideal"]) == 3
+    [chain] = series
+    assert chain[0].dim == 3 * (p - 1) and chain[-1].dim == 0
+    assert len(chain) - 1 == (p - 1).bit_length()
 
 
 def test_split_ideal_closure_regenerates_each_ideal():
@@ -719,7 +738,7 @@ def test_semidirect_bracket_relations():
         for r_row in r_space.basis.rows:
             assert r_space.contains(alg.bracket(n_row, r_row))
     assert bracket_span(alg, r_space).dim == 0
-    chain = derived_series_of_subspace(alg, r_space)
+    chain = derived_series_of_subspace(alg, r_space, alg.dim)
     assert [s.dim for s in chain] == [3, 0]
 
 
