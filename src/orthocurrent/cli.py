@@ -156,7 +156,7 @@ def _parse_form(parser: argparse.ArgumentParser, field: FieldDescriptor,
         gram = Matrix(field, rows)
         if gram.ncols != 4:
             raise ParseError("expected four columns per row")
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, RecursionError) as exc:
         parser.error(f"bad --gram matrix: {exc}")
     return None, gram
 

@@ -3,10 +3,14 @@
 The central object is `LieAlgebraSC`: a finite-dimensional Lie algebra
 given only by its brackets [e_i, e_j], i < j.  Its table c[i][j][k] is
 antisymmetric by construction, so [x,x] = 0 holds in every characteristic
-without a check; construction checks the Jacobi identity on all basis
-triples.  Exactly two builders make algebras: `algebra_from_matrices` (M
-and the core, from `current_basis`) and `tensor_current` (current
-algebras over F[X]/(X^n - s)).
+without a check.  The constructor does not check the Jacobi identity.
+Exactly two builders make algebras, and each yields a Lie algebra by a
+fact proved or tested elsewhere: `algebra_from_matrices` (M and the core,
+from `current_basis`) reads brackets that `coordinates` proves equal to
+the commutators of independent matrices on every entry, and
+`tensor_current` tensors a Lie algebra with F[X]/(X^n - s), whose ring
+laws a property test holds.  A `LieAlgebraSC` built directly accepts a
+table that breaks Jacobi.
 
 A matrix is a sparse dict {(row, col): entry}, as `current_basis` returns
 and `algebra_from_matrices` takes it.  Three rules on such matrices are
@@ -63,68 +67,53 @@ class WrongDimension(ValueError):
 
 
 class InvalidStructure(ValueError):
-    """Brackets that are malformed, break the Jacobi identity or disagree
-    with the commutators of the matrices they are read from."""
+    """Brackets that are malformed, or that disagree with the commutators
+    of the matrices they are read from.  The Jacobi identity is not
+    checked: the two builders yield Lie algebras by construction."""
 
 
 Vector = tuple[FieldElement, ...]
 Tensor = tuple[tuple[Vector, ...], ...]
 
 
-def _sparse(vec: Vector) -> tuple[tuple[int, FieldElement], ...]:
-    return tuple((k, x) for k, x in enumerate(vec) if not x.is_zero())
-
-
 class LieAlgebraSC:
     """Lie algebra over an exact field given by its brackets.
 
-    `brackets` maps each pair (i, j), i < j, to the coordinate vector of
-    [e_i, e_j], keyed as `coordinates` keys its output; a pair left out
-    brackets to zero.  `constants[i][j]` is the full table: zero
-    on the diagonal and -[e_i, e_j] at (j, i), so it is antisymmetric by
-    construction, and [x, x] = sum x_i^2 [e_i, e_i] + sum_{i<j} x_i x_j
-    ([e_i, e_j] + [e_j, e_i]) vanishes in every characteristic.
+    `brackets` maps each pair (i, j), i < j, to the coordinates of [e_i,
+    e_j] as `coordinates` returns them, {k: c_k} with zero c_k left out; a
+    pair left out brackets to zero.  Only this shape is checked, not the
+    Jacobi identity, so a table given here directly may break it; the two
+    builders yield Lie algebras by construction.  `constants[i][j]` is the
+    full table: zero on the diagonal and -[e_i, e_j] at (j, i), so it is
+    antisymmetric by construction, and [x, x] = sum x_i^2 [e_i, e_i] +
+    sum_{i<j} x_i x_j ([e_i, e_j] + [e_j, e_i]) vanishes in every
+    characteristic.
     """
 
     __slots__ = ("field", "dim", "constants", "_sparse_rows")
 
     def __init__(self, field: FieldDescriptor, dim: int,
-                 brackets: Mapping[tuple[int, int], Sequence[FieldElement]]):
+                 brackets: Mapping[tuple[int, int], Mapping[int, FieldElement]]):
         self.field = field
         self.dim = dim
-        zero_vec = (field.zero(),) * dim
+        zero = field.zero()
+        zero_vec = (zero,) * dim
         table = [[zero_vec] * dim for _ in range(dim)]
-        for (i, j), vec in brackets.items():
+        rows = [[()] * dim for _ in range(dim)]
+        for (i, j), coords in brackets.items():
             if not 0 <= i < j < dim:
                 raise InvalidStructure(f"bracket key ({i}, {j}) is not a pair i < j below {dim}")
-            vec = tuple(vec)
-            if len(vec) != dim:
-                raise InvalidStructure(f"[e{i}, e{j}] has {len(vec)} coordinates, not {dim}")
-            table[i][j] = vec
-            table[j][i] = tuple(-x for x in vec)
-        self.constants: Tensor = tuple(tuple(row) for row in table)
-        self._sparse_rows = tuple(tuple(_sparse(entry) for entry in row) for row in self.constants)
-        self._check_jacobi()
-
-    # -- construction-time invariants ----------------------------------
-
-    def _check_jacobi(self) -> None:
-        # The table is antisymmetric, so triples with repeats are automatic
-        # and the Jacobi sum is permutation-stable: i < j < k suffices.
-        n = self.dim
-        zero = self.field.zero()
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    acc = [zero] * n
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for m, coeff in self._sparse_rows[a][b]:
-                            for r, coeff2 in self._sparse_rows[m][c]:
-                                acc[r] = acc[r] + coeff * coeff2
-                    if any(not x.is_zero() for x in acc):
-                        raise InvalidStructure(
-                            f"Jacobi identity fails on basis triple ({i},{j},{k})"
-                        )
+            if not all(k in range(dim) for k in coords):
+                raise InvalidStructure(f"[e{i}, e{j}] has a coordinate index outside range({dim})")
+            negated = {k: -x for k, x in coords.items()}
+            for a, b, c in ((i, j, coords), (j, i, negated)):
+                rows[a][b] = tuple(c.items())
+                vec = [zero] * dim
+                for k, x in c.items():
+                    vec[k] = x
+                table[a][b] = tuple(vec)
+        self.constants: Tensor = tuple(map(tuple, table))
+        self._sparse_rows = tuple(map(tuple, rows))
 
     # -- basic operations ----------------------------------------------
 
@@ -230,12 +219,7 @@ def algebra_from_matrices(field: FieldDescriptor, mats: Sequence[dict]) -> LieAl
     field, each of which has an entry of its own, with its brackets read
     and proved by `coordinates`; the distinguished bases have disjoint
     supports, and an echelon basis has its pivots."""
-    zero = field.zero()
-    brackets = {
-        pair: tuple(c.get(k, zero) for k in range(len(mats)))
-        for pair, c in coordinates(mats).items()
-    }
-    return LieAlgebraSC(field, len(mats), brackets)
+    return LieAlgebraSC(field, len(mats), coordinates(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -561,16 +545,16 @@ def tensor_current(alg: LieAlgebraSC, s: FieldElement, n: int) -> LieAlgebraSC:
     dim = nl * n
     zero, one = alg.field.zero(), alg.field.one()
     basis = [tuple(one if k == j else zero for k in range(n)) for j in range(n)]
-    products = [[quotient_product(u, v, s) for v in basis] for u in basis]
+    products = [[[(t, pt) for t, pt in enumerate(quotient_product(u, v, s)) if pt]
+                 for v in basis] for u in basis]
     brackets = {}
     for a in range(dim):
         j, i = divmod(a, nl)
         for b in range(a + 1, dim):
             m, k = divmod(b, nl)
-            entry = [zero] * dim
-            for r, br in alg._sparse_rows[i][k]:
-                for t, pt in enumerate(products[j][m]):
-                    if not pt.is_zero():
-                        entry[t * nl + r] = entry[t * nl + r] + br * pt
-            brackets[(a, b)] = entry
+            # [l_i (x) x^j, l_k (x) x^m] = [l_i, l_k] (x) x^j x^m: each
+            # (r, t) is a distinct coordinate t * nl + r.
+            brackets[a, b] = {t * nl + r: br * pt
+                              for r, br in alg._sparse_rows[i][k]
+                              for t, pt in products[j][m]}
     return LieAlgebraSC(alg.field, dim, brackets)

@@ -631,7 +631,9 @@ def document_literals(data: dict) -> tuple[FieldDescriptor, tuple[FieldElement, 
 
 def recheck_certificate_json(data: dict) -> list[dict]:
     """Independent checker: rebuild M from the literals and re-run every
-    invariant of the claimed case against the recorded witnesses."""
+    invariant of the claimed case against the recorded witnesses.  A
+    claimed case other than the square class's ends the checks at
+    `case_matches_square_class`, before any witness is read."""
     field, entries = document_literals(data)
     pipe = build_pipeline(field, entries)
     alg = pipe.algebra
@@ -648,6 +650,8 @@ def recheck_certificate_json(data: dict) -> list[dict]:
         FIELD: CASE_SIMPLE,
     }[analysis.variant]
     checks.append(_check("case_matches_square_class", case == expected_case))
+    if case != expected_case:
+        return checks
     if case == CASE_TWO_IDEALS:
         i1 = _subspace_from_json(data["witnesses"]["I1"], field, 6)
         i2 = _subspace_from_json(data["witnesses"]["I2"], field, 6)
@@ -666,13 +670,11 @@ def recheck_certificate_json(data: dict) -> list[dict]:
                         "sum_direct", "sum_is_everything")
         checks += nilpotent_witness_checks([nilpotent], pipe.disc)
         checks += _read(facts, "N_dim_3", "N_bracket_closed", "N_perfect")
-    elif case == CASE_SIMPLE:
+    else:
         ext = parse_field(data["witnesses"]["extension"])
         _, descent_checks = _descent_certificate(pipe, ext)
         checks += descent_checks[:2]  # discriminant_non_square, perfect_over_extension
         checks.append(
             _check("recorded_extension_matches", ext == quadratic_extension(field, pipe.disc))
         )
-    else:
-        checks.append(_check("known_case", False))
     return checks

@@ -7,7 +7,7 @@ because no command runs it.
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from orthocurrent.exact_linalg import Matrix, ShapeMismatch, Subspace, canonicalize_subspace
 from orthocurrent.forms import BilinearForm
@@ -316,11 +316,29 @@ def structure_constants(alg: LieAlgebraSC, basis) -> tuple:
     return tuple(tuple(row) for row in constants)
 
 
-def brackets_of(constants) -> dict:
-    """The brackets [e_i, e_j], i < j, of a full structure-constant table,
-    keyed as `LieAlgebraSC` takes them."""
-    n = len(constants)
-    return {(i, j): constants[i][j] for i in range(n) for j in range(i + 1, n)}
+def brackets_of(vectors: Mapping) -> dict:
+    """Brackets given as dense coordinate vectors {(i, j): [e_i, e_j]},
+    i < j, in the form `LieAlgebraSC` takes: {(i, j): {k: c_k}} with zero
+    c_k left out."""
+    return {pair: {k: x for k, x in enumerate(vec) if x} for pair, vec in vectors.items()}
+
+
+def jacobi_failure(alg: LieAlgebraSC) -> Optional[tuple[int, int, int]]:
+    """The first basis triple (i, j, k), i < j < k, on which
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] is nonzero, or
+    None when the Jacobi identity holds.  The table is antisymmetric, so
+    triples with repeats hold and the sum is permutation-stable: i < j < k
+    suffices.  Reads the dense `constants`, not `bracket`."""
+    c = alg.constants
+    for i, j, k in combinations(range(alg.dim), 3):
+        acc = (alg.field.zero(),) * alg.dim
+        for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in enumerate(c[a][b]):
+                if x:
+                    acc = tuple(s + x * y for s, y in zip(acc, c[m][d]))
+        if any(acc):
+            return (i, j, k)
+    return None
 
 
 def closed_and_perfect(alg: LieAlgebraSC, space: Subspace) -> tuple[bool, bool]:
@@ -330,7 +348,8 @@ def closed_and_perfect(alg: LieAlgebraSC, space: Subspace) -> tuple[bool, bool]:
         constants = structure_constants(alg, space.basis.rows)
     except NotClosed:
         return False, False
-    sub = LieAlgebraSC(alg.field, space.dim, brackets_of(constants))
+    vectors = {(a, b): constants[a][b] for a, b in combinations(range(space.dim), 2)}
+    sub = LieAlgebraSC(alg.field, space.dim, brackets_of(vectors))
     return True, derived_subspace(sub).dim == space.dim
 
 
@@ -349,7 +368,7 @@ def quotient_algebra(alg: LieAlgebraSC, ideal: Subspace) -> LieAlgebraSC:
         for b in range(a + 1, len(complement)):
             w = ideal.reduce(alg.bracket(alg.basis_vector(i), alg.basis_vector(complement[b])))
             brackets[(a, b)] = tuple(w[j] for j in complement)
-    return LieAlgebraSC(alg.field, len(complement), brackets)
+    return LieAlgebraSC(alg.field, len(complement), brackets_of(brackets))
 
 
 def conjugated_current_basis(rows, squares) -> tuple[Matrix, ...]:

@@ -91,12 +91,28 @@ def _constructions(tree, cls):
 def test_algebras_are_built_by_two_builders():
     """LieAlgebraSC is constructed only by algebra_from_matrices and
     tensor_current: every algebra of the library is M or a core, from its
-    matrices, or a current algebra over F[X]/(X^n - s)."""
+    matrices, or a current algebra over F[X]/(X^n - s).  The constructor
+    does not check the Jacobi identity, so this test backs it: each builder
+    yields a Lie algebra by construction (coordinates proved against
+    independent matrices, or a Lie algebra tensored with a commutative
+    associative ring), and a third builder would carry no such argument."""
     builders = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for scope, _ in _constructions(ast.parse(path.read_text()), "LieAlgebraSC"):
             builders.add((path.stem, scope))
     assert builders == {("liealg", "algebra_from_matrices"), ("liealg", "tensor_current")}
+
+
+def test_the_library_holds_no_assert():
+    """Library invariants survive `python -O`, which strips `assert`: a
+    check the library needs raises an exception of its own instead."""
+    asserts = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
 
 
 def test_the_coefficient_product_is_called_by_two_modules_only():

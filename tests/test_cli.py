@@ -203,11 +203,14 @@ def test_classify_json_case():
     "[1,2,3,4]",  # rows that are numbers
     json.dumps([None, ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]),
     json.dumps(["1000", "0200", "0030", "0004"]),  # rows that are strings
+    pytest.param("[" * 1000 + "]" * 1000, id="nested-1000"),
 ])
 def test_bad_gram_rows_are_usage_errors(gram, capsys):
     """Each row must be a JSON list: a number, a null or a string row exits
     2 with a usage error, where a number or a null raised TypeError and a
-    string was read one character per literal."""
+    string was read one character per literal.  A list nested too deeply
+    for the JSON reader is a usage error too, not a RecursionError
+    traceback."""
     with pytest.raises(SystemExit) as exc:
         parse_args(["classify", "--field", "Q", "--gram", gram])
     assert exc.value.code == 2

@@ -97,10 +97,14 @@ def _rows(*bits: str) -> list[list[str]]:
 FALSIFIERS = {
     "recorded-D": (Edit(SEMIDIRECT, ("D",), "0"), {"recorded_discriminant_matches"}),
     "recorded-table": (Edit(SEMIDIRECT, ("table", 0, 1, 2), "0"), {"recorded_table_matches"}),
-    # Over F3 the discriminant 1 is a square in odd characteristic: split.
+    # Over F3 the discriminant 1 is a square in odd characteristic: split,
+    # so the semidirect witnesses are not read.
     "field-F3": (Edit(SEMIDIRECT, ("field",), "F3"),
-                 {"case_matches_square_class", "recorded_table_matches", "R_abelian",
-                  "nilpotent_squares_to_zero"}),
+                 {"case_matches_square_class", "recorded_table_matches"}),
+    "case-two-ideals": (Edit(SEMIDIRECT, ("case",), "two_simple_ideals"),
+                        {"case_matches_square_class"}),
+    "case-simple": (Edit(SEMIDIRECT, ("case",), "simple_by_descent"),
+                    {"case_matches_square_class"}),
     "nilpotent-zero": (Edit(SEMIDIRECT, ("witnesses", "nilpotent"), ["0", "0"]),
                        {"nilpotent_nonzero"}),
     "nilpotent-unit": (Edit(SEMIDIRECT, ("witnesses", "nilpotent"), ["1", "0"]),

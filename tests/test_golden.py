@@ -20,9 +20,12 @@ from pathlib import Path
 import pytest
 
 import orthocurrent
+from orthocurrent import liealg, structure
 from orthocurrent.cli import execute, parse_args, recheck_json
 from orthocurrent.scalars import parse_field, parse_scalar
 from orthocurrent.structure import classify, inseparable_counterexample, verify_current_form
+
+from reference import jacobi_failure
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
@@ -109,6 +112,32 @@ def test_library_returns_the_golden_documents(name, field, form):
 def test_library_returns_the_golden_counterexample(p):
     assert _as_file(inseparable_counterexample(p)) == (
         GOLDEN / f"counterexample-p{p}.json").read_bytes()
+
+
+BUILDERS = ("algebra_from_matrices", "tensor_current")
+
+
+def test_every_algebra_the_documents_build_satisfies_jacobi(monkeypatch):
+    """The constructor does not check the Jacobi identity, since both
+    builders yield Lie algebras by construction; the reference checks every
+    algebra they return while the golden documents are made."""
+    built = []
+
+    def recording(real):
+        def builder(*args):
+            alg = real(*args)
+            built.append(alg)
+            return alg
+        return builder
+
+    for name in BUILDERS:
+        wrapped = recording(getattr(liealg, name))
+        for module in (liealg, structure):
+            monkeypatch.setattr(module, name, wrapped)
+    documents()
+    assert {alg.dim for alg in built} >= {3, 6, 9}
+    failures = [(alg, triple) for alg in built if (triple := jacobi_failure(alg))]
+    assert failures == []
 
 
 def test_documents_survive_optimized_mode():

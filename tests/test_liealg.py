@@ -58,6 +58,7 @@ from reference import (
     full_subspace,
     ideal_closure,
     is_zero_matrix,
+    jacobi_failure,
     matrix_for,
     matrix_sum,
     random_element,
@@ -139,25 +140,27 @@ def test_skew_adjoint_non_diagonal_gram():
 
 
 def test_construction_rejects_bad_constants():
-    # Brackets are given for pairs i < j below the dimension, as vectors of
-    # its length; nothing else can be written down.
+    # Brackets are given for pairs i < j below the dimension, with
+    # coordinates indexed below it; nothing else can be written down.
     for key in ((1, 0), (1, 1), (0, 3), (-1, 1)):
         with pytest.raises(InvalidStructure, match="bracket key"):
-            LieAlgebraSC(Q, 3, {key: fe(Q, [1, 0, 0])})
-    for vec in ([1, 0], [1, 0, 0, 0]):
-        with pytest.raises(InvalidStructure, match="coordinates"):
-            LieAlgebraSC(Q, 3, {(0, 1): fe(Q, vec)})
-    # Jacobi failure: [e0,e1]=e2, [e0,e2]=e0 breaks the identity
-    with pytest.raises(InvalidStructure, match="Jacobi"):
-        LieAlgebraSC(Q, 3, {(0, 1): fe(Q, [0, 0, 1]), (0, 2): fe(Q, [1, 0, 0])})
+            LieAlgebraSC(Q, 3, brackets_of({key: fe(Q, [1, 0, 0])}))
+    for k in (-1, 3):
+        with pytest.raises(InvalidStructure, match="coordinate index"):
+            LieAlgebraSC(Q, 3, {(0, 1): {k: Q.one()}})
+    # The constructor does not check Jacobi: [e0,e1]=e2, [e0,e2]=e0 is
+    # accepted, and the reference finds the failure.
+    alg = LieAlgebraSC(Q, 3, brackets_of({(0, 1): fe(Q, [0, 0, 1]), (0, 2): fe(Q, [1, 0, 0])}))
+    assert jacobi_failure(alg) == (0, 1, 2)
 
 
 def test_table_is_antisymmetric_by_construction():
     """[e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0 in the full table, so
     [x, x] = 0 also in characteristic 2."""
     for field in (Q, F2, F3):
-        alg = LieAlgebraSC(field, 3, {(0, 1): fe(field, [0, 0, 1]), (1, 2): fe(field, [1, 0, 0]),
-                                      (0, 2): fe(field, [0, -1, 0])})
+        alg = LieAlgebraSC(field, 3, brackets_of({
+            (0, 1): fe(field, [0, 0, 1]), (1, 2): fe(field, [1, 0, 0]),
+            (0, 2): fe(field, [0, -1, 0])}))
         for i in range(3):
             assert alg.constants[i][i] == fe(field, [0, 0, 0])
             for j in range(3):
@@ -395,10 +398,13 @@ def test_ideal_closure_contains_seed_and_is_ideal():
 def test_quotient_product_is_a_unital_commutative_ring(literal, n, seed):
     """F[X]/(X^n - s) from its one product rule: (1, 0, ...) is the unit,
     the product commutes and associates, and x^n = s; tensoring with
-    F[X]/(X - s) gives the algebra back."""
+    F[X]/(X - s) gives the algebra back.  So tensor_current yields a Lie
+    algebra, which the reference confirms at a random core diagonal."""
     field = parse_field(literal)
     rng = random.Random(seed)
     s = random_element(field, rng)
+    diagonal = [random_element(field, rng, nonzero=True) for _ in range(3)]
+    assert jacobi_failure(tensor_current(current_algebra(diagonal), s, n)) is None
     u, v, w = (tuple(random_element(field, rng) for _ in range(n)) for _ in range(3))
     zero, one = field.zero(), field.one()
     unit = (one,) + (zero,) * (n - 1)

@@ -22,6 +22,7 @@ from orthocurrent.oracle import (
 from orthocurrent.scalars import prime_field, rationals
 
 from reference import (
+    brackets_of,
     enumerate_subspaces,
     ideal_closure,
     iter_echelon,
@@ -39,8 +40,8 @@ def derived_orthogonal(field, values):
 
 def algebra_from_brackets(field, n, brackets):
     """The algebra of {(i, j): integer vector of [e_i, e_j]}, i < j."""
-    return LieAlgebraSC(
-        field, n, {pair: [field.from_int(x) for x in vec] for pair, vec in brackets.items()})
+    return LieAlgebraSC(field, n, brackets_of(
+        {pair: [field.from_int(x) for x in vec] for pair, vec in brackets.items()}))
 
 
 def scan_ideals(alg):

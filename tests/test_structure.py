@@ -14,8 +14,8 @@ from orthocurrent.forms import diagonal_form, make_form
 from orthocurrent.liealg import (
     LieAlgebraSC,
     NotClosed,
-    algebra_from_matrices,
     bracket_span,
+    coordinates,
     current_algebra,
     current_basis,
     derived_subspace,
@@ -573,10 +573,9 @@ def test_sum_checks_match_the_zassenhaus_meet(literal, seed, dims, share):
 def test_descent_certificate_over_quadratic_extension():
     pipe = build_pipeline(F3, ints(F3, [1, 1, 1, 2]))
     ext = quadratic_extension(F3, pipe.disc)
-    core = algebra_from_matrices(F3, current_basis(*pipe.entries[:3]))
     lifted = {
-        pair: tuple(lift_to_extension(x, ext) for x in vec)
-        for pair, vec in brackets_of(core.constants).items()
+        pair: {k: lift_to_extension(x, ext) for k, x in c.items()}
+        for pair, c in coordinates(current_basis(*pipe.entries[:3])).items()
     }
     lifted = LieAlgebraSC(ext, 3, lifted)
     cert = certify_simple_via_descent(lifted, F3)
@@ -587,8 +586,8 @@ def test_descent_certificate_over_quadratic_extension():
 
 
 def test_descent_rejects_unrelated_fields():
-    alg = LieAlgebraSC(Q, 3, {(0, 1): ints(Q, [0, 0, 1]), (1, 2): ints(Q, [1, 0, 0]),
-                              (0, 2): ints(Q, [0, -1, 0])})
+    alg = LieAlgebraSC(Q, 3, brackets_of({(0, 1): ints(Q, [0, 0, 1]), (1, 2): ints(Q, [1, 0, 0]),
+                                          (0, 2): ints(Q, [0, -1, 0])}))
     with pytest.raises(DescriptorMismatch):
         certify_simple_via_descent(alg, F3)
 
