@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from .exact_linalg import Matrix
 from .forms import make_form, orthogonalize
 from . import liealg
-from .liealg import current_algebra, paper_table, table_rows
+from .liealg import BASIS_NAMES, current_algebra, table_brackets
 from .oracle import (
     SUPPORTED_Q,
     enumerate_ideals,
@@ -54,7 +54,7 @@ from .structure import (
     inseparable_counterexample,
     recheck_certificate_json,
     subspace_to_json,
-    tensor_to_json,
+    table_to_json,
     verify_current_form,
 )
 
@@ -216,25 +216,25 @@ def _table_json(spec: CommandSpec) -> dict:
     computed table equals the symbolic one."""
     alg = current_algebra(spec.entries)
     a, b, c, d = spec.entries
-    rows = table_rows(a, b, c, d)
-    entries = [
-        {
+    brackets = table_brackets(a, b, c, d)
+    entries = []
+    for left, right, symbol, target in liealg.TABLE_ROWS:
+        i, j, k = (BASIS_NAMES.index(name) for name in (left, right, target))
+        coeff = brackets[i, j][k] if i < j else -brackets[j, i][k]
+        entries.append({
             "bracket": f"[{left},{right}]",
             "symbolic": f"{symbol} {target}",
             "coefficient": render_scalar(coeff),
             "target": target,
-        }
-        for (left, right, symbol, target), (_, _, _, coeff) in zip(liealg.TABLE_ROWS, rows)
-    ]
+        })
     return {
         "command": "table",
         "field": render_field(spec.field),
         "form": [render_scalar(x) for x in spec.entries],
         "D": render_scalar(a * b * c * d),
         "entries": entries,
-        "table": tensor_to_json(alg.constants),
-        "checks": [{"name": "table_matches_computed",
-                    "ok": alg.constants == paper_table(rows)}],
+        "table": table_to_json(alg),
+        "checks": [{"name": "table_matches_computed", "ok": alg.brackets == brackets}],
     }
 
 

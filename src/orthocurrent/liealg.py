@@ -1,9 +1,10 @@
 """Structure-constant Lie algebras built from bilinear forms.
 
 The central object is `LieAlgebraSC`: a finite-dimensional Lie algebra
-given only by its brackets [e_i, e_j], i < j.  Its table c[i][j][k] is
-antisymmetric by construction, so [x,x] = 0 holds in every characteristic
-without a check.  The constructor does not check the Jacobi identity.
+given only by its brackets [e_i, e_j], i < j, its one table.  [e_j, e_i]
+is their negation and [e_i, e_i] is zero by construction, so [x,x] = 0
+holds in every characteristic without a check.  The constructor does not
+check the Jacobi identity.
 Exactly two builders make algebras, and each yields a Lie algebra by a
 fact proved or tested elsewhere: `algebra_from_matrices` (M and the core,
 from `current_basis`) reads brackets that `coordinates` proves equal to
@@ -21,7 +22,8 @@ alternating for a diagonal G).  The engine runs them over field elements,
 in `algebra_from_matrices` and `current_basis`.  `prove_identity` runs
 the same rules over Z[a, b, c, d], and so proves for every field and
 every diagonal at once that the distinguished basis of WEDGE_ROWS has the
-table of TABLE_ROWS and spans [L, L].
+table of TABLE_ROWS and spans [L, L].  `table_brackets` reads TABLE_ROWS
+as brackets, for that proof and for the `table` command alike.
 
 `skew_adjoint_algebra` returns the solution space of x^T G + G x = 0,
 each x flattened row by row.  For a 4-dimensional nondegenerate form the
@@ -73,66 +75,61 @@ class InvalidStructure(ValueError):
 
 
 Vector = tuple[FieldElement, ...]
-Tensor = tuple[tuple[Vector, ...], ...]
 
 
 class LieAlgebraSC:
     """Lie algebra over an exact field given by its brackets.
 
     `brackets` maps each pair (i, j), i < j, to the coordinates of [e_i,
-    e_j] as `coordinates` returns them, {k: c_k} with zero c_k left out; a
-    pair left out brackets to zero.  Only this shape is checked, not the
-    Jacobi identity, so a table given here directly may break it; the two
-    builders yield Lie algebras by construction.  `constants[i][j]` is the
-    full table: zero on the diagonal and -[e_i, e_j] at (j, i), so it is
-    antisymmetric by construction, and [x, x] = sum x_i^2 [e_i, e_i] +
-    sum_{i<j} x_i x_j ([e_i, e_j] + [e_j, e_i]) vanishes in every
-    characteristic.
+    e_j] as `coordinates` returns them, {k: c_k}; a pair left out brackets
+    to zero.  Only this shape is checked, not the Jacobi identity, so a
+    table given here directly may break it; the two builders yield Lie
+    algebras by construction.  The algebra keeps them canonical, with zero
+    brackets and zero coordinates left out and each k increasing, so two
+    algebras are equal exactly when their fields, dimensions and brackets
+    are.  [e_j, e_i] is -[e_i, e_j] and [e_i, e_i] is zero by construction,
+    so [x, x] = sum x_i^2 [e_i, e_i] + sum_{i<j} x_i x_j ([e_i, e_j] +
+    [e_j, e_i]) vanishes in every characteristic.
     """
 
-    __slots__ = ("field", "dim", "constants", "_sparse_rows")
+    __slots__ = ("field", "dim", "brackets")
 
     def __init__(self, field: FieldDescriptor, dim: int,
                  brackets: Mapping[tuple[int, int], Mapping[int, FieldElement]]):
         self.field = field
         self.dim = dim
-        zero = field.zero()
-        zero_vec = (zero,) * dim
-        table = [[zero_vec] * dim for _ in range(dim)]
-        rows = [[()] * dim for _ in range(dim)]
+        self.brackets: dict[tuple[int, int], dict[int, FieldElement]] = {}
         for (i, j), coords in brackets.items():
             if not 0 <= i < j < dim:
                 raise InvalidStructure(f"bracket key ({i}, {j}) is not a pair i < j below {dim}")
             if not all(k in range(dim) for k in coords):
                 raise InvalidStructure(f"[e{i}, e{j}] has a coordinate index outside range({dim})")
-            negated = {k: -x for k, x in coords.items()}
-            for a, b, c in ((i, j, coords), (j, i, negated)):
-                rows[a][b] = tuple(c.items())
-                vec = [zero] * dim
-                for k, x in c.items():
-                    vec[k] = x
-                table[a][b] = tuple(vec)
-        self.constants: Tensor = tuple(map(tuple, table))
-        self._sparse_rows = tuple(map(tuple, rows))
+            row = {k: coords[k] for k in sorted(coords) if coords[k]}
+            if row:
+                self.brackets[i, j] = row
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, LieAlgebraSC) and self.field == other.field
+                and self.dim == other.dim and self.brackets == other.brackets)
 
     # -- basic operations ----------------------------------------------
 
     def bracket(self, u: Sequence[FieldElement], v: Sequence[FieldElement]) -> Vector:
-        """Bilinear extension of the structure constants to coordinates."""
+        """Bilinear extension of the brackets to coordinates: [u, v] =
+        sum_{i<j} (u_i v_j - u_j v_i) [e_i, e_j]."""
         n = self.dim
         if len(u) != n or len(v) != n:
             raise ShapeMismatch("coordinate length does not match dimension")
-        zero = self.field.zero()
-        acc = [zero] * n
-        for i, ui in enumerate(u):
-            if ui.is_zero():
-                continue
-            row = self._sparse_rows[i]
-            for j, vj in enumerate(v):
-                if vj.is_zero():
-                    continue
-                scale = ui * vj
-                for k, coeff in row[j]:
+        nu = {i: x for i, x in enumerate(u) if x}
+        nv = {j: y for j, y in enumerate(v) if y}
+        acc = [self.field.zero()] * n
+        for (i, j), row in self.brackets.items():
+            scale = nu[i] * nv[j] if i in nu and j in nv else None
+            if j in nu and i in nv:
+                term = nu[j] * nv[i]
+                scale = -term if scale is None else scale - term
+            if scale:
+                for k, coeff in row.items():
                     acc[k] = acc[k] + scale * coeff
         return tuple(acc)
 
@@ -252,11 +249,11 @@ def derived_series_of_subspace(alg: LieAlgebraSC, space: Subspace,
 
 
 def derived_subspace(alg: LieAlgebraSC) -> Subspace:
-    """[L, L] as a subspace of L's coordinates: the span of the brackets
-    [e_i, e_j], i < j, which are the rows c[i][j] of the constants."""
-    n = alg.dim
+    """[L, L] as a subspace of L's coordinates: the span of the nonzero
+    brackets [e_i, e_j], i < j."""
+    n, zero = alg.dim, alg.field.zero()
     return canonicalize_subspace(
-        alg.field, (alg.constants[i][j] for i in range(n) for j in range(i + 1, n)), n)
+        alg.field, ([row.get(k, zero) for k in range(n)] for row in alg.brackets.values()), n)
 
 
 def is_ideal(alg: LieAlgebraSC, space: Subspace) -> bool:
@@ -382,27 +379,20 @@ def current_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
     return algebra_from_matrices(entries[0].field, basis)
 
 
-def table_rows(a: FieldElement, b: FieldElement, c: FieldElement,
-               d: FieldElement) -> tuple[tuple[int, int, int, FieldElement], ...]:
-    """TABLE_ROWS for diag(a, b, c, d), each row as (i, j, k, coefficient)
-    with [e_i, e_j] = coefficient e_k, indices in BASIS_NAMES order.  The
-    entries may also be the symbols of `prove_identity`."""
+def table_brackets(a, b, c, d) -> dict:
+    """TABLE_ROWS for diag(a, b, c, d) as brackets {(i, j): {k: c_k}},
+    i < j, indices in BASIS_NAMES order: a row [e_j, e_i] = c e_k is read
+    as [e_i, e_j] = -c e_k.  The entries may be field elements or the
+    symbols of `prove_identity`."""
     values = {"a": a, "b": b, "c": c, "d": d, "D": a * b * c * d}
-    return tuple(
-        tuple(BASIS_NAMES.index(name) for name in (left, right, target))
-        + (_coefficient(symbol, values),)
-        for left, right, symbol, target in TABLE_ROWS
-    )
-
-
-def paper_table(rows: Sequence[tuple[int, int, int, FieldElement]]) -> Tensor:
-    """The constants of `table_rows`: each row gives [e_i, e_j] and, by
-    antisymmetry, [e_j, e_i]; every other entry is zero."""
-    zero = rows[0][3].field.zero()
-    table = [[[zero] * 6 for _ in range(6)] for _ in range(6)]
-    for i, j, k, coeff in rows:
-        table[i][j][k], table[j][i][k] = coeff, -coeff
-    return tuple(tuple(tuple(entry) for entry in row) for row in table)
+    out: dict = {}
+    for left, right, symbol, target in TABLE_ROWS:
+        i, j, k = (BASIS_NAMES.index(name) for name in (left, right, target))
+        coeff = _coefficient(symbol, values)
+        if i > j:
+            i, j, coeff = j, i, -coeff
+        out.setdefault((i, j), {})[k] = coeff
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +483,10 @@ def prove_identity() -> tuple[bool, bool]:
         coords = {pair: c for pair, c in coordinates(mats).items() if c}
     except (ArithmeticError, NotIndependent, InvalidStructure):
         return False, False
-    expected: dict = {}
-    for i, j, k, coeff in table_rows(*SYMBOLS):
-        if i > j:
-            i, j, coeff = j, i, -coeff
-        expected.setdefault((i, j), {})[k] = coeff
     targets = {k for c in coords.values() if len(c) == 1
                for k, ck in c.items() if _unit_monomial(ck)}
     span = all(_alternating(m, SYMBOLS) for m in mats) and targets == set(range(6))
-    return coords == expected, span
+    return coords == table_brackets(*SYMBOLS), span
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +532,11 @@ def tensor_current(alg: LieAlgebraSC, s: FieldElement, n: int) -> LieAlgebraSC:
     basis = [tuple(one if k == j else zero for k in range(n)) for j in range(n)]
     products = [[[(t, pt) for t, pt in enumerate(quotient_product(u, v, s)) if pt]
                  for v in basis] for u in basis]
+    # [l_i, l_k] for every ordered pair, read from the brackets i < k.
+    table = {}
+    for (i, k), row in alg.brackets.items():
+        table[i, k] = row
+        table[k, i] = {r: -x for r, x in row.items()}
     brackets = {}
     for a in range(dim):
         j, i = divmod(a, nl)
@@ -555,6 +545,6 @@ def tensor_current(alg: LieAlgebraSC, s: FieldElement, n: int) -> LieAlgebraSC:
             # [l_i (x) x^j, l_k (x) x^m] = [l_i, l_k] (x) x^j x^m: each
             # (r, t) is a distinct coordinate t * nl + r.
             brackets[a, b] = {t * nl + r: br * pt
-                              for r, br in alg._sparse_rows[i][k]
+                              for r, br in table.get((i, k), {}).items()
                               for t, pt in products[j][m]}
     return LieAlgebraSC(alg.field, dim, brackets)

@@ -57,20 +57,18 @@ def _to_subspace(field, pivots: Sequence[int], rows: Sequence[Sequence[int]], n:
     return Subspace(field, n, basis, tuple(pivots))
 
 
-def _adjoint_matrices(alg: LieAlgebraSC) -> list[tuple[tuple[int, int, int], ...]]:
-    """Sparse integer matrices of ad(e_i): triples (k, j, c[i][j][k]) with
-    c[i][j][k] nonzero.  Brackets of basis vectors of M are multiples of
-    single basis vectors, so each has at most n entries instead of n^2."""
-    n = alg.dim
-    return [
-        tuple(
-            (k, j, alg.constants[i][j][k].payload)
-            for k in range(n)
-            for j in range(n)
-            if alg.constants[i][j][k].payload
-        )
-        for i in range(n)
-    ]
+def _adjoint_matrices(alg: LieAlgebraSC) -> list[list[tuple[int, int, int]]]:
+    """Sparse integer matrices of ad(e_i): triples (k, j, c) with c the
+    nonzero coordinate k of [e_i, e_j], written for ad(e_i) and, negated,
+    for ad(e_j) from each bracket [e_i, e_j].  Brackets of basis vectors of
+    M are multiples of single basis vectors, so each has at most n entries
+    instead of n^2."""
+    ads: list[list[tuple[int, int, int]]] = [[] for _ in range(alg.dim)]
+    for (i, j), row in alg.brackets.items():
+        for k, c in row.items():
+            ads[i].append((k, j, c.payload))
+            ads[j].append((k, i, (-c).payload))
+    return ads
 
 
 def _apply(ad, x: Sequence[int], n: int) -> list[int]:

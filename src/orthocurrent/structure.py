@@ -49,7 +49,6 @@ from .forms import (
 from .liealg import (
     LieAlgebraSC,
     NotClosed,
-    Tensor,
     Vector,
     WrongDimension,
     algebra_from_matrices,
@@ -106,8 +105,16 @@ def subspace_to_json(space: Subspace) -> list[list[str]]:
     return [[render_scalar(x) for x in row] for row in space.basis.rows]
 
 
-def tensor_to_json(tensor: Tensor) -> list:
-    return [[[render_scalar(x) for x in entry] for entry in row] for row in tensor]
+def table_to_json(alg: LieAlgebraSC) -> list:
+    """The algebra's full table, rendered: entry [i][j][k] is the
+    coordinate k of [e_i, e_j], so -c at (j, i) for each bracket c at
+    (i, j), and zero wherever no bracket puts a coordinate."""
+    n, zero = alg.dim, render_scalar(alg.field.zero())
+    table = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), row in alg.brackets.items():
+        for k, x in row.items():
+            table[i][j][k], table[j][i][k] = render_scalar(x), render_scalar(-x)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +178,10 @@ def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> P
     entries = tuple(entries)
     if len(entries) != 4:
         raise WrongDimension("expected four diagonal entries")
+    # current_basis names a zero diagonal entry before the form is found degenerate.
+    basis = current_basis(*entries)
     form = diagonal_form(field, entries)
     skew_dim, derived_span = _derived_span(form)
-    basis = current_basis(*entries)
     algebra = algebra_from_matrices(field, basis)
     core_basis = current_basis(*entries[:3])
     core = algebra_from_matrices(field, core_basis)
@@ -182,7 +190,7 @@ def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> P
         _check("distinguished_basis_spans_derived", _spans(basis, derived_span)),
         # M's table equals that of core tensor F[X]/(X^2 - D), entry by
         # entry under the positional correspondence.
-        _check("tables_match", algebra.constants == tensor_current(core, disc, 2).constants),
+        _check("tables_match", algebra == tensor_current(core, disc, 2)),
     )
     return Pipeline(
         field, entries, form, skew_dim, derived_span, algebra, core_basis, disc, identity,
@@ -323,7 +331,7 @@ def verify_current_form(field: FieldDescriptor, entries: Sequence[FieldElement],
         "seed": seed,
         "dims": dims,
         "equal": tables_match["ok"],
-        "table": tensor_to_json(pipe.algebra.constants),
+        "table": table_to_json(pipe.algebra),
         "random_w": random_w,
         "checks": [
             spans_derived,
@@ -374,7 +382,7 @@ def certify_simple_via_descent(alg: LieAlgebraSC, base: FieldDescriptor) -> dict
         "extension": render_field(ext),
         "base": render_field(base),
         "extension_kind": extension_kind,
-        "constants": tensor_to_json(alg.constants),
+        "constants": table_to_json(alg),
         "derived_dim": dd,
         "checks": [
             _check("perfect_over_extension", perfect),
@@ -496,7 +504,7 @@ def _semidirect_certificate(pipe: Pipeline, analysis) -> tuple[dict, list[dict]]
 
 def _descent_certificate(pipe: Pipeline, ext: FieldDescriptor) -> tuple[dict, list[dict]]:
     """The core built over ext = F[sqrt D] from the lifted diagonal, and
-    certified simple by descent; lifting is a ring map, so its constants
+    certified simple by descent; lifting is a ring map, so its brackets
     are the core's.  The first two checks are discriminant_non_square and
     perfect_over_extension."""
     core_ext = current_algebra([lift_to_extension(x, ext) for x in pipe.entries[:3]])
@@ -534,7 +542,7 @@ def classify(field: FieldDescriptor, entries: Sequence[FieldElement]) -> dict:
         "field": render_field(field),
         "form": [render_scalar(x) for x in pipe.entries],
         "D": render_scalar(pipe.disc),
-        "table": tensor_to_json(pipe.algebra.constants),
+        "table": table_to_json(pipe.algebra),
         "witnesses": witnesses,
         "checks": [*pipe.identity, *checks],
         "command": "classify",
@@ -569,7 +577,7 @@ def inseparable_counterexample(p: int = 2) -> dict:
     u = parse_scalar("u", ext)
 
     # The core at diag(1, 1, 1) over K: t -> u^p fixes F_p, where its
-    # constants live.
+    # brackets live.
     core_k = current_algebra([ext.one()] * 3)
     descent_checks = certify_simple_via_descent(core_k, base)["checks"]
     s_ext = u ** p
@@ -639,7 +647,7 @@ def recheck_certificate_json(data: dict) -> list[dict]:
     alg = pipe.algebra
     checks = [
         _check("recorded_discriminant_matches", render_scalar(pipe.disc) == data["D"]),
-        _check("recorded_table_matches", tensor_to_json(alg.constants) == data["table"]),
+        _check("recorded_table_matches", table_to_json(alg) == data["table"]),
         *pipe.identity,
     ]
     case = data["case"]

@@ -106,13 +106,15 @@ def skew_matrices(form: BilinearForm) -> list[Matrix]:
             for row in skew_adjoint_algebra(form).basis.rows]
 
 
-def realization_mismatch(constants, mats: Sequence[Matrix]) -> Optional[tuple[int, int]]:
+def realization_mismatch(brackets: Mapping, mats: Sequence[Matrix]) -> Optional[tuple[int, int]]:
     """First pair i < j whose dense commutator [m_i, m_j] differs from
-    sum_k constants[i][j][k] m_k, or None when the matrices realize the
-    constants."""
+    sum_k c_k m_k for the bracket {k: c_k} at (i, j), or None when the
+    matrices realize the brackets."""
+    zero = mats[0].field.zero()
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            combination = matrix_sum(*(scaled(c, m) for c, m in zip(constants[i][j], mats)))
+            coords = brackets.get((i, j), {})
+            combination = matrix_sum(*(scaled(coords.get(k, zero), m) for k, m in enumerate(mats)))
             if dense_commutator(mats[i], mats[j]) != combination:
                 return (i, j)
     return None
@@ -318,9 +320,10 @@ def structure_constants(alg: LieAlgebraSC, basis) -> tuple:
 
 def brackets_of(vectors: Mapping) -> dict:
     """Brackets given as dense coordinate vectors {(i, j): [e_i, e_j]},
-    i < j, in the form `LieAlgebraSC` takes: {(i, j): {k: c_k}} with zero
-    c_k left out."""
-    return {pair: {k: x for k, x in enumerate(vec) if x} for pair, vec in vectors.items()}
+    i < j, in the form `LieAlgebraSC` keeps: {(i, j): {k: c_k}} with zero
+    c_k and zero brackets left out."""
+    out = {pair: {k: x for k, x in enumerate(vec) if x} for pair, vec in vectors.items()}
+    return {pair: c for pair, c in out.items() if c}
 
 
 def jacobi_failure(alg: LieAlgebraSC) -> Optional[tuple[int, int, int]]:
@@ -328,14 +331,17 @@ def jacobi_failure(alg: LieAlgebraSC) -> Optional[tuple[int, int, int]]:
     [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] is nonzero, or
     None when the Jacobi identity holds.  The table is antisymmetric, so
     triples with repeats hold and the sum is permutation-stable: i < j < k
-    suffices.  Reads the dense `constants`, not `bracket`."""
-    c = alg.constants
+    suffices.  Reads `brackets`, not `bracket`."""
+    table = {}
+    for (i, j), row in alg.brackets.items():
+        table[i, j] = row
+        table[j, i] = {k: -x for k, x in row.items()}
     for i, j, k in combinations(range(alg.dim), 3):
-        acc = (alg.field.zero(),) * alg.dim
+        acc = [alg.field.zero()] * alg.dim
         for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, x in enumerate(c[a][b]):
-                if x:
-                    acc = tuple(s + x * y for s, y in zip(acc, c[m][d]))
+            for m, x in table.get((a, b), {}).items():
+                for n, y in table.get((m, d), {}).items():
+                    acc[n] = acc[n] + x * y
         if any(acc):
             return (i, j, k)
     return None

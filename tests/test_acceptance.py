@@ -40,6 +40,7 @@ from orthocurrent.structure import (
 )
 
 from reference import (
+    brackets_of,
     det,
     document_subspace,
     enumerate_subspaces,
@@ -97,7 +98,6 @@ def test_criterion_1_table_reproduction():
     field = Q
     entries = [field.from_int(x) for x in (1, 2, 3, 4)]
     pipe = build_pipeline(field, entries)
-    table = pipe.algebra.constants
 
     def unit(k, coeff):
         return tuple(field.from_int(coeff) if m == k else field.zero() for m in range(6))
@@ -121,12 +121,9 @@ def test_criterion_1_table_reproduction():
         (1, 4): zero6,          # [f2,h2] = 0
         (2, 5): zero6,          # [f3,h3] = 0
     }
-    expected = [[list(zero6) for _ in range(6)] for _ in range(6)]
-    for (i, j), coords in expected_pairs.items():
-        expected[i][j] = list(coords)
-        expected[j][i] = [-x for x in coords]
-    expected = tuple(tuple(tuple(e) for e in row) for row in expected)
-    assert table == expected
+    expected = {(i, j) if i < j else (j, i): coords if i < j else tuple(-x for x in coords)
+                for (i, j), coords in expected_pairs.items()}
+    assert pipe.algebra.brackets == brackets_of(expected)
     assert pipe.disc == field.from_int(24)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 import orthocurrent
+from orthocurrent.liealg import LieAlgebraSC
 
 PACKAGE = Path(orthocurrent.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,6 +114,31 @@ def test_the_library_holds_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def _named(node):
+    """The identifier a node reads, imports, defines or binds as a parameter."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, (ast.arg, ast.keyword)):
+        return node.arg
+    return _referenced_name(node)
+
+
+def test_an_algebra_keeps_one_table():
+    """LieAlgebraSC stores its brackets and nothing derived from them: no
+    dense table beside them, and no module names the second table or the
+    readers that served it.  Strings are not names, so the documents' JSON
+    keys are not searched."""
+    assert LieAlgebraSC.__slots__ == ("field", "dim", "brackets")
+    gone = {"constants", "_sparse_rows", "paper_table", "tensor_to_json"}
+    named = [
+        (path.name, node.lineno, _named(node))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _named(node) in gone
+    ]
+    assert named == []
 
 
 def test_the_coefficient_product_is_called_by_two_modules_only():

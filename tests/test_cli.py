@@ -310,10 +310,13 @@ def test_error_exit_code_1():
 
 
 def test_table_and_oracle_reject_zero_entry_alike():
-    """Both build only M, so a zero diagonal entry stops them at the same check."""
-    for argv in (["table", "--field", "F3"], ["oracle", "--q", "3"]):
-        code, out = run([*argv, "--form", "0,1,1,1"])
-        assert (code, out) == (1, "error: diagonal entry a must be nonzero")
+    """Every command builds the distinguished basis of M before anything
+    else, so a zero diagonal entry stops each at the same check."""
+    for argv in (["table", "--field", "F3"], ["oracle", "--q", "3"],
+                 ["classify", "--field", "F3"], ["verify", "--field", "F3"]):
+        for form, name in (("0,1,1,1", "a"), ("1,0,1,1", "b")):
+            code, out = run([*argv, "--form", form])
+            assert (code, out) == (1, f"error: diagonal entry {name} must be nonzero")
 
 
 def test_json_round_trips_recheck():

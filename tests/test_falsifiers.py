@@ -1,4 +1,5 @@
-"""A falsifier for every check name of the local-case documents.
+"""A falsifier for every check name of the classify and counterexample
+documents.
 
 Each entry of FALSIFIERS breaks one thing and names the checks that must
 then fail, and no others.  A falsifier is either
@@ -31,6 +32,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 DOCUMENTS = (
     "f2-semidirect.classify.json",
     "f2-semidirect.recheck.json",
+    "f3-split.classify.json",
+    "f3-split.recheck.json",
+    "q-simple.classify.json",
+    "q-simple.recheck.json",
     "counterexample-p2.json",
     "counterexample-p3.json",
 )
@@ -86,7 +91,10 @@ class Patch:
 CLASSIFY_F2 = ("classify", "--field", "F2", "--form", "1,1,1,1")
 COUNTER_P2 = ("counterexample", "--p", "2")
 COUNTER_P3 = ("counterexample", "--p", "3")
+CLASSIFY_Q_SIMPLE = ("classify", "--field", "Q", "--form", "1/2,3,-1,6")
 SEMIDIRECT = "f2-semidirect.classify.json"
+SPLIT = "f3-split.classify.json"
+SIMPLE = "q-simple.classify.json"
 
 
 def _rows(*bits: str) -> list[list[str]]:
@@ -122,6 +130,26 @@ FALSIFIERS = {
                  {"R_dim_3", "R_ideal", "sum_is_everything"}),
     "R-meets-N": (Edit(SEMIDIRECT, ("witnesses", "R"), _rows("101000")),
                   {"R_dim_3", "R_ideal", "sum_direct", "sum_is_everything"}),
+    # Over F3 with D = 1, F[X]/(X^2 - 1) has the idempotents 2 + 2x and
+    # 2 + x; 1 is idempotent but not orthogonal to 2 + x, and x squares to 1.
+    "e-plus-unit": (Edit(SPLIT, ("witnesses", "e_plus"), ["1", "0"]),
+                    {"idempotents_orthogonal", "idempotents_sum_to_unit"}),
+    "e-plus-x": (Edit(SPLIT, ("witnesses", "e_plus"), ["0", "1"]),
+                 {"e_plus_idempotent", "idempotents_orthogonal", "idempotents_sum_to_unit"}),
+    "e-minus-x": (Edit(SPLIT, ("witnesses", "e_minus"), ["0", "1"]),
+                  {"e_minus_idempotent", "idempotents_orthogonal", "idempotents_sum_to_unit"}),
+    "I1-two-rows": (Edit(SPLIT, ("witnesses", "I1"), _rows("100100", "010010")),
+                    {"I1_bracket_closed", "I1_dim_3", "I1_ideal", "I1_perfect",
+                     "sum_is_everything"}),
+    "I2-two-rows": (Edit(SPLIT, ("witnesses", "I2"), _rows("100200", "010020")),
+                    {"I2_bracket_closed", "I2_dim_3", "I2_ideal", "I2_perfect",
+                     "sum_is_everything"}),
+    "I1-is-I2": (Edit(SPLIT, ("witnesses", "I1"), _rows("100200", "010020", "001002")),
+                 {"sum_direct", "sum_is_everything"}),
+    "extension-other": (Edit(SIMPLE, ("witnesses", "extension"), "Q[sqrt 6]"),
+                        {"recorded_extension_matches"}),
+    "D-a-square": (Patch("is_square", lambda real: lambda x: x, CLASSIFY_Q_SIMPLE),
+                   {"discriminant_non_square"}),
     "no-derived-step": (
         Patch("derived_series_of_subspace", lambda real: lambda *a: real(*a)[:-1], CLASSIFY_F2),
         {"R_abelian", "R_solvable"}),

@@ -45,8 +45,9 @@ from orthocurrent.scalars import (
     prime_field,
     quadratic_extension,
     rationals,
+    render_scalar,
 )
-from orthocurrent.structure import _derived_span
+from orthocurrent.structure import _derived_span, table_to_json
 
 from reference import (
     SpanSolver,
@@ -154,17 +155,40 @@ def test_construction_rejects_bad_constants():
     assert jacobi_failure(alg) == (0, 1, 2)
 
 
+def test_brackets_are_kept_canonical():
+    """Zero coordinates, empty brackets and the order of keys are not part
+    of an algebra: brackets that differ only in them build equal algebras,
+    with the same kept brackets.  A bad index is still refused."""
+    one, two, zero = Q.from_int(1), Q.from_int(2), Q.zero()
+    plain = LieAlgebraSC(Q, 3, {(0, 1): {2: one}, (1, 2): {0: two}})
+    for brackets in (
+        {(0, 1): {2: one, 0: zero}, (1, 2): {0: two}},
+        {(0, 1): {2: one}, (0, 2): {}, (1, 2): {0: two}},
+        {(1, 2): {0: two}, (0, 1): {2: one}},
+        {(0, 1): {1: zero, 2: one}, (0, 2): {0: zero}, (1, 2): {0: two, 2: zero}},
+    ):
+        alg = LieAlgebraSC(Q, 3, brackets)
+        assert alg == plain and alg.brackets == {(0, 1): {2: one}, (1, 2): {0: two}}
+    wide = LieAlgebraSC(Q, 4, {(0, 1): {2: one}, (1, 2): {0: two}})
+    over_f3 = LieAlgebraSC(F3, 3, {(0, 1): {2: F3.one()}, (1, 2): {0: F3.from_int(2)}})
+    assert plain != wide and plain != over_f3
+    with pytest.raises(InvalidStructure, match="coordinate index"):
+        LieAlgebraSC(Q, 3, {(0, 1): {2: one, 3: zero}})
+
+
 def test_table_is_antisymmetric_by_construction():
-    """[e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0 in the full table, so
-    [x, x] = 0 also in characteristic 2."""
+    """[e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0 in the full table that
+    the documents render from the brackets, and [x, x] = 0 also in
+    characteristic 2."""
     for field in (Q, F2, F3):
         alg = LieAlgebraSC(field, 3, brackets_of({
             (0, 1): fe(field, [0, 0, 1]), (1, 2): fe(field, [1, 0, 0]),
             (0, 2): fe(field, [0, -1, 0])}))
+        table = table_to_json(alg)
         for i in range(3):
-            assert alg.constants[i][i] == fe(field, [0, 0, 0])
+            assert table[i][i] == ["0", "0", "0"]
             for j in range(3):
-                assert alg.constants[j][i] == tuple(-x for x in alg.constants[i][j])
+                assert table[j][i] == [render_scalar(-parse_scalar(x, field)) for x in table[i][j]]
         rng = random.Random(4)
         for _ in range(5):
             u = tuple(random_element(field, rng) for _ in range(3))
@@ -236,8 +260,9 @@ def test_center_examples():
     the kernel of the stacked adjoint operators."""
     for field in (Q, F2):
         m = current_algebra([field.one()] * 4)
-        adjoints = [[m.constants[i][j][k] for j in range(m.dim)]
-                    for i in range(m.dim) for k in range(m.dim)]
+        basis = [m.basis_vector(i) for i in range(m.dim)]
+        columns = [[m.bracket(x, y) for y in basis] for x in basis]  # ad(x) e_j
+        adjoints = [[col[k] for col in cols] for cols in columns for k in range(m.dim)]
         assert kernel(Matrix(field, adjoints)).dim == 0
 
 
@@ -321,13 +346,8 @@ def _solved_constants(field, mats):
     coordinates solved by elimination and an inverse change of basis."""
     n = len(mats)
     solver = SpanSolver(field, [flat(m) for m in mats], mats[0].nrows * mats[0].ncols)
-    zero_vec = tuple(field.zero() for _ in range(n))
-    constants = [[zero_vec] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            constants[i][j] = solver.coordinates(flat(dense_commutator(mats[i], mats[j])))
-            constants[j][i] = tuple(-x for x in constants[i][j])
-    return tuple(tuple(row) for row in constants)
+    return {(i, j): solver.coordinates(flat(dense_commutator(mats[i], mats[j])))
+            for i in range(n) for j in range(i + 1, n)}
 
 
 @pytest.mark.parametrize(
@@ -343,7 +363,7 @@ def test_own_entry_coordinates_match_the_span_solver(literal, seed):
     for mats in (dense_basis(*entries), dense_basis(*entries[:3]),
                  skew_matrices(diagonal_form(field, entries))):
         built = algebra_from_matrices(field, [sparse(m) for m in mats])
-        assert built.constants == _solved_constants(field, mats)
+        assert built.brackets == brackets_of(_solved_constants(field, mats))
 
 
 def test_an_escaping_commutator_is_refused():
@@ -418,7 +438,7 @@ def test_quotient_product_is_a_unital_commutative_ring(literal, n, seed):
         power = mul(power, x)
     assert power == (s,) + (zero,) * (n - 1)
     core = current_algebra([one] * 3)
-    assert tensor_current(core, s, 1).constants == core.constants
+    assert tensor_current(core, s, 1) == core
 
 
 def test_quotient_product_refuses_factors_of_different_lengths():
@@ -478,13 +498,13 @@ def test_algebra_from_matrices_refuses_a_patched_commutator(monkeypatch):
                 mp.setattr(liealg, "commutator", patched)
                 with pytest.raises(InvalidStructure, match="realization matrices 3,5 disagrees"):
                     algebra_from_matrices(field, basis)
-        assert algebra_from_matrices(field, basis).constants == current_algebra(
-            [parse_scalar(x, field) for x in literals.split(",")]).constants
+        assert algebra_from_matrices(field, basis) == current_algebra(
+            [parse_scalar(x, field) for x in literals.split(",")])
 
 
 def test_realization_mismatch_names_the_first_disagreeing_pair():
     """The dense reference that the random-W test leans on: None for M's
-    own constants, and the pair of a changed constant otherwise."""
+    own brackets, and the pair of a changed bracket otherwise."""
     f3s2 = quadratic_extension(F3, F3.from_int(2))
     cases = [
         (Q, ["1", "2", "3", "4"]),
@@ -495,13 +515,11 @@ def test_realization_mismatch_names_the_first_disagreeing_pair():
     for field, literals in cases:
         values = [parse_scalar(x, field) for x in literals]
         m, mats = current_algebra(values), dense_basis(*values)
-        assert realization_mismatch(m.constants, mats) is None
-        # One constant changed: [h1, h3] gains an f2 component.
-        constants = [list(row) for row in m.constants]
-        entry = list(constants[3][5])
-        entry[1] = entry[1] + field.one()
-        constants[3][5] = tuple(entry)
-        assert realization_mismatch(constants, mats) == (3, 5)
+        assert realization_mismatch(m.brackets, mats) is None
+        # One bracket changed: [h1, h3] gains an f2 component.
+        brackets = {pair: dict(c) for pair, c in m.brackets.items()}
+        brackets[3, 5][1] = brackets[3, 5].get(1, field.zero()) + field.one()
+        assert realization_mismatch(brackets, mats) == (3, 5)
 
 
 def test_sparse_skew_check_matches_the_dense_products():

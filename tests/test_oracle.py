@@ -48,10 +48,11 @@ def scan_ideals(alg):
     """Reference: test every subspace of F_q^n for ad-invariance, then sort
     by (dimension, pivots, rows)."""
     q, n = alg.field.p, alg.dim
-    ads = [
-        [[alg.constants[i][j][k].payload for j in range(n)] for k in range(n)]
-        for i in range(n)
-    ]
+    basis = [alg.basis_vector(i) for i in range(n)]
+    ads = []
+    for x in basis:
+        columns = [alg.bracket(x, y) for y in basis]  # ad(x) e_j
+        ads.append([[col[k].payload for col in columns] for k in range(n)])
 
     def invariant(pivots, rows):
         for v in rows:

@@ -19,8 +19,7 @@ from orthocurrent.liealg import (
     current_algebra,
     current_basis,
     derived_subspace,
-    paper_table,
-    table_rows,
+    table_brackets,
     tensor_current,
 )
 from orthocurrent.scalars import (
@@ -387,12 +386,12 @@ def test_the_proof_makes_no_field_arithmetic(monkeypatch):
 @given(seed=st.integers(0, 2**32))
 def test_paper_table_is_core_tensor_quadratic_quotient(literal, seed):
     """The paper's table rows, specialized to nonzero (a, b, c, d), are the
-    constants of core(a, b, c) (x) F[X]/(X^2 - abcd)."""
+    brackets of core(a, b, c) (x) F[X]/(X^2 - abcd)."""
     field = parse_field(literal)
     rng = random.Random(seed)
     a, b, c, d = (random_element(field, rng, nonzero=True) for _ in range(4))
     expected = tensor_current(current_algebra((a, b, c)), a * b * c * d, 2)
-    assert paper_table(table_rows(a, b, c, d)) == expected.constants
+    assert table_brackets(a, b, c, d) == expected.brackets
 
 
 LEG_FIELDS = ["Q", "F3", "F3(t)", "F2(t)", "F3[sqrt 2]", "F2(t)[sqrt t+1]"]
@@ -417,7 +416,7 @@ def test_wedges_are_the_conjugated_distinguished_basis(literal, seed):
     _, _, rows, primed = structure._orthogonal_rows(pipe, random.Random(seed), 32)
     conjugates = conjugated_current_basis(rows, primed)
     assert wedge_basis(pipe.form.gram, rows, primed) == conjugates
-    assert realization_mismatch(paper_table(table_rows(*primed)), conjugates) is None
+    assert realization_mismatch(table_brackets(*primed), conjugates) is None
     flats = [flat(m) for m in conjugates]
     assert all(pipe.derived_span.contains(v) for v in flats)
     span = canonicalize_subspace(field, flats, 16)
@@ -425,7 +424,7 @@ def test_wedges_are_the_conjugated_distinguished_basis(literal, seed):
     cleared = [flat(scaled(common_denominator(field, flat(m)), m)) for m in conjugates]
     assert canonicalize_subspace(field, cleared, 16) == span
     at_primed = current_algebra(primed)
-    assert at_primed.constants == paper_table(table_rows(*primed))
+    assert at_primed.brackets == table_brackets(*primed)
     assert structure._spans(current_basis(*primed),
                             structure._derived_span(diagonal_form(field, primed))[1])
 
@@ -582,7 +581,7 @@ def test_descent_certificate_over_quadratic_extension():
     assert _ok(cert) and cert["extension_kind"] == "quadratic"
     # Lifting is a ring map: the core built over ext has the lifted table.
     built = current_algebra([lift_to_extension(x, ext) for x in pipe.entries[:3]])
-    assert built.constants == lifted.constants
+    assert built == lifted
 
 
 def test_descent_rejects_unrelated_fields():
