@@ -11,7 +11,6 @@ from .scalars import (
     parse_field,
     parse_scalar,
     poly_gcd,
-    poly_squarefree,
     prime_field,
     pth_root,
     quadratic_extension,

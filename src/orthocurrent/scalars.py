@@ -8,9 +8,10 @@ and monic denominator, coordinate pairs over the base), so structural
 equality coincides with mathematical equality and elements are hashable.
 
 Square roots are decided constructively: integer square roots for Q,
-Tonelli-Shanks for F_p, squarefree decomposition for F_p(t), and a
-norm argument (characteristic not 2) or Frobenius-part decomposition
-(characteristic 2) for quadratic extensions.
+Tonelli-Shanks for F_p, roots read off the coefficients of numerator and
+denominator for F_p(t) (top-down for odd p, the Frobenius inverse for
+p = 2), and a norm argument (characteristic not 2) or Frobenius-part
+decomposition (characteristic 2) for quadratic extensions.
 """
 
 from __future__ import annotations
@@ -202,20 +203,6 @@ class Poly:
             return self
         return self.scale(pow(self.leading, -1, self.p))
 
-    def derivative(self) -> Poly:
-        p = self.p
-        return Poly(p, [i * c % p for i, c in enumerate(self.coeffs)][1:])
-
-    def pow(self, n: int) -> Poly:
-        result = Poly.const(self.p, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __repr__(self) -> str:
         return f"Poly(p={self.p}, coeffs={self.coeffs})"
 
@@ -319,58 +306,43 @@ def _poly_pth_root(f: Poly) -> Optional[Poly]:
     exponent is a multiple of p; coefficients are fixed by Frobenius.
     """
     p = f.p
-    if f.is_zero():
-        return f
-    root = [0] * (f.degree // p + 1)
-    for i, c in enumerate(f.coeffs):
-        if i % p:
-            if c:
-                return None
-        else:
-            root[i // p] = c
-    return Poly(p, root)
+    coeffs = f.coeffs
+    if any(c for i, c in enumerate(coeffs) if i % p):
+        return None
+    return Poly(p, coeffs[::p], normalize=False)
 
 
-def poly_squarefree(f: Poly) -> list[tuple[Poly, int]]:
-    """Squarefree decomposition f = c * prod g_i^i over F_p.
+def _poly_sqrt(f: Poly) -> Optional[Poly]:
+    """Square root of f in F_p[t] whose leading coefficient is the least
+    residue, or None.
 
-    Factors are monic, squarefree and pairwise coprime; the unit c is the
-    leading coefficient of f.  The f' = 0 branch extracts an exact p-th
-    root and recurses with multiplicities scaled by p.
+    For p = 2 squaring is Frobenius.  For odd p the root g of degree m is
+    solved from the top: g_m is the root of f's leading coefficient, and
+    the coefficient of t^(m+k) in g^2 gives
+    g_k = (f_(m+k) - sum_(k<i<m) g_i g_(m+k-i)) / (2 g_m).  The candidate
+    is then squared back.
     """
-    if f.is_zero():
-        raise DomainError("squarefree decomposition of zero")
-    f = f.monic()
-    if f.degree < 1:
-        return []
-    out: dict[int, Poly] = {}
-
-    def merge(g: Poly, m: int) -> None:
-        if g.degree >= 1:
-            out[m] = out[m] * g if m in out else g
-
-    d = f.derivative()
-    if d.is_zero():
-        root = _poly_pth_root(f)
-        for g, m in poly_squarefree(root):
-            merge(g, m * f.p)
-    else:
-        c = poly_gcd(f, d)
-        w = f // c
-        i = 1
-        while not w.is_one():
-            y = poly_gcd(w, c)
-            merge(w // y, i)
-            w = y
-            c = c // y
-            i += 1
-        if not c.is_one():
-            root = _poly_pth_root(c)
-            if root is None:
-                raise DomainError("residual gcd factor must be a p-th power")
-            for g, m in poly_squarefree(root):
-                merge(g, m * f.p)
-    return [(g, m) for m, g in sorted(out.items())]
+    p = f.p
+    if p == 2:
+        return _poly_pth_root(f)
+    coeffs = f.coeffs
+    n = len(coeffs) - 1
+    if n < 0:
+        return f
+    if n % 2:
+        return None
+    lead = _prime_sqrt(coeffs[n], p)
+    if lead is None:
+        return None
+    inv_2lead = pow(2 * lead, -1, p)
+    # top[j] is g_(m-j), so the coefficient of t^(n-j) in g^2 is
+    # sum_(i+l=j) top[i] top[l].
+    top = [lead]
+    for j in range(1, n // 2 + 1):
+        rest = sum(top[i] * top[j - i] for i in range(1, j))
+        top.append((coeffs[n - j] - rest) * inv_2lead % p)
+    g = Poly(p, tuple(reversed(top)), normalize=False)
+    return g if g * g == f else None
 
 
 # ---------------------------------------------------------------------------
@@ -747,44 +719,25 @@ def _prime_sqrt(x: int, p: int) -> Optional[int]:
 
 
 def _funfield_sqrt(x: FieldElement) -> Optional[FieldElement]:
-    field = x.field
-    p = field.p
+    # Coprime parts are squares exactly when their quotient is, and their
+    # roots stay coprime; a monic denominator has a monic root.
     num, den = x.payload
-    if num.is_zero():
-        return field.zero()
-    unit = num.leading
-    unit_root = _prime_sqrt(unit, p)
-    if unit_root is None:
+    root_num = _poly_sqrt(num)
+    if root_num is None:
         return None
-    root_num = Poly.const(p, unit_root)
-    for g, m in poly_squarefree(num):
-        if m % 2:
-            return None
-        root_num = root_num * g.pow(m // 2)
-    root_den = Poly.const(p, 1)
-    if not den.is_one():
-        for g, m in poly_squarefree(den):
-            if m % 2:
-                return None
-            root_den = root_den * g.pow(m // 2)
-    return _make_ratio(field, root_num, root_den, reduced=True)
+    root_den = den if den.is_one() else _poly_sqrt(den)
+    if root_den is None:
+        return None
+    return FieldElement(x.field, (root_num, root_den))
 
 
 def _frobenius_split(x: FieldElement) -> tuple[FieldElement, FieldElement]:
     """Write x in F_2(t) as x0^2 + t*x1^2 and return (x0, x1)."""
     field = x.field
-    p = field.p
     num, den = x.payload
-    prod = num * den
-    even = [0] * (prod.degree // 2 + 1) if not prod.is_zero() else []
-    odd = [0] * (prod.degree // 2 + 1) if not prod.is_zero() else []
-    for i, c in enumerate(prod.coeffs):
-        if i % 2 == 0:
-            even[i // 2] = c
-        else:
-            odd[i // 2] = c
-    x0 = _make_ratio(field, Poly(p, even), den)
-    x1 = _make_ratio(field, Poly(p, odd), den)
+    prod = (num * den).coeffs
+    x0 = _make_ratio(field, Poly(2, prod[::2]), den)
+    x1 = _make_ratio(field, Poly(2, prod[1::2]), den)
     return x0, x1
 
 
@@ -861,11 +814,13 @@ def pth_root(x: FieldElement) -> Optional[FieldElement]:
         return x
     if kind == KIND_FUNFIELD:
         num, den = x.payload
+        # The roots of coprime parts are coprime, and that of a monic
+        # denominator is monic.
         rn = _poly_pth_root(num)
         rd = _poly_pth_root(den)
         if rn is None or rd is None:
             return None
-        return _make_ratio(field, rn, rd)
+        return FieldElement(field, (rn, rd))
     raise DomainError("p-th roots are defined for prime and function fields")
 
 

@@ -440,6 +440,100 @@ def common_denominator(field: FieldDescriptor, xs: Sequence[FieldElement]) -> Fi
     return field.one()
 
 
+def poly_power(f: Poly, n: int) -> Poly:
+    out = Poly.const(f.p, 1)
+    for _ in range(n):
+        out = out * f
+    return out
+
+
+def _poly_derivative(f: Poly) -> Poly:
+    p = f.p
+    return Poly(p, [i * c for i, c in enumerate(f.coeffs)][1:])
+
+
+def _poly_pth_root(f: Poly) -> Poly:
+    """The p-th root of a polynomial whose derivative vanishes: every
+    exponent is a multiple of p, and Frobenius fixes F_p."""
+    p = f.p
+    assert all(not c for i, c in enumerate(f.coeffs) if i % p)
+    return Poly(p, f.coeffs[::p])
+
+
+def poly_squarefree(f: Poly) -> list[tuple[Poly, int]]:
+    """Squarefree decomposition f = c * prod g_i^i over F_p (Yun's
+    algorithm, with the p-th-root step of characteristic p).
+
+    Factors are monic, squarefree and pairwise coprime; the unit c is the
+    leading coefficient of f.  Where f' = 0, and for the factor left over
+    once Yun's loop ends, the p-th root is taken and the multiplicities of
+    its decomposition are scaled by p.
+    """
+    assert not f.is_zero()
+    f = f.monic()
+    if f.degree < 1:
+        return []
+    out: dict[int, Poly] = {}
+
+    def merge(g: Poly, m: int) -> None:
+        if g.degree >= 1:
+            out[m] = out[m] * g if m in out else g
+
+    d = _poly_derivative(f)
+    if d.is_zero():
+        rest = f
+    else:
+        c = poly_gcd(f, d)
+        w = f // c
+        i = 1
+        while not w.is_one():
+            y = poly_gcd(w, c)
+            merge(w // y, i)
+            w, c, i = y, c // y, i + 1
+        rest = c
+    if not rest.is_one():
+        for g, m in poly_squarefree(_poly_pth_root(rest)):
+            merge(g, m * f.p)
+    return [(g, m) for m, g in sorted(out.items())]
+
+
+def funfield_sqrt(x: FieldElement) -> Optional[FieldElement]:
+    """The square root of x in F_p(t) by the squarefree decompositions of
+    numerator and denominator, or None: x is a square exactly when its
+    leading coefficient is a residue (Euler's criterion) and every
+    multiplicity is even.  Of the two roots, the one whose numerator leads
+    with the least residue."""
+    field = x.field
+    p = field.p
+    num, den = x.payload
+    if num.is_zero():
+        return x
+    lead = num.leading
+    if p != 2 and pow(lead, (p - 1) // 2, p) != 1:
+        return None
+    parts = []
+    for f in (num, den):
+        root = Poly.const(p, 1)
+        for g, m in poly_squarefree(f):
+            if m % 2:
+                return None
+            root = root * poly_power(g, m // 2)
+        parts.append(root)
+    # Both roots of the leading coefficient are tried; one is the least.
+    r = next(r for r in _residue_roots(lead, p) if 2 * r <= p)
+    return FieldElement(field, (parts[0].scale(r), parts[1]))
+
+
+def _residue_roots(a: int, p: int):
+    """The square roots of the residue a mod p, found by search for small
+    p and by an exponent for p = 3 mod 4."""
+    if p < 1000:
+        return [r for r in range(p) if r * r % p == a]
+    assert p % 4 == 3
+    r = pow(a, (p + 1) // 4, p)
+    return [r, p - r]
+
+
 def iter_echelon(q: int, n: int, k: int):
     """All canonical echelon bases of k-dimensional subspaces of F_q^n as
     (pivots, integer rows): choose pivot columns, then run an odometer

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orthocurrent import cli, forms, liealg, scalars, structure
+from orthocurrent import cli, forms, liealg, structure
 from orthocurrent.cli import execute, main, parse_args, recheck_json
 from orthocurrent.scalars import MAX_LITERAL_DIGITS, MAX_TOWER_HEIGHT
 
@@ -489,19 +489,13 @@ class _LyingForm:
 
 
 def test_unreachable_internal_faults_exit_1(monkeypatch):
-    """The two faults that orthogonalization and the squarefree split claim
-    unreachable are domain errors: forced, each exits 1 with its message
-    and no traceback, where an AssertionError escaped `execute`."""
+    """The fault that orthogonalization claims unreachable is a domain
+    error: forced, it exits 1 with its message and no traceback, where an
+    AssertionError escaped `execute`."""
     real = forms.orthogonalize
-    with monkeypatch.context() as mp:
-        mp.setattr(structure, "orthogonalize", lambda form: real(_LyingForm(form)))
-        assert run(["verify", "--field", "Q", "--form", "1,2,3,4"]) == (
-            1, "error: orthogonalization failed to converge")
-    # D = t^3 (t + 1) over F3(t): its squarefree split reaches the residual t^3.
-    with monkeypatch.context() as mp:
-        mp.setattr(scalars, "_poly_pth_root", lambda f: None)
-        assert run(["classify", "--field", "F3(t)", "--form", "1,1,t^3,t+1"]) == (
-            1, "error: residual gcd factor must be a p-th power")
+    monkeypatch.setattr(structure, "orthogonalize", lambda form: real(_LyingForm(form)))
+    assert run(["verify", "--field", "Q", "--form", "1,2,3,4"]) == (
+        1, "error: orthogonalization failed to converge")
 
 
 def test_recheck_unknown_document_fails():

@@ -1,13 +1,14 @@
-"""A falsifier for every check name of the classify and counterexample
-documents.
+"""A falsifier for every check name of the classify, verify, table,
+oracle and counterexample documents.
 
 Each entry of FALSIFIERS breaks one thing and names the checks that must
 then fail, and no others.  A falsifier is either
 
 - an `Edit`: one leaf of a golden document set to a new value, the
   document then rechecked by `cli.recheck_json`; or
-- a `Patch`: one library function replaced for one command run through
-  `cli.execute`, for checks that no well-formed document can fail.
+- a `Patch`: one function of `structure` or `cli` replaced for one
+  command run through `cli.execute`, for checks that no well-formed
+  document can fail.
 
 `test_every_check_name_has_a_falsifier` reads the check names of the
 golden documents in DOCUMENTS and fails for a name that no entry fails.
@@ -19,11 +20,12 @@ import json
 from dataclasses import dataclass, replace
 from functools import reduce
 from pathlib import Path
+from types import ModuleType
 from typing import Callable
 
 import pytest
 
-from orthocurrent import structure
+from orthocurrent import cli, structure
 from orthocurrent.cli import execute, parse_args, recheck_json
 from orthocurrent.exact_linalg import canonicalize_subspace
 
@@ -34,6 +36,9 @@ DOCUMENTS = (
     "f2-semidirect.recheck.json",
     "f3-split.classify.json",
     "f3-split.recheck.json",
+    "f3-split.verify.json",
+    "f3-split.table.json",
+    "f3-split.oracle.json",
     "q-simple.classify.json",
     "q-simple.recheck.json",
     "counterexample-p2.json",
@@ -73,14 +78,16 @@ class Edit:
 
 @dataclass(frozen=True)
 class Patch:
-    """Replace `structure.<name>` by `wrap(real)` and run the command."""
+    """Replace `<module>.<name>` by `wrap(real)` and run the command."""
 
     name: str
     wrap: Callable
     argv: tuple
+    module: ModuleType = structure
 
     def failed(self, monkeypatch) -> set[str]:
-        monkeypatch.setattr(structure, self.name, self.wrap(getattr(structure, self.name)))
+        real = getattr(self.module, self.name)
+        monkeypatch.setattr(self.module, self.name, self.wrap(real))
         code, out = execute(parse_args([*self.argv, "--json"]))
         doc = json.loads(out)
         failed = _failed(doc["checks"] + doc.get("descent_checks", []))
@@ -92,6 +99,10 @@ CLASSIFY_F2 = ("classify", "--field", "F2", "--form", "1,1,1,1")
 COUNTER_P2 = ("counterexample", "--p", "2")
 COUNTER_P3 = ("counterexample", "--p", "3")
 CLASSIFY_Q_SIMPLE = ("classify", "--field", "Q", "--form", "1/2,3,-1,6")
+# The f3-split golden form.
+VERIFY_F3 = ("verify", "--field", "F3", "--form", "1,2,1,2")
+TABLE_F3 = ("table", "--field", "F3", "--form", "1,2,1,2")
+ORACLE_F3 = ("oracle", "--q", "3", "--form", "1,2,1,2")
 SEMIDIRECT = "f2-semidirect.classify.json"
 SPLIT = "f3-split.classify.json"
 SIMPLE = "q-simple.classify.json"
@@ -99,6 +110,40 @@ SIMPLE = "q-simple.classify.json"
 
 def _rows(*bits: str) -> list[list[str]]:
     return [list(b) for b in bits]
+
+
+def _drop_core_row(real):
+    """_derived_span with one basis row of [L, L] dropped for 3 x 3 forms."""
+    def patched(form):
+        dim, span = real(form)
+        if form.dim == 3:
+            span = canonicalize_subspace(span.field, span.basis.rows[:-1], span.ambient_dim)
+        return dim, span
+    return patched
+
+
+def _flip_second_call(real):
+    """is_square answering the other way on its second call: in verify,
+    the square class of the random W's discriminant."""
+    calls = []
+
+    def patched(x):
+        calls.append(x)
+        root = real(x)
+        if len(calls) != 2:
+            return root
+        return x if root is None else None
+    return patched
+
+
+def _double_first_coefficient(real):
+    def patched(*entries):
+        brackets = real(*entries)
+        row = next(iter(brackets.values()))
+        k = next(iter(row))
+        row[k] = row[k] + row[k]
+        return brackets
+    return patched
 
 
 # name -> (falsifier, the checks it must fail)
@@ -148,6 +193,24 @@ FALSIFIERS = {
                  {"sum_direct", "sum_is_everything"}),
     "extension-other": (Edit(SIMPLE, ("witnesses", "extension"), "Q[sqrt 6]"),
                         {"recorded_extension_matches"}),
+    "identity-no-table": (Patch("prove_identity", lambda real: lambda: (False, True), VERIFY_F3),
+                          {"random_w_tables_match"}),
+    "identity-no-span": (Patch("prove_identity", lambda real: lambda: (True, False), VERIFY_F3),
+                         {"random_w_spans_match"}),
+    "skew-dim-off-by-one": (
+        Patch("_derived_span", lambda real: lambda form: (real(form)[0] + 1, real(form)[1]),
+              VERIFY_F3),
+        {"dimension_laws"}),
+    "core-derived-row-dropped": (Patch("_derived_span", _drop_core_row, VERIFY_F3),
+                                 {"core_basis_spans_derived", "dimension_laws"}),
+    "random-w-square-class-flipped": (Patch("is_square", _flip_second_call, VERIFY_F3),
+                                      {"random_w_square_class_invariant"}),
+    "table-coefficient-doubled": (
+        Patch("table_brackets", _double_first_coefficient, TABLE_F3, cli),
+        {"table_matches_computed"}),
+    "oracle-ideal-missing": (
+        Patch("enumerate_ideals", lambda real: lambda alg: real(alg)[:-1], ORACLE_F3, cli),
+        {"enumeration_complete"}),
     "D-a-square": (Patch("is_square", lambda real: lambda x: x, CLASSIFY_Q_SIMPLE),
                    {"discriminant_non_square"}),
     "no-derived-step": (

@@ -23,7 +23,6 @@ from orthocurrent.scalars import (
     parse_field,
     parse_scalar,
     poly_gcd,
-    poly_squarefree,
     prime_field,
     pth_root,
     quadratic_extension,
@@ -32,7 +31,13 @@ from orthocurrent.scalars import (
     render_scalar,
 )
 
-from reference import common_denominator, random_element
+from reference import (
+    common_denominator,
+    funfield_sqrt,
+    poly_power,
+    poly_squarefree,
+    random_element,
+)
 
 Q = rationals()
 F2 = prime_field(2)
@@ -201,19 +206,68 @@ def test_poly_gcd_examples():
 
 
 def test_poly_squarefree_examples():
+    # The reference decomposition that the root tests compare against.
     t = Poly(2, (0, 1))
     assert poly_squarefree(Poly(2, (0, 0, 1))) == [(t, 2)]
     # derivative vanishes: t^2+1 = (t+1)^2
     assert poly_squarefree(Poly(2, (1, 0, 1))) == [(Poly(2, (1, 1)), 2)]
     assert poly_squarefree(Poly(2, (0, 1, 1))) == [(Poly(2, (0, 1, 1)), 1)]
     # mixed multiplicities over F_3: t^2 (t+1)^3
-    f = Poly(3, (0, 0, 1)) * Poly(3, (1, 1)).pow(3)
+    f = Poly(3, (0, 0, 1)) * poly_power(Poly(3, (1, 1)), 3)
     decomp = poly_squarefree(f)
     rebuilt = Poly.const(3, 1)
     for g, m in decomp:
-        rebuilt = rebuilt * g.pow(m)
+        rebuilt = rebuilt * poly_power(g, m)
     assert rebuilt == f.monic()
     assert sorted(m for _, m in decomp) == [2, 3]
+    # Yun's loop leaves t^3 over F_3 in t^3 (t + 1): the p-th-root step
+    t3 = Poly(3, (0, 1))
+    assert poly_squarefree(Poly(3, (0, 0, 0, 1, 1))) == [(Poly(3, (1, 1)), 1), (t3, 3)]
+
+
+def _random_ratio(field, rng, num_degree, den_degree):
+    p = field.p
+    one = Poly.const(p, 1)
+    num = Poly(p, [rng.randrange(p) for _ in range(num_degree)] + [rng.randrange(1, p)])
+    den = Poly(p, [rng.randrange(p) for _ in range(den_degree)] + [1])
+    return FieldElement(field, (num, one)) / FieldElement(field, (den, one))
+
+
+# Numerator and denominator degrees of the drawn y: both ends of 0..40 on
+# each side, and a few between.
+ROOT_DEGREES = ((0, 0), (0, 40), (40, 0), (1, 1), (2, 7), (13, 4), (20, 20), (40, 40))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1000003])
+def test_funfield_roots_match_the_squarefree_reference(p):
+    """is_square over F_p(t) decides as the squarefree decomposition does
+    and returns its root, on x, y^2, t y^2 and n y^2 for a non-residue n;
+    pth_root inverts Frobenius and finds no root of t y^p."""
+    field = function_field(p, "t")
+    t = el("t", field)
+    rng = random.Random(p)
+    nonresidue = next((n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1), None)
+    for num_degree, den_degree in ROOT_DEGREES:
+        x = _random_ratio(field, rng, num_degree, den_degree)
+        y = _random_ratio(field, rng, num_degree, den_degree)
+        draws = [x, y * y, t * y * y]
+        if nonresidue is not None:
+            draws.append(field.from_int(nonresidue) * y * y)
+        for z in draws:
+            root = is_square(z)
+            assert root == funfield_sqrt(z), (p, render_scalar(z))
+            assert root is None or root * root == z
+        assert is_square(y * y) is not None
+        if p < 10:
+            assert pth_root(y ** p) == y
+            assert pth_root(t * y ** p) is None
+
+
+def test_funfield_roots_at_the_largest_prime():
+    # Nothing is built per residue, so the largest accepted prime is cheap.
+    field = function_field(3825123056546412979, "t")
+    assert is_square(el("4*t^2+8*t+4", field)) == el("2*t+2", field)
+    assert pth_root(el("t+1", field)) is None
 
 
 def test_canonical_idempotence_and_hash():
