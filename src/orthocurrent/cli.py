@@ -384,7 +384,7 @@ def _document_int(data: dict, key: str) -> int:
 
 def _recheck(data: dict) -> list[dict]:
     command = data.get("command")
-    if command == "classify" or (command is None and "case" in data):
+    if command == "classify":
         return recheck_certificate_json(data)
     if command == "counterexample":
         spec = CommandSpec(command, p=_document_int(data, "p"))

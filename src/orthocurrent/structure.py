@@ -14,7 +14,9 @@ semisimplicity after an inseparable base change over F_p(t).
 Each of these returns the JSON document of its command, built where the
 result is computed; every check in it is a {"name", "ok"} dict.  The
 checker rebuilds everything from a document's field and form literals and
-never trusts recorded flags.
+never trusts recorded flags.  It and `classify` state each decomposition
+case once: `_case_facts` computes the case's facts from its witnesses, and
+each reads its checks off them in the order that CASE_CHECKS records.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ from .scalars import (
     parse_field,
     parse_scalar,
     pth_root,
-    quadratic_extension,
     render_field,
     render_scalar,
 )
@@ -419,10 +420,6 @@ def _core_tensor(*coeffs: Vector) -> Subspace:
     return canonicalize_subspace(field, rows, dim)
 
 
-# The witness checks below are shared by classify and the checker; each
-# caller adds the checks that only it can make around them.
-
-
 def _sum_checks(a: Subspace, b: Subspace) -> list[dict]:
     """A + B is direct exactly when dim(A + B) = dim A + dim B, since
     dim(A meet B) = dim A + dim B - dim(A + B)."""
@@ -433,12 +430,8 @@ def _sum_checks(a: Subspace, b: Subspace) -> list[dict]:
     ]
 
 
-def _ideal_pair_checks(alg: LieAlgebraSC, i1: Subspace, i2: Subspace) -> list[dict]:
-    return [
-        _check("I1_ideal", is_ideal(alg, i1)),
-        _check("I2_ideal", is_ideal(alg, i2)),
-        *_sum_checks(i1, i2),
-    ]
+def _facts(checks: list[dict]) -> dict[str, bool]:
+    return {c["name"]: c["ok"] for c in checks}
 
 
 def _local_facts(alg: LieAlgebraSC, n_space: Subspace, r_space: Subspace,
@@ -451,8 +444,7 @@ def _local_facts(alg: LieAlgebraSC, n_space: Subspace, r_space: Subspace,
     ceil(log2 p) steps, and A an abelian ideal."""
     steps = (p - 1).bit_length()
     series = derived_series_of_subspace(alg, r_space, steps)
-    facts = {c["name"]: c["ok"] for c in
-             _perfect_subspace_checks(alg, n_space, "N") + _sum_checks(n_space, r_space)}
+    facts = _facts(_perfect_subspace_checks(alg, n_space, "N") + _sum_checks(n_space, r_space))
     facts["N_subalgebra"] = facts["N_bracket_closed"]  # a closed subspace is a subalgebra
     facts["R_ideal"] = facts["radical_ideal"] = is_ideal(alg, r_space)
     facts["R_dim_3"] = facts["radical_dim"] = r_space.dim == 3 * (p - 1)
@@ -470,50 +462,68 @@ def _read(facts: dict[str, bool], *names: str) -> list[dict]:
     return [_check(name, facts[name]) for name in names]
 
 
-def _split_certificate(pipe: Pipeline, analysis) -> tuple[dict, list[dict]]:
-    alg = pipe.algebra
-    i1 = _core_tensor(analysis.e_plus)
-    i2 = _core_tensor(analysis.e_minus)
-    checks = _ideal_pair_checks(alg, i1, i2)
-    checks += _perfect_subspace_checks(alg, i1, "I1")
-    checks += _perfect_subspace_checks(alg, i2, "I2")
-    witnesses = {
-        "I1": subspace_to_json(i1),
-        "I2": subspace_to_json(i2),
-        "e_plus": [render_scalar(x) for x in analysis.e_plus],
-        "e_minus": [render_scalar(x) for x in analysis.e_minus],
-        "sqrt_D": render_scalar(analysis.sqrt_d),
-    }
-    return witnesses, checks
+# The variant of F[X]/(X^2 - D) -> the case of M that it decides.
+CASE_OF_VARIANT = {SPLIT: CASE_TWO_IDEALS, LOCAL: CASE_SEMIDIRECT, FIELD: CASE_SIMPLE}
+
+# case -> (classify's check names, the checker's), each in its recorded
+# order.  Only the checker reports the identities of the recorded
+# coefficient witnesses and recorded_extension_matches; only classify
+# reports R_solvable and the descent's inference steps.
+CASE_CHECKS = {
+    CASE_TWO_IDEALS: (
+        ("I1_ideal", "I2_ideal", "sum_direct", "sum_is_everything", "I1_dim_3",
+         "I1_bracket_closed", "I1_perfect", "I2_dim_3", "I2_bracket_closed", "I2_perfect"),
+        ("I1_ideal", "I2_ideal", "sum_direct", "sum_is_everything", "e_plus_idempotent",
+         "e_minus_idempotent", "idempotents_orthogonal", "idempotents_sum_to_unit", "I1_dim_3",
+         "I1_bracket_closed", "I1_perfect", "I2_dim_3", "I2_bracket_closed", "I2_perfect"),
+    ),
+    CASE_SEMIDIRECT: (
+        ("N_subalgebra", "R_ideal", "R_dim_3", "R_abelian", "R_solvable",
+         "sum_direct", "sum_is_everything", "N_dim_3", "N_bracket_closed", "N_perfect"),
+        ("N_subalgebra", "R_ideal", "R_dim_3", "R_abelian", "sum_direct", "sum_is_everything",
+         "nilpotent_nonzero", "nilpotent_squares_to_zero",
+         "N_dim_3", "N_bracket_closed", "N_perfect"),
+    ),
+    CASE_SIMPLE: (
+        ("discriminant_non_square", "perfect_over_extension", "simple_over_extension_dim3",
+         "simple_over_base_by_span"),
+        ("discriminant_non_square", "perfect_over_extension", "recorded_extension_matches"),
+    ),
+}
+
+# The two cases with subspace witnesses -> their document keys: the two
+# subspaces of M, then the vectors of F[X]/(X^2 - D) that classify builds
+# them from, named as in QuadraticAnalysis.
+WITNESS_KEYS = {
+    CASE_TWO_IDEALS: (("I1", "I2"), ("e_plus", "e_minus")),
+    CASE_SEMIDIRECT: (("N", "R"), ("nilpotent",)),
+}
 
 
-def _semidirect_certificate(pipe: Pipeline, analysis) -> tuple[dict, list[dict]]:
-    n_space = _core_tensor((pipe.field.one(), pipe.field.zero()))
-    r_space = _core_tensor(analysis.nilpotent)
-    facts = _local_facts(pipe.algebra, n_space, r_space, r_space, 2)
-    checks = _read(facts, "N_subalgebra", "R_ideal", "R_dim_3", "R_abelian", "R_solvable",
-                   "sum_direct", "sum_is_everything", "N_dim_3", "N_bracket_closed", "N_perfect")
-    witnesses = {
-        "N": subspace_to_json(n_space),
-        "R": subspace_to_json(r_space),
-        "nilpotent": [render_scalar(x) for x in analysis.nilpotent],
-        "sqrt_D": render_scalar(analysis.sqrt_d),
-    }
-    return witnesses, checks
-
-
-def _descent_certificate(pipe: Pipeline, ext: FieldDescriptor) -> tuple[dict, list[dict]]:
-    """The core built over ext = F[sqrt D] from the lifted diagonal, and
-    certified simple by descent; lifting is a ring map, so its brackets
-    are the core's.  The first two checks are discriminant_non_square and
-    perfect_over_extension."""
+def _descent(pipe: Pipeline, ext: FieldDescriptor) -> dict:
+    """The descent document of the core built over ext = F[sqrt D] from the
+    lifted diagonal; lifting is a ring map, so its brackets are the core's."""
     core_ext = current_algebra([lift_to_extension(x, ext) for x in pipe.entries[:3]])
-    descent = certify_simple_via_descent(core_ext, pipe.field)
-    checks = [
-        _check("discriminant_non_square", is_square(pipe.disc) is None),
-        *descent["checks"],
-    ]
-    return {"extension": render_field(ext), "descent": descent}, checks
+    return certify_simple_via_descent(core_ext, pipe.field)
+
+
+def _case_facts(pipe: Pipeline, case: str, *witnesses) -> dict[str, bool]:
+    """Every fact of a decomposition case, keyed by each check name that
+    reports it and computed once, from the case's witnesses: the ideals I1
+    and I2, the subalgebra N and the ideal R, or the descent document over
+    F[sqrt D].  classify and the checker read their checks off it."""
+    alg = pipe.algebra
+    if case == CASE_SEMIDIRECT:
+        n_space, r_space = witnesses
+        return _local_facts(alg, n_space, r_space, r_space, 2)
+    if case == CASE_SIMPLE:
+        [descent] = witnesses
+        return {"discriminant_non_square": is_square(pipe.disc) is None,
+                **_facts(descent["checks"])}
+    i1, i2 = witnesses
+    return {"I1_ideal": is_ideal(alg, i1), "I2_ideal": is_ideal(alg, i2),
+            **_facts(_sum_checks(i1, i2) + _perfect_subspace_checks(alg, i1, "I1")
+                     + _perfect_subspace_checks(alg, i2, "I2"))}
 
 
 def classify(field: FieldDescriptor, entries: Sequence[FieldElement]) -> dict:
@@ -528,15 +538,23 @@ def classify(field: FieldDescriptor, entries: Sequence[FieldElement]) -> dict:
     """
     pipe = build_pipeline(field, entries)
     analysis = analyze_quadratic(pipe.disc)
-    if analysis.variant == SPLIT:
-        case = CASE_TWO_IDEALS
-        witnesses, checks = _split_certificate(pipe, analysis)
-    elif analysis.variant == LOCAL:
-        case = CASE_SEMIDIRECT
-        witnesses, checks = _semidirect_certificate(pipe, analysis)
+    case = CASE_OF_VARIANT[analysis.variant]
+    if case == CASE_SIMPLE:
+        descent = _descent(pipe, analysis.extension)
+        facts = _case_facts(pipe, case, descent)
+        witnesses = {"extension": render_field(analysis.extension), "descent": descent}
     else:
-        case = CASE_SIMPLE
-        witnesses, checks = _descent_certificate(pipe, analysis.extension)
+        space_keys, vector_keys = WITNESS_KEYS[case]
+        vectors = [getattr(analysis, key) for key in vector_keys]
+        # I1, I2 = core (x) e_plus, core (x) e_minus; N, R = core (x) 1, core (x) nilpotent
+        coeffs = vectors if case == CASE_TWO_IDEALS else [(field.one(), field.zero()), *vectors]
+        spaces = [_core_tensor(c) for c in coeffs]
+        facts = _case_facts(pipe, case, *spaces)
+        witnesses = {
+            **{key: subspace_to_json(s) for key, s in zip(space_keys, spaces)},
+            **{key: [render_scalar(x) for x in v] for key, v in zip(vector_keys, vectors)},
+            "sqrt_D": render_scalar(analysis.sqrt_d),
+        }
     return {
         "case": case,
         "field": render_field(field),
@@ -544,7 +562,7 @@ def classify(field: FieldDescriptor, entries: Sequence[FieldElement]) -> dict:
         "D": render_scalar(pipe.disc),
         "table": table_to_json(pipe.algebra),
         "witnesses": witnesses,
-        "checks": [*pipe.identity, *checks],
+        "checks": [*pipe.identity, *_read(facts, *CASE_CHECKS[case][0])],
         "command": "classify",
     }
 
@@ -644,45 +662,26 @@ def recheck_certificate_json(data: dict) -> list[dict]:
     `case_matches_square_class`, before any witness is read."""
     field, entries = document_literals(data)
     pipe = build_pipeline(field, entries)
-    alg = pipe.algebra
     checks = [
         _check("recorded_discriminant_matches", render_scalar(pipe.disc) == data["D"]),
-        _check("recorded_table_matches", table_to_json(alg) == data["table"]),
+        _check("recorded_table_matches", table_to_json(pipe.algebra) == data["table"]),
         *pipe.identity,
     ]
-    case = data["case"]
     analysis = analyze_quadratic(pipe.disc)
-    expected_case = {
-        SPLIT: CASE_TWO_IDEALS,
-        LOCAL: CASE_SEMIDIRECT,
-        FIELD: CASE_SIMPLE,
-    }[analysis.variant]
-    checks.append(_check("case_matches_square_class", case == expected_case))
-    if case != expected_case:
+    case = CASE_OF_VARIANT[analysis.variant]
+    checks.append(_check("case_matches_square_class", data["case"] == case))
+    if data["case"] != case:
         return checks
-    if case == CASE_TWO_IDEALS:
-        i1 = _subspace_from_json(data["witnesses"]["I1"], field, 6)
-        i2 = _subspace_from_json(data["witnesses"]["I2"], field, 6)
-        e_plus = tuple(parse_scalar(x, field) for x in data["witnesses"]["e_plus"])
-        e_minus = tuple(parse_scalar(x, field) for x in data["witnesses"]["e_minus"])
-        checks += _ideal_pair_checks(alg, i1, i2)
-        checks += split_witness_checks(e_plus, e_minus, pipe.disc)
-        checks += _perfect_subspace_checks(alg, i1, "I1")
-        checks += _perfect_subspace_checks(alg, i2, "I2")
-    elif case == CASE_SEMIDIRECT:
-        n_space = _subspace_from_json(data["witnesses"]["N"], field, 6)
-        r_space = _subspace_from_json(data["witnesses"]["R"], field, 6)
-        nilpotent = tuple(parse_scalar(x, field) for x in data["witnesses"]["nilpotent"])
-        facts = _local_facts(alg, n_space, r_space, r_space, 2)
-        checks += _read(facts, "N_subalgebra", "R_ideal", "R_dim_3", "R_abelian",
-                        "sum_direct", "sum_is_everything")
-        checks += nilpotent_witness_checks([nilpotent], pipe.disc)
-        checks += _read(facts, "N_dim_3", "N_bracket_closed", "N_perfect")
+    recorded = data["witnesses"]
+    if case == CASE_SIMPLE:
+        ext = parse_field(recorded["extension"])
+        facts = _case_facts(pipe, case, _descent(pipe, ext))
+        facts["recorded_extension_matches"] = ext == analysis.extension
     else:
-        ext = parse_field(data["witnesses"]["extension"])
-        _, descent_checks = _descent_certificate(pipe, ext)
-        checks += descent_checks[:2]  # discriminant_non_square, perfect_over_extension
-        checks.append(
-            _check("recorded_extension_matches", ext == quadratic_extension(field, pipe.disc))
-        )
-    return checks
+        space_keys, vector_keys = WITNESS_KEYS[case]
+        spaces = [_subspace_from_json(recorded[key], field, 6) for key in space_keys]
+        vectors = [tuple(parse_scalar(x, field) for x in recorded[key]) for key in vector_keys]
+        identities = (split_witness_checks(*vectors, pipe.disc) if case == CASE_TWO_IDEALS
+                      else nilpotent_witness_checks(vectors, pipe.disc))
+        facts = {**_case_facts(pipe, case, *spaces), **_facts(identities)}
+    return checks + _read(facts, *CASE_CHECKS[case][1])

@@ -156,6 +156,23 @@ def test_the_coefficient_product_is_called_by_two_modules_only():
     assert ("coeff_algebra", "local_powers") in others
 
 
+def test_classify_and_the_checker_compute_no_fact_themselves():
+    """classify and recheck_certificate_json read every fact of a
+    decomposition case off the one function that computes it from the
+    case's witnesses: a check computed in either of them directly states
+    the case a second time."""
+    tree = ast.parse((PACKAGE / "structure.py").read_text())
+    fact_makers = {"is_ideal", "_perfect_subspace_checks", "_sum_checks",
+                   "certify_simple_via_descent"}
+    direct = {
+        (scope, name)
+        for name in fact_makers
+        for scope, _ in _constructions(tree, name)
+        if scope in ("classify", "recheck_certificate_json")
+    }
+    assert direct == set()
+
+
 # The per-layer metrics that perfbench/run.py computes itself, from its
 # sessions and span records, rather than from the tracer's installed names.
 RUN_METRICS = {
