@@ -1,4 +1,5 @@
-"""Symmetric bilinear forms: validation, restriction, orthogonalization.
+"""Symmetric bilinear forms: validation, restriction, and orthogonalization
+of the whole space or of the span of given rows.
 
 A form is stored through its Gram matrix together with whether it is
 nondegenerate (its Gram matrix has full rank) and whether it is
@@ -12,7 +13,7 @@ recently completed anisotropic vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .exact_linalg import Matrix, ShapeMismatch, Subspace, canonicalize_subspace, kernel
 from .scalars import DomainError, FieldDescriptor, FieldElement, inv
@@ -43,16 +44,28 @@ class BilinearForm:
         self.nondegenerate = nondegenerate
         self.alternating = alternating
 
-    def evaluate(self, u: Sequence[FieldElement], v: Sequence[FieldElement]) -> FieldElement:
+    def image(self, v: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
+        """G v, the vector whose pairing with u is f(u, v)."""
+        zero = self.field.zero()
+        out = []
+        for row in self.gram.rows:
+            acc = zero
+            for g, x in zip(row, v):
+                if not g.is_zero() and not x.is_zero():
+                    acc = acc + g * x
+            out.append(acc)
+        return tuple(out)
+
+    def pair(self, u: Sequence[FieldElement], gv: Sequence[FieldElement]) -> FieldElement:
+        """f(u, v), given gv = G v."""
         acc = self.field.zero()
-        for i, ui in enumerate(u):
-            if ui.is_zero():
-                continue
-            row = self.gram.rows[i]
-            for j, vj in enumerate(v):
-                if not vj.is_zero() and not row[j].is_zero():
-                    acc = acc + ui * row[j] * vj
+        for x, y in zip(u, gv):
+            if not x.is_zero() and not y.is_zero():
+                acc = acc + x * y
         return acc
+
+    def evaluate(self, u: Sequence[FieldElement], v: Sequence[FieldElement]) -> FieldElement:
+        return self.pair(u, self.image(v))
 
     def __repr__(self) -> str:
         return f"BilinearForm(dim={self.dim} over {self.field!r})"
@@ -107,8 +120,16 @@ class OrthogonalBasisResult:
     diagonal: tuple[FieldElement, ...]
 
 
-def orthogonalize(form: BilinearForm) -> OrthogonalBasisResult:
+def orthogonalize(form: BilinearForm,
+                  rows: Optional[Sequence[Sequence[FieldElement]]] = None,
+                  ) -> OrthogonalBasisResult:
     """Constructive orthogonal basis for a nondegenerate symmetric form.
+
+    Without `rows` the form's own space is orthogonalized, starting from
+    the standard basis.  With `rows`, their span U is, starting from the
+    rows themselves: the basis is returned in the form's coordinates, and
+    the caller vouches that f|_U is nondegenerate.  `diagonal` holds the
+    squares f(b_k, b_k) of the basis rows b_k.
 
     Strategy: repeatedly move an anisotropic vector to the front of the
     unprocessed block and clear its pairings.  If the residual block has
@@ -118,6 +139,11 @@ def orthogonalize(form: BilinearForm) -> OrthogonalBasisResult:
     anisotropic one and back up one position.  A nondegenerate alternating
     block has even dimension, so the widened odd block cannot stay
     alternating and the backup makes progress.
+
+    Each value is computed once: G b_k and f(b_k, b_k) are kept until b_k
+    changes, so the square that the search finds at a pivot is the one
+    inverted there and the one returned, and the pivot's G b_k serves
+    every pairing f(b_j, b_k) it clears.
     """
     if not form.nondegenerate:
         raise Degenerate("cannot orthogonalize a degenerate form")
@@ -125,52 +151,61 @@ def orthogonalize(form: BilinearForm) -> OrthogonalBasisResult:
     char2 = field.characteristic() == 2
     if char2 and form.alternating and form.dim > 0:
         raise AlternatingChar2("alternating form in characteristic 2")
-    n = form.dim
-    basis = [list(row) for row in Matrix.identity(field, n).rows]
-    fv = form.evaluate
+    if rows is None:
+        rows = Matrix.identity(field, form.dim).rows
+    basis = [list(row) for row in rows]
+    n = len(basis)
+    images: list = [None] * n  # G b_k, None once b_k has changed
+    squares: list = [None] * n  # f(b_k, b_k), likewise
+
+    def image(i: int) -> tuple[FieldElement, ...]:
+        if images[i] is None:
+            images[i] = form.image(basis[i])
+        return images[i]
+
+    def square(i: int) -> FieldElement:
+        if squares[i] is None:
+            squares[i] = form.pair(basis[i], image(i))
+        return squares[i]
+
+    def replace(i: int, row: list[FieldElement]) -> None:
+        basis[i], images[i], squares[i] = row, None, None
+
     k = 0
     steps = 0
     while k < n:
         steps += 1
         if steps > 8 * (n + 1):
             raise DomainError("orthogonalization failed to converge")
-        anisotropic = None
-        for i in range(k, n):
-            if not fv(basis[i], basis[i]).is_zero():
-                anisotropic = i
-                break
+        anisotropic = next((i for i in range(k, n) if not square(i).is_zero()), None)
         if anisotropic is None:
             if not char2:
-                repaired = False
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if not fv(basis[i], basis[j]).is_zero():
-                            basis[i] = [x + y for x, y in zip(basis[i], basis[j])]
-                            repaired = True
-                            break
-                    if repaired:
-                        break
-                if not repaired:
+                pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                             if not form.pair(basis[i], image(j)).is_zero()), None)
+                if pair is None:
                     raise Degenerate("residual block pairs to zero")
+                i, j = pair
+                replace(i, [x + y for x, y in zip(basis[i], basis[j])])
                 continue
             # characteristic 2: borrow the previous anisotropic vector
             if k == 0:
                 raise AlternatingChar2("alternating form in characteristic 2")
-            basis[k - 1] = [x + y for x, y in zip(basis[k - 1], basis[k])]
+            replace(k - 1, [x + y for x, y in zip(basis[k - 1], basis[k])])
             k -= 1
             continue
         if anisotropic != k:
-            basis[k], basis[anisotropic] = basis[anisotropic], basis[k]
-        c_inv = inv(fv(basis[k], basis[k]))
+            for cache in (basis, images, squares):
+                cache[k], cache[anisotropic] = cache[anisotropic], cache[k]
+        c_inv = inv(square(k))
+        pivot, pivot_image = basis[k], image(k)
         for j in range(k + 1, n):
-            t = fv(basis[j], basis[k])
+            t = form.pair(basis[j], pivot_image)
             if not t.is_zero():
                 factor = t * c_inv
-                basis[j] = [x - factor * y for x, y in zip(basis[j], basis[k])]
+                replace(j, [x if y.is_zero() else x - factor * y
+                            for x, y in zip(basis[j], pivot)])
         k += 1
-    change = Matrix(field, basis)
-    diagonal = tuple(fv(row, row) for row in basis)
-    return OrthogonalBasisResult(change, diagonal)
+    return OrthogonalBasisResult(Matrix(field, basis), tuple(squares))
 
 
 def orthogonal_complement(form: BilinearForm, subspace: Subspace) -> Subspace:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .coeff_algebra import (
     FIELD,
@@ -42,11 +42,9 @@ from .exact_linalg import (
 )
 from .forms import (
     BilinearForm,
-    Degenerate,
     diagonal_form,
     orthogonal_complement,
     orthogonalize,
-    restrict,
 )
 from .liealg import (
     LieAlgebraSC,
@@ -203,19 +201,19 @@ def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> P
 # ---------------------------------------------------------------------------
 
 
-def _small_element(field: FieldDescriptor, rng: random.Random) -> FieldElement:
-    """Low-height random scalar; keeps degree growth in check."""
+def _small_elements(field: FieldDescriptor) -> Callable[[random.Random], FieldElement]:
+    """A draw of a low-height random scalar, which keeps degree growth in
+    check; over F_p(t) its four candidates are built once, here."""
     kind = field.kind
     if kind == KIND_FUNFIELD:
-        lits = ("0", "1", field.var, f"{field.var}+1")
-        return parse_scalar(rng.choice(lits), field)
+        small = tuple(parse_scalar(x, field) for x in ("0", "1", field.var, f"{field.var}+1"))
+        return lambda rng: rng.choice(small)
     if kind == KIND_QUADEXT:
-        u = _small_element(field.base, rng)
-        v = _small_element(field.base, rng)
-        return FieldElement(field, (u, v))
+        base = _small_elements(field.base)
+        return lambda rng: FieldElement(field, (base(rng), base(rng)))
     if kind == KIND_PRIME:
-        return field.from_int(rng.randrange(field.p))
-    return field.from_int(rng.randint(-2, 2))
+        return lambda rng: field.from_int(rng.randrange(field.p))
+    return lambda rng: field.from_int(rng.randint(-2, 2))
 
 
 def _orthogonal_rows(pipe: Pipeline, rng: random.Random, max_tries: int,
@@ -223,25 +221,29 @@ def _orthogonal_rows(pipe: Pipeline, rng: random.Random, max_tries: int,
     """A random 3-dimensional subspace W with nondegenerate restriction, an
     orthogonal basis w1, w2, w3 of W and w4 spanning its orthogonal
     complement, as (attempt, W, (w1, w2, w3, w4), (a', b', c', d')) with
-    the squares that the orthogonalization claims and d' = f(w4, w4)."""
+    the squares that the orthogonalization claims and d' = f(w4, w4).
+
+    G is nondegenerate, so W^perp is the line through w4, and f|_W is
+    degenerate exactly when W meets W^perp, that is when w4 lies in W.
+    That holds exactly when d' = 0: w4 in W pairs to zero with itself, and
+    if f(w4, w4) = 0, w4 pairs to zero with W + <w4>, which is therefore
+    not the whole space, so w4 lies in W.  d' thus decides each attempt
+    before any orthogonalization, which then runs on W's canonical basis
+    rows themselves."""
     field = pipe.field
     form = pipe.form
+    small = _small_elements(field)
     for attempt in range(1, max_tries + 1):
-        rows = [[_small_element(field, rng) for _ in range(4)] for _ in range(3)]
+        rows = [[small(rng) for _ in range(4)] for _ in range(3)]
         w = canonicalize_subspace(field, rows, 4)
         if w.dim != 3:
             continue
-        restricted = restrict(form, w)
-        if not restricted.nondegenerate:
-            continue
-        ortho = orthogonalize(restricted)
-        w_rows = (ortho.basis * w.basis).rows
-        complement = orthogonal_complement(form, w)
-        w4 = complement.basis.rows[0]
+        w4 = orthogonal_complement(form, w).basis.rows[0]
         d4 = form.evaluate(w4, w4)
         if d4.is_zero():
-            raise Degenerate("orthogonal complement is degenerate")
-        return attempt, w, w_rows + (w4,), tuple(ortho.diagonal) + (d4,)
+            continue
+        ortho = orthogonalize(form, w.basis.rows)
+        return attempt, w, ortho.basis.rows + (w4,), ortho.diagonal + (d4,)
     raise NondegenerateWRequired(
         f"no nondegenerate restriction found in {max_tries} attempts"
     )
@@ -251,13 +253,13 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int,
                   ) -> tuple[dict, list[dict]]:
     """Re-verify the table identity for a random 3-dimensional subspace.
 
-    The restriction is orthogonalized and extended by the 1-dimensional
+    W's basis is orthogonalized under f and extended by the 1-dimensional
     orthogonal complement to an orthogonal basis w1..w4 of the whole
     space, with squares G' = diag(a', b', c', d').  The leg checks:
 
     - isometry: a'b'c'd' != 0, and f(w_r, w_s) is g'_r for r = s and 0
-      otherwise, for the 10 pairs r <= s, that is B G B^T = G' for B the
-      matrix of the rows, with G' nonsingular;
+      otherwise, for the 10 pairs r <= s, each read off G w_s, that is
+      B G B^T = G' for B the matrix of the rows, with G' nonsingular;
     - table and span: `liealg.prove_identity`, run on every call, proves
       over Z[a, b, c, d] that M's distinguished basis has the paper's
       table and spans [L, L] at every diagonal with abcd != 0, so at G'.
@@ -275,8 +277,9 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int,
     attempt, w, rows, primed = _orthogonal_rows(pipe, rng, max_tries)
     form, zero = pipe.form, pipe.field.zero()
     d_primed = primed[0] * primed[1] * primed[2] * primed[3]
+    images = [form.image(row) for row in rows]
     isometry = not d_primed.is_zero() and all(
-        form.evaluate(rows[r], rows[s]) == (primed[r] if r == s else zero)
+        form.pair(rows[r], images[s]) == (primed[r] if r == s else zero)
         for r in range(4) for s in range(r, 4)
     )
     table, span = prove_identity()

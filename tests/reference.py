@@ -10,7 +10,7 @@ from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from orthocurrent.exact_linalg import Matrix, ShapeMismatch, Subspace, canonicalize_subspace
-from orthocurrent.forms import BilinearForm
+from orthocurrent.forms import BilinearForm, orthogonal_complement, orthogonalize, restrict
 from orthocurrent.liealg import (
     InvalidStructure,
     LieAlgebraSC,
@@ -418,6 +418,44 @@ def wedge_basis(gram: Matrix, rows, squares) -> tuple[Matrix, ...]:
         wedge(scaled(b * c, w1), w4),
         wedge(scaled(a * c, w4), w2),
     )
+
+
+def small_element(field: FieldDescriptor, rng) -> FieldElement:
+    """The random-W leg's low-height scalar, its literal parsed on each draw
+    over F_p(t); the draws are the leg's own."""
+    kind = field.kind
+    if kind == KIND_FUNFIELD:
+        return parse_scalar(rng.choice(("0", "1", field.var, f"{field.var}+1")), field)
+    if kind == KIND_QUADEXT:
+        u = small_element(field.base, rng)
+        v = small_element(field.base, rng)
+        return FieldElement(field, (u, v))
+    if kind == KIND_PRIME:
+        return field.from_int(rng.randrange(field.p))
+    return field.from_int(rng.randint(-2, 2))
+
+
+def orthogonal_rows_by_restriction(form: BilinearForm, rng, max_tries: int):
+    """The random-W leg's (attempt, W, rows, squares) by restriction, or None
+    after max_tries attempts: the Gram matrix of f|_W in W's canonical
+    basis, rejected when its rank is short, orthogonalized in W's
+    coordinates, carried back by W's basis and extended by the orthogonal
+    complement."""
+    field = form.field
+    for attempt in range(1, max_tries + 1):
+        rows = [[small_element(field, rng) for _ in range(4)] for _ in range(3)]
+        w = canonicalize_subspace(field, rows, 4)
+        if w.dim != 3:
+            continue
+        restricted = restrict(form, w)
+        if not restricted.nondegenerate:
+            continue
+        ortho = orthogonalize(restricted)
+        w4 = orthogonal_complement(form, w).basis.rows[0]
+        d4 = form.evaluate(w4, w4)
+        assert not d4.is_zero(), "a nondegenerate f|_W has an anisotropic complement"
+        return attempt, w, (ortho.basis * w.basis).rows + (w4,), ortho.diagonal + (d4,)
+    return None
 
 
 def common_denominator(field: FieldDescriptor, xs: Sequence[FieldElement]) -> FieldElement:

@@ -23,6 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {
     ("cli", "recheck_json"): "entry point of the independent checker",
     ("oracle", "gaussian_binomial"): "acceptance criterion 6 and perfbench count subspaces with it",
+    ("forms", "restrict"): "perfbench wraps it for the per-layer metric forms.restrict_ms",
 }
 
 

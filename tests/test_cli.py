@@ -481,14 +481,21 @@ def test_field_towers_are_bounded(capsys):
 
 class _LyingForm:
     """A form that calls every vector isotropic and every pair of distinct
-    vectors paired, so orthogonalization repairs without end."""
+    vectors paired, so orthogonalization repairs without end.  Its "G v"
+    is v itself, so that a pairing can tell which vector it was given."""
 
     def __init__(self, form):
         self.field, self.dim = form.field, form.dim
         self.nondegenerate, self.alternating = True, False
 
+    def image(self, v):
+        return v
+
+    def pair(self, u, gv):
+        return self.field.zero() if u is gv else self.field.one()
+
     def evaluate(self, u, v):
-        return self.field.zero() if u is v else self.field.one()
+        return self.pair(u, self.image(v))
 
 
 def test_unreachable_internal_faults_exit_1(monkeypatch):
@@ -496,7 +503,8 @@ def test_unreachable_internal_faults_exit_1(monkeypatch):
     error: forced, it exits 1 with its message and no traceback, where an
     AssertionError escaped `execute`."""
     real = forms.orthogonalize
-    monkeypatch.setattr(structure, "orthogonalize", lambda form: real(_LyingForm(form)))
+    monkeypatch.setattr(structure, "orthogonalize",
+                        lambda form, rows=None: real(_LyingForm(form), rows))
     assert run(["verify", "--field", "Q", "--form", "1,2,3,4"]) == (
         1, "error: orthogonalization failed to converge")
 

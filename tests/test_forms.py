@@ -181,6 +181,39 @@ def test_orthogonalize_randomized_all_descriptors():
             assert moved.nondegenerate and det(b) ** 2 * det(gram) == det(moved.gram)
 
 
+def test_orthogonalizing_rows_is_orthogonalizing_their_restriction():
+    """orthogonalize(form, rows) runs on the rows in the form's own space:
+    its basis is that of the restriction to their span, orthogonalized in
+    the span's coordinates and carried back by the rows, with the same
+    squares, and it refuses exactly the spans whose restriction is
+    alternating in characteristic 2.  Over F2 the rows e1, e3, e4 of
+    diag(1, 1) + a hyperbolic plane need the borrow."""
+    rng = random.Random(29)
+    borrow = make_form(mat(F2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
+    cases = [(borrow, canonicalize_subspace(F2, [borrow.gram.rows[i] for i in (0, 2, 3)], 4))]
+    for field in [Q, F2, F3, F2T]:
+        while sum(form.field == field for form, _ in cases) < 10:
+            gram = _random_gram(field, rng)
+            if det(gram).is_zero():
+                continue
+            form, n = make_form(gram), gram.nrows
+            rows = [[random_element(field, rng) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            w = canonicalize_subspace(field, rows, n)
+            if w.dim and restrict(form, w).nondegenerate:
+                cases.append((form, w))
+    for form, w in cases:
+        restricted = restrict(form, w)
+        if form.field.characteristic() == 2 and restricted.alternating:
+            for args in ((restricted,), (form, w.basis.rows)):
+                with pytest.raises(AlternatingChar2):
+                    orthogonalize(*args)
+            continue
+        expected = orthogonalize(restricted)
+        found = orthogonalize(form, w.basis.rows)
+        assert found.basis == expected.basis * w.basis
+        assert found.diagonal == expected.diagonal
+
+
 def test_square_class_invariance_under_congruence():
     rng = random.Random(17)
     for field in [Q, F3, F2T]:

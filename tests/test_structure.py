@@ -30,6 +30,7 @@ from orthocurrent.scalars import (
     prime_field,
     quadratic_extension,
     rationals,
+    render_scalar,
 )
 from orthocurrent.structure import (
     CASE_SEMIDIRECT,
@@ -42,6 +43,7 @@ from orthocurrent.structure import (
     classify,
     inseparable_counterexample,
     recheck_certificate_json,
+    subspace_to_json,
     verify_current_form,
 )
 
@@ -56,6 +58,7 @@ from reference import (
     document_subspace,
     flat,
     ideal_closure,
+    orthogonal_rows_by_restriction,
     quotient_algebra,
     random_element,
     realization_mismatch,
@@ -285,29 +288,32 @@ def _verify_f3t_counting(monkeypatch, owner, name, form="1,1,t+1,t"):
 
 
 def test_verify_products_stay_gcd_free(monkeypatch):
-    """441 polynomial gcds here.  The random-W leg checks its rows by 10
+    """236 polynomial gcds here.  The random-W leg checks its rows by 10
     values of the form and rests its table and span on the proof over
     Z[a, b, c, d]; building M and [L', L'] at the primed diagonal read
     794, checking its conjugates' 15 dense commutators 768 on entries
-    cleared of denominators, and about 2900 on fractions."""
-    assert 0 < _verify_f3t_counting(monkeypatch, scalars, "poly_gcd") <= 470
+    cleared of denominators, and about 2900 on fractions.  Restricting f
+    to W to test its rank, and evaluating each square three times, read
+    428."""
+    assert 0 < _verify_f3t_counting(monkeypatch, scalars, "poly_gcd") <= 260
 
 
 def test_verify_multiplications_stay_few(monkeypatch):
-    """530 field multiplications here; building M and [L', L'] at the
-    random-W leg's diagonal read 780, and checking the leg's conjugates by
-    their 15 dense commutators 1698."""
-    assert 0 < _verify_f3t_counting(monkeypatch, scalars.FieldElement, "__mul__") <= 600
+    """327 field multiplications here; building M and [L', L'] at the
+    random-W leg's diagonal read 780, checking the leg's conjugates by
+    their 15 dense commutators 1698, and restricting f to W to test its
+    rank 458."""
+    assert 0 < _verify_f3t_counting(monkeypatch, scalars.FieldElement, "__mul__") <= 360
 
 
 def test_large_literal_verify_multiplications_stay_few(monkeypatch):
-    """543 field multiplications for entries of degree 48 to 50, about as
+    """337 field multiplications for entries of degree 48 to 50, about as
     many as at degree 1; building M and [L', L'] at the random-W leg's
-    diagonal read 793, and checking the leg's conjugates by their 15
-    dense commutators 1711."""
+    diagonal read 793, checking the leg's conjugates by their 15 dense
+    commutators 1711, and restricting f to W to test its rank 468."""
     count = _verify_f3t_counting(
         monkeypatch, scalars.FieldElement, "__mul__", "t^50+1,t^49+2,t^48,t^50+t")
-    assert 0 < count <= 650
+    assert 0 < count <= 370
 
 
 @pytest.mark.parametrize("field_literal, form", LEG_PROOF_FORMS)
@@ -445,6 +451,80 @@ def test_wedges_of_the_standard_basis_are_the_distinguished_basis(literal, seed)
     assert blocks == dense_basis(*entries[:3])
 
 
+def _leg_literals(found):
+    """(attempt, W, rows, squares), or None, as the literals a document holds."""
+    if found is None:
+        return None
+    attempt, w, rows, squares = found
+    return (attempt, subspace_to_json(w), [[render_scalar(x) for x in row] for row in rows],
+            [render_scalar(x) for x in squares])
+
+
+def _leg_rows_or_none(pipe, seed, max_tries):
+    try:
+        return structure._orthogonal_rows(pipe, random.Random(seed), max_tries)
+    except structure.NondegenerateWRequired:
+        return None
+
+
+def _assert_leg_rows_are_the_reference(pipe, seed, max_tries):
+    found = _leg_rows_or_none(pipe, seed, max_tries)
+    expected = orthogonal_rows_by_restriction(pipe.form, random.Random(seed), max_tries)
+    assert _leg_literals(found) == _leg_literals(expected)
+    return found
+
+
+@pytest.mark.parametrize("literal", LEG_FIELDS)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), max_tries=st.integers(1, 4))
+def test_the_leg_rows_are_those_of_the_restriction(literal, seed, max_tries):
+    """The leg decides each attempt by f(w4, w4) and orthogonalizes W's own
+    rows; it returns the same attempt, W, rows and squares, to the byte, as
+    the reference that restricts f to W, tests the rank, orthogonalizes in
+    W's coordinates and carries the basis back by W's.  With few tries both
+    give up together."""
+    field = parse_field(literal)
+    rng = random.Random(seed)
+    pipe = build_pipeline(field, [random_element(field, rng, nonzero=True) for _ in range(4)])
+    _assert_leg_rows_are_the_reference(pipe, seed, max_tries)
+
+
+@pytest.mark.parametrize("literal, form", [
+    ("F3", "1,1,1,1"),
+    ("F5", "1,4,1,4"),
+    ("Q", "1,-1,1,-1"),
+])
+def test_the_leg_retries_where_the_restriction_degenerates(literal, form):
+    """Forms with isotropic vectors, where some W has a degenerate
+    restriction: the leg retries on the attempts where the reference
+    does, and some seed retries."""
+    field = parse_field(literal)
+    pipe = build_pipeline(field, [parse_scalar(x, field) for x in form.split(",")])
+    attempts = [_assert_leg_rows_are_the_reference(pipe, seed, 32)[0] for seed in range(30)]
+    assert max(attempts) > 1
+
+
+def test_the_leg_computes_each_value_once(monkeypatch):
+    """109 field multiplications and 165 polynomial gcds in the leg here,
+    the same on every run.  Restricting f to W to test its rank,
+    orthogonalizing in W's coordinates, carrying the basis back by W's and
+    evaluating each square three times read 240 and 360."""
+    field = parse_field("F3(t)")
+    pipe = build_pipeline(field, [parse_scalar(x, field) for x in "1,t,t+1,2".split(",")])
+    calls = {"__mul__": 0, "poly_gcd": 0}
+    for owner, name in [(scalars.FieldElement, "__mul__"), (scalars, "poly_gcd")]:
+        real = getattr(owner, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    part, checks = structure._random_w_leg(pipe, random.Random(0), 32)
+    assert part["attempts"] == 1 and all(c["ok"] for c in checks)
+    assert calls["__mul__"] <= 109 and calls["poly_gcd"] <= 165
+
+
 def test_a_non_orthogonal_basis_fails_the_leg_table_without_raising(monkeypatch):
     """w1 replaced by w1 + w2, with the diagonal kept: w1 + w2 is not
     orthogonal to w2, so the isometry fails, and with it both of the leg's
@@ -452,8 +532,8 @@ def test_a_non_orthogonal_basis_fails_the_leg_table_without_raising(monkeypatch)
     the square of w1 and stays orthogonal.)"""
     real = structure.orthogonalize
 
-    def skewed(form):
-        ortho = real(form)
+    def skewed(form, rows=None):
+        ortho = real(form, rows)
         w1, w2, w3 = ortho.basis.rows
         shifted = tuple(x + y for x, y in zip(w1, w2))
         return dataclasses.replace(ortho, basis=Matrix(form.field, [shifted, w2, w3]))
@@ -486,8 +566,8 @@ def test_a_wrong_claimed_square_fails_the_leg_isometry(monkeypatch):
         field = parse_field(field_literal)
         factor = parse_scalar(square, field)
 
-        def misclaimed(form, factor=factor):
-            ortho = real(form)
+        def misclaimed(form, rows=None, factor=factor):
+            ortho = real(form, rows)
             first, *rest = ortho.diagonal
             return dataclasses.replace(ortho, diagonal=(first * factor, *rest))
 
