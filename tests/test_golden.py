@@ -45,7 +45,14 @@ FORMS = (
     ("f9-simple", "F3[sqrt 2]", "1,1+r,2,1"),
 )
 COUNTEREXAMPLES = (2, 3)
-ORACLE_FORMS = (("f3-split", "1,2,1,2"), ("f3-simple", "1,1,1,2"))
+ORACLE_FORMS = (
+    ("f2-semidirect", 2, "1,1,1,1"),
+    ("f3-split", 3, "1,2,1,2"),
+    ("f3-simple", 3, "1,1,1,2"),
+    ("f5-split", 5, "1,1,1,1"),
+    ("f5-simple", 5, "1,1,1,2"),
+    ("f7-split", 7, "1,1,1,1"),
+)
 
 
 def _run(argv) -> str:
@@ -68,8 +75,8 @@ def documents() -> dict[str, str]:
         args = ["counterexample", "--p", str(p)]
         docs[f"counterexample-p{p}.json"] = _run([*args, "--json"])
         docs[f"counterexample-p{p}.txt"] = _run(args)
-    for name, form in ORACLE_FORMS:
-        args = ["oracle", "--q", "3", "--form", form]
+    for name, q, form in ORACLE_FORMS:
+        args = ["oracle", "--q", str(q), "--form", form]
         docs[f"{name}.oracle.json"] = _run([*args, "--json"])
         docs[f"{name}.oracle.txt"] = _run(args)
     return {name: text + "\n" for name, text in docs.items()}
