@@ -6,17 +6,19 @@ is the span of every vector reachable from v under the maps ad(e_i).  So
 with an edge from each point to the line of each nonzero image ad(e_i) x,
 finds its strongly connected components (Tarjan), and spans each
 component together with the ideals of the components it reaches; then it
-closes {0} and the distinct principal ideals under sums.  Spans are kept
-as canonical reduced echelon forms `(pivots, rows)`, which makes equal
-ideals equal keys.  All of this runs on plain integers mod q with its own
-elimination, so the oracle stays independent of the library it checks;
-field elements are only materialized for returned subspaces.
+closes {0} and the distinct principal ideals under sums.  No image is
+multiplied out per point: it is the sum of two table entries, one for each
+half of the coordinates, packed one byte per coordinate.  Spans are kept
+as canonical reduced echelon forms `(pivots, rows)`, so equal ideals are
+equal keys.  All of this runs on plain integers mod q with its own
+elimination, so the oracle stays independent of the library it checks.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from collections import Counter
+from itertools import combinations_with_replacement, product
+from typing import Iterable, Optional, Sequence
 
 from .exact_linalg import Matrix, Subspace
 from .liealg import LieAlgebraSC
@@ -60,9 +62,7 @@ def _to_subspace(field, pivots: Sequence[int], rows: Sequence[Sequence[int]], n:
 def _adjoint_matrices(alg: LieAlgebraSC) -> list[list[tuple[int, int, int]]]:
     """Sparse integer matrices of ad(e_i): triples (k, j, c) with c the
     nonzero coordinate k of [e_i, e_j], written for ad(e_i) and, negated,
-    for ad(e_j) from each bracket [e_i, e_j].  Brackets of basis vectors of
-    M are multiples of single basis vectors, so each has at most n entries
-    instead of n^2."""
+    for ad(e_j) from each bracket [e_i, e_j]."""
     ads: list[list[tuple[int, int, int]]] = [[] for _ in range(alg.dim)]
     for (i, j), row in alg.brackets.items():
         for k, c in row.items():
@@ -71,39 +71,35 @@ def _adjoint_matrices(alg: LieAlgebraSC) -> list[list[tuple[int, int, int]]]:
     return ads
 
 
-def _apply(ad, x: Sequence[int], n: int) -> list[int]:
-    """ad(e_i) x, entries not yet reduced mod q."""
-    w = [0] * n
-    for k, j, c in ad:
-        w[k] += c * x[j]
-    return w
-
-
-def _is_invariant(rows: Sequence[Sequence[int]], pivots: Sequence[int],
-                  ads, q: int, n: int) -> bool:
-    for v in rows:
-        for ad in ads:
-            w = [x % q for x in _apply(ad, v, n)]
-            for idx, p in enumerate(pivots):
-                t = w[p]
-                if t:
-                    rv = rows[idx]
-                    for c in range(p, n):
-                        if rv[c]:
-                            w[c] = (w[c] - t * rv[c]) % q
-            if any(w):
-                return False
-    return True
+def _image_tables(ads, q: int, n: int) -> list[list[list[int]]]:
+    """For each ad(e_i), tables [hi, lo] of its images of the vectors on the
+    first n - n//2 and the last n//2 coordinates, indexed by the base-q value
+    of those digits and packed one byte per coordinate, first coordinate
+    most significant, each byte below q.  So the image of x is hi[h] + lo[l]
+    with no carry, each lane at most 2q - 2 <= 12.  Entry t of a table grows
+    by a coordinate j as t + d * ad(e_i) e_j for d in F_q, lanes below q^2."""
+    reduce = bytes(b % q for b in range(256))
+    split = n - n // 2
+    tables = []
+    for ad in ads:
+        columns = [[0] * n for _ in range(n)]
+        for k, j, c in ad:
+            columns[j][k] += c
+        halves = [[0], [0]]
+        for j, col in enumerate(columns):
+            col = int.from_bytes(bytes(a % q for a in col), "big")
+            halves[j >= split] = [
+                int.from_bytes((t + d * col).to_bytes(n, "big").translate(reduce), "big")
+                for t in halves[j >= split] for d in range(q)]
+        tables.append(halves)
+    return tables
 
 
 def _insert(echelon: dict[int, list[int]], w: Sequence[int], q: int) -> Optional[list[int]]:
     """Add w to a reduced echelon basis {pivot: row} and return the new row,
-    or None if w is already spanned.
-
-    Every row is zero in every other row's pivot column, so the remainder
-    of w is w minus w[p] times the row of each pivot p, in any order, and
-    one reduction mod q at the end suffices.
-    """
+    or None if w is already spanned.  Every row is zero in every other
+    row's pivot column, so the remainder of w is w minus w[p] times the row
+    of each pivot p, in any order, reduced mod q once at the end."""
     r = w
     for p, row in echelon.items():
         t = w[p]
@@ -138,14 +134,6 @@ def _span(rows: Iterable[Sequence[int]], q: int) -> Key:
     return _key(echelon)
 
 
-def _projective_points(q: int, n: int) -> Iterator[tuple[int, ...]]:
-    """One vector per line of F_q^n: the first nonzero coordinate is 1."""
-    for lead in range(n):
-        head = (0,) * lead + (1,)
-        for tail in product(range(q), repeat=n - lead - 1):
-            yield head + tail
-
-
 def _whole(n: int) -> Key:
     return tuple(range(n)), tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
@@ -164,31 +152,44 @@ def _component_ideal(members, reached: list[Key], points, q: int, n: int) -> Key
     return _key(echelon)
 
 
-def _principal_ideals(ads, q: int, n: int) -> set[Key]:
-    """The distinct ideals <x> over the projective points x of F_q^n.
+def _graph(ads, q: int, n: int) -> tuple[list[bytes], list[list[int]]]:
+    """The projective points of F_q^n as bytes, first nonzero byte 1, and
+    for each the points on the lines of its nonzero images.  Those with lead
+    j have base-q values q^(n-1-j) .. 2q^(n-1-j) - 1 in order.  Value
+    h q^(n//2) + l has image hi[h] + lo[l]; its lead is its first byte not 0
+    mod q, and one translation reduces it and scales the lead to 1."""
+    points = [bytes((0,) * lead + (1,) + tail) for lead in range(n)
+              for tail in product(range(q), repeat=n - lead - 1)]
+    index = {x: i for i, x in enumerate(points)}
+    tables = _image_tables(ads, q, n)
+    size = q ** (n // 2)
+    zeros = bytes(range(0, 256, q))
+    inverse = [0] + [pow(c, -1, q) for c in range(1, q)]
+    scale = [bytes(b * inv % q for b in range(256)) for inv in inverse]
+    succ = []
+    for lead in range(n):
+        top = q ** (n - lead - 1)
+        for h, l in (divmod(v, size) for v in range(top, 2 * top)):
+            out = []
+            for hi, lo in tables:
+                w = (hi[h] + lo[l]).to_bytes(n, "big")
+                rest = w.lstrip(zeros)
+                if rest:
+                    out.append(index[w.translate(scale[rest[0] % q])])
+            succ.append(out)
+    return points, succ
 
+
+def _principal_ideals(ads, q: int, n: int) -> set[Key]:
+    """The distinct ideals <x> over the projective points x of F_q^n:
     <x> is the span of Reach(x) in the graph x -> line of ad(e_i) x: it
     holds that span since it is closed under ad(e_i) and scalars, and that
     span is an ideal since ad(e_i) maps it into itself.  Tarjan's algorithm,
     run without recursion, emits each strongly connected component after
     every component it reaches, so their ideals are known when it is
-    spanned.  Exactly n mat-vecs per point.
+    spanned.
     """
-    points = list(_projective_points(q, n))
-    index = {x: i for i, x in enumerate(points)}
-    inverse = [0] + [pow(a, -1, q) for a in range(1, q)]
-    succ = []
-    for x in points:
-        out = []
-        for ad in ads:
-            w = [a % q for a in _apply(ad, x, n)]
-            lead = next(filter(None, w), 0)
-            if lead:
-                if lead != 1:
-                    w = [a * inverse[lead] % q for a in w]
-                out.append(index[tuple(w)])
-        succ.append(out)
-
+    points, succ = _graph(ads, q, n)
     number = [0] * len(points)  # discovery number, 0 while unvisited
     low = [0] * len(points)
     comp = [-1] * len(points)  # component, -1 while on the stack
@@ -241,7 +242,7 @@ def enumerate_ideals(alg: LieAlgebraSC) -> list[Subspace]:
     """Every ideal of a small algebra over F_q, in canonical order.
 
     The distinct principal ideals come from one pass over the graph of
-    the (q^n - 1)/(q - 1) projective points, n mat-vecs per point; the
+    the (q^n - 1)/(q - 1) projective points, n table images per point; the
     frontier loop then forms (#ideals x #distinct principal ideals) sums.
     For the 6-dimensional derived orthogonal algebra M that is at most
     4 x 3.  The result is sorted by (dimension, pivots, rows).
@@ -271,25 +272,24 @@ def enumerate_ideals(alg: LieAlgebraSC) -> list[Subspace]:
 def enumeration_complete(alg: LieAlgebraSC, ideals: Sequence[Subspace]) -> bool:
     """The oracle's own check on a listed lattice: it holds 0 and the whole
     space, is closed under pairwise sums, and every member is ad-invariant.
-
     This catches a listed non-ideal or a missing sum, 0 or M; it cannot see
-    an ideal left out of a list that is otherwise consistent.
-    """
+    an ideal left out of a list that is otherwise consistent.  A row's
+    digits are below q <= 7, so int() reads it as a base-q value."""
     q, n = alg.field.p, alg.dim
-    keys = {
-        (space.pivots, tuple(tuple(x.payload for x in row) for row in space.basis.rows))
-        for space in ideals
-    }
+    keys = {(space.pivots, tuple(tuple(x.payload for x in row) for row in space.basis.rows))
+            for space in ideals}
     if ((), ()) not in keys or _whole(n) not in keys:
         return False
-    ads = _adjoint_matrices(alg)
-    if not all(_is_invariant(rows, pivots, ads, q, n) for pivots, rows in keys):
-        return False
-    return all(_span(a[1] + b[1], q) in keys for a in keys for b in keys)
+    tables = _image_tables(_adjoint_matrices(alg), q, n)
+    for pivots, rows in keys:
+        echelon = dict(zip(pivots, rows))
+        for v in rows:
+            h, l = divmod(int("".join(map(str, v)), q), q ** (n // 2))
+            if any(_insert(echelon, (hi[h] + lo[l]).to_bytes(n, "big"), q)
+                   for hi, lo in tables):
+                return False
+    return all(_span(a[1] + b[1], q) in keys for a, b in combinations_with_replacement(keys, 2))
 
 
 def ideal_dimension_histogram(ideals: Sequence[Subspace]) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for space in ideals:
-        hist[space.dim] = hist.get(space.dim, 0) + 1
-    return hist
+    return dict(Counter(space.dim for space in ideals))

@@ -22,7 +22,7 @@ from orthocurrent.liealg import (
     is_ideal,
     skew_adjoint_algebra,
 )
-from orthocurrent.oracle import UnsupportedField, _apply, _insert, _key, _to_subspace, _validate
+from orthocurrent.oracle import UnsupportedField, _insert, _key, _to_subspace, _validate
 from orthocurrent.scalars import (
     KIND_FUNFIELD,
     KIND_PRIME,
@@ -261,6 +261,15 @@ def ideal_closure(alg: LieAlgebraSC, seed) -> Subspace:
         space = canonicalize_subspace(
             alg.field, list(space.basis.rows) + new_vectors, alg.dim
         )
+
+
+def _apply(ad, x: Sequence[int], n: int) -> list[int]:
+    """ad(e_i) x by one mat-vec over the sparse triples (k, j, c) of
+    ad(e_i), entries not yet reduced mod q."""
+    w = [0] * n
+    for k, j, c in ad:
+        w[k] += c * x[j]
+    return w
 
 
 def spin_principal_ideal(v, ads, q: int, n: int):

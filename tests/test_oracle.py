@@ -11,8 +11,9 @@ from orthocurrent.liealg import LieAlgebraSC, current_algebra
 from orthocurrent.oracle import (
     UnsupportedField,
     _adjoint_matrices,
+    _graph,
+    _image_tables,
     _principal_ideals,
-    _projective_points,
     _to_subspace,
     enumerate_ideals,
     enumeration_complete,
@@ -22,6 +23,7 @@ from orthocurrent.oracle import (
 from orthocurrent.scalars import prime_field, rationals
 
 from reference import (
+    _apply,
     brackets_of,
     enumerate_subspaces,
     ideal_closure,
@@ -218,7 +220,7 @@ def test_enumeration_complete_detects_bad_lists():
 
 
 def spun_ideals(ads, q, n):
-    return {spin_principal_ideal(v, ads, q, n) for v in _projective_points(q, n)}
+    return {spin_principal_ideal(v, ads, q, n) for v in _graph(ads, q, n)[0]}
 
 
 def small_algebras(field):
@@ -259,20 +261,82 @@ def test_principal_ideals_match_the_spins(data):
     assert _principal_ideals(ads, q, n) == spun_ideals(ads, q, n)
 
 
-def test_scan_does_n_mat_vecs_per_point_and_few_inserts(monkeypatch):
-    """A work guard, not a clock: n mat-vecs per projective point and few
-    echelon inserts.  Spinning each point took 3,482 inserts on F3
-    1,1,1,1 and 162,498 on F7 1,1,1,1; one pass over the graph takes 113
-    and 231."""
-    calls = {"_apply": 0, "_insert": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(oracle, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(oracle, name, counted)
+def test_scan_reads_n_table_images_per_point_and_few_inserts(monkeypatch):
+    """A work guard, not a clock: n table images per projective point, each
+    one entry of each half table, and few echelon inserts.  Spinning each
+    point took 3,482 inserts on F3 1,1,1,1 and 162,498 on F7 1,1,1,1; one
+    pass over the graph takes 113 and 231."""
+    calls = {"hi": 0, "lo": 0, "_insert": 0}
+
+    def counted(table, name):
+        class Counted(list):
+            def __getitem__(self, i):
+                calls[name] += 1
+                return list.__getitem__(self, i)
+        return Counted(table)
+
+    def tables(*args, _fn=oracle._image_tables):
+        return [[counted(hi, "hi"), counted(lo, "lo")] for hi, lo in _fn(*args)]
+
+    def insert(*args, _fn=oracle._insert):
+        calls["_insert"] += 1
+        return _fn(*args)
+
+    monkeypatch.setattr(oracle, "_image_tables", tables)
+    monkeypatch.setattr(oracle, "_insert", insert)
     for q, values, inserts in [(3, [1, 1, 1, 1], 300), (3, [1, 1, 1, 2], 300),
                                (7, [1, 1, 1, 1], 1200)]:
-        calls.update(_apply=0, _insert=0)
+        calls.update(hi=0, lo=0, _insert=0)
         assert enumerate_ideals(derived_orthogonal(prime_field(q), values))
-        assert calls["_apply"] == 6 * (q ** 6 - 1) // (q - 1)
+        assert calls["hi"] == calls["lo"] == 6 * (q ** 6 - 1) // (q - 1)
         assert calls["_insert"] <= inserts
+
+
+def base_q(x, q):
+    return int("".join(map(str, x)) or "0", q)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_table_images_are_the_reduced_normalized_mat_vecs(data):
+    """Every table entry has each byte below q, so hi[h] + lo[l] adds lane by
+    lane with no carry, and reduced mod q it is the mat-vec ad(e_i) x; each
+    graph edge goes to the point on the line of that image.  For q in
+    {2, 3, 5, 7}, n up to 6 and arbitrary sparse maps, among them one that
+    repeats a (k, j) until its coefficients sum past q and the map with
+    every entry q - 1, applied to the vector with every entry q - 1."""
+    q = data.draw(st.sampled_from([2, 3, 5, 7]), label="q")
+    n = data.draw(st.integers(0, 6), label="n")
+    coordinate = st.integers(0, max(n - 1, 0))
+    entry = st.tuples(coordinate, coordinate, st.integers(1, q - 1))
+    ads = [list(m) for m in data.draw(
+        st.lists(st.lists(entry, max_size=2 * n), max_size=3 if n else 0), label="maps")]
+    if n:
+        k, j = data.draw(coordinate, label="k"), data.draw(coordinate, label="j")
+        ads.append([(k, j, q - 1)] * data.draw(st.integers(2, 64), label="repeats"))
+        ads.append([(k, j, q - 1) for k in range(n) for j in range(n)])
+    vectors = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                                 max_size=6), label="x") + [[q - 1] * n]
+    for ad, (hi, lo) in zip(ads, _image_tables(ads, q, n)):
+        assert len(hi) == q ** (n - n // 2) and len(lo) == q ** (n // 2)
+        assert all(b < q for t in hi + lo for b in t.to_bytes(n, "big"))
+        for x in vectors:
+            h, l = divmod(base_q(x, q), q ** (n // 2))
+            image = (hi[h] + lo[l]).to_bytes(n, "big")
+            lanes = zip(hi[h].to_bytes(n, "big"), lo[l].to_bytes(n, "big"))
+            assert list(image) == [a + b for a, b in lanes]
+            assert [b % q for b in image] == [a % q for a in _apply(ad, x, n)]
+
+    points, succ = _graph(ads, q, n)
+    index = {x: i for i, x in enumerate(points)}
+    tops = [q ** (n - 1 - lead) for lead in range(n)]
+    assert [base_q(x, q) for x in points] == [v for top in tops for v in range(top, 2 * top)]
+    for i in data.draw(st.lists(st.integers(0, len(points) - 1), max_size=6) if points
+                       else st.just([]), label="points"):
+        edges = []
+        for ad in ads:
+            w = [a % q for a in _apply(ad, points[i], n)]
+            if any(w):
+                inv = pow(next(filter(None, w)), -1, q)
+                edges.append(index[bytes(a * inv % q for a in w)])
+        assert succ[i] == edges
