@@ -314,7 +314,7 @@ def test_table_images_are_the_reduced_normalized_mat_vecs(data):
     if n:
         k, j = data.draw(coordinate, label="k"), data.draw(coordinate, label="j")
         ads.append([(k, j, q - 1)] * data.draw(st.integers(2, 64), label="repeats"))
-        ads.append([(k, j, q - 1) for k in range(n) for j in range(n)])
+        ads.append([(a, b, q - 1) for a in range(n) for b in range(n)])
     vectors = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
                                  max_size=6), label="x") + [[q - 1] * n]
     for ad, (hi, lo) in zip(ads, _image_tables(ads, q, n)):
