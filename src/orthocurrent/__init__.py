@@ -48,6 +48,6 @@ from .structure import (
     recheck_certificate_json,
     verify_current_form,
 )
-from .oracle import enumerate_ideals, gaussian_binomial
+from .oracle import adjoint_tables, enumerate_ideals, gaussian_binomial
 
 __version__ = "0.1.0"

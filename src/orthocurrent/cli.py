@@ -21,6 +21,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -28,12 +29,7 @@ from .exact_linalg import Matrix
 from .forms import make_form, orthogonalize
 from . import liealg
 from .liealg import BASIS_NAMES, current_algebra, table_brackets
-from .oracle import (
-    SUPPORTED_Q,
-    enumerate_ideals,
-    enumeration_complete,
-    ideal_dimension_histogram,
-)
+from .oracle import SUPPORTED_Q, adjoint_tables, enumerate_ideals, enumeration_complete
 from .scalars import (
     FieldDescriptor,
     FieldElement,
@@ -53,7 +49,6 @@ from .structure import (
     document_literals,
     inseparable_counterexample,
     recheck_certificate_json,
-    subspace_to_json,
     table_to_json,
     verify_current_form,
 )
@@ -73,7 +68,6 @@ class CommandSpec:
     gram: Optional[Matrix] = None
     as_json: bool = False
     seed: int = 0
-    trials: int = 32
     p: int = 2
 
     @property
@@ -101,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify the current-algebra form of M")
     add_form_args(p_verify)
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--trials", type=int, default=32,
-                          help="attempts at a random nondegenerate subspace")
 
     p_classify = sub.add_parser("classify", help="emit a decomposition certificate")
     add_form_args(p_classify)
@@ -188,11 +180,7 @@ def parse_args(argv: Sequence[str]) -> CommandSpec:
         parser.error(f"bad field literal: {exc}")
     entries, gram = _parse_form(parser, field, ns)
     seed = 0
-    trials = 32
     if ns.command == "verify":
-        trials = ns.trials
-        if trials < 1:
-            parser.error("--trials must be at least 1")
         if ns.seed is not None:
             seed = ns.seed
         else:
@@ -201,7 +189,7 @@ def parse_args(argv: Sequence[str]) -> CommandSpec:
             except ValueError:
                 parser.error(f"{SEED_ENV} must be an integer")
     return CommandSpec(ns.command, field=field, entries=entries, gram=gram,
-                       as_json=ns.as_json, seed=seed, trials=trials)
+                       as_json=ns.as_json, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +227,12 @@ def _table_json(spec: CommandSpec) -> dict:
 
 
 def _oracle_json(spec: CommandSpec) -> dict:
-    alg = current_algebra(spec.entries)
-    ideals = enumerate_ideals(alg)
+    """Every ideal of M over F_q, as the rows of its canonical keys, with
+    the oracle's own check of the lattice on the same tables."""
+    tables = adjoint_tables(current_algebra(spec.entries))
+    ideals = enumerate_ideals(tables)
     disc = spec.entries[0] * spec.entries[1] * spec.entries[2] * spec.entries[3]
-    hist = ideal_dimension_histogram(ideals)
+    hist = Counter(len(pivots) for pivots, _ in ideals)
     return {
         "command": "oracle",
         "field": render_field(spec.field),
@@ -250,9 +240,9 @@ def _oracle_json(spec: CommandSpec) -> dict:
         "D": render_scalar(disc),
         "ideal_count": len(ideals),
         "histogram": {str(k): v for k, v in sorted(hist.items())},
-        "ideals": [subspace_to_json(s) for s in ideals],
+        "ideals": [[[str(x) for x in row] for row in rows] for _, rows in ideals],
         "checks": [{"name": "enumeration_complete",
-                    "ok": enumeration_complete(alg, ideals)}],
+                    "ok": enumeration_complete(tables, ideals)}],
     }
 
 
@@ -340,8 +330,8 @@ def _render_counterexample(doc: dict, from_gram: bool) -> list[str]:
 
 # command -> (document builder, text renderer)
 COMMANDS = {
-    "verify": (lambda spec: verify_current_form(spec.field, spec.entries, seed=spec.seed,
-                                                max_tries=spec.trials), _render_verify),
+    "verify": (lambda spec: verify_current_form(spec.field, spec.entries, seed=spec.seed),
+               _render_verify),
     "classify": (lambda spec: classify(spec.field, spec.entries), _render_classify),
     "table": (_table_json, _render_table),
     "oracle": (_oracle_json, _render_oracle),

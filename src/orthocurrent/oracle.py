@@ -10,17 +10,17 @@ closes {0} and the distinct principal ideals under sums.  No image is
 multiplied out per point: it is the sum of two table entries, one for each
 half of the coordinates, packed one byte per coordinate.  Spans are kept
 as canonical reduced echelon forms `(pivots, rows)`, so equal ideals are
-equal keys.  All of this runs on plain integers mod q with its own
-elimination, so the oracle stays independent of the library it checks.
+equal keys.  `adjoint_tables` reads the algebra once, into those tables;
+from there everything runs on plain integers mod q with its own
+elimination, and the lattice is returned as its keys, so the oracle stays
+independent of the library it checks.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations_with_replacement, product
 from typing import Iterable, Optional, Sequence
 
-from .exact_linalg import Matrix, Subspace
 from .liealg import LieAlgebraSC
 from .scalars import KIND_PRIME
 
@@ -34,6 +34,8 @@ MAX_AMBIENT = 6
 
 # (pivots, rows): a canonical reduced echelon basis over plain ints mod q.
 Key = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+# (q, n, the `_image_tables` of each ad(e_i)): an algebra as the oracle reads it.
+Tables = tuple[int, int, list[list[list[int]]]]
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -54,20 +56,16 @@ def _validate(q: int, n: int) -> None:
         raise UnsupportedField(f"ambient dimension must be at most {MAX_AMBIENT}")
 
 
-def _to_subspace(field, pivots: Sequence[int], rows: Sequence[Sequence[int]], n: int) -> Subspace:
-    basis = Matrix(field, [[field.from_int(x) for x in row] for row in rows])
-    return Subspace(field, n, basis, tuple(pivots))
-
-
 def _adjoint_matrices(alg: LieAlgebraSC) -> list[list[tuple[int, int, int]]]:
     """Sparse integer matrices of ad(e_i): triples (k, j, c) with c the
-    nonzero coordinate k of [e_i, e_j], written for ad(e_i) and, negated,
-    for ad(e_j) from each bracket [e_i, e_j]."""
+    nonzero coordinate k of [e_i, e_j], written for ad(e_i) and, negated
+    mod q, for ad(e_j) from each bracket [e_i, e_j]."""
+    q = alg.field.p
     ads: list[list[tuple[int, int, int]]] = [[] for _ in range(alg.dim)]
     for (i, j), row in alg.brackets.items():
         for k, c in row.items():
             ads[i].append((k, j, c.payload))
-            ads[j].append((k, i, (-c).payload))
+            ads[j].append((k, i, q - c.payload))
     return ads
 
 
@@ -152,7 +150,7 @@ def _component_ideal(members, reached: list[Key], points, q: int, n: int) -> Key
     return _key(echelon)
 
 
-def _graph(ads, q: int, n: int) -> tuple[list[bytes], list[list[int]]]:
+def _graph(tables, q: int, n: int) -> tuple[list[bytes], list[list[int]]]:
     """The projective points of F_q^n as bytes, first nonzero byte 1, and
     for each the points on the lines of its nonzero images.  Those with lead
     j have base-q values q^(n-1-j) .. 2q^(n-1-j) - 1 in order.  Value
@@ -161,7 +159,6 @@ def _graph(ads, q: int, n: int) -> tuple[list[bytes], list[list[int]]]:
     points = [bytes((0,) * lead + (1,) + tail) for lead in range(n)
               for tail in product(range(q), repeat=n - lead - 1)]
     index = {x: i for i, x in enumerate(points)}
-    tables = _image_tables(ads, q, n)
     size = q ** (n // 2)
     zeros = bytes(range(0, 256, q))
     inverse = [0] + [pow(c, -1, q) for c in range(1, q)]
@@ -180,7 +177,7 @@ def _graph(ads, q: int, n: int) -> tuple[list[bytes], list[list[int]]]:
     return points, succ
 
 
-def _principal_ideals(ads, q: int, n: int) -> set[Key]:
+def _principal_ideals(tables, q: int, n: int) -> set[Key]:
     """The distinct ideals <x> over the projective points x of F_q^n:
     <x> is the span of Reach(x) in the graph x -> line of ad(e_i) x: it
     holds that span since it is closed under ad(e_i) and scalars, and that
@@ -189,7 +186,7 @@ def _principal_ideals(ads, q: int, n: int) -> set[Key]:
     every component it reaches, so their ideals are known when it is
     spanned.
     """
-    points, succ = _graph(ads, q, n)
+    points, succ = _graph(tables, q, n)
     number = [0] * len(points)  # discovery number, 0 while unvisited
     low = [0] * len(points)
     comp = [-1] * len(points)  # component, -1 while on the stack
@@ -238,8 +235,20 @@ def _principal_ideals(ads, q: int, n: int) -> set[Key]:
     return {keys[i] for i in set(ideal)}
 
 
-def enumerate_ideals(alg: LieAlgebraSC) -> list[Subspace]:
-    """Every ideal of a small algebra over F_q, in canonical order.
+def adjoint_tables(alg: LieAlgebraSC) -> Tables:
+    """The oracle's one reading of a small algebra over F_q: its brackets
+    as integer maps ad(e_i), tabulated once for the scan and the check."""
+    field = alg.field
+    if field.kind != KIND_PRIME:
+        raise UnsupportedField("ideal enumeration runs over prime fields")
+    q, n = field.p, alg.dim
+    _validate(q, n)
+    return q, n, _image_tables(_adjoint_matrices(alg), q, n)
+
+
+def enumerate_ideals(ad: Tables) -> list[Key]:
+    """Every ideal of a small algebra over F_q, as canonical keys
+    (pivots, rows) in canonical order.
 
     The distinct principal ideals come from one pass over the graph of
     the (q^n - 1)/(q - 1) projective points, n table images per point; the
@@ -247,13 +256,8 @@ def enumerate_ideals(alg: LieAlgebraSC) -> list[Subspace]:
     For the 6-dimensional derived orthogonal algebra M that is at most
     4 x 3.  The result is sorted by (dimension, pivots, rows).
     """
-    field = alg.field
-    if field.kind != KIND_PRIME:
-        raise UnsupportedField("ideal enumeration runs over prime fields")
-    _validate(field.p, alg.dim)
-    q, n = field.p, alg.dim
-    ads = _adjoint_matrices(alg)
-    principal = sorted(_principal_ideals(ads, q, n))
+    q, n, tables = ad
+    principal = sorted(_principal_ideals(tables, q, n))
     found = {((), ())} | set(principal)
     frontier = principal
     while frontier:
@@ -265,31 +269,28 @@ def enumerate_ideals(alg: LieAlgebraSC) -> list[Subspace]:
                     found.add(total)
                     grown.append(total)
         frontier = grown
-    ordered = sorted(found, key=lambda key: (len(key[0]), *key))
-    return [_to_subspace(field, pivots, rows, n) for pivots, rows in ordered]
+    return sorted(found, key=lambda key: (len(key[0]), *key))
 
 
-def enumeration_complete(alg: LieAlgebraSC, ideals: Sequence[Subspace]) -> bool:
+def enumeration_complete(ad: Tables, ideals: Sequence[Key]) -> bool:
     """The oracle's own check on a listed lattice: it holds 0 and the whole
-    space, is closed under pairwise sums, and every member is ad-invariant.
-    This catches a listed non-ideal or a missing sum, 0 or M; it cannot see
-    an ideal left out of a list that is otherwise consistent.  A row's
-    digits are below q <= 7, so int() reads it as a base-q value."""
-    q, n = alg.field.p, alg.dim
-    keys = {(space.pivots, tuple(tuple(x.payload for x in row) for row in space.basis.rows))
-            for space in ideals}
+    space, is closed under pairwise sums, and every member is ad-invariant,
+    read off the tables the scan used.  This catches a listed non-ideal or
+    a missing sum, 0 or M; it cannot see an ideal left out of a list that
+    is otherwise consistent."""
+    q, n, tables = ad
+    keys = set(ideals)
     if ((), ()) not in keys or _whole(n) not in keys:
         return False
-    tables = _image_tables(_adjoint_matrices(alg), q, n)
+    size = q ** (n // 2)
     for pivots, rows in keys:
         echelon = dict(zip(pivots, rows))
         for v in rows:
-            h, l = divmod(int("".join(map(str, v)), q), q ** (n // 2))
+            value = 0
+            for x in v:
+                value = value * q + x
+            h, l = divmod(value, size)
             if any(_insert(echelon, (hi[h] + lo[l]).to_bytes(n, "big"), q)
                    for hi, lo in tables):
                 return False
     return all(_span(a[1] + b[1], q) in keys for a, b in combinations_with_replacement(keys, 2))
-
-
-def ideal_dimension_histogram(ideals: Sequence[Subspace]) -> dict[int, int]:
-    return dict(Counter(space.dim for space in ideals))

@@ -94,6 +94,9 @@ CASE_TWO_IDEALS = "two_simple_ideals"
 CASE_SEMIDIRECT = "semidirect_N_R"
 CASE_SIMPLE = "simple_by_descent"
 COUNTEREXAMPLE_PRIMES = (2, 3)  # the primes p of the counterexample, here and in the CLI
+# Draws of W before the random-W leg gives up.  Verify documents do not
+# record it, so verify and the checker must share it.
+RANDOM_W_ATTEMPTS = 32
 
 
 def _check(name: str, ok: bool) -> dict:
@@ -182,7 +185,7 @@ def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> P
     form = diagonal_form(field, entries)
     skew_dim, derived_span = _derived_span(form)
     algebra = algebra_from_matrices(field, basis)
-    core_basis = current_basis(*entries[:3])
+    core_basis = basis[:3]
     core = algebra_from_matrices(field, core_basis)
     disc = entries[0] * entries[1] * entries[2] * entries[3]
     identity = (
@@ -249,8 +252,7 @@ def _orthogonal_rows(pipe: Pipeline, rng: random.Random, max_tries: int,
     )
 
 
-def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int,
-                  ) -> tuple[dict, list[dict]]:
+def _random_w_leg(pipe: Pipeline, rng: random.Random) -> tuple[dict, list[dict]]:
     """Re-verify the table identity for a random 3-dimensional subspace.
 
     W's basis is orthogonalized under f and extended by the 1-dimensional
@@ -274,7 +276,7 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int,
     Returns the `random_w` part of the verify document and the leg's
     checks: the two above and `random_w_square_class_invariant`.
     """
-    attempt, w, rows, primed = _orthogonal_rows(pipe, rng, max_tries)
+    attempt, w, rows, primed = _orthogonal_rows(pipe, rng, RANDOM_W_ATTEMPTS)
     form, zero = pipe.form, pipe.field.zero()
     d_primed = primed[0] * primed[1] * primed[2] * primed[3]
     images = [form.image(row) for row in rows]
@@ -299,7 +301,7 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random, max_tries: int,
 
 
 def verify_current_form(field: FieldDescriptor, entries: Sequence[FieldElement],
-                        seed: int = 0, max_tries: int = 32) -> dict:
+                        seed: int = 0) -> dict:
     """The verify document: exact verification that M matches its
     current-algebra form.
 
@@ -313,7 +315,7 @@ def verify_current_form(field: FieldDescriptor, entries: Sequence[FieldElement],
     pipe = build_pipeline(field, entries)
     char2 = field.characteristic() == 2
     core_skew_dim, core_span = _derived_span(diagonal_form(field, pipe.entries[:3]))
-    random_w, random_w_checks = _random_w_leg(pipe, random.Random(seed), max_tries)
+    random_w, random_w_checks = _random_w_leg(pipe, random.Random(seed))
     dims = {
         "skew_adjoint": pipe.skew_dim,
         "derived": pipe.derived_span.dim,

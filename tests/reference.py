@@ -22,7 +22,14 @@ from orthocurrent.liealg import (
     is_ideal,
     skew_adjoint_algebra,
 )
-from orthocurrent.oracle import UnsupportedField, _insert, _key, _to_subspace, _validate
+from orthocurrent.oracle import (
+    UnsupportedField,
+    _insert,
+    _key,
+    _validate,
+    adjoint_tables,
+    enumerate_ideals,
+)
 from orthocurrent.scalars import (
     KIND_FUNFIELD,
     KIND_PRIME,
@@ -606,6 +613,19 @@ def iter_echelon(q: int, n: int, k: int):
                 rows[i][j] = rem % q
                 rem //= q
             yield pivots, [tuple(row) for row in rows]
+
+
+def _to_subspace(field, pivots: Sequence[int], rows: Sequence[Sequence[int]], n: int) -> Subspace:
+    """The oracle key (pivots, rows) over F_q as a library subspace."""
+    basis = Matrix(field, [[field.from_int(x) for x in row] for row in rows])
+    return Subspace(field, n, basis, tuple(pivots))
+
+
+def ideal_subspaces(alg: LieAlgebraSC) -> list[Subspace]:
+    """The oracle's lattice of alg, in its order, as library subspaces,
+    for comparing with the library's own ideal routines."""
+    return [_to_subspace(alg.field, pivots, rows, alg.dim)
+            for pivots, rows in enumerate_ideals(adjoint_tables(alg))]
 
 
 def enumerate_subspaces(q: int, n: int, k: int):

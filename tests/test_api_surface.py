@@ -174,6 +174,27 @@ def test_classify_and_the_checker_compute_no_fact_themselves():
     assert direct == set()
 
 
+def test_the_oracle_does_no_library_arithmetic():
+    """The oracle reads the algebra's brackets once, as integers mod q, and
+    computes on plain integers from there: it imports nothing from
+    exact_linalg and, from scalars, only the field kind it accepts.  A
+    round trip of its lattice through library subspaces fails here."""
+    imported = {}
+    for node in ast.walk(ast.parse((PACKAGE / "oracle.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            if module in ("", PACKAGE.name):  # from . import exact_linalg
+                for alias in node.names:
+                    imported.setdefault(alias.name, set())
+            else:
+                imported.setdefault(module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.name.rpartition(".")[2], set())
+    assert "exact_linalg" not in imported
+    assert imported["scalars"] == {"KIND_PRIME"}
+
+
 # The per-layer metrics that perfbench/run.py computes itself, from its
 # sessions and span records, rather than from the tracer's installed names.
 RUN_METRICS = {

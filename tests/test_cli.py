@@ -27,7 +27,7 @@ def test_parse_args_classify():
 
 def test_parse_args_verify_defaults():
     spec = parse_args(["verify", "--field", "Q", "--form", "1,2,3,4"])
-    assert spec.command == "verify" and spec.seed == 0 and spec.trials == 32
+    assert spec.command == "verify" and spec.seed == 0
 
 
 def test_seed_env_override(monkeypatch):
@@ -73,10 +73,10 @@ def test_seed_env_is_read_on_every_call(monkeypatch):
 def test_flag_values_do_not_leak_into_later_calls(monkeypatch):
     monkeypatch.delenv("ORTHOCURRENT_SEED", raising=False)
     spec = parse_args(["verify", "--field", "Q", "--form", "1,2,3,4",
-                       "--seed", "3", "--trials", "5", "--json"])
-    assert (spec.seed, spec.trials, spec.as_json) == (3, 5, True)
+                       "--seed", "3", "--json"])
+    assert (spec.seed, spec.as_json) == (3, True)
     spec = parse_args(["verify", "--field", "Q", "--form", "1,2,3,4"])
-    assert (spec.seed, spec.trials, spec.as_json) == (0, 32, False)
+    assert (spec.seed, spec.as_json) == (0, False)
 
 
 def test_usage_errors_exit_2():
@@ -88,8 +88,8 @@ def test_usage_errors_exit_2():
         ["counterexample", "--p", "5"],
         # beyond the deterministic Miller-Rabin bound
         ["classify", "--field", "F3825123056546413053", "--form", "1,1,1,1"],
-        ["verify", "--field", "Q", "--form", "1,2,3,4", "--trials", "0"],
-        ["verify", "--field", "Q", "--form", "1,2,3,4", "--trials", "-3"],
+        # the attempt bound of the random-W leg is not an option
+        ["verify", "--field", "Q", "--form", "1,2,3,4", "--trials", "40"],
         # exponents above scalars.MAX_LITERAL_DEGREE = 1000
         ["table", "--field", "F3(t)", "--form", "1,1,1,t^1001"],
         ["table", "--field", "F3(t)", "--form", "1,1,1,1/(t^1001+1)"],
@@ -354,6 +354,26 @@ def test_table_recheck_catches_tampering():
         assert checks[0] == {"name": "reproduced_identically", "ok": False}
 
 
+def test_verify_gives_up_where_the_checker_would(monkeypatch):
+    """Verify documents do not record the random-W leg's attempt bound, so
+    verify and the checker share one.  At this seed W is found only at
+    attempt 33: with the bound an option, `--trials 40` passed with a
+    document that the checker, rerunning with 32, refused as malformed.
+    Now verify gives up too, with exit 1 and no document, and `--trials`
+    is a usage error."""
+    argv = ["verify", "--field", "F2", "--form", "1,1,1,1", "--seed", "207432", "--json"]
+    assert run(argv) == (1, "error: no nondegenerate restriction found in 32 attempts")
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv + ["--trials", "40"])
+    assert exc.value.code == 2
+    # Under a larger shared bound, the document passes and rechecks.
+    monkeypatch.setattr(structure, "RANDOM_W_ATTEMPTS", 33)
+    code, out = run(argv)
+    data = json.loads(out)
+    assert code == 0 and data["random_w"]["attempts"] == 33
+    assert all(c["ok"] for c in recheck_json(data))
+
+
 def test_recheck_tells_true_from_one():
     """In Python True == 1, in a document they differ: the whole-document
     comparison reads them as JSON."""
@@ -537,7 +557,7 @@ def _misstate_a_table_row(monkeypatch):
 
 def _drop_an_ideal(monkeypatch):
     real = cli.enumerate_ideals
-    monkeypatch.setattr(cli, "enumerate_ideals", lambda alg: real(alg)[:-1])
+    monkeypatch.setattr(cli, "enumerate_ideals", lambda ad: real(ad)[:-1])
 
 
 @pytest.mark.parametrize("command, field, breaks, failed", [

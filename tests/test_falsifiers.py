@@ -196,7 +196,7 @@ FALSIFIERS = {
         Patch("table_brackets", _double_first_coefficient, TABLE_F3, cli),
         {"table_matches_computed"}),
     "oracle-ideal-missing": (
-        Patch("enumerate_ideals", lambda real: lambda alg: real(alg)[:-1], ORACLE_F3, cli),
+        Patch("enumerate_ideals", lambda real: lambda ad: real(ad)[:-1], ORACLE_F3, cli),
         {"enumeration_complete"}),
     "D-a-square": (Patch("is_square", lambda real: lambda x: x, CLASSIFY_Q_SIMPLE),
                    {"discriminant_non_square"}),

@@ -1,12 +1,14 @@
 import random
 import time
+from collections import Counter
+from itertools import product
 from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthocurrent import oracle
+from orthocurrent import cli, oracle
 from orthocurrent.liealg import LieAlgebraSC, current_algebra
 from orthocurrent.oracle import (
     UnsupportedField,
@@ -14,19 +16,21 @@ from orthocurrent.oracle import (
     _graph,
     _image_tables,
     _principal_ideals,
-    _to_subspace,
+    adjoint_tables,
     enumerate_ideals,
     enumeration_complete,
     gaussian_binomial,
-    ideal_dimension_histogram,
 )
 from orthocurrent.scalars import prime_field, rationals
+from orthocurrent.structure import CASE_SEMIDIRECT, CASE_SIMPLE, CASE_TWO_IDEALS, classify
 
 from reference import (
     _apply,
     brackets_of,
+    document_subspace,
     enumerate_subspaces,
     ideal_closure,
+    ideal_subspaces,
     iter_echelon,
     spin_principal_ideal,
     subspace_meet_join,
@@ -46,9 +50,17 @@ def algebra_from_brackets(field, n, brackets):
         {pair: [field.from_int(x) for x in vec] for pair, vec in brackets.items()}))
 
 
+def ideals_of(alg):
+    return enumerate_ideals(adjoint_tables(alg))
+
+
+def histogram(ideals):
+    return Counter(len(pivots) for pivots, _ in ideals)
+
+
 def scan_ideals(alg):
     """Reference: test every subspace of F_q^n for ad-invariance, then sort
-    by (dimension, pivots, rows)."""
+    by (dimension, pivots, rows), as oracle keys."""
     q, n = alg.field.p, alg.dim
     basis = [alg.basis_vector(i) for i in range(n)]
     ads = []
@@ -75,7 +87,7 @@ def scan_ideals(alg):
         if invariant(pivots, rows)
     ]
     found.sort()
-    return [_to_subspace(alg.field, pivots, rows, n) for _, pivots, rows in found]
+    return [(pivots, tuple(rows)) for _, pivots, rows in found]
 
 
 def test_gaussian_binomial_values():
@@ -109,28 +121,25 @@ def test_unsupported_parameters():
     with pytest.raises(UnsupportedField):
         list(enumerate_subspaces(2, 3, 4))
     with pytest.raises(UnsupportedField):
-        enumerate_ideals(LieAlgebraSC(rationals(), 1, {}))
+        adjoint_tables(LieAlgebraSC(rationals(), 1, {}))
 
 
 def test_ideals_f3_split_form():
-    alg = derived_orthogonal(F3, [1, 1, 1, 1])
-    ideals = enumerate_ideals(alg)
+    ideals = ideals_of(derived_orthogonal(F3, [1, 1, 1, 1]))
     assert len(ideals) == 4
-    assert ideal_dimension_histogram(ideals) == {0: 1, 3: 2, 6: 1}
+    assert histogram(ideals) == {0: 1, 3: 2, 6: 1}
 
 
 def test_ideals_f3_simple_form():
-    alg = derived_orthogonal(F3, [1, 1, 1, 2])
-    ideals = enumerate_ideals(alg)
+    ideals = ideals_of(derived_orthogonal(F3, [1, 1, 1, 2]))
     assert len(ideals) == 2
-    assert ideal_dimension_histogram(ideals) == {0: 1, 6: 1}
+    assert histogram(ideals) == {0: 1, 6: 1}
 
 
 def test_ideals_f2_semidirect_form():
     alg = derived_orthogonal(F2, [1, 1, 1, 1])
-    ideals = enumerate_ideals(alg)
-    dims = ideal_dimension_histogram(ideals)
-    assert dims.get(3, 0) >= 1
+    ideals = ideal_subspaces(alg)
+    assert any(space.dim == 3 for space in ideals)
     # N = span{f1,f2,f3} is a subalgebra but not an ideal
     n_span = [alg.basis_vector(i) for i in range(3)]
     from orthocurrent.exact_linalg import canonicalize_subspace
@@ -147,8 +156,7 @@ def test_ideals_f2_semidirect_form():
 
 def test_ideal_lattice_closed_under_meet_join():
     for field, values in [(F3, [1, 1, 1, 1]), (F2, [1, 1, 1, 1])]:
-        alg = derived_orthogonal(field, values)
-        ideals = enumerate_ideals(alg)
+        ideals = ideal_subspaces(derived_orthogonal(field, values))
         for a in ideals:
             for b in ideals:
                 meet, join = subspace_meet_join(a, b)
@@ -157,7 +165,7 @@ def test_ideal_lattice_closed_under_meet_join():
 
 def test_ideal_closure_member_and_minimal():
     alg = derived_orthogonal(F3, [1, 1, 1, 1])
-    ideals = enumerate_ideals(alg)
+    ideals = ideal_subspaces(alg)
     rng = random.Random(12)
     for _ in range(6):
         v = tuple(F3.from_int(rng.randrange(3)) for _ in range(6))
@@ -172,7 +180,7 @@ def test_ideals_f5_simple_form():
     f5 = prime_field(5)
     alg = derived_orthogonal(f5, [1, 1, 1, 2])
     start = time.perf_counter()
-    ideals = enumerate_ideals(alg)
+    ideals = ideals_of(alg)
     assert time.perf_counter() - start < 2.0
     assert len(ideals) == 2
 
@@ -191,36 +199,36 @@ def test_principal_ideals_match_subspace_scan():
         # Heisenberg: [x, y] = z
         algebras.append(algebra_from_brackets(field, 3, {(0, 1): [0, 0, 1]}))
     for alg in algebras:
-        assert enumerate_ideals(alg) == scan_ideals(alg)
+        assert ideals_of(alg) == scan_ideals(alg)
     # the reference finds every subspace of the abelian algebra over F_2
     assert len(scan_ideals(algebras[-6])) == sum(gaussian_binomial(3, k, 2) for k in range(4))
     assert time.perf_counter() - start < 5.0
 
 
 def test_enumeration_complete_detects_bad_lists():
-    alg = derived_orthogonal(F3, [1, 1, 1, 1])
-    ideals = enumerate_ideals(alg)
-    assert enumeration_complete(alg, ideals)
+    tables = adjoint_tables(derived_orthogonal(F3, [1, 1, 1, 1]))
+    ideals = enumerate_ideals(tables)
+    assert enumeration_complete(tables, ideals)
     # without M, or without 0
-    assert not enumeration_complete(alg, ideals[:-1])
-    assert not enumeration_complete(alg, ideals[1:])
+    assert not enumeration_complete(tables, ideals[:-1])
+    assert not enumeration_complete(tables, ideals[1:])
     # span{f1, f2, f3} is a subalgebra, not an ideal
-    n_space = _to_subspace(F3, (0, 1, 2), [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
-                                           (0, 0, 1, 0, 0, 0)], 6)
+    n_space = ((0, 1, 2), ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)))
     assert n_space not in ideals
-    assert not enumeration_complete(alg, ideals + [n_space])
+    assert not enumeration_complete(tables, ideals + [n_space])
     # abelian: two lines without their sum, the plane they span
-    abelian = algebra_from_brackets(F3, 3, {})
-    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    lines = [_to_subspace(F3, (0,), [e[0]], 3), _to_subspace(F3, (1,), [e[1]], 3)]
-    zero, whole = _to_subspace(F3, (), [], 3), _to_subspace(F3, (0, 1, 2), e, 3)
+    abelian = adjoint_tables(algebra_from_brackets(F3, 3, {}))
+    e = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    lines = [((0,), e[:1]), ((1,), e[1:2])]
+    zero, whole = ((), ()), ((0, 1, 2), e)
     assert not enumeration_complete(abelian, [zero, *lines, whole])
-    plane = _to_subspace(F3, (0, 1), e[:2], 3)
+    plane = ((0, 1), e[:2])
     assert enumeration_complete(abelian, [zero, *lines, plane, whole])
 
 
 def spun_ideals(ads, q, n):
-    return {spin_principal_ideal(v, ads, q, n) for v in _graph(ads, q, n)[0]}
+    return {spin_principal_ideal(v, ads, q, n)
+            for v in _graph(_image_tables(ads, q, n), q, n)[0]}
 
 
 def small_algebras(field):
@@ -239,7 +247,7 @@ def small_algebras(field):
 def test_principal_ideals_of_small_algebras_match_the_spins(q):
     for alg in small_algebras(prime_field(q)):
         ads, n = _adjoint_matrices(alg), alg.dim
-        assert _principal_ideals(ads, q, n) == spun_ideals(ads, q, n)
+        assert _principal_ideals(_image_tables(ads, q, n), q, n) == spun_ideals(ads, q, n)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -258,15 +266,16 @@ def test_principal_ideals_match_the_spins(data):
                           st.integers(1, q - 1))
         ads = [tuple(m) for m in data.draw(
             st.lists(st.lists(entry, max_size=2 * n), max_size=3 if n else 0), label="maps")]
-    assert _principal_ideals(ads, q, n) == spun_ideals(ads, q, n)
+    assert _principal_ideals(_image_tables(ads, q, n), q, n) == spun_ideals(ads, q, n)
 
 
 def test_scan_reads_n_table_images_per_point_and_few_inserts(monkeypatch):
     """A work guard, not a clock: n table images per projective point, each
     one entry of each half table, and few echelon inserts.  Spinning each
     point took 3,482 inserts on F3 1,1,1,1 and 162,498 on F7 1,1,1,1; one
-    pass over the graph takes 113 and 231."""
-    calls = {"hi": 0, "lo": 0, "_insert": 0}
+    pass over the graph takes 113 and 231.  An `oracle` command builds
+    the tables once, for the scan and its enumeration_complete check."""
+    calls = {"hi": 0, "lo": 0, "_insert": 0, "_image_tables": 0}
 
     def counted(table, name):
         class Counted(list):
@@ -276,6 +285,7 @@ def test_scan_reads_n_table_images_per_point_and_few_inserts(monkeypatch):
         return Counted(table)
 
     def tables(*args, _fn=oracle._image_tables):
+        calls["_image_tables"] += 1
         return [[counted(hi, "hi"), counted(lo, "lo")] for hi, lo in _fn(*args)]
 
     def insert(*args, _fn=oracle._insert):
@@ -287,9 +297,12 @@ def test_scan_reads_n_table_images_per_point_and_few_inserts(monkeypatch):
     for q, values, inserts in [(3, [1, 1, 1, 1], 300), (3, [1, 1, 1, 2], 300),
                                (7, [1, 1, 1, 1], 1200)]:
         calls.update(hi=0, lo=0, _insert=0)
-        assert enumerate_ideals(derived_orthogonal(prime_field(q), values))
+        assert ideals_of(derived_orthogonal(prime_field(q), values))
         assert calls["hi"] == calls["lo"] == 6 * (q ** 6 - 1) // (q - 1)
         assert calls["_insert"] <= inserts
+    calls["_image_tables"] = 0
+    code, _ = cli.execute(cli.parse_args(["oracle", "--q", "3", "--form", "1,1,1,1", "--json"]))
+    assert code == 0 and calls["_image_tables"] == 1
 
 
 def base_q(x, q):
@@ -327,7 +340,7 @@ def test_table_images_are_the_reduced_normalized_mat_vecs(data):
             assert list(image) == [a + b for a, b in lanes]
             assert [b % q for b in image] == [a % q for a in _apply(ad, x, n)]
 
-    points, succ = _graph(ads, q, n)
+    points, succ = _graph(_image_tables(ads, q, n), q, n)
     index = {x: i for i, x in enumerate(points)}
     tops = [q ** (n - 1 - lead) for lead in range(n)]
     assert [base_q(x, q) for x in points] == [v for top in tops for v in range(top, 2 * top)]
@@ -340,3 +353,45 @@ def test_table_images_are_the_reduced_normalized_mat_vecs(data):
                 inv = pow(next(filter(None, w)), -1, q)
                 edges.append(index[bytes(a * inv % q for a in w)])
         assert succ[i] == edges
+
+
+# The census: classify and the oracle over every square class of the
+# small fields.  NON_SQUARE[q] is a non-square of F_q.
+NON_SQUARE = {3: 2, 5: 2, 7: 3}
+
+
+def test_the_oracle_lattice_is_the_classified_one():
+    """Over F3, F5 and F7 with 0 to 4 non-square entries, and over F2 with
+    1,1,1,1, the oracle finds exactly the lattice that classify certifies:
+    0, I1, I2 and M with I1, I2 the witnesses when D is a square, only 0
+    and M when it is not, and the certified radical R in characteristic 2."""
+    forms = [(q, [u] * k + [1] * (4 - k)) for q, u in NON_SQUARE.items() for k in range(5)]
+    for q, values in forms + [(2, [1, 1, 1, 1])]:
+        field = prime_field(q)
+        entries = [field.from_int(v) for v in values]
+        cert = classify(field, entries)
+        ideals = ideal_subspaces(current_algebra(entries))
+        witnesses = cert["witnesses"]
+        if q == 2:
+            assert cert["case"] == CASE_SEMIDIRECT
+            assert document_subspace(witnesses["R"], field) in ideals
+        elif values.count(NON_SQUARE[q]) % 2:
+            assert cert["case"] == CASE_SIMPLE
+            assert [space.dim for space in ideals] == [0, 6]
+        else:
+            assert cert["case"] == CASE_TWO_IDEALS
+            assert [space.dim for space in ideals] == [0, 3, 3, 6]
+            assert set(ideals[1:3]) == {document_subspace(witnesses[name], field)
+                                        for name in ("I1", "I2")}
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_classify_follows_the_parity_of_the_non_square_entries(q):
+    """Every diagonal form over F_q: D is a square exactly when an even
+    number of entries are non-squares, and the case follows."""
+    field = prime_field(q)
+    squares = {x * x % q for x in range(1, q)}
+    for values in product(range(1, q), repeat=4):
+        odd = sum(v not in squares for v in values) % 2
+        case = classify(field, [field.from_int(v) for v in values])["case"]
+        assert case == (CASE_SIMPLE if odd else CASE_TWO_IDEALS), values

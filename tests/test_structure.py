@@ -520,7 +520,7 @@ def test_the_leg_computes_each_value_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(owner, name, counted)
-    part, checks = structure._random_w_leg(pipe, random.Random(0), 32)
+    part, checks = structure._random_w_leg(pipe, random.Random(0))
     assert part["attempts"] == 1 and all(c["ok"] for c in checks)
     assert calls["__mul__"] <= 109 and calls["poly_gcd"] <= 165
 
@@ -826,14 +826,15 @@ def test_ideal_closure_zero_seed():
     assert ideal_closure(alg, [zero_vec]).dim == 0
 
 
-def test_random_w_retry_and_exhaustion():
+def test_random_w_retry_and_exhaustion(monkeypatch):
     from orthocurrent.structure import NondegenerateWRequired
 
     ones = [F2.one()] * 4
     doc = verify_current_form(F2, ones, seed=0)
     assert doc["random_w"]["attempts"] == 4 and _ok(doc)
+    monkeypatch.setattr(structure, "RANDOM_W_ATTEMPTS", 1)
     with pytest.raises(NondegenerateWRequired):
-        verify_current_form(F2, ones, seed=0, max_tries=1)
+        verify_current_form(F2, ones, seed=0)
 
 
 def test_verify_randomized_smoke():
