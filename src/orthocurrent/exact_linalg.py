@@ -1,13 +1,15 @@
-"""Dense exact linear algebra over any supported field.
+"""Exact linear algebra over any supported field, on sparse rows.
 
-Matrices are immutable row-major grids of field elements; the matrices
-of Lie algebras are sparse dicts {(row, col): entry}, which `commutator`
-multiplies.  Subspaces are stored through their unique reduced row
-echelon basis, which makes subspace equality decidable by structural
-comparison.  Everything here is small (at most 16 columns), so one plain
-Gauss-Jordan elimination with zero skipping, `_eliminate`, serves both
-`canonicalize_subspace` and `kernel`; rank decides nondegeneracy, so no
-determinant is computed.
+Vectors are sparse dicts {index: entry} with zero entries left out, and
+the matrices of Lie algebras are sparse dicts {(row, col): entry}, which
+`commutator` multiplies.  Dense sequences are accepted wherever vectors
+are and read once into that form; `Matrix`, an immutable row-major grid,
+serves Gram matrices and the dense `Subspace.basis`.  Subspaces are
+stored through their unique reduced row echelon rows, which makes
+subspace equality decidable by structural comparison.  Everything here is
+small (at most 16 columns), so one Gauss-Jordan elimination on sparse
+rows, `_eliminate`, serves both `canonicalize_subspace` and `kernel`;
+rank decides nondegeneracy, so no determinant is computed.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from .scalars import FieldDescriptor, FieldElement, inv
 
 class ShapeMismatch(ValueError):
     """Operand dimensions are incompatible."""
-
-
-Vector = tuple[FieldElement, ...]
 
 
 class Matrix:
@@ -143,47 +142,52 @@ def commutator(x: dict, y: dict) -> dict:
     return {pos: z for pos, z in out.items() if z}
 
 
-def _eliminate(rows: list[list[FieldElement]]) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot columns.
+def _clear(w: dict, c: int, row: dict) -> None:
+    """w - w[c] row in place, for sparse w with an entry at column c and a
+    sparse row that is 1 there: column c leaves w, and so does every sum
+    that cancels."""
+    factor = -w.pop(c)
+    for j, y in row.items():
+        if j == c:
+            continue
+        t = factor * y
+        if j in w:
+            t = w[j] + t
+            if not t:
+                del w[j]
+                continue
+        w[j] = t
 
-    Each row is a distinct list, updated in place.  The pivot row is zero
-    left of the pivot, and the pivot column is set to 1 and 0 directly, so
-    only the pivot row's nonzero entries right of the pivot are scaled and
-    subtracted.
+
+def _eliminate(rows: list[dict]) -> list[int]:
+    """In-place reduced row echelon form of sparse rows {column: entry},
+    zero entries left out; returns the pivot columns.
+
+    Each row is a distinct dict, updated in place; rows[:len(pivots)] are
+    then the echelon rows and the rest are empty.  Row operations only
+    write into the columns of a pivot row, so the columns are those of the
+    given rows, swept in increasing order.  The pivot row is scaled once
+    and cleared from every other row that has an entry in its column.
     """
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
+    for c in sorted(set().union(*rows)):
+        pivot_row = next((i for i in range(r, nrows) if c in rows[i]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         row = rows[r]
-        nonzero = [(j, row[j]) for j in range(c + 1, ncols) if not row[j].is_zero()]
-        pv = row[c]
+        pv = row.pop(c)
         if not pv.is_one():
             pv_inv = inv(pv)
-            nonzero = [(j, pv_inv * x) for j, x in nonzero]
-            row[c] = pv.field.one()
-            for j, x in nonzero:
-                row[j] = x
+            for j, x in row.items():
+                row[j] = pv_inv * x
+        row[c] = pv.field.one()
         for i in range(nrows):
-            if i == r:
-                continue
-            other = rows[i]
-            factor = other[c]
-            if factor.is_zero():
-                continue
-            other[c] = factor.field.zero()
-            for j, y in nonzero:
-                other[j] = other[j] - factor * y
+            if i != r and c in rows[i]:
+                _clear(rows[i], c, row)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -191,81 +195,102 @@ def _eliminate(rows: list[list[FieldElement]]) -> list[int]:
     return pivots
 
 
+def _sparse(v, field: FieldDescriptor, n: int) -> dict:
+    """The vector v of F^n, a sequence of length n or a dict {index:
+    entry}, as a sparse row with zero entries left out.  Raises
+    ShapeMismatch for a wrong length, an index outside range(n) or an
+    entry from another field."""
+    if isinstance(v, dict):
+        if not all(k in range(n) for k in v):
+            raise ShapeMismatch(f"vector index outside range({n})")
+        items = v.items()
+    else:
+        if len(v) != n:
+            raise ShapeMismatch("vector length does not match ambient dimension")
+        items = enumerate(v)
+    out = {}
+    for k, x in items:
+        if x.field is not field and x.field != field:
+            raise ShapeMismatch("entry from a different field")
+        if x:
+            out[k] = x
+    return out
+
+
 class Subspace:
-    """Subspace of F^n stored by its canonical reduced echelon basis."""
+    """Subspace of F^n stored by its canonical reduced echelon rows.
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    `rows` are sparse, {column: entry} with zero entries left out, and
+    row i has its leading 1 at column pivots[i]; `basis` writes them out
+    as a dense Matrix.
+    """
 
-    def __init__(self, field: FieldDescriptor, ambient_dim: int, basis: Matrix,
+    __slots__ = ("field", "ambient_dim", "rows", "pivots")
+
+    def __init__(self, field: FieldDescriptor, ambient_dim: int, rows: tuple[dict, ...],
                  pivots: tuple[int, ...]):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.rows = rows
         self.pivots = pivots
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self.rows)
 
-    def reduce(self, v: Sequence[FieldElement]) -> Vector:
-        """Remainder of v after elimination against the canonical basis."""
-        if len(v) != self.ambient_dim:
-            raise ShapeMismatch("vector length does not match ambient dimension")
-        w = list(v)
-        for row, c in zip(self.basis.rows, self.pivots):
-            factor = w[c]
-            if factor.is_zero():
-                continue
-            for j in range(c, self.ambient_dim):
-                if not row[j].is_zero():
-                    w[j] = w[j] - factor * row[j]
-        return tuple(w)
+    @property
+    def basis(self) -> Matrix:
+        zero = self.field.zero()
+        return Matrix._trusted(self.field, tuple(
+            tuple(row.get(j, zero) for j in range(self.ambient_dim)) for row in self.rows))
 
-    def contains(self, v: Sequence[FieldElement]) -> bool:
-        return all(x.is_zero() for x in self.reduce(v))
+    def contains(self, v) -> bool:
+        """Whether v, a sequence or a dict as `canonicalize_subspace` takes
+        it, lies in the subspace: its remainder after elimination against
+        the echelon rows is zero."""
+        w = _sparse(v, self.field, self.ambient_dim)
+        for row, c in zip(self.rows, self.pivots):
+            if c in w:
+                _clear(w, c, row)
+        return not w
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.ambient_dim, self.basis))
+        return hash((self.field, self.ambient_dim, self.pivots))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim} of F^{self.ambient_dim})"
 
 
-def canonicalize_subspace(field: FieldDescriptor, vectors: Iterable[Sequence[FieldElement]],
-                          ambient_dim: int) -> Subspace:
-    """Canonical subspace spanned by the given vectors; idempotent."""
-    vectors = [tuple(v) for v in vectors]
-    for v in vectors:
-        if len(v) != ambient_dim:
-            raise ShapeMismatch("vector length does not match ambient dimension")
-    if not vectors:
-        return Subspace(field, ambient_dim, Matrix(field, []), ())
-    rows = [list(v) for v in vectors]
+def canonicalize_subspace(field: FieldDescriptor, vectors: Iterable, ambient_dim: int) -> Subspace:
+    """Canonical subspace spanned by the given vectors; idempotent.  Each
+    vector is a sequence of ambient_dim entries or a sparse dict {index:
+    entry}; ShapeMismatch refuses a wrong length, an index outside
+    range(ambient_dim) and an entry from another field."""
+    rows = [_sparse(v, field, ambient_dim) for v in vectors]
     pivots = _eliminate(rows)
-    basis = Matrix(field, rows[: len(pivots)])
-    return Subspace(field, ambient_dim, basis, tuple(pivots))
+    return Subspace(field, ambient_dim, tuple(rows[: len(pivots)]), tuple(pivots))
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Canonical basis of the right kernel {v : m v = 0}."""
-    rows = [list(row) for row in m.rows]
+def kernel(field: FieldDescriptor, equations: Iterable, ncols: int) -> Subspace:
+    """Canonical basis of {v : e . v = 0 for every equation e}, the right
+    kernel of the matrix whose rows are the equations, given as
+    `canonicalize_subspace` takes vectors."""
+    rows = [_sparse(e, field, ncols) for e in equations]
     pivots = _eliminate(rows)
-    n = m.ncols
-    free_cols = [c for c in range(n) if c not in pivots]
-    zero, one = m.field.zero(), m.field.one()
+    one = field.one()
     vectors = []
-    for fc in free_cols:
-        v = [zero] * n
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        v = {fc: one}
+        for row, pc in zip(rows, pivots):
+            if fc in row:
+                v[pc] = -row[fc]
         vectors.append(v)
-    return canonicalize_subspace(m.field, vectors, n)
+    return canonicalize_subspace(field, vectors, ncols)

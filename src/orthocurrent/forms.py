@@ -210,4 +210,4 @@ def orthogonalize(form: BilinearForm,
 
 def orthogonal_complement(form: BilinearForm, subspace: Subspace) -> Subspace:
     """All vectors pairing to zero with the given subspace."""
-    return kernel(subspace.basis * form.gram)
+    return kernel(form.field, (subspace.basis * form.gram).rows, form.dim)

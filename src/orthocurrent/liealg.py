@@ -40,7 +40,6 @@ from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .exact_linalg import (
-    Matrix,
     ShapeMismatch,
     Subspace,
     canonicalize_subspace,
@@ -114,28 +113,32 @@ class LieAlgebraSC:
 
     # -- basic operations ----------------------------------------------
 
-    def bracket(self, u: Sequence[FieldElement], v: Sequence[FieldElement]) -> Vector:
-        """Bilinear extension of the brackets to coordinates: [u, v] =
-        sum_{i<j} (u_i v_j - u_j v_i) [e_i, e_j]."""
-        n = self.dim
-        if len(u) != n or len(v) != n:
-            raise ShapeMismatch("coordinate length does not match dimension")
-        nu = {i: x for i, x in enumerate(u) if x}
-        nv = {j: y for j, y in enumerate(v) if y}
-        acc = [self.field.zero()] * n
-        for (i, j), row in self.brackets.items():
-            scale = nu[i] * nv[j] if i in nu and j in nv else None
-            if j in nu and i in nv:
-                term = nu[j] * nv[i]
-                scale = -term if scale is None else scale - term
-            if scale:
-                for k, coeff in row.items():
-                    acc[k] = acc[k] + scale * coeff
-        return tuple(acc)
+    def ad(self, i: int, v: Mapping[int, FieldElement]) -> dict[int, FieldElement]:
+        """[e_i, v] for a sparse coordinate vector v, {j: v_j} with zero
+        coordinates left out, in the same form: sum_j v_j [e_i, e_j], with
+        the brackets read at v's nonzero coordinates only."""
+        acc: dict[int, FieldElement] = {}
+        for j, x in v.items():
+            row = self.brackets.get((i, j) if i < j else (j, i))
+            if row is None:
+                continue
+            if j < i:  # [e_i, e_j] = -[e_j, e_i]
+                x = -x
+            for k, c in row.items():
+                t = x * c
+                acc[k] = acc[k] + t if k in acc else t
+        return {k: z for k, z in acc.items() if z}
 
-    def basis_vector(self, i: int) -> Vector:
-        zero, one = self.field.zero(), self.field.one()
-        return tuple(one if k == i else zero for k in range(self.dim))
+    def bracket(self, u: Mapping[int, FieldElement],
+                v: Mapping[int, FieldElement]) -> dict[int, FieldElement]:
+        """[u, v] = sum_i u_i [e_i, v] for sparse coordinate vectors, in
+        the same form, over u's nonzero coordinates."""
+        acc: dict[int, FieldElement] = {}
+        for i, x in u.items():
+            for k, y in self.ad(i, v).items():
+                t = x * y
+                acc[k] = acc[k] + t if k in acc else t
+        return {k: z for k, z in acc.items() if z}
 
     def __repr__(self) -> str:
         return f"LieAlgebraSC(dim={self.dim} over {self.field!r})"
@@ -152,6 +155,10 @@ def skew_adjoint_algebra(form: BilinearForm) -> Subspace:
     x[r][c] at r n + c, and the basis is the canonical echelon one.  For a
     4-dimensional form the dimension is 6 in characteristic != 2 and 10 in
     characteristic 2.
+
+    Equation (i, j) reads x[k][i] with coefficient g[k][j] (from x^T G)
+    and x[k][j] with g[i][k] (from G x), so it is written from G's nonzero
+    entries only: two for a diagonal G.
     """
     if not form.nondegenerate:
         raise Degenerate("skew-adjoint algebra requires a nondegenerate form")
@@ -159,18 +166,17 @@ def skew_adjoint_algebra(form: BilinearForm) -> Subspace:
     if field.characteristic() == 2 and form.alternating and form.dim > 0:
         raise AlternatingChar2("alternating form in characteristic 2")
     n = form.dim
-    g = form.gram
-    zero = field.zero()
+    rows = [[(k, x) for k, x in enumerate(row) if x] for row in form.gram.rows]
+    cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*form.gram.rows)]
     equations = []
     for i in range(n):
         for j in range(n):
-            row = [zero] * (n * n)
-            for k in range(n):
-                # coefficient of x[k][i] from (x^T G) and x[k][j] from (G x)
-                row[k * n + i] = row[k * n + i] + g.rows[k][j]
-                row[k * n + j] = row[k * n + j] + g.rows[i][k]
-            equations.append(row)
-    return kernel(Matrix(field, equations))
+            terms = [(k * n + i, x) for k, x in cols[j]] + [(k * n + j, x) for k, x in rows[i]]
+            equation: dict = {}
+            for pos, x in terms:
+                equation[pos] = equation[pos] + x if pos in equation else x
+            equations.append(equation)
+    return kernel(field, equations, n * n)
 
 
 def coordinates(mats: Sequence[dict]) -> dict[tuple[int, int], dict]:
@@ -225,13 +231,9 @@ def algebra_from_matrices(field: FieldDescriptor, mats: Sequence[dict]) -> LieAl
 
 
 def bracket_span(alg: LieAlgebraSC, space: Subspace) -> Subspace:
-    """Span of all brackets of pairs from the subspace's basis."""
-    rows = space.basis.rows
-    vectors = [
-        alg.bracket(rows[a], rows[b])
-        for a in range(len(rows))
-        for b in range(a + 1, len(rows))
-    ]
+    """Span of all brackets of pairs from the subspace's echelon rows."""
+    rows = space.rows
+    vectors = [alg.bracket(u, v) for a, u in enumerate(rows) for v in rows[a + 1:]]
     return canonicalize_subspace(alg.field, vectors, alg.dim)
 
 
@@ -251,17 +253,13 @@ def derived_series_of_subspace(alg: LieAlgebraSC, space: Subspace,
 def derived_subspace(alg: LieAlgebraSC) -> Subspace:
     """[L, L] as a subspace of L's coordinates: the span of the nonzero
     brackets [e_i, e_j], i < j."""
-    n, zero = alg.dim, alg.field.zero()
-    return canonicalize_subspace(
-        alg.field, ([row.get(k, zero) for k in range(n)] for row in alg.brackets.values()), n)
+    return canonicalize_subspace(alg.field, alg.brackets.values(), alg.dim)
 
 
 def is_ideal(alg: LieAlgebraSC, space: Subspace) -> bool:
-    return all(
-        space.contains(alg.bracket(alg.basis_vector(i), row))
-        for i in range(alg.dim)
-        for row in space.basis.rows
-    )
+    """Whether [e_i, v] lies in the space for every basis vector e_i and
+    every echelon row v of it."""
+    return all(space.contains(alg.ad(i, row)) for i in range(alg.dim) for row in space.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,10 @@ def _check(name: str, ok: bool) -> dict:
 
 
 def subspace_to_json(space: Subspace) -> list[list[str]]:
-    return [[render_scalar(x) for x in row] for row in space.basis.rows]
+    """The echelon rows, written out: zero wherever a row has no entry."""
+    zero = render_scalar(space.field.zero())
+    return [[render_scalar(row[j]) if j in row else zero for j in range(space.ambient_dim)]
+            for row in space.rows]
 
 
 def table_to_json(alg: LieAlgebraSC) -> list:
@@ -140,40 +143,36 @@ class Pipeline:
     identity: tuple[dict, dict]  # distinguished_basis_spans_derived, tables_match
 
 
-def _flat(m: dict, space: Subspace) -> list[FieldElement]:
-    """The sparse n x n matrix m as a vector of the space's ambient
-    F^(n^2), row by row: m[r, c] at r n + c."""
-    n = math.isqrt(space.ambient_dim)
-    flat = [space.field.zero()] * space.ambient_dim
-    for (r, c), x in m.items():
-        flat[r * n + c] = x
-    return flat
-
-
 def _derived_span(form: BilinearForm) -> tuple[int, Subspace]:
     """dim L, for L the skew-adjoint algebra of the form, and [L, L] as the
-    span of the flattened commutators of L's basis, taken by
+    span of the commutators of L's basis, taken by
     `exact_linalg.commutator` on their nonzero entries.
 
     L's basis matrices are the rows of the kernel that
     `skew_adjoint_algebra` returns, read sparse: entry k of a row is at
-    (k // n, k % n).  Raises NotClosed when a basis row of [L, L] is not in
-    that kernel.
+    (k // n, k % n), and each commutator is handed back with entry (r, c)
+    at r n + c.  Raises NotClosed when a basis row of [L, L] is not in that
+    kernel.
     """
+    n = form.dim
     skew = skew_adjoint_algebra(form)
-    mats = [{divmod(k, form.dim): x for k, x in enumerate(row) if x} for row in skew.basis.rows]
-    comms = [_flat(commutator(x, y), skew) for i, x in enumerate(mats) for y in mats[i + 1:]]
+    mats = [{divmod(k, n): x for k, x in row.items()} for row in skew.rows]
+    comms = [{r * n + c: z for (r, c), z in commutator(x, y).items()}
+             for i, x in enumerate(mats) for y in mats[i + 1:]]
     derived = canonicalize_subspace(form.field, comms, skew.ambient_dim)
-    if not all(skew.contains(row) for row in derived.basis.rows):
+    if not all(skew.contains(row) for row in derived.rows):
         raise NotClosed("a commutator of the skew-adjoint basis escapes its span")
     return skew.dim, derived
 
 
 def _spans(mats: Sequence[dict], space: Subspace) -> bool:
-    """Whether the sparse matrices span the space: exactly when their rank,
-    their number since building their algebra proved them independent, is
-    the space's dimension and each matrix lies in it."""
-    return len(mats) == space.dim and all(space.contains(_flat(m, space)) for m in mats)
+    """Whether the sparse n x n matrices span the space of flattened
+    matrices, m[r, c] at r n + c: exactly when their rank, their number
+    since building their algebra proved them independent, is the space's
+    dimension and each matrix lies in it."""
+    n = math.isqrt(space.ambient_dim)
+    return len(mats) == space.dim and all(
+        space.contains({r * n + c: x for (r, c), x in m.items()}) for m in mats)
 
 
 def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> Pipeline:
@@ -408,7 +407,7 @@ def _perfect_subspace_checks(alg: LieAlgebraSC, space: Subspace, label: str) -> 
     so its derived algebra has the dimension of the span of its brackets,
     and it is perfect when that dimension is its own."""
     brackets = bracket_span(alg, space)
-    closed = all(space.contains(row) for row in brackets.basis.rows)
+    closed = all(space.contains(row) for row in brackets.rows)
     return [
         _check(f"{label}_dim_3", space.dim == 3),
         _check(f"{label}_bracket_closed", closed),
@@ -420,15 +419,14 @@ def _core_tensor(*coeffs: Vector) -> Subspace:
     """Span of f_i (x) c over i = 1, 2, 3 and the given coefficient vectors
     c, in the coefficient-major basis of tensor_current: f_i (x) x^j at 3j + i."""
     field, dim = coeffs[0][0].field, 3 * len(coeffs[0])
-    rows = [[c[k // 3] if k % 3 == i else field.zero() for k in range(dim)]
-            for c in coeffs for i in range(3)]
+    rows = [{3 * j + i: x for j, x in enumerate(c)} for c in coeffs for i in range(3)]
     return canonicalize_subspace(field, rows, dim)
 
 
 def _sum_checks(a: Subspace, b: Subspace) -> list[dict]:
     """A + B is direct exactly when dim(A + B) = dim A + dim B, since
     dim(A meet B) = dim A + dim B - dim(A + B)."""
-    join = canonicalize_subspace(a.field, a.basis.rows + b.basis.rows, a.ambient_dim)
+    join = canonicalize_subspace(a.field, a.rows + b.rows, a.ambient_dim)
     return [
         _check("sum_direct", join.dim == a.dim + b.dim),
         _check("sum_is_everything", join.dim == join.ambient_dim),
@@ -456,7 +454,7 @@ def _local_facts(alg: LieAlgebraSC, n_space: Subspace, r_space: Subspace,
     zero_at = len(series) - 1 if series[-1].dim == 0 else None  # brackets to reach 0
     facts["R_abelian"] = zero_at in (0, 1)
     facts["R_solvable"] = facts["radical_solvable"] = zero_at == steps
-    same = a_space.basis.rows == r_space.basis.rows
+    same = a_space.rows == r_space.rows
     facts["abelian_ideal_ideal"] = facts["R_ideal"] if same else is_ideal(alg, a_space)
     facts["abelian_ideal_abelian"] = (
         facts["R_abelian"] if same else bracket_span(alg, a_space).dim == 0)

@@ -95,6 +95,11 @@ def sparse(m: Matrix) -> dict:
     return {(r, c): x for r, row in enumerate(m.rows) for c, x in enumerate(row) if x}
 
 
+def sparse_vector(v) -> dict:
+    """The nonzero coordinates of a dense vector as {index: entry}."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
 def flat(m: Matrix) -> tuple[FieldElement, ...]:
     """The entries of a dense matrix, row by row."""
     return tuple(x for row in m.rows for x in row)
@@ -252,15 +257,60 @@ class SpanSolver:
         )
 
 
+def unit(alg: LieAlgebraSC, i: int) -> tuple[FieldElement, ...]:
+    """The basis vector e_i of the algebra, dense."""
+    zero, one = alg.field.zero(), alg.field.one()
+    return tuple(one if k == i else zero for k in range(alg.dim))
+
+
+def dense_bracket(alg: LieAlgebraSC, u, v) -> tuple[FieldElement, ...]:
+    """[u, v] for dense coordinate vectors, by the bilinear extension of
+    the brackets: sum_{i<j} (u_i v_j - u_j v_i) [e_i, e_j], every bracket
+    of the table visited."""
+    n = alg.dim
+    if len(u) != n or len(v) != n:
+        raise ShapeMismatch("coordinate length does not match dimension")
+    acc = [alg.field.zero()] * n
+    for (i, j), row in alg.brackets.items():
+        scale = u[i] * v[j] - u[j] * v[i]
+        for k, coeff in row.items():
+            acc[k] = acc[k] + scale * coeff
+    return tuple(acc)
+
+
+def dense_remainder(space: Subspace, v) -> tuple[FieldElement, ...]:
+    """Remainder of the dense vector v after elimination against the
+    space's dense echelon basis: v minus v[p] times the row of pivot p."""
+    w = list(v)
+    for row, c in zip(space.basis.rows, space.pivots):
+        factor = w[c]
+        w = [x - factor * y for x, y in zip(w, row)]
+    return tuple(w)
+
+
+def dense_is_ideal(alg: LieAlgebraSC, space: Subspace) -> bool:
+    """is_ideal by dense unit-vector brackets [e_i, b] for the basis rows
+    b, each reduced against the space to zero."""
+    return all(not any(dense_remainder(space, dense_bracket(alg, unit(alg, i), row)))
+               for i in range(alg.dim) for row in space.basis.rows)
+
+
+def dense_bracket_span(alg: LieAlgebraSC, space: Subspace) -> Subspace:
+    """bracket_span by dense brackets of the pairs of basis rows."""
+    rows = space.basis.rows
+    return canonicalize_subspace(alg.field, [dense_bracket(alg, x, y) for a, x in enumerate(rows)
+                                             for y in rows[a + 1:]], alg.dim)
+
+
 def ideal_closure(alg: LieAlgebraSC, seed) -> Subspace:
     """Smallest ideal containing the seed vectors (worklist closure)."""
     space = canonicalize_subspace(alg.field, [tuple(v) for v in seed], alg.dim)
     while True:
         new_vectors = []
         for i in range(alg.dim):
-            e = alg.basis_vector(i)
+            e = unit(alg, i)
             for row in space.basis.rows:
-                w = alg.bracket(e, row)
+                w = dense_bracket(alg, e, row)
                 if not space.contains(w):
                     new_vectors.append(w)
         if not new_vectors:
@@ -326,7 +376,7 @@ def structure_constants(alg: LieAlgebraSC, basis) -> tuple:
     constants = [[zero_vec] * m for _ in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
-            coords = solver.coordinates(alg.bracket(rows[a], rows[b]))
+            coords = solver.coordinates(dense_bracket(alg, rows[a], rows[b]))
             if coords is None:
                 raise NotClosed(f"bracket of basis vectors {a},{b} escapes the span")
             constants[a][b] = coords
@@ -388,7 +438,7 @@ def quotient_algebra(alg: LieAlgebraSC, ideal: Subspace) -> LieAlgebraSC:
     brackets = {}
     for a, i in enumerate(complement):
         for b in range(a + 1, len(complement)):
-            w = ideal.reduce(alg.bracket(alg.basis_vector(i), alg.basis_vector(complement[b])))
+            w = dense_remainder(ideal, dense_bracket(alg, unit(alg, i), unit(alg, complement[b])))
             brackets[(a, b)] = tuple(w[j] for j in complement)
     return LieAlgebraSC(alg.field, len(complement), brackets_of(brackets))
 
@@ -617,8 +667,8 @@ def iter_echelon(q: int, n: int, k: int):
 
 def _to_subspace(field, pivots: Sequence[int], rows: Sequence[Sequence[int]], n: int) -> Subspace:
     """The oracle key (pivots, rows) over F_q as a library subspace."""
-    basis = Matrix(field, [[field.from_int(x) for x in row] for row in rows])
-    return Subspace(field, n, basis, tuple(pivots))
+    echelon = tuple({j: field.from_int(x) for j, x in enumerate(row) if x} for row in rows)
+    return Subspace(field, n, echelon, tuple(pivots))
 
 
 def ideal_subspaces(alg: LieAlgebraSC) -> list[Subspace]:

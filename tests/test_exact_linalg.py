@@ -26,6 +26,7 @@ from reference import (
     random_element,
     scaled,
     sparse,
+    sparse_vector,
     subspace_meet_join,
 )
 
@@ -42,21 +43,26 @@ def vec(field, entries):
     return tuple(field.from_int(x) for x in entries)
 
 
+def null(m):
+    """The right kernel of a dense matrix."""
+    return kernel(m.field, m.rows, m.ncols)
+
+
 def test_rref_identity_and_zero():
     """The reduced echelon basis of the identity is itself, with every
     column a pivot; a zero matrix spans nothing and kills everything."""
     ident = Matrix.identity(Q, 3)
     s = canonicalize_subspace(Q, ident.rows, 3)
-    assert s.basis == ident and s.pivots == (0, 1, 2) and kernel(ident).dim == 0
+    assert s.basis == ident and s.pivots == (0, 1, 2) and null(ident).dim == 0
     z = mat(Q, [[0] * 4] * 2)
     assert canonicalize_subspace(Q, z.rows, 4).dim == 0
-    assert kernel(z) == full_subspace(Q, 4)
+    assert null(z) == full_subspace(Q, 4)
 
 
 def test_rref_f2():
     m = mat(F2, [[1, 1], [1, 0]])
     assert canonicalize_subspace(F2, m.rows, 2).basis == Matrix.identity(F2, 2)
-    assert kernel(m).dim == 0
+    assert null(m).dim == 0
 
 
 def test_rref_idempotent_and_congruence_invariant():
@@ -75,13 +81,13 @@ def test_rref_idempotent_and_congruence_invariant():
                 if not det(p).is_zero():
                     break
             assert canonicalize_subspace(field, (p * m).rows, 4) == s1
-            assert kernel(p * m) == kernel(m)
+            assert null(p * m) == null(m)
 
 
 def test_kernel_examples():
-    assert kernel(Matrix.identity(Q, 3)).dim == 0
-    assert kernel(mat(Q, [[0] * 3] * 2)) == full_subspace(Q, 3)
-    k = kernel(mat(F2, [[1, 1]]))
+    assert null(Matrix.identity(Q, 3)).dim == 0
+    assert null(mat(Q, [[0] * 3] * 2)) == full_subspace(Q, 3)
+    k = null(mat(F2, [[1, 1]]))
     assert k.dim == 1 and k.contains(vec(F2, [1, 1]))
 
 
@@ -92,7 +98,7 @@ def test_rank_nullity_randomized():
             nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
             m = Matrix(field, [[random_element(field, rng) for _ in range(ncols)] for _ in range(nrows)])
             rank = canonicalize_subspace(field, m.rows, ncols).dim
-            assert rank + kernel(m).dim == ncols
+            assert rank + null(m).dim == ncols
 
 
 def test_canonicalize_examples():
@@ -148,6 +154,25 @@ def test_meet_join_dimension_formula():
 def test_matrix_rejects_entry_from_another_field():
     with pytest.raises(ShapeMismatch):
         Matrix(F3, [[F3.one(), Q.one()]])
+
+
+def test_sparse_vectors_are_checked_like_dense_rows():
+    """A dict vector given to canonicalize_subspace or contains is refused
+    for an index outside range(ambient_dim) or an entry from another field,
+    as a dense row is for its length or its entries."""
+    one = F3.one()
+    space = canonicalize_subspace(F3, [{0: one}], 3)
+    bad = [{3: one}, {-1: one}, {0: one, 1: Q.one()}, {1: Q.zero()},
+           (one, one), (one, Q.one(), one)]
+    for v in bad:
+        with pytest.raises(ShapeMismatch):
+            canonicalize_subspace(F3, [{0: one}, v], 3)
+        with pytest.raises(ShapeMismatch):
+            space.contains(v)
+        with pytest.raises(ShapeMismatch):
+            kernel(F3, [v], 3)
+    assert space.contains({0: F3.from_int(2), 1: F3.zero()})
+    assert not space.contains({2: one})
 
 
 def test_arithmetic_across_fields_raises():
@@ -213,16 +238,20 @@ def eliminable_matrices(draw):
 @given(case=eliminable_matrices())
 def test_elimination_matches_dense_reference(case):
     """canonicalize_subspace and kernel agree with dense Gauss-Jordan
-    elimination: the basis rows and pivots are the nonzero rows and pivots
-    of the unique reduced echelon form, and the kernel is cut out by it."""
+    elimination, whether the rows come dense or as sparse dicts: the basis
+    rows and pivots are the nonzero rows and pivots of the unique reduced
+    echelon form, and the kernel is cut out by it."""
     field, rows = case
-    m = Matrix(field, rows)
+    ncols = len(rows[0])
     reduced, pivots = dense_rref(rows)
-    space = canonicalize_subspace(field, rows, m.ncols)
-    assert space.basis == Matrix(field, reduced[:len(pivots)])
-    assert space.pivots == tuple(pivots)
-    null = kernel(m)
-    assert null.dim == m.ncols - len(pivots)
     zero = field.zero()
-    assert all(sum((x * y for x, y in zip(row, v)), zero).is_zero()
-               for row in reduced for v in null.basis.rows)
+    for given in (rows, [sparse_vector(row) for row in rows]):
+        space = canonicalize_subspace(field, given, ncols)
+        assert space.basis == Matrix(field, reduced[:len(pivots)])
+        assert space.pivots == tuple(pivots)
+        assert space.rows == tuple(sparse_vector(row) for row in reduced[:len(pivots)])
+        nullspace = kernel(field, given, ncols)
+        assert nullspace.dim == ncols - len(pivots)
+        assert all(sum((x * y for x, y in zip(row, v)), zero).is_zero()
+                   for row in reduced for v in nullspace.basis.rows)
+        assert all(space.contains(row) and space.contains(sparse_vector(row)) for row in rows)

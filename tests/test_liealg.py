@@ -27,6 +27,7 @@ from orthocurrent.liealg import (
     _alternating,
     _wedges,
     algebra_from_matrices,
+    bracket_span,
     coordinates,
     current_algebra,
     current_basis,
@@ -53,7 +54,10 @@ from reference import (
     SpanSolver,
     brackets_of,
     dense_basis,
+    dense_bracket,
+    dense_bracket_span,
     dense_commutator,
+    dense_is_ideal,
     det,
     flat,
     full_subspace,
@@ -67,7 +71,9 @@ from reference import (
     scaled,
     skew_matrices,
     sparse,
+    sparse_vector,
     structure_constants,
+    unit,
 )
 
 Q = rationals()
@@ -191,23 +197,28 @@ def test_table_is_antisymmetric_by_construction():
                 assert table[j][i] == [render_scalar(-parse_scalar(x, field)) for x in table[i][j]]
         rng = random.Random(4)
         for _ in range(5):
-            u = tuple(random_element(field, rng) for _ in range(3))
-            assert alg.bracket(u, u) == fe(field, [0, 0, 0])
+            u = sparse_vector(random_element(field, rng) for _ in range(3))
+            assert alg.bracket(u, u) == {}
 
 
 def test_bracket_examples():
     field = Q
     a, b, c, d = (field.from_int(x) for x in (1, 2, 3, 4))
     alg = algebra_from_matrices(field, current_basis(a, b, c, d))
-    f1, f2 = alg.basis_vector(0), alg.basis_vector(1)
+    one = field.one()
     # [f1, f2] = b f3
-    assert alg.bracket(f1, f2) == fe(field, [0, 0, 2, 0, 0, 0])
+    assert alg.bracket({0: one}, {1: one}) == {2: field.from_int(2)}
     # [h1, h2] = D b f3 = 48 f3
-    h1, h2 = alg.basis_vector(3), alg.basis_vector(4)
-    assert alg.bracket(h1, h2) == fe(field, [0, 0, 48, 0, 0, 0])
+    assert alg.bracket({3: one}, {4: one}) == {2: field.from_int(48)}
+    assert alg.ad(3, {4: one}) == {2: field.from_int(48)}
     rng = random.Random(0)
-    u = tuple(random_element(field, rng) for _ in range(6))
-    assert alg.bracket(u, u) == fe(field, [0] * 6)
+    u = sparse_vector(random_element(field, rng) for _ in range(6))
+    assert alg.bracket(u, u) == {}
+    # the sparse bracket is the dense one with zero coordinates left out
+    for _ in range(5):
+        x, y = (tuple(random_element(field, rng) for _ in range(6)) for _ in range(2))
+        assert alg.bracket(sparse_vector(x), sparse_vector(y)) == sparse_vector(
+            dense_bracket(alg, x, y))
 
 
 def test_bracket_matches_matrix_commutators():
@@ -218,7 +229,8 @@ def test_bracket_matches_matrix_commutators():
         for j in range(alg.dim):
             mi, mj = mats[i], mats[j]
             comm = matrix_sum(mi * mj, scaled(-alg.field.one(), mj * mi))
-            combo = matrix_for(mats, alg.bracket(alg.basis_vector(i), alg.basis_vector(j)))
+            coords = alg.bracket({i: alg.field.one()}, {j: alg.field.one()})
+            combo = matrix_for(mats, [coords.get(k, alg.field.zero()) for k in range(alg.dim)])
             assert comm == combo
 
 
@@ -260,10 +272,10 @@ def test_center_examples():
     the kernel of the stacked adjoint operators."""
     for field in (Q, F2):
         m = current_algebra([field.one()] * 4)
-        basis = [m.basis_vector(i) for i in range(m.dim)]
-        columns = [[m.bracket(x, y) for y in basis] for x in basis]  # ad(x) e_j
+        basis = [unit(m, i) for i in range(m.dim)]
+        columns = [[dense_bracket(m, x, y) for y in basis] for x in basis]  # ad(x) e_j
         adjoints = [[col[k] for col in cols] for cols in columns for k in range(m.dim)]
-        assert kernel(Matrix(field, adjoints)).dim == 0
+        assert kernel(field, adjoints, m.dim).dim == 0
 
 
 def test_current_basis_values():
@@ -324,14 +336,14 @@ def test_structure_constants_distinguished_basis_table():
 
 def test_structure_constants_errors():
     alg = abelian_algebra(Q, 3)
-    table = structure_constants(alg, [alg.basis_vector(0), alg.basis_vector(1)])
+    table = structure_constants(alg, [unit(alg, 0), unit(alg, 1)])
     assert table == ((fe(Q, [0, 0]),) * 2,) * 2
     with pytest.raises(NotIndependent):
-        structure_constants(alg, [alg.basis_vector(0), alg.basis_vector(0)])
+        structure_constants(alg, [unit(alg, 0), unit(alg, 0)])
     cb = current_basis(*[Q.from_int(x) for x in (1, 2, 3, 4)])
     m = algebra_from_matrices(Q, cb)
     with pytest.raises(NotClosed):
-        structure_constants(m, [m.basis_vector(0), m.basis_vector(1)])
+        structure_constants(m, [unit(m, 0), unit(m, 1)])
 
 
 def test_dependent_basis_is_refused_when_the_algebra_is_built():
@@ -387,6 +399,36 @@ def test_current_algebra_runs_no_elimination(monkeypatch):
     assert calls == [1]
 
 
+@pytest.mark.parametrize("literal", ["Q", "F3", "F2(t)"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), nvectors=st.integers(0, 3),
+       kind=st.sampled_from(["span", "ideal", "core"]))
+def test_sparse_ideal_tests_match_the_dense_reference(literal, seed, nvectors, kind):
+    """is_ideal and bracket_span, which read M's brackets at the nonzero
+    coordinates of sparse echelon rows, agree with the dense reference:
+    unit-vector brackets [e_i, b] reduced against the space, and dense
+    brackets of pairs of basis rows.  The subspaces are spans of random
+    vectors (seldom closed), the ideals those vectors generate, and the
+    core f1, f2, f3, a subalgebra that is no ideal."""
+    field = parse_field(literal)
+    rng = random.Random(seed)
+    alg = current_algebra([random_element(field, rng, nonzero=True) for _ in range(4)])
+    if kind == "core":
+        space = canonicalize_subspace(field, [unit(alg, i) for i in range(3)], 6)
+    else:
+        vectors = [[random_element(field, rng) for _ in range(6)] for _ in range(nvectors)]
+        space = (ideal_closure(alg, vectors) if kind == "ideal"
+                 else canonicalize_subspace(field, vectors, 6))
+    for row, dense_row in zip(space.rows, space.basis.rows):
+        assert all(alg.ad(i, row) == sparse_vector(dense_bracket(alg, unit(alg, i), dense_row))
+                   for i in range(alg.dim))
+    ideal = is_ideal(alg, space)
+    assert ideal == dense_is_ideal(alg, space)
+    if kind != "span":
+        assert ideal == (kind == "ideal")
+    assert bracket_span(alg, space) == dense_bracket_span(alg, space)
+
+
 def test_ideal_closure_examples():
     m = algebra_from_matrices(Q, current_basis(*[Q.from_int(x) for x in (1, 1, 1, 1)]))
     zero_seed = ideal_closure(m, [])
@@ -398,7 +440,7 @@ def test_ideal_closure_examples():
     assert ideal.dim == 3 and is_ideal(m, ideal)
     # over F_3 with non-square discriminant any nonzero seed spins to all of M
     m3 = algebra_from_matrices(F3, current_basis(*[F3.from_int(x) for x in (1, 1, 1, 2)]))
-    closure = ideal_closure(m3, [m3.basis_vector(0)])
+    closure = ideal_closure(m3, [unit(m3, 0)])
     assert closure.dim == 6
 
 
@@ -455,11 +497,10 @@ def test_tensor_current_bracket_pattern():
     t = tensor_current(core, d, 2)
     assert t.dim == 6
     # [l1 (x) x, l2 (x) x] = D [l1, l2] (x) 1 = D b f3
-    out = t.bracket(t.basis_vector(3), t.basis_vector(4))
-    assert out == fe(field, [0, 0, 48, 0, 0, 0])
+    one = field.one()
+    assert t.bracket({3: one}, {4: one}) == {2: field.from_int(48)}
     # [l1 (x) 1, l2 (x) x] = [l1, l2] (x) x = b f3 (x) x
-    out = t.bracket(t.basis_vector(0), t.basis_vector(4))
-    assert out == fe(field, [0, 0, 0, 0, 0, 2])
+    assert t.bracket({0: one}, {4: one}) == {5: field.from_int(2)}
     # tensoring an abelian algebra stays abelian
     ab = tensor_current(abelian_algebra(field, 2), d, 2)
     assert derived_subspace(ab).dim == 0

@@ -27,6 +27,7 @@ from orthocurrent.structure import CASE_SEMIDIRECT, CASE_SIMPLE, CASE_TWO_IDEALS
 from reference import (
     _apply,
     brackets_of,
+    dense_bracket,
     document_subspace,
     enumerate_subspaces,
     ideal_closure,
@@ -34,6 +35,7 @@ from reference import (
     iter_echelon,
     spin_principal_ideal,
     subspace_meet_join,
+    unit,
 )
 
 F2 = prime_field(2)
@@ -62,10 +64,10 @@ def scan_ideals(alg):
     """Reference: test every subspace of F_q^n for ad-invariance, then sort
     by (dimension, pivots, rows), as oracle keys."""
     q, n = alg.field.p, alg.dim
-    basis = [alg.basis_vector(i) for i in range(n)]
+    basis = [unit(alg, i) for i in range(n)]
     ads = []
     for x in basis:
-        columns = [alg.bracket(x, y) for y in basis]  # ad(x) e_j
+        columns = [dense_bracket(alg, x, y) for y in basis]  # ad(x) e_j
         ads.append([[col[k].payload for col in columns] for k in range(n)])
 
     def invariant(pivots, rows):
@@ -141,7 +143,7 @@ def test_ideals_f2_semidirect_form():
     ideals = ideal_subspaces(alg)
     assert any(space.dim == 3 for space in ideals)
     # N = span{f1,f2,f3} is a subalgebra but not an ideal
-    n_span = [alg.basis_vector(i) for i in range(3)]
+    n_span = [unit(alg, i) for i in range(3)]
     from orthocurrent.exact_linalg import canonicalize_subspace
 
     n_space = canonicalize_subspace(F2, n_span, 6)
