@@ -10,8 +10,8 @@ Each command builds one JSON document; `--json` prints it and the text
 output renders it.  Exit codes: 0 when every check in the document passes,
 1 when a computation runs but some check fails (which would falsify the
 library's claims) or a domain error occurs, 2 for usage errors.  All
-randomness flows from one seed (flag `--seed`, else ORTHOCURRENT_SEED,
-else 0).
+randomness flows from one seed, `--seed` (default 0); no command reads
+the environment.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .structure import (
     verify_current_form,
 )
 
-SEED_ENV = "ORTHOCURRENT_SEED"
 # Errors a computation raises on inputs it rejects; they exit 1.
 DOMAIN_ERRORS = (ValueError, RuntimeError, ZeroDivisionError)
 
@@ -84,9 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_form_args(p):
-        p.add_argument("--field", required=True,
-                       help='field literal: Q, F<p>, F<p>(t), <base>[sqrt <D>]')
+    def add_form_args(p, fields="field literal: Q, F<p>, F<p>(t), <base>[sqrt <D>]"):
+        p.add_argument("--field", required=True, help=fields)
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--form", help="four comma-separated diagonal entries")
         group.add_argument("--gram", help="full symmetric Gram matrix as JSON rows of literals")
@@ -94,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify the current-algebra form of M")
     add_form_args(p_verify)
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=int, default=0)
 
     p_classify = sub.add_parser("classify", help="emit a decomposition certificate")
     add_form_args(p_classify)
@@ -103,13 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_form_args(p_table)
 
     p_oracle = sub.add_parser("oracle", help="enumerate all ideals over F_q")
-    p_oracle.add_argument("--field", help=_ORACLE_FIELDS)
-    p_oracle.add_argument("--q", type=int, choices=SUPPORTED_Q,
-                          help="shorthand for --field F<q>")
-    group = p_oracle.add_mutually_exclusive_group(required=True)
-    group.add_argument("--form", help="four comma-separated diagonal entries")
-    group.add_argument("--gram", help="full symmetric Gram matrix as JSON rows of literals")
-    p_oracle.add_argument("--json", action="store_true", dest="as_json")
+    add_form_args(p_oracle, _ORACLE_FIELDS)
 
     p_counter = sub.add_parser(
         "counterexample",
@@ -159,37 +151,16 @@ def parse_args(argv: Sequence[str]) -> CommandSpec:
     ns = parser.parse_args(argv)
     if ns.command == "counterexample":
         return CommandSpec("counterexample", p=ns.p, as_json=ns.as_json)
-    if ns.command == "oracle":
-        if (ns.field is None) == (ns.q is None):
-            parser.error("oracle needs exactly one of --field or --q")
-        literal = ns.field if ns.field is not None else f"F{ns.q}"
-        try:
-            check_literal_digits(literal)
-            field = parse_field(literal)
-        except (ParseError, ValueError) as exc:
-            parser.error(f"bad field literal: {exc}")
-        if field.kind != KIND_PRIME or field.p not in SUPPORTED_Q:
-            parser.error(f"oracle requires a finite prime field {_ORACLE_FIELDS}")
-        entries, gram = _parse_form(parser, field, ns)
-        return CommandSpec("oracle", field=field, entries=entries, gram=gram,
-                           as_json=ns.as_json)
     try:
         check_literal_digits(ns.field)
         field = parse_field(ns.field)
     except (ParseError, ValueError) as exc:
         parser.error(f"bad field literal: {exc}")
+    if ns.command == "oracle" and (field.kind != KIND_PRIME or field.p not in SUPPORTED_Q):
+        parser.error(f"oracle requires a finite prime field {_ORACLE_FIELDS}")
     entries, gram = _parse_form(parser, field, ns)
-    seed = 0
-    if ns.command == "verify":
-        if ns.seed is not None:
-            seed = ns.seed
-        else:
-            try:
-                seed = int(os.environ.get(SEED_ENV, "0"))
-            except ValueError:
-                parser.error(f"{SEED_ENV} must be an integer")
     return CommandSpec(ns.command, field=field, entries=entries, gram=gram,
-                       as_json=ns.as_json, seed=seed)
+                       as_json=ns.as_json, seed=getattr(ns, "seed", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +383,13 @@ def recheck_json(data: dict) -> list[dict]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     spec = parse_args(sys.argv[1:] if argv is None else list(argv))
     code, output = execute(spec)
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (`| head -3`): point stdout at the null device
+        # so that the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -218,7 +218,7 @@ def _small_elements(field: FieldDescriptor) -> Callable[[random.Random], FieldEl
     return lambda rng: field.from_int(rng.randint(-2, 2))
 
 
-def _orthogonal_rows(pipe: Pipeline, rng: random.Random, max_tries: int,
+def _orthogonal_rows(pipe: Pipeline, rng: random.Random
                      ) -> tuple[int, Subspace, tuple[Vector, ...], tuple[FieldElement, ...]]:
     """A random 3-dimensional subspace W with nondegenerate restriction, an
     orthogonal basis w1, w2, w3 of W and w4 spanning its orthogonal
@@ -235,7 +235,7 @@ def _orthogonal_rows(pipe: Pipeline, rng: random.Random, max_tries: int,
     field = pipe.field
     form = pipe.form
     small = _small_elements(field)
-    for attempt in range(1, max_tries + 1):
+    for attempt in range(1, RANDOM_W_ATTEMPTS + 1):
         rows = [[small(rng) for _ in range(4)] for _ in range(3)]
         w = canonicalize_subspace(field, rows, 4)
         if w.dim != 3:
@@ -247,7 +247,7 @@ def _orthogonal_rows(pipe: Pipeline, rng: random.Random, max_tries: int,
         ortho = orthogonalize(form, w.basis.rows)
         return attempt, w, ortho.basis.rows + (w4,), ortho.diagonal + (d4,)
     raise NondegenerateWRequired(
-        f"no nondegenerate restriction found in {max_tries} attempts"
+        f"no nondegenerate restriction found in {RANDOM_W_ATTEMPTS} attempts"
     )
 
 
@@ -275,7 +275,7 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random) -> tuple[dict, list[dict]]
     Returns the `random_w` part of the verify document and the leg's
     checks: the two above and `random_w_square_class_invariant`.
     """
-    attempt, w, rows, primed = _orthogonal_rows(pipe, rng, RANDOM_W_ATTEMPTS)
+    attempt, w, rows, primed = _orthogonal_rows(pipe, rng)
     form, zero = pipe.form, pipe.field.zero()
     d_primed = primed[0] * primed[1] * primed[2] * primed[3]
     images = [form.image(row) for row in rows]

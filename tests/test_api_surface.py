@@ -117,6 +117,22 @@ def test_the_library_holds_no_assert():
     assert asserts == []
 
 
+def test_no_module_reads_the_environment():
+    """Each command is a function of its arguments alone: no module of the
+    package reads `os.environ` or calls `os.getenv`, so a variable set in
+    the shell cannot change a document."""
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    reads = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in readers)
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in readers for alias in node.names))
+    ]
+    assert reads == []
+
+
 def _named(node):
     """The identifier a node reads, imports, defines or binds as a parameter."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):

@@ -1,6 +1,8 @@
 import copy
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import orthocurrent
 from orthocurrent import cli, forms, liealg, structure
 from orthocurrent.cli import execute, main, parse_args, recheck_json
 from orthocurrent.scalars import MAX_LITERAL_DIGITS, MAX_TOWER_HEIGHT
@@ -30,23 +33,6 @@ def test_parse_args_verify_defaults():
     assert spec.command == "verify" and spec.seed == 0
 
 
-def test_seed_env_override(monkeypatch):
-    monkeypatch.setenv("ORTHOCURRENT_SEED", "7")
-    spec = parse_args(["verify", "--field", "Q", "--form", "1,2,3,4"])
-    assert spec.seed == 7
-    # explicit flag wins over the environment
-    spec = parse_args(["verify", "--field", "Q", "--form", "1,2,3,4", "--seed", "3"])
-    assert spec.seed == 3
-
-
-def test_bad_seed_env_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("ORTHOCURRENT_SEED", "abc")
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["verify", "--field", "Q", "--form", "1,2,3,4"])
-    assert exc.value.code == 2
-    assert "ORTHOCURRENT_SEED must be an integer" in capsys.readouterr().err
-
-
 def test_one_parser_serves_every_call(capsys):
     """The parser is built once per process; a usage error leaves it fit
     for the next call."""
@@ -60,18 +46,7 @@ def test_one_parser_serves_every_call(capsys):
     assert [x.payload for x in spec.entries] == [1, 1, 1, 2]
 
 
-def test_seed_env_is_read_on_every_call(monkeypatch):
-    argv = ["verify", "--field", "F3", "--form", "1,1,1,2", "--json"]
-    for seed in ("5", "9"):
-        monkeypatch.setenv("ORTHOCURRENT_SEED", seed)
-        code, out = run(argv)
-        assert code == 0 and json.loads(out)["seed"] == int(seed)
-    monkeypatch.delenv("ORTHOCURRENT_SEED")
-    assert parse_args(argv).seed == 0
-
-
-def test_flag_values_do_not_leak_into_later_calls(monkeypatch):
-    monkeypatch.delenv("ORTHOCURRENT_SEED", raising=False)
+def test_flag_values_do_not_leak_into_later_calls():
     spec = parse_args(["verify", "--field", "Q", "--form", "1,2,3,4",
                        "--seed", "3", "--json"])
     assert (spec.seed, spec.as_json) == (3, True)
@@ -79,10 +54,12 @@ def test_flag_values_do_not_leak_into_later_calls(monkeypatch):
     assert (spec.seed, spec.as_json) == (0, False)
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     for argv in [
         ["oracle", "--field", "Q", "--form", "1,1,1,1"],
         ["oracle", "--form", "1,1,1,1"],
+        # the oracle names its field with --field only
+        ["oracle", "--q", "3", "--form", "1,1,1,1"],
         ["classify", "--field", "F3", "--form", "1,1,1"],
         ["classify", "--field", "nonsense", "--form", "1,1,1,1"],
         ["counterexample", "--p", "5"],
@@ -94,11 +71,19 @@ def test_usage_errors_exit_2():
         ["table", "--field", "F3(t)", "--form", "1,1,1,t^1001"],
         ["table", "--field", "F3(t)", "--form", "1,1,1,1/(t^1001+1)"],
         ["table", "--field", "F2(t)[sqrt t+1]", "--form", "1,1,1,t+t^1001*r"],
+        # an empty, a dangling, a zero-denominator and an unbalanced entry
+        ["table", "--field", "F3(t)", "--form", "1,1,1,()"],
+        ["table", "--field", "F3(t)", "--form", "1,1,1,t+"],
+        ["table", "--field", "F3(t)", "--form", "1,1,1,1/0"],
+        ["table", "--field", "F3(t)", "--form", "1,1,1,)t("],
+        ["table", "--field", "F3]", "--form", "1,1,1,1"],
         [],
     ]:
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert re.match(r"orthocurrent( \w+)?: error: ", last)
 
 
 def test_huge_exponent_is_refused_before_allocation(capsys):
@@ -204,6 +189,10 @@ def test_classify_json_case():
     json.dumps([None, ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]),
     json.dumps(["1000", "0200", "0030", "0004"]),  # rows that are strings
     pytest.param("[" * 1000 + "]" * 1000, id="nested-1000"),
+    pytest.param(json.dumps([["1", "0", "0", "0"], ["0", "1", "0"], ["0", "0", "1", "0"],
+                             ["0", "0", "0", "1"]]), id="ragged"),
+    pytest.param(json.dumps([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
+                             ["0", "0", "0"]]), id="four-by-three"),
 ])
 def test_bad_gram_rows_are_usage_errors(gram, capsys):
     """Each row must be a JSON list: a number, a null or a string row exits
@@ -232,6 +221,10 @@ def test_classify_gram_input():
     data = json.loads(out)
     # diag(2, -1/2, 1, 1); D = -1 is a non-square over Q
     assert data["case"] == "simple_by_descent"
+    code, out = run(["classify", "--field", "Q", "--gram", gram])
+    assert code == 0
+    line = "(diagonal entries obtained by orthogonalizing the given Gram matrix)"
+    assert line in out.splitlines()
 
 
 def test_counterexample_json():
@@ -242,7 +235,7 @@ def test_counterexample_json():
 
 
 def test_oracle_command():
-    code, out = run(["oracle", "--q", "3", "--form", "1,1,1,2", "--json"])
+    code, out = run(["oracle", "--field", "F3", "--form", "1,1,1,2", "--json"])
     assert code == 0
     data = json.loads(out)
     assert data["ideal_count"] == 2
@@ -252,7 +245,7 @@ def test_oracle_command():
 
 
 def test_oracle_q7_split_and_simple():
-    code, out = run(["oracle", "--q", "7", "--form", "1,1,1,1", "--json"])
+    code, out = run(["oracle", "--field", "F7", "--form", "1,1,1,1", "--json"])
     assert code == 0
     ideals = json.loads(out)["ideals"]
     _, out = run(["classify", "--field", "F7", "--form", "1,1,1,1", "--json"])
@@ -260,13 +253,13 @@ def test_oracle_q7_split_and_simple():
     assert len(ideals) == 4 and ideals[0] == [] and len(ideals[3]) == 6
     assert sorted(ideals[1:3]) == sorted([witnesses["I1"], witnesses["I2"]])
     # D = 3 is not a square mod 7
-    code, out = run(["oracle", "--q", "7", "--form", "1,1,1,3", "--json"])
+    code, out = run(["oracle", "--field", "F7", "--form", "1,1,1,3", "--json"])
     assert code == 0
     assert [len(rows) for rows in json.loads(out)["ideals"]] == [0, 6]
 
 
 def test_oracle_recheck_catches_tampering():
-    data = json.loads(run(["oracle", "--q", "3", "--form", "1,1,1,1", "--json"])[1])
+    data = json.loads(run(["oracle", "--field", "F3", "--form", "1,1,1,1", "--json"])[1])
     for key, value in [("ideal_count", 99), ("D", "0"),
                        ("checks", [{"name": "enumeration_complete", "ok": False}])]:
         checks = recheck_json(dict(data, **{key: value}))
@@ -275,7 +268,7 @@ def test_oracle_recheck_catches_tampering():
 
 
 def test_oracle_recheck_malformed_documents_fail():
-    data = json.loads(run(["oracle", "--q", "2", "--form", "1,1,1,1", "--json"])[1])
+    data = json.loads(run(["oracle", "--field", "F2", "--form", "1,1,1,1", "--json"])[1])
     for doc in [
         {"command": "oracle"},
         dict(data, form="1,1,1,1"),
@@ -312,7 +305,7 @@ def test_error_exit_code_1():
 def test_table_and_oracle_reject_zero_entry_alike():
     """Every command builds the distinguished basis of M before anything
     else, so a zero diagonal entry stops each at the same check."""
-    for argv in (["table", "--field", "F3"], ["oracle", "--q", "3"],
+    for argv in (["table", "--field", "F3"], ["oracle", "--field", "F3"],
                  ["classify", "--field", "F3"], ["verify", "--field", "F3"]):
         for form, name in (("0,1,1,1", "a"), ("1,0,1,1", "b")):
             code, out = run([*argv, "--form", form])
@@ -324,7 +317,7 @@ def test_json_round_trips_recheck():
         run(["verify", "--field", "F3", "--form", "1,1,1,2", "--json"])[1],
         run(["classify", "--field", "F3", "--form", "1,1,1,2", "--json"])[1],
         run(["table", "--field", "Q", "--form", "1,2,3,4", "--json"])[1],
-        run(["oracle", "--q", "2", "--form", "1,1,1,1", "--json"])[1],
+        run(["oracle", "--field", "F2", "--form", "1,1,1,1", "--json"])[1],
         run(["counterexample", "--p", "2", "--json"])[1],
     ]
     for blob in documents:
@@ -343,6 +336,60 @@ def test_main_prints_and_returns(capsys):
     code = main(["table", "--field", "Q", "--form", "1,1,1,1"])
     captured = capsys.readouterr()
     assert code == 0 and "[f1,f2] = b f3 = 1 f3" in captured.out
+
+
+def test_a_closed_pipe_ends_quietly():
+    """`classify ... --json | head -3` closes the pipe before the document
+    is written: the command exits with the document's code and writes no
+    traceback, where a BrokenPipeError escaped `main` with exit 1."""
+    src = Path(orthocurrent.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "orthocurrent.cli", "classify", "--field", "F3",
+             "--form", "1,1,1,2", "--json"],
+            stdout=write, stderr=subprocess.PIPE, env=env, check=False)
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (0, b"")
+
+
+def test_the_seed_is_read_from_the_arguments_only(monkeypatch):
+    """The environment sets no seed: verify prints the same bytes with or
+    without ORTHOCURRENT_SEED, which once overrode the default of 0."""
+    argv = ["verify", "--field", "Q", "--form", "1,2,3,4", "--json"]
+    plain = run(argv)
+    monkeypatch.setenv("ORTHOCURRENT_SEED", "7")
+    assert run(argv) == plain and json.loads(plain[1])["seed"] == 0
+
+
+LITERAL_FIELDS = ("Q", "F2", "F3", "F3(t)", "F2(t)", "Q[sqrt 2]", "F3[sqrt 2]",
+                  "F3(t)[sqrt t]", "F2(t)[sqrt t+1]")
+LITERAL_CHARS = "0123456789tr+-*/^(), "
+# Small literals joined by operators, so that some forms parse and run;
+# most random strings exit 2.
+_PIECE = st.sampled_from(["1", "2", "-3", "t", "r", "t^2", "2*r", "(t+1)"])
+_JOINED = st.tuples(
+    _PIECE, st.lists(st.tuples(st.sampled_from("+-*/"), _PIECE), max_size=2),
+).map(lambda parts: parts[0] + "".join(op + x for op, x in parts[1]))
+_ENTRY = st.one_of(st.text(LITERAL_CHARS.replace(",", ""), min_size=1, max_size=4), _JOINED)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(field=st.sampled_from(LITERAL_FIELDS),
+       form=st.one_of(st.text(LITERAL_CHARS, max_size=24),
+                      st.lists(_ENTRY, min_size=4, max_size=4).map(",".join)))
+def test_no_form_literal_raises(field, form):
+    """Whatever the --form string, `table` either exits 2 while its
+    arguments are read or runs to exit 0 or 1: no other exception escapes."""
+    try:
+        spec = parse_args(["table", "--field", field, "--form", form])
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    assert execute(spec)[0] in (0, 1)
 
 
 def test_table_recheck_catches_tampering():

@@ -89,7 +89,7 @@ CLASSIFY_Q_SIMPLE = ("classify", "--field", "Q", "--form", "1/2,3,-1,6")
 # The f3-split golden form.
 VERIFY_F3 = ("verify", "--field", "F3", "--form", "1,2,1,2")
 TABLE_F3 = ("table", "--field", "F3", "--form", "1,2,1,2")
-ORACLE_F3 = ("oracle", "--q", "3", "--form", "1,2,1,2")
+ORACLE_F3 = ("oracle", "--field", "F3", "--form", "1,2,1,2")
 SEMIDIRECT = "f2-semidirect.classify.json"
 SPLIT = "f3-split.classify.json"
 SIMPLE = "q-simple.classify.json"

@@ -76,7 +76,7 @@ def documents() -> dict[str, str]:
         docs[f"counterexample-p{p}.json"] = _run([*args, "--json"])
         docs[f"counterexample-p{p}.txt"] = _run(args)
     for name, q, form in ORACLE_FORMS:
-        args = ["oracle", "--q", str(q), "--form", form]
+        args = ["oracle", "--field", f"F{q}", "--form", form]
         docs[f"{name}.oracle.json"] = _run([*args, "--json"])
         docs[f"{name}.oracle.txt"] = _run(args)
     return {name: text + "\n" for name, text in docs.items()}

@@ -303,7 +303,7 @@ def test_scan_reads_n_table_images_per_point_and_few_inserts(monkeypatch):
         assert calls["hi"] == calls["lo"] == 6 * (q ** 6 - 1) // (q - 1)
         assert calls["_insert"] <= inserts
     calls["_image_tables"] = 0
-    code, _ = cli.execute(cli.parse_args(["oracle", "--q", "3", "--form", "1,1,1,1", "--json"]))
+    code, _ = cli.execute(cli.parse_args(["oracle", "--field", "F3", "--form", "1,1,1,1", "--json"]))
     assert code == 0 and calls["_image_tables"] == 1
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -378,8 +379,8 @@ def test_a_singular_primed_diagonal_fails_the_leg(monkeypatch):
     fail; D = 1 and D' = 0 are both squares, and nothing raises."""
     real = structure._orthogonal_rows
 
-    def zeroed(pipe, rng, max_tries):
-        attempt, w, rows, primed = real(pipe, rng, max_tries)
+    def zeroed(pipe, rng):
+        attempt, w, rows, primed = real(pipe, rng)
         zero = pipe.field.zero()
         return attempt, w, rows[:3] + ((zero,) * 4,), primed[:3] + (zero,)
 
@@ -433,7 +434,7 @@ def test_wedges_are_the_conjugated_distinguished_basis(literal, seed):
     rng = random.Random(seed)
     entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
     pipe = build_pipeline(field, entries)
-    _, _, rows, primed = structure._orthogonal_rows(pipe, random.Random(seed), 32)
+    _, _, rows, primed = structure._orthogonal_rows(pipe, random.Random(seed))
     conjugates = conjugated_current_basis(rows, primed)
     assert wedge_basis(pipe.form.gram, rows, primed) == conjugates
     assert realization_mismatch(table_brackets(*primed), conjugates) is None
@@ -475,10 +476,11 @@ def _leg_literals(found):
 
 
 def _leg_rows_or_none(pipe, seed, max_tries):
-    try:
-        return structure._orthogonal_rows(pipe, random.Random(seed), max_tries)
-    except structure.NondegenerateWRequired:
-        return None
+    with patch.object(structure, "RANDOM_W_ATTEMPTS", max_tries):
+        try:
+            return structure._orthogonal_rows(pipe, random.Random(seed))
+        except structure.NondegenerateWRequired:
+            return None
 
 
 def _assert_leg_rows_are_the_reference(pipe, seed, max_tries):
@@ -514,7 +516,8 @@ def test_the_leg_retries_where_the_restriction_degenerates(literal, form):
     does, and some seed retries."""
     field = parse_field(literal)
     pipe = build_pipeline(field, [parse_scalar(x, field) for x in form.split(",")])
-    attempts = [_assert_leg_rows_are_the_reference(pipe, seed, 32)[0] for seed in range(30)]
+    bound = structure.RANDOM_W_ATTEMPTS
+    attempts = [_assert_leg_rows_are_the_reference(pipe, seed, bound)[0] for seed in range(30)]
     assert max(attempts) > 1
 
 
