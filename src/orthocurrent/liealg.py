@@ -4,32 +4,22 @@ The central object is `LieAlgebraSC`: a finite-dimensional Lie algebra
 given only by its brackets [e_i, e_j], i < j, its one table.  [e_j, e_i]
 is their negation and [e_i, e_i] is zero by construction, so [x,x] = 0
 holds in every characteristic without a check.  The constructor does not
-check the Jacobi identity.
-Exactly two builders make algebras, and each yields a Lie algebra by a
-fact proved or tested elsewhere: `algebra_from_matrices` (M and the core,
-from `current_basis`) reads brackets that `coordinates` proves equal to
-the commutators of independent matrices on every entry, and
-`tensor_current` tensors a Lie algebra with F[X]/(X^n - s), whose ring
-laws a property test holds.  A `LieAlgebraSC` built directly accepts a
-table that breaks Jacobi.
+check the Jacobi identity, so a table given to it directly may break it.
+Three builders make algebras, each with its own argument: M or the core
+from the sparse matrices of `current_basis` (`algebra_from_matrices`,
+whose `coordinates` proves the brackets against independent matrices on
+every entry), a current algebra (`tensor_current`, over F[X]/(X^n - s),
+whose ring laws a property test holds), and the evaluation of the table
+that `prove_identity` proves to be those matrices' (`evaluated_algebra`).
 
-A matrix is a sparse dict {(row, col): entry}, as `current_basis` returns
-and `algebra_from_matrices` takes it.  Three rules on such matrices are
-stated once, generic in the scalar: `exact_linalg.commutator`,
-`coordinates` (the coordinates of each commutator, read at the matrices'
-own entries and proved on every entry) and `_alternating` (G m
-alternating for a diagonal G).  The engine runs them over field elements,
-in `algebra_from_matrices` and `current_basis`.  `prove_identity` runs
-the same rules over Z[a, b, c, d], and so proves for every field and
-every diagonal at once that the distinguished basis of WEDGE_ROWS has the
-table of TABLE_ROWS and spans [L, L].  `table_brackets` reads TABLE_ROWS
-as brackets, for that proof and for the `table` command alike.
-
-`skew_adjoint_algebra` returns the solution space of x^T G + G x = 0,
-each x flattened row by row.  For a 4-dimensional nondegenerate form the
-distinguished basis f1, f2, f3, h1, h2, h3 of the derived algebra aligns
-it positionally with (3-dimensional core) tensor (quadratic quotient),
-which is what the verification and classification layers exploit.
+The engine's rules are stated once, generic in the scalar:
+`exact_linalg.commutator`, `coordinates`, `_alternating` (G m
+alternating for a diagonal G), `_skew_equations` (x^T G + G x = 0) and
+`_current_brackets` (tensor_current's rule).  `prove_identity` runs them
+over Z[a, b, c, d], once per process, and so proves for every field and
+every diagonal the facts that the documents evaluate: WEDGE_ROWS's basis
+has the table of TABLE_ROWS and spans [L, L], TABLE_ROWS is core (x)
+F[X]/(X^2 - D), the core's basis spans its [L, L], and dim L.
 """
 
 from __future__ import annotations
@@ -48,10 +38,6 @@ from .exact_linalg import (
 )
 from .forms import AlternatingChar2, BilinearForm, Degenerate
 from .scalars import DescriptorMismatch, FieldDescriptor, FieldElement
-
-
-class NotClosed(ValueError):
-    """A bracket escapes the span of the proposed basis."""
 
 
 class NotIndependent(ValueError):
@@ -150,24 +136,26 @@ class LieAlgebraSC:
 
 
 def skew_adjoint_algebra(form: BilinearForm) -> Subspace:
-    """All endomorphisms x with x^T G + G x = 0, as the solution space of
-    the n^2 x n^2 linear system: each vector is an x flattened row by row,
-    x[r][c] at r n + c, and the basis is the canonical echelon one.  For a
-    4-dimensional form the dimension is 6 in characteristic != 2 and 10 in
-    characteristic 2.
-
-    Equation (i, j) reads x[k][i] with coefficient g[k][j] (from x^T G)
-    and x[k][j] with g[i][k] (from G x), so it is written from G's nonzero
-    entries only: two for a diagonal G.
-    """
+    """All endomorphisms x with x^T G + G x = 0, the kernel of
+    `_skew_equations`: each vector is an x flattened row by row, x[r][c] at
+    r n + c, and the basis is the canonical echelon one."""
     if not form.nondegenerate:
         raise Degenerate("skew-adjoint algebra requires a nondegenerate form")
     field = form.field
     if field.characteristic() == 2 and form.alternating and form.dim > 0:
         raise AlternatingChar2("alternating form in characteristic 2")
     n = form.dim
-    rows = [[(k, x) for k, x in enumerate(row) if x] for row in form.gram.rows]
-    cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*form.gram.rows)]
+    return kernel(field, _skew_equations(form.gram.rows), n * n)
+
+
+def _skew_equations(gram: Sequence[Sequence]) -> list[dict]:
+    """The n^2 equations of x^T G + G x = 0, as {r n + c: coefficient of
+    x[r][c]}, generic in the scalar.  Equation (i, j) reads x[k][i] with
+    coefficient g[k][j] (from x^T G) and x[k][j] with g[i][k] (from G x),
+    so it is written from G's nonzero entries only: two for a diagonal G."""
+    n = len(gram)
+    rows = [[(k, x) for k, x in enumerate(row) if x] for row in gram]
+    cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*gram)]
     equations = []
     for i in range(n):
         for j in range(n):
@@ -176,7 +164,7 @@ def skew_adjoint_algebra(form: BilinearForm) -> Subspace:
             for pos, x in terms:
                 equation[pos] = equation[pos] + x if pos in equation else x
             equations.append(equation)
-    return kernel(field, equations, n * n)
+    return equations
 
 
 def coordinates(mats: Sequence[dict]) -> dict[tuple[int, int], dict]:
@@ -267,14 +255,19 @@ def is_ideal(alg: LieAlgebraSC, space: Subspace) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_diagonal(names: str, entries: Sequence[FieldElement]) -> None:
-    """Raises unless the diagonal entries are nonzero and in one field."""
+def _check_diagonal(entries: Sequence[FieldElement]) -> int:
+    """The number n of diagonal entries; raises unless n is 3 or 4 and the
+    entries are nonzero and in one field."""
+    n = len(entries)
+    if n not in (3, 4):
+        raise WrongDimension("expected three or four diagonal entries")
     field = entries[0].field
-    for name, x in zip(names, entries):
+    for name, x in zip("abcd", entries):
         if x.field != field:
             raise DescriptorMismatch("diagonal entries live in different fields")
         if x.is_zero():
             raise ZeroEntry(f"diagonal entry {name} must be nonzero")
+    return n
 
 
 # The paper's table in the distinguished basis, one row per nonzero bracket
@@ -360,10 +353,7 @@ def current_basis(*entries: FieldElement) -> list[dict]:
     matrices at those entries and refuses, with NotIndependent, matrices
     that lack them.
     """
-    n = len(entries)
-    if n not in (3, 4):
-        raise WrongDimension("expected three or four diagonal entries")
-    _check_diagonal("abcd"[:n], entries)
+    _check_diagonal(entries)
     wedges = _wedges(entries)
     if not all(_alternating(m, entries) for m in wedges):
         raise InvalidStructure("basis matrix is not skew-adjoint")
@@ -375,6 +365,18 @@ def current_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
     diag(a, b, c) on f1..f3: `current_basis` as a Lie algebra."""
     basis = current_basis(*entries)
     return algebra_from_matrices(entries[0].field, basis)
+
+
+def evaluated_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
+    """The algebra of `current_algebra`, with the same checks of the
+    entries, evaluated from `table_brackets` (the core on the pairs within
+    f1..f3, at d = 1).  Evaluation is a ring map from Z[a, b, c, d], so by
+    `prove_identity` this is M's table, and the core's, free of d, within
+    f1, f2, f3."""
+    n = _check_diagonal(entries)
+    field, dim = entries[0].field, n * (n - 1) // 2
+    brackets = table_brackets(*entries, *[field.one()] * (4 - n))
+    return LieAlgebraSC(field, dim, {pair: c for pair, c in brackets.items() if pair[1] < dim})
 
 
 def table_brackets(a, b, c, d) -> dict:
@@ -394,7 +396,72 @@ def table_brackets(a, b, c, d) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The table and the span of M, proved over Z[a, b, c, d].
+# Current algebras over F[X]/(X^n - s).
+# ---------------------------------------------------------------------------
+
+
+def quotient_product(u: Sequence, v: Sequence, s) -> tuple:
+    """The product in R[X]/(X^n - s), n = len(u), on the basis 1, x, ...,
+    x^(n-1): x^i x^j is x^(i+j), or s x^(i+j-n) past the top.  Generic in
+    the scalar, like `coordinates`: over a field, or over Z[a, b, c, d]."""
+    n = len(u)
+    if len(v) != n:
+        raise ShapeMismatch("factors have different lengths")
+    acc = [s - s] * n
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            term = ui * vj
+            k = i + j
+            if k >= n:
+                k -= n
+                term = term * s
+            acc[k] = acc[k] + term
+    return tuple(acc)
+
+
+def _current_brackets(brackets: Mapping, nl: int, s, n: int, one) -> dict:
+    """The nonzero brackets of L (x) R[X]/(X^n - s) in `tensor_current`'s
+    basis order, for L of dimension nl with the given brackets and `one`
+    the unit of R.  Generic in the scalar, like `quotient_product`."""
+    zero = one - one
+    basis = [tuple(one if k == j else zero for k in range(n)) for j in range(n)]
+    products = [[[(t, pt) for t, pt in enumerate(quotient_product(u, v, s)) if pt]
+                 for v in basis] for u in basis]
+    # [l_i, l_k] for every ordered pair, read from the brackets i < k.
+    table = {}
+    for (i, k), row in brackets.items():
+        table[i, k] = row
+        table[k, i] = {r: -x for r, x in row.items()}
+    out = {}
+    for a in range(nl * n):
+        j, i = divmod(a, nl)
+        for b in range(a + 1, nl * n):
+            m, k = divmod(b, nl)
+            # [l_i (x) x^j, l_k (x) x^m] = [l_i, l_k] (x) x^j x^m: each
+            # (r, t) is a distinct coordinate t * nl + r.
+            row = {t * nl + r: br * pt for r, br in table.get((i, k), {}).items()
+                   for t, pt in products[j][m]}
+            if row:
+                out[a, b] = row
+    return out
+
+
+def tensor_current(alg: LieAlgebraSC, s: FieldElement, n: int) -> LieAlgebraSC:
+    """Current algebra L (x) F[X]/(X^n - s) with [l (x) a, l' (x) a'] =
+    [l,l'] (x) aa', in coefficient-major order: position j * dim(L) + i
+    holds l_i (x) x^j."""
+    if alg.field != s.field:
+        raise DescriptorMismatch("algebra and coefficients over different fields")
+    return LieAlgebraSC(alg.field, alg.dim * n,
+                        _current_brackets(alg.brackets, alg.dim, s, n, alg.field.one()))
+
+
+# ---------------------------------------------------------------------------
+# The identity, proved over Z[a, b, c, d].
 # ---------------------------------------------------------------------------
 
 
@@ -454,95 +521,74 @@ def _unit_monomial(x: IntPoly) -> bool:
     return len(x) == 1 and abs(next(iter(x.values()))) == 1
 
 
-def prove_identity() -> tuple[bool, bool]:
-    """(table, span): the paper's identity for M, proved over Z[a, b, c, d]
-    from WEDGE_ROWS and TABLE_ROWS as they stand, for every field and every
-    diagonal with abcd != 0.
+ONE = IntPoly({(0, 0, 0, 0): 1})
+_PROOFS: dict = {}  # (WEDGE_ROWS, TABLE_ROWS) -> their facts
 
-    The six matrices m_k of `current_basis`'s rule, at the symbols, must
-    have supports that are six distinct pairs {r, s}, so each is alone at
-    its entries.  `coordinates`, the engine's own reading, then reads each
-    of the 15 commutators [m_i, m_j] at those entries by exact monomial
-    division (`IntPoly.__truediv__`) and proves sum_k c_k m_k = [m_i, m_j]
-    on all 16 entries; a division or a comparison that fails fails both.
-    - table: the c_k are TABLE_ROWS at (a, b, c, d), with D = abcd.
-    - span: each G m_k is alternating (`_alternating`), so the m_k span
-      G^-1 Alt, which holds [L, L] in every characteristic
-      (docs/DESIGN.md); and each m_k is a unit monomial times some
-      [m_i, m_j], so [L, L] holds them.  Its own entry was then a divisor,
-      so a unit monomial, and alternation makes its other entry one too:
-      the m_k are nonzero wherever abcd is.
-    """
-    mats = _wedges(SYMBOLS)
-    if not (len(mats) == 6 and all(len(m) == 2 for m in mats)
-            and len({frozenset(m) for m in mats}) == 6):
-        return False, False
+
+def prove_identity() -> dict[str, bool]:
+    """`_prove_identity` for WEDGE_ROWS and TABLE_ROWS as they stand.  It
+    reads no input, so it runs once per value of the two rows."""
+    key = (WEDGE_ROWS, TABLE_ROWS)
+    if key not in _PROOFS:
+        _PROOFS[key] = _prove_identity()
+    return _PROOFS[key]
+
+
+def proven_dims(n: int, char2: bool) -> tuple[int, int]:
+    """(dim L, dim [L, L]) for a diagonal form of size n = 3 or 4, as the
+    proof's laws and spans state them."""
+    pairs = n * (n - 1) // 2
+    return pairs + (n if char2 else 0), pairs
+
+
+def _wedge_facts(diagonal: Sequence[IntPoly]) -> tuple[dict | None, bool]:
+    """(brackets, spans) for the wedges of `current_basis`'s rule that fit
+    G = diag(diagonal) at the symbols; brackets is None unless their
+    supports are the n(n - 1)/2 distinct pairs {r, s}, so each is alone at
+    its entries, and `coordinates` reads every bracket there by exact
+    monomial division and proves it on every entry.  spans: each G m_k is
+    alternating, so the independent m_k span G^-1 Alt, which holds [L, L]
+    in every characteristic; and each m_k is a unit monomial times some
+    [m_i, m_j], so [L, L] holds them (docs/DESIGN.md)."""
+    pairs = len(diagonal) * (len(diagonal) - 1) // 2
     try:
+        mats = _wedges(diagonal)
+        if not (len(mats) == pairs and all(len(m) == 2 for m in mats)
+                and len({frozenset(m) for m in mats}) == pairs):
+            return None, False
         coords = {pair: c for pair, c in coordinates(mats).items() if c}
-    except (ArithmeticError, NotIndependent, InvalidStructure):
-        return False, False
+    except (KeyError, ArithmeticError, NotIndependent, InvalidStructure):
+        return None, False
     targets = {k for c in coords.values() if len(c) == 1
                for k, ck in c.items() if _unit_monomial(ck)}
-    span = all(_alternating(m, SYMBOLS) for m in mats) and targets == set(range(6))
-    return coords == table_brackets(*SYMBOLS), span
+    return coords, all(_alternating(m, diagonal) for m in mats) and targets == set(range(pairs))
 
 
-# ---------------------------------------------------------------------------
-# Current algebras over F[X]/(X^n - s).
-# ---------------------------------------------------------------------------
+def _dimension_law(n: int) -> bool:
+    """Whether `_skew_equations` for diag of the first n symbols gives
+    dim L = n(n - 1)/2, plus n where 2 = 0: for i != j, equations (i, j)
+    and (j, i) are both g_i x_ij + g_j x_ji = 0 with unit monomial
+    coefficients, one free entry per pair, and equation (i, i) is
+    2 g_i x_ii = 0; no equation reads an entry outside its pair."""
+    g = SYMBOLS[:n]
+    eqs = _skew_equations([[g[i] if i == j else IntPoly() for j in range(n)] for i in range(n)])
+    return all(
+        (eqs[i * n + j] == {i * n + i: g[i] + g[i]}) if i == j else
+        (eqs[i * n + j] == eqs[j * n + i] and set(eqs[i * n + j]) == {i * n + j, j * n + i}
+         and all(map(_unit_monomial, eqs[i * n + j].values())))
+        for i in range(n) for j in range(n))
 
 
-def quotient_product(u: Sequence[FieldElement], v: Sequence[FieldElement],
-                     s: FieldElement) -> Vector:
-    """The product in F[X]/(X^n - s), n = len(u), on the basis 1, x, ...,
-    x^(n-1): x^i x^j is x^(i+j), or s x^(i+j-n) past the top."""
-    n = len(u)
-    if len(v) != n:
-        raise ShapeMismatch("factors have different lengths")
-    acc = [s.field.zero()] * n
-    for i, ui in enumerate(u):
-        if ui.is_zero():
-            continue
-        for j, vj in enumerate(v):
-            if vj.is_zero():
-                continue
-            term = ui * vj
-            k = i + j
-            if k >= n:
-                k -= n
-                term = term * s
-            acc[k] = acc[k] + term
-    return tuple(acc)
-
-
-def tensor_current(alg: LieAlgebraSC, s: FieldElement, n: int) -> LieAlgebraSC:
-    """Current algebra L (x) F[X]/(X^n - s) with [l (x) a, l' (x) a'] =
-    [l,l'] (x) aa'.
-
-    Basis order is coefficient-major: l_1 (x) 1, ..., l_m (x) 1,
-    l_1 (x) x, ... so that position j * dim(L) + i holds l_i (x) x^j.
-    """
-    if alg.field != s.field:
-        raise DescriptorMismatch("algebra and coefficients over different fields")
-    nl = alg.dim
-    dim = nl * n
-    zero, one = alg.field.zero(), alg.field.one()
-    basis = [tuple(one if k == j else zero for k in range(n)) for j in range(n)]
-    products = [[[(t, pt) for t, pt in enumerate(quotient_product(u, v, s)) if pt]
-                 for v in basis] for u in basis]
-    # [l_i, l_k] for every ordered pair, read from the brackets i < k.
-    table = {}
-    for (i, k), row in alg.brackets.items():
-        table[i, k] = row
-        table[k, i] = {r: -x for r, x in row.items()}
-    brackets = {}
-    for a in range(dim):
-        j, i = divmod(a, nl)
-        for b in range(a + 1, dim):
-            m, k = divmod(b, nl)
-            # [l_i (x) x^j, l_k (x) x^m] = [l_i, l_k] (x) x^j x^m: each
-            # (r, t) is a distinct coordinate t * nl + r.
-            brackets[a, b] = {t * nl + r: br * pt
-                              for r, br in table.get((i, k), {}).items()
-                              for t, pt in products[j][m]}
-    return LieAlgebraSC(alg.field, dim, brackets)
+def _prove_identity() -> dict[str, bool]:
+    """The paper's identity over Z[a, b, c, d] by the engine's own rules,
+    as facts for every diagonal with abcd != 0, each under its name:
+    table, M's six wedges have the brackets of TABLE_ROWS (D = abcd);
+    span, they span [L, L]; tensor, TABLE_ROWS is the core's wedges for
+    diag(a, b, c) tensored with Z[a, b, c, d][X]/(X^2 - abcd) by
+    `tensor_current`'s rule; core_span, those span the core's [L, L];
+    laws, `_dimension_law` for n = 3 and 4."""
+    table = table_brackets(*SYMBOLS)
+    (m, span), (core, core_span) = _wedge_facts(SYMBOLS), _wedge_facts(SYMBOLS[:3])
+    tensor = core is not None and _current_brackets(core, 3, reduce(mul, SYMBOLS), 2, ONE) == table
+    return {"table": m == table, "span": span, "tensor": tensor, "core_span": core_span,
+            "laws": _dimension_law(3) and _dimension_law(4)}

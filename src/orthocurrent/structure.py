@@ -1,11 +1,12 @@
 """End-to-end verification, classification and certificates.
 
-This module ties the layers together.  `verify_current_form` proves by
-exact computation that the derived algebra M of a 4-dimensional
-orthogonal Lie algebra has, in its distinguished basis, the same
-multiplication table as (3-dimensional core) tensor F[X]/(X^2 - D), and
-repeats the comparison for a random 3-dimensional subspace with
-nondegenerate restriction.  `classify` turns the analysis of the
+This module ties the layers together.  `verify_current_form` certifies
+that the derived algebra M of a 4-dimensional orthogonal Lie algebra has,
+in its distinguished basis, the table of (3-dimensional core) tensor
+F[X]/(X^2 - D), at the form and through a random 3-dimensional subspace
+with nondegenerate restriction: M is evaluated from the table that
+`liealg.prove_identity` proves, and every identity check reads a fact of
+that proof, so no document builds a kernel or a commutator.  `classify` turns the analysis of the
 quadratic quotient into one of three machine-checkable decomposition
 certificates, each carrying every witness needed for independent
 re-verification.  `inseparable_counterexample` exhibits the loss of
@@ -21,7 +22,6 @@ each reads its checks off them in the order that CASE_CHECKS records.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -35,11 +35,7 @@ from .coeff_algebra import (
     nilpotent_witness_checks,
     split_witness_checks,
 )
-from .exact_linalg import (
-    Subspace,
-    canonicalize_subspace,
-    commutator,
-)
+from .exact_linalg import Subspace, canonicalize_subspace
 from .forms import (
     BilinearForm,
     diagonal_form,
@@ -48,18 +44,15 @@ from .forms import (
 )
 from .liealg import (
     LieAlgebraSC,
-    NotClosed,
     Vector,
     WrongDimension,
-    algebra_from_matrices,
     bracket_span,
-    current_algebra,
-    current_basis,
     derived_series_of_subspace,
     derived_subspace,
+    evaluated_algebra,
     is_ideal,
     prove_identity,
-    skew_adjoint_algebra,
+    proven_dims,
     tensor_current,
 )
 from .scalars import (
@@ -129,73 +122,33 @@ def table_to_json(alg: LieAlgebraSC) -> list:
 
 @dataclass(frozen=True)
 class Pipeline:
-    """Everything derived from one diagonal form diag(a, b, c, d), with the
-    table identity tying M to its current-algebra form proved once."""
+    """Everything derived from one diagonal form diag(a, b, c, d): M
+    evaluated from the proven identity, and the proof it rests on."""
 
     field: FieldDescriptor
     entries: tuple[FieldElement, ...]
     form: BilinearForm
-    skew_dim: int  # dim L, for L the skew-adjoint algebra
-    derived_span: Subspace  # [L, L], flattened
     algebra: LieAlgebraSC  # M on the distinguished basis f1..f3, h1..h3
-    core_basis: list[dict]  # the core's f1..f3 for diag(a, b, c), sparse
     disc: FieldElement
+    proof: dict[str, bool]  # the facts of liealg.prove_identity
     identity: tuple[dict, dict]  # distinguished_basis_spans_derived, tables_match
-
-
-def _derived_span(form: BilinearForm) -> tuple[int, Subspace]:
-    """dim L, for L the skew-adjoint algebra of the form, and [L, L] as the
-    span of the commutators of L's basis, taken by
-    `exact_linalg.commutator` on their nonzero entries.
-
-    L's basis matrices are the rows of the kernel that
-    `skew_adjoint_algebra` returns, read sparse: entry k of a row is at
-    (k // n, k % n), and each commutator is handed back with entry (r, c)
-    at r n + c.  Raises NotClosed when a basis row of [L, L] is not in that
-    kernel.
-    """
-    n = form.dim
-    skew = skew_adjoint_algebra(form)
-    mats = [{divmod(k, n): x for k, x in row.items()} for row in skew.rows]
-    comms = [{r * n + c: z for (r, c), z in commutator(x, y).items()}
-             for i, x in enumerate(mats) for y in mats[i + 1:]]
-    derived = canonicalize_subspace(form.field, comms, skew.ambient_dim)
-    if not all(skew.contains(row) for row in derived.rows):
-        raise NotClosed("a commutator of the skew-adjoint basis escapes its span")
-    return skew.dim, derived
-
-
-def _spans(mats: Sequence[dict], space: Subspace) -> bool:
-    """Whether the sparse n x n matrices span the space of flattened
-    matrices, m[r, c] at r n + c: exactly when their rank, their number
-    since building their algebra proved them independent, is the space's
-    dimension and each matrix lies in it."""
-    n = math.isqrt(space.ambient_dim)
-    return len(mats) == space.dim and all(
-        space.contains({r * n + c: x for (r, c), x in m.items()}) for m in mats)
 
 
 def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> Pipeline:
     entries = tuple(entries)
     if len(entries) != 4:
         raise WrongDimension("expected four diagonal entries")
-    # current_basis names a zero diagonal entry before the form is found degenerate.
-    basis = current_basis(*entries)
+    # evaluated_algebra names a zero diagonal entry before the form is found degenerate.
+    algebra = evaluated_algebra(entries)
     form = diagonal_form(field, entries)
-    skew_dim, derived_span = _derived_span(form)
-    algebra = algebra_from_matrices(field, basis)
-    core_basis = basis[:3]
-    core = algebra_from_matrices(field, core_basis)
     disc = entries[0] * entries[1] * entries[2] * entries[3]
+    proof = prove_identity()
     identity = (
-        _check("distinguished_basis_spans_derived", _spans(basis, derived_span)),
-        # M's table equals that of core tensor F[X]/(X^2 - D), entry by
-        # entry under the positional correspondence.
-        _check("tables_match", algebra == tensor_current(core, disc, 2)),
+        _check("distinguished_basis_spans_derived", proof["span"]),
+        # M's table is TABLE_ROWS, which is core tensor F[X]/(X^2 - D).
+        _check("tables_match", proof["table"] and proof["tensor"]),
     )
-    return Pipeline(
-        field, entries, form, skew_dim, derived_span, algebra, core_basis, disc, identity,
-    )
+    return Pipeline(field, entries, form, algebra, disc, proof, identity)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +214,9 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random) -> tuple[dict, list[dict]]
     - isometry: a'b'c'd' != 0, and f(w_r, w_s) is g'_r for r = s and 0
       otherwise, for the 10 pairs r <= s, each read off G w_s, that is
       B G B^T = G' for B the matrix of the rows, with G' nonsingular;
-    - table and span: `liealg.prove_identity`, run on every call, proves
-      over Z[a, b, c, d] that M's distinguished basis has the paper's
-      table and spans [L, L] at every diagonal with abcd != 0, so at G'.
+    - table and span: `liealg.prove_identity` proves over Z[a, b, c, d]
+      that M's distinguished basis has the paper's table and spans [L, L]
+      at every diagonal with abcd != 0, so at G'.
 
     G' is nonsingular, so the isometry makes B invertible, and
     x -> B^T x B^-T is then a Lie isomorphism from L(G') onto L(G).  It
@@ -283,17 +236,17 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random) -> tuple[dict, list[dict]]
         form.pair(rows[r], images[s]) == (primed[r] if r == s else zero)
         for r in range(4) for s in range(r, 4)
     )
-    table, span = prove_identity()
+    proof = prove_identity()
     part = {
         "attempts": attempt,
         "subspace": subspace_to_json(w),
         "diagonal": [render_scalar(x) for x in primed],
         "D": render_scalar(d_primed),
-        "equal": isometry and table,
+        "equal": isometry and proof["table"],
     }
     return part, [
-        _check("random_w_spans_match", isometry and span),
-        _check("random_w_tables_match", isometry and table),
+        _check("random_w_spans_match", isometry and proof["span"]),
+        _check("random_w_tables_match", isometry and proof["table"]),
         _check("random_w_square_class_invariant",
                (is_square(pipe.disc) is None) == (is_square(d_primed) is None)),
     ]
@@ -304,29 +257,19 @@ def verify_current_form(field: FieldDescriptor, entries: Sequence[FieldElement],
     """The verify document: exact verification that M matches its
     current-algebra form.
 
-    Builds the derived algebra of the skew-adjoint algebra of
-    diag(a, b, c, d), expresses it in the distinguished basis, and
-    compares the table entrywise against core(diag(a, b, c)) tensor
-    F[X]/(X^2 - D) under the positional correspondence.  A second pass
-    repeats the comparison through a random nondegenerate 3-dimensional
-    subspace drawn from the given seed.
+    Evaluates M's table at diag(a, b, c, d) and reads each check off a
+    fact of `liealg.prove_identity`: spans, table, core (x) F[X]/(X^2 - D)
+    under the positional correspondence, and the dimension laws that
+    `dims` records.  A second pass carries table and span through a
+    random nondegenerate 3-dimensional subspace drawn from the seed.
     """
     pipe = build_pipeline(field, entries)
     char2 = field.characteristic() == 2
-    core_skew_dim, core_span = _derived_span(diagonal_form(field, pipe.entries[:3]))
+    proof = pipe.proof
     random_w, random_w_checks = _random_w_leg(pipe, random.Random(seed))
-    dims = {
-        "skew_adjoint": pipe.skew_dim,
-        "derived": pipe.derived_span.dim,
-        "core_skew_adjoint": core_skew_dim,
-        "core_derived": core_span.dim,
-    }
-    dimension_laws = (
-        dims["skew_adjoint"] == (10 if char2 else 6)
-        and dims["derived"] == 6
-        and dims["core_skew_adjoint"] == (6 if char2 else 3)
-        and dims["core_derived"] == 3
-    )
+    (skew, derived), (core_skew, core_derived) = proven_dims(4, char2), proven_dims(3, char2)
+    dims = {"skew_adjoint": skew, "derived": derived,
+            "core_skew_adjoint": core_skew, "core_derived": core_derived}
     spans_derived, tables_match = pipe.identity
     return {
         "command": "verify",
@@ -340,9 +283,9 @@ def verify_current_form(field: FieldDescriptor, entries: Sequence[FieldElement],
         "random_w": random_w,
         "checks": [
             spans_derived,
-            _check("core_basis_spans_derived", _spans(pipe.core_basis, core_span)),
+            _check("core_basis_spans_derived", proof["core_span"]),
             tables_match,
-            _check("dimension_laws", dimension_laws),
+            _check("dimension_laws", proof["laws"] and proof["span"] and proof["core_span"]),
             *random_w_checks,
         ],
     }
@@ -504,9 +447,9 @@ WITNESS_KEYS = {
 
 
 def _descent(pipe: Pipeline, ext: FieldDescriptor) -> dict:
-    """The descent document of the core built over ext = F[sqrt D] from the
-    lifted diagonal; lifting is a ring map, so its brackets are the core's."""
-    core_ext = current_algebra([lift_to_extension(x, ext) for x in pipe.entries[:3]])
+    """The descent document of the core evaluated over ext = F[sqrt D] at
+    the lifted diagonal; lifting is a ring map, so it is the core."""
+    core_ext = evaluated_algebra([lift_to_extension(x, ext) for x in pipe.entries[:3]])
     return certify_simple_via_descent(core_ext, pipe.field)
 
 
@@ -599,7 +542,7 @@ def inseparable_counterexample(p: int = 2) -> dict:
 
     # The core at diag(1, 1, 1) over K: t -> u^p fixes F_p, where its
     # brackets live.
-    core_k = current_algebra([ext.one()] * 3)
+    core_k = evaluated_algebra([ext.one()] * 3)
     descent_checks = certify_simple_via_descent(core_k, base)["checks"]
     s_ext = u ** p
     current = tensor_current(core_k, s_ext, p)

@@ -9,12 +9,17 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
-from orthocurrent.exact_linalg import Matrix, ShapeMismatch, Subspace, canonicalize_subspace
+from orthocurrent.exact_linalg import (
+    Matrix,
+    ShapeMismatch,
+    Subspace,
+    canonicalize_subspace,
+    commutator,
+)
 from orthocurrent.forms import BilinearForm, orthogonal_complement, orthogonalize, restrict
 from orthocurrent.liealg import (
     InvalidStructure,
     LieAlgebraSC,
-    NotClosed,
     NotIndependent,
     algebra_from_matrices,
     current_basis,
@@ -43,6 +48,10 @@ from orthocurrent.scalars import (
     poly_gcd,
     prime_field,
 )
+
+
+class NotClosed(ValueError):
+    """A bracket escapes the span of the proposed basis."""
 
 
 def random_element(field: FieldDescriptor, rng, nonzero: bool = False) -> FieldElement:
@@ -350,6 +359,38 @@ def matrix_for(mats: Sequence[Matrix], coords) -> Matrix:
     """sum_k coords[k] m_k over the dense matrices m_1, ..., m_n of an
     algebra's basis, by matrix arithmetic."""
     return matrix_sum(*(scaled(c, m) for c, m in zip(coords, mats)))
+
+
+def derived_span(form: BilinearForm) -> tuple[int, Subspace]:
+    """dim L, for L the skew-adjoint algebra of the form, and [L, L] as the
+    span of the commutators of L's basis: the numeric route that the
+    documents' proven facts replace.
+
+    L's basis matrices are the rows of the kernel that
+    `skew_adjoint_algebra` returns, read sparse: entry k of a row is at
+    (k // n, k % n), and each commutator (`exact_linalg.commutator`) is
+    handed back with entry (r, c) at r n + c.  Raises NotClosed when a
+    basis row of [L, L] is not in that kernel.
+    """
+    n = form.dim
+    skew = skew_adjoint_algebra(form)
+    mats = [{divmod(k, n): x for k, x in row.items()} for row in skew.rows]
+    comms = [{r * n + c: z for (r, c), z in commutator(x, y).items()}
+             for i, x in enumerate(mats) for y in mats[i + 1:]]
+    derived = canonicalize_subspace(form.field, comms, skew.ambient_dim)
+    if not all(skew.contains(row) for row in derived.rows):
+        raise NotClosed("a commutator of the skew-adjoint basis escapes its span")
+    return skew.dim, derived
+
+
+def spans(mats: Sequence[dict], space: Subspace) -> bool:
+    """Whether the sparse n x n matrices span the space of flattened
+    matrices, m[r, c] at r n + c: exactly when their rank, their number
+    once building their algebra proved them independent, is the space's
+    dimension and each matrix lies in it."""
+    n = math.isqrt(space.ambient_dim)
+    return len(mats) == space.dim and all(
+        space.contains({r * n + c: x for (r, c), x in m.items()}) for m in mats)
 
 
 def derived_span_by_coordinates(form: BilinearForm) -> tuple[int, Subspace]:

@@ -24,6 +24,8 @@ ALLOWED = {
     ("cli", "recheck_json"): "entry point of the independent checker",
     ("oracle", "gaussian_binomial"): "acceptance criterion 6 and perfbench count subspaces with it",
     ("forms", "restrict"): "perfbench wraps it for the per-layer metric forms.restrict_ms",
+    ("liealg", "skew_adjoint_algebra"):
+        "perfbench wraps it for the per-layer metric liealg.skew_adjoint_ms",
 }
 
 
@@ -91,18 +93,22 @@ def _constructions(tree, cls):
 
 
 def test_algebras_are_built_by_two_builders():
-    """LieAlgebraSC is constructed only by algebra_from_matrices and
-    tensor_current: every algebra of the library is M or a core, from its
-    matrices, or a current algebra over F[X]/(X^n - s).  The constructor
-    does not check the Jacobi identity, so this test backs it: each builder
-    yields a Lie algebra by construction (coordinates proved against
-    independent matrices, or a Lie algebra tensored with a commutative
-    associative ring), and a third builder would carry no such argument."""
+    """LieAlgebraSC is constructed only by algebra_from_matrices,
+    tensor_current and evaluated_algebra: every algebra of the library is M
+    or a core, from its matrices or from the proven table, or a current
+    algebra over F[X]/(X^n - s).  The constructor does not check the
+    Jacobi identity, so this test backs it: each builder yields a Lie
+    algebra by an argument of its own (coordinates proved against
+    independent matrices, a Lie algebra tensored with a commutative
+    associative ring, or an identity over Z[a, b, c, d] that
+    `prove_identity` proves of such matrices, evaluated), and another
+    builder would carry none."""
     builders = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for scope, _ in _constructions(ast.parse(path.read_text()), "LieAlgebraSC"):
             builders.add((path.stem, scope))
-    assert builders == {("liealg", "algebra_from_matrices"), ("liealg", "tensor_current")}
+    assert builders == {("liealg", "algebra_from_matrices"), ("liealg", "tensor_current"),
+                        ("liealg", "evaluated_algebra")}
 
 
 def test_the_library_holds_no_assert():
@@ -160,15 +166,16 @@ def test_an_algebra_keeps_one_table():
 
 def test_the_coefficient_product_is_called_by_two_modules_only():
     """liealg.quotient_product, the product of F[X]/(X^n - s), is called
-    only by tensor_current and in coeff_algebra, whose local_powers builds
-    the powers of x - r for classify and the counterexample alike: a second
-    construction of those powers elsewhere fails here."""
+    only by tensor_current's rule `_current_brackets` (which the proof runs
+    too) and in coeff_algebra, whose local_powers builds the powers of
+    x - r for classify and the counterexample alike: a second construction
+    of those powers elsewhere fails here."""
     callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for scope, _ in _constructions(ast.parse(path.read_text()), "quotient_product"):
             callers.add((path.stem, scope))
-    assert ("liealg", "tensor_current") in callers
-    others = callers - {("liealg", "tensor_current")}
+    assert ("liealg", "_current_brackets") in callers
+    others = callers - {("liealg", "_current_brackets")}
     assert {module for module, _ in others} == {"coeff_algebra"}
     assert ("coeff_algebra", "local_powers") in others
 

@@ -20,7 +20,6 @@ from orthocurrent.liealg import (
     IntPoly,
     InvalidStructure,
     LieAlgebraSC,
-    NotClosed,
     NotIndependent,
     WrongDimension,
     ZeroEntry,
@@ -48,9 +47,10 @@ from orthocurrent.scalars import (
     rationals,
     render_scalar,
 )
-from orthocurrent.structure import _derived_span, table_to_json
+from orthocurrent.structure import table_to_json
 
 from reference import (
+    NotClosed,
     SpanSolver,
     brackets_of,
     dense_basis,
@@ -58,6 +58,7 @@ from reference import (
     dense_bracket_span,
     dense_commutator,
     dense_is_ideal,
+    derived_span,
     det,
     flat,
     full_subspace,
@@ -140,7 +141,7 @@ def test_skew_adjoint_non_diagonal_gram():
                 continue
             mats = skew_matrices(form)
             assert len(mats) == (10 if char2 else 6)
-            assert _derived_span(form)[1].dim == 6
+            assert derived_span(form)[1].dim == 6
             for m in mats:
                 assert is_zero_matrix(matrix_sum(m.transpose() * gram, gram * m))
             done += 1
@@ -312,7 +313,7 @@ def test_current_basis_spans_derived_algebra():
     for field in [Q, F3, F2, F2T]:
         for _ in range(4):
             entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
-            m_span = _derived_span(diagonal_form(field, entries))[1]
+            m_span = derived_span(diagonal_form(field, entries))[1]
             cb = dense_basis(*entries)
             cb_span = canonicalize_subspace(field, [flat(mm) for mm in cb], 16)
             assert m_span == cb_span

@@ -2,24 +2,27 @@ import dataclasses
 import functools
 import json
 import random
+from collections import Counter
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthocurrent import coeff_algebra, liealg, scalars, structure
-from orthocurrent.cli import execute, parse_args
+from orthocurrent import coeff_algebra, exact_linalg, forms, liealg, scalars, structure
 from orthocurrent.exact_linalg import Matrix, canonicalize_subspace
 from orthocurrent.forms import diagonal_form, make_form
 from orthocurrent.liealg import (
+    ONE,
     LieAlgebraSC,
-    NotClosed,
+    algebra_from_matrices,
     bracket_span,
     coordinates,
     current_algebra,
     current_basis,
     derived_subspace,
+    evaluated_algebra,
+    proven_dims,
     table_brackets,
     tensor_current,
 )
@@ -49,12 +52,14 @@ from orthocurrent.structure import (
 )
 
 from reference import (
+    NotClosed,
     brackets_of,
     closed_and_perfect,
     common_denominator,
     conjugated_current_basis,
     dense_basis,
     dense_commutator,
+    derived_span,
     derived_span_by_coordinates,
     document_subspace,
     flat,
@@ -65,9 +70,11 @@ from reference import (
     realization_mismatch,
     scaled,
     skew_matrices,
+    spans,
     subspace_meet_join,
     wedge_basis,
 )
+import reference
 from test_golden import FORMS as GOLDEN_FORMS
 
 Q = rationals()
@@ -203,9 +210,12 @@ def test_descent_certificate_rejects_non_perfect():
 
 
 def test_table_identity_failure_reaches_every_report(monkeypatch):
-    """verify, classify and the checker read one tables_match result."""
-    real = structure.tensor_current
-    monkeypatch.setattr(structure, "tensor_current", lambda core, s, n: real(core, s + s, n))
+    """verify, classify and the checker read one tables_match result: the
+    proof's tensor fact, here run with the coefficient ring's s doubled."""
+    real = liealg._current_brackets
+    monkeypatch.setattr(liealg, "_current_brackets",
+                        lambda brackets, nl, s, n, one: real(brackets, nl, s + s, n, one))
+    monkeypatch.setattr(liealg, "_PROOFS", {})
     entries = ints(Q, [1, 2, 3, 4])
     doc = verify_current_form(Q, entries)
     assert not doc["equal"]
@@ -224,14 +234,16 @@ LEG_PROOF_FORMS = [
 
 
 def _verify_leg_only(monkeypatch, field_literal, form, **rows):
-    """verify with liealg's rows replaced for the random-W leg's proof only:
-    the pipeline at the form's own diagonal is built first, from the real
-    rows, and handed to verify."""
+    """verify with liealg's rows or rules replaced for the random-W leg's
+    proof only: the pipeline at the form's own diagonal is built first,
+    with the real proof, and handed to verify; the leg proves again, into
+    a cache of its own."""
     field = parse_field(field_literal)
     entries = [parse_scalar(x, field) for x in form.split(",")]
     pipe = build_pipeline(field, entries)
     with monkeypatch.context() as mp:
         mp.setattr(structure, "build_pipeline", lambda field, entries: pipe)
+        mp.setattr(liealg, "_PROOFS", {})
         for name, value in rows.items():
             mp.setattr(liealg, name, value)
         return verify_current_form(field, entries)
@@ -264,9 +276,9 @@ def test_a_changed_wedge_row_fails_the_leg_proof(monkeypatch, field_literal, for
 def test_a_misstated_table_row_fails_the_leg_table(monkeypatch, field_literal, form):
     """[f1, f2] = c f3, -b f3 or b f1 in place of b f3: the proof's table
     is TABLE_ROWS over Z[a, b, c, d], so random_w_tables_match fails at
-    every diagonal, b = c included (F3 1,1,1,1), and alone in verify, whose
-    tables_match compares M with core (x) F[X]/(X^2 - D) built as
-    algebras.  Nothing raises."""
+    every diagonal, b = c included (F3 1,1,1,1), and so does verify's
+    tables_match, which reads the same proof; the rows are proved again
+    for their new value.  Nothing raises."""
     field = parse_field(field_literal)
     entries = [parse_scalar(x, field) for x in form.split(",")]
     for row in [("f1", "f2", "c", "f3"), ("f1", "f2", "-b", "f3"), ("f1", "f2", "b", "f1")]:
@@ -274,7 +286,7 @@ def test_a_misstated_table_row_fails_the_leg_table(monkeypatch, field_literal, f
             mp.setattr(liealg, "TABLE_ROWS", (row,) + liealg.TABLE_ROWS[1:])
             doc = verify_current_form(field, entries)
         assert not doc["random_w"]["equal"]
-        assert _failed(doc["checks"]) == {"random_w_tables_match"}
+        assert _failed(doc["checks"]) == {"random_w_tables_match", "tables_match"}
 
 
 def _verify_f3t_counting(monkeypatch, owner, name, form="1,1,t+1,t"):
@@ -289,46 +301,53 @@ def _verify_f3t_counting(monkeypatch, owner, name, form="1,1,t+1,t"):
 
 
 def test_verify_products_stay_gcd_free(monkeypatch):
-    """236 polynomial gcds here.  The random-W leg checks its rows by 10
-    values of the form and rests its table and span on the proof over
-    Z[a, b, c, d]; building M and [L', L'] at the primed diagonal read
-    794, checking its conjugates' 15 dense commutators 768 on entries
-    cleared of denominators, and about 2900 on fractions.  Restricting f
-    to W to test its rank, and evaluating each square three times, read
-    428."""
-    assert 0 < _verify_f3t_counting(monkeypatch, scalars, "poly_gcd") <= 260
+    """162 polynomial gcds here, and 236 while the pipeline built L's
+    kernel, [L, L] and M from commutators at the input.  The random-W leg
+    checks its rows by 10 values of the form and rests its table and span
+    on the proof over Z[a, b, c, d]; building M and [L', L'] at the primed
+    diagonal read 794, checking its conjugates' 15 dense commutators 768
+    on entries cleared of denominators, and about 2900 on fractions.
+    Restricting f to W to test its rank, and evaluating each square three
+    times, read 428."""
+    assert 0 < _verify_f3t_counting(monkeypatch, scalars, "poly_gcd") <= 180
 
 
 def test_verify_multiplications_stay_few(monkeypatch):
-    """303 field multiplications here; building M and [L', L'] at the
-    random-W leg's diagonal read 780, checking the leg's conjugates by
-    their 15 dense commutators 1698, and restricting f to W to test its
-    rank 458."""
-    assert 0 < _verify_f3t_counting(monkeypatch, scalars.FieldElement, "__mul__") <= 360
+    """117 field multiplications here, and 303 while the pipeline built
+    L's kernel, [L, L] and M from commutators at the input; building M and
+    [L', L'] at the random-W leg's diagonal read 780, checking the leg's
+    conjugates by their 15 dense commutators 1698, and restricting f to W
+    to test its rank 458."""
+    assert 0 < _verify_f3t_counting(monkeypatch, scalars.FieldElement, "__mul__") <= 135
 
 
 def test_large_literal_verify_multiplications_stay_few(monkeypatch):
-    """313 field multiplications for entries of degree 48 to 50, about as
-    many as at degree 1; building M and [L', L'] at the random-W leg's
-    diagonal read 793, checking the leg's conjugates by their 15 dense
-    commutators 1711, and restricting f to W to test its rank 468."""
+    """119 field multiplications for entries of degree 48 to 50, about as
+    many as at degree 1, and 313 while the pipeline built L's kernel,
+    [L, L] and M from commutators; building M and [L', L'] at the random-W
+    leg's diagonal read 793, checking the leg's conjugates by their 15
+    dense commutators 1711, and restricting f to W to test its rank 468."""
     count = _verify_f3t_counting(
         monkeypatch, scalars.FieldElement, "__mul__", "t^50+1,t^49+2,t^48,t^50+t")
-    assert 0 < count <= 370
+    assert 0 < count <= 140
 
 
 @pytest.mark.parametrize("literal, form", [("Q", "1,2,3,4"), ("F2(t)", "1,t,t+1,t^2+1")])
 def test_the_pipeline_adds_few_field_elements(monkeypatch, literal, form):
-    """32 and 44 field additions, subtractions included, build the
-    pipeline here.  Writing the skew-adjoint system out as a dense 16 x 16
-    grid made 168 and 180, mostly 0 + 0."""
+    """No field addition, subtraction included, builds the pipeline here:
+    it evaluates the proven table, which multiplies only.  Building L's
+    kernel, [L, L] and M from commutators made 32 and 44; writing the
+    skew-adjoint system out as a dense 16 x 16 grid made 168 and 180,
+    mostly 0 + 0.  The last addition shows that the count sees one."""
     field = parse_field(literal)
     entries = [parse_scalar(x, field) for x in form.split(",")]
     calls = []
     real = scalars.FieldElement.__add__
     monkeypatch.setattr(scalars.FieldElement, "__add__", lambda *args: calls.append(1) or real(*args))
     build_pipeline(field, entries)
-    assert 0 < len(calls) <= 60
+    assert calls == []
+    entries[0] + entries[1]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("field_literal, form", LEG_PROOF_FORMS)
@@ -367,7 +386,8 @@ def test_a_patched_commutator_fails_both_leg_checks(monkeypatch, patch):
     patched = patch(liealg.commutator)
     with monkeypatch.context() as mp:
         mp.setattr(liealg, "commutator", patched)
-        assert liealg.prove_identity() == (False, False)
+        proof = liealg._prove_identity()
+        assert not proof["table"] and not proof["span"]
     doc = _verify_leg_only(monkeypatch, "F2(t)", "1,t,t+1,t^2+1", commutator=patched)
     assert _failed(doc["checks"]) == {"random_w_spans_match", "random_w_tables_match"}
 
@@ -398,8 +418,153 @@ def test_the_proof_makes_no_field_arithmetic(monkeypatch):
     for owner, name in [(scalars.FieldElement, "__mul__"), (scalars, "poly_gcd")]:
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, real=real: calls.append(1) or real(*args))
-    assert liealg.prove_identity() == (True, True)
+    assert all(liealg._prove_identity().values())
     assert calls == []
+
+
+def _changed(rows, index, column, change):
+    """The rows with one field of one row changed."""
+    row = rows[index]
+    return rows[:index] + (row[:column] + (change(row[column]),) + row[column + 1:],) + rows[index + 1:]
+
+
+def _negated(symbol):
+    return symbol[1:] if symbol.startswith("-") else "-" + symbol
+
+
+def _times_a(kappa):
+    return f"{kappa} a".strip()
+
+
+@pytest.mark.parametrize("patches, failed", [
+    ({"TABLE_ROWS": _changed(liealg.TABLE_ROWS, 0, 2, lambda _: "c")}, {"table", "tensor"}),
+    ({"WEDGE_ROWS": _changed(liealg.WEDGE_ROWS, 3, 3, lambda _: "a b c")}, {"table"}),
+    ({"WEDGE_ROWS": _changed(liealg.WEDGE_ROWS, 0, 3, lambda _: "c")}, {"table", "tensor"}),
+    # f3 on f1's pair {1, 2}: five supports for M, two for the core.
+    ({"WEDGE_ROWS": _changed(liealg.WEDGE_ROWS, 2, 2, lambda _: 2)},
+     {"table", "span", "tensor", "core_span"}),
+    # Every equation of x^T G + G x = 0 also reads x[0][0].
+    ({"_skew_equations": lambda gram, real=liealg._skew_equations:
+      [{**eq, 0: ONE} for eq in real(gram)]}, {"laws"}),
+], ids=["table-row", "h1-kappa", "f1-kappa", "f3-pair", "skew-equations"])
+def test_each_fact_of_the_proof_can_fail(monkeypatch, patches, failed):
+    """A misstated row or rule fails exactly the facts that rest on it:
+    [f1, f2] = c f3 fails the table and the tensor form; h1 scaled by c
+    only M's table; f1 scaled by c the core's brackets too; f3 on f1's
+    pair every reading; and an equation that reads an entry outside its
+    pair the dimension laws."""
+    monkeypatch.setattr(liealg, "_PROOFS", {})
+    for name, value in patches.items():
+        monkeypatch.setattr(liealg, name, value)
+    proof = liealg.prove_identity()
+    assert {fact for fact, ok in proof.items() if not ok} == failed
+
+
+def test_the_proof_runs_once_per_value_of_the_rows(monkeypatch):
+    """prove_identity reads no input, so it proves WEDGE_ROWS and
+    TABLE_ROWS once per value of the two: a second call proves nothing,
+    a changed TABLE_ROWS is proved again and fails, and the rows put back
+    find their proof."""
+    runs = []
+    real = liealg._prove_identity
+    monkeypatch.setattr(liealg, "_prove_identity", lambda: runs.append(1) or real())
+    monkeypatch.setattr(liealg, "_PROOFS", {})
+    assert all(liealg.prove_identity().values()) and all(liealg.prove_identity().values())
+    assert runs == [1]
+    with monkeypatch.context() as mp:
+        mp.setattr(liealg, "TABLE_ROWS", _changed(liealg.TABLE_ROWS, 0, 2, lambda _: "c"))
+        proof = liealg.prove_identity()
+    assert runs == [1, 1] and not proof["table"] and not proof["tensor"]
+    assert all(liealg.prove_identity().values()) and runs == [1, 1]
+
+
+@pytest.mark.parametrize("name, index", [("TABLE_ROWS", i) for i in range(12)]
+                         + [("WEDGE_ROWS", i) for i in range(6)])
+def test_a_changed_coefficient_fails_at_the_pipeline_level(monkeypatch, name, index):
+    """Each TABLE_ROWS coefficient negated, and each WEDGE_ROWS kappa
+    multiplied by a, one at a time: at a generic Q diagonal, verify,
+    classify and the checker report tables_match or
+    distinguished_basis_spans_derived failed, not only the random-W leg's
+    checks.  The changed rows are proved again for their new value."""
+    rows = getattr(liealg, name)
+    changed = (_changed(rows, index, 2, _negated) if name == "TABLE_ROWS"
+               else _changed(rows, index, 3, _times_a))
+    monkeypatch.setattr(liealg, name, changed)
+    entries = ints(Q, [2, 3, 5, 7])
+    cert = classify(Q, entries)
+    pipeline_checks = {"tables_match", "distinguished_basis_spans_derived"}
+    for checks in (verify_current_form(Q, entries)["checks"], cert["checks"],
+                   recheck_certificate_json(cert)):
+        assert _failed(checks) & pipeline_checks
+
+
+@pytest.mark.parametrize("literal, form", [
+    ("Q", "1,2,3,4"), ("F3", "1,1,1,2"), ("F2(t)", "1,t,t+1,t^2+1"), ("F3[sqrt 2]", "1,1,1,1+r"),
+])
+def test_documents_build_no_kernel_and_no_commutator(monkeypatch, literal, form):
+    """Once the proof has run in the process, build_pipeline and verify
+    outside its random-W leg call no kernel and no commutator, and run one
+    elimination: the rank check of the Gram matrix in diagonal_form.
+    classify and the checker call neither either."""
+    field = parse_field(literal)
+    entries = [parse_scalar(x, field) for x in form.split(",")]
+    liealg.prove_identity()
+    calls, in_leg = Counter(), []
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args: (in_leg or calls.update([name])) and real(*args)
+                            or real(*args))
+
+    for owner, name in [(exact_linalg, "_eliminate"), (exact_linalg, "kernel"), (forms, "kernel"),
+                        (liealg, "kernel"), (exact_linalg, "commutator"), (liealg, "commutator")]:
+        counted(owner, name)
+    real_leg = structure._random_w_leg
+
+    def uncounted_leg(pipe, rng):
+        in_leg.append(1)
+        try:
+            return real_leg(pipe, rng)
+        finally:
+            in_leg.pop()
+
+    monkeypatch.setattr(structure, "_random_w_leg", uncounted_leg)
+    build_pipeline(field, entries)
+    assert calls == {"_eliminate": 1}
+    calls.clear()
+    assert _ok(verify_current_form(field, entries))
+    assert calls == {"_eliminate": 1}
+    calls.clear()
+    assert all(c["ok"] for c in recheck_certificate_json(classify(field, entries)))
+    assert calls["kernel"] == calls["commutator"] == 0
+
+
+NUMERIC_FIELDS = ["Q", "F2", "F3", "F5", "F2(t)", "F3(t)", "F3[sqrt 2]", "F2(t)[sqrt t+1]"]
+
+
+@pytest.mark.parametrize("literal", NUMERIC_FIELDS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32))
+def test_the_numeric_route_matches_the_evaluated_pipeline(literal, seed):
+    """The documents evaluate the proven facts; the reference derives them
+    at the input: dim L and dim [L, L] from L's kernel and commutators, for
+    M's form and the core's, the spans of both distinguished bases, M read
+    from its basis matrices' commutators, and M as core (x) F[X]/(X^2 - D)
+    built as algebras.  The evaluated core is the core built from its
+    matrices."""
+    field = parse_field(literal)
+    entries = [random_element(field, random.Random(seed), nonzero=True) for _ in range(4)]
+    pipe = build_pipeline(field, entries)
+    assert all(pipe.proof.values()) and all(c["ok"] for c in pipe.identity)
+    for n in (4, 3):
+        skew_dim, derived = derived_span(diagonal_form(field, entries[:n]))
+        assert (skew_dim, derived.dim) == proven_dims(n, field.characteristic() == 2)
+        assert spans(current_basis(*entries[:n]), derived)
+    core = algebra_from_matrices(field, current_basis(*entries[:3]))
+    assert algebra_from_matrices(field, current_basis(*entries)) == pipe.algebra
+    assert pipe.algebra == tensor_current(core, pipe.disc, 2)
+    assert evaluated_algebra(entries[:3]) == core
 
 
 @pytest.mark.parametrize("literal", ["Q", "F3", "F3(t)", "F2(t)", "F3[sqrt 2]"])
@@ -439,15 +604,14 @@ def test_wedges_are_the_conjugated_distinguished_basis(literal, seed):
     assert wedge_basis(pipe.form.gram, rows, primed) == conjugates
     assert realization_mismatch(table_brackets(*primed), conjugates) is None
     flats = [flat(m) for m in conjugates]
-    assert all(pipe.derived_span.contains(v) for v in flats)
+    assert all(derived_span(pipe.form)[1].contains(v) for v in flats)
     span = canonicalize_subspace(field, flats, 16)
     assert span.dim == 6
     cleared = [flat(scaled(common_denominator(field, flat(m)), m)) for m in conjugates]
     assert canonicalize_subspace(field, cleared, 16) == span
     at_primed = current_algebra(primed)
     assert at_primed.brackets == table_brackets(*primed)
-    assert structure._spans(current_basis(*primed),
-                            structure._derived_span(diagonal_form(field, primed))[1])
+    assert spans(current_basis(*primed), derived_span(diagonal_form(field, primed))[1])
 
 
 @pytest.mark.parametrize("literal", LEG_FIELDS)
@@ -619,18 +783,16 @@ def test_a_complement_row_that_is_not_orthogonal_fails_the_leg_isometry(monkeypa
 
 
 def test_span_identity_failure_reaches_every_report(monkeypatch):
-    """A derived span that the distinguished basis does not span fails the
-    span checks of verify, classify and the checker.  The random-W leg
-    builds no derived span: its span check rests on the proof over
-    Z[a, b, c, d], so it holds."""
-    real = structure._derived_span
-    monkeypatch.setattr(
-        structure, "_derived_span",
-        lambda form: real(diagonal_form(form.field, [form.field.one()] * form.dim)),
-    )
+    """Spans that the proof does not show, for M's basis and the core's,
+    fail the span checks of verify, classify and the checker.  verify's
+    dimension laws read both spans, and the random-W leg reads M's."""
+    real = structure.prove_identity
+    monkeypatch.setattr(structure, "prove_identity",
+                        lambda: {**real(), "span": False, "core_span": False})
     entries = ints(Q, [1, 2, 3, 4])
     assert _failed(verify_current_form(Q, entries)["checks"]) == {
-        "distinguished_basis_spans_derived", "core_basis_spans_derived",
+        "distinguished_basis_spans_derived", "core_basis_spans_derived", "dimension_laws",
+        "random_w_spans_match",
     }
     cert = classify(Q, entries)
     assert _failed(cert["checks"]) == {"distinguished_basis_spans_derived"}
@@ -891,29 +1053,29 @@ def test_spans_from_coordinates_match_derived_subalgebra(field_literal, entries)
         forms = [diagonal_form(field, values), diagonal_form(field, values[:3])]
     else:
         forms = [make_form(Matrix(field, [[field.from_int(x) for x in row] for row in entries]))]
-    skew_dim, derived = structure._derived_span(forms[0])
+    skew_dim, derived = derived_span(forms[0])
     assert derived.dim == 6 and skew_dim == (10 if field.characteristic() == 2 else 6)
     for form in forms:
-        assert structure._derived_span(form) == derived_span_by_coordinates(form)
+        assert derived_span(form) == derived_span_by_coordinates(form)
 
 
 def test_spans_needs_as_many_matrices_as_the_space_has_dimensions():
-    """_spans reads the rank of matrices that building their algebra proved
+    """spans reads the rank of matrices that building their algebra proved
     independent off their number: M's basis spans [L, L], and without its
     last matrix it lies in [L, L] but does not span it."""
     for field, literals in (("Q", "1,2,3,4"), ("F3", "1,1,1,2"), ("F2", "1,1,1,1")):
         field = parse_field(field)
         entries = [parse_scalar(x, field) for x in literals.split(",")]
         basis = current_basis(*entries)
-        derived = structure._derived_span(diagonal_form(field, entries))[1]
-        assert structure._spans(basis, derived)
-        assert not structure._spans(basis[:-1], derived)
+        derived = derived_span(diagonal_form(field, entries))[1]
+        assert spans(basis, derived)
+        assert not spans(basis[:-1], derived)
 
 
 def test_a_skew_basis_that_is_not_closed_is_refused(monkeypatch):
     """L's basis without its last matrix spans a space that some commutator
-    leaves: verify raises NotClosed, and the CLI exits 1 with an error."""
-    real = structure.skew_adjoint_algebra
+    leaves: the numeric route raises NotClosed."""
+    real = reference.skew_adjoint_algebra
 
     def short(form):
         skew = real(form)
@@ -923,18 +1085,17 @@ def test_a_skew_basis_that_is_not_closed_is_refused(monkeypatch):
     mats, span = skew_matrices(form)[:-1], short(form)
     assert span.dim == len(mats) == 5
     assert not all(span.contains(flat(dense_commutator(x, y))) for x in mats for y in mats)
-    monkeypatch.setattr(structure, "skew_adjoint_algebra", short)
+    monkeypatch.setattr(reference, "skew_adjoint_algebra", short)
     with pytest.raises(NotClosed):
-        verify_current_form(F3, ints(F3, [1, 2, 1, 2]))
-    code, out = execute(parse_args(["verify", "--field", "F3", "--form", "1,2,1,2", "--json"]))
-    assert code == 1 and out.startswith("error:") and "Traceback" not in out
+        derived_span(form)
 
 
 def test_no_structure_constants_for_l_or_for_a_witness(monkeypatch):
-    """Over F3 1,2,1,2, classify builds M, the core and core (x) F[X]/(X^2 - D);
-    verify builds the same three and nothing for the random-W leg, whose
-    table and span rest on the proof over Z[a, b, c, d].  L and the witness
-    ideals get no structure constants."""
+    """Over F3 1,2,1,2, classify and verify each build M alone, evaluated
+    from the proven table, and nothing for the random-W leg, whose table
+    and span rest on the proof over Z[a, b, c, d].  L, the core and the
+    witness ideals get no structure constants; building M, the core and
+    core (x) F[X]/(X^2 - D) from matrices made three."""
     built = []
     real = LieAlgebraSC.__init__
 
@@ -945,10 +1106,10 @@ def test_no_structure_constants_for_l_or_for_a_witness(monkeypatch):
     monkeypatch.setattr(LieAlgebraSC, "__init__", counting)
     entries = ints(F3, [1, 2, 1, 2])
     assert _ok(classify(F3, entries))
-    assert 0 < len(built) <= 3
+    assert len(built) == 1
     built.clear()
     assert _ok(verify_current_form(F3, entries))
-    assert 0 < len(built) <= 3
+    assert len(built) == 1
 
 
 # M over three field kinds and the coefficient literals its subspaces use:
