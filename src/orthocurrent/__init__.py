@@ -33,9 +33,6 @@ from .forms import (
 )
 from .liealg import (
     LieAlgebraSC,
-    algebra_from_matrices,
-    current_algebra,
-    current_basis,
     quotient_product,
     skew_adjoint_algebra,
     tensor_current,

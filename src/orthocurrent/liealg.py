@@ -6,11 +6,11 @@ is their negation and [e_i, e_i] is zero by construction, so [x,x] = 0
 holds in every characteristic without a check.  The constructor does not
 check the Jacobi identity, so a table given to it directly may break it.
 Three builders make algebras, each with its own argument: M or the core
-from the sparse matrices of `current_basis` (`algebra_from_matrices`,
-whose `coordinates` proves the brackets against independent matrices on
-every entry), a current algebra (`tensor_current`, over F[X]/(X^n - s),
-whose ring laws a property test holds), and the evaluation of the table
-that `prove_identity` proves to be those matrices' (`evaluated_algebra`).
+evaluated from the table that `prove_identity` proves to be the wedges'
+(`evaluated_algebra`, which every command but the oracle takes), a
+current algebra (`tensor_current`, over F[X]/(X^n - s), whose ring laws
+a property test holds), and sparse matrices (`algebra_from_matrices`,
+whose `coordinates` proves the brackets on every entry; no command).
 
 The engine's rules are stated once, generic in the scalar:
 `exact_linalg.commutator`, `coordinates`, `_alternating` (G m
@@ -55,8 +55,7 @@ class WrongDimension(ValueError):
 
 class InvalidStructure(ValueError):
     """Brackets that are malformed, or that disagree with the commutators
-    of the matrices they are read from.  The Jacobi identity is not
-    checked: the two builders yield Lie algebras by construction."""
+    of the matrices they are read from."""
 
 
 Vector = tuple[FieldElement, ...]
@@ -68,7 +67,7 @@ class LieAlgebraSC:
     `brackets` maps each pair (i, j), i < j, to the coordinates of [e_i,
     e_j] as `coordinates` returns them, {k: c_k}; a pair left out brackets
     to zero.  Only this shape is checked, not the Jacobi identity, so a
-    table given here directly may break it; the two builders yield Lie
+    table given here directly may break it; the builders yield Lie
     algebras by construction.  The algebra keeps them canonical, with zero
     brackets and zero coordinates left out and each k increasing, so two
     algebras are equal exactly when their fields, dimensions and brackets
@@ -209,7 +208,7 @@ def algebra_from_matrices(field: FieldDescriptor, mats: Sequence[dict]) -> LieAl
     """Lie algebra spanned by commutator-closed sparse matrices over the
     field, each of which has an entry of its own, with its brackets read
     and proved by `coordinates`; the distinguished bases have disjoint
-    supports, and an echelon basis has its pivots."""
+    supports, and an echelon basis has its pivots.  No command calls it."""
     return LieAlgebraSC(field, len(mats), coordinates(mats))
 
 
@@ -340,39 +339,11 @@ def _alternating(m: dict, diagonal: Sequence) -> bool:
     return all(p != q and gm.get((q, p)) == -x for (p, q), x in gm.items())
 
 
-def current_basis(*entries: FieldElement) -> list[dict]:
-    """The distinguished basis read from WEDGE_ROWS, as the sparse matrices
-    of `_wedges`: f1, f2, f3, h1, h2, h3 of M for diag(a, b, c, d), or f1,
-    f2, f3 of the core for diag(a, b, c).
-
-    Each matrix is verified skew-adjoint for the diagonal Gram matrix, by
-    `_alternating`.  The supports {(r, s), (s, r)} of the rows are
-    disjoint, and every entry is a nonzero monomial in the diagonal
-    entries, so each matrix is nonzero at entries of its own.
-    Independence is not checked here: `algebra_from_matrices` reads the
-    matrices at those entries and refuses, with NotIndependent, matrices
-    that lack them.
-    """
-    _check_diagonal(entries)
-    wedges = _wedges(entries)
-    if not all(_alternating(m, entries) for m in wedges):
-        raise InvalidStructure("basis matrix is not skew-adjoint")
-    return wedges
-
-
-def current_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
-    """M for diag(a, b, c, d) on f1..f3, h1..h3, or the core for
-    diag(a, b, c) on f1..f3: `current_basis` as a Lie algebra."""
-    basis = current_basis(*entries)
-    return algebra_from_matrices(entries[0].field, basis)
-
-
 def evaluated_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
-    """The algebra of `current_algebra`, with the same checks of the
-    entries, evaluated from `table_brackets` (the core on the pairs within
-    f1..f3, at d = 1).  Evaluation is a ring map from Z[a, b, c, d], so by
-    `prove_identity` this is M's table, and the core's, free of d, within
-    f1, f2, f3."""
+    """M for diag(a, b, c, d), or the core for diag(a, b, c), evaluated from
+    `table_brackets` (the core on the pairs within f1..f3, at d = 1).
+    Evaluation is a ring map from Z[a, b, c, d], so by `prove_identity`
+    this is the wedges' table, and the core's, free of d, within f1..f3."""
     n = _check_diagonal(entries)
     field, dim = entries[0].field, n * (n - 1) // 2
     brackets = table_brackets(*entries, *[field.one()] * (4 - n))
@@ -542,7 +513,7 @@ def proven_dims(n: int, char2: bool) -> tuple[int, int]:
 
 
 def _wedge_facts(diagonal: Sequence[IntPoly]) -> tuple[dict | None, bool]:
-    """(brackets, spans) for the wedges of `current_basis`'s rule that fit
+    """(brackets, spans) for the wedges of `_wedges` that fit
     G = diag(diagonal) at the symbols; brackets is None unless their
     supports are the n(n - 1)/2 distinct pairs {r, s}, so each is alone at
     its entries, and `coordinates` reads every bracket there by exact

@@ -10,23 +10,27 @@ closes {0} and the distinct principal ideals under sums.  No image is
 multiplied out per point: it is the sum of two table entries, one for each
 half of the coordinates, packed one byte per coordinate.  Spans are kept
 as canonical reduced echelon forms `(pivots, rows)`, so equal ideals are
-equal keys.  `adjoint_tables` reads the algebra once, into those tables;
-from there everything runs on plain integers mod q with its own
-elimination, and the lattice is returned as its keys, so the oracle stays
-independent of the library it checks.
+equal keys.  M's brackets are read from `liealg.WEDGE_ROWS` as integer
+matrices (`wedge_brackets`) and tabulated once (`adjoint_tables`), so the
+oracle shares no arithmetic with the library it checks.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
+from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .liealg import LieAlgebraSC
-from .scalars import KIND_PRIME
+from .liealg import WEDGE_ROWS
 
 
 class UnsupportedField(ValueError):
     """The oracle is limited to F_2, F_3, F_5, F_7 and ambient dimension 6."""
+
+
+class BadWedges(ValueError):
+    """A zero diagonal entry, two wedges on one entry, or a bracket outside M."""
 
 
 SUPPORTED_Q = (2, 3, 5, 7)
@@ -56,16 +60,46 @@ def _validate(q: int, n: int) -> None:
         raise UnsupportedField(f"ambient dimension must be at most {MAX_AMBIENT}")
 
 
-def _adjoint_matrices(alg: LieAlgebraSC) -> list[list[tuple[int, int, int]]]:
+def wedge_brackets(q: int, diagonal: Sequence[int]) -> tuple[int, int, dict]:
+    """(q, 6, M's brackets mod q) for diag(diagonal), the arguments of
+    `adjoint_tables`, read from WEDGE_ROWS: element k is the integer matrix
+    with kappa g_s at (r, s), its own entry, and -kappa g_r at (s, r).  A
+    commutator's coordinates are read at the own entries, and the
+    commutator less their combination must vanish on every entry."""
+    for name, g in zip("abcd", diagonal):
+        if not g % q:
+            raise BadWedges(f"diagonal entry {name} must be nonzero")
+    kappas = [prod(diagonal["abcd".index(x)] for x in kappa.split()) for *_, kappa in WEDGE_ROWS]
+    mats = [{(r - 1, s - 1): k * diagonal[s - 1] % q, (s - 1, r - 1): -k * diagonal[r - 1] % q}
+            for (_, r, s, _), k in zip(WEDGE_ROWS, kappas)]
+    if len({frozenset(m) for m in mats}) < len(mats):
+        raise BadWedges("two wedges share an entry")
+    own = [(p, pow(x, -1, q)) for m in mats for p, x in list(m.items())[:1]]
+    brackets = {}
+    for i, j in combinations(range(len(mats)), 2):
+        comm = Counter()
+        for (r, t), x in mats[i].items():
+            for (u, c), y in mats[j].items():
+                comm[r, c] += x * y * (t == u)
+                comm[u, t] -= x * y * (c == r)
+        coords = {k: comm[p] * inv % q for k, (p, inv) in enumerate(own) if comm[p] % q}
+        for k, c in coords.items():
+            comm.subtract({p: c * x for p, x in mats[k].items()})
+        if any(x % q for x in comm.values()):
+            raise BadWedges(f"[{WEDGE_ROWS[i][0]}, {WEDGE_ROWS[j][0]}] leaves the wedges' span")
+        brackets[i, j] = coords
+    return q, len(mats), {pair: coords for pair, coords in brackets.items() if coords}
+
+
+def _adjoint_matrices(q: int, n: int, brackets: dict) -> list[list[tuple[int, int, int]]]:
     """Sparse integer matrices of ad(e_i): triples (k, j, c) with c the
-    nonzero coordinate k of [e_i, e_j], written for ad(e_i) and, negated
-    mod q, for ad(e_j) from each bracket [e_i, e_j]."""
-    q = alg.field.p
-    ads: list[list[tuple[int, int, int]]] = [[] for _ in range(alg.dim)]
-    for (i, j), row in alg.brackets.items():
+    coordinate k of [e_i, e_j], written for ad(e_i) and, negated mod q,
+    for ad(e_j) from each bracket [e_i, e_j]."""
+    ads: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for (i, j), row in brackets.items():
         for k, c in row.items():
-            ads[i].append((k, j, c.payload))
-            ads[j].append((k, i, q - c.payload))
+            ads[i].append((k, j, c))
+            ads[j].append((k, i, q - c))
     return ads
 
 
@@ -235,15 +269,12 @@ def _principal_ideals(tables, q: int, n: int) -> set[Key]:
     return {keys[i] for i in set(ideal)}
 
 
-def adjoint_tables(alg: LieAlgebraSC) -> Tables:
-    """The oracle's one reading of a small algebra over F_q: its brackets
-    as integer maps ad(e_i), tabulated once for the scan and the check."""
-    field = alg.field
-    if field.kind != KIND_PRIME:
-        raise UnsupportedField("ideal enumeration runs over prime fields")
-    q, n = field.p, alg.dim
+def adjoint_tables(q: int, n: int, brackets: dict) -> Tables:
+    """The oracle's one reading of a small algebra over F_q, given by its
+    brackets {(i, j): {k: c}}, i < j, with each c an integer mod q: the
+    maps ad(e_i), tabulated once for the scan and the check."""
     _validate(q, n)
-    return q, n, _image_tables(_adjoint_matrices(alg), q, n)
+    return q, n, _image_tables(_adjoint_matrices(q, n, brackets), q, n)
 
 
 def enumerate_ideals(ad: Tables) -> list[Key]:

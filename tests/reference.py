@@ -21,8 +21,10 @@ from orthocurrent.liealg import (
     InvalidStructure,
     LieAlgebraSC,
     NotIndependent,
+    _alternating,
+    _check_diagonal,
+    _wedges,
     algebra_from_matrices,
-    current_basis,
     derived_subspace,
     is_ideal,
     skew_adjoint_algebra,
@@ -112,6 +114,28 @@ def sparse_vector(v) -> dict:
 def flat(m: Matrix) -> tuple[FieldElement, ...]:
     """The entries of a dense matrix, row by row."""
     return tuple(x for row in m.rows for x in row)
+
+
+def current_basis(*entries: FieldElement) -> list[dict]:
+    """The distinguished basis read from WEDGE_ROWS, as the sparse matrices
+    of `liealg._wedges`: f1, f2, f3, h1, h2, h3 of M for diag(a, b, c, d),
+    or f1, f2, f3 of the core for diag(a, b, c), after the entries' checks
+    of `evaluated_algebra` and a check that each is skew-adjoint.
+    Independence is left to `algebra_from_matrices`, which reads each
+    matrix at an entry of its own and refuses, with NotIndependent,
+    matrices that lack one."""
+    _check_diagonal(entries)
+    wedges = _wedges(entries)
+    if not all(_alternating(m, entries) for m in wedges):
+        raise InvalidStructure("basis matrix is not skew-adjoint")
+    return wedges
+
+
+def current_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
+    """M, or the core for three entries, built from the commutators of
+    `current_basis`: the matrix route that the documents' evaluation of the
+    proven table is compared with."""
+    return algebra_from_matrices(entries[0].field, current_basis(*entries))
 
 
 def dense_basis(*entries: FieldElement) -> tuple[Matrix, ...]:
@@ -712,11 +736,20 @@ def _to_subspace(field, pivots: Sequence[int], rows: Sequence[Sequence[int]], n:
     return Subspace(field, n, echelon, tuple(pivots))
 
 
+def integer_brackets(alg: LieAlgebraSC) -> tuple[int, int, dict]:
+    """(q, n, brackets) of an algebra over F_q, its brackets' coordinates
+    read as plain integers mod q: the arguments of oracle.adjoint_tables."""
+    if alg.field.kind != KIND_PRIME:
+        raise UnsupportedField("ideal enumeration runs over prime fields")
+    return alg.field.p, alg.dim, {pair: {k: c.payload for k, c in row.items()}
+                                  for pair, row in alg.brackets.items()}
+
+
 def ideal_subspaces(alg: LieAlgebraSC) -> list[Subspace]:
     """The oracle's lattice of alg, in its order, as library subspaces,
     for comparing with the library's own ideal routines."""
     return [_to_subspace(alg.field, pivots, rows, alg.dim)
-            for pivots, rows in enumerate_ideals(adjoint_tables(alg))]
+            for pivots, rows in enumerate_ideals(adjoint_tables(*integer_brackets(alg)))]
 
 
 def enumerate_subspaces(q: int, n: int, k: int):

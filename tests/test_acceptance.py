@@ -13,11 +13,7 @@ import pytest
 
 from orthocurrent.exact_linalg import Matrix, canonicalize_subspace, kernel
 from orthocurrent.forms import diagonal_form, make_form
-from orthocurrent.liealg import (
-    algebra_from_matrices,
-    bracket_span,
-    current_algebra,
-)
+from orthocurrent.liealg import algebra_from_matrices, bracket_span
 from orthocurrent.oracle import gaussian_binomial
 from orthocurrent.scalars import (
     function_field,
@@ -41,6 +37,7 @@ from orthocurrent.structure import (
 
 from reference import (
     brackets_of,
+    current_algebra,
     det,
     document_subspace,
     enumerate_subspaces,

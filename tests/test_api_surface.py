@@ -26,6 +26,8 @@ ALLOWED = {
     ("forms", "restrict"): "perfbench wraps it for the per-layer metric forms.restrict_ms",
     ("liealg", "skew_adjoint_algebra"):
         "perfbench wraps it for the per-layer metric liealg.skew_adjoint_ms",
+    ("liealg", "algebra_from_matrices"):
+        "perfbench wraps it for the per-layer metrics liealg.algebra_from_matrices_ms and _calls",
 }
 
 
@@ -94,9 +96,10 @@ def _constructions(tree, cls):
 
 def test_algebras_are_built_by_two_builders():
     """LieAlgebraSC is constructed only by algebra_from_matrices,
-    tensor_current and evaluated_algebra: every algebra of the library is M
-    or a core, from its matrices or from the proven table, or a current
-    algebra over F[X]/(X^n - s).  The constructor does not check the
+    tensor_current and evaluated_algebra: every algebra a command builds is
+    M or a core evaluated from the proven table, or a current algebra over
+    F[X]/(X^n - s); no command builds one from matrices, which only the
+    tests' reference and perfbench do.  The constructor does not check the
     Jacobi identity, so this test backs it: each builder yields a Lie
     algebra by an argument of its own (coordinates proved against
     independent matrices, a Lie algebra tensored with a commutative
@@ -198,10 +201,11 @@ def test_classify_and_the_checker_compute_no_fact_themselves():
 
 
 def test_the_oracle_does_no_library_arithmetic():
-    """The oracle reads the algebra's brackets once, as integers mod q, and
-    computes on plain integers from there: it imports nothing from
-    exact_linalg and, from scalars, only the field kind it accepts.  A
-    round trip of its lattice through library subspaces fails here."""
+    """The oracle reads M's brackets from WEDGE_ROWS in its own integers
+    mod q and computes on plain integers from there: from the package it
+    imports WEDGE_ROWS from liealg, at most the prime field kind from
+    scalars, and nothing else.  Reading M from a library algebra, or a
+    round trip of its lattice through library subspaces, fails here."""
     imported = {}
     for node in ast.walk(ast.parse((PACKAGE / "oracle.py").read_text())):
         if isinstance(node, ast.ImportFrom):
@@ -214,8 +218,11 @@ def test_the_oracle_does_no_library_arithmetic():
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 imported.setdefault(alias.name.rpartition(".")[2], set())
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    assert set(imported) & modules <= {"liealg", "scalars"}
     assert "exact_linalg" not in imported
-    assert imported["scalars"] == {"KIND_PRIME"}
+    assert imported["liealg"] == {"WEDGE_ROWS"}
+    assert imported.get("scalars", set()) <= {"KIND_PRIME"}
 
 
 # The per-layer metrics that perfbench/run.py computes itself, from its

@@ -303,8 +303,8 @@ def test_error_exit_code_1():
 
 
 def test_table_and_oracle_reject_zero_entry_alike():
-    """Every command builds the distinguished basis of M before anything
-    else, so a zero diagonal entry stops each at the same check."""
+    """Every command reads the diagonal before anything else, the oracle
+    with a reader of its own, so a zero entry stops each with one message."""
     for argv in (["table", "--field", "F3"], ["oracle", "--field", "F3"],
                  ["classify", "--field", "F3"], ["verify", "--field", "F3"]):
         for form, name in (("0,1,1,1", "a"), ("1,0,1,1", "b")):

@@ -6,9 +6,9 @@ then fail, and no others.  A falsifier is either
 
 - an `Edit`: one leaf of a golden document set to a new value, the
   document then rechecked by `cli.recheck_json`; or
-- a `Patch`: one function of `structure` or `cli` replaced for one
-  command run through `cli.execute`, for checks that no well-formed
-  document can fail.
+- a `Patch`: one function of `structure`, `cli` or `liealg`, or one of
+  liealg's rows, replaced for one command run through `cli.execute`, for
+  checks that no well-formed document can fail.
 
 `test_every_check_name_has_a_falsifier` reads the check names of every
 golden document and fails for a name that no entry fails, so a new golden
@@ -24,7 +24,7 @@ from typing import Callable
 
 import pytest
 
-from orthocurrent import cli, structure
+from orthocurrent import cli, liealg, structure
 from orthocurrent.cli import execute, parse_args, recheck_json
 from orthocurrent.exact_linalg import canonicalize_subspace
 
@@ -65,7 +65,9 @@ class Edit:
 
 @dataclass(frozen=True)
 class Patch:
-    """Replace `<module>.<name>` by `wrap(real)` and run the command."""
+    """Replace `<module>.<name>` by `wrap(real)` and run the command.  The
+    proof's cache is keyed on liealg's rows, not on the code that proves
+    them, so the command runs with it empty and proves under the patch."""
 
     name: str
     wrap: Callable
@@ -75,6 +77,7 @@ class Patch:
     def failed(self, monkeypatch) -> set[str]:
         real = getattr(self.module, self.name)
         monkeypatch.setattr(self.module, self.name, self.wrap(real))
+        monkeypatch.setattr(liealg, "_PROOFS", {})
         code, out = execute(parse_args([*self.argv, "--json"]))
         doc = json.loads(out)
         failed = _failed(doc["checks"] + doc.get("descent_checks", []))
@@ -89,6 +92,8 @@ CLASSIFY_Q_SIMPLE = ("classify", "--field", "Q", "--form", "1/2,3,-1,6")
 # The f3-split golden form.
 VERIFY_F3 = ("verify", "--field", "F3", "--form", "1,2,1,2")
 TABLE_F3 = ("table", "--field", "F3", "--form", "1,2,1,2")
+# b = c, so a row that says c where the paper says b reads the same here.
+TABLE_F3_ONES = ("table", "--field", "F3", "--form", "1,1,1,1")
 ORACLE_F3 = ("oracle", "--field", "F3", "--form", "1,2,1,2")
 SEMIDIRECT = "f2-semidirect.classify.json"
 SPLIT = "f3-split.classify.json"
@@ -190,8 +195,14 @@ FALSIFIERS = {
                                  {"core_basis_spans_derived", "dimension_laws"}),
     "random-w-square-class-flipped": (Patch("is_square", _flip_second_call, VERIFY_F3),
                                       {"random_w_square_class_invariant"}),
+    # The proof reads TABLE_ROWS through table_brackets at the symbols.
     "table-coefficient-doubled": (
-        Patch("table_brackets", _double_first_coefficient, TABLE_F3, cli),
+        Patch("table_brackets", _double_first_coefficient, TABLE_F3, liealg),
+        {"table_matches_computed"}),
+    # Misstated for every diagonal but those with b = c: the proof sees it.
+    "table-row-unseen-by-diagonal": (
+        Patch("TABLE_ROWS", lambda rows: (("f1", "f2", "c", "f3"),) + rows[1:], TABLE_F3_ONES,
+              liealg),
         {"table_matches_computed"}),
     "oracle-ideal-missing": (
         Patch("enumerate_ideals", lambda real: lambda ad: real(ad)[:-1], ORACLE_F3, cli),

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import orthocurrent
-from orthocurrent import liealg, structure
+from orthocurrent import cli, liealg, structure
 from orthocurrent.cli import execute, parse_args, recheck_json
 from orthocurrent.scalars import parse_field, parse_scalar
 from orthocurrent.structure import classify, inseparable_counterexample, verify_current_form
@@ -140,7 +140,7 @@ def test_every_algebra_the_documents_build_satisfies_jacobi(monkeypatch):
 
     for name in BUILDERS:
         wrapped = recording(getattr(liealg, name))
-        for module in (liealg, structure):
+        for module in (liealg, structure, cli):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapped)
     documents()

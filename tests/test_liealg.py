@@ -28,8 +28,6 @@ from orthocurrent.liealg import (
     algebra_from_matrices,
     bracket_span,
     coordinates,
-    current_algebra,
-    current_basis,
     derived_series_of_subspace,
     derived_subspace,
     is_ideal,
@@ -53,6 +51,8 @@ from reference import (
     NotClosed,
     SpanSolver,
     brackets_of,
+    current_algebra,
+    current_basis,
     dense_basis,
     dense_bracket,
     dense_bracket_span,

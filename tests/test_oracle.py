@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from collections import Counter
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthocurrent import cli, oracle
-from orthocurrent.liealg import LieAlgebraSC, current_algebra
+from orthocurrent.liealg import LieAlgebraSC
 from orthocurrent.oracle import (
+    SUPPORTED_Q,
     UnsupportedField,
     _adjoint_matrices,
     _graph,
@@ -20,6 +22,7 @@ from orthocurrent.oracle import (
     enumerate_ideals,
     enumeration_complete,
     gaussian_binomial,
+    wedge_brackets,
 )
 from orthocurrent.scalars import prime_field, rationals
 from orthocurrent.structure import CASE_SEMIDIRECT, CASE_SIMPLE, CASE_TWO_IDEALS, classify
@@ -27,11 +30,13 @@ from orthocurrent.structure import CASE_SEMIDIRECT, CASE_SIMPLE, CASE_TWO_IDEALS
 from reference import (
     _apply,
     brackets_of,
+    current_algebra,
     dense_bracket,
     document_subspace,
     enumerate_subspaces,
     ideal_closure,
     ideal_subspaces,
+    integer_brackets,
     iter_echelon,
     spin_principal_ideal,
     subspace_meet_join,
@@ -53,7 +58,51 @@ def algebra_from_brackets(field, n, brackets):
 
 
 def ideals_of(alg):
-    return enumerate_ideals(adjoint_tables(alg))
+    return enumerate_ideals(adjoint_tables(*integer_brackets(alg)))
+
+
+def test_the_oracle_reads_m_as_the_matrix_route_does():
+    """On every diagonal in (F_q^x)^4 for q in 2, 3, 5 and 7, 1,569 of
+    them, the brackets that the oracle reads from WEDGE_ROWS in its own
+    integers are the payloads of M's brackets built over F_q from the
+    commutators of the wedge matrices, with the same q and dimension."""
+    count = 0
+    for q in SUPPORTED_Q:
+        field = prime_field(q)
+        for values in product(range(1, q), repeat=4):
+            expected = integer_brackets(current_algebra([field.from_int(v) for v in values]))
+            assert wedge_brackets(q, values) == expected, (q, values)
+            count += 1
+    assert count == 1569
+
+
+@pytest.mark.parametrize("row, error", [
+    (("h2", 4, 4, "b c"), "error: [f1, h3] leaves the wedges' span"),
+    (("h2", 1, 3, "b c"), "error: two wedges share an entry"),
+])
+def test_a_misstated_wedge_row_stops_the_oracle_cleanly(monkeypatch, row, error):
+    """A WEDGE_ROWS row that is no wedge on a pair of its own, here h2 on
+    the diagonal entry (4, 4) or on f3's pair (1, 3), exits 1 with one
+    error line: the reader proves each commutator on every entry and reads
+    coordinates only at entries of their own.  A misstated kappa is no
+    such error: it rescales one basis element, and every commutator stays
+    in the span."""
+    monkeypatch.setattr(oracle, "WEDGE_ROWS",
+                        tuple(row if r[0] == "h2" else r for r in oracle.WEDGE_ROWS))
+    argv = ["oracle", "--field", "F3", "--form", "1,2,1,2"]
+    assert cli.execute(cli.parse_args(argv)) == (1, error)
+
+
+def test_an_oracle_document_over_another_field_is_malformed():
+    """An oracle document over a field that is not prime, F3(t) or
+    F3[sqrt 2] here, fails document_well_formed on recheck: the oracle
+    refuses the field before it reads the entries as integers mod q."""
+    code, out = cli.execute(cli.parse_args(["oracle", "--field", "F3", "--form", "1,1,1,1",
+                                            "--json"]))
+    data = json.loads(out)
+    for field in ("F3(t)", "F3[sqrt 2]"):
+        assert cli.recheck_json(dict(data, field=field)) == [
+            {"name": "document_well_formed", "ok": False}]
 
 
 def histogram(ideals):
@@ -123,7 +172,11 @@ def test_unsupported_parameters():
     with pytest.raises(UnsupportedField):
         list(enumerate_subspaces(2, 3, 4))
     with pytest.raises(UnsupportedField):
-        adjoint_tables(LieAlgebraSC(rationals(), 1, {}))
+        integer_brackets(LieAlgebraSC(rationals(), 1, {}))
+    with pytest.raises(UnsupportedField):
+        adjoint_tables(11, 6, {})
+    with pytest.raises(UnsupportedField):
+        adjoint_tables(3, 7, {})
 
 
 def test_ideals_f3_split_form():
@@ -208,7 +261,7 @@ def test_principal_ideals_match_subspace_scan():
 
 
 def test_enumeration_complete_detects_bad_lists():
-    tables = adjoint_tables(derived_orthogonal(F3, [1, 1, 1, 1]))
+    tables = adjoint_tables(*integer_brackets(derived_orthogonal(F3, [1, 1, 1, 1])))
     ideals = enumerate_ideals(tables)
     assert enumeration_complete(tables, ideals)
     # without M, or without 0
@@ -219,7 +272,7 @@ def test_enumeration_complete_detects_bad_lists():
     assert n_space not in ideals
     assert not enumeration_complete(tables, ideals + [n_space])
     # abelian: two lines without their sum, the plane they span
-    abelian = adjoint_tables(algebra_from_brackets(F3, 3, {}))
+    abelian = adjoint_tables(*integer_brackets(algebra_from_brackets(F3, 3, {})))
     e = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     lines = [((0,), e[:1]), ((1,), e[1:2])]
     zero, whole = ((), ()), ((0, 1, 2), e)
@@ -248,7 +301,7 @@ def small_algebras(field):
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_principal_ideals_of_small_algebras_match_the_spins(q):
     for alg in small_algebras(prime_field(q)):
-        ads, n = _adjoint_matrices(alg), alg.dim
+        ads, n = _adjoint_matrices(*integer_brackets(alg)), alg.dim
         assert _principal_ideals(_image_tables(ads, q, n), q, n) == spun_ideals(ads, q, n)
 
 
@@ -261,7 +314,7 @@ def test_principal_ideals_match_the_spins(data):
     q = data.draw(st.sampled_from([2, 3, 5]), label="q")
     if data.draw(st.booleans(), label="M"):
         values = data.draw(st.lists(st.integers(1, q - 1), min_size=4, max_size=4), label="form")
-        ads, n = _adjoint_matrices(derived_orthogonal(prime_field(q), values)), 6
+        ads, n = _adjoint_matrices(*integer_brackets(derived_orthogonal(prime_field(q), values))), 6
     else:
         n = data.draw(st.integers(0, 4), label="n")
         entry = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)),

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthocurrent import coeff_algebra, exact_linalg, forms, liealg, scalars, structure
+from orthocurrent.cli import execute, parse_args
 from orthocurrent.exact_linalg import Matrix, canonicalize_subspace
 from orthocurrent.forms import diagonal_form, make_form
 from orthocurrent.liealg import (
@@ -18,8 +19,6 @@ from orthocurrent.liealg import (
     algebra_from_matrices,
     bracket_span,
     coordinates,
-    current_algebra,
-    current_basis,
     derived_subspace,
     evaluated_algebra,
     proven_dims,
@@ -57,6 +56,8 @@ from reference import (
     closed_and_perfect,
     common_denominator,
     conjugated_current_basis,
+    current_algebra,
+    current_basis,
     dense_basis,
     dense_commutator,
     derived_span,
@@ -503,9 +504,10 @@ def test_a_changed_coefficient_fails_at_the_pipeline_level(monkeypatch, name, in
 ])
 def test_documents_build_no_kernel_and_no_commutator(monkeypatch, literal, form):
     """Once the proof has run in the process, build_pipeline and verify
-    outside its random-W leg call no kernel and no commutator, and run one
-    elimination: the rank check of the Gram matrix in diagonal_form.
-    classify and the checker call neither either."""
+    outside its random-W leg call no kernel, no commutator and no
+    coordinate reading, and run one elimination: the rank check of the
+    Gram matrix in diagonal_form.  classify and the checker call no kernel
+    and no commutator either, and `table` calls none of the four."""
     field = parse_field(literal)
     entries = [parse_scalar(x, field) for x in form.split(",")]
     liealg.prove_identity()
@@ -522,7 +524,8 @@ def test_documents_build_no_kernel_and_no_commutator(monkeypatch, literal, form)
         monkeypatch.setattr(owner, name, counting)
 
     for owner, name in [(exact_linalg, "_eliminate"), (exact_linalg, "kernel"), (forms, "kernel"),
-                        (liealg, "kernel"), (exact_linalg, "commutator"), (liealg, "commutator")]:
+                        (liealg, "kernel"), (exact_linalg, "commutator"), (liealg, "commutator"),
+                        (liealg, "coordinates")]:
         counted(owner, name)
     real_leg = structure._random_w_leg
 
@@ -542,6 +545,9 @@ def test_documents_build_no_kernel_and_no_commutator(monkeypatch, literal, form)
     calls.clear()
     assert all(c["ok"] for c in recheck_certificate_json(classify(field, entries)))
     assert calls["kernel"] == calls["commutator"] == 0
+    calls.clear()
+    assert execute(parse_args(["table", "--field", literal, "--form", form]))[0] == 0
+    assert calls == {}
 
 
 NUMERIC_FIELDS = ["Q", "F2", "F3", "F5", "F2(t)", "F3(t)", "F3[sqrt 2]", "F2(t)[sqrt t+1]"]
