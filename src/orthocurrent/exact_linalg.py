@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .scalars import FieldDescriptor, FieldElement, inv
+from .scalars import FieldDescriptor, FieldElement, dot, inv
 
 
 class ShapeMismatch(ValueError):
@@ -147,15 +147,18 @@ def _clear(w: dict, c: int, row: dict) -> None:
     sparse row that is 1 there: column c leaves w, and so does every sum
     that cancels."""
     factor = -w.pop(c)
+    field = factor.field
+    one = field.one()
     for j, y in row.items():
         if j == c:
             continue
-        t = factor * y
         if j in w:
-            t = w[j] + t
-            if not t:
+            t = dot(field, (one, factor), (w[j], y))
+            if t.is_zero():
                 del w[j]
                 continue
+        else:
+            t = factor * y
         w[j] = t
 
 

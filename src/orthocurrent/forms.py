@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exact_linalg import Matrix, ShapeMismatch, Subspace, canonicalize_subspace, kernel
-from .scalars import DomainError, FieldDescriptor, FieldElement, inv
+from .scalars import DomainError, FieldDescriptor, FieldElement, dot, inv
 
 
 class NotSymmetric(ValueError):
@@ -46,23 +46,11 @@ class BilinearForm:
 
     def image(self, v: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         """G v, the vector whose pairing with u is f(u, v)."""
-        zero = self.field.zero()
-        out = []
-        for row in self.gram.rows:
-            acc = zero
-            for g, x in zip(row, v):
-                if not g.is_zero() and not x.is_zero():
-                    acc = acc + g * x
-            out.append(acc)
-        return tuple(out)
+        return tuple(dot(self.field, row, v) for row in self.gram.rows)
 
     def pair(self, u: Sequence[FieldElement], gv: Sequence[FieldElement]) -> FieldElement:
         """f(u, v), given gv = G v."""
-        acc = self.field.zero()
-        for x, y in zip(u, gv):
-            if not x.is_zero() and not y.is_zero():
-                acc = acc + x * y
-        return acc
+        return dot(self.field, u, gv)
 
     def evaluate(self, u: Sequence[FieldElement], v: Sequence[FieldElement]) -> FieldElement:
         return self.pair(u, self.image(v))
@@ -153,6 +141,7 @@ def orthogonalize(form: BilinearForm,
         raise AlternatingChar2("alternating form in characteristic 2")
     if rows is None:
         rows = Matrix.identity(field, form.dim).rows
+    one = field.one()
     basis = [list(row) for row in rows]
     n = len(basis)
     images: list = [None] * n  # G b_k, None once b_k has changed
@@ -201,8 +190,8 @@ def orthogonalize(form: BilinearForm,
         for j in range(k + 1, n):
             t = form.pair(basis[j], pivot_image)
             if not t.is_zero():
-                factor = t * c_inv
-                replace(j, [x if y.is_zero() else x - factor * y
+                factor = -(t * c_inv)
+                replace(j, [x if y.is_zero() else dot(field, (one, factor), (x, y))
                             for x, y in zip(basis[j], pivot)])
         k += 1
     return OrthogonalBasisResult(Matrix(field, basis), tuple(squares))

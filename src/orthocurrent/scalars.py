@@ -12,6 +12,10 @@ Tonelli-Shanks for F_p, roots read off the coefficients of numerator and
 denominator for F_p(t) (top-down for odd p, the Frobenius inverse for
 p = 2), and a norm argument (characteristic not 2) or Frobenius-part
 decomposition (characteristic 2) for quadratic extensions.
+
+Polynomials over F_2 multiply and divide as bit-vector ints; over odd p,
+as packed ints with one lane per coefficient, wide enough that no carry
+crosses a lane.  `dot` sums products and normalizes once, at the end.
 """
 
 from __future__ import annotations
@@ -156,11 +160,16 @@ class Poly:
         if p == 2:
             return _poly2(_clmul(_bits(self), _bits(other)))
         if len(a) == 1:
-            s = a[0]
-            return Poly(p, tuple(s * c % p for c in b), normalize=False)
+            return other.scale(a[0])
         if len(b) == 1:
-            s = b[0]
-            return Poly(p, tuple(s * c % p for c in a), normalize=False)
+            return self.scale(b[0])
+        # Lane k of the product sums at most min(len(a), len(b)) products
+        # of two residues.
+        terms = min(len(a), len(b))
+        w = _lane_bytes(terms * (p - 1) ** 2, terms)
+        if w:
+            return Poly(p, _unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w, p),
+                        normalize=False)
         # Accumulate unreduced and reduce once; the top coefficient is a
         # product of two units, so no trailing zero can appear.
         nb = len(b)
@@ -191,9 +200,8 @@ class Poly:
             return self.scale(pow(oc[0], -1, p)), Poly(p, (), normalize=False)
         if len(self.coeffs) < len(oc):
             return Poly(p, (), normalize=False), self
-        rem = list(self.coeffs)
-        quot = _rem_in_place(rem, oc, p)
-        return Poly(p, tuple(quot), normalize=False), Poly(p, _trim(rem), normalize=False)
+        quot, rem = _divmod_coeffs(self.coeffs, oc, p)
+        return Poly(p, quot, normalize=False), Poly(p, rem, normalize=False)
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
@@ -207,23 +215,79 @@ class Poly:
         return f"Poly(p={self.p}, coeffs={self.coeffs})"
 
 
-def _rem_in_place(rem: list, div, p: int) -> list:
-    """Reduce the coefficient list `rem` modulo the nonzero `div` (odd p).
+# Odd-p F_p[t] products and remainders on packed ints, coefficient i in
+# lane i of w bytes (Kronecker substitution; Harvey, J. Symbolic Comput.
+# 44, 2009).  Each kernel bounds the value its lanes can reach and takes
+# the narrowest lane above the bound, so no carry crosses into the next
+# lane, and it reduces the lanes mod p once, when it unpacks them.
 
-    On return rem holds the remainder as deg(div) coefficients, possibly
-    with trailing zeros; the quotient coefficients are returned.
+# Byte lanes are packed by bytes() and reduced by one bytes.translate.
+# Wider lanes are converted one at a time, so they pay only when each lane
+# sums this many products; below it the coefficient loop is faster
+# (docs/DESIGN.md, "Scalar kernels", has the measurements).
+_WIDE_LANE_MIN_TERMS = 8
+_MOD_TABLES: dict[int, bytes] = {}
+
+
+def _lane_bytes(bound: int, terms: int) -> int:
+    """Bytes per lane for lane values up to `bound` that sum `terms`
+    products, or 0 where the coefficient loop is faster."""
+    w = (bound.bit_length() + 7) // 8
+    return w if w == 1 or terms >= _WIDE_LANE_MIN_TERMS else 0
+
+
+def _pack(coeffs, w: int) -> int:
+    """The int holding coefficient i in lane i; each must fit in w bytes."""
+    if w == 1:
+        return int.from_bytes(bytes(coeffs), "little")
+    return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in coeffs]), "little")
+
+
+def _unpack(n: int, count: int, w: int, p: int) -> tuple:
+    """The `count` lanes of n reduced mod p, without trailing zeros."""
+    buf = n.to_bytes(count * w, "little")
+    if w > 1:
+        return _trim([int.from_bytes(buf[i:i + w], "little") % p for i in range(0, len(buf), w)])
+    table = _MOD_TABLES.get(p)  # one-byte lanes, so p < 256
+    if table is None:
+        table = _MOD_TABLES[p] = bytes(i % p for i in range(256))
+    return tuple(buf.translate(table).rstrip(b"\0"))
+
+
+def _divmod_coeffs(num, div, p: int) -> tuple[tuple, tuple]:
+    """Quotient and remainder of the coefficient tuple num by div, for odd
+    p and len(num) >= len(div) >= 2.
+
+    Step k takes c from lane k + nb and subtracts c * low << k, low the
+    divisor below its leading coefficient.  Packed, it adds (p - c) * low
+    instead, so a lane gains at most (p - 1)^2 per step, from at most
+    min(nb, number of steps) steps; the lanes above the remainder are
+    left as they are.
     """
     nb = len(div) - 1
-    low = div[:nb]
+    nq = len(num) - nb
+    terms = min(nb, nq)
+    w = _lane_bytes(p - 1 + terms * (p - 1) ** 2, terms)
     inv_lead = pow(div[nb], -1, p)
-    quot = [0] * (len(rem) - nb)
-    for k in range(len(quot) - 1, -1, -1):
+    low = div[:nb]
+    quot = [0] * nq
+    if w:
+        bits = 8 * w
+        mask = (1 << bits) - 1
+        rem, low = _pack(num, w), _pack(low, w)
+        for k in range(nq - 1, -1, -1):
+            c = (rem >> (bits * (k + nb)) & mask) * inv_lead % p
+            if c:
+                quot[k] = c
+                rem += (p - c) * low << (bits * k)
+        return tuple(quot), _unpack(rem & ((1 << (bits * nb)) - 1), nb, w, p)
+    rem = list(num)
+    for k in range(nq - 1, -1, -1):
         c = rem[k + nb] * inv_lead % p
         if c:
             quot[k] = c
             rem[k:k + nb] = [(x - c * y) % p for x, y in zip(rem[k:k + nb], low)]
-    del rem[nb:]
-    return quot
+    return tuple(quot), _trim(rem[:nb])
 
 
 # F_2[t] kernels on bit-vector ints (Brent, Gaudry, Thome and Zimmermann,
@@ -284,19 +348,16 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return _poly2(a)
     if g.is_zero():
         return f.monic()
-    # Euclid on plain lists, keeping the divisor monic.
-    a = list(f.coeffs)
-    b = list(g.monic().coeffs)
+    # Euclid on coefficient tuples, keeping the divisor monic.
+    a, b = f.coeffs, g.monic().coeffs
     while b:
         if len(a) >= len(b):
-            _rem_in_place(a, b, p)
-        while a and not a[-1]:
-            a.pop()
+            a = _divmod_coeffs(a, b, p)[1] if len(b) > 1 else ()
         if a and a[-1] != 1:
             s = pow(a[-1], -1, p)
-            a = [c * s % p for c in a]
+            a = tuple(c * s % p for c in a)
         a, b = b, a
-    return Poly(p, tuple(a), normalize=False)
+    return Poly(p, a, normalize=False)
 
 
 def _poly_pth_root(f: Poly) -> Optional[Poly]:
@@ -585,12 +646,13 @@ class FieldElement:
             n2, d2 = other.payload
             if n1.is_zero() or n2.is_zero():
                 return field.zero()
-            # Cross-reduce before multiplying to keep degrees small.
-            if not d2.is_one():
+            # Cross-reduce before multiplying to keep degrees small; a
+            # constant shares no factor with anything.
+            if len(d2.coeffs) > 1 and len(n1.coeffs) > 1:
                 g = poly_gcd(n1, d2)
                 if not g.is_one():
                     n1, d2 = n1 // g, d2 // g
-            if not d1.is_one():
+            if len(d1.coeffs) > 1 and len(n2.coeffs) > 1:
                 g = poly_gcd(n2, d1)
                 if not g.is_one():
                     n2, d1 = n2 // g, d1 // g
@@ -639,7 +701,7 @@ def _make_ratio(field: FieldDescriptor, num: Poly, den: Poly, reduced: bool = Fa
         raise DivisionByZero("zero denominator in function field")
     if num.is_zero():
         return FieldElement(field, (num, Poly.const(field.p, 1)))
-    if not reduced and not den.is_one():
+    if not reduced and len(den.coeffs) > 1 and len(num.coeffs) > 1:
         g = poly_gcd(num, den)
         if not g.is_one():
             num, den = num // g, den // g
@@ -648,6 +710,66 @@ def _make_ratio(field: FieldDescriptor, num: Poly, den: Poly, reduced: bool = Fa
         s = pow(lead, -1, field.p)
         num, den = num.scale(s), den.scale(s)
     return FieldElement(field, (num, den))
+
+
+def dot(field: FieldDescriptor, xs, ys) -> FieldElement:
+    """The sum of x_i * y_i over `field`, normalized once.
+
+    Over F_p(t) and Q the terms' numerators and denominators are summed
+    unreduced and the sum is reduced once; over F_p it is one `% p`; over
+    a quadratic extension it is three dots over the base.  A single
+    nonzero term is the product itself.  An entry from another field
+    raises DescriptorMismatch, as `*` does.
+    """
+    pairs = list(zip(xs, ys))
+    for x, y in pairs:
+        if (x.__class__ is not FieldElement or x.field is not field
+                or y.__class__ is not FieldElement or y.field is not field):
+            field.zero()._same(x)
+            field.zero()._same(y)
+    return _dot(field, pairs)
+
+
+def _dot(field: FieldDescriptor, pairs: list) -> FieldElement:
+    kind = field.kind
+    if kind == KIND_PRIME:
+        return FieldElement(field, sum(x.payload * y.payload for x, y in pairs) % field.p)
+    terms = [(x, y) for x, y in pairs if not x.is_zero() and not y.is_zero()]
+    if len(terms) == 1:
+        return terms[0][0] * terms[0][1]
+    if kind == KIND_RATIONALS:
+        num, den = 0, 1
+        for x, y in terms:
+            a, b = x.payload, y.payload
+            n, d = a.numerator * b.numerator, a.denominator * b.denominator
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+        return FieldElement(field, Fraction(num, den))
+    if kind == KIND_FUNFIELD:
+        num, den = Poly(field.p, (), normalize=False), Poly.const(field.p, 1)
+        for x, y in terms:
+            (n1, d1), (n2, d2) = x.payload, y.payload
+            n = n1 * n2
+            d = d2 if d1.is_one() else d1 if d2.is_one() else d1 * d2
+            if d == den:
+                num = num + n
+            elif den.is_one():
+                num, den = num * d + n, d
+            elif d.is_one():
+                num = num + n * den
+            else:
+                num, den = num * d + n * den, den * d
+        return _make_ratio(field, num, den)
+    # (u1 + v1 r)(u2 + v2 r) = u1 u2 + D v1 v2 + (u1 v2 + v1 u2) r
+    base = field.base
+    parts = [(x.payload, y.payload) for x, y in terms]
+    u = _dot(base, [(u1, u2) for (u1, _), (u2, _) in parts])
+    vv = _dot(base, [(v1, v2) for (_, v1), (_, v2) in parts])
+    v = _dot(base, [(u1, v2) for (u1, _), (_, v2) in parts]
+             + [(v1, u2) for (_, v1), (u2, _) in parts])
+    return FieldElement(field, (u + field.radicand * vv, v))
 
 
 def inv(x: FieldElement) -> FieldElement:

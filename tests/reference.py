@@ -609,6 +609,39 @@ def common_denominator(field: FieldDescriptor, xs: Sequence[FieldElement]) -> Fi
     return field.one()
 
 
+def _trimmed(coeffs) -> list:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def schoolbook_mul(a, b, p: int) -> list:
+    """Product of two coefficient sequences over F_p, one coefficient
+    product at a time, reduced at every step."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _trimmed(out)
+
+
+def schoolbook_divmod(a, b, p: int) -> tuple[list, list]:
+    """Quotient and remainder of coefficient sequences over F_p by long
+    division, one coefficient at a time; b has a nonzero top coefficient."""
+    rem = list(a)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    inv_lead = pow(b[-1], -1, p)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b) - 1] * inv_lead % p
+        quot[k] = c
+        for i, y in enumerate(b):
+            rem[k + i] = (rem[k + i] - c * y) % p
+    return _trimmed(quot), _trimmed(rem)
+
+
 def poly_power(f: Poly, n: int) -> Poly:
     out = Poly.const(f.p, 1)
     for _ in range(n):

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from orthocurrent.scalars import (
     DescriptorMismatch,
     ParseError,
     Poly,
+    _WIDE_LANE_MIN_TERMS,
+    dot,
     function_field,
     inv,
     is_square,
@@ -37,6 +40,8 @@ from reference import (
     poly_power,
     poly_squarefree,
     random_element,
+    schoolbook_divmod,
+    schoolbook_mul,
 )
 
 Q = rationals()
@@ -395,35 +400,6 @@ def test_tonelli_shanks_large_primes():
         assert nonresidues and all(is_square(field.from_int(x)) is None for x in nonresidues)
 
 
-def _ref_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _ref_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _ref_trim(out)
-
-
-def _ref_divmod(a, b, p):
-    rem = list(a)
-    quot = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], -1, p)
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + len(b) - 1] * inv_lead % p
-        quot[k] = c
-        for i, y in enumerate(b):
-            rem[k + i] = (rem[k + i] - c * y) % p
-    return _ref_trim(quot), _ref_trim(rem)
-
-
 def _poly_strategy(p):
     return st.lists(st.integers(0, p - 1), max_size=12).map(lambda c: Poly(p, c))
 
@@ -435,16 +411,14 @@ def test_poly_kernels_match_schoolbook(p, data):
     a = data.draw(_poly_strategy(p))
     b = data.draw(_poly_strategy(p))
     prod = a * b
-    assert list(prod.coeffs) == _ref_mul(a.coeffs, b.coeffs, p)
-    assert list((a + b).coeffs) == _ref_trim(
-        [(x + y) % p for x, y in zip(a.coeffs + (0,) * 12, b.coeffs + (0,) * 12)]
-    )
+    assert list(prod.coeffs) == schoolbook_mul(a.coeffs, b.coeffs, p)
+    assert a + b == Poly(p, [x + y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)])
     if b.is_zero():
         with pytest.raises(DivisionByZero):
             divmod(a, b)
         return
     q, r = divmod(a, b)
-    assert (list(q.coeffs), list(r.coeffs)) == _ref_divmod(a.coeffs, b.coeffs, p)
+    assert (list(q.coeffs), list(r.coeffs)) == schoolbook_divmod(a.coeffs, b.coeffs, p)
     assert q * b + r == a and r.degree < b.degree
     g = poly_gcd(a, b)
     assert g.leading == 1
@@ -452,6 +426,107 @@ def test_poly_kernels_match_schoolbook(p, data):
     # any common divisor divides the gcd: here, the gcd of a*c and b*c
     c = data.draw(_poly_strategy(p).filter(lambda f: not f.is_zero()))
     assert divmod(poly_gcd(a * c, b * c), c.monic())[1].is_zero()
+
+
+KERNEL_PRIMES = [3, 5, 7, 11, 13, 1000003, 3825123056546412979]
+
+
+def _critical_terms(p, top, cap):
+    """Numbers of terms t <= cap on both sides of every lane-width step:
+    a lane holding top + t (p - 1)^2 needs more bytes at t than at t - 1,
+    so t - 1 is the exact bound of the narrower lane.  The step where
+    wide lanes start to pay is included too."""
+    def width(t):
+        return (top + t * (p - 1) ** 2).bit_length() + 7 >> 3
+
+    steps = [t for t in range(2, cap + 1) if width(t) != width(t - 1)]
+    steps.append(_WIDE_LANE_MIN_TERMS)
+    return sorted({s for t in steps for s in (t - 1, t) if s >= 1})
+
+
+def _extremal_remainder_case(p, terms):
+    """num, div, quotient and remainder in which lane terms - 1 of the
+    remainder starts at p - 1 and gains (p - 1)^2 at each of `terms`
+    steps: div = t^terms + (p - 1)(1 + ... + t^(terms-1)), every quotient
+    coefficient is 1, and remainder coefficient m is m mod p."""
+    div = [p - 1] * terms + [1]
+    quot = [1] * terms
+    rem = [m % p for m in range(terms)]
+    prod = schoolbook_mul(quot, div, p)
+    num = [(x + (rem[i] if i < terms else 0)) % p for i, x in enumerate(prod)]
+    return num, div, quot, rem
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_packed_kernels_at_every_lane_bound(p):
+    """All coefficients p - 1 put the product's middle lane exactly at
+    terms (p - 1)^2, and the extremal remainder puts a lane exactly at
+    p - 1 + terms (p - 1)^2: both at the last term count of each lane
+    width and the first of the next."""
+    for terms in _critical_terms(p, 0, 300):
+        a = Poly(p, [p - 1] * terms)
+        assert list((a * a).coeffs) == schoolbook_mul(a.coeffs, a.coeffs, p)
+    for terms in _critical_terms(p, p - 1, 300):
+        num, div, quot, rem = _extremal_remainder_case(p, terms)
+        assert schoolbook_divmod(num, div, p) == (quot, schoolbook_mul(rem, [1], p))
+        q, r = divmod(Poly(p, num), Poly(p, div))
+        assert (list(q.coeffs), list(r.coeffs)) == schoolbook_divmod(num, div, p)
+
+
+def _near_extremal(p, n):
+    coeff = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    return st.lists(coeff, min_size=n, max_size=n).map(lambda c: c[:-1] + [c[-1] or 1])
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_packed_kernels_match_schoolbook_around_the_lane_bounds(p, data):
+    """Products with min(len a, len b) and remainders with min(deg div,
+    number of steps) on both sides of each lane bound up to 70 terms."""
+    terms = data.draw(st.sampled_from(_critical_terms(p, 0, 70)))
+    a = data.draw(_near_extremal(p, terms))
+    b = data.draw(_near_extremal(p, terms + data.draw(st.integers(0, 3))))
+    assert list((Poly(p, a) * Poly(p, b)).coeffs) == schoolbook_mul(a, b, p)
+    terms = data.draw(st.sampled_from(_critical_terms(p, p - 1, 70)))
+    div = data.draw(_near_extremal(p, terms + 1))
+    num = data.draw(_near_extremal(p, 2 * terms + data.draw(st.integers(0, 3))))
+    q, r = divmod(Poly(p, num), Poly(p, div))
+    assert (list(q.coeffs), list(r.coeffs)) == schoolbook_divmod(num, div, p)
+    g = poly_gcd(Poly(p, num), Poly(p, div))
+    assert g.leading == 1 and divmod(Poly(p, div), g)[1].is_zero()
+
+
+DOT_FIELDS = ["Q", "F5", "F3(t)", "F2(t)", "F3[sqrt 2]", "F2(t)[sqrt t+1]"]
+
+
+@pytest.mark.parametrize("literal", DOT_FIELDS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), size=st.integers(0, 6), zeros=st.integers(0, 3))
+def test_dot_is_the_sum_of_products(literal, seed, size, zeros):
+    """Up to `zeros` random entries of each vector are zero; sizes 0 and
+    1 and all-zero vectors occur among the examples."""
+    field = parse_field(literal)
+    rng = random.Random(seed)
+    xs = [random_element(field, rng) for _ in range(size)]
+    ys = [random_element(field, rng) for _ in range(size)]
+    for vec in (xs, ys):
+        for _ in range(min(zeros, size)):
+            vec[rng.randrange(size)] = field.zero()
+    expected = field.zero()
+    for x, y in zip(xs, ys):
+        expected = expected + x * y
+    assert dot(field, xs, ys) == expected
+    assert dot(field, xs, [field.zero()] * size) == field.zero()
+
+
+def test_dot_refuses_mixed_fields():
+    x3, x5 = F3.one(), F5.one()
+    for xs, ys in [([x3, x5], [x3, x3]), ([x3], [x5]), ([x3], [1])]:
+        with pytest.raises(DescriptorMismatch):
+            dot(F3, xs, ys)
+    with pytest.raises(DescriptorMismatch):
+        dot(F5, [x3], [x3])
 
 
 COMMON_DENOMINATOR_FIELDS = [

@@ -302,15 +302,17 @@ def _verify_f3t_counting(monkeypatch, owner, name, form="1,1,t+1,t"):
 
 
 def test_verify_products_stay_gcd_free(monkeypatch):
-    """162 polynomial gcds here, and 236 while the pipeline built L's
-    kernel, [L, L] and M from commutators at the input.  The random-W leg
+    """52 polynomial gcds here.  Normalizing each term of an inner product,
+    and each product that has a constant factor, read 162, and 236 while
+    the pipeline built L's kernel, [L, L] and M from commutators at the
+    input.  The random-W leg
     checks its rows by 10 values of the form and rests its table and span
     on the proof over Z[a, b, c, d]; building M and [L', L'] at the primed
     diagonal read 794, checking its conjugates' 15 dense commutators 768
     on entries cleared of denominators, and about 2900 on fractions.
     Restricting f to W to test its rank, and evaluating each square three
     times, read 428."""
-    assert 0 < _verify_f3t_counting(monkeypatch, scalars, "poly_gcd") <= 180
+    assert 0 < _verify_f3t_counting(monkeypatch, scalars, "poly_gcd") <= 60
 
 
 def test_verify_multiplications_stay_few(monkeypatch):
@@ -696,8 +698,10 @@ def test_the_leg_retries_where_the_restriction_degenerates(literal, form):
 
 
 def test_the_leg_computes_each_value_once(monkeypatch):
-    """109 field multiplications and 165 polynomial gcds in the leg here,
-    the same on every run.  Restricting f to W to test its rank,
+    """54 field multiplications and 45 polynomial gcds in the leg here,
+    the same on every run.  Normalizing each term of an inner product, and
+    each product that has a constant factor, read 109 and 165.
+    Restricting f to W to test its rank,
     orthogonalizing in W's coordinates, carrying the basis back by W's and
     evaluating each square three times read 240 and 360."""
     field = parse_field("F3(t)")
@@ -713,7 +717,7 @@ def test_the_leg_computes_each_value_once(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     part, checks = structure._random_w_leg(pipe, random.Random(0))
     assert part["attempts"] == 1 and all(c["ok"] for c in checks)
-    assert calls["__mul__"] <= 109 and calls["poly_gcd"] <= 165
+    assert calls["__mul__"] <= 54 and calls["poly_gcd"] <= 45
 
 
 def test_a_non_orthogonal_basis_fails_the_leg_table_without_raising(monkeypatch):
