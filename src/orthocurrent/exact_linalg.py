@@ -148,18 +148,20 @@ def _clear(w: dict, c: int, row: dict) -> None:
     that cancels."""
     factor = -w.pop(c)
     field = factor.field
-    one = field.one()
     for j, y in row.items():
         if j == c:
             continue
-        if j in w:
-            t = dot(field, (one, factor), (w[j], y))
-            if t.is_zero():
-                del w[j]
-                continue
+        if j not in w:
+            w[j] = factor * y
+            continue
+        if field.fuses_sums:
+            t = dot(field, (field.one(), factor), (w[j], y))
         else:
-            t = factor * y
-        w[j] = t
+            t = w[j] + factor * y
+        if t:
+            w[j] = t
+        else:
+            del w[j]
 
 
 def _eliminate(rows: list[dict]) -> list[int]:

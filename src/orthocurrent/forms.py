@@ -46,7 +46,15 @@ class BilinearForm:
 
     def image(self, v: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         """G v, the vector whose pairing with u is f(u, v)."""
-        return tuple(dot(self.field, row, v) for row in self.gram.rows)
+        zero = self.field.zero()
+        out = []
+        for row in self.gram.rows:
+            acc = zero
+            for g, x in zip(row, v):
+                if not g.is_zero() and not x.is_zero():
+                    acc = acc + g * x
+            out.append(acc)
+        return tuple(out)
 
     def pair(self, u: Sequence[FieldElement], gv: Sequence[FieldElement]) -> FieldElement:
         """f(u, v), given gv = G v."""
@@ -141,7 +149,7 @@ def orthogonalize(form: BilinearForm,
         raise AlternatingChar2("alternating form in characteristic 2")
     if rows is None:
         rows = Matrix.identity(field, form.dim).rows
-    one = field.one()
+    one, fused = field.one(), field.fuses_sums
     basis = [list(row) for row in rows]
     n = len(basis)
     images: list = [None] * n  # G b_k, None once b_k has changed
@@ -190,8 +198,9 @@ def orthogonalize(form: BilinearForm,
         for j in range(k + 1, n):
             t = form.pair(basis[j], pivot_image)
             if not t.is_zero():
-                factor = -(t * c_inv)
-                replace(j, [x if y.is_zero() else dot(field, (one, factor), (x, y))
+                f = -(t * c_inv)
+                replace(j, [x if y.is_zero()
+                            else dot(field, (one, f), (x, y)) if fused else x + f * y
                             for x, y in zip(basis[j], pivot)])
         k += 1
     return OrthogonalBasisResult(Matrix(field, basis), tuple(squares))

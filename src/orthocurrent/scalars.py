@@ -166,7 +166,7 @@ class Poly:
         # Lane k of the product sums at most min(len(a), len(b)) products
         # of two residues.
         terms = min(len(a), len(b))
-        w = _lane_bytes(terms * (p - 1) ** 2, terms)
+        w = _lane_bytes(terms * (p - 1) ** 2, terms, _WIDE_PRODUCT_FROM)
         if w:
             return Poly(p, _unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w, p),
                         normalize=False)
@@ -221,19 +221,20 @@ class Poly:
 # the narrowest lane above the bound, so no carry crosses into the next
 # lane, and it reduces the lanes mod p once, when it unpacks them.
 
-# Byte lanes are packed by bytes() and reduced by one bytes.translate.
-# Wider lanes are converted one at a time, so they pay only when each lane
-# sums this many products; below it the coefficient loop is faster
-# (docs/DESIGN.md, "Scalar kernels", has the measurements).
-_WIDE_LANE_MIN_TERMS = 8
+# Byte lanes are packed by bytes() and reduced by one bytes.translate, so
+# they pay from 2 steps (products per lane, or division steps).  Wider
+# lanes are converted one at a time and pay only from these many, at
+# every width from 2 to 16 bytes (docs/DESIGN.md, "Scalar kernels").
+_WIDE_PRODUCT_FROM, _WIDE_DIVISION_FROM = 5, 6
 _MOD_TABLES: dict[int, bytes] = {}
 
 
-def _lane_bytes(bound: int, terms: int) -> int:
-    """Bytes per lane for lane values up to `bound` that sum `terms`
-    products, or 0 where the coefficient loop is faster."""
+def _lane_bytes(bound: int, steps: int, wide_from: int) -> int:
+    """Bytes per lane for lane values up to `bound`, or 0 where the
+    coefficient loop is faster: below 2 steps at byte lanes and below
+    `wide_from` at wider ones."""
     w = (bound.bit_length() + 7) // 8
-    return w if w == 1 or terms >= _WIDE_LANE_MIN_TERMS else 0
+    return w if steps >= (2 if w == 1 else wide_from) else 0
 
 
 def _pack(coeffs, w: int) -> int:
@@ -266,8 +267,7 @@ def _divmod_coeffs(num, div, p: int) -> tuple[tuple, tuple]:
     """
     nb = len(div) - 1
     nq = len(num) - nb
-    terms = min(nb, nq)
-    w = _lane_bytes(p - 1 + terms * (p - 1) ** 2, terms)
+    w = _lane_bytes(p - 1 + min(nb, nq) * (p - 1) ** 2, nq, _WIDE_DIVISION_FROM)
     inv_lead = pow(div[nb], -1, p)
     low = div[:nb]
     quot = [0] * nq
@@ -427,7 +427,7 @@ class FieldDescriptor:
     is the common fast path; quadratic extensions compare structurally.
     """
 
-    __slots__ = ("kind", "p", "var", "base", "radicand", "_zero", "_one")
+    __slots__ = ("kind", "p", "var", "base", "radicand", "fuses_sums", "_zero", "_one")
 
     def __init__(self, kind, p=None, var=None, base=None, radicand=None):
         self.kind = kind
@@ -435,6 +435,10 @@ class FieldDescriptor:
         self.var = var
         self.base = base
         self.radicand = radicand
+        # Whether x + f y pays to run as the two-term `dot`: over F_p(t) and
+        # its towers each separate result costs a polynomial gcd; over F_p,
+        # Q and towers over F_p the direct x + f * y is faster.
+        self.fuses_sums = kind == KIND_FUNFIELD or (kind == KIND_QUADEXT and base.fuses_sums)
         self._zero = None
         self._one = None
 

@@ -609,7 +609,7 @@ def common_denominator(field: FieldDescriptor, xs: Sequence[FieldElement]) -> Fi
     return field.one()
 
 
-def _trimmed(coeffs) -> list:
+def trimmed(coeffs) -> list:
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -625,7 +625,7 @@ def schoolbook_mul(a, b, p: int) -> list:
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] = (out[i + j] + x * y) % p
-    return _trimmed(out)
+    return trimmed(out)
 
 
 def schoolbook_divmod(a, b, p: int) -> tuple[list, list]:
@@ -639,7 +639,7 @@ def schoolbook_divmod(a, b, p: int) -> tuple[list, list]:
         quot[k] = c
         for i, y in enumerate(b):
             rem[k + i] = (rem[k + i] - c * y) % p
-    return _trimmed(quot), _trimmed(rem)
+    return trimmed(quot), trimmed(rem)
 
 
 def poly_power(f: Poly, n: int) -> Poly:

@@ -1,7 +1,6 @@
 import math
 import random
 import time
-from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,8 @@ from orthocurrent.scalars import (
     DescriptorMismatch,
     ParseError,
     Poly,
-    _WIDE_LANE_MIN_TERMS,
+    _WIDE_DIVISION_FROM,
+    _WIDE_PRODUCT_FROM,
     dot,
     function_field,
     inv,
@@ -42,6 +42,7 @@ from reference import (
     random_element,
     schoolbook_divmod,
     schoolbook_mul,
+    trimmed,
 )
 
 Q = rationals()
@@ -412,7 +413,9 @@ def test_poly_kernels_match_schoolbook(p, data):
     b = data.draw(_poly_strategy(p))
     prod = a * b
     assert list(prod.coeffs) == schoolbook_mul(a.coeffs, b.coeffs, p)
-    assert a + b == Poly(p, [x + y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)])
+    assert list((a + b).coeffs) == trimmed(
+        [(x + y) % p for x, y in zip(a.coeffs + (0,) * 12, b.coeffs + (0,) * 12)]
+    )
     if b.is_zero():
         with pytest.raises(DivisionByZero):
             divmod(a, b)
@@ -434,23 +437,23 @@ KERNEL_PRIMES = [3, 5, 7, 11, 13, 1000003, 3825123056546412979]
 def _critical_terms(p, top, cap):
     """Numbers of terms t <= cap on both sides of every lane-width step:
     a lane holding top + t (p - 1)^2 needs more bytes at t than at t - 1,
-    so t - 1 is the exact bound of the narrower lane.  The step where
-    wide lanes start to pay is included too."""
+    so t - 1 is the exact bound of the narrower lane.  The steps where
+    packed lanes take over from the coefficient loop are included too."""
     def width(t):
         return (top + t * (p - 1) ** 2).bit_length() + 7 >> 3
 
     steps = [t for t in range(2, cap + 1) if width(t) != width(t - 1)]
-    steps.append(_WIDE_LANE_MIN_TERMS)
+    steps += [2, _WIDE_PRODUCT_FROM, _WIDE_DIVISION_FROM]
     return sorted({s for t in steps for s in (t - 1, t) if s >= 1})
 
 
-def _extremal_remainder_case(p, terms):
+def _extremal_remainder_case(p, terms, steps):
     """num, div, quotient and remainder in which lane terms - 1 of the
     remainder starts at p - 1 and gains (p - 1)^2 at each of `terms`
-    steps: div = t^terms + (p - 1)(1 + ... + t^(terms-1)), every quotient
-    coefficient is 1, and remainder coefficient m is m mod p."""
+    steps: div = t^terms + (p - 1)(1 + ... + t^(terms-1)), the quotient is
+    `steps` >= terms coefficients 1, and remainder coefficient m is m mod p."""
     div = [p - 1] * terms + [1]
-    quot = [1] * terms
+    quot = [1] * steps
     rem = [m % p for m in range(terms)]
     prod = schoolbook_mul(quot, div, p)
     num = [(x + (rem[i] if i < terms else 0)) % p for i, x in enumerate(prod)]
@@ -462,15 +465,17 @@ def test_packed_kernels_at_every_lane_bound(p):
     """All coefficients p - 1 put the product's middle lane exactly at
     terms (p - 1)^2, and the extremal remainder puts a lane exactly at
     p - 1 + terms (p - 1)^2: both at the last term count of each lane
-    width and the first of the next."""
+    width and the first of the next.  The remainder runs both with as many
+    steps as terms and with enough steps to take the packed lanes."""
     for terms in _critical_terms(p, 0, 300):
         a = Poly(p, [p - 1] * terms)
         assert list((a * a).coeffs) == schoolbook_mul(a.coeffs, a.coeffs, p)
     for terms in _critical_terms(p, p - 1, 300):
-        num, div, quot, rem = _extremal_remainder_case(p, terms)
-        assert schoolbook_divmod(num, div, p) == (quot, schoolbook_mul(rem, [1], p))
-        q, r = divmod(Poly(p, num), Poly(p, div))
-        assert (list(q.coeffs), list(r.coeffs)) == schoolbook_divmod(num, div, p)
+        for steps in {terms, max(terms, _WIDE_DIVISION_FROM)}:
+            num, div, quot, rem = _extremal_remainder_case(p, terms, steps)
+            assert schoolbook_divmod(num, div, p) == (quot, schoolbook_mul(rem, [1], p))
+            q, r = divmod(Poly(p, num), Poly(p, div))
+            assert (list(q.coeffs), list(r.coeffs)) == schoolbook_divmod(num, div, p)
 
 
 def _near_extremal(p, n):
