@@ -170,8 +170,11 @@ class Poly:
         if w:
             return Poly(p, _unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w, p),
                         normalize=False)
-        # Accumulate unreduced and reduce once; the top coefficient is a
-        # product of two units, so no trailing zero can appear.
+        # Accumulate unreduced and reduce once, one pass per coefficient of
+        # the shorter factor; the top coefficient is a product of two
+        # units, so no trailing zero can appear.
+        if len(a) > len(b):
+            a, b = b, a
         nb = len(b)
         out = [0] * (len(a) + nb - 1)
         for i, ca in enumerate(a):
