@@ -15,7 +15,8 @@ decomposition (characteristic 2) for quadratic extensions.
 
 Polynomials over F_2 multiply and divide as bit-vector ints; over odd p,
 as packed ints with one lane per coefficient, wide enough that no carry
-crosses a lane.  `dot` sums products and normalizes once, at the end.
+crosses a lane, except below measured crossovers, where a coefficient
+loop is faster.  `dot` sums products and normalizes once, at the end.
 """
 
 from __future__ import annotations
