@@ -19,7 +19,6 @@ from .scalars import (
     render_scalar,
 )
 from .exact_linalg import (
-    Matrix,
     Subspace,
     canonicalize_subspace,
     kernel,

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from .exact_linalg import Matrix
 from .forms import make_form, orthogonalize
 from . import liealg, oracle
-from .liealg import BASIS_NAMES, evaluated_algebra, prove_identity
+from .liealg import BASIS_NAMES, discriminant, evaluated_algebra, prove_identity
 from .oracle import SUPPORTED_Q, adjoint_tables, enumerate_ideals, enumeration_complete
 from .scalars import (
     FieldDescriptor,
@@ -174,7 +174,6 @@ def _table_json(spec: CommandSpec) -> dict:
     """The symbolic table rows with their coefficients, read off M evaluated
     at the input, and whether the proof holds the table at every diagonal."""
     alg = evaluated_algebra(spec.entries)
-    a, b, c, d = spec.entries
     entries = []
     for left, right, symbol, target in liealg.TABLE_ROWS:
         i, j, k = (BASIS_NAMES.index(name) for name in (left, right, target))
@@ -189,7 +188,7 @@ def _table_json(spec: CommandSpec) -> dict:
         "command": "table",
         "field": render_field(spec.field),
         "form": [render_scalar(x) for x in spec.entries],
-        "D": render_scalar(a * b * c * d),
+        "D": render_scalar(discriminant(*spec.entries)),
         "entries": entries,
         "table": table_to_json(alg),
         "checks": [{"name": "table_matches_computed", "ok": prove_identity()["table"]}],
@@ -203,13 +202,12 @@ def _oracle_json(spec: CommandSpec) -> dict:
         raise oracle.UnsupportedField("ideal enumeration runs over prime fields")
     tables = adjoint_tables(*oracle.wedge_brackets(spec.field.p, [x.payload for x in spec.entries]))
     ideals = enumerate_ideals(tables)
-    disc = spec.entries[0] * spec.entries[1] * spec.entries[2] * spec.entries[3]
     hist = Counter(len(pivots) for pivots, _ in ideals)
     return {
         "command": "oracle",
         "field": render_field(spec.field),
         "form": [render_scalar(x) for x in spec.entries],
-        "D": render_scalar(disc),
+        "D": render_scalar(discriminant(*spec.entries)),
         "ideal_count": len(ideals),
         "histogram": {str(k): v for k, v in sorted(hist.items())},
         "ideals": [[[str(x) for x in row] for row in rows] for _, rows in ideals],
@@ -323,8 +321,8 @@ def execute(spec: CommandSpec) -> tuple[int, str]:
     build, render = COMMANDS[spec.command]
     try:
         if spec.gram is not None:
-            diagonal = orthogonalize(make_form(spec.gram)).diagonal
-            spec = replace(spec, entries=tuple(diagonal))
+            _, squares = orthogonalize(make_form(spec.gram))
+            spec = replace(spec, entries=squares)
         doc = build(spec)
     except DOMAIN_ERRORS as exc:
         return 1, f"error: {exc}"

@@ -4,17 +4,18 @@ Vectors are sparse dicts {index: entry} with zero entries left out, and
 the matrices of Lie algebras are sparse dicts {(row, col): entry}, which
 `commutator` multiplies.  Dense sequences are accepted wherever vectors
 are and read once into that form; `Matrix`, an immutable row-major grid,
-serves Gram matrices and the dense `Subspace.basis`.  Subspaces are
-stored through their unique reduced row echelon rows, which makes
-subspace equality decidable by structural comparison.  Everything here is
-small (at most 16 columns), so one Gauss-Jordan elimination on sparse
-rows, `_eliminate`, serves both `canonicalize_subspace` and `kernel`;
+is only the checked grid of a `--gram` input.  Subspaces are stored
+through their unique reduced row echelon rows, which makes subspace
+equality decidable by structural comparison.  Everything here is small
+(at most 16 columns), so one Gauss-Jordan elimination on sparse rows,
+`_eliminate`, serves both `canonicalize_subspace` and `kernel`, and one
+in-place row update, `add_scaled`, serves it and `forms.orthogonalize`;
 rank decides nondegeneracy, so no determinant is computed.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .scalars import FieldDescriptor, FieldElement, dot, inv
 
@@ -24,7 +25,8 @@ class ShapeMismatch(ValueError):
 
 
 class Matrix:
-    """Immutable dense matrix with entries in a single field."""
+    """Immutable dense matrix over one field: the checked grid of a `--gram`
+    input.  No command multiplies one; perfbench times `*`."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -41,31 +43,6 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = ncols
         self.rows = rows
-
-    @classmethod
-    def _trusted(cls, field: FieldDescriptor, rows: tuple[tuple[FieldElement, ...], ...]) -> Matrix:
-        """Arithmetic result on validated operands: skips the per-entry field
-        check, since FieldElement arithmetic already rejects mixed fields."""
-        m = object.__new__(cls)
-        m.field = field
-        m.nrows = len(rows)
-        m.ncols = len(rows[0]) if rows else 0
-        m.rows = rows
-        return m
-
-    @classmethod
-    def identity(cls, field: FieldDescriptor, n: int) -> Matrix:
-        zero, one = field.zero(), field.one()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, field: FieldDescriptor, entries: Sequence[FieldElement]) -> Matrix:
-        zero = field.zero()
-        n = len(entries)
-        return cls(field, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
-
-    def transpose(self) -> Matrix:
-        return Matrix._trusted(self.field, tuple(zip(*self.rows)))
 
     def __mul__(self, other: Matrix) -> Matrix:
         if self.ncols != other.nrows:
@@ -84,8 +61,8 @@ class Matrix:
                     if not a.is_zero() and not b.is_zero():
                         acc = acc + a * b
                 out_row.append(acc)
-            out.append(tuple(out_row))
-        return Matrix._trusted(self.field, tuple(out))
+            out.append(out_row)
+        return Matrix(self.field, out)
 
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and all(
@@ -142,22 +119,23 @@ def commutator(x: dict, y: dict) -> dict:
     return {pos: z for pos, z in out.items() if z}
 
 
-def _clear(w: dict, c: int, row: dict) -> None:
-    """w - w[c] row in place, for sparse w with an entry at column c and a
-    sparse row that is 1 there: column c leaves w, and so does every sum
-    that cancels."""
-    factor = -w.pop(c)
+def add_scaled(w: dict, factor: FieldElement, row: dict, skip: Optional[int] = None) -> None:
+    """w + factor row in place, for sparse w and row, leaving out row's
+    entry at column `skip`: every sum that cancels leaves w.  This is the
+    one row update of the package, for the elimination here and for
+    `forms.orthogonalize`.  Where the field fuses sums
+    (`FieldDescriptor.fuses_sums`), x + factor y runs as one two-term dot,
+    normalized once."""
     field = factor.field
+    fused, one = field.fuses_sums, field.one()
     for j, y in row.items():
-        if j == c:
+        if j == skip:
             continue
-        if j not in w:
+        x = w.get(j)
+        if x is None:
             w[j] = factor * y
             continue
-        if field.fuses_sums:
-            t = dot(field, (field.one(), factor), (w[j], y))
-        else:
-            t = w[j] + factor * y
+        t = dot(field, (one, factor), (x, y)) if fused else x + factor * y
         if t:
             w[j] = t
         else:
@@ -191,8 +169,8 @@ def _eliminate(rows: list[dict]) -> list[int]:
                 row[j] = pv_inv * x
         row[c] = pv.field.one()
         for i in range(nrows):
-            if i != r and c in rows[i]:
-                _clear(rows[i], c, row)
+            if i != r and c in rows[i]:  # clear column c, where row is 1
+                add_scaled(rows[i], -rows[i].pop(c), row, c)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -226,8 +204,7 @@ class Subspace:
     """Subspace of F^n stored by its canonical reduced echelon rows.
 
     `rows` are sparse, {column: entry} with zero entries left out, and
-    row i has its leading 1 at column pivots[i]; `basis` writes them out
-    as a dense Matrix.
+    row i has its leading 1 at column pivots[i].
     """
 
     __slots__ = ("field", "ambient_dim", "rows", "pivots")
@@ -243,12 +220,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
-    def basis(self) -> Matrix:
-        zero = self.field.zero()
-        return Matrix._trusted(self.field, tuple(
-            tuple(row.get(j, zero) for j in range(self.ambient_dim)) for row in self.rows))
-
     def contains(self, v) -> bool:
         """Whether v, a sequence or a dict as `canonicalize_subspace` takes
         it, lies in the subspace: its remainder after elimination against
@@ -256,7 +227,7 @@ class Subspace:
         w = _sparse(v, self.field, self.ambient_dim)
         for row, c in zip(self.rows, self.pivots):
             if c in w:
-                _clear(w, c, row)
+                add_scaled(w, -w.pop(c), row, c)
         return not w
 
     def __eq__(self, other) -> bool:

@@ -1,21 +1,23 @@
-"""Symmetric bilinear forms: validation, restriction, and orthogonalization
-of the whole space or of the span of given rows.
+"""Symmetric bilinear forms on sparse rows: validation, restriction, and
+orthogonalization of the whole space or of the span of given rows.
 
-A form is stored through its Gram matrix together with whether it is
-nondegenerate (its Gram matrix has full rank) and whether it is
-alternating.  Orthogonalization is constructive and works in every
-characteristic; in characteristic 2 a non-alternating hypothesis is
-required (an alternating form admits no orthogonal basis there), and the
-algorithm repairs alternating residual blocks by borrowing the most
-recently completed anisotropic vector.
+A form keeps the rows {j: g_ij} of its Gram matrix, zero entries left
+out, with whether it is nondegenerate and whether it is alternating;
+vectors are sparse rows as in `exact_linalg`, and G v and the pairing read
+nonzero entries only.  A diagonal form is nondegenerate exactly when no
+entry is zero; only a full Gram matrix or a restriction is rank-checked.
+Orthogonalization is constructive and works in every characteristic; in
+characteristic 2 a non-alternating hypothesis is required (an alternating
+form admits no orthogonal basis there), and the algorithm repairs
+alternating residual blocks by borrowing the most recently completed
+anisotropic vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact_linalg import Matrix, ShapeMismatch, Subspace, canonicalize_subspace, kernel
+from .exact_linalg import ShapeMismatch, Subspace, add_scaled, canonicalize_subspace, kernel
 from .scalars import DomainError, FieldDescriptor, FieldElement, dot, inv
 
 
@@ -32,50 +34,55 @@ class AlternatingChar2(ValueError):
 
 
 class BilinearForm:
-    """Symmetric bilinear form with its nondegeneracy and alternation."""
+    """Symmetric bilinear form: its Gram rows, nondegeneracy and alternation."""
 
     __slots__ = ("field", "dim", "gram", "nondegenerate", "alternating")
 
-    def __init__(self, field: FieldDescriptor, gram: Matrix, nondegenerate: bool,
+    def __init__(self, field: FieldDescriptor, gram: tuple[dict, ...], nondegenerate: bool,
                  alternating: bool):
         self.field = field
-        self.dim = gram.nrows
+        self.dim = len(gram)
         self.gram = gram
         self.nondegenerate = nondegenerate
         self.alternating = alternating
 
-    def image(self, v: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-        """G v, the vector whose pairing with u is f(u, v)."""
-        zero = self.field.zero()
-        out = []
-        for row in self.gram.rows:
-            acc = zero
-            for g, x in zip(row, v):
-                if not g.is_zero() and not x.is_zero():
-                    acc = acc + g * x
-            out.append(acc)
-        return tuple(out)
+    def image(self, v: dict) -> dict:
+        """G v, whose pairing with u is f(u, v), summed term by term."""
+        out = {}
+        for i, row in enumerate(self.gram):
+            acc = None
+            for j, g in row.items():
+                x = v.get(j)
+                if x is not None:
+                    acc = g * x if acc is None else acc + g * x
+            if acc:
+                out[i] = acc
+        return out
 
-    def pair(self, u: Sequence[FieldElement], gv: Sequence[FieldElement]) -> FieldElement:
-        """f(u, v), given gv = G v."""
-        return dot(self.field, u, gv)
+    def pair(self, u: dict, gv: dict) -> FieldElement:
+        """f(u, v), given gv = G v: one dot over their common entries, in
+        index order, since the cost of `dot` over F_p(t) depends on the
+        order in which it meets the denominators."""
+        common = sorted(u.keys() & gv.keys())
+        return dot(self.field, [u[j] for j in common], [gv[j] for j in common])
 
-    def evaluate(self, u: Sequence[FieldElement], v: Sequence[FieldElement]) -> FieldElement:
+    def evaluate(self, u: dict, v: dict) -> FieldElement:
         return self.pair(u, self.image(v))
 
     def __repr__(self) -> str:
         return f"BilinearForm(dim={self.dim} over {self.field!r})"
 
 
-def _build_form(gram: Matrix) -> BilinearForm:
-    n = gram.nrows
-    nondegenerate = canonicalize_subspace(gram.field, gram.rows, n).dim == n
-    alternating = all(gram.rows[i][i].is_zero() for i in range(n))
-    return BilinearForm(gram.field, gram, nondegenerate, alternating)
+def _build_form(field: FieldDescriptor, gram: tuple[dict, ...]) -> BilinearForm:
+    n = len(gram)
+    nondegenerate = canonicalize_subspace(field, gram, n).dim == n
+    alternating = all(i not in row for i, row in enumerate(gram))
+    return BilinearForm(field, gram, nondegenerate, alternating)
 
 
-def make_form(gram: Matrix) -> BilinearForm:
-    """Validated nondegenerate symmetric form.
+def make_form(gram) -> BilinearForm:
+    """Validated nondegenerate symmetric form of a full Gram matrix, the
+    checked grid of a `--gram` input.
 
     Degeneracy is rejected eagerly here; degenerate forms can still arise
     from `restrict`, whose consumers perform their own checks.
@@ -84,48 +91,56 @@ def make_form(gram: Matrix) -> BilinearForm:
         raise NotSymmetric("Gram matrix must be square")
     if not gram.is_symmetric():
         raise NotSymmetric("Gram matrix must be symmetric")
-    form = _build_form(gram)
+    form = _build_form(gram.field, tuple({j: x for j, x in enumerate(row) if x}
+                                         for row in gram.rows))
     if not form.nondegenerate:
         raise Degenerate("Gram matrix has determinant zero")
     return form
 
 
 def diagonal_form(field: FieldDescriptor, entries: Sequence[FieldElement]) -> BilinearForm:
-    return make_form(Matrix.diagonal(field, list(entries)))
+    """The form diag(entries), nondegenerate exactly when no entry is zero:
+    no elimination.  Raises ShapeMismatch for an entry from another field,
+    then Degenerate for a zero entry."""
+    if any(x.field is not field and x.field != field for x in entries):
+        raise ShapeMismatch("entry from a different field")
+    if not all(entries):
+        raise Degenerate("Gram matrix has determinant zero")
+    gram = tuple({i: x} for i, x in enumerate(entries))
+    return BilinearForm(field, gram, nondegenerate=True, alternating=not entries)
+
+
+def _rows_in(form: BilinearForm, subspace: Subspace) -> tuple[dict, ...]:
+    """The subspace's echelon rows, checked to live in the form's space."""
+    if subspace.ambient_dim != form.dim or subspace.field != form.field:
+        raise ShapeMismatch("subspace does not live in the form's space")
+    return subspace.rows
 
 
 def restrict(form: BilinearForm, subspace: Subspace) -> BilinearForm:
-    """Restriction to a subspace, in the subspace's canonical basis.
+    """Restriction to a subspace, in the subspace's canonical basis: the
+    Gram matrix f(b_i, b_j) of its echelon rows b_i.
 
     The result may be degenerate; downstream operations that need
     nondegeneracy check it themselves and report a clearer error.
     """
-    if subspace.ambient_dim != form.dim or subspace.field != form.field:
-        raise ShapeMismatch("subspace does not live in the form's space")
-    if subspace.dim == 0:  # its empty basis has no columns to multiply
-        return _build_form(Matrix(form.field, []))
-    b = subspace.basis
-    return _build_form(b * form.gram * b.transpose())
+    rows = _rows_in(form, subspace)
+    images = [form.image(b) for b in rows]
+    gram = tuple({j: x for j, x in enumerate(form.pair(b, gb) for gb in images) if x}
+                 for b in rows)
+    return _build_form(form.field, gram)
 
 
-@dataclass(frozen=True)
-class OrthogonalBasisResult:
-    """Basis change B (rows are the new basis) with B G B^T diagonal."""
-
-    basis: Matrix
-    diagonal: tuple[FieldElement, ...]
-
-
-def orthogonalize(form: BilinearForm,
-                  rows: Optional[Sequence[Sequence[FieldElement]]] = None,
-                  ) -> OrthogonalBasisResult:
-    """Constructive orthogonal basis for a nondegenerate symmetric form.
+def orthogonalize(form: BilinearForm, rows: Optional[Sequence[dict]] = None,
+                  ) -> tuple[list[dict], tuple[FieldElement, ...]]:
+    """Constructive orthogonal basis for a nondegenerate symmetric form, as
+    (basis rows b_k, squares f(b_k, b_k)), the rows sparse.
 
     Without `rows` the form's own space is orthogonalized, starting from
-    the standard basis.  With `rows`, their span U is, starting from the
-    rows themselves: the basis is returned in the form's coordinates, and
-    the caller vouches that f|_U is nondegenerate.  `diagonal` holds the
-    squares f(b_k, b_k) of the basis rows b_k.
+    the standard basis.  With `rows`, sparse rows as `Subspace.rows` holds
+    them, their span U is, starting from the rows themselves: the basis is
+    returned in the form's coordinates, and the caller vouches that f|_U
+    is nondegenerate.
 
     Strategy: repeatedly move an anisotropic vector to the front of the
     unprocessed block and clear its pairings.  If the residual block has
@@ -134,7 +149,8 @@ def orthogonalize(form: BilinearForm,
     in characteristic 2 add the first residual vector onto the previous
     anisotropic one and back up one position.  A nondegenerate alternating
     block has even dimension, so the widened odd block cannot stay
-    alternating and the backup makes progress.
+    alternating and the backup makes progress.  Every change of a row is
+    the in-place update b_j + f b_k of `exact_linalg.add_scaled`.
 
     Each value is computed once: G b_k and f(b_k, b_k) are kept until b_k
     changes, so the square that the search finds at a pivot is the one
@@ -147,15 +163,15 @@ def orthogonalize(form: BilinearForm,
     char2 = field.characteristic() == 2
     if char2 and form.alternating and form.dim > 0:
         raise AlternatingChar2("alternating form in characteristic 2")
+    one = field.one()
     if rows is None:
-        rows = Matrix.identity(field, form.dim).rows
-    one, fused = field.one(), field.fuses_sums
-    basis = [list(row) for row in rows]
+        rows = [{i: one} for i in range(form.dim)]
+    basis = [dict(row) for row in rows]
     n = len(basis)
     images: list = [None] * n  # G b_k, None once b_k has changed
     squares: list = [None] * n  # f(b_k, b_k), likewise
 
-    def image(i: int) -> tuple[FieldElement, ...]:
+    def image(i: int) -> dict:
         if images[i] is None:
             images[i] = form.image(basis[i])
         return images[i]
@@ -165,8 +181,9 @@ def orthogonalize(form: BilinearForm,
             squares[i] = form.pair(basis[i], image(i))
         return squares[i]
 
-    def replace(i: int, row: list[FieldElement]) -> None:
-        basis[i], images[i], squares[i] = row, None, None
+    def add_to(i: int, factor: FieldElement, j: int) -> None:
+        add_scaled(basis[i], factor, basis[j])
+        images[i] = squares[i] = None
 
     k = 0
     steps = 0
@@ -182,30 +199,28 @@ def orthogonalize(form: BilinearForm,
                 if pair is None:
                     raise Degenerate("residual block pairs to zero")
                 i, j = pair
-                replace(i, [x + y for x, y in zip(basis[i], basis[j])])
+                add_to(i, one, j)
                 continue
             # characteristic 2: borrow the previous anisotropic vector
             if k == 0:
                 raise AlternatingChar2("alternating form in characteristic 2")
-            replace(k - 1, [x + y for x, y in zip(basis[k - 1], basis[k])])
+            add_to(k - 1, one, k)
             k -= 1
             continue
         if anisotropic != k:
             for cache in (basis, images, squares):
                 cache[k], cache[anisotropic] = cache[anisotropic], cache[k]
         c_inv = inv(square(k))
-        pivot, pivot_image = basis[k], image(k)
+        pivot_image = image(k)
         for j in range(k + 1, n):
             t = form.pair(basis[j], pivot_image)
             if not t.is_zero():
-                f = -(t * c_inv)
-                replace(j, [x if y.is_zero()
-                            else dot(field, (one, f), (x, y)) if fused else x + f * y
-                            for x, y in zip(basis[j], pivot)])
+                add_to(j, -(t * c_inv), k)
         k += 1
-    return OrthogonalBasisResult(Matrix(field, basis), tuple(squares))
+    return basis, tuple(squares)
 
 
 def orthogonal_complement(form: BilinearForm, subspace: Subspace) -> Subspace:
-    """All vectors pairing to zero with the given subspace."""
-    return kernel(form.field, (subspace.basis * form.gram).rows, form.dim)
+    """All vectors pairing to zero with the given subspace: the kernel of
+    the images G b of its echelon rows b."""
+    return kernel(form.field, [form.image(b) for b in _rows_in(form, subspace)], form.dim)

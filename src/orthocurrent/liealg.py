@@ -144,21 +144,22 @@ def skew_adjoint_algebra(form: BilinearForm) -> Subspace:
     if field.characteristic() == 2 and form.alternating and form.dim > 0:
         raise AlternatingChar2("alternating form in characteristic 2")
     n = form.dim
-    return kernel(field, _skew_equations(form.gram.rows), n * n)
+    return kernel(field, _skew_equations(form.gram), n * n)
 
 
-def _skew_equations(gram: Sequence[Sequence]) -> list[dict]:
+def _skew_equations(gram: Sequence[Mapping]) -> list[dict]:
     """The n^2 equations of x^T G + G x = 0, as {r n + c: coefficient of
-    x[r][c]}, generic in the scalar.  Equation (i, j) reads x[k][i] with
-    coefficient g[k][j] (from x^T G) and x[k][j] with g[i][k] (from G x),
-    so it is written from G's nonzero entries only: two for a diagonal G."""
+    x[r][c]}, for a symmetric G given by its sparse rows {k: g_ik}, zero
+    entries left out, generic in the scalar.  Equation (i, j) reads x[k][i]
+    with coefficient g[k][j] = g[j][k] (from x^T G) and x[k][j] with
+    g[i][k] (from G x), so it is written from G's nonzero entries only:
+    two for a diagonal G."""
     n = len(gram)
-    rows = [[(k, x) for k, x in enumerate(row) if x] for row in gram]
-    cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*gram)]
     equations = []
     for i in range(n):
         for j in range(n):
-            terms = [(k * n + i, x) for k, x in cols[j]] + [(k * n + j, x) for k, x in rows[i]]
+            terms = ([(k * n + i, x) for k, x in gram[j].items()]
+                     + [(k * n + j, x) for k, x in gram[i].items()])
             equation: dict = {}
             for pos, x in terms:
                 equation[pos] = equation[pos] + x if pos in equation else x
@@ -350,12 +351,18 @@ def evaluated_algebra(entries: Sequence[FieldElement]) -> LieAlgebraSC:
     return LieAlgebraSC(field, dim, {pair: c for pair, c in brackets.items() if pair[1] < dim})
 
 
+def discriminant(a, b, c, d):
+    """D = abcd for diag(a, b, c, d), generic in the scalar: field elements
+    or the symbols of `prove_identity`."""
+    return a * b * c * d
+
+
 def table_brackets(a, b, c, d) -> dict:
     """TABLE_ROWS for diag(a, b, c, d) as brackets {(i, j): {k: c_k}},
     i < j, indices in BASIS_NAMES order: a row [e_j, e_i] = c e_k is read
     as [e_i, e_j] = -c e_k.  The entries may be field elements or the
     symbols of `prove_identity`."""
-    values = {"a": a, "b": b, "c": c, "d": d, "D": a * b * c * d}
+    values = {"a": a, "b": b, "c": c, "d": d, "D": discriminant(a, b, c, d)}
     out: dict = {}
     for left, right, symbol, target in TABLE_ROWS:
         i, j, k = (BASIS_NAMES.index(name) for name in (left, right, target))
@@ -542,7 +549,7 @@ def _dimension_law(n: int) -> bool:
     coefficients, one free entry per pair, and equation (i, i) is
     2 g_i x_ii = 0; no equation reads an entry outside its pair."""
     g = SYMBOLS[:n]
-    eqs = _skew_equations([[g[i] if i == j else IntPoly() for j in range(n)] for i in range(n)])
+    eqs = _skew_equations([{i: g[i]} for i in range(n)])
     return all(
         (eqs[i * n + j] == {i * n + i: g[i] + g[i]}) if i == j else
         (eqs[i * n + j] == eqs[j * n + i] and set(eqs[i * n + j]) == {i * n + j, j * n + i}
@@ -560,6 +567,6 @@ def _prove_identity() -> dict[str, bool]:
     laws, `_dimension_law` for n = 3 and 4."""
     table = table_brackets(*SYMBOLS)
     (m, span), (core, core_span) = _wedge_facts(SYMBOLS), _wedge_facts(SYMBOLS[:3])
-    tensor = core is not None and _current_brackets(core, 3, reduce(mul, SYMBOLS), 2, ONE) == table
+    tensor = core is not None and _current_brackets(core, 3, discriminant(*SYMBOLS), 2, ONE) == table
     return {"table": m == table, "span": span, "tensor": tensor, "core_span": core_span,
             "laws": _dimension_law(3) and _dimension_law(4)}

@@ -49,6 +49,7 @@ from .liealg import (
     bracket_span,
     derived_series_of_subspace,
     derived_subspace,
+    discriminant,
     evaluated_algebra,
     is_ideal,
     prove_identity,
@@ -141,7 +142,7 @@ def build_pipeline(field: FieldDescriptor, entries: Sequence[FieldElement]) -> P
     # evaluated_algebra names a zero diagonal entry before the form is found degenerate.
     algebra = evaluated_algebra(entries)
     form = diagonal_form(field, entries)
-    disc = entries[0] * entries[1] * entries[2] * entries[3]
+    disc = discriminant(*entries)
     proof = prove_identity()
     identity = (
         _check("distinguished_basis_spans_derived", proof["span"]),
@@ -172,11 +173,12 @@ def _small_elements(field: FieldDescriptor) -> Callable[[random.Random], FieldEl
 
 
 def _orthogonal_rows(pipe: Pipeline, rng: random.Random
-                     ) -> tuple[int, Subspace, tuple[Vector, ...], tuple[FieldElement, ...]]:
+                     ) -> tuple[int, Subspace, tuple[dict, ...], tuple[FieldElement, ...]]:
     """A random 3-dimensional subspace W with nondegenerate restriction, an
     orthogonal basis w1, w2, w3 of W and w4 spanning its orthogonal
     complement, as (attempt, W, (w1, w2, w3, w4), (a', b', c', d')) with
-    the squares that the orthogonalization claims and d' = f(w4, w4).
+    the rows sparse, the squares that the orthogonalization claims and
+    d' = f(w4, w4).
 
     G is nondegenerate, so W^perp is the line through w4, and f|_W is
     degenerate exactly when W meets W^perp, that is when w4 lies in W.
@@ -193,12 +195,12 @@ def _orthogonal_rows(pipe: Pipeline, rng: random.Random
         w = canonicalize_subspace(field, rows, 4)
         if w.dim != 3:
             continue
-        w4 = orthogonal_complement(form, w).basis.rows[0]
+        w4 = orthogonal_complement(form, w).rows[0]
         d4 = form.evaluate(w4, w4)
         if d4.is_zero():
             continue
-        ortho = orthogonalize(form, w.basis.rows)
-        return attempt, w, ortho.basis.rows + (w4,), ortho.diagonal + (d4,)
+        basis, squares = orthogonalize(form, w.rows)
+        return attempt, w, (*basis, w4), (*squares, d4)
     raise NondegenerateWRequired(
         f"no nondegenerate restriction found in {RANDOM_W_ATTEMPTS} attempts"
     )
@@ -230,7 +232,7 @@ def _random_w_leg(pipe: Pipeline, rng: random.Random) -> tuple[dict, list[dict]]
     """
     attempt, w, rows, primed = _orthogonal_rows(pipe, rng)
     form, zero = pipe.form, pipe.field.zero()
-    d_primed = primed[0] * primed[1] * primed[2] * primed[3]
+    d_primed = discriminant(*primed)
     images = [form.image(row) for row in rows]
     isometry = not d_primed.is_zero() and all(
         form.pair(rows[r], images[s]) == (primed[r] if r == s else zero)

@@ -15,8 +15,9 @@ from orthocurrent.exact_linalg import (
     Subspace,
     canonicalize_subspace,
     commutator,
+    kernel,
 )
-from orthocurrent.forms import BilinearForm, orthogonal_complement, orthogonalize, restrict
+from orthocurrent.forms import AlternatingChar2, BilinearForm, Degenerate, restrict
 from orthocurrent.liealg import (
     InvalidStructure,
     LieAlgebraSC,
@@ -42,6 +43,7 @@ from orthocurrent.scalars import (
     KIND_PRIME,
     KIND_QUADEXT,
     KIND_RATIONALS,
+    DomainError,
     FieldDescriptor,
     FieldElement,
     Poly,
@@ -77,6 +79,37 @@ def random_element(field: FieldDescriptor, rng, nonzero: bool = False) -> FieldE
             x = FieldElement(field, (u, v))
         if not nonzero or not x.is_zero():
             return x
+
+
+def identity(field: FieldDescriptor, n: int) -> Matrix:
+    zero, one = field.zero(), field.one()
+    return Matrix(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def diagonal_matrix(field: FieldDescriptor, entries: Sequence[FieldElement]) -> Matrix:
+    zero = field.zero()
+    n = len(entries)
+    return Matrix(field, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(m.field, zip(*m.rows))
+
+
+def dense_rows(field: FieldDescriptor, rows, n: int) -> tuple[tuple[FieldElement, ...], ...]:
+    """Sparse rows {index: entry} written out as n entries each."""
+    zero = field.zero()
+    return tuple(tuple(row.get(j, zero) for j in range(n)) for row in rows)
+
+
+def basis_matrix(space: Subspace) -> Matrix:
+    """The space's sparse echelon rows, written out as a dense matrix."""
+    return Matrix(space.field, dense_rows(space.field, space.rows, space.ambient_dim))
+
+
+def gram_matrix(form: BilinearForm) -> Matrix:
+    """The form's sparse Gram rows, written out as a dense matrix."""
+    return Matrix(form.field, dense_rows(form.field, form.gram, form.dim))
 
 
 def matrix_sum(*mats: Matrix) -> Matrix:
@@ -148,7 +181,7 @@ def skew_matrices(form: BilinearForm) -> list[Matrix]:
     n x n matrices."""
     n = form.dim
     return [Matrix(form.field, [row[r * n:(r + 1) * n] for r in range(n)])
-            for row in skew_adjoint_algebra(form).basis.rows]
+            for row in basis_matrix(skew_adjoint_algebra(form)).rows]
 
 
 def realization_mismatch(brackets: Mapping, mats: Sequence[Matrix]) -> Optional[tuple[int, int]]:
@@ -170,7 +203,7 @@ def is_zero_matrix(m: Matrix) -> bool:
 
 
 def full_subspace(field: FieldDescriptor, ambient_dim: int) -> Subspace:
-    return canonicalize_subspace(field, Matrix.identity(field, ambient_dim).rows, ambient_dim)
+    return canonicalize_subspace(field, identity(field, ambient_dim).rows, ambient_dim)
 
 
 def subspace_meet_join(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
@@ -184,10 +217,10 @@ def subspace_meet_join(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
     if a.field != b.field or a.ambient_dim != b.ambient_dim:
         raise ShapeMismatch("subspaces live in different ambient spaces")
     n = a.ambient_dim
-    joined = canonicalize_subspace(a.field, list(a.basis.rows) + list(b.basis.rows), n)
+    joined = canonicalize_subspace(a.field, a.rows + b.rows, n)
     zero = a.field.zero()
-    block = [list(row) + list(row) for row in a.basis.rows]
-    block += [list(row) + [zero] * n for row in b.basis.rows]
+    block = [list(row) + list(row) for row in basis_matrix(a).rows]
+    block += [list(row) + [zero] * n for row in basis_matrix(b).rows]
     block, _ = dense_rref(block)
     meet_vectors = [
         row[n:] for row in block
@@ -231,7 +264,7 @@ def inverse(m: Matrix) -> Matrix:
     n = m.nrows
     if m.ncols != n:
         raise ShapeMismatch("inverse of a non-square matrix")
-    unit = Matrix.identity(m.field, n).rows
+    unit = identity(m.field, n).rows
     augmented, pivots = dense_rref([list(row) + list(e) for row, e in zip(m.rows, unit)])
     if pivots[:n] != list(range(n)):
         raise ShapeMismatch("matrix is singular")
@@ -315,7 +348,7 @@ def dense_remainder(space: Subspace, v) -> tuple[FieldElement, ...]:
     """Remainder of the dense vector v after elimination against the
     space's dense echelon basis: v minus v[p] times the row of pivot p."""
     w = list(v)
-    for row, c in zip(space.basis.rows, space.pivots):
+    for row, c in zip(basis_matrix(space).rows, space.pivots):
         factor = w[c]
         w = [x - factor * y for x, y in zip(w, row)]
     return tuple(w)
@@ -325,12 +358,12 @@ def dense_is_ideal(alg: LieAlgebraSC, space: Subspace) -> bool:
     """is_ideal by dense unit-vector brackets [e_i, b] for the basis rows
     b, each reduced against the space to zero."""
     return all(not any(dense_remainder(space, dense_bracket(alg, unit(alg, i), row)))
-               for i in range(alg.dim) for row in space.basis.rows)
+               for i in range(alg.dim) for row in basis_matrix(space).rows)
 
 
 def dense_bracket_span(alg: LieAlgebraSC, space: Subspace) -> Subspace:
     """bracket_span by dense brackets of the pairs of basis rows."""
-    rows = space.basis.rows
+    rows = basis_matrix(space).rows
     return canonicalize_subspace(alg.field, [dense_bracket(alg, x, y) for a, x in enumerate(rows)
                                              for y in rows[a + 1:]], alg.dim)
 
@@ -342,14 +375,14 @@ def ideal_closure(alg: LieAlgebraSC, seed) -> Subspace:
         new_vectors = []
         for i in range(alg.dim):
             e = unit(alg, i)
-            for row in space.basis.rows:
+            for row in basis_matrix(space).rows:
                 w = dense_bracket(alg, e, row)
                 if not space.contains(w):
                     new_vectors.append(w)
         if not new_vectors:
             return space
         space = canonicalize_subspace(
-            alg.field, list(space.basis.rows) + new_vectors, alg.dim
+            alg.field, list(space.rows) + new_vectors, alg.dim
         )
 
 
@@ -422,7 +455,7 @@ def derived_span_by_coordinates(form: BilinearForm) -> tuple[int, Subspace]:
     in L's coordinates, mapped back through L's matrices."""
     mats = skew_matrices(form)
     skew = algebra_from_matrices(form.field, [sparse(m) for m in mats])
-    flats = [flat(matrix_for(mats, row)) for row in derived_subspace(skew).basis.rows]
+    flats = [flat(matrix_for(mats, row)) for row in basis_matrix(derived_subspace(skew)).rows]
     return skew.dim, canonicalize_subspace(form.field, flats, form.dim ** 2)
 
 
@@ -482,7 +515,7 @@ def closed_and_perfect(alg: LieAlgebraSC, space: Subspace) -> tuple[bool, bool]:
     """Whether `space` is a subalgebra, and whether that subalgebra, built
     from its own structure constants, is perfect."""
     try:
-        constants = structure_constants(alg, space.basis.rows)
+        constants = structure_constants(alg, basis_matrix(space).rows)
     except NotClosed:
         return False, False
     vectors = {(a, b): constants[a][b] for a, b in combinations(range(space.dim), 2)}
@@ -511,7 +544,7 @@ def quotient_algebra(alg: LieAlgebraSC, ideal: Subspace) -> LieAlgebraSC:
 def conjugated_current_basis(rows, squares) -> tuple[Matrix, ...]:
     """B^T m B^-T for the matrices m of current_basis(*squares), with B the
     matrix of the given rows: an explicit inverse and two products each."""
-    b_t = Matrix(squares[0].field, rows).transpose()
+    b_t = transpose(Matrix(squares[0].field, rows))
     b_t_inv = inverse(b_t)
     return tuple(b_t * m * b_t_inv for m in dense_basis(*squares))
 
@@ -581,12 +614,76 @@ def orthogonal_rows_by_restriction(form: BilinearForm, rng, max_tries: int):
         restricted = restrict(form, w)
         if not restricted.nondegenerate:
             continue
-        ortho = orthogonalize(restricted)
-        w4 = orthogonal_complement(form, w).basis.rows[0]
-        d4 = form.evaluate(w4, w4)
+        basis, squares = dense_orthogonalize(gram_matrix(restricted))
+        gram = gram_matrix(form)
+        w4 = basis_matrix(dense_orthogonal_complement(gram, w)).rows[0]
+        d4 = dense_pair(gram, w4, w4)
         assert not d4.is_zero(), "a nondegenerate f|_W has an anisotropic complement"
-        return attempt, w, (ortho.basis * w.basis).rows + (w4,), ortho.diagonal + (d4,)
+        return attempt, w, (basis * basis_matrix(w)).rows + (w4,), squares + (d4,)
     return None
+
+
+def dense_pair(gram: Matrix, u, v) -> FieldElement:
+    """u^T G v for dense vectors, term by term."""
+    zero = gram.field.zero()
+    return sum((x * g * y for x, row in zip(u, gram.rows) for g, y in zip(row, v)), zero)
+
+
+def dense_orthogonalize(gram: Matrix, rows=None) -> tuple[Matrix, tuple[FieldElement, ...]]:
+    """(basis B, squares) of `forms.orthogonalize` by the same steps on dense
+    rows, for a symmetric Gram matrix G and dense rows (the standard basis
+    when None): nondegeneracy read off the cofactor determinant, every
+    pairing recomputed as u^T G v wherever it is read, and each row update
+    written out entry by entry.  Raises Degenerate, AlternatingChar2 and
+    DomainError where the library does."""
+    field, n = gram.field, gram.nrows
+    if det(gram).is_zero():
+        raise Degenerate("cannot orthogonalize a degenerate form")
+    char2 = field.characteristic() == 2
+    if char2 and n > 0 and all(gram.rows[i][i].is_zero() for i in range(n)):
+        raise AlternatingChar2("alternating form in characteristic 2")
+    basis = [list(row) for row in (identity(field, n).rows if rows is None else rows)]
+    m = len(basis)
+
+    def f(i: int, j: int) -> FieldElement:
+        return dense_pair(gram, basis[i], basis[j])
+
+    def add(i: int, j: int) -> None:
+        basis[i] = [x + y for x, y in zip(basis[i], basis[j])]
+
+    k = steps = 0
+    while k < m:
+        steps += 1
+        if steps > 8 * (m + 1):
+            raise DomainError("orthogonalization failed to converge")
+        anisotropic = next((i for i in range(k, m) if not f(i, i).is_zero()), None)
+        if anisotropic is None:
+            if not char2:
+                pair = next(((i, j) for i in range(k, m) for j in range(i + 1, m)
+                             if not f(i, j).is_zero()), None)
+                if pair is None:
+                    raise Degenerate("residual block pairs to zero")
+                add(*pair)
+                continue
+            if k == 0:
+                raise AlternatingChar2("alternating form in characteristic 2")
+            add(k - 1, k)
+            k -= 1
+            continue
+        basis[k], basis[anisotropic] = basis[anisotropic], basis[k]
+        for j in range(k + 1, m):
+            factor = f(j, k) / f(k, k)
+            basis[j] = [x - factor * y for x, y in zip(basis[j], basis[k])]
+        k += 1
+    return Matrix(field, basis), tuple(f(i, i) for i in range(m))
+
+
+def dense_orthogonal_complement(gram: Matrix, space: Subspace) -> Subspace:
+    """`forms.orthogonal_complement` as the kernel of the product B G, for B
+    the space's basis matrix; the zero space, whose B has no rows to
+    multiply, pairs to zero with everything."""
+    products = (basis_matrix(space) * gram).rows if space.dim else ()
+    return kernel(gram.field, products, gram.nrows)
 
 
 def common_denominator(field: FieldDescriptor, xs: Sequence[FieldElement]) -> FieldElement:

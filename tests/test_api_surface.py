@@ -167,6 +167,20 @@ def test_an_algebra_keeps_one_table():
     assert named == []
 
 
+def test_only_the_gram_input_names_the_dense_matrix():
+    """Forms and vectors live on sparse rows: in the package only
+    exact_linalg, which defines `Matrix`, and cli, which reads a `--gram`
+    input into one, name it.  A Gram matrix multiplied, a dense identity or
+    diagonal built, or a dense basis returned by forms fails here."""
+    naming = {
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _named(node) == "Matrix"
+    }
+    assert naming == {"cli", "exact_linalg"}
+
+
 def test_the_coefficient_product_is_called_by_two_modules_only():
     """liealg.quotient_product, the product of F[X]/(X^n - s), is called
     only by tensor_current's rule `_current_brackets` (which the proof runs

@@ -50,6 +50,7 @@ from orthocurrent.structure import table_to_json
 from reference import (
     NotClosed,
     SpanSolver,
+    basis_matrix,
     brackets_of,
     current_algebra,
     current_basis,
@@ -60,6 +61,7 @@ from reference import (
     dense_is_ideal,
     derived_span,
     det,
+    diagonal_matrix,
     flat,
     full_subspace,
     ideal_closure,
@@ -73,6 +75,7 @@ from reference import (
     skew_matrices,
     sparse,
     sparse_vector,
+    transpose,
     structure_constants,
     unit,
 )
@@ -109,7 +112,7 @@ def test_skew_adjoint_dimensions():
 
 def test_skew_adjoint_identity_form_is_antisymmetric_matrices():
     for m in skew_matrices(diag_form(Q, [1, 1, 1, 1])):
-        assert is_zero_matrix(matrix_sum(m.transpose(), m))
+        assert is_zero_matrix(matrix_sum(transpose(m), m))
 
 
 def test_skew_adjoint_contains_core_basis():
@@ -143,7 +146,7 @@ def test_skew_adjoint_non_diagonal_gram():
             assert len(mats) == (10 if char2 else 6)
             assert derived_span(form)[1].dim == 6
             for m in mats:
-                assert is_zero_matrix(matrix_sum(m.transpose() * gram, gram * m))
+                assert is_zero_matrix(matrix_sum(transpose(m) * gram, gram * m))
             done += 1
 
 
@@ -420,7 +423,7 @@ def test_sparse_ideal_tests_match_the_dense_reference(literal, seed, nvectors, k
         vectors = [[random_element(field, rng) for _ in range(6)] for _ in range(nvectors)]
         space = (ideal_closure(alg, vectors) if kind == "ideal"
                  else canonicalize_subspace(field, vectors, 6))
-    for row, dense_row in zip(space.rows, space.basis.rows):
+    for row, dense_row in zip(space.rows, basis_matrix(space).rows):
         assert all(alg.ad(i, row) == sparse_vector(dense_bracket(alg, unit(alg, i), dense_row))
                    for i in range(alg.dim))
     ideal = is_ideal(alg, space)
@@ -573,16 +576,16 @@ def test_sparse_skew_check_matches_the_dense_products():
     rng = random.Random(3)
     for field in (Q, F3, F2, F2T):
         entries = [random_element(field, rng, nonzero=True) for _ in range(4)]
-        gram = Matrix.diagonal(field, entries)
+        gram = diagonal_matrix(field, entries)
         skew = skew_matrices(diagonal_form(field, entries))
-        diagonal = Matrix.diagonal(field, fe(field, [1, 0, 0, 0]))
+        diagonal = diagonal_matrix(field, fe(field, [1, 0, 0, 0]))
         candidates = [*skew, *dense_basis(*entries), diagonal]
         for m in skew:
             noise = Matrix(field, [[random_element(field, rng) if rng.random() < 0.2
                                     else field.zero() for _ in range(4)] for _ in range(4)])
             candidates.append(matrix_sum(m, noise))
         for x in candidates:
-            dense_ok = is_zero_matrix(matrix_sum(x.transpose() * gram, gram * x))
+            dense_ok = is_zero_matrix(matrix_sum(transpose(x) * gram, gram * x))
             no_diagonal = all(x.rows[i][i].is_zero() for i in range(4))
             assert _alternating(sparse(x), entries) == (dense_ok and no_diagonal)
         assert is_zero_matrix(matrix_sum(diagonal * gram, gram * diagonal)) == (

@@ -29,6 +29,7 @@ from orthocurrent.structure import CASE_SEMIDIRECT, CASE_SIMPLE, CASE_TWO_IDEALS
 
 from reference import (
     _apply,
+    basis_matrix,
     brackets_of,
     current_algebra,
     dense_bracket,
@@ -158,7 +159,7 @@ def test_counts_match_gaussian_binomials_small():
 def test_enumeration_yields_distinct_canonical_subspaces():
     seen = set()
     for space in enumerate_subspaces(2, 4, 2):
-        key = space.basis.rows
+        key = basis_matrix(space).rows
         assert key not in seen
         seen.add(key)
     assert len(seen) == gaussian_binomial(4, 2, 2)
